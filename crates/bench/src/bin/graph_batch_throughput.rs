@@ -12,20 +12,22 @@
 //! Gate: at batch 64 the sharded configuration must beat the single-thread
 //! configuration when more than one CPU is available; on a single-CPU
 //! machine (where sharding can only break even) it must stay within 15% of
-//! single-thread throughput, demonstrating that the scoped worker pool adds
-//! no meaningful overhead.
+//! single-thread throughput, demonstrating that the persistent worker pool
+//! adds no meaningful overhead.
 
 use sc_bench::host_context;
 use sc_graph::{
     BatchInput, BinaryOp, CompiledGraph, Executor, Graph, ManipulatorKind, PlannerOptions,
+    StreamJob,
 };
 use sc_rng::SourceSpec;
+use std::sync::Arc;
 use std::time::Instant;
 
 const STREAM_BITS: usize = 4096;
 const BATCH_SIZES: [usize; 3] = [1, 8, 64];
 
-fn build_plan() -> CompiledGraph {
+fn build_plan() -> Arc<CompiledGraph> {
     let mut g = Graph::new();
     let x = g.generate(0, SourceSpec::Sobol { dimension: 1 });
     let y = g.generate(1, SourceSpec::Halton { base: 3, offset: 0 });
@@ -39,7 +41,19 @@ fn build_plan() -> CompiledGraph {
         .compile(&PlannerOptions::default())
         .expect("benchmark graph is valid");
     assert_eq!(plan.report().fused_runs, 1, "chain fusion should engage");
-    plan
+    Arc::new(plan)
+}
+
+/// One batch dispatch: every input set as a job on `plan`, unbounded window.
+fn run_batch(exec: &Executor, plan: &Arc<CompiledGraph>, inputs: &[BatchInput]) {
+    let jobs = inputs.iter().map(|input| StreamJob {
+        plan: Arc::clone(plan),
+        input: input.clone(),
+    });
+    let out = exec
+        .run_stream(jobs, usize::MAX)
+        .expect("benchmark executes");
+    std::hint::black_box(out);
 }
 
 fn batch(size: usize) -> Vec<BatchInput> {
@@ -54,13 +68,12 @@ fn batch(size: usize) -> Vec<BatchInput> {
 /// Best observed throughput (input sets per second) over several samples,
 /// with the repetition count calibrated so each sample is long enough to
 /// time reliably.
-fn measure(exec: &Executor, plan: &CompiledGraph, inputs: &[BatchInput]) -> f64 {
+fn measure(exec: &Executor, plan: &Arc<CompiledGraph>, inputs: &[BatchInput]) -> f64 {
     let mut reps = 1u64;
     loop {
         let start = Instant::now();
         for _ in 0..reps {
-            let out = exec.run_batch(plan, inputs).expect("benchmark executes");
-            std::hint::black_box(out);
+            run_batch(exec, plan, inputs);
         }
         let ns = start.elapsed().as_nanos() as u64;
         if ns >= 20_000_000 || reps >= 1 << 16 {
@@ -72,8 +85,7 @@ fn measure(exec: &Executor, plan: &CompiledGraph, inputs: &[BatchInput]) -> f64 
     for _ in 0..7 {
         let start = Instant::now();
         for _ in 0..reps {
-            let out = exec.run_batch(plan, inputs).expect("benchmark executes");
-            std::hint::black_box(out);
+            run_batch(exec, plan, inputs);
         }
         let secs = start.elapsed().as_secs_f64();
         let throughput = (reps as usize * inputs.len()) as f64 / secs;

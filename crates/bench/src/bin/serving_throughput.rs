@@ -162,16 +162,24 @@ fn main() {
     // --- Deterministic two-request probe for the coalescing gate: a fresh
     // single-threaded server, two same-kernel images submitted back to
     // back — the dispatcher's round-robin intake must interleave their
-    // same-class tiles into mixed lane groups. The submit gap is
-    // microseconds against the dispatcher's 50 ms coalescing wait, but the
-    // scheduler can in principle starve the second submit, so a few
-    // attempts are allowed.
+    // same-class tiles into mixed lane groups. The intake holds both images,
+    // so the second is queued while the first still is. With the default
+    // intake this probe does not coalesce: the second image is held back
+    // until the first is fully dispatched, and an idle worker takes a
+    // partial bucket at once instead of waiting for it. Cross-request
+    // coalescing of two back-to-back images on an idle default-configured
+    // server was given up for that idle-worker flush; under sustained load
+    // (workers busy) buckets still fill across requests. The submit gap is
+    // about a millisecond of planning against tens of milliseconds of
+    // execution, but the scheduler can in principle starve the second
+    // submit, so a few attempts are allowed.
     let mut probe_cross = 0usize;
     for _ in 0..5 {
         let probe_sink = TelemetrySink::new();
         let probe =
             ImageServer::builder(variant, config.clone().with_telemetry(probe_sink.clone()))
                 .with_threads(1)
+                .with_intake_capacity(32)
                 .start()
                 .expect("probe server starts");
         let a = probe.submit(&img).expect("probe submit a");

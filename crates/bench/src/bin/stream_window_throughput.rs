@@ -9,7 +9,7 @@
 //!
 //! * **Bounded memory** — for every window in {1, threads, 4×threads}, the
 //!   peak number of simultaneously-live retargeted tile plans reported by
-//!   `run_sc_pipeline_with_window` must not exceed the window. This is the
+//!   `run_sc_pipeline_with_stats` must not exceed the window. This is the
 //!   O(window) memory model: the full dispatch of PR 4 held O(tiles) plans
 //!   live, the streaming engine holds at most the window.
 //! * **No throughput regression** — streaming at the default window
@@ -20,7 +20,7 @@
 //!   bar applies.
 
 use sc_bench::measure_rate as measure;
-use sc_image::{run_sc_pipeline_with_window, GrayImage, PipelineConfig, PipelineVariant};
+use sc_image::{run_sc_pipeline_with_stats, GrayImage, PipelineConfig, PipelineVariant};
 use sc_telemetry::{Json, TelemetrySink};
 
 fn bench_image() -> GrayImage {
@@ -60,8 +60,9 @@ fn main() {
     let variant = PipelineVariant::Synchronizer;
     let default_window = threads * sc_graph::DEFAULT_WINDOW_FACTOR;
 
+    let config = config.with_threads(threads);
     let run = |window: usize| {
-        run_sc_pipeline_with_window(&img, variant, &config, threads, window)
+        run_sc_pipeline_with_stats(&img, variant, &config.clone().with_window(window))
             .expect("benchmark pipeline executes")
     };
 
@@ -105,8 +106,11 @@ fn main() {
     // per-stage summary: the same TelemetryReport JSON every instrumented
     // consumer gets, instead of a hand-rolled writer.
     let sink = TelemetrySink::new();
-    let instrumented = config.clone().with_telemetry(sink.clone());
-    run_sc_pipeline_with_window(&img, variant, &instrumented, threads, default_window)
+    let instrumented = config
+        .clone()
+        .with_telemetry(sink.clone())
+        .with_window(default_window);
+    run_sc_pipeline_with_stats(&img, variant, &instrumented)
         .expect("instrumented pipeline executes");
     let telemetry = sink.drain().to_json();
 

@@ -1394,9 +1394,9 @@ mod tests {
         );
         let exec = crate::Executor::new(256);
         let input = crate::exec::BatchInput::with_values(vec![0.8, 0.3, 0.5, 0.5]);
-        let a = exec.run_batch(&dce, std::slice::from_ref(&input)).unwrap();
-        let b = exec.run_batch(&kept, std::slice::from_ref(&input)).unwrap();
-        assert_eq!(a[0].value("z"), b[0].value("z"));
+        let a = exec.run(&dce, &input).unwrap();
+        let b = exec.run(&kept, &input).unwrap();
+        assert_eq!(a.value("z"), b.value("z"));
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The batch executor: runs a [`CompiledGraph`] word-parallel over batches of
-//! independent input sets, optionally sharded across a persistent worker pool.
+//! The batch executor: runs a [`CompiledGraph`] word-parallel over streams
+//! of independent input sets, optionally sharded across a persistent worker
+//! pool.
 
+use crate::coalesce::{Coalescer, Group};
 use crate::compile::{CompiledGraph, Step};
 use crate::graph::GraphError;
 use crate::node::BinaryOp;
@@ -11,7 +13,7 @@ use sc_convert::{
 };
 use sc_core::{process_lane_pairs, CorrelationManipulator, LaneChain, ManipulatorChain, LANES};
 use sc_rng::{RandomSource, RngKind, SourceSpec};
-use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
+use sc_telemetry::{Gauge, Hist, Stage, TelemetrySink};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
@@ -295,11 +297,10 @@ impl std::fmt::Debug for WorkerPool {
 /// One owned job of a streaming [`Executor::run_stream`] dispatch: a shared
 /// handle to the compiled plan plus the input set to feed it.
 ///
-/// Jobs are owned (unlike the borrowed [`ExecJob`]) because the streaming
-/// engine hands them to long-lived pool threads: the job — and with it the
-/// plan handle — is dropped on the worker *before* its result is reported,
-/// so a bounded submission window really does bound the number of
-/// simultaneously-live plans.
+/// Jobs are owned because the streaming engine hands them to long-lived
+/// pool threads: the job — and with it the plan handle — is dropped on the
+/// worker *before* its result is reported, so a bounded submission window
+/// really does bound the number of simultaneously-live plans.
 #[derive(Debug, Clone)]
 pub struct StreamJob {
     /// The compiled plan to execute.
@@ -310,15 +311,15 @@ pub struct StreamJob {
 
 /// What one [`Executor::run_stream_with_stats`] call actually did.
 ///
-/// When the executor carries an enabled [`TelemetrySink`]
-/// ([`Executor::with_telemetry`]), these same tallies are also added to the
-/// sink's counters (`jobs` → [`Counter::JobsPulled`], the path split →
-/// [`Counter::LaneBatchedJobs`] / [`Counter::ScalarJobs`], the fill array →
-/// the sink's lane-fill distribution) in one batch at the end of the call —
-/// `StreamStats` is the per-call view and the sink is the cumulative view of
-/// **one** set of tallies, so the two reporting paths cannot drift. The same
-/// holds per plan class: the [`StreamStats::classes`] breakdown is flushed
-/// into the sink's bounded class table at the end of the call.
+/// `StreamStats` is a view of the coalescing core's one tally. When the
+/// executor carries an enabled [`TelemetrySink`]
+/// ([`Executor::with_telemetry`]), the core adds each tally to the sink at
+/// the moment it counts it (`jobs` → `Counter::JobsPulled`, the path split
+/// → `Counter::LaneBatchedJobs` / `Counter::ScalarJobs`, the fill array
+/// → the sink's lane-fill distribution, the [`StreamStats::classes`]
+/// breakdown → the sink's bounded class table) — `StreamStats` is the
+/// per-call view and the sink the cumulative view of **one** set of
+/// tallies, so the two reporting paths cannot drift.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Total jobs pulled from the iterator.
@@ -379,7 +380,7 @@ impl StreamStats {
     /// The per-class tally for `plan_class`, created on first sight. The
     /// class list is tiny (one entry per distinct compiled template in the
     /// dispatch), so a linear scan beats hashing.
-    fn class_mut(&mut self, plan_class: u64) -> &mut PlanClassStats {
+    pub(crate) fn class_mut(&mut self, plan_class: u64) -> &mut PlanClassStats {
         if let Some(i) = self.classes.iter().position(|c| c.plan_class == plan_class) {
             &mut self.classes[i]
         } else {
@@ -392,16 +393,16 @@ impl StreamStats {
     }
 }
 
-/// Executes compiled plans over batches of input sets.
+/// Executes compiled plans over streams of input sets.
 ///
-/// Every batch item is independent: each execution builds fresh source and
-/// FSM instances from the plan's specs, so results are deterministic and
-/// identical whether the batch runs on one thread or many. Parallel dispatch
+/// Every job is independent: each execution builds fresh source and FSM
+/// instances from the plan's specs, so results are deterministic and
+/// identical whether the jobs run on one thread or many. Parallel dispatch
 /// runs on a lazily-spawned persistent [`WorkerPool`] (no external
 /// dependencies) that lives as long as the executor, so back-to-back calls
-/// reuse warm threads. The core engine is [`Executor::run_stream`]:
-/// [`Executor::run_batch`] and [`Executor::run_group`] are thin wrappers
-/// that stream their materialised job lists with an unbounded window.
+/// reuse warm threads. [`Executor::run`] executes one job in place;
+/// everything else goes through [`Executor::run_stream`] — a batch is a
+/// materialised job list streamed with an unbounded window.
 #[derive(Debug, Clone)]
 pub struct Executor {
     stream_length: usize,
@@ -939,80 +940,6 @@ impl Executor {
         }))
     }
 
-    /// Executes the plan over a batch of independent input sets across the
-    /// persistent worker pool, preserving input order.
-    ///
-    /// A thin wrapper over the [`Executor::run_stream`] engine with an
-    /// unbounded window (the whole batch is already materialised).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-item (in input order) error
-    /// (see [`Executor::run`]).
-    ///
-    /// # Panics
-    ///
-    /// If an execution panics on a worker thread, the original panic payload
-    /// is resumed on the caller's thread.
-    pub fn run_batch(
-        &self,
-        plan: &CompiledGraph,
-        inputs: &[BatchInput],
-    ) -> Result<Vec<ExecOutput>, GraphError> {
-        // Always route through the streaming engine — even single-threaded —
-        // so a lane-batchable plan's jobs group into lockstep lanes (one
-        // deep plan clone, shared by every job).
-        let plan = Arc::new(plan.clone());
-        self.run_stream(
-            inputs.iter().map(|input| StreamJob {
-                plan: Arc::clone(&plan),
-                input: input.clone(),
-            }),
-            inputs.len().max(1),
-        )
-    }
-
-    /// Executes a heterogeneous group of `(plan, input)` jobs in one
-    /// dispatch, preserving job order.
-    ///
-    /// This is the cross-plan generalisation of [`Executor::run_batch`]: a
-    /// whole image's tiles, each compiled (or retargeted) to its own plan,
-    /// can saturate the worker pool in a single call instead of serialising
-    /// per-plan batches. Like `run_batch` it is a thin wrapper over the
-    /// [`Executor::run_stream`] engine with an unbounded window — every
-    /// job's plan stays live for the whole call; use `run_stream` with a
-    /// bounded window (and a lazy job iterator) to cap that memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-job (in job order) error
-    /// (see [`Executor::run`]).
-    ///
-    /// # Panics
-    ///
-    /// If an execution panics on a worker thread, the original panic payload
-    /// is resumed on the caller's thread.
-    pub fn run_group(&self, jobs: &[ExecJob<'_>]) -> Result<Vec<ExecOutput>, GraphError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Jobs referencing the same plan (a retargeted class template shared
-        // across tiles, say) share one owned clone, keyed by referent
-        // address: the deep-clone count is O(distinct plans), not O(jobs).
-        let mut shared: HashMap<*const CompiledGraph, Arc<CompiledGraph>> = HashMap::new();
-        self.run_stream(
-            jobs.iter().map(move |job| StreamJob {
-                plan: Arc::clone(
-                    shared
-                        .entry(std::ptr::from_ref(job.plan))
-                        .or_insert_with(|| Arc::new(job.plan.clone())),
-                ),
-                input: job.input.clone(),
-            }),
-            jobs.len().max(1),
-        )
-    }
-
     /// Streaming dispatch: pulls jobs from the iterator lazily, keeping at
     /// most `window` planned-but-unfinished jobs alive at any moment, and
     /// returns the results in job order.
@@ -1054,9 +981,12 @@ impl Executor {
     /// common case, where one compiled template is retargeted across
     /// tiles — the group executes in lockstep, transposing its streams into
     /// lanes at every FSM-bearing step so the lanes' serial dependency
-    /// chains interleave. Results stay bit-identical to solo execution at
-    /// any thread count, window, and grouping; [`StreamStats`] reports how
-    /// many jobs took each path.
+    /// chains interleave. When nothing more can be pulled, each idle worker
+    /// takes the oldest partial bucket, so a straggler never waits behind
+    /// a busy group. Results stay bit-identical to solo execution at any
+    /// thread count, window, and grouping; [`StreamStats`] reports how many
+    /// jobs took each path. The buckets, window, flush decision, and tally
+    /// live in the coalescing core shared with [`crate::Service`].
     ///
     /// # Errors
     ///
@@ -1077,337 +1007,147 @@ impl Executor {
     where
         I: IntoIterator<Item = StreamJob>,
     {
-        let window = window.max(1);
-        let mut jobs = jobs.into_iter();
-        let mut stats = StreamStats::default();
         let n = self.stream_length;
         let telemetry = &self.telemetry;
         let _dispatch = telemetry.span(Stage::Dispatch);
-
-        if self.threads <= 1 {
-            // Inline sequential path with a bounded look-ahead: lane-batchable
-            // jobs buffer into per-class buckets (at most `window` of them
-            // pending) and execute as lockstep lane groups when a bucket
-            // fills; everything else runs solo on the spot. In-flight is
-            // counted like the pool path — `pulled - completed`, sampled
-            // after every pull — so `peak_in_flight` is exact: a scalar job
-            // is in flight (on top of the buffered jobs) while it executes,
-            // and a buffered job counts from its pull to its group's flush.
-            let mut slots: Vec<Option<Result<ExecOutput, GraphError>>> = Vec::new();
-            let mut buckets: HashMap<u64, Vec<(usize, StreamJob)>> = HashMap::new();
-            let mut pulled = 0usize;
-            let mut completed = 0usize;
-            let mut exhausted = false;
-            let mut failed = false;
-            loop {
-                while !exhausted && !failed && pulled - completed < window {
-                    match jobs.next() {
-                        Some(job) => {
-                            let index = pulled;
-                            pulled += 1;
-                            slots.push(None);
-                            let in_flight = pulled - completed;
-                            stats.peak_in_flight = stats.peak_in_flight.max(in_flight);
-                            telemetry.gauge_set(Gauge::WindowOccupancy, in_flight as u64);
-                            telemetry.observe(Hist::WindowOccupancy, in_flight as u64);
-                            if window >= 2 && job.plan.lane_batchable() {
-                                let class = job.plan.plan_class();
-                                let bucket = buckets.entry(class).or_default();
-                                bucket.push((index, job));
-                                if bucket.len() == LANES {
-                                    let group = buckets.remove(&class).expect("bucket just filled");
-                                    completed += group.len();
-                                    failed |= run_group_inline(
-                                        n, group, &mut slots, &mut stats, telemetry,
-                                    );
-                                }
-                            } else {
-                                stats.scalar_jobs += 1;
-                                stats.class_mut(job.plan.plan_class()).scalar_jobs += 1;
-                                let result = execute_job_scalar(n, &job, telemetry);
-                                failed |= result.is_err();
-                                slots[index] = Some(result);
-                                completed += 1;
-                            }
-                        }
-                        None => exhausted = true,
-                    }
-                }
-                // No more jobs can be pulled (look-ahead full, iterator done,
-                // or a job failed): flush the bucket holding the oldest
-                // pending job so the engine always makes progress.
-                let Some(class) = oldest_bucket(&buckets) else {
-                    break;
-                };
-                let group = buckets.remove(&class).expect("oldest bucket exists");
-                completed += group.len();
-                failed |= run_group_inline(n, group, &mut slots, &mut stats, telemetry);
-            }
-            stats.jobs = pulled;
-            stats.classes.sort_by_key(|c| c.plan_class);
-            record_stream_totals(telemetry, &stats, &slots);
-            let mut outputs = Vec::with_capacity(slots.len());
-            for slot in slots {
-                outputs.push(slot.expect("every pulled job was executed")?);
-            }
-            return Ok((outputs, stats));
-        }
-
-        let pool = self.pool();
-        let (tx, rx) = mpsc::channel::<(usize, JobOutcome)>();
-        let mut slots: Vec<Option<Result<ExecOutput, GraphError>>> = Vec::new();
-        let mut buckets: HashMap<u64, Vec<(usize, StreamJob)>> = HashMap::new();
-        let mut pulled = 0usize;
-        let mut submitted = 0usize;
-        let mut completed = 0usize;
+        let mut jobs = jobs.into_iter();
+        let mut core = Coalescer::new(window, self.threads, telemetry.clone());
+        let pool = (self.threads > 1).then(|| self.pool());
+        // Pool groups report here; inline groups settle on the spot.
+        let (tx, rx) = mpsc::channel::<GroupReport>();
+        let mut slots: Vec<Slot> = Vec::new();
         let mut exhausted = false;
         let mut failed = false;
-        // Counts the submission so the flush logic can tell buffered jobs
-        // from ones already on the pool; the pool-side task itself lives in
-        // [`submit_group_to_pool`]. `grouped` marks bucket-origin groups
-        // (lane fill is a grouping metric, so direct scalar submissions stay
-        // out of the fill distribution).
-        let submit_group = |group: Vec<(usize, StreamJob)>,
-                            stats: &mut StreamStats,
-                            submitted: &mut usize,
-                            grouped: bool| {
-            *submitted += group.len();
-            if grouped {
-                stats.lane_group_fill[(group.len() - 1).min(LANES - 1)] += 1;
+        let run = |group: Group, core: &mut Coalescer, slots: &mut Vec<Slot>| match &pool {
+            Some(pool) => {
+                spawn_group(pool, &tx, n, group, telemetry);
+                false
             }
-            if group.len() >= 2 {
-                stats.lane_batched_jobs += group.len();
-            } else {
-                stats.scalar_jobs += group.len();
+            None => {
+                let (keys, jobs) = group.into_parts();
+                let outcome = Ok(execute_group(n, &jobs, telemetry));
+                drop(jobs);
+                settle_stream(GroupReport { keys, outcome }, core, slots)
             }
-            let entry = stats.class_mut(group[0].1.plan.plan_class());
-            if grouped {
-                entry.lane_group_fill[(group.len() - 1).min(LANES - 1)] += 1;
-            }
-            if group.len() >= 2 {
-                entry.lane_batched_jobs += group.len();
-            } else {
-                entry.scalar_jobs += group.len();
-            }
-            submit_group_to_pool(&pool, &tx, n, group, telemetry);
         };
         loop {
-            while !exhausted && !failed && pulled - completed < window {
-                match jobs.next() {
-                    Some(job) => {
-                        let index = pulled;
-                        pulled += 1;
-                        slots.push(None);
-                        let in_flight = pulled - completed;
-                        stats.peak_in_flight = stats.peak_in_flight.max(in_flight);
-                        telemetry.gauge_set(Gauge::WindowOccupancy, in_flight as u64);
-                        telemetry.observe(Hist::WindowOccupancy, in_flight as u64);
-                        if window >= 2 && job.plan.lane_batchable() {
-                            let class = job.plan.plan_class();
-                            let bucket = buckets.entry(class).or_default();
-                            bucket.push((index, job));
-                            if bucket.len() == LANES {
-                                let group = buckets.remove(&class).expect("bucket just filled");
-                                submit_group(group, &mut stats, &mut submitted, true);
-                            }
-                        } else {
-                            submit_group(vec![(index, job)], &mut stats, &mut submitted, false);
-                        }
-                    }
-                    None => exhausted = true,
+            while !exhausted && !failed && core.has_room() {
+                let Some(job) = jobs.next() else {
+                    exhausted = true;
+                    break;
+                };
+                slots.push(None);
+                if let Some(group) = core.admit(0, slots.len() - 1, job) {
+                    failed |= run(group, &mut core, &mut slots);
                 }
             }
-            // Nothing more can be pulled. Once no further pulls will come
-            // (iterator done / a job failed) — or every submitted job has
-            // already reported, so waiting would deadlock on the buffered
-            // jobs — flush the partial buckets to the pool.
-            if exhausted || failed || submitted == completed {
-                let classes: Vec<u64> = buckets.keys().copied().collect();
-                for class in classes {
-                    let group = buckets.remove(&class).expect("listed bucket exists");
-                    submit_group(group, &mut stats, &mut submitted, true);
-                }
+            // Nothing more can be admitted: once no job will follow (the
+            // iterator is done, or a job failed) every partial bucket
+            // drains; otherwise each idle worker takes the oldest one.
+            for group in core.flush(exhausted || failed) {
+                failed |= run(group, &mut core, &mut slots);
             }
-            if completed == pulled {
+            if core.is_empty() && (exhausted || failed) {
                 break;
             }
-            let (index, outcome) = rx
-                .recv()
-                .expect("in-flight jobs hold a live sender, so recv cannot disconnect");
-            completed += 1;
-            telemetry.gauge_set(Gauge::WindowOccupancy, (pulled - completed) as u64);
-            match outcome {
-                Ok(result) => {
-                    failed |= result.is_err();
-                    slots[index] = Some(result);
-                }
-                // Surface the worker's own panic payload to the caller.
-                // Still-queued jobs finish against a dropped receiver and
-                // are discarded; the pool itself stays healthy.
-                Err(payload) => resume_unwind(payload),
+            if core.running() > 0 {
+                let report = rx
+                    .recv()
+                    .expect("running groups hold a live sender, so recv cannot disconnect");
+                failed |= settle_stream(report, &mut core, &mut slots);
             }
         }
-        stats.jobs = pulled;
-        stats.classes.sort_by_key(|c| c.plan_class);
-        record_stream_totals(telemetry, &stats, &slots);
+        let stats = core.stats();
         let mut outputs = Vec::with_capacity(slots.len());
         for slot in slots {
-            outputs.push(slot.expect("every submitted job was drained")?);
+            outputs.push(slot.expect("every admitted job reported")?);
         }
         Ok((outputs, stats))
     }
 }
 
-/// Adds one finished dispatch's [`StreamStats`] tallies to the sink's
-/// cumulative counters in a single batch — the sink's view is *derived from*
-/// the per-call stats (never counted separately), so the two cannot drift.
-/// Runs on the error path too: a dispatch whose k-th job failed still
-/// reports every job it pulled.
-fn record_stream_totals(
-    telemetry: &TelemetrySink,
-    stats: &StreamStats,
-    slots: &[Option<Result<ExecOutput, GraphError>>],
-) {
-    if !telemetry.is_enabled() {
-        return;
+/// Files one finished group's results into a `run_stream` call's result
+/// slots, returning whether any member failed. A worker panic is resumed on
+/// the caller with its original payload; still-queued groups finish against
+/// a dropped receiver, and the pool itself stays healthy.
+fn settle_stream(report: GroupReport, core: &mut Coalescer, slots: &mut [Slot]) -> bool {
+    let results = report
+        .outcome
+        .unwrap_or_else(|payload| resume_unwind(payload));
+    let failures = results.iter().filter(|result| result.is_err()).count();
+    core.done(report.keys.len(), failures);
+    for ((_, index), result) in report.keys.into_iter().zip(results) {
+        slots[index] = Some(result);
     }
-    telemetry.add(Counter::JobsPulled, stats.jobs as u64);
-    telemetry.add(Counter::LaneBatchedJobs, stats.lane_batched_jobs as u64);
-    telemetry.add(Counter::ScalarJobs, stats.scalar_jobs as u64);
-    let failures = slots
-        .iter()
-        .filter(|slot| matches!(slot, Some(Err(_))))
-        .count();
-    telemetry.add(Counter::JobsFailed, failures as u64);
-    for (i, &count) in stats.lane_group_fill.iter().enumerate() {
-        telemetry.lane_fill_n(i + 1, count as u64);
-    }
-    for class in &stats.classes {
-        telemetry.class_add_jobs(
-            class.plan_class,
-            class.lane_batched_jobs as u64,
-            class.scalar_jobs as u64,
-        );
-        for (i, &count) in class.lane_group_fill.iter().enumerate() {
-            telemetry.class_fill_n(class.plan_class, i + 1, count as u64);
-        }
-    }
+    failures > 0
 }
 
-/// Outcome of one pool-executed job: the worker's `catch_unwind` result
-/// around the job's execution result.
-type JobOutcome = std::thread::Result<Result<ExecOutput, GraphError>>;
+/// One job's result slot in a dispatch loop's result list.
+type Slot = Option<Result<ExecOutput, GraphError>>;
 
-/// Submits one group of `(index, job)` pairs to the pool as a single task:
-/// the task wraps the whole group in one `catch_unwind` (lane-batched when
-/// the group holds ≥ 2 jobs, scalar otherwise) and reports each job's
-/// outcome individually. On a panic the group's first index carries the
-/// payload — the caller resumes it immediately, so the remaining slots never
-/// matter.
-fn submit_group_to_pool(
-    pool: &WorkerPool,
-    tx: &mpsc::Sender<(usize, JobOutcome)>,
+/// A pool-executed group's report back to its dispatch loop: every member's
+/// `(owner, index)` key, plus either every member's result or the panic
+/// payload that took the whole group down — so a panic still accounts for
+/// every member, and no dispatch loop waits on a report that never comes.
+pub(crate) struct GroupReport {
+    /// The members' `(owner, index)` keys, in group order.
+    pub keys: Vec<(u64, usize)>,
+    /// The members' results, or the worker's panic payload.
+    pub outcome: std::thread::Result<Vec<Result<ExecOutput, GraphError>>>,
+}
+
+/// Executes one released group: lane-batched lockstep when it holds ≥ 2
+/// jobs, scalar otherwise.
+pub(crate) fn execute_group(
     n: usize,
-    group: Vec<(usize, StreamJob)>,
+    jobs: &[StreamJob],
     telemetry: &TelemetrySink,
-) {
-    let tx = tx.clone();
-    let telemetry = telemetry.clone();
-    pool.submit(Box::new(move || {
-        let (indices, jobs): (Vec<usize>, Vec<StreamJob>) = group.into_iter().unzip();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if jobs.len() >= 2 {
-                execute_plan_group(n, &jobs, &telemetry)
-            } else {
-                jobs.iter()
-                    .map(|job| execute_job_scalar(n, job, &telemetry))
-                    .collect()
-            }
-        }));
-        // Free the jobs — and their plan handles — *before* the results
-        // become visible, so the caller cannot over-fill the window while
-        // plans linger on workers.
-        drop(jobs);
-        match outcome {
-            Ok(results) => {
-                for (index, result) in indices.into_iter().zip(results) {
-                    let _ = tx.send((index, Ok(result)));
-                }
-            }
-            Err(payload) => {
-                let _ = tx.send((indices[0], Err(payload)));
-            }
-        }
-    }));
-}
-
-/// The bucket class holding the smallest pending job index, if any bucket is
-/// non-empty — the flush order that keeps inline lane grouping fair to the
-/// oldest jobs.
-fn oldest_bucket(buckets: &HashMap<u64, Vec<(usize, StreamJob)>>) -> Option<u64> {
-    buckets
-        .iter()
-        .min_by_key(|(_, group)| group.first().map_or(usize::MAX, |(index, _)| *index))
-        .map(|(&class, _)| class)
-}
-
-/// Executes one buffered group on the caller's thread — lane-batched when it
-/// holds ≥ 2 jobs, scalar otherwise — filling each job's result slot.
-/// Returns whether any job in the group failed.
-fn run_group_inline(
-    n: usize,
-    group: Vec<(usize, StreamJob)>,
-    slots: &mut [Option<Result<ExecOutput, GraphError>>],
-    stats: &mut StreamStats,
-    telemetry: &TelemetrySink,
-) -> bool {
-    let (indices, jobs): (Vec<usize>, Vec<StreamJob>) = group.into_iter().unzip();
-    stats.lane_group_fill[(jobs.len() - 1).min(LANES - 1)] += 1;
-    let entry = stats.class_mut(jobs[0].plan.plan_class());
-    entry.lane_group_fill[(jobs.len() - 1).min(LANES - 1)] += 1;
+) -> Vec<Result<ExecOutput, GraphError>> {
+    #[cfg(any(test, feature = "fault-injection"))]
+    crate::fault::check(jobs);
     if jobs.len() >= 2 {
-        entry.lane_batched_jobs += jobs.len();
+        execute_plan_group(n, jobs, telemetry)
     } else {
-        entry.scalar_jobs += jobs.len();
-    }
-    let results = if jobs.len() >= 2 {
-        stats.lane_batched_jobs += jobs.len();
-        execute_plan_group(n, &jobs, telemetry)
-    } else {
-        stats.scalar_jobs += jobs.len();
         jobs.iter()
             .map(|job| execute_job_scalar(n, job, telemetry))
             .collect()
-    };
-    let mut failed = false;
-    for (index, result) in indices.into_iter().zip(results) {
-        failed |= result.is_err();
-        slots[index] = Some(result);
     }
-    failed
 }
 
-/// One `(plan, input)` pairing of a heterogeneous [`Executor::run_group`]
-/// dispatch.
-#[derive(Clone, Copy)]
-pub struct ExecJob<'a> {
-    /// The compiled plan to execute.
-    pub plan: &'a CompiledGraph,
-    /// The input set to feed it.
-    pub input: &'a BatchInput,
+/// Submits one released group to the pool as a single task, which executes
+/// it under one `catch_unwind` and sends exactly one [`GroupReport`].
+pub(crate) fn spawn_group<M>(
+    pool: &WorkerPool,
+    tx: &mpsc::Sender<M>,
+    n: usize,
+    group: Group,
+    telemetry: &TelemetrySink,
+) where
+    M: From<GroupReport> + Send + 'static,
+{
+    let tx = tx.clone();
+    let telemetry = telemetry.clone();
+    pool.submit(Box::new(move || {
+        let (keys, jobs) = group.into_parts();
+        let outcome = catch_unwind(AssertUnwindSafe(|| execute_group(n, &jobs, &telemetry)));
+        // Free the jobs — and their plan handles — *before* the report
+        // becomes visible, so the window bounds live-plan memory.
+        drop(jobs);
+        let _ = tx.send(M::from(GroupReport { keys, outcome }));
+    }));
 }
 
-/// Splits `0..len` into exactly `min(workers, len).max(1)` contiguous spans
-/// whose lengths differ by at most one.
+/// Divides `0..len` into exactly `min(workers, len)` contiguous spans
+/// (one empty span when `len == 0`), in order, whose lengths differ by at
+/// most one.
 ///
 /// This replaces `chunks(len.div_ceil(workers))` sharding, which could
 /// produce *fewer* chunks than workers and leave the rest idle: 9 inputs on
 /// 8 threads made five 2-item chunks — three idle workers and a ~2× tail
 /// latency — where this division makes eight chunks of 1–2 items. The
-/// per-job streaming engine made it obsolete as the internal dispatch
-/// mechanism, but it remains the canonical work division for callers that
-/// shard contiguous index ranges themselves (benchmark harnesses, external
-/// batch splitters).
+/// per-job streaming engine does not use it, but it remains the canonical
+/// work division for callers that shard contiguous index ranges themselves
+/// (benchmark harnesses, external batch splitters).
 #[must_use]
 pub fn balanced_spans(len: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
     let chunks = workers.min(len).max(1);
@@ -1494,9 +1234,32 @@ mod tests {
     use crate::{Graph, PlannerOptions};
     use proptest::prelude::*;
     use sc_rng::SourceSpec;
+    use sc_telemetry::Counter;
 
     fn sobol(d: u32) -> SourceSpec {
         SourceSpec::Sobol { dimension: d }
+    }
+
+    /// One job per input set, all on `plan`.
+    fn jobs_for<'a>(
+        plan: &'a Arc<CompiledGraph>,
+        inputs: &'a [BatchInput],
+    ) -> impl Iterator<Item = StreamJob> + 'a {
+        inputs.iter().map(|input| StreamJob {
+            plan: Arc::clone(plan),
+            input: input.clone(),
+        })
+    }
+
+    /// One job per `(plan, input)` pair.
+    fn paired<'a>(
+        plans: &'a [Arc<CompiledGraph>],
+        inputs: &'a [BatchInput],
+    ) -> impl Iterator<Item = StreamJob> + 'a {
+        plans.iter().zip(inputs).map(|(plan, input)| StreamJob {
+            plan: Arc::clone(plan),
+            input: input.clone(),
+        })
     }
 
     #[test]
@@ -1729,14 +1492,16 @@ mod tests {
         let z = g.binary(BinaryOp::CaAdd, sx, sy);
         g.sink_stream("z", z);
         g.sink_value("zv", z);
-        let plan = g.compile(&PlannerOptions::default()).unwrap();
+        let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
         let inputs: Vec<BatchInput> = (0..13)
             .map(|i| BatchInput::with_values(vec![i as f64 / 13.0, 1.0 - i as f64 / 13.0]))
             .collect();
-        let sequential = Executor::new(257).run_batch(&plan, &inputs).unwrap();
+        let sequential = Executor::new(257)
+            .run_stream(jobs_for(&plan, &inputs), usize::MAX)
+            .unwrap();
         let sharded = Executor::new(257)
             .with_threads(4)
-            .run_batch(&plan, &inputs)
+            .run_stream(jobs_for(&plan, &inputs), usize::MAX)
             .unwrap();
         assert_eq!(sequential, sharded);
         assert_eq!(sequential.len(), 13);
@@ -1747,12 +1512,12 @@ mod tests {
         let mut g = Graph::new();
         let x = g.generate(0, sobol(1));
         g.sink_value("v", x);
-        let plan = g.compile(&PlannerOptions::default()).unwrap();
+        let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
         let mut inputs = vec![BatchInput::with_values(vec![0.5]); 6];
         inputs[4] = BatchInput::new(); // missing value slot
         let err = Executor::new(64)
             .with_threads(3)
-            .run_batch(&plan, &inputs)
+            .run_stream(jobs_for(&plan, &inputs), usize::MAX)
             .unwrap_err();
         assert!(matches!(err, GraphError::ValueSlotOutOfRange { .. }));
     }
@@ -1794,49 +1559,11 @@ mod tests {
         assert!(balanced_spans(0, 4).len() == 1 && balanced_spans(0, 4)[0].is_empty());
     }
 
-    /// A poisoned `InputStream` (length mismatch) on one shard must surface
-    /// as an error — not a panic — while a run without the poisoned item
-    /// keeps every shard's results in input order.
+    /// Heterogeneous dispatch: different plans in one stream produce exactly
+    /// what running each plan alone produces, in job order, at any thread
+    /// count.
     #[test]
-    fn poisoned_shard_errors_while_others_stay_ordered() {
-        let mut g = Graph::new();
-        let s = g.input_stream(0);
-        let t = g.input_stream(1);
-        let z = g.binary(BinaryOp::CaAdd, s, t);
-        g.sink_count("ones", z);
-        let plan = g.compile(&PlannerOptions::default()).unwrap();
-        let n = 96usize;
-        let item = |ones: usize| {
-            BatchInput::with_streams(vec![
-                Bitstream::from_fn(n, |i| i < ones),
-                Bitstream::zeros(n),
-            ])
-        };
-        // 9 items on 8 workers: the balanced division gives every worker a
-        // shard; item 3's second stream is poisoned with a bad length.
-        let mut inputs: Vec<BatchInput> = (0..9).map(item).collect();
-        inputs[3].streams[1] = Bitstream::zeros(n + 1);
-        let exec = Executor::new(n).with_threads(8);
-        let err = exec.run_batch(&plan, &inputs).unwrap_err();
-        assert!(matches!(err, GraphError::Stream(_)), "errors, not panics");
-        // Healthy inputs: results arrive in input order across all shards,
-        // identical to the sequential reference, and item-distinct (so a
-        // mis-stitched order could not pass by coincidence).
-        let inputs: Vec<BatchInput> = (0..9).map(item).collect();
-        let sharded = exec.run_batch(&plan, &inputs).unwrap();
-        let sequential = Executor::new(n).run_batch(&plan, &inputs).unwrap();
-        assert_eq!(sharded, sequential, "shard results stitched in input order");
-        let counts: Vec<f64> = sharded.iter().map(|o| o.value("ones").unwrap()).collect();
-        let mut sorted = counts.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(counts, sorted, "per-item counts grow with input index");
-    }
-
-    /// Heterogeneous dispatch: different plans in one sharded call produce
-    /// exactly what running each plan alone produces, in job order, at any
-    /// thread count.
-    #[test]
-    fn run_group_matches_individual_runs() {
+    fn heterogeneous_stream_matches_individual_runs() {
         let make_plan = |flip: bool| {
             let mut g = Graph::new();
             let x = g.generate(0, sobol(1));
@@ -1847,29 +1574,68 @@ mod tests {
                 g.binary(BinaryOp::CaAdd, x, y)
             };
             g.sink_value("z", z);
-            g.compile(&PlannerOptions::default()).unwrap()
+            Arc::new(g.compile(&PlannerOptions::default()).unwrap())
         };
-        let plans: Vec<CompiledGraph> = (0..7).map(|i| make_plan(i % 2 == 0)).collect();
+        let plans: Vec<Arc<CompiledGraph>> = (0..7).map(|i| make_plan(i % 2 == 0)).collect();
         let inputs: Vec<BatchInput> = (0..7)
             .map(|i| BatchInput::with_values(vec![i as f64 / 7.0, 1.0 - i as f64 / 9.0]))
             .collect();
-        let jobs: Vec<ExecJob<'_>> = plans
+        let solo: Vec<ExecOutput> = plans
             .iter()
             .zip(&inputs)
-            .map(|(plan, input)| ExecJob { plan, input })
-            .collect();
-        let solo: Vec<ExecOutput> = jobs
-            .iter()
-            .map(|j| Executor::new(193).run(j.plan, j.input).unwrap())
+            .map(|(plan, input)| Executor::new(193).run(plan, input).unwrap())
             .collect();
         for threads in [1usize, 3, 8] {
             let grouped = Executor::new(193)
                 .with_threads(threads)
-                .run_group(&jobs)
+                .run_stream(paired(&plans, &inputs), usize::MAX)
                 .unwrap();
             assert_eq!(grouped, solo, "threads={threads}");
         }
-        assert!(Executor::new(193).run_group(&[]).unwrap().is_empty());
+    }
+
+    /// A poisoned `InputStream` (length mismatch) on one shard must surface
+    /// as an error — not a panic — while a run without the poisoned item
+    /// keeps every shard's results in input order.
+    #[test]
+    fn poisoned_shard_errors_while_others_stay_ordered() {
+        let mut g = Graph::new();
+        let s = g.input_stream(0);
+        let t = g.input_stream(1);
+        let z = g.binary(BinaryOp::CaAdd, s, t);
+        g.sink_count("ones", z);
+        let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
+        let n = 96usize;
+        let item = |ones: usize| {
+            BatchInput::with_streams(vec![
+                Bitstream::from_fn(n, |i| i < ones),
+                Bitstream::zeros(n),
+            ])
+        };
+        // 9 items on 8 workers; item 3's second stream is poisoned with a
+        // bad length.
+        let mut inputs: Vec<BatchInput> = (0..9).map(item).collect();
+        inputs[3].streams[1] = Bitstream::zeros(n + 1);
+        let exec = Executor::new(n).with_threads(8);
+        let err = exec
+            .run_stream(jobs_for(&plan, &inputs), usize::MAX)
+            .unwrap_err();
+        assert!(matches!(err, GraphError::Stream(_)), "errors, not panics");
+        // Healthy inputs: results arrive in input order across all workers,
+        // identical to the sequential reference, and item-distinct (so a
+        // mis-stitched order could not pass by coincidence).
+        let inputs: Vec<BatchInput> = (0..9).map(item).collect();
+        let sharded = exec
+            .run_stream(jobs_for(&plan, &inputs), usize::MAX)
+            .unwrap();
+        let sequential = Executor::new(n)
+            .run_stream(jobs_for(&plan, &inputs), usize::MAX)
+            .unwrap();
+        assert_eq!(sharded, sequential, "shard results stitched in input order");
+        let counts: Vec<f64> = sharded.iter().map(|o| o.value("ones").unwrap()).collect();
+        let mut sorted = counts.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_eq!(counts, sorted, "per-item counts grow with input index");
     }
 
     #[test]
@@ -1913,12 +1679,12 @@ mod tests {
         (plans, inputs)
     }
 
-    /// The acceptance matrix: streaming with windows {1, threads, 4×threads,
-    /// unbounded} is bit-identical to the full `run_group` dispatch and to
-    /// the sequential per-job loop, at 1 and N threads, and the engine never
+    /// The acceptance matrix: heterogeneous plans streamed with windows {1,
+    /// threads, 4×threads, unbounded} are bit-identical to the sequential
+    /// per-job loop, in job order, at 1 and N threads, and the engine never
     /// reports more in-flight jobs than the window admits.
     #[test]
-    fn run_stream_matches_group_and_sequential_at_all_windows() {
+    fn run_stream_matches_sequential_at_all_windows() {
         let n = 193usize;
         let (plans, inputs) = stream_fixture(11);
         let solo: Vec<ExecOutput> = plans
@@ -1926,21 +1692,12 @@ mod tests {
             .zip(&inputs)
             .map(|(plan, input)| Executor::new(n).run(plan, input).unwrap())
             .collect();
-        let jobs: Vec<ExecJob<'_>> = plans
-            .iter()
-            .zip(&inputs)
-            .map(|(plan, input)| ExecJob { plan, input })
-            .collect();
         for threads in [1usize, 3, 8] {
             let exec = Executor::new(n).with_threads(threads);
-            let grouped = exec.run_group(&jobs).unwrap();
-            assert_eq!(grouped, solo, "run_group, threads={threads}");
             for window in [1usize, threads, 4 * threads, usize::MAX] {
-                let stream_jobs = plans.iter().zip(&inputs).map(|(plan, input)| StreamJob {
-                    plan: Arc::clone(plan),
-                    input: input.clone(),
-                });
-                let (streamed, stats) = exec.run_stream_with_stats(stream_jobs, window).unwrap();
+                let (streamed, stats) = exec
+                    .run_stream_with_stats(paired(&plans, &inputs), window)
+                    .unwrap();
                 assert_eq!(streamed, solo, "threads={threads}, window={window}");
                 assert_eq!(stats.jobs, plans.len());
                 assert!(
@@ -1963,7 +1720,6 @@ mod tests {
             assert!(outputs.is_empty());
             assert_eq!(stats, StreamStats::default());
         }
-        assert!(Executor::new(64).run_group(&[]).unwrap().is_empty());
     }
 
     /// Streaming edge case: zero-length streams execute (every op yields an
@@ -2053,8 +1809,12 @@ mod tests {
             // 11 same-class jobs at window 8: two full lane groups plus a
             // leftover group of 3, all lane-batched.
             assert_eq!(stats.lane_batched_jobs, inputs.len(), "threads={threads}");
-            // run_batch routes through the same engine, lanes included.
-            assert_eq!(exec.run_batch(&plan, &inputs).unwrap(), solo);
+            // A whole batch at an unbounded window groups the same way.
+            assert_eq!(
+                exec.run_stream(jobs_for(&plan, &inputs), usize::MAX)
+                    .unwrap(),
+                solo
+            );
         }
         // A window of 1 disables grouping entirely.
         let jobs = inputs.iter().map(|input| StreamJob {
@@ -2412,14 +2172,15 @@ mod tests {
         let n = 129usize;
         let (plans, inputs) = stream_fixture(9);
         let exec = Executor::new(n).with_threads(4);
-        let jobs: Vec<ExecJob<'_>> = plans
-            .iter()
-            .zip(&inputs)
-            .map(|(plan, input)| ExecJob { plan, input })
-            .collect();
-        let first = exec.run_group(&jobs).unwrap();
+        let first = exec
+            .run_stream(paired(&plans, &inputs), usize::MAX)
+            .unwrap();
         for _ in 0..5 {
-            assert_eq!(exec.run_group(&jobs).unwrap(), first);
+            assert_eq!(
+                exec.run_stream(paired(&plans, &inputs), usize::MAX)
+                    .unwrap(),
+                first
+            );
         }
         // A standalone pool drains and joins cleanly on drop.
         let pool = WorkerPool::new(3);
@@ -2427,31 +2188,36 @@ mod tests {
         drop(pool);
     }
 
-    proptest! {
-        /// `balanced_spans` across random shapes up to 1000: exactly
-        /// `min(workers, len)` spans, covering `0..len` contiguously in
-        /// order, with sizes differing by at most one.
-        #[test]
-        fn balanced_spans_properties(len in 0usize..=1000, workers in 1usize..=64) {
-            let spans = balanced_spans(len, workers);
-            prop_assert_eq!(spans.len(), workers.min(len).max(1));
-            let mut next = 0usize;
-            let mut min_size = usize::MAX;
-            let mut max_size = 0usize;
-            for span in &spans {
-                prop_assert_eq!(span.start, next, "contiguous, in order");
-                next = span.end;
-                let size = span.end - span.start;
-                min_size = min_size.min(size);
-                max_size = max_size.max(size);
-            }
-            prop_assert_eq!(next, len, "full coverage");
-            prop_assert!(max_size - min_size <= 1, "near-equal sizes");
-            if len >= workers {
-                prop_assert!(min_size >= 1, "no stranded worker");
-            }
+    /// An injected panic in a lane group surfaces on the caller with its
+    /// payload — inline and from the pool — and the executor keeps serving
+    /// afterwards (the pool's workers survive).
+    #[test]
+    fn injected_group_panic_resumes_on_the_caller() {
+        let faulty = batchable_plan();
+        let healthy = batchable_plan();
+        crate::fault::panic_on_class(faulty.plan_class());
+        let input = BatchInput::with_values(vec![0.4, 0.7]);
+        for threads in [1usize, 3] {
+            let exec = Executor::new(64).with_threads(threads);
+            let jobs = (0..6).map(|i| StreamJob {
+                plan: Arc::clone(if i % 3 == 1 { &faulty } else { &healthy }),
+                input: input.clone(),
+            });
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| exec.run_stream(jobs, 8)))
+                .expect_err("the injected fault propagates to the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("the injected payload is a formatted message");
+            assert!(message.contains("injected fault"), "{message}");
+            let again = exec
+                .run_stream(jobs_for(&healthy, &vec![input.clone(); 5]), 8)
+                .unwrap();
+            assert_eq!(again.len(), 5, "{threads} threads: executor still serves");
         }
+        crate::fault::clear_class(faulty.plan_class());
+    }
 
+    proptest! {
         /// Random job counts, windows, and thread counts: streaming always
         /// matches the sequential per-job reference.
         #[test]
@@ -2477,6 +2243,30 @@ mod tests {
                 .unwrap();
             prop_assert_eq!(streamed, solo);
             prop_assert!(stats.peak_in_flight <= window);
+        }
+
+        /// `balanced_spans` across random shapes up to 1000: exactly
+        /// `min(workers, len)` spans, covering `0..len` contiguously in
+        /// order, with sizes differing by at most one.
+        #[test]
+        fn balanced_spans_properties(len in 0usize..=1000, workers in 1usize..=64) {
+            let spans = balanced_spans(len, workers);
+            prop_assert_eq!(spans.len(), workers.min(len).max(1));
+            let mut next = 0usize;
+            let mut min_size = usize::MAX;
+            let mut max_size = 0usize;
+            for span in &spans {
+                prop_assert_eq!(span.start, next, "contiguous, in order");
+                next = span.end;
+                let size = span.end - span.start;
+                min_size = min_size.min(size);
+                max_size = max_size.max(size);
+            }
+            prop_assert_eq!(next, len, "full coverage");
+            prop_assert!(max_size - min_size <= 1, "near-equal sizes");
+            if len >= workers {
+                prop_assert!(min_size >= 1, "no stranded worker");
+            }
         }
     }
 }

@@ -33,17 +33,19 @@
 //! pass toggles through [`PassSet`] and preserves bit-identity: optimized
 //! and pass-disabled plans produce the same output bit for bit.
 //!
-//! The [`Executor`] then runs the compiled plan word-parallel over **batches**
+//! The [`Executor`] then runs the compiled plan word-parallel over **streams**
 //! of independent input sets, dispatched across a persistent [`WorkerPool`]
-//! of long-lived threads (no external dependencies). The core engine is
+//! of long-lived threads (no external dependencies). The engine is
 //! **bounded-window streaming** ([`Executor::run_stream`]): jobs are pulled
 //! lazily from an iterator with at most `window` planned-but-unfinished jobs
 //! alive at once, so arbitrarily long job streams run in O(window) plan
-//! memory; [`Executor::run_batch`] and [`Executor::run_group`] are thin
-//! wrappers streaming a materialised list with an unbounded window. Plans
-//! are `Send + Sync` plain data: every execution builds fresh deterministic
-//! sources and FSMs from [`sc_rng::SourceSpec`]s, so parallel results are
-//! bit-identical to sequential ones at any worker count and any window.
+//! memory; a batch is a materialised job list streamed with an unbounded
+//! window. The warm serving tier ([`Service`]) multiplexes many requests
+//! over one pool; both dispatch loops share one coalescing core (lane buckets,
+//! window, flush decision, tally). Plans are `Send + Sync` plain data: every
+//! execution builds fresh deterministic sources and FSMs from
+//! [`sc_rng::SourceSpec`]s, so parallel results are bit-identical to
+//! sequential ones at any worker count and any window.
 //!
 //! A compiled plan also bridges to the gate-level cost model:
 //! [`CompiledGraph::netlist`] sums the `sc_hwcost` netlists of every executed
@@ -61,8 +63,9 @@
 //! # Example
 //!
 //! ```
-//! use sc_graph::{BatchInput, BinaryOp, Executor, Graph, PlannerOptions};
+//! use sc_graph::{BatchInput, BinaryOp, Executor, Graph, PlannerOptions, StreamJob};
 //! use sc_rng::SourceSpec;
+//! use std::sync::Arc;
 //!
 //! // |pX − pY| needs positively correlated inputs, but the two D/S
 //! // converters draw from independent Sobol dimensions...
@@ -73,14 +76,15 @@
 //! g.sink_value("diff", z);
 //!
 //! // ...so the planner inserts a synchronizer in front of the XOR.
-//! let plan = g.compile(&PlannerOptions::default())?;
+//! let plan = Arc::new(g.compile(&PlannerOptions::default())?);
 //! assert_eq!(plan.report().inserted.len(), 1);
 //!
 //! // Batched execution: 4 independent input sets, sharded over 2 workers.
-//! let inputs: Vec<BatchInput> = (0..4)
-//!     .map(|i| BatchInput::with_values(vec![0.8, 0.2 + 0.1 * i as f64]))
-//!     .collect();
-//! let outs = Executor::new(1024).with_threads(2).run_batch(&plan, &inputs)?;
+//! let jobs = (0..4).map(|i| StreamJob {
+//!     plan: Arc::clone(&plan),
+//!     input: BatchInput::with_values(vec![0.8, 0.2 + 0.1 * i as f64]),
+//! });
+//! let outs = Executor::new(1024).with_threads(2).run_stream(jobs, usize::MAX)?;
 //! for (i, out) in outs.iter().enumerate() {
 //!     let expected = (0.8f64 - (0.2 + 0.1 * i as f64)).abs();
 //!     assert!((out.value("diff").unwrap() - expected).abs() < 0.07);
@@ -91,9 +95,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod coalesce;
 pub mod compile;
 pub mod cost;
 pub mod exec;
+#[cfg(any(test, feature = "fault-injection"))]
+pub mod fault;
 pub mod graph;
 pub mod node;
 mod passes;
@@ -103,8 +110,8 @@ pub use compile::{
     CompileReport, CompiledGraph, MeasuredPair, PassDelta, PassSet, PlannerOptions, Step,
 };
 pub use exec::{
-    balanced_spans, BatchInput, ExecJob, ExecOutput, Executor, PlanClassStats, StreamJob,
-    StreamStats, WorkerPool, DEFAULT_WINDOW_FACTOR,
+    balanced_spans, BatchInput, ExecOutput, Executor, PlanClassStats, StreamJob, StreamStats,
+    WorkerPool, DEFAULT_WINDOW_FACTOR,
 };
 pub use graph::{Graph, GraphError};
 pub use node::{

@@ -8,9 +8,10 @@
 //! long-lived tier:
 //!
 //! * **One warm pool.** A dedicated dispatcher thread owns a persistent
-//!   [`WorkerPool`] and the per-class coalescing
-//!   buckets; every request multiplexes over the same threads, so
-//!   back-to-back images reuse warm workers instead of respawning them.
+//!   [`WorkerPool`] and the same coalescing core `run_stream` drives (lane
+//!   buckets, window, flush decision, tally); every request multiplexes
+//!   over the same threads, so back-to-back images reuse warm workers
+//!   instead of respawning them.
 //! * **Bounded intake with backpressure.** [`Service::submit`] blocks until
 //!   the intake queue has room; [`Service::try_submit`] fails fast and
 //!   returns the request, so open-loop producers slow down instead of
@@ -25,9 +26,17 @@
 //!   lane-batched jobs whose group mixed two or more requests.
 //! * **Deadlines and cancellation.** A [`Request`] may carry an absolute
 //!   deadline: expired-at-submit requests are rejected without queueing,
-//!   and in-flight expiry purges the request's remaining jobs.
-//!   [`RequestHandle::cancel`] does the same on demand; results of
-//!   already-executed tiles are discarded cleanly.
+//!   and in-flight expiry purges the request's remaining jobs — the
+//!   dispatcher sleeps until the earliest pending deadline, so expiry fires
+//!   when it is due, not on a polling tick. [`RequestHandle::cancel`]
+//!   resolves the request at once and wakes the dispatcher to purge it;
+//!   results of already-executed tiles are discarded cleanly.
+//! * **Failure contract.** Every admitted request resolves exactly once —
+//!   completed, panicked, cancelled, expired, or shut down — and counts
+//!   into exactly one of the matching `Requests*` counters. A panic inside
+//!   a lane group resolves *every* request with a job in that group, and
+//!   `Drop` always returns: each pool task reports its whole group once,
+//!   panic or not.
 //! * **Attribution.** Every request's life is cut into consecutive
 //!   segments — submit, queue-wait, execute, assemble — whose sum is the
 //!   request's wall clock *by construction* ([`RequestAttribution`]), with
@@ -40,15 +49,15 @@
 //! executor's own lane-group and scalar engines, and grouping never changes
 //! a job's output, only its schedule.
 
-use crate::exec::{execute_job_scalar, execute_plan_group, StreamJob, WorkerPool};
+use crate::coalesce::{Coalescer, Group};
+use crate::exec::{spawn_group, GroupReport, StreamJob, WorkerPool};
 use crate::graph::GraphError;
 use crate::ExecOutput;
-use sc_core::LANES;
 use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Default intake capacity multiplier: the intake queue admits
@@ -245,21 +254,26 @@ pub struct RequestReport {
     pub cross_request_lane_jobs: usize,
 }
 
-/// How a request ended (dispatcher-side verdict).
+/// How a request ended. Set exactly once, under the completion lock, by
+/// whichever of the dispatcher, the handle, or the submitter gets there
+/// first; each verdict counts into its own `Requests*` counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Verdict {
     Completed,
+    Panicked,
     Cancelled,
     Expired,
     ShutDown,
 }
+
+/// A worker panic payload.
+type Payload = Box<dyn std::any::Any + Send>;
 
 /// Per-request state shared by the submitting thread, the handle, and the
 /// dispatcher.
 struct RequestState {
     id: u64,
     deadline: Option<Instant>,
-    cancelled: AtomicBool,
     done: Mutex<Completion>,
     finished_cv: Condvar,
 }
@@ -268,11 +282,11 @@ struct RequestState {
 struct Completion {
     /// One slot per job, filled as results arrive.
     results: Vec<Option<Result<ExecOutput, GraphError>>>,
-    /// Results still outstanding (never reaches zero on purged requests).
+    /// Results still outstanding.
     remaining: usize,
     verdict: Option<Verdict>,
     /// A worker panic payload, resumed on the waiter's thread.
-    panic: Option<Box<dyn std::any::Any + Send>>,
+    panic: Option<Payload>,
     t_start: Instant,
     t_admitted: Instant,
     t_first_dispatch: Option<Instant>,
@@ -283,12 +297,77 @@ struct Completion {
 }
 
 impl RequestState {
-    fn finished(&self) -> bool {
+    fn lock(&self) -> MutexGuard<'_, Completion> {
         self.done
             .lock()
             .expect("request completion lock is never poisoned")
-            .verdict
-            .is_some()
+    }
+
+    fn finished(&self) -> bool {
+        self.lock().verdict.is_some()
+    }
+
+    /// Resolves the request with `verdict` unless it already has one:
+    /// counts it, wakes the waiter, and returns whether this call decided.
+    fn resolve(&self, verdict: Verdict, telemetry: &TelemetrySink, panic: Option<Payload>) -> bool {
+        self.resolve_locked(&mut self.lock(), verdict, telemetry, panic)
+    }
+
+    fn resolve_locked(
+        &self,
+        done: &mut Completion,
+        verdict: Verdict,
+        telemetry: &TelemetrySink,
+        panic: Option<Payload>,
+    ) -> bool {
+        if done.verdict.is_some() {
+            return false;
+        }
+        done.verdict = Some(verdict);
+        done.panic = panic;
+        let counter = match verdict {
+            Verdict::Completed => {
+                telemetry.observe(
+                    Hist::RequestLatencyNs,
+                    ns_between(done.t_start, Instant::now()),
+                );
+                Counter::RequestsCompleted
+            }
+            Verdict::Panicked => Counter::RequestsPanicked,
+            Verdict::Cancelled => Counter::RequestsCancelled,
+            Verdict::Expired => Counter::RequestsExpired,
+            Verdict::ShutDown => Counter::RequestsShutDown,
+        };
+        telemetry.add(counter, 1);
+        self.finished_cv.notify_all();
+        true
+    }
+
+    /// Resolves the request as expired once its deadline has passed;
+    /// returns whether it is finished, for any reason.
+    fn settle_deadline(&self, now: Instant, telemetry: &TelemetrySink) -> bool {
+        let mut done = self.lock();
+        if self.deadline.is_some_and(|d| d <= now) {
+            self.resolve_locked(&mut done, Verdict::Expired, telemetry, None);
+        }
+        done.verdict.is_some()
+    }
+
+    /// Files one job's result; the last one completes the request.
+    fn deliver(
+        &self,
+        index: usize,
+        result: Result<ExecOutput, GraphError>,
+        now: Instant,
+        telemetry: &TelemetrySink,
+    ) {
+        let mut done = self.lock();
+        done.results[index] = Some(result);
+        done.remaining -= 1;
+        done.t_last_done = Some(now);
+        if done.remaining == 0 {
+            self.resolve_locked(&mut done, Verdict::Completed, telemetry, None);
+        }
     }
 }
 
@@ -296,6 +375,7 @@ impl RequestState {
 pub struct RequestHandle {
     state: Arc<RequestState>,
     telemetry: TelemetrySink,
+    wake: mpsc::Sender<Msg>,
 }
 
 impl std::fmt::Debug for RequestHandle {
@@ -321,20 +401,15 @@ impl RequestHandle {
         self.state.finished()
     }
 
-    /// Requests cancellation: the dispatcher drops the request's remaining
-    /// jobs on its next pass, and results of already-executed jobs are
-    /// discarded. A no-op once the request has finished.
+    /// Cancels the request: it resolves as cancelled at once, the
+    /// dispatcher drops its remaining jobs, and results of already-executed
+    /// jobs are discarded. A no-op once the request has finished.
     pub fn cancel(&self) {
-        self.state.cancelled.store(true, Ordering::Release);
-        let mut done = self
+        if self
             .state
-            .done
-            .lock()
-            .expect("request completion lock is never poisoned");
-        if done.verdict.is_none() {
-            done.verdict = Some(Verdict::Cancelled);
-            self.telemetry.add(Counter::RequestsCancelled, 1);
-            self.state.finished_cv.notify_all();
+            .resolve(Verdict::Cancelled, &self.telemetry, None)
+        {
+            let _ = self.wake.send(Msg::Wake);
         }
     }
 
@@ -349,14 +424,12 @@ impl RequestHandle {
     ///
     /// # Panics
     ///
-    /// If a job of this request panicked on a worker thread, the original
-    /// payload is resumed here.
+    /// If a job of this request panicked on a worker thread, the panic is
+    /// resumed here: with the original payload on the request owning the
+    /// group's first job, with its message on every other request that had
+    /// a job in the same lane group.
     pub fn wait(self) -> Result<RequestReport, RequestError> {
-        let mut done = self
-            .state
-            .done
-            .lock()
-            .expect("request completion lock is never poisoned");
+        let mut done = self.state.lock();
         while done.verdict.is_none() {
             done = self
                 .state
@@ -364,12 +437,15 @@ impl RequestHandle {
                 .wait(done)
                 .expect("request completion lock is never poisoned");
         }
-        if let Some(payload) = done.panic.take() {
-            drop(done);
-            resume_unwind(payload);
-        }
-        let verdict = done.verdict.expect("loop exits only with a verdict");
-        match verdict {
+        match done.verdict.expect("loop exits only with a verdict") {
+            Verdict::Panicked => {
+                let payload = done
+                    .panic
+                    .take()
+                    .expect("a panicked request holds its payload");
+                drop(done);
+                resume_unwind(payload);
+            }
             Verdict::Cancelled => return Err(RequestError::Cancelled),
             Verdict::Expired => return Err(RequestError::DeadlineExceeded),
             Verdict::ShutDown => return Err(RequestError::ShutDown),
@@ -443,16 +519,24 @@ struct Shared {
     telemetry: TelemetrySink,
 }
 
+impl Shared {
+    fn intake(&self) -> MutexGuard<'_, Intake> {
+        self.intake.lock().expect("intake lock is never poisoned")
+    }
+}
+
 /// A message to the dispatcher thread.
 enum Msg {
-    /// One job's outcome: `(request id, job index, worker outcome)`.
-    Done(
-        u64,
-        usize,
-        std::thread::Result<Result<ExecOutput, GraphError>>,
-    ),
+    /// One finished group's report.
+    Done(GroupReport),
     /// Intake changed (new request, cancellation, shutdown): re-scan.
     Wake,
+}
+
+impl From<GroupReport> for Msg {
+    fn from(report: GroupReport) -> Self {
+        Msg::Done(report)
+    }
 }
 
 /// The long-lived serving tier: a dispatcher thread multiplexing many
@@ -556,11 +640,7 @@ impl Service {
             return Err(SubmitError::Expired(request));
         }
         let span = telemetry.span(Stage::ServeSubmit);
-        let mut intake = self
-            .shared
-            .intake
-            .lock()
-            .expect("intake lock is never poisoned");
+        let mut intake = self.shared.intake();
         loop {
             if intake.shutdown {
                 drop(span);
@@ -594,11 +674,10 @@ impl Service {
         let state = Arc::new(RequestState {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             deadline: request.deadline,
-            cancelled: AtomicBool::new(false),
             done: Mutex::new(Completion {
                 results: (0..jobs).map(|_| None).collect(),
                 remaining: jobs,
-                verdict: (jobs == 0).then_some(Verdict::Completed),
+                verdict: None,
                 panic: None,
                 t_start,
                 t_admitted,
@@ -621,26 +700,22 @@ impl Service {
         drop(intake);
         drop(span);
         telemetry.add(Counter::RequestsSubmitted, 1);
-        if jobs > 0 {
+        if jobs == 0 {
+            state.resolve(Verdict::Completed, telemetry, None);
+        } else {
             let _ = self.tx.send(Msg::Wake);
         }
         Ok(RequestHandle {
             state,
             telemetry: telemetry.clone(),
+            wake: self.tx.clone(),
         })
     }
 }
 
 impl Drop for Service {
     fn drop(&mut self) {
-        {
-            let mut intake = self
-                .shared
-                .intake
-                .lock()
-                .expect("intake lock is never poisoned");
-            intake.shutdown = true;
-        }
+        self.shared.intake().shutdown = true;
         self.shared.room.notify_all();
         let _ = self.tx.send(Msg::Wake);
         if let Some(handle) = self.dispatcher.take() {
@@ -653,16 +728,15 @@ impl Drop for Service {
 struct LiveRequest {
     state: Arc<RequestState>,
     /// Jobs moved into the window (buffered or pool-side) but not yet
-    /// completed or purged.
+    /// reported or purged.
     outstanding: usize,
 }
 
-/// The dispatcher: drains the intake round-robin into per-class coalescing
-/// buckets bounded by `window`, submits lane groups (and scalar singles) to
-/// the pool, routes results back into each request's state, and enforces
-/// deadlines and cancellation. Single-threaded by design — all scheduling
-/// state is thread-local to this loop.
-#[allow(clippy::too_many_lines)]
+/// The dispatcher: drains the intake round-robin into the coalescing core,
+/// submits the groups it releases to the pool, routes each group's report
+/// back into its requests' states, and enforces deadlines and
+/// cancellation. Single-threaded by design — all scheduling state is
+/// thread-local to this loop.
 fn dispatcher_loop(
     shared: &Shared,
     tx: &mpsc::Sender<Msg>,
@@ -673,88 +747,59 @@ fn dispatcher_loop(
 ) {
     let telemetry = &shared.telemetry;
     let pool = WorkerPool::with_telemetry(threads, telemetry.clone());
-    // Per-class coalescing buckets: entries are (request id, job index, job).
-    let mut buckets: HashMap<u64, Vec<(u64, usize, StreamJob)>> = HashMap::new();
+    let mut core = Coalescer::new(window, threads, telemetry.clone()).without_class_breakdown();
     let mut live: HashMap<u64, LiveRequest> = HashMap::new();
-    // Jobs moved out of intake (buffered or pool-side) minus completions.
-    let mut in_window = 0usize;
-    // Jobs handed to the pool minus completions (excludes buffered jobs).
-    let mut on_pool = 0usize;
     loop {
-        // Phase 1: enforce cancellation and deadlines — queued and
-        // in-window requests alike. Purged requests lose their queued and
-        // buffered jobs immediately; jobs already on the pool finish and
-        // their results are discarded on arrival.
+        // Phase 1: settle deadlines and drop finished requests' remaining
+        // jobs — queued and in-window alike. Jobs already on the pool
+        // finish and their results are discarded on arrival.
         let now = Instant::now();
-        let mut purged: Vec<u64> = Vec::new();
+        let mut next_deadline: Option<Instant> = None;
+        let mut pending_deadline = |state: &RequestState| {
+            if let Some(d) = state.deadline {
+                next_deadline = Some(next_deadline.map_or(d, |earliest| earliest.min(d)));
+            }
+        };
         {
-            let mut intake = shared.intake.lock().expect("intake lock is never poisoned");
-            let mut kept = VecDeque::with_capacity(intake.queue.len());
-            while let Some(pending) = intake.queue.pop_front() {
-                let cancelled = pending.state.cancelled.load(Ordering::Acquire);
-                let expired = pending.state.deadline.is_some_and(|d| d <= now);
-                if cancelled || expired {
-                    intake.pending_jobs -= pending.jobs.len();
-                    let verdict = if cancelled {
-                        Verdict::Cancelled
-                    } else {
-                        Verdict::Expired
-                    };
-                    finish(&pending.state, verdict, telemetry);
-                    purged.push(pending.state.id);
+            let mut intake = shared.intake();
+            let before = intake.pending_jobs;
+            let mut pending_jobs = before;
+            intake.queue.retain(|pending| {
+                let finished = pending.state.settle_deadline(now, telemetry);
+                if finished {
+                    pending_jobs -= pending.jobs.len();
                 } else {
-                    kept.push_back(pending);
+                    pending_deadline(&pending.state);
                 }
-            }
-            intake.queue = kept;
-            telemetry.gauge_set(Gauge::IntakeDepth, intake.pending_jobs as u64);
-        }
-        for (&id, req) in &live {
-            let cancelled = req.state.cancelled.load(Ordering::Acquire);
-            let expired = req.state.deadline.is_some_and(|d| d <= now);
-            if cancelled || expired {
-                let verdict = if cancelled {
-                    Verdict::Cancelled
-                } else {
-                    Verdict::Expired
-                };
-                finish(&req.state, verdict, telemetry);
-                if !purged.contains(&id) {
-                    purged.push(id);
-                }
+                !finished
+            });
+            intake.pending_jobs = pending_jobs;
+            telemetry.gauge_set(Gauge::IntakeDepth, pending_jobs as u64);
+            if pending_jobs != before {
+                shared.room.notify_all();
             }
         }
-        if !purged.is_empty() {
-            shared.room.notify_all();
-            for id in &purged {
-                for bucket in buckets.values_mut() {
-                    let before = bucket.len();
-                    bucket.retain(|(req, _, _)| req != id);
-                    let dropped = before - bucket.len();
-                    in_window -= dropped;
-                    if dropped > 0 {
-                        if let Some(req) = live.get_mut(id) {
-                            req.outstanding -= dropped;
-                        }
-                    }
-                }
+        for (&id, req) in &mut live {
+            if req.state.settle_deadline(now, telemetry) {
+                req.outstanding -= core.purge(id);
+            } else {
+                pending_deadline(&req.state);
             }
-            buckets.retain(|_, bucket| !bucket.is_empty());
-            live.retain(|_, req| req.outstanding > 0 || !req.state.finished());
         }
 
         // Phase 2: the coalesce pass — move intake jobs into the window,
         // round-robin across requests so concurrent same-class requests
-        // interleave into the same lane buckets.
-        let mut ready: Vec<Vec<(u64, usize, StreamJob)>> = Vec::new();
+        // interleave into the same lane buckets; then let the core flush
+        // partial buckets to idle workers.
+        let mut ready: Vec<Group> = Vec::new();
         let shutdown;
         {
             let mut span = telemetry.span_with(Stage::ServeCoalesce, 0);
-            let mut intake = shared.intake.lock().expect("intake lock is never poisoned");
+            let mut intake = shared.intake();
             shutdown = intake.shutdown;
             let mut moved = 0u64;
             let t_dispatch = Instant::now();
-            while in_window < window {
+            while core.has_room() {
                 let Some(mut pending) = intake.queue.pop_front() else {
                     break;
                 };
@@ -763,7 +808,6 @@ fn dispatcher_loop(
                 };
                 intake.pending_jobs -= 1;
                 moved += 1;
-                in_window += 1;
                 let id = pending.state.id;
                 let entry = live.entry(id).or_insert_with(|| LiveRequest {
                     state: Arc::clone(&pending.state),
@@ -771,11 +815,7 @@ fn dispatcher_loop(
                 });
                 entry.outstanding += 1;
                 {
-                    let mut done = pending
-                        .state
-                        .done
-                        .lock()
-                        .expect("request completion lock is never poisoned");
+                    let mut done = pending.state.lock();
                     if done.t_first_dispatch.is_none() {
                         done.t_first_dispatch = Some(t_dispatch);
                         telemetry.record_span_ns(
@@ -788,235 +828,122 @@ fn dispatcher_loop(
                 if !pending.jobs.is_empty() {
                     intake.queue.push_back(pending);
                 }
-                telemetry.add(Counter::JobsPulled, 1);
-                if window >= 2 && job.plan.lane_batchable() {
-                    let class = job.plan.plan_class();
-                    let bucket = buckets.entry(class).or_default();
-                    bucket.push((id, index, job));
-                    if bucket.len() == LANES {
-                        ready.push(buckets.remove(&class).expect("bucket just filled"));
-                    }
-                } else {
-                    ready.push(vec![(id, index, job)]);
-                }
+                ready.extend(core.admit(id, index, job));
             }
             telemetry.gauge_set(Gauge::IntakeDepth, intake.pending_jobs as u64);
             drop(intake);
-            shared.room.notify_all();
+            if moved > 0 {
+                shared.room.notify_all();
+            }
             span.set_arg(moved);
         }
-        let moved_any = !ready.is_empty();
+        ready.extend(core.flush(shutdown));
         for group in ready {
-            on_pool += group.len();
-            tally_group(&group, &live, telemetry, group.len() >= 2);
-            submit_group(&pool, tx, n, group, telemetry);
-        }
-        // Progress guarantee (mirrors `run_stream`): when nothing could be
-        // moved and no pool-side results are coming, flush the bucket
-        // holding the oldest request's job so partially-filled groups still
-        // execute instead of waiting for traffic that may never arrive.
-        if !moved_any && on_pool == 0 {
-            let oldest = buckets
-                .iter()
-                .min_by_key(|(_, bucket)| {
-                    bucket
-                        .iter()
-                        .map(|(id, _, _)| *id)
-                        .min()
-                        .unwrap_or(u64::MAX)
-                })
-                .map(|(&class, _)| class);
-            if let Some(class) = oldest {
-                let group = buckets.remove(&class).expect("oldest bucket exists");
-                on_pool += group.len();
-                tally_group(&group, &live, telemetry, true);
-                submit_group(&pool, tx, n, group, telemetry);
-            }
+            attribute(&group, &live);
+            spawn_group(&pool, tx, n, group, telemetry);
         }
 
         // Phase 3: shutdown — stop admitting, fail every still-queued
         // request so its waiter unblocks, keep draining in-window jobs.
         if shutdown {
-            let mut intake = shared.intake.lock().expect("intake lock is never poisoned");
-            while let Some(pending) = intake.queue.pop_front() {
-                intake.pending_jobs -= pending.jobs.len();
-                finish(&pending.state, Verdict::ShutDown, telemetry);
+            let mut intake = shared.intake();
+            for pending in intake.queue.drain(..) {
+                pending.state.resolve(Verdict::ShutDown, telemetry, None);
             }
+            intake.pending_jobs = 0;
             drop(intake);
             shared.room.notify_all();
-            if in_window == 0 {
+            if core.is_empty() {
                 for req in live.values() {
-                    finish(&req.state, Verdict::ShutDown, telemetry);
+                    req.state.resolve(Verdict::ShutDown, telemetry, None);
                 }
                 break;
             }
         }
 
-        // Phase 4: wait for the next event — a result, a submission, a
-        // cancellation. The bounded timeout keeps deadline enforcement live
-        // even when no messages arrive.
-        let msg = rx.recv_timeout(Duration::from_millis(50)).ok();
-        let mut handle_msg = |msg: Msg| {
-            let Msg::Done(id, index, outcome) = msg else {
-                return;
-            };
-            on_pool -= 1;
-            in_window -= 1;
-            let Some(req) = live.get_mut(&id) else {
-                return;
-            };
-            req.outstanding -= 1;
-            let mut done = req
-                .state
-                .done
-                .lock()
-                .expect("request completion lock is never poisoned");
-            match outcome {
-                Ok(result) => {
-                    if result.is_err() {
-                        telemetry.add(Counter::JobsFailed, 1);
-                    }
-                    done.results[index] = Some(result);
-                    done.remaining -= 1;
-                    done.t_last_done = Some(Instant::now());
-                    if done.remaining == 0 && done.verdict.is_none() {
-                        done.verdict = Some(Verdict::Completed);
-                        telemetry.add(Counter::RequestsCompleted, 1);
-                        telemetry.observe(
-                            Hist::RequestLatencyNs,
-                            ns_between(done.t_start, Instant::now()),
-                        );
-                        req.state.finished_cv.notify_all();
-                    }
-                }
-                Err(payload) => {
-                    // A worker panic: surface the payload to the waiter.
-                    if done.verdict.is_none() {
-                        done.verdict = Some(Verdict::Completed);
-                    }
-                    done.panic = Some(payload);
-                    req.state.finished_cv.notify_all();
-                }
-            }
+        // Phase 4: sleep until the next event — a group report, a
+        // submission, a cancellation — or the earliest pending deadline.
+        let first = match next_deadline {
+            Some(deadline) => rx
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .ok(),
+            None => rx.recv().ok(),
         };
-        if let Some(msg) = msg {
-            handle_msg(msg);
-            // Drain whatever else is already queued before re-coalescing.
-            while let Ok(msg) = rx.try_recv() {
-                handle_msg(msg);
+        for msg in first
+            .into_iter()
+            .chain(std::iter::from_fn(|| rx.try_recv().ok()))
+        {
+            if let Msg::Done(report) = msg {
+                settle(report, &mut core, &mut live, telemetry);
             }
         }
         live.retain(|_, req| req.outstanding > 0 || !req.state.finished());
     }
 }
 
-/// Marks a request finished with the given verdict (if still unfinished),
-/// waking its waiter and counting the outcome.
-fn finish(state: &Arc<RequestState>, verdict: Verdict, telemetry: &TelemetrySink) {
-    let mut done = state
-        .done
-        .lock()
-        .expect("request completion lock is never poisoned");
-    if done.verdict.is_none() {
-        done.verdict = Some(verdict);
-        match verdict {
-            Verdict::Cancelled => telemetry.add(Counter::RequestsCancelled, 1),
-            Verdict::Expired => telemetry.add(Counter::RequestsExpired, 1),
-            Verdict::Completed | Verdict::ShutDown => {}
-        }
-        state.finished_cv.notify_all();
-    }
-}
-
-/// Tallies one dispatch group's path split into the sink and into each
-/// member request's accounting: lane-batched vs scalar, the lane-fill
-/// distribution, per-class attribution, and — when the group mixes two or
-/// more requests — the cross-request counter.
-fn tally_group(
-    group: &[(u64, usize, StreamJob)],
-    live: &HashMap<u64, LiveRequest>,
-    telemetry: &TelemetrySink,
-    grouped: bool,
-) {
-    let lane = group.len() >= 2;
-    let class = group[0].2.plan.plan_class();
-    if grouped {
-        telemetry.lane_fill_n(group.len(), 1);
-        telemetry.class_fill_n(class, group.len(), 1);
-    }
-    if lane {
-        telemetry.add(Counter::LaneBatchedJobs, group.len() as u64);
-        telemetry.class_add_jobs(class, group.len() as u64, 0);
-    } else {
-        telemetry.add(Counter::ScalarJobs, group.len() as u64);
-        telemetry.class_add_jobs(class, 0, group.len() as u64);
-    }
-    let first_id = group[0].0;
-    let cross = lane && group.iter().any(|(id, _, _)| *id != first_id);
-    if cross {
-        telemetry.add(Counter::CrossRequestLaneJobs, group.len() as u64);
-    }
-    for (id, _, _) in group {
-        if let Some(req) = live.get(id) {
-            let mut done = req
-                .state
-                .done
-                .lock()
-                .expect("request completion lock is never poisoned");
-            if lane {
+/// Copies one released group's classification (from the core's tally)
+/// into each member request's accounting.
+fn attribute(group: &Group, live: &HashMap<u64, LiveRequest>) {
+    for member in &group.members {
+        if let Some(req) = live.get(&member.owner) {
+            let mut done = req.state.lock();
+            if group.lane_batched() {
                 done.lane_batched += 1;
             } else {
                 done.scalar += 1;
             }
-            if cross {
+            if group.cross_request {
                 done.cross_request += 1;
             }
         }
     }
 }
 
-/// Submits one coalesced group to the pool as a single task: lane-batched
-/// lockstep when it holds ≥ 2 jobs, scalar otherwise. Each job's outcome is
-/// reported individually; a panic carries its payload on the group's first
-/// job.
-fn submit_group(
-    pool: &WorkerPool,
-    tx: &mpsc::Sender<Msg>,
-    n: usize,
-    group: Vec<(u64, usize, StreamJob)>,
+/// Routes one group report: every member leaves the window and its request
+/// gets the result — or, for a panicked group, every member's request
+/// resolves as panicked (the first with the original payload, the others
+/// with its message).
+fn settle(
+    report: GroupReport,
+    core: &mut Coalescer,
+    live: &mut HashMap<u64, LiveRequest>,
     telemetry: &TelemetrySink,
 ) {
-    let tx = tx.clone();
-    let telemetry = telemetry.clone();
-    pool.submit(Box::new(move || {
-        let mut keys = Vec::with_capacity(group.len());
-        let mut jobs = Vec::with_capacity(group.len());
-        for (id, index, job) in group {
-            keys.push((id, index));
-            jobs.push(job);
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if jobs.len() >= 2 {
-                execute_plan_group(n, &jobs, &telemetry)
-            } else {
-                jobs.iter()
-                    .map(|job| execute_job_scalar(n, job, &telemetry))
-                    .collect()
-            }
-        }));
-        // Free the jobs — and their plan handles — before the results
-        // become visible, so the window bounds live-plan memory.
-        drop(jobs);
-        match outcome {
-            Ok(results) => {
-                for ((id, index), result) in keys.into_iter().zip(results) {
-                    let _ = tx.send(Msg::Done(id, index, Ok(result)));
+    let GroupReport { keys, outcome } = report;
+    let failures = outcome
+        .as_ref()
+        .map_or(0, |results| results.iter().filter(|r| r.is_err()).count());
+    core.done(keys.len(), failures);
+    let now = Instant::now();
+    match outcome {
+        Ok(results) => {
+            for ((id, index), result) in keys.into_iter().zip(results) {
+                if let Some(req) = live.get_mut(&id) {
+                    req.outstanding -= 1;
+                    req.state.deliver(index, result, now, telemetry);
                 }
             }
-            Err(payload) => {
-                let (id, index) = keys[0];
-                let _ = tx.send(Msg::Done(id, index, Err(payload)));
+        }
+        Err(payload) => {
+            let message = panic_message(&payload);
+            let mut payload = Some(payload);
+            for (id, _) in keys {
+                if let Some(req) = live.get_mut(&id) {
+                    req.outstanding -= 1;
+                    let payload = payload.take().unwrap_or_else(|| Box::new(message.clone()));
+                    req.state
+                        .resolve(Verdict::Panicked, telemetry, Some(payload));
+                }
             }
         }
-    }));
+    }
+}
+
+/// The text of a panic payload (`panic!` payloads are `&str` or `String`).
+fn panic_message(payload: &Payload) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a job in this request's lane group panicked".to_string())
 }

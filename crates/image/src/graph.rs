@@ -464,8 +464,10 @@ mod tests {
                          dispatch diverged from the reference loop"
                     );
                     for window in [1usize, threads, 4 * threads, usize::MAX] {
-                        let (windowed, stats) = crate::pipeline::run_sc_pipeline_with_window(
-                            &img, variant, &config, threads, window,
+                        let (windowed, stats) = crate::pipeline::run_sc_pipeline_with_stats(
+                            &img,
+                            variant,
+                            &config.clone().with_threads(threads).with_window(window),
                         )
                         .unwrap();
                         assert_eq!(

@@ -76,7 +76,7 @@ pub use graph::{measured_planner_options, planner_options, tile_graph, tile_mean
 pub use image::{GrayImage, ImageError};
 pub use pipeline::{
     run_float_pipeline, run_sc_pipeline, run_sc_pipeline_with_stats, run_sc_pipeline_with_threads,
-    run_sc_pipeline_with_window, PipelineConfig, PipelineStats, PipelineVariant,
+    PipelineConfig, PipelineStats, PipelineVariant,
 };
 pub use planner::{tile_origins, PlannedTile, TilePlanner};
 pub use sc_telemetry::{TelemetryReport, TelemetrySink};

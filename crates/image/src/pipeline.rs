@@ -6,7 +6,8 @@
 //! ([`crate::graph::tile_graph`]), compiled with the variant's planner
 //! options (the synchronizer variant's correlation repair is *inserted by
 //! the planner*, not by hand), and executed. Execution is **streamed in
-//! bounded windows** ([`run_sc_pipeline_with_window`]): tiles are planned
+//! bounded windows** ([`run_sc_pipeline_with_stats`], with the worker count
+//! and window taken from [`PipelineConfig`]): tiles are planned
 //! *lazily*, in raster order, inside the streaming dispatch — sharing
 //! compiled plans within each tile class (shape + source-bank phase) via
 //! seed retargeting — and at most `window` planned-but-unfinished tiles are
@@ -109,6 +110,16 @@ pub struct PipelineConfig {
     /// [`PipelineConfig::with_telemetry`]) and drain it after the run for a
     /// per-stage breakdown. Ignored by `PartialEq`/`Hash`.
     pub telemetry: TelemetrySink,
+    /// Worker threads of a one-shot run and of an [`crate::ImageServer`];
+    /// `None` uses the available parallelism. An execution setting, not
+    /// accelerator identity, so it is ignored by `PartialEq`/`Hash` (and by
+    /// the plan cache).
+    pub threads: Option<usize>,
+    /// Dispatch window of a one-shot run and of an [`crate::ImageServer`]:
+    /// at most this many planned tiles are live at once. `None` uses the
+    /// executor default (`threads ×`[`sc_graph::DEFAULT_WINDOW_FACTOR`]).
+    /// Ignored by `PartialEq`/`Hash`.
+    pub window: Option<usize>,
 }
 
 impl PartialEq for PipelineConfig {
@@ -158,6 +169,8 @@ impl Default for PipelineConfig {
             measure_scc: None,
             passes: sc_graph::PassSet::all(),
             telemetry: TelemetrySink::disabled(),
+            threads: None,
+            window: None,
         }
     }
 }
@@ -169,12 +182,22 @@ impl PipelineConfig {
         PipelineConfig {
             stream_length: 64,
             tile_size: 6,
-            rng_bank_size: 8,
-            synchronizer_depth: 2,
-            measure_scc: None,
-            passes: sc_graph::PassSet::all(),
-            telemetry: TelemetrySink::disabled(),
+            ..PipelineConfig::default()
         }
+    }
+
+    /// Sets the worker threads (clamped to ≥ 1).
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = Some(threads.max(1));
+        self
+    }
+
+    /// Sets the dispatch window (clamped to ≥ 1).
+    #[must_use]
+    pub fn with_window(mut self, window: usize) -> Self {
+        self.window = Some(window.max(1));
+        self
     }
 
     /// Selects which optimizer passes run on every tile compile.
@@ -282,46 +305,27 @@ pub fn run_sc_pipeline(
     run_sc_pipeline_with_stats(image, variant, config).map(|(out, _)| out)
 }
 
-/// Like [`run_sc_pipeline`], also reporting how much compilation work the
-/// plan cache saved and how many retargeted plans the streaming window kept
-/// live at its peak. Dispatches across all available cores with the default
-/// window; see [`run_sc_pipeline_with_threads`] for an explicit worker count
-/// and [`run_sc_pipeline_with_window`] for an explicit window.
+/// [`run_sc_pipeline_with_stats`] at an explicit worker count (overriding
+/// [`PipelineConfig::threads`]).
 ///
 /// # Errors
 ///
 /// Same conditions as [`run_sc_pipeline`].
-pub fn run_sc_pipeline_with_stats(
-    image: &GrayImage,
-    variant: PipelineVariant,
-    config: &PipelineConfig,
-) -> Result<(GrayImage, PipelineStats), ImageError> {
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    run_sc_pipeline_with_threads(image, variant, config, threads)
-}
-
-/// Like [`run_sc_pipeline_with_window`] with the executor's default window
-/// (`threads × `[`sc_graph::DEFAULT_WINDOW_FACTOR`]).
-///
-/// # Errors
-///
-/// Returns an [`ImageError`] only for degenerate configurations (zero-sized
-/// tiles or streams are rejected as [`ImageError::EmptyImage`]).
 pub fn run_sc_pipeline_with_threads(
     image: &GrayImage,
     variant: PipelineVariant,
     config: &PipelineConfig,
     threads: usize,
 ) -> Result<(GrayImage, PipelineStats), ImageError> {
-    let window = Executor::new(config.stream_length)
-        .with_threads(threads.max(1))
-        .default_window();
-    run_sc_pipeline_with_window(image, variant, config, threads, window)
+    run_sc_pipeline_with_stats(image, variant, &config.clone().with_threads(threads))
 }
 
-/// The streaming tile dispatcher: walks the image's tiles in raster order,
+/// Like [`run_sc_pipeline`], also reporting how much compilation work the
+/// plan cache saved and how many retargeted plans the streaming window kept
+/// live at its peak — the one config-driven run: [`PipelineConfig::threads`]
+/// and [`PipelineConfig::window`] pick the worker count and the window.
+///
+/// The streaming tile dispatcher walks the image's tiles in raster order,
 /// planning each tile **lazily inside the stream** — building its dataflow
 /// graph and obtaining a compiled plan from the per-class cache (tile shape
 /// plus source-bank phase, with the tile's select-LFSR seeds retargeted
@@ -345,16 +349,23 @@ pub fn run_sc_pipeline_with_threads(
 ///
 /// Returns an [`ImageError`] only for degenerate configurations (zero-sized
 /// tiles or streams are rejected as [`ImageError::EmptyImage`]).
-pub fn run_sc_pipeline_with_window(
+pub fn run_sc_pipeline_with_stats(
     image: &GrayImage,
     variant: PipelineVariant,
     config: &PipelineConfig,
-    threads: usize,
-    window: usize,
 ) -> Result<(GrayImage, PipelineStats), ImageError> {
     if config.tile_size == 0 || config.stream_length == 0 || config.rng_bank_size == 0 {
         return Err(ImageError::EmptyImage);
     }
+    let threads = config.threads.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    });
+    let executor = Executor::new(config.stream_length)
+        .with_threads(threads)
+        .with_telemetry(config.telemetry.clone());
+    let window = config.window.unwrap_or_else(|| executor.default_window());
     let mut output = GrayImage::filled(image.width(), image.height(), 0.0);
     // A fresh per-run planner keeps the historical unbounded per-run cache;
     // the serving tier ([`crate::ImageServer`]) is the front that holds one
@@ -374,9 +385,6 @@ pub fn run_sc_pipeline_with_window(
     // window has room, and the planned tile's sinks are recorded on the way
     // past for the scatter phase.
     let mut sinks: Vec<Vec<(usize, usize, String)>> = Vec::with_capacity(origins.len());
-    let executor = Executor::new(config.stream_length)
-        .with_threads(threads.max(1))
-        .with_telemetry(config.telemetry.clone());
     let jobs = origins.iter().enumerate().map(|(tile_index, &(x0, y0))| {
         let planned = planner.plan_tile(image, x0, y0, tile_index as u64, &mut stats);
         sinks.push(planned.sinks);

@@ -6,7 +6,7 @@
 //! or compiling and caching on a miss.
 //!
 //! The planner is the piece both execution fronts share: the one-shot
-//! streaming pipeline ([`crate::run_sc_pipeline_with_window`]) creates a
+//! streaming pipeline ([`crate::run_sc_pipeline_with_stats`]) creates a
 //! fresh planner per call (the historical per-run cache), while the serving
 //! tier ([`crate::ImageServer`]) keeps **one planner alive across requests**
 //! behind a lock — which is what lets tiles from *different* requests share

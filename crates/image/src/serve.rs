@@ -36,25 +36,17 @@ use std::time::{Duration, Instant};
 pub struct ImageServerBuilder {
     variant: PipelineVariant,
     config: PipelineConfig,
-    threads: Option<usize>,
-    window: Option<usize>,
     intake_capacity: Option<usize>,
     plan_cache_capacity: Option<usize>,
 }
 
 impl ImageServerBuilder {
-    /// Sets the worker-thread count (default: available parallelism).
+    /// Sets [`PipelineConfig::threads`], the server's worker-thread count
+    /// (default: available parallelism). The dispatch window is
+    /// [`PipelineConfig::window`].
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Sets the service dispatch-window size (default: the executor
-    /// default, `threads ×`[`sc_graph::DEFAULT_WINDOW_FACTOR`]).
-    #[must_use]
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = Some(window.max(1));
+        self.config = self.config.with_threads(threads);
         self
     }
 
@@ -88,7 +80,7 @@ impl ImageServerBuilder {
         {
             return Err(ImageError::EmptyImage);
         }
-        let threads = self.threads.unwrap_or_else(|| {
+        let threads = self.config.threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
@@ -96,7 +88,7 @@ impl ImageServerBuilder {
         let mut service_config = ServiceConfig::new(self.config.stream_length)
             .with_threads(threads)
             .with_telemetry(self.config.telemetry.clone());
-        if let Some(window) = self.window {
+        if let Some(window) = self.config.window {
             service_config = service_config.with_window(window);
         }
         if let Some(capacity) = self.intake_capacity {
@@ -240,9 +232,9 @@ pub struct ImageServer {
 }
 
 impl ImageServer {
-    /// A server for one variant + configuration with default sizing; use
-    /// [`builder`](Self::builder) to size threads, window, intake, and the
-    /// plan-cache bound.
+    /// A server for one variant + configuration, sized by the config's
+    /// `threads` and `window`; use [`builder`](Self::builder) to bound the
+    /// intake and the plan cache.
     ///
     /// # Errors
     ///
@@ -260,8 +252,6 @@ impl ImageServer {
         ImageServerBuilder {
             variant,
             config,
-            threads: None,
-            window: None,
             intake_capacity: None,
             plan_cache_capacity: None,
         }

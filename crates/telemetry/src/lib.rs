@@ -235,11 +235,16 @@ pub enum Counter {
     /// Lane-batched jobs that executed in a dispatch group mixing two or
     /// more requests (cross-request coalescing at work).
     CrossRequestLaneJobs,
+    /// Requests resolved by a worker panic in a group holding one of their
+    /// jobs.
+    RequestsPanicked,
+    /// Requests failed by the serving tier shutting down.
+    RequestsShutDown,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 20] = [
         Counter::JobsPulled,
         Counter::JobsFailed,
         Counter::LaneBatchedJobs,
@@ -258,6 +263,8 @@ impl Counter {
         Counter::RequestsCancelled,
         Counter::RequestsExpired,
         Counter::CrossRequestLaneJobs,
+        Counter::RequestsPanicked,
+        Counter::RequestsShutDown,
     ];
 
     /// The counter's stable export name.
@@ -282,6 +289,8 @@ impl Counter {
             Counter::RequestsCancelled => "requests_cancelled",
             Counter::RequestsExpired => "requests_expired",
             Counter::CrossRequestLaneJobs => "cross_request_lane_jobs",
+            Counter::RequestsPanicked => "requests_panicked",
+            Counter::RequestsShutDown => "requests_shut_down",
         }
     }
 }

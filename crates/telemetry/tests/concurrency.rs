@@ -68,17 +68,21 @@ fn snapshots_interleaved_with_writers_do_not_consume_drained_spans() {
         let sink = sink.clone();
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
+            // Snapshot before the first `stop` check: the writer may finish
+            // before this thread is first scheduled.
             let mut observations = 0u64;
-            while !stop.load(Ordering::Acquire) {
+            loop {
                 let snapshot = sink.snapshot();
                 // Mid-flight invariant: a snapshot never invents or loses
                 // spans — retained + dropped covers exactly what had been
                 // recorded by some point of the interleaving.
                 assert!(snapshot.spans.len() as u64 + snapshot.dropped_spans <= TOTAL_SPANS as u64);
                 observations += 1;
+                if stop.load(Ordering::Acquire) {
+                    break observations;
+                }
                 std::thread::yield_now();
             }
-            observations
         })
     };
 

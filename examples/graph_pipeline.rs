@@ -5,11 +5,12 @@
 //! converters draw from independent sources — so the compiler inserts a
 //! synchronizer in front of the XOR automatically. The compiled plan then
 //! runs word-parallel over a batch of independent input sets, sharded across
-//! a scoped thread pool, and is costed through the `sc_hwcost` bridge.
+//! a persistent worker pool, and is costed through the `sc_hwcost` bridge.
 //!
 //! Run with `cargo run --release --example graph_pipeline`.
 
 use sc_repro::prelude::*;
+use std::sync::Arc;
 
 fn build_graph() -> Graph {
     let mut g = Graph::new();
@@ -45,13 +46,19 @@ fn main() -> Result<(), GraphError> {
         println!("  unrepaired: {line}");
     }
 
-    // --- Batched execution over 8 independent input sets, 2 worker threads.
-    let inputs: Vec<BatchInput> = (0..8)
-        .map(|i| BatchInput::with_values(vec![0.8, i as f64 / 8.0]))
-        .collect();
+    // --- Batched execution over 8 independent input sets, 2 worker threads:
+    // a batch is a job stream with an unbounded window.
+    let (plan, broken) = (Arc::new(plan), Arc::new(broken));
+    let batch = |plan: &Arc<CompiledGraph>| {
+        let plan = Arc::clone(plan);
+        (0..8).map(move |i| StreamJob {
+            plan: Arc::clone(&plan),
+            input: BatchInput::with_values(vec![0.8, i as f64 / 8.0]),
+        })
+    };
     let exec = Executor::new(n).with_threads(2);
-    let repaired_out = exec.run_batch(&plan, &inputs)?;
-    let broken_out = exec.run_batch(&broken, &inputs)?;
+    let repaired_out = exec.run_stream(batch(&plan), usize::MAX)?;
+    let broken_out = exec.run_stream(batch(&broken), usize::MAX)?;
 
     println!("\n== |0.8 - pY| over a batch of 8 (N = {n}) ==");
     println!(

@@ -66,7 +66,7 @@ pub mod prelude {
     };
     pub use sc_graph::{
         BatchInput, BinaryOp, CompiledGraph, ExecOutput, Executor, Graph, GraphError,
-        ManipulatorKind, PlannerOptions,
+        ManipulatorKind, PlannerOptions, StreamJob,
     };
     pub use sc_hwcost::{characterize, Netlist, Primitive};
     pub use sc_image::{

@@ -162,17 +162,20 @@ fn sharded_batches_are_bit_identical_to_sequential() {
     let y = g.generate(1, SourceSpec::Sobol { dimension: 3 });
     let z = g.binary(BinaryOp::XorSubtract, x, y); // planner inserts a synchronizer
     g.sink_stream("z", z);
-    let plan = g.compile(&PlannerOptions::default()).unwrap();
+    let plan = std::sync::Arc::new(g.compile(&PlannerOptions::default()).unwrap());
     assert_eq!(plan.report().inserted.len(), 1);
-    let inputs: Vec<BatchInput> = (0..23)
-        .map(|i| BatchInput::with_values(vec![(i as f64) / 23.0, 0.9 - (i as f64) / 46.0]))
-        .collect();
+    let batch = || {
+        (0..23).map(|i| sc_graph::StreamJob {
+            plan: std::sync::Arc::clone(&plan),
+            input: BatchInput::with_values(vec![(i as f64) / 23.0, 0.9 - (i as f64) / 46.0]),
+        })
+    };
     for n in [65usize, 256] {
-        let sequential = Executor::new(n).run_batch(&plan, &inputs).unwrap();
+        let sequential = Executor::new(n).run_stream(batch(), usize::MAX).unwrap();
         for threads in [2usize, 5, 32] {
             let sharded = Executor::new(n)
                 .with_threads(threads)
-                .run_batch(&plan, &inputs)
+                .run_stream(batch(), usize::MAX)
                 .unwrap();
             assert_eq!(sequential, sharded, "n={n} threads={threads}");
         }

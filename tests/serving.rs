@@ -4,8 +4,8 @@
 //! the one-shot pipeline, cross-request lane batching, bounded plan cache).
 
 use sc_graph::{
-    BatchInput, BinaryOp, Graph, GraphError, PlannerOptions, Request, RequestError, Service,
-    ServiceConfig, StreamJob, SubmitError,
+    BatchInput, BinaryOp, Graph, GraphError, PlannerOptions, Request, RequestError, RequestHandle,
+    Service, ServiceConfig, StreamJob, SubmitError,
 };
 use sc_image::{
     run_sc_pipeline, GrayImage, ImageServer, ImageSubmitError, PipelineConfig, PipelineStats,
@@ -13,6 +13,7 @@ use sc_image::{
 };
 use sc_rng::SourceSpec;
 use sc_telemetry::{Counter, Stage, TelemetrySink};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -218,30 +219,65 @@ fn attribution_segments_sum_to_request_wall_clock() {
     );
 }
 
+/// A plan with no FSM step: its jobs never lane-batch, so one of them keeps
+/// a worker busy on its own.
+fn scalar_plan() -> Arc<sc_graph::CompiledGraph> {
+    let mut g = Graph::new();
+    let x = g.generate(0, SourceSpec::Sobol { dimension: 1 });
+    let y = g.generate(1, SourceSpec::Sobol { dimension: 2 });
+    let z = g.binary(BinaryOp::AndMultiply, x, y);
+    g.sink_value("z", z);
+    let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
+    assert!(!plan.lane_batchable());
+    plan
+}
+
+/// Starts a one-worker service, occupies its worker with a slow scalar
+/// blocker, and submits two requests of two `plan` jobs each while the
+/// worker is busy: with no idle worker the partial bucket waits, so the
+/// four jobs fill one mixed lane group. Returns the blocker's and the two
+/// requests' handles.
+fn submit_behind_blocker(
+    service: &Service,
+    plan: &Arc<sc_graph::CompiledGraph>,
+) -> (RequestHandle, RequestHandle, RequestHandle) {
+    let blocker = service
+        .submit(Request::new(vec![ok_job(&scalar_plan())]))
+        .expect("submit blocker");
+    let a = service
+        .submit(Request::new(vec![ok_job(plan), ok_job(plan)]))
+        .expect("submit a");
+    let b = service
+        .submit(Request::new(vec![ok_job(plan), ok_job(plan)]))
+        .expect("submit b");
+    (blocker, a, b)
+}
+
+/// A one-worker service at a stream length long enough that one job keeps
+/// the worker busy for milliseconds.
+fn slow_single_worker(sink: &TelemetrySink) -> Service {
+    Service::start(
+        ServiceConfig::new(1 << 20)
+            .with_threads(1)
+            .with_window(5)
+            .with_telemetry(sink.clone()),
+    )
+}
+
 #[test]
 fn tiles_from_concurrent_requests_lane_batch_together() {
-    // Two requests of two same-class jobs each: the dispatcher's round-robin
-    // intake interleaves them into one four-lane group. The submit gap is
-    // microseconds against a 50 ms coalescing wait, but the scheduler can in
-    // principle starve the second submit, so allow a few attempts.
+    // The blocker runs for milliseconds against microseconds between the
+    // submits, but the scheduler can in principle starve the submitting
+    // thread, so allow a few attempts.
     let mut cross = 0usize;
     for _ in 0..5 {
         let sink = TelemetrySink::new();
-        let service = Service::start(
-            ServiceConfig::new(4096)
-                .with_threads(1)
-                .with_window(4)
-                .with_telemetry(sink.clone()),
-        );
+        let service = slow_single_worker(&sink);
         let plan = xor_plan();
-        let a = service
-            .submit(Request::new(vec![ok_job(&plan), ok_job(&plan)]))
-            .expect("submit a");
-        let b = service
-            .submit(Request::new(vec![ok_job(&plan), ok_job(&plan)]))
-            .expect("submit b");
+        let (blocker, a, b) = submit_behind_blocker(&service, &plan);
         let ra = a.wait().expect("a completes");
         let rb = b.wait().expect("b completes");
+        blocker.wait().expect("blocker completes");
         assert_eq!(ra.cross_request_lane_jobs, rb.cross_request_lane_jobs);
         drop(service);
         cross = sink.drain().counter(Counter::CrossRequestLaneJobs) as usize;
@@ -252,6 +288,217 @@ fn tiles_from_concurrent_requests_lane_batch_together() {
         }
     }
     assert!(cross > 0, "no attempt produced a cross-request lane group");
+}
+
+/// A long-lived service sees a fresh plan class on every compile (a plan
+/// cache refill after LRU eviction, a caller's new plan): many freshly
+/// compiled plans through one service all resolve bit-identical to solo
+/// runs, while the sink's per-class table stays bounded.
+#[test]
+fn many_freshly_compiled_plans_through_one_service() {
+    let sink = TelemetrySink::new();
+    let service = Service::start(
+        ServiceConfig::new(128)
+            .with_threads(2)
+            .with_telemetry(sink.clone()),
+    );
+    let requests = 96;
+    let plans: Vec<_> = (0..requests).map(|_| xor_plan()).collect();
+    let handles: Vec<RequestHandle> = plans
+        .iter()
+        .map(|plan| {
+            service
+                .submit(Request::new((0..3).map(|_| ok_job(plan)).collect()))
+                .expect("submit succeeds")
+        })
+        .collect();
+    for (plan, handle) in plans.iter().zip(handles) {
+        let solo = sc_graph::Executor::new(128)
+            .run(plan, &ok_job(plan).input)
+            .unwrap();
+        let report = handle.wait().expect("request completes");
+        assert_eq!(report.outputs, vec![solo; 3]);
+    }
+    drop(service);
+    let report = sink.drain();
+    assert_eq!(report.counter(Counter::RequestsCompleted), requests as u64);
+    assert!(report.classes().len() <= sc_telemetry::MAX_PLAN_CLASSES + 1);
+}
+
+/// The text of a caught panic payload.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_default()
+}
+
+#[test]
+fn lane_group_panic_resolves_every_member_request_and_drop_returns() {
+    // A panic inside a lane group mixing two requests must resolve both —
+    // each waiter resumes the panic — and the service must still drain and
+    // shut down: every member of the group reports, so no window slot leaks.
+    let plan = xor_plan();
+    sc_graph::fault::panic_on_class(plan.plan_class());
+    let mut mixed = false;
+    for _ in 0..5 {
+        let sink = TelemetrySink::new();
+        let service = slow_single_worker(&sink);
+        let (blocker, a, b) = submit_behind_blocker(&service, &plan);
+        for handle in [a, b] {
+            let payload = catch_unwind(AssertUnwindSafe(|| handle.wait()))
+                .expect_err("a request in a panicked group resumes the panic");
+            assert!(panic_text(&*payload).contains("injected fault"));
+        }
+        blocker
+            .wait()
+            .expect("a request outside the group is unaffected");
+        // Dropping the service joins its dispatcher: this returns only if
+        // the window drained.
+        drop(service);
+        let report = sink.drain();
+        assert_eq!(report.counter(Counter::RequestsPanicked), 2);
+        assert_eq!(report.counter(Counter::RequestsCompleted), 1);
+        if report.counter(Counter::CrossRequestLaneJobs) == 4 {
+            mixed = true;
+            break;
+        }
+    }
+    sc_graph::fault::clear_class(plan.plan_class());
+    assert!(mixed, "no attempt produced a mixed panicking lane group");
+}
+
+#[test]
+fn in_flight_deadline_fires_while_jobs_still_run() {
+    // One worker, window 1, slow jobs: the deadline passes while the first
+    // job is still running, and the waiter is released at the deadline
+    // instead of after the request's remaining jobs.
+    let sink = TelemetrySink::new();
+    let service = Service::start(
+        ServiceConfig::new(1 << 21)
+            .with_threads(1)
+            .with_window(1)
+            .with_telemetry(sink.clone()),
+    );
+    let plan = xor_plan();
+    let timeout = Duration::from_millis(20);
+    let started = Instant::now();
+    let handle = service
+        .submit(Request::new((0..16).map(|_| ok_job(&plan)).collect()).with_timeout(timeout))
+        .expect("submit succeeds");
+    assert!(matches!(handle.wait(), Err(RequestError::DeadlineExceeded)));
+    let elapsed = started.elapsed();
+    assert!(elapsed >= timeout, "expired early after {elapsed:?}");
+    // The service keeps serving after an expiry.
+    let handle = service
+        .submit(Request::new(vec![ok_job(&plan)]))
+        .expect("submit after expiry");
+    assert_eq!(handle.wait().expect("completes").outputs.len(), 1);
+    drop(service);
+    let report = sink.drain();
+    assert_eq!(report.counter(Counter::RequestsExpired), 1);
+    assert_eq!(report.counter(Counter::RequestsCompleted), 1);
+}
+
+#[test]
+fn every_request_resolves_exactly_once_under_random_faults() {
+    // Seeded random traffic over one service: short, already-expired, and
+    // open deadlines; cancellations; panicking lane groups; rejected
+    // submits; and a shutdown with requests still in flight. Every admitted
+    // request must resolve (no waiter hangs), and the `Requests*` counters
+    // must partition the submissions and agree with what the waiters saw.
+    let faulty = xor_plan();
+    let healthy = xor_plan();
+    let scalar = scalar_plan();
+    sc_graph::fault::panic_on_class(faulty.plan_class());
+    let sink = TelemetrySink::new();
+    let service = Service::start(
+        ServiceConfig::new(256)
+            .with_threads(2)
+            .with_window(6)
+            .with_intake_capacity(12)
+            .with_telemetry(sink.clone()),
+    );
+    let mut state = 0x5EED_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut handles = Vec::new();
+    let (mut rejected, mut expired_at_submit) = (0u64, 0u64);
+    for i in 0..80 {
+        let r = next();
+        let jobs = (0..r % 6)
+            .map(|j| match (r >> (8 + 3 * j)) % 8 {
+                0 => ok_job(&faulty),
+                1 | 2 => ok_job(&scalar),
+                _ => ok_job(&healthy),
+            })
+            .collect();
+        let request = match (r >> 40) % 6 {
+            0 => Request::new(jobs).with_timeout(Duration::from_micros(r % 400)),
+            1 => Request::new(jobs).with_deadline(Instant::now() - Duration::from_millis(1)),
+            _ => Request::new(jobs),
+        };
+        let submitted = if i % 2 == 0 {
+            service.try_submit(request)
+        } else {
+            service.submit(request)
+        };
+        match submitted {
+            Ok(handle) => {
+                if (r >> 50) % 5 == 0 {
+                    handle.cancel();
+                }
+                handles.push(handle);
+            }
+            Err(SubmitError::Rejected(_)) => rejected += 1,
+            Err(SubmitError::Expired(_)) => expired_at_submit += 1,
+            Err(SubmitError::ShutDown(_)) => panic!("the service is still running"),
+        }
+    }
+    // Wait on two thirds, then shut down with the rest possibly in flight.
+    let late = handles.split_off(handles.len() * 2 / 3);
+    let mut seen = [0u64; 5]; // completed, panicked, cancelled, expired, shut down
+    let mut classify = |handle: RequestHandle| {
+        let slot = match catch_unwind(AssertUnwindSafe(|| handle.wait())) {
+            Ok(Ok(_) | Err(RequestError::Job(_))) => 0,
+            Err(_) => 1,
+            Ok(Err(RequestError::Cancelled)) => 2,
+            Ok(Err(RequestError::DeadlineExceeded)) => 3,
+            Ok(Err(RequestError::ShutDown)) => 4,
+        };
+        seen[slot] += 1;
+    };
+    for handle in handles.drain(..) {
+        classify(handle);
+    }
+    drop(service);
+    let late_count = late.len() as u64;
+    for handle in late {
+        classify(handle);
+    }
+    sc_graph::fault::clear_class(faulty.plan_class());
+
+    let report = sink.drain();
+    let submitted = report.counter(Counter::RequestsSubmitted);
+    assert_eq!(submitted, seen.iter().sum::<u64>());
+    assert!(late_count > 0 && submitted > 0);
+    assert_eq!(report.counter(Counter::RequestsRejected), rejected);
+    assert_eq!(report.counter(Counter::RequestsCompleted), seen[0]);
+    assert_eq!(report.counter(Counter::RequestsPanicked), seen[1]);
+    assert_eq!(report.counter(Counter::RequestsCancelled), seen[2]);
+    assert_eq!(
+        report.counter(Counter::RequestsExpired),
+        seen[3] + expired_at_submit
+    );
+    assert_eq!(report.counter(Counter::RequestsShutDown), seen[4]);
+    assert!(seen[1] > 0, "the seed exercises panicking groups");
+    assert!(seen[2] > 0, "the seed exercises cancellation");
 }
 
 #[test]
@@ -280,6 +527,21 @@ fn image_server_matches_the_one_shot_pipeline_bit_for_bit() {
         }
         assert!(server.cached_classes() > 0, "the plan cache stays warm");
     }
+}
+
+/// The server takes its worker count and window from the same
+/// `PipelineConfig` fields the one-shot pipeline reads: a window of 1 set on
+/// the config turns lane batching off on the server too.
+#[test]
+fn image_server_reads_threads_and_window_from_the_config() {
+    let image = GrayImage::gradient(12, 12);
+    let config = PipelineConfig::quick().with_threads(1).with_window(1);
+    let expected = run_sc_pipeline(&image, PipelineVariant::Synchronizer, &config).unwrap();
+    let server = ImageServer::start(PipelineVariant::Synchronizer, config).unwrap();
+    let response = server.submit(&image).unwrap().wait().unwrap();
+    assert_eq!(response.image, expected);
+    assert_eq!(response.lane_batched_jobs, 0, "window 1 never groups");
+    assert_eq!(response.scalar_jobs, response.tiles);
 }
 
 #[test]
