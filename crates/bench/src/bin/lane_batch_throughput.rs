@@ -19,7 +19,10 @@
 //!
 //! The bin asserts bit-identity between the two executor configurations
 //! before timing anything, then gates the kernel-level lane speedups and the
-//! end-to-end executor transposition gain.
+//! end-to-end executor transposition gain. Each scalar/lane comparison is
+//! timed in interleaved pairs and gated on the median per-pair ratio, so a
+//! host that changes clock speed between samples shifts both sides of a pair
+//! together instead of one side of the whole comparison.
 
 use sc_arith::maxmin::{ca_max, ca_max_lanes};
 use sc_bitstream::{Bitstream, Probability};
@@ -48,33 +51,70 @@ fn input_pair(n: usize) -> (Bitstream, Bitstream) {
     )
 }
 
-/// Median ns per call over several timed samples, with adaptive batching so
-/// each sample lasts long enough for the clock to be meaningful.
-fn measure<F: FnMut()>(mut f: F) -> f64 {
-    // Calibrate the batch size to ~2 ms.
+/// Interleaved scalar/lane sample pairs per comparison.
+const PAIRS: usize = 15;
+
+/// A batch size that makes one timed sample of `f` last ~2 ms, long enough
+/// for the clock to be meaningful.
+fn batch_size<F: FnMut()>(f: &mut F) -> u64 {
     let mut iters = 1u64;
     loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
+        let ns = time_batch(f, iters) * iters as f64;
+        if ns >= 2e6 || iters >= 1 << 22 {
+            return iters;
         }
-        let ns = start.elapsed().as_nanos() as u64;
-        if ns >= 2_000_000 || iters >= 1 << 22 {
-            break;
-        }
-        iters = (iters * 2_000_000 / ns.max(1)).clamp(iters + 1, iters * 16);
+        iters = ((iters as f64 * 2e6 / ns.max(1.0)) as u64).clamp(iters + 1, iters * 16);
     }
-    let mut samples: Vec<f64> = (0..9)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
+}
+
+/// Mean ns per call of `f` over one batch of `iters` calls.
+fn time_batch<F: FnMut()>(f: &mut F, iters: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
     samples[samples.len() / 2]
+}
+
+/// One scalar-vs-lane comparison, in ns per stream.
+struct Pair {
+    /// Median scalar sample.
+    scalar_ns: f64,
+    /// Median lane sample.
+    lane_ns: f64,
+    /// Median over the pairs of `scalar / lane`: the gated speedup.
+    speedup: f64,
+}
+
+/// Times `scalar` and `lane` in [`PAIRS`] back-to-back sample pairs,
+/// alternating which side runs first so a drifting clock favours neither.
+/// `streams` is how many streams one call of each side processes.
+fn measure_pair<S: FnMut(), L: FnMut()>(mut scalar: S, mut lane: L, streams: [f64; 2]) -> Pair {
+    let (scalar_iters, lane_iters) = (batch_size(&mut scalar), batch_size(&mut lane));
+    let (mut scalars, mut lanes, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for k in 0..PAIRS {
+        let (s, l) = if k % 2 == 0 {
+            let s = time_batch(&mut scalar, scalar_iters);
+            (s, time_batch(&mut lane, lane_iters))
+        } else {
+            let l = time_batch(&mut lane, lane_iters);
+            (time_batch(&mut scalar, scalar_iters), l)
+        };
+        let (s, l) = (s / streams[0], l / streams[1]);
+        scalars.push(s);
+        lanes.push(l);
+        ratios.push(s / l);
+    }
+    Pair {
+        scalar_ns: median(scalars),
+        lane_ns: median(lanes),
+        speedup: median(ratios),
+    }
 }
 
 /// A two-input plan exercising one lane-batchable operator, fed by raw input
@@ -109,20 +149,10 @@ fn plan_for(op: &str) -> Arc<CompiledGraph> {
 
 struct Row {
     op: &'static str,
-    scalar_ns: f64,
-    lane_ns: f64,
-    executor_scalar_ns: f64,
-    executor_lane_ns: f64,
-}
-
-impl Row {
-    fn lane_speedup(&self) -> f64 {
-        self.scalar_ns / self.lane_ns
-    }
-
-    fn executor_speedup(&self) -> f64 {
-        self.executor_scalar_ns / self.executor_lane_ns
-    }
+    /// Solo kernel call vs a kernel-level lane group.
+    kernel: Pair,
+    /// Executor window 1 (scalar dispatch) vs window `LANES` (transposed).
+    executor: Pair,
 }
 
 fn main() {
@@ -160,66 +190,74 @@ fn main() {
             "{op}: window {LANES} did not lane-batch"
         );
 
-        let scalar_ns = match op {
-            "ca_max" => measure(|| {
-                std::hint::black_box(ca_max(&x, &y).expect("lengths"));
-            }),
-            "synchronizer_d1" => measure(|| {
-                std::hint::black_box(Synchronizer::new(1).process(&x, &y).expect("lengths"));
-            }),
-            "decorrelator_d4" => measure(|| {
-                std::hint::black_box(Decorrelator::new(4).process(&x, &y).expect("lengths"));
-            }),
+        let lanes = LANES as f64;
+        let pairs: Vec<(&Bitstream, &Bitstream)> = (0..LANES).map(|_| (&x, &y)).collect();
+        let kernel = match op {
+            "ca_max" => measure_pair(
+                || {
+                    std::hint::black_box(ca_max(&x, &y).expect("lengths"));
+                },
+                || {
+                    std::hint::black_box(ca_max_lanes(&pairs).expect("lengths"));
+                },
+                [1.0, lanes],
+            ),
+            "synchronizer_d1" => measure_pair(
+                || {
+                    std::hint::black_box(Synchronizer::new(1).process(&x, &y).expect("lengths"));
+                },
+                || {
+                    let mut bank = LaneBank::new(
+                        (0..LANES)
+                            .map(|_| {
+                                Box::new(Synchronizer::new(1)) as Box<dyn CorrelationManipulator>
+                            })
+                            .collect(),
+                    );
+                    std::hint::black_box(process_lane_pairs(&mut bank, &pairs).expect("lengths"));
+                },
+                [1.0, lanes],
+            ),
+            "decorrelator_d4" => measure_pair(
+                || {
+                    std::hint::black_box(Decorrelator::new(4).process(&x, &y).expect("lengths"));
+                },
+                || {
+                    let mut bank = DecorrelatorLanes::new(4, LANES);
+                    std::hint::black_box(process_lane_pairs(&mut bank, &pairs).expect("lengths"));
+                },
+                [1.0, lanes],
+            ),
             other => unreachable!("unknown op {other}"),
         };
-        let lane_ns = match op {
-            "ca_max" => measure(|| {
-                let pairs: Vec<(&Bitstream, &Bitstream)> = (0..LANES).map(|_| (&x, &y)).collect();
-                std::hint::black_box(ca_max_lanes(&pairs).expect("lengths"));
-            }),
-            "synchronizer_d1" => measure(|| {
-                let pairs: Vec<(&Bitstream, &Bitstream)> = (0..LANES).map(|_| (&x, &y)).collect();
-                let mut bank = LaneBank::new(
-                    (0..LANES)
-                        .map(|_| Box::new(Synchronizer::new(1)) as Box<dyn CorrelationManipulator>)
-                        .collect(),
+        let executor = measure_pair(
+            || {
+                std::hint::black_box(executor.run_stream(jobs(), 1).expect("bench jobs execute"));
+            },
+            || {
+                std::hint::black_box(
+                    executor
+                        .run_stream(jobs(), LANES)
+                        .expect("bench jobs execute"),
                 );
-                std::hint::black_box(process_lane_pairs(&mut bank, &pairs).expect("lengths"));
-            }),
-            "decorrelator_d4" => measure(|| {
-                let pairs: Vec<(&Bitstream, &Bitstream)> = (0..LANES).map(|_| (&x, &y)).collect();
-                let mut bank = DecorrelatorLanes::new(4, LANES);
-                std::hint::black_box(process_lane_pairs(&mut bank, &pairs).expect("lengths"));
-            }),
-            other => unreachable!("unknown op {other}"),
-        } / LANES as f64;
-        let executor_scalar_ns = measure(|| {
-            std::hint::black_box(executor.run_stream(jobs(), 1).expect("bench jobs execute"));
-        }) / LANES as f64;
-        let executor_lane_ns = measure(|| {
-            std::hint::black_box(
-                executor
-                    .run_stream(jobs(), LANES)
-                    .expect("bench jobs execute"),
-            );
-        }) / LANES as f64;
+            },
+            [lanes, lanes],
+        );
 
         let row = Row {
             op,
-            scalar_ns,
-            lane_ns,
-            executor_scalar_ns,
-            executor_lane_ns,
+            kernel,
+            executor,
         };
         println!(
             "{:<16} scalar {:>9.1} ns   lane {:>9.1} ns ({:>5.2}x)   executor scalar {:>9.1} ns   executor lane {:>9.1} ns ({:>5.2}x)",
             row.op,
-            row.scalar_ns,
-            row.lane_ns,
-            row.lane_speedup(),
-            row.executor_scalar_ns,
-            row.executor_lane_ns,
-            row.executor_speedup(),
+            row.kernel.scalar_ns,
+            row.kernel.lane_ns,
+            row.kernel.speedup,
+            row.executor.scalar_ns,
+            row.executor.lane_ns,
+            row.executor.speedup,
         );
         rows.push(row);
     }
@@ -248,8 +286,9 @@ fn main() {
         (
             "unit",
             Json::str(
-                "ns per stream, median of 9 samples; executor columns run 4 \
-                 same-class StreamJobs",
+                "ns per stream, medians of 15 interleaved scalar/lane sample \
+                 pairs; speedups are the median per-pair ratio; executor \
+                 columns run 4 same-class StreamJobs",
             ),
         ),
         (
@@ -259,12 +298,12 @@ fn main() {
                     .map(|row| {
                         Json::obj(vec![
                             ("op", Json::str(row.op)),
-                            ("scalar_ns", Json::fixed(row.scalar_ns, 1)),
-                            ("lane_ns", Json::fixed(row.lane_ns, 1)),
-                            ("lane_speedup", Json::fixed(row.lane_speedup(), 2)),
-                            ("executor_scalar_ns", Json::fixed(row.executor_scalar_ns, 1)),
-                            ("executor_lane_ns", Json::fixed(row.executor_lane_ns, 1)),
-                            ("executor_speedup", Json::fixed(row.executor_speedup(), 2)),
+                            ("scalar_ns", Json::fixed(row.kernel.scalar_ns, 1)),
+                            ("lane_ns", Json::fixed(row.kernel.lane_ns, 1)),
+                            ("lane_speedup", Json::fixed(row.kernel.speedup, 2)),
+                            ("executor_scalar_ns", Json::fixed(row.executor.scalar_ns, 1)),
+                            ("executor_lane_ns", Json::fixed(row.executor.lane_ns, 1)),
+                            ("executor_speedup", Json::fixed(row.executor.speedup, 2)),
                         ])
                     })
                     .collect(),
@@ -288,14 +327,14 @@ fn main() {
             .find(|r| r.op == required)
             .expect("required op measured");
         assert!(
-            row.lane_speedup() >= lane_bar,
+            row.kernel.speedup >= lane_bar,
             "{required} kernel lane speedup {:.2}x is below the {lane_bar}x bar",
-            row.lane_speedup()
+            row.kernel.speedup
         );
         assert!(
-            row.executor_speedup() >= exec_bar,
+            row.executor.speedup >= exec_bar,
             "{required} executor transposition speedup {:.2}x is below the {exec_bar}x bar",
-            row.executor_speedup()
+            row.executor.speedup
         );
     }
     println!("all lane kernels and the executor transposition meet their bars");

@@ -173,7 +173,7 @@ pub fn step_source(step: &Step) -> Option<&SourceSpec> {
 }
 
 /// Netlist of one step's *logic* — everything except its sample source
-/// (see [`step_source`]). A fused span sums its sub-steps' logic.
+/// (see [`step_source`]).
 #[must_use]
 pub fn step_logic_netlist(step: &Step, converter_bits: u32) -> Netlist {
     match step {
@@ -205,31 +205,16 @@ pub fn step_logic_netlist(step: &Step, converter_bits: u32) -> Netlist {
         Step::SccProbe { .. } => characterize::sd_converter(converter_bits)
             .scaled("scc-probe", 3)
             .with(Primitive::And2, 1),
-        Step::Fused { steps } => {
-            let mut n = Netlist::new("fused-span");
-            for sub in steps {
-                n.merge(&step_logic_netlist(sub, converter_bits));
-            }
-            n
-        }
     }
 }
 
 /// Netlist of one *scheduled step* of a compiled plan: its logic plus its
 /// own sample source. Equivalent to summing [`node_netlist`] over the step's
 /// operations, but with access to execution arity: a fused manipulator run is
-/// the sum of its chained circuits, an APC sum sink over `k` lanes includes
-/// its `k − 1`-adder reduction tree, and a fused span is the sum of its
-/// sub-steps (so fused and unfused plans cost identically).
+/// the sum of its chained circuits, and an APC sum sink over `k` lanes
+/// includes its `k − 1`-adder reduction tree.
 #[must_use]
 pub fn step_netlist(step: &Step, converter_bits: u32) -> Netlist {
-    if let Step::Fused { steps } = step {
-        let mut n = Netlist::new("fused-span");
-        for sub in steps {
-            n.merge(&step_netlist(sub, converter_bits));
-        }
-        return n;
-    }
     let mut n = step_logic_netlist(step, converter_bits);
     if let Some(spec) = step_source(step) {
         n.merge(&source_netlist(spec, converter_bits));
@@ -254,33 +239,18 @@ pub fn compiled_netlist(plan: &CompiledGraph, name: &str, converter_bits: u32) -
 /// step's logic is priced in full, but each distinct [`SourceSpec`] is priced
 /// **once** — exactly one physical sample generator per spec, which is how
 /// the executor's `SourceCache` (and the shared-RNG hardware of §II.B)
-/// actually instantiates them. This is the honest cost view for CSE'd plans,
-/// where merged subgraphs deliberately lean on repeated specs.
+/// actually instantiates them.
 #[must_use]
 pub fn compiled_netlist_shared(plan: &CompiledGraph, name: &str, converter_bits: u32) -> Netlist {
-    fn add_step<'a>(
-        step: &'a Step,
-        converter_bits: u32,
-        total: &mut Netlist,
-        seen: &mut std::collections::HashSet<&'a SourceSpec>,
-    ) {
-        if let Step::Fused { steps } = step {
-            for sub in steps {
-                add_step(sub, converter_bits, total, seen);
-            }
-            return;
-        }
+    let mut total = Netlist::new(name);
+    let mut seen = std::collections::HashSet::new();
+    for step in plan.steps() {
         total.merge(&step_logic_netlist(step, converter_bits));
         if let Some(spec) = step_source(step) {
             if seen.insert(spec) {
                 total.merge(&source_netlist(spec, converter_bits));
             }
         }
-    }
-    let mut total = Netlist::new(name);
-    let mut seen = std::collections::HashSet::new();
-    for step in plan.steps() {
-        add_step(step, converter_bits, &mut total, &mut seen);
     }
     total
 }
@@ -406,26 +376,6 @@ mod tests {
             binary_netlist(BinaryOp::CaAdd).area_um2()
                 > binary_netlist(BinaryOp::AndMin).area_um2()
         );
-    }
-
-    /// Span fusion is cost-transparent: a fused plan's full netlist equals
-    /// its unfused twin's, cell for cell.
-    #[test]
-    fn fused_plans_cost_identically_to_unfused() {
-        use crate::PassSet;
-        let build = |passes: PassSet| {
-            let mut g = Graph::new();
-            let x = g.generate(0, SourceSpec::Sobol { dimension: 1 });
-            let y = g.generate(1, SourceSpec::Sobol { dimension: 2 });
-            let z = g.binary(BinaryOp::XorSubtract, x, y);
-            let n = g.not(z);
-            g.sink_value("z", n);
-            g.compile(&PlannerOptions::with_passes(passes)).unwrap()
-        };
-        let fused = build(PassSet::all()).netlist("fused");
-        let flat = build(PassSet::none()).netlist("flat");
-        assert!((fused.area_um2() - flat.area_um2()).abs() < 1e-9);
-        assert_eq!(fused.cell_count(), flat.cell_count());
     }
 
     /// The shared-source view prices each distinct spec once, so a plan

@@ -13,25 +13,19 @@
 //! count converters, APC sums, SCC probes) — connected by stream-valued
 //! [`Wire`]s.
 //!
-//! [`Graph::compile`] runs a **staged optimizer pass pipeline** (validate →
-//! scc-infer → subgraph-cse → repair-placement → span-fusion → emit; see
-//! `passes` internals and the README's compiler section). Every binary
-//! operator declares the SCC class its inputs must have (AND-multiply wants
-//! SCC 0, XOR-subtract and OR-max want +1, OR-saturating-add wants −1 —
-//! paper Fig. 2), the scc-infer pass derives each input pair's class
-//! structurally (shared-source streams are +1, independent-source streams
-//! are 0, and each manipulator pins its output pair to the class it
-//! establishes), and where a precondition is not met the repair-placement
-//! pass **auto-inserts** the establishing circuit — synchronizer,
+//! [`Graph::compile`] runs four stages: validate → scc-infer → repair →
+//! emit (see `passes` internals and the README's compiler section). Every
+//! binary operator declares the SCC class its inputs must have
+//! (AND-multiply wants SCC 0, XOR-subtract and OR-max want +1,
+//! OR-saturating-add wants −1 — paper Fig. 2). The scc-infer stage derives
+//! each input pair's class structurally: shared-source streams are +1,
+//! independent-source streams are 0, and each manipulator pins its output
+//! pair to the class it establishes. Where a precondition is not met, the
+//! repair stage **auto-inserts** the establishing circuit — synchronizer,
 //! desynchronizer, or decorrelator (§III), the paper's core insight applied
-//! automatically, at the cheapest legal placement per the `sc_hwcost`
-//! netlist model. The subgraph-cse pass merges structurally identical
-//! subgraphs; the span-fusion pass collapses maximal linear
-//! source→gate→sink spans into single [`Step::Fused`] steps; and linear
-//! manipulator runs are **fused** into single [`sc_core::ManipulatorChain`]
-//! steps that make one register-staged pass per 64-bit word. Each optimizer
-//! pass toggles through [`PassSet`] and preserves bit-identity: optimized
-//! and pass-disabled plans produce the same output bit for bit.
+//! automatically. At emission, linear manipulator runs are **fused** into
+//! single [`sc_core::ManipulatorChain`] steps that make one register-staged
+//! pass per 64-bit word.
 //!
 //! The [`Executor`] then runs the compiled plan word-parallel over **streams**
 //! of independent input sets, dispatched across a persistent [`WorkerPool`]
@@ -53,7 +47,7 @@
 //!
 //! **Observability.** Both the compiler and the executor accept an
 //! [`sc_telemetry::TelemetrySink`] ([`Graph::compile_with_telemetry`],
-//! [`Executor::with_telemetry`]): compile passes, dispatches, lane-group and
+//! [`Executor::with_telemetry`]): compile stages, dispatches, lane-group and
 //! scalar executions, and worker park/run cycles record named spans,
 //! counters, gauges, and histograms into it, drainable as one
 //! [`sc_telemetry::TelemetryReport`]. The default sink is a no-op and the
@@ -106,9 +100,7 @@ pub mod node;
 mod passes;
 pub mod serve;
 
-pub use compile::{
-    CompileReport, CompiledGraph, MeasuredPair, PassDelta, PassSet, PlannerOptions, Step,
-};
+pub use compile::{CompileReport, CompiledGraph, MeasuredPair, PassDelta, PlannerOptions, Step};
 pub use exec::{
     balanced_spans, BatchInput, ExecOutput, Executor, PlanClassStats, StreamJob, StreamStats,
     WorkerPool, DEFAULT_WINDOW_FACTOR,

@@ -1,35 +1,23 @@
-//! The **emit** stage: fusion realization, dense slot assignment, and step
-//! emission in topological order.
+//! The **emit** stage: manipulator-chain fusion, dense slot assignment, and
+//! step emission in topological order.
 
-use super::Ir;
-use crate::compile::{CompileReport, CompiledGraph, PassDelta, PlannerOptions, Step};
-use crate::graph::GraphError;
-use crate::node::{NodeOp, Wire};
+use crate::compile::{CompileReport, CompiledGraph, PassDelta, Step};
+use crate::node::{Node, NodeOp, Wire};
 use sc_rng::SourceSpec;
 use std::collections::{HashMap, HashSet};
 
-/// Walks the topological order over live nodes, collapses linear manipulator
-/// runs into [`sc_core::ManipulatorChain`] steps, realizes the span-fusion
-/// groups as [`Step::Fused`] steps, assigns dense slots, and emits the step
-/// list. Slot numbering is independent of span grouping: every node's step
-/// is built at its normal scheduling position and non-tail span members are
-/// merely stashed until their group's tail emits, so a fused plan and its
-/// unfused twin use identical slots and differ only in step nesting.
+/// Walks the topological order, collapses linear manipulator runs into
+/// [`sc_core::ManipulatorChain`] steps, assigns dense slots, and emits the
+/// flat step list.
 pub(crate) fn emit_steps(
-    ir: &Ir,
+    nodes: &[Node],
     order: &[usize],
-    options: &PlannerOptions,
     mut report: CompileReport,
-) -> Result<CompiledGraph, GraphError> {
-    let nodes = &ir.nodes;
-    // Count consumers of every wire (live consumers only) to find fusible
-    // manipulator runs.
+) -> CompiledGraph {
+    // Count consumers of every wire to find fusible manipulator runs.
     let mut consumer_count: HashMap<Wire, usize> = HashMap::new();
     let mut sole_consumer: HashMap<Wire, usize> = HashMap::new();
     for (i, node) in nodes.iter().enumerate() {
-        if !ir.live[i] {
-            continue;
-        }
         for wire in &node.inputs {
             *consumer_count.entry(*wire).or_insert(0) += 1;
             sole_consumer.insert(*wire, i);
@@ -43,9 +31,6 @@ pub(crate) fn emit_steps(
     // consumed exactly once, by q's inputs 0/1 in order, and q is itself a
     // manipulator.
     let fuse_next = |i: usize| -> Option<usize> {
-        if !options.fusion_enabled() {
-            return None;
-        }
         let (p0, p1) = (port(i, 0), port(i, 1));
         if consumer_count.get(&p0) != Some(&1) || consumer_count.get(&p1) != Some(&1) {
             return None;
@@ -76,11 +61,9 @@ pub(crate) fn emit_steps(
     let mut fused: Vec<bool> = vec![false; nodes.len()];
     let mut value_slots = 0usize;
     let mut stream_slots = 0usize;
-    // Deferred sub-steps of each span-fusion group, awaiting the tail.
-    let mut pending: Vec<Vec<Step>> = vec![Vec::new(); ir.group_tail.len()];
 
     for &i in order {
-        if !ir.live[i] || fused[i] {
+        if fused[i] {
             continue;
         }
         let node = &nodes[i];
@@ -251,71 +234,28 @@ pub(crate) fn emit_steps(
                 }
             }
         };
-        match ir.group_of[i] {
-            Some(g) if ir.group_tail[g] != i => pending[g].push(step),
-            Some(g) => {
-                let mut sub = std::mem::take(&mut pending[g]);
-                sub.push(step);
-                steps.push(Step::Fused { steps: sub });
-            }
-            None => steps.push(step),
-        }
+        steps.push(step);
     }
 
-    // Shared-source accounting: with CSE on, the executor's per-spec source
-    // cache means each distinct spec drives one physical sample generator;
-    // count the generator instances the sharing saves.
-    if options.passes.cse {
-        let mut seen: HashSet<&SourceSpec> = HashSet::new();
-        let mut shared = 0usize;
-        for step in &steps {
-            count_shared(step, &mut seen, &mut shared);
-        }
-        report.shared_sources = shared;
-    }
+    // Shared-source accounting: the executor's per-spec source cache means
+    // each distinct spec drives one physical sample generator; count the
+    // generator instances the sharing saves.
+    let mut seen: HashSet<&SourceSpec> = HashSet::new();
+    report.shared_sources = steps
+        .iter()
+        .filter_map(crate::cost::step_source)
+        .filter(|spec| !seen.insert(*spec))
+        .count();
 
     report.pass_deltas.push(PassDelta {
         pass: "emit",
         nodes_added: 0,
-        nodes_removed: 0,
         detail: format!(
-            "{} steps ({} manipulator runs fused, {} span steps eliminated)",
+            "{} steps ({} manipulator runs fused)",
             steps.len(),
-            report.fused_runs,
-            report.steps_eliminated
+            report.fused_runs
         ),
     });
 
-    Ok(CompiledGraph::assemble(
-        steps,
-        slot_count,
-        value_slots,
-        stream_slots,
-        report,
-        ops,
-        options.passes,
-    ))
-}
-
-/// Counts repeated [`SourceSpec`] uses across a (possibly fused) step.
-fn count_shared<'a>(step: &'a Step, seen: &mut HashSet<&'a SourceSpec>, shared: &mut usize) {
-    let spec = match step {
-        Step::Generate { source, .. }
-        | Step::Constant { source, .. }
-        | Step::Regenerate { source, .. }
-        | Step::Divide { source, .. } => Some(source),
-        Step::MuxAdd { select, .. } | Step::WeightedMux { select, .. } => Some(select),
-        Step::Fused { steps } => {
-            for sub in steps {
-                count_shared(sub, seen, shared);
-            }
-            None
-        }
-        _ => None,
-    };
-    if let Some(spec) = spec {
-        if !seen.insert(spec) {
-            *shared += 1;
-        }
-    }
+    CompiledGraph::assemble(steps, slot_count, value_slots, stream_slots, report, ops)
 }

@@ -1,84 +1,68 @@
-//! The **scc-infer** pass: structural SCC class derivation with optional
+//! The **scc-infer** stage: structural SCC class derivation with optional
 //! measured-probe feedback.
 
-use super::{Ir, Pass};
-use crate::compile::{CompileReport, MeasuredPair, PassSet, PlannerOptions};
-use crate::graph::{Graph, GraphError};
+use crate::compile::{CompileReport, MeasuredPair, PassDelta, PlannerOptions};
+use crate::graph::Graph;
 use crate::node::{ManipulatorKind, Node, NodeOp, SccClass, Wire};
 use sc_bitstream::Bitstream;
 use sc_rng::SourceSpec;
 use sc_telemetry::{Counter, Stage, TelemetrySink};
+use std::collections::HashMap;
 
-/// Derives every correlation-tracked operator's input-pair SCC class and
-/// stores it in [`Ir::classes`] for the repair-placement pass. Runs the
-/// measured-SCC probe for structurally [`SccClass::Unknown`] pairs when
+/// Derives every correlation-tracked operator's input-pair SCC class (node
+/// index → class) for the repair stage. Runs the measured-SCC probe for
+/// structurally [`SccClass::Unknown`] pairs when
 /// [`PlannerOptions::measure_unknown`] is set.
 ///
-/// Classes are derived on the pre-repair graph; repair placement later only
-/// rewires the failing operator's own inputs, which cannot change any other
-/// pair's structural class, so inferring everything up front matches the
-/// legacy interleaved derivation exactly.
-pub(crate) struct SccInfer;
-
-impl Pass for SccInfer {
-    fn name(&self) -> &'static str {
-        "scc-infer"
-    }
-
-    fn stage(&self) -> Stage {
-        Stage::CompilePlan
-    }
-
-    fn enabled(&self, _options: &PlannerOptions) -> bool {
-        true
-    }
-
-    fn run(
-        &self,
-        ir: &mut Ir,
-        options: &PlannerOptions,
-        report: &mut CompileReport,
-        telemetry: &TelemetrySink,
-    ) -> Result<String, GraphError> {
-        let mut probed = 0usize;
-        for i in 0..ir.nodes.len() {
-            let Some((label, _requirement)) = ir.nodes[i].op.correlation_requirement() else {
-                continue;
-            };
-            let (a, b) = (ir.nodes[i].inputs[0], ir.nodes[i].inputs[1]);
-            let mut class = pair_class(&ir.nodes, a, b);
-            // Measured-SCC feedback: a structurally unknown pair (e.g. two
-            // arithmetic-operator outputs) is probed with a short execution
-            // over representative inputs, and the repair decision uses the
-            // measured class — the SccTracker-in-the-loop design the ROADMAP
-            // calls for.
-            if class == SccClass::Unknown {
-                if let Some(probe_length) = options.measure_unknown {
-                    let probe_span = telemetry.span(Stage::MeasuredProbe);
-                    telemetry.add(Counter::MeasuredProbes, 1);
-                    let outcome =
-                        measured_class(&ir.nodes, a, b, probe_length, options.probe_value);
-                    drop(probe_span);
-                    probed += 1;
-                    if let Some((scc, measured)) = outcome {
-                        report.measured.push(MeasuredPair {
-                            label: label.to_string(),
-                            node: i,
-                            scc,
-                            probe_length,
-                            class: measured,
-                        });
-                        class = measured;
-                    }
+/// Classes are derived on the pre-repair graph; repair later only rewires
+/// the failing operator's own inputs, which cannot change any other pair's
+/// structural class, so inferring everything up front matches an
+/// interleaved derivation exactly.
+pub(crate) fn infer(
+    nodes: &[Node],
+    options: &PlannerOptions,
+    report: &mut CompileReport,
+    telemetry: &TelemetrySink,
+) -> HashMap<usize, SccClass> {
+    let mut classes = HashMap::new();
+    let mut probed = 0usize;
+    for (i, node) in nodes.iter().enumerate() {
+        let Some((label, _requirement)) = node.op.correlation_requirement() else {
+            continue;
+        };
+        let (a, b) = (node.inputs[0], node.inputs[1]);
+        let mut class = pair_class(nodes, a, b);
+        // Measured-SCC feedback: a structurally unknown pair (e.g. two
+        // arithmetic-operator outputs) is probed with a short execution
+        // over representative inputs, and the repair decision uses the
+        // measured class.
+        if class == SccClass::Unknown {
+            if let Some(probe_length) = options.measure_unknown {
+                let probe_span = telemetry.span(Stage::MeasuredProbe);
+                telemetry.add(Counter::MeasuredProbes, 1);
+                let outcome = measured_class(nodes, a, b, probe_length, options.probe_value);
+                drop(probe_span);
+                probed += 1;
+                if let Some((scc, measured)) = outcome {
+                    report.measured.push(MeasuredPair {
+                        label: label.to_string(),
+                        node: i,
+                        scc,
+                        probe_length,
+                        class: measured,
+                    });
+                    class = measured;
                 }
             }
-            ir.classes.insert(i, class);
         }
-        Ok(format!(
-            "{} pairs classified, {probed} probed",
-            ir.classes.len()
-        ))
+        classes.insert(i, class);
     }
+    report.pass_deltas.push(PassDelta {
+        pass: "scc-infer",
+        nodes_added: 0,
+        detail: format!("{} pairs classified, {probed} probed", classes.len()),
+    });
+    classes
 }
 
 /// Structural SCC class of a pair of wires (see the crate docs for rules).
@@ -143,8 +127,7 @@ pub(crate) fn pair_class(nodes: &[Node], a: Wire, b: Wire) -> SccClass {
 }
 
 /// Probes the actual SCC of a wire pair by compiling the current node list
-/// (auto-repair, measurement, and every optimizer pass off, so this cannot
-/// recurse and the probe plan matches the legacy probe exactly) with an SCC
+/// (auto-repair and measurement off, so this cannot recurse) with an SCC
 /// probe appended, and executing it for `probe_length` cycles over
 /// representative inputs: every digital value slot is driven at the
 /// configured [`PlannerOptions::probe_value`] stimulus and every ready-stream
@@ -171,8 +154,7 @@ pub(crate) fn measured_class(
             stack.push(wire.node().index());
         }
     }
-    // Two passes — repair nodes appended by earlier planning iterations sit
-    // at high indices but are referenced by lower-indexed consumers — so
+    // Two passes — a rewired node may consume a higher-indexed one — so
     // assign dense indices first, then clone with rewritten wires.
     let mut remap = vec![usize::MAX; nodes.len()];
     let mut count = 0usize;
@@ -208,8 +190,6 @@ pub(crate) fn measured_class(
     let probe_options = PlannerOptions {
         auto_repair: false,
         measure_unknown: None,
-        fuse: false,
-        passes: PassSet::none(),
         ..PlannerOptions::default()
     };
     let plan = probe_graph.compile(&probe_options).ok()?;

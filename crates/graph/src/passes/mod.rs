@@ -1,154 +1,33 @@
-//! The staged optimizer pass pipeline behind [`crate::Graph::compile`].
+//! The four compile stages behind [`crate::Graph::compile`].
 //!
-//! Compilation is a sequence of named passes over a shared compiler IR
-//! ([`Ir`]): a mutable node list with liveness marks, inferred SCC classes,
-//! and span-fusion groups. Each pass takes and returns the IR, records one
-//! telemetry span against the static stage registry, and reports its delta
-//! into the plan's [`CompileReport`]:
+//! Compilation runs four stages over the graph's node list. Each stage
+//! records one telemetry span against the static stage registry and reports
+//! its delta into the plan's [`CompileReport`]:
 //!
 //! 1. **validate** ([`Stage::CompileValidate`]) — arity, sink-uniqueness,
 //!    and cycle checks.
 //! 2. **scc-infer** ([`Stage::CompilePlan`]) — derives every tracked
 //!    operator's input-pair SCC class structurally, running measured-SCC
 //!    probe executions for structurally unknown pairs when enabled.
-//! 3. **subgraph-cse** ([`Stage::CompileCse`]) — hash-cons of whole
-//!    identical subgraphs (same ops, same [`sc_rng::SourceSpec`]s, and
-//!    therefore the same SCC classes): duplicate nodes are merged into one
-//!    representative and their consumers rewired, extending the executor's
-//!    select-source sharing to arbitrary repeated structure.
-//! 4. **dead-node-elim** ([`Stage::CompileDce`]) — reverse reachability
-//!    from the live sinks drops orphaned interior nodes and the upstream
-//!    chains of CSE-merged losers from scheduling entirely.
-//! 5. **repair-placement** ([`Stage::CompileRepair`]) — where an inferred
-//!    class misses an operator's precondition, enumerates the legal repairs,
-//!    prices each through the `sc_hwcost` bridge, and applies the cheapest
-//!    (reusing an existing identical repair when one exists, which is free
-//!    and bit-identical).
-//! 6. **span-fusion** ([`Stage::CompileFuse`]) — groups maximal linear
-//!    source→gate→sink spans (single-consumer chains of non-FSM steps) so
-//!    emission collapses each group into one [`crate::Step::Fused`] step,
-//!    beyond the manipulator-chain fusion emission already performs.
-//! 7. **emit** ([`Stage::CompileEmit`]) — topological scheduling, dense
+//! 3. **repair** ([`Stage::CompileRepair`]) — where an inferred class misses
+//!    an operator's precondition, appends the one manipulator that
+//!    establishes the required class: synchronizer, desynchronizer, or
+//!    decorrelator.
+//! 4. **emit** ([`Stage::CompileEmit`]) — topological scheduling, dense
 //!    slot assignment, manipulator-chain fusion, and step emission.
-//!
-//! Every optimizer pass preserves bit-identity: an optimized plan and its
-//! pass-disabled twin produce the same executor output (and the same
-//! `sc_rtl` co-simulation) bit for bit, because streams depend only on their
-//! own `(SourceSpec, skip)` and merged/deferred/shared steps compute
-//! identical streams.
-//!
-//! New passes slot in by implementing [`Pass`] and joining the array in
-//! [`run_pipeline`]; register a dedicated [`Stage`] so traces show the pass
-//! as its own span under `compile`.
 
-pub(crate) mod cse;
-pub(crate) mod dce;
 pub(crate) mod emit;
-pub(crate) mod fuse;
 pub(crate) mod infer;
 pub(crate) mod repair;
 pub(crate) mod validate;
 
-use crate::compile::{CompileReport, CompiledGraph, PassDelta, PlannerOptions};
+use crate::compile::{CompileReport, CompiledGraph, PlannerOptions};
 use crate::graph::{Graph, GraphError};
-use crate::node::{Node, SccClass};
+use crate::node::Node;
 use sc_telemetry::{Counter, Stage, TelemetrySink};
-use std::collections::HashMap;
 
-/// The compiler IR the passes transform: the node list (graph nodes plus
-/// planner-appended repairs, indices stable for the whole pipeline) with
-/// liveness marks, inferred SCC classes, and span-fusion groups.
-pub(crate) struct Ir {
-    /// All nodes; indices are stable (CSE marks nodes dead instead of
-    /// compacting, so reports and classes can keep naming `n{i}`).
-    pub nodes: Vec<Node>,
-    /// `live[i] == false` ⇒ node `i` was merged away by CSE; emission skips
-    /// it (its consumers were rewired to the representative).
-    pub live: Vec<bool>,
-    /// Inferred SCC class per correlation-tracked operator (node index →
-    /// class), measured-probe feedback already applied.
-    pub classes: HashMap<usize, SccClass>,
-    /// Span-fusion group of each node (`None` ⇒ emitted solo).
-    pub group_of: Vec<Option<usize>>,
-    /// Per group: the last member in topological order, where the fused
-    /// step is emitted.
-    pub group_tail: Vec<usize>,
-}
-
-impl Ir {
-    fn new(nodes: Vec<Node>) -> Self {
-        let n = nodes.len();
-        Ir {
-            nodes,
-            live: vec![true; n],
-            classes: HashMap::new(),
-            group_of: vec![None; n],
-            group_tail: Vec::new(),
-        }
-    }
-
-    /// Appends a node (used by repair placement), keeping the parallel
-    /// vectors in sync; returns its index.
-    pub(crate) fn push_node(&mut self, node: Node) -> usize {
-        self.nodes.push(node);
-        self.live.push(true);
-        self.group_of.push(None);
-        self.nodes.len() - 1
-    }
-
-    /// Number of live (emitted) nodes.
-    pub(crate) fn live_count(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
-    }
-
-    /// Human-readable dump of the IR for [`PlannerOptions::dump_ir`]: one
-    /// line per node with its label, input wires, inferred class, liveness,
-    /// and span-fusion group.
-    pub(crate) fn pretty(&self) -> String {
-        let mut out = String::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            let inputs: Vec<String> = node.inputs.iter().map(ToString::to_string).collect();
-            out.push_str(&format!("n{i}: {}({})", node.op.label(), inputs.join(", ")));
-            if let Some(class) = self.classes.get(&i) {
-                out.push_str(&format!(" [scc={class:?}]"));
-            }
-            if !self.live[i] {
-                out.push_str(" [merged]");
-            }
-            if let Some(g) = self.group_of.get(i).copied().flatten() {
-                if self.group_tail[g] == i {
-                    out.push_str(&format!(" [span {g} tail]"));
-                } else {
-                    out.push_str(&format!(" [span {g}]"));
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// One named IR pass of the compile pipeline.
-pub(crate) trait Pass {
-    /// Stable pass name (reports, IR dumps).
-    fn name(&self) -> &'static str;
-    /// The telemetry stage recorded around the pass.
-    fn stage(&self) -> Stage;
-    /// Whether the pass runs under the given options (disabled passes
-    /// record neither a span nor a delta).
-    fn enabled(&self, options: &PlannerOptions) -> bool;
-    /// Transforms the IR; returns a short human-readable delta description.
-    fn run(
-        &self,
-        ir: &mut Ir,
-        options: &PlannerOptions,
-        report: &mut CompileReport,
-        telemetry: &TelemetrySink,
-    ) -> Result<String, GraphError>;
-}
-
-/// Runs the full pass pipeline over a graph: the engine behind
-/// [`Graph::compile_with_telemetry`].
+/// Runs validate → scc-infer → repair → emit over a graph: the engine
+/// behind [`Graph::compile_with_telemetry`].
 pub(crate) fn run_pipeline(
     graph: &Graph,
     options: &PlannerOptions,
@@ -158,54 +37,35 @@ pub(crate) fn run_pipeline(
     if graph.nodes.is_empty() {
         return Err(GraphError::EmptyGraph);
     }
-    let mut ir = Ir::new(graph.nodes.to_vec());
     let mut report = CompileReport::default();
-    let passes: [&dyn Pass; 6] = [
-        &validate::Validate,
-        &infer::SccInfer,
-        &cse::SubgraphCse,
-        &dce::DeadNodeElim,
-        &repair::RepairPlacement,
-        &fuse::SpanFusion,
-    ];
-    for pass in passes {
-        if !pass.enabled(options) {
-            continue;
-        }
-        let nodes_before = ir.nodes.len();
-        let live_before = ir.live_count();
-        let span = telemetry.span(pass.stage());
-        let detail = pass.run(&mut ir, options, &mut report, telemetry)?;
-        drop(span);
-        let nodes_added = ir.nodes.len() - nodes_before;
-        report.pass_deltas.push(PassDelta {
-            pass: pass.name(),
-            nodes_added,
-            nodes_removed: live_before + nodes_added - ir.live_count(),
-            detail,
-        });
-        if let Some(dump) = options.dump_ir {
-            dump(pass.name(), &ir.pretty());
-        }
+    {
+        let _span = telemetry.span(Stage::CompileValidate);
+        validate::validate(&graph.nodes, &mut report)?;
     }
+    let classes = {
+        let _span = telemetry.span(Stage::CompilePlan);
+        infer::infer(&graph.nodes, options, &mut report, telemetry)
+    };
+    let nodes = {
+        let _span = telemetry.span(Stage::CompileRepair);
+        repair::repair(&graph.nodes, &classes, options, &mut report)
+    };
     let emit_span = telemetry.span(Stage::CompileEmit);
-    // Topological order recomputed after planning so inserted repair nodes
+    // Topological order recomputed after repair so inserted nodes
     // participate in scheduling (insertion cannot create cycles: a repair
     // only splices into existing edges).
-    let order = topo_order(&ir.nodes)?;
-    let result = emit::emit_steps(&ir, &order, options, report);
+    let order = topo_order(&nodes)?;
+    let plan = emit::emit_steps(&nodes, &order, report);
     drop(emit_span);
     if telemetry.is_enabled() {
-        if let Ok(plan) = &result {
-            telemetry.add(Counter::Compilations, 1);
-            telemetry.add(
-                Counter::RepairsInserted,
-                plan.report().inserted.len() as u64,
-            );
-            telemetry.add(Counter::FusedRuns, plan.report().fused_runs as u64);
-        }
+        telemetry.add(Counter::Compilations, 1);
+        telemetry.add(
+            Counter::RepairsInserted,
+            plan.report().inserted.len() as u64,
+        );
+        telemetry.add(Counter::FusedRuns, plan.report().fused_runs as u64);
     }
-    result
+    Ok(plan)
 }
 
 /// Kahn topological sort; errors with a node on a cycle if one exists.

@@ -1,63 +1,41 @@
-//! The **validate** pass: structural checks before any transformation.
+//! The **validate** stage: structural checks before any transformation.
 
-use super::{topo_order, Ir, Pass};
-use crate::compile::{CompileReport, PlannerOptions};
+use super::topo_order;
+use crate::compile::{CompileReport, PassDelta};
 use crate::graph::GraphError;
-use sc_telemetry::{Stage, TelemetrySink};
+use crate::node::Node;
 
 /// Arity, sink-uniqueness, and cycle checks (wires are builder-validated;
 /// arity and sink uniqueness are re-checked here to cover future mutation
 /// APIs).
-pub(crate) struct Validate;
-
-impl Pass for Validate {
-    fn name(&self) -> &'static str {
-        "validate"
-    }
-
-    fn stage(&self) -> Stage {
-        Stage::CompileValidate
-    }
-
-    fn enabled(&self, _options: &PlannerOptions) -> bool {
-        true
-    }
-
-    fn run(
-        &self,
-        ir: &mut Ir,
-        _options: &PlannerOptions,
-        _report: &mut CompileReport,
-        _telemetry: &TelemetrySink,
-    ) -> Result<String, GraphError> {
-        let mut sink_names: Vec<&str> = Vec::new();
-        for (i, node) in ir.nodes.iter().enumerate() {
-            if let Some(expected) = node.op.input_arity() {
-                if node.inputs.len() != expected {
-                    return Err(GraphError::BadArity {
-                        node: i,
-                        expected,
-                        got: node.inputs.len(),
-                    });
-                }
-            }
-            if let Some(name) = node.op.sink_name() {
-                if sink_names.contains(&name) {
-                    return Err(GraphError::DuplicateSink {
-                        name: name.to_string(),
-                    });
-                }
-                sink_names.push(name);
+pub(crate) fn validate(nodes: &[Node], report: &mut CompileReport) -> Result<(), GraphError> {
+    let mut sink_names: Vec<&str> = Vec::new();
+    for (i, node) in nodes.iter().enumerate() {
+        if let Some(expected) = node.op.input_arity() {
+            if node.inputs.len() != expected {
+                return Err(GraphError::BadArity {
+                    node: i,
+                    expected,
+                    got: node.inputs.len(),
+                });
             }
         }
-        // Cycle check up front: the scc-infer pass's class derivation
-        // recurses through identity manipulators and must only ever see a
-        // DAG.
-        topo_order(&ir.nodes)?;
-        Ok(format!(
-            "{} nodes, {} sinks valid",
-            ir.nodes.len(),
-            sink_names.len()
-        ))
+        if let Some(name) = node.op.sink_name() {
+            if sink_names.contains(&name) {
+                return Err(GraphError::DuplicateSink {
+                    name: name.to_string(),
+                });
+            }
+            sink_names.push(name);
+        }
     }
+    // Cycle check up front: scc-infer's class derivation recurses through
+    // identity manipulators and must only ever see a DAG.
+    topo_order(nodes)?;
+    report.pass_deltas.push(PassDelta {
+        pass: "validate",
+        nodes_added: 0,
+        detail: format!("{} nodes, {} sinks valid", nodes.len(), sink_names.len()),
+    });
+    Ok(())
 }

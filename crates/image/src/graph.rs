@@ -71,13 +71,9 @@ pub fn edge_select_seed(tile_index: u64) -> u64 {
 #[must_use]
 pub fn planner_options(variant: PipelineVariant, config: &PipelineConfig) -> PlannerOptions {
     match variant {
-        PipelineVariant::NoManipulation => PlannerOptions {
-            passes: config.passes,
-            ..PlannerOptions::no_repair()
-        },
+        PipelineVariant::NoManipulation => PlannerOptions::no_repair(),
         PipelineVariant::Regeneration | PipelineVariant::Synchronizer => PlannerOptions {
             synchronizer_depth: config.synchronizer_depth,
-            passes: config.passes,
             ..PlannerOptions::default()
         },
     }

@@ -27,7 +27,7 @@
 //!
 //! **Observability.** [`PipelineConfig::with_telemetry`] attaches an
 //! [`sc_telemetry::TelemetrySink`] that the whole run records into: per-tile
-//! plan-cache hits (with nested retarget spans) and misses (with per-pass
+//! plan-cache hits (with nested retarget spans) and misses (with per-stage
 //! compile spans), the executor's dispatch / lane-group / scalar / worker
 //! activity, and the final sink scatter. Draining the sink yields one
 //! [`sc_telemetry::TelemetryReport`] with the per-stage time breakdown,

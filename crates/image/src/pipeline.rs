@@ -94,16 +94,8 @@ pub struct PipelineConfig {
     /// same-class tiles) instead of recompiling per tile. `None` (the
     /// default) keeps the purely structural planner.
     pub measure_scc: Option<usize>,
-    /// Which optimizer passes of the graph-compile pipeline run on every
-    /// tile compile (subgraph CSE, cost-driven repair placement, span
-    /// fusion; default: all). Every pass is bit-identity preserving, so this
-    /// changes compile effort and plan shape, never the output image. Joins
-    /// the configuration identity (and therefore the plan-cache key's
-    /// compiled plans) because differently optimized plans are structurally
-    /// different templates.
-    pub passes: sc_graph::PassSet,
     /// Telemetry sink the whole pipeline records into: plan-cache hits and
-    /// misses (with nested retarget / per-pass compile spans), the executor's
+    /// misses (with nested retarget / per-stage compile spans), the executor's
     /// dispatch, lane-group and scalar execution, worker activity, and the
     /// final sink scatter. The default sink is disabled and records nothing;
     /// attach an enabled [`TelemetrySink`] (see
@@ -129,7 +121,6 @@ impl PartialEq for PipelineConfig {
             && self.rng_bank_size == other.rng_bank_size
             && self.synchronizer_depth == other.synchronizer_depth
             && self.measure_scc == other.measure_scc
-            && self.passes == other.passes
     }
 }
 
@@ -142,7 +133,6 @@ impl Hash for PipelineConfig {
         self.rng_bank_size.hash(state);
         self.synchronizer_depth.hash(state);
         self.measure_scc.hash(state);
-        self.passes.hash(state);
     }
 }
 
@@ -167,7 +157,6 @@ impl Default for PipelineConfig {
             // regeneration accuracy; see the ablation_depth experiment.
             synchronizer_depth: 2,
             measure_scc: None,
-            passes: sc_graph::PassSet::all(),
             telemetry: TelemetrySink::disabled(),
             threads: None,
             window: None,
@@ -197,13 +186,6 @@ impl PipelineConfig {
     #[must_use]
     pub fn with_window(mut self, window: usize) -> Self {
         self.window = Some(window.max(1));
-        self
-    }
-
-    /// Selects which optimizer passes run on every tile compile.
-    #[must_use]
-    pub fn with_passes(mut self, passes: sc_graph::PassSet) -> Self {
-        self.passes = passes;
         self
     }
 
@@ -268,22 +250,6 @@ pub struct PipelineStats {
     /// away. Per-class latency histograms live on the attached
     /// [`TelemetrySink`]'s report ([`sc_telemetry::TelemetryReport::classes`]).
     pub classes: Vec<sc_graph::PlanClassStats>,
-    /// Steps removed by the optimizer passes across all tile-class compiles
-    /// (summed [`sc_graph::CompileReport::steps_eliminated`]): CSE-merged
-    /// duplicates plus span-fusion collapses. Zero when
-    /// [`PipelineConfig::passes`] disables the optimizer.
-    pub steps_eliminated: usize,
-    /// Linear spans collapsed into [`sc_graph::Step::Fused`] super-steps
-    /// across all tile-class compiles (summed
-    /// [`sc_graph::CompileReport::fused_spans`]).
-    pub fused_spans: usize,
-    /// Duplicate interior subgraphs merged by CSE across all tile-class
-    /// compiles (summed [`sc_graph::CompileReport::shared_subgraphs`]).
-    pub shared_subgraphs: usize,
-    /// Correlation repairs satisfied by reusing an existing equivalent
-    /// manipulator instead of inserting a fresh one, across all tile-class
-    /// compiles (summed [`sc_graph::CompileReport::shared_repairs`]).
-    pub shared_repairs: usize,
     /// Duplicate source generators the emitted plans share through the
     /// executor's source cache, across all tile-class compiles (summed
     /// [`sc_graph::CompileReport::shared_sources`]).
@@ -558,37 +524,6 @@ mod tests {
             run_sc_pipeline_with_stats(&img, PipelineVariant::Synchronizer, &config).unwrap();
         assert_eq!(stats.tiles, 3);
         assert_eq!(stats.compilations, 2);
-    }
-
-    /// The optimizer passes are purely a compile-shape lever: every variant
-    /// renders the same image with passes on or off, while the pass-on run
-    /// actually reports optimizer work and the pass-off run reports none.
-    #[test]
-    fn optimizer_passes_never_change_the_image() {
-        let img = GrayImage::gradient(8, 8);
-        let optimized = PipelineConfig::quick();
-        let baseline = PipelineConfig::quick().with_passes(sc_graph::PassSet::none());
-        for variant in PipelineVariant::all() {
-            let (opt_img, opt_stats) =
-                run_sc_pipeline_with_stats(&img, variant, &optimized).unwrap();
-            let (base_img, base_stats) =
-                run_sc_pipeline_with_stats(&img, variant, &baseline).unwrap();
-            assert_eq!(
-                opt_img, base_img,
-                "{variant:?}: optimizer passes changed the rendered image"
-            );
-            assert_eq!(
-                base_stats.steps_eliminated, 0,
-                "{variant:?}: disabled optimizer still eliminated steps"
-            );
-            assert_eq!(base_stats.fused_spans, 0);
-            assert_eq!(base_stats.shared_subgraphs, 0);
-            assert_eq!(base_stats.shared_sources, 0);
-            assert!(
-                opt_stats.steps_eliminated > 0,
-                "{variant:?}: optimized tile compiles should eliminate steps"
-            );
-        }
     }
 
     #[test]

@@ -234,12 +234,7 @@ impl TilePlanner {
                         .compile_with_telemetry(&options, &telemetry)
                         .expect("tile graphs are structurally valid by construction"),
                 );
-                let report = plan.report();
-                stats.steps_eliminated += report.steps_eliminated;
-                stats.fused_spans += report.fused_spans;
-                stats.shared_subgraphs += report.shared_subgraphs;
-                stats.shared_repairs += report.shared_repairs;
-                stats.shared_sources += report.shared_sources;
+                stats.shared_sources += plan.report().shared_sources;
                 self.cache.insert(
                     key,
                     CacheEntry {

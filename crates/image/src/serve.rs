@@ -157,7 +157,7 @@ pub struct ImageResponse {
     /// Lane-batched tiles whose group mixed tiles from two or more requests.
     pub cross_request_lane_jobs: usize,
     /// Planning-side accounting for this request (tiles planned, plan-cache
-    /// compilations, optimizer deltas); execution-side fields are zero —
+    /// compilations, shared sources); execution-side fields are zero —
     /// they live in the request's lane/scalar tallies above.
     pub planning: PipelineStats,
 }

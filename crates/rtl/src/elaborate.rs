@@ -118,23 +118,7 @@ pub fn elaborate(
     };
     let sink_counter_bits = counter_bits(stream_length as u64);
 
-    // Span fusion is a scheduling construct, not a hardware one: a fused
-    // span's sub-steps sit in dataflow order over the same dense slots, so
-    // the gate-level lowering of a fused plan is the lowering of its
-    // flattened step sequence — identical netlist, identical co-simulation.
-    fn flatten<'a>(steps: &'a [Step], out: &mut Vec<&'a Step>) {
-        for step in steps {
-            if let Step::Fused { steps } = step {
-                flatten(steps, out);
-            } else {
-                out.push(step);
-            }
-        }
-    }
-    let mut flat = Vec::with_capacity(plan.steps().len());
-    flatten(plan.steps(), &mut flat);
-
-    for step in flat {
+    for step in plan.steps() {
         match step {
             Step::Input { slot: s, dst } => {
                 // Stream slots stay dynamic: they become primary inputs and

@@ -7,7 +7,7 @@
 //! The recorder has three parts:
 //!
 //! * **Spans** — monotonic-clock scoped timers ([`TelemetrySink::span`])
-//!   against a static registry of stage names ([`Stage`]): compile passes,
+//!   against a static registry of stage names ([`Stage`]): compile stages,
 //!   plan-cache hits/misses, seed retargeting, stream dispatch, lane-group
 //!   and scalar execution, worker park/run, stream de-transposition, and
 //!   image sink collection. Each thread records into its own fixed-capacity
@@ -81,24 +81,16 @@ use std::time::Instant;
 /// export formats share one vocabulary ([`Stage::name`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// A whole `Graph::compile` call (all passes).
+    /// A whole `Graph::compile` call (all stages).
     Compile,
-    /// Compile pass: structural validation + cycle check.
+    /// Compile stage: structural validation + cycle check.
     CompileValidate,
-    /// Compile pass: SCC inference (structural classes + measured probes).
+    /// Compile stage: SCC inference (structural classes + measured probes).
     CompilePlan,
-    /// Compile pass: common-subexpression elimination over identical
-    /// subgraphs.
-    CompileCse,
-    /// Compile pass: dead-node elimination (orphaned interior nodes and
-    /// newly-dead inputs of CSE-merged losers).
-    CompileDce,
-    /// Compile pass: cost-driven correlation-repair placement.
+    /// Compile stage: correlation-repair insertion.
     CompileRepair,
-    /// Compile pass: span-fusion analysis (manipulator chains + linear
-    /// source→gate→sink spans).
-    CompileFuse,
-    /// Compile pass: scheduling and step emission.
+    /// Compile stage: scheduling, manipulator-chain fusion, and step
+    /// emission.
     CompileEmit,
     /// One measured-SCC probe execution inside the planner.
     MeasuredProbe,
@@ -138,14 +130,11 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in declaration order.
-    pub const ALL: [Stage; 23] = [
+    pub const ALL: [Stage; 20] = [
         Stage::Compile,
         Stage::CompileValidate,
         Stage::CompilePlan,
-        Stage::CompileCse,
-        Stage::CompileDce,
         Stage::CompileRepair,
-        Stage::CompileFuse,
         Stage::CompileEmit,
         Stage::MeasuredProbe,
         Stage::PlanCacheHit,
@@ -171,10 +160,7 @@ impl Stage {
             Stage::Compile => "compile",
             Stage::CompileValidate => "compile.validate",
             Stage::CompilePlan => "compile.plan",
-            Stage::CompileCse => "compile.cse",
-            Stage::CompileDce => "compile.dce",
             Stage::CompileRepair => "compile.repair",
-            Stage::CompileFuse => "compile.fuse",
             Stage::CompileEmit => "compile.emit",
             Stage::MeasuredProbe => "compile.measured_probe",
             Stage::PlanCacheHit => "plan_cache.hit",

@@ -14,8 +14,9 @@
 //! * [`sc_arith`] — SC arithmetic and correlation-agnostic baselines,
 //! * [`sc_core`] — the synchronizer, desynchronizer, decorrelator, and the
 //!   improved max/min/saturating-add operators (the paper's contribution),
-//! * [`sc_graph`] — the dataflow-graph compiler (SCC-aware planning, chain
-//!   fusion) and sharded batch executor,
+//! * [`sc_graph`] — the dataflow-graph compiler (validate → scc-infer →
+//!   repair → emit, with manipulator-chain fusion at emit) and sharded batch
+//!   executor,
 //! * [`sc_hwcost`] — the gate-level area/power/energy model,
 //! * [`sc_image`] — the Gaussian-blur → edge-detector accelerator case study,
 //!   implemented on the graph engine.

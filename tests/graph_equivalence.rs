@@ -122,8 +122,9 @@ fn gaussian_blur_graph_is_bit_identical_to_sc_image() {
     }
 }
 
-/// Fused manipulator chains must match both unfused execution and an
-/// explicit `sc_core::ManipulatorChain`.
+/// Fused manipulator chains must match both an explicit
+/// `sc_core::ManipulatorChain` and the unfused reference: the same
+/// `sc_core` circuits run one after another.
 #[test]
 fn fused_runs_match_explicit_chain() {
     use sc_core::ManipulatorChain;
@@ -150,6 +151,12 @@ fn fused_runs_match_explicit_chain() {
         let (ex, ey) = chain.process(&x, &y).unwrap();
         assert_eq!(out.stream("x").unwrap(), &ex, "n={n}");
         assert_eq!(out.stream("y").unwrap(), &ey, "n={n}");
+
+        let (sx, sy) = sc_core::Synchronizer::new(1).process(&x, &y).unwrap();
+        let (dx, dy) = sc_core::Desynchronizer::new(2).process(&sx, &sy).unwrap();
+        let (ux, uy) = sc_core::Isolator::new(2).process(&dx, &dy).unwrap();
+        assert_eq!(out.stream("x").unwrap(), &ux, "unfused n={n}");
+        assert_eq!(out.stream("y").unwrap(), &uy, "unfused n={n}");
     }
 }
 

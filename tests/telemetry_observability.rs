@@ -542,10 +542,10 @@ fn scrape_endpoint_serves_valid_prometheus_over_tcp() {
     );
 }
 
-/// The staged compile pipeline's per-pass spans partition the parent
-/// `compile` span: with every optimizer pass enabled each compile records
-/// exactly one span per pass, their time nests inside `compile`, and
-/// disabling the optional passes removes exactly their spans.
+/// The compile pipeline's per-stage spans partition the parent `compile`
+/// span: each compile records exactly one span per mandatory stage
+/// (validate, scc-infer, repair, emit), no other `compile.*` stage records
+/// anything, and the stage time nests inside `compile`.
 #[test]
 fn compile_pass_spans_partition_under_compile() {
     let sink = TelemetrySink::new();
@@ -555,50 +555,28 @@ fn compile_pass_spans_partition_under_compile() {
 
     let (compiles, compile_ns) = report.stage_totals(Stage::Compile);
     assert!(compiles > 0, "the run compiles at least one tile class");
-    let passes = [
+    let mandatory = [
         Stage::CompileValidate,
         Stage::CompilePlan,
-        Stage::CompileCse,
         Stage::CompileRepair,
-        Stage::CompileFuse,
         Stage::CompileEmit,
     ];
     let mut nested = 0;
-    for stage in passes {
+    for stage in Stage::ALL {
+        if !stage.name().starts_with("compile.") {
+            continue;
+        }
         let (count, ns) = report.stage_totals(stage);
-        assert_eq!(
-            count,
-            compiles,
-            "{}: one span per compile with all passes enabled",
-            stage.name()
-        );
+        let expected = if mandatory.contains(&stage) {
+            compiles
+        } else {
+            0
+        };
+        assert_eq!(count, expected, "{}: spans per run", stage.name());
         nested += ns;
     }
     assert!(
         nested <= compile_ns,
-        "pass spans ({nested}ns) exceed their parent compile span ({compile_ns}ns)"
+        "stage spans ({nested}ns) exceed their parent compile span ({compile_ns}ns)"
     );
-
-    // With the optimizer disabled, the optional pass spans disappear while
-    // the mandatory stages keep one span per compile.
-    let sink = TelemetrySink::new();
-    let config = instrumented_config(&sink).with_passes(sc_graph::PassSet::none());
-    run_sc_pipeline_with_threads(&test_image(), PipelineVariant::Synchronizer, &config, 1).unwrap();
-    let report = sink.drain();
-    let (compiles, _) = report.stage_totals(Stage::Compile);
-    assert!(compiles > 0);
-    assert_eq!(report.stage_totals(Stage::CompileCse).0, 0, "cse disabled");
-    assert_eq!(
-        report.stage_totals(Stage::CompileFuse).0,
-        0,
-        "fusion disabled"
-    );
-    for stage in [
-        Stage::CompileValidate,
-        Stage::CompilePlan,
-        Stage::CompileRepair,
-        Stage::CompileEmit,
-    ] {
-        assert_eq!(report.stage_totals(stage).0, compiles, "{}", stage.name());
-    }
 }
