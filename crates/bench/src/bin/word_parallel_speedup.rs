@@ -10,7 +10,10 @@
 //! lane-batched `u64×4` kernel (the FSM laggards: `ca_max`,
 //! `synchronizer_d1`, `decorrelator_d4`) additionally report the per-stream
 //! cost of a four-stream lane group and its speedup over the live solo word
-//! path — the gap the lane dimension was built to close.
+//! path — the gap the lane dimension was built to close. The speculative
+//! table-driven FSM word-stepping is gated at the depths the planner and the
+//! pipeline insert (`synchronizer_d2`, `desynchronizer_d1`), on fixed
+//! periodic inputs (`fsm_input_pair`).
 
 use sc_arith::add::ca_add;
 use sc_arith::maxmin::{ca_max, ca_max_lanes, or_max};
@@ -19,8 +22,8 @@ use sc_bench::host_context;
 use sc_bitstream::{scc, Bitstream, Probability};
 use sc_convert::DigitalToStochastic;
 use sc_core::{
-    process_lane_pairs, CorrelationManipulator, Decorrelator, DecorrelatorLanes, Isolator,
-    LaneBank, Synchronizer, LANES,
+    process_lane_pairs, CorrelationManipulator, Decorrelator, DecorrelatorLanes, Desynchronizer,
+    Isolator, LaneBank, Synchronizer, LANES,
 };
 use sc_rng::{Halton, VanDerCorput};
 use std::time::Instant;
@@ -33,6 +36,16 @@ fn input_pair(n: usize) -> (Bitstream, Bitstream) {
     (
         gx.generate(Probability::saturating(0.5), n),
         gy.generate(Probability::saturating(0.75), n),
+    )
+}
+
+/// The speculative-FSM rows' inputs: two periodic patterns (densities 2/5
+/// and 1/3) whose runs exercise the save/emit transitions of the
+/// synchronizer and desynchronizer tables.
+fn fsm_input_pair(n: usize) -> (Bitstream, Bitstream) {
+    (
+        Bitstream::from_fn(n, |i| (i * 7 + 3) % 5 < 2),
+        Bitstream::from_fn(n, |i| (i * 11 + 1) % 3 == 0),
     )
 }
 
@@ -277,6 +290,45 @@ fn main() {
         );
     }
 
+    // Speculative word-stepping at the depths the planner inserts
+    // (synchronizer D = 2, desynchronizer D = 1).
+    {
+        let (x, y) = fsm_input_pair(STREAM_BITS);
+        let (xw, yw) = (x.clone(), y.clone());
+        bench(
+            "synchronizer_d2",
+            Box::new(move || {
+                std::hint::black_box(
+                    Synchronizer::new(2)
+                        .process_bit_serial(&x, &y)
+                        .expect("lengths"),
+                );
+            }),
+            Box::new(move || {
+                std::hint::black_box(Synchronizer::new(2).process(&xw, &yw).expect("lengths"));
+            }),
+            None,
+        );
+    }
+    {
+        let (x, y) = fsm_input_pair(STREAM_BITS);
+        let (xw, yw) = (x.clone(), y.clone());
+        bench(
+            "desynchronizer_d1",
+            Box::new(move || {
+                std::hint::black_box(
+                    Desynchronizer::new(1)
+                        .process_bit_serial(&x, &y)
+                        .expect("lengths"),
+                );
+            }),
+            Box::new(move || {
+                std::hint::black_box(Desynchronizer::new(1).process(&xw, &yw).expect("lengths"));
+            }),
+            None,
+        );
+    }
+
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!("  \"stream_bits\": {STREAM_BITS},\n"));
@@ -307,9 +359,16 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_word_parallel.json");
     println!("\nwrote {out_path}");
 
-    // The refactor's acceptance bar: the single-gate operators and the SCC
-    // metric must gain at least 5x from word-parallel execution.
-    for required in ["and_multiply", "or_max", "scc"] {
+    // The refactor's acceptance bar: the single-gate operators, the SCC
+    // metric and the speculative FSM word-stepping must gain at least 5x
+    // from word-parallel execution.
+    for required in [
+        "and_multiply",
+        "or_max",
+        "scc",
+        "synchronizer_d2",
+        "desynchronizer_d1",
+    ] {
         let row = rows
             .iter()
             .find(|r| r.op == required)

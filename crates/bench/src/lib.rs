@@ -19,22 +19,15 @@
 //! | `ablation_satadd` | Fig. 5c — saturating adder accuracy sweep |
 //! | `ablation_length` | §II.A — stream length vs. precision sweep |
 //!
-//! Five perf-trajectory binaries record engine evidence as JSON:
+//! Two kernel perf-trajectory binaries record engine evidence as JSON:
 //! `word_parallel_speedup` (`BENCH_word_parallel.json`, bit-serial vs
-//! word-parallel kernels, plus `u64×4` lane-group columns for the FSM
-//! laggards), `lane_batch_throughput` (`BENCH_lane_batch.json`, scalar vs
-//! lane-batched kernels vs the executor's same-class stream transposition
-//! for `ca_max`, `synchronizer_d1` and `decorrelator_d4`),
-//! `graph_batch_throughput`
-//! (`BENCH_graph_batch.json`, sharded vs single-thread batch execution on
-//! the `sc_graph` engine), `tile_batch_throughput`
-//! (`BENCH_tile_batch.json`, the `sc_image` cross-tile batch dispatcher vs
-//! the sequential per-tile loop, plus speculative table-driven FSM
-//! word-stepping vs the bit-serial reference), and
-//! `stream_window_throughput` (`BENCH_stream_window.json`, the
-//! bounded-window streaming dispatcher: peak live retargeted plans must
-//! stay within every window while streaming throughput holds ≥ 0.9× the
-//! full dispatch).
+//! word-parallel kernels and speculative FSM word-stepping, plus `u64×4`
+//! lane-group columns for the FSM laggards) and `lane_batch_throughput`
+//! (`BENCH_lane_batch.json`, scalar vs lane-batched kernels vs the
+//! executor's same-class stream transposition for `ca_max`,
+//! `synchronizer_d1` and `decorrelator_d4`). End-to-end throughput of the
+//! GB→ED pipeline and the warm image server is measured by the separate
+//! `perfbench` package (`BENCHMARK.json` at the repository root), not here.
 //!
 //! Criterion throughput benchmarks live in `benches/`.
 //!
@@ -178,9 +171,7 @@ pub fn host_context() -> Json {
 /// with the repetition count first calibrated so each sample runs for at
 /// least ~20 ms and times reliably.
 ///
-/// The shared throughput-gate helper of the `tile_batch_throughput` and
-/// `stream_window_throughput` binaries — one calibration loop, so the two
-/// gates can never silently measure differently.
+/// The throughput helper of the `telemetry_overhead` binary.
 pub fn measure_rate<F: FnMut()>(mut f: F) -> f64 {
     use std::time::Instant;
     let mut reps = 1u64;

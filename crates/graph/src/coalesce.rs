@@ -69,10 +69,6 @@ pub(crate) struct Coalescer {
     /// Released groups not yet reported done.
     running: usize,
     stats: StreamStats,
-    /// Whether `stats.classes` keeps the per-class breakdown. A long-lived
-    /// core turns it off: every compile mints a fresh class, so the list
-    /// would grow with uptime (the sink's bounded class table still counts).
-    per_class: bool,
     telemetry: TelemetrySink,
 }
 
@@ -89,16 +85,8 @@ impl Coalescer {
             in_window: 0,
             running: 0,
             stats: StreamStats::default(),
-            per_class: true,
             telemetry,
         }
-    }
-
-    /// Drops the per-class breakdown from [`Coalescer::stats`], so the
-    /// core's memory stays flat however many plan classes pass through it.
-    pub fn without_class_breakdown(mut self) -> Self {
-        self.per_class = false;
-        self
     }
 
     /// Whether another job may be admitted.
@@ -201,12 +189,9 @@ impl Coalescer {
         dropped
     }
 
-    /// The tally so far, classes in id order (none without the per-class
-    /// breakdown).
+    /// The tally so far.
     pub fn stats(&self) -> StreamStats {
-        let mut stats = self.stats.clone();
-        stats.classes.sort_by_key(|c| c.plan_class);
-        stats
+        self.stats.clone()
     }
 
     /// The one tally: classifies a released group — lane-batched or scalar,
@@ -222,17 +207,6 @@ impl Coalescer {
             members,
         };
         let lane = group.lane_batched();
-        if self.per_class {
-            let entry = self.stats.class_mut(class);
-            if grouped {
-                entry.lane_group_fill[len - 1] += 1;
-            }
-            if lane {
-                entry.lane_batched_jobs += len;
-            } else {
-                entry.scalar_jobs += len;
-            }
-        }
         if grouped {
             self.stats.lane_group_fill[len - 1] += 1;
             self.telemetry.lane_fill_n(len, 1);
@@ -514,42 +488,6 @@ mod tests {
                     .all(|m| m.job.plan.plan_class() == class));
             }
         }
-    }
-
-    /// A long-lived core (the `Service`'s) keeps flat memory however many
-    /// freshly compiled plan classes pass through it, while a per-call core
-    /// breaks its tally down by class; the totals agree either way.
-    #[test]
-    fn class_breakdown_is_per_call_only() {
-        let fresh: Vec<Arc<CompiledGraph>> = (0..64).map(|_| plans().swap_remove(0)).collect();
-        let mut per_call = Coalescer::new(8, 2, TelemetrySink::default());
-        let mut long_lived =
-            Coalescer::new(8, 2, TelemetrySink::default()).without_class_breakdown();
-        for core in [&mut per_call, &mut long_lived] {
-            for plan in &fresh {
-                for index in 0..2 {
-                    let job = StreamJob {
-                        plan: Arc::clone(plan),
-                        input: BatchInput::with_values(vec![0.5, 0.5]),
-                    };
-                    assert!(core.admit(0, index, job).is_none());
-                }
-                for group in core.flush(true) {
-                    core.done(group.members.len(), 0);
-                }
-                assert!(core.is_empty() && core.buckets.is_empty());
-            }
-        }
-        let (per_call, long_lived) = (per_call.stats(), long_lived.stats());
-        assert_eq!(per_call.classes.len(), fresh.len());
-        assert!(long_lived.classes.is_empty());
-        assert_eq!(
-            StreamStats {
-                classes: Vec::new(),
-                ..per_call
-            },
-            long_lived
-        );
     }
 
     proptest! {

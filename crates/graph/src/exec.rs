@@ -316,10 +316,10 @@ pub struct StreamJob {
 /// ([`Executor::with_telemetry`]), the core adds each tally to the sink at
 /// the moment it counts it (`jobs` → `Counter::JobsPulled`, the path split
 /// → `Counter::LaneBatchedJobs` / `Counter::ScalarJobs`, the fill array
-/// → the sink's lane-fill distribution, the [`StreamStats::classes`]
-/// breakdown → the sink's bounded class table) — `StreamStats` is the
-/// per-call view and the sink the cumulative view of **one** set of
-/// tallies, so the two reporting paths cannot drift.
+/// → the sink's lane-fill distribution, and each released group's plan
+/// class → the sink's bounded class table, the one per-class view) —
+/// `StreamStats` is the per-call view and the sink the cumulative view of
+/// **one** set of tallies, so the two reporting paths cannot drift.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Total jobs pulled from the iterator.
@@ -346,51 +346,6 @@ pub struct StreamStats {
     /// appear here. Invariant: `lane_batched_jobs` = Σ over `k ≥ 1` of
     /// `(k + 1) · lane_group_fill[k]`.
     pub lane_group_fill: [usize; LANES],
-    /// The same execution tallies keyed by [`CompiledGraph::plan_class`],
-    /// in class-id order — so a caller can see *which* compiled class took
-    /// the scalar path or under-filled its lane groups. Invariants: the
-    /// per-class `lane_batched_jobs` / `scalar_jobs` / `lane_group_fill`
-    /// sum (over classes) to the global fields above.
-    pub classes: Vec<PlanClassStats>,
-}
-
-/// One plan class's slice of a dispatch's [`StreamStats`] tallies.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlanClassStats {
-    /// The [`CompiledGraph::plan_class`] these tallies belong to.
-    pub plan_class: u64,
-    /// Jobs of this class executed through the lane-batched lockstep path.
-    pub lane_batched_jobs: usize,
-    /// Jobs of this class executed through the scalar path.
-    pub scalar_jobs: usize,
-    /// Lane-group fill distribution for this class (bucket-origin groups
-    /// only, like the global array).
-    pub lane_group_fill: [usize; LANES],
-}
-
-impl PlanClassStats {
-    /// Total jobs of this class the dispatch executed.
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.lane_batched_jobs + self.scalar_jobs
-    }
-}
-
-impl StreamStats {
-    /// The per-class tally for `plan_class`, created on first sight. The
-    /// class list is tiny (one entry per distinct compiled template in the
-    /// dispatch), so a linear scan beats hashing.
-    pub(crate) fn class_mut(&mut self, plan_class: u64) -> &mut PlanClassStats {
-        if let Some(i) = self.classes.iter().position(|c| c.plan_class == plan_class) {
-            &mut self.classes[i]
-        } else {
-            self.classes.push(PlanClassStats {
-                plan_class,
-                ..PlanClassStats::default()
-            });
-            self.classes.last_mut().expect("just pushed")
-        }
-    }
 }
 
 /// Executes compiled plans over streams of input sets.
@@ -1128,33 +1083,6 @@ pub(crate) fn spawn_group<M>(
     }));
 }
 
-/// Divides `0..len` into exactly `min(workers, len)` contiguous spans
-/// (one empty span when `len == 0`), in order, whose lengths differ by at
-/// most one.
-///
-/// This replaces `chunks(len.div_ceil(workers))` sharding, which could
-/// produce *fewer* chunks than workers and leave the rest idle: 9 inputs on
-/// 8 threads made five 2-item chunks — three idle workers and a ~2× tail
-/// latency — where this division makes eight chunks of 1–2 items. The
-/// per-job streaming engine does not use it, but it remains the canonical
-/// work division for callers that shard contiguous index ranges themselves
-/// (benchmark harnesses, external batch splitters).
-#[must_use]
-pub fn balanced_spans(len: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    let chunks = workers.min(len).max(1);
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut spans = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let size = base + usize::from(i < extra);
-        spans.push(start..start + size);
-        start += size;
-    }
-    debug_assert_eq!(start, len);
-    spans
-}
-
 /// Applies a binary operator through the `sc_arith` word-parallel kernels.
 fn apply_binary(
     op: crate::node::BinaryOp,
@@ -1509,43 +1437,6 @@ mod tests {
             .run_stream(jobs_for(&plan, &inputs), usize::MAX)
             .unwrap_err();
         assert!(matches!(err, GraphError::ValueSlotOutOfRange { .. }));
-    }
-
-    /// Work is divided into exactly `min(workers, len)` near-equal spans:
-    /// the awkward sizes that used to strand workers idle (9 inputs on 8
-    /// threads → five `div_ceil`-sized chunks, three idle threads) now
-    /// produce one span per worker, covering `0..len` in order.
-    #[test]
-    fn balanced_spans_use_every_worker() {
-        for (len, workers) in [
-            (9usize, 8usize),
-            (17, 16),
-            (65, 64),
-            (13, 4),
-            (8, 8),
-            (3, 8),
-        ] {
-            let spans = balanced_spans(len, workers);
-            assert_eq!(
-                spans.len(),
-                workers.min(len),
-                "chunk count for {len} items on {workers} workers"
-            );
-            let sizes: Vec<usize> = spans.iter().map(|s| s.end - s.start).collect();
-            let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
-            assert!(min >= 1, "{len}/{workers}: no empty spans");
-            assert!(
-                max - min <= 1,
-                "{len}/{workers}: near-equal sizes {sizes:?}"
-            );
-            let mut next = 0;
-            for span in &spans {
-                assert_eq!(span.start, next, "{len}/{workers}: contiguous in order");
-                next = span.end;
-            }
-            assert_eq!(next, len, "{len}/{workers}: full coverage");
-        }
-        assert!(balanced_spans(0, 4).len() == 1 && balanced_spans(0, 4)[0].is_empty());
     }
 
     /// Heterogeneous dispatch: different plans in one stream produce exactly
@@ -1940,10 +1831,10 @@ mod tests {
         assert_eq!(stats.scalar_jobs, 9);
     }
 
-    /// The `StreamStats.classes` breakdown partitions the global tallies on
-    /// both dispatch paths — per-class lane/scalar/fill sums reproduce the
-    /// global fields — and the sink's bounded class table carries the same
-    /// numbers plus one latency sample per job of the class.
+    /// The sink's bounded class table — the one per-class view — partitions
+    /// a call's [`StreamStats`] tallies on both dispatch paths: per-class
+    /// lane/scalar/fill sums reproduce the global fields, and each class
+    /// carries one latency sample per job.
     #[test]
     fn stream_stats_attribute_jobs_per_plan_class() {
         let a = batchable_plan();
@@ -1960,69 +1851,33 @@ mod tests {
             });
             let (_, stats) = exec.run_stream_with_stats(jobs, usize::MAX).unwrap();
 
-            assert_eq!(stats.classes.len(), 2, "{threads} threads");
+            let report = sink.drain();
+            let classes = report.classes();
+            assert_eq!(classes.len(), 2, "{threads} threads");
             assert!(
-                stats
-                    .classes
+                classes
                     .windows(2)
                     .all(|w| w[0].plan_class < w[1].plan_class),
                 "classes are sorted by id"
             );
-            assert_eq!(
-                stats
-                    .classes
-                    .iter()
-                    .map(PlanClassStats::jobs)
-                    .sum::<usize>(),
-                stats.jobs
-            );
-            assert_eq!(
-                stats
-                    .classes
-                    .iter()
-                    .map(|c| c.lane_batched_jobs)
-                    .sum::<usize>(),
-                stats.lane_batched_jobs
-            );
-            assert_eq!(
-                stats.classes.iter().map(|c| c.scalar_jobs).sum::<usize>(),
-                stats.scalar_jobs
-            );
+            let sum = |f: fn(&sc_telemetry::ClassReport) -> u64| {
+                classes.iter().map(f).sum::<u64>() as usize
+            };
+            assert_eq!(sum(|c| c.jobs()), stats.jobs);
+            assert_eq!(sum(|c| c.lane_batched_jobs), stats.lane_batched_jobs);
+            assert_eq!(sum(|c| c.scalar_jobs), stats.scalar_jobs);
+            assert_eq!(sum(|c| c.latency.count), stats.jobs);
             for k in 0..LANES {
                 assert_eq!(
-                    stats
-                        .classes
-                        .iter()
-                        .map(|c| c.lane_group_fill[k])
-                        .sum::<usize>(),
+                    classes.iter().map(|c| c.lane_group_fill[k]).sum::<u64>() as usize,
                     stats.lane_group_fill[k],
                     "fill-{} groups partition per class",
                     k + 1
                 );
             }
-            let jobs_of = |class: u64| {
-                stats
-                    .classes
-                    .iter()
-                    .find(|c| c.plan_class == class)
-                    .map_or(0, PlanClassStats::jobs)
-            };
+            let jobs_of = |class: u64| report.class(class).map_or(0, |c| c.jobs());
             assert_eq!(jobs_of(a.plan_class()), 4);
             assert_eq!(jobs_of(b.plan_class()), 8);
-
-            // The sink's class table is the cumulative view of the same
-            // tallies, with a latency observation per executed job.
-            let report = sink.drain();
-            assert_eq!(report.classes().len(), 2);
-            for class in &stats.classes {
-                let reported = report.class(class.plan_class).expect("class reported");
-                assert_eq!(reported.lane_batched_jobs, class.lane_batched_jobs as u64);
-                assert_eq!(reported.scalar_jobs, class.scalar_jobs as u64);
-                assert_eq!(reported.latency.count, class.jobs() as u64);
-                for (k, &count) in class.lane_group_fill.iter().enumerate() {
-                    assert_eq!(reported.lane_group_fill[k], count as u64);
-                }
-            }
         }
     }
 
@@ -2232,30 +2087,6 @@ mod tests {
                 .unwrap();
             prop_assert_eq!(streamed, solo);
             prop_assert!(stats.peak_in_flight <= window);
-        }
-
-        /// `balanced_spans` across random shapes up to 1000: exactly
-        /// `min(workers, len)` spans, covering `0..len` contiguously in
-        /// order, with sizes differing by at most one.
-        #[test]
-        fn balanced_spans_properties(len in 0usize..=1000, workers in 1usize..=64) {
-            let spans = balanced_spans(len, workers);
-            prop_assert_eq!(spans.len(), workers.min(len).max(1));
-            let mut next = 0usize;
-            let mut min_size = usize::MAX;
-            let mut max_size = 0usize;
-            for span in &spans {
-                prop_assert_eq!(span.start, next, "contiguous, in order");
-                next = span.end;
-                let size = span.end - span.start;
-                min_size = min_size.min(size);
-                max_size = max_size.max(size);
-            }
-            prop_assert_eq!(next, len, "full coverage");
-            prop_assert!(max_size - min_size <= 1, "near-equal sizes");
-            if len >= workers {
-                prop_assert!(min_size >= 1, "no stranded worker");
-            }
         }
     }
 }

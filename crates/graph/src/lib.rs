@@ -102,8 +102,7 @@ pub mod serve;
 
 pub use compile::{CompileReport, CompiledGraph, MeasuredPair, PassDelta, PlannerOptions, Step};
 pub use exec::{
-    balanced_spans, BatchInput, ExecOutput, Executor, PlanClassStats, StreamJob, StreamStats,
-    WorkerPool, DEFAULT_WINDOW_FACTOR,
+    BatchInput, ExecOutput, Executor, StreamJob, StreamStats, WorkerPool, DEFAULT_WINDOW_FACTOR,
 };
 pub use graph::{Graph, GraphError};
 pub use node::{

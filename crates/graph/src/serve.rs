@@ -747,7 +747,7 @@ fn dispatcher_loop(
 ) {
     let telemetry = &shared.telemetry;
     let pool = WorkerPool::with_telemetry(threads, telemetry.clone());
-    let mut core = Coalescer::new(window, threads, telemetry.clone()).without_class_breakdown();
+    let mut core = Coalescer::new(window, threads, telemetry.clone());
     let mut live: HashMap<u64, LiveRequest> = HashMap::new();
     loop {
         // Phase 1: settle deadlines and drop finished requests' remaining

@@ -472,10 +472,10 @@ mod tests {
                              {window}: streaming dispatch diverged from the reference loop"
                         );
                         assert!(
-                            stats.peak_live_plans <= window.max(1),
+                            stats.stream.peak_in_flight <= window.max(1),
                             "{variant:?} at {size}x{size}, {threads} threads: \
                              {} live plans exceeded the window of {window}",
-                            stats.peak_live_plans
+                            stats.stream.peak_in_flight
                         );
                     }
                 }

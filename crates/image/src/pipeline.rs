@@ -22,8 +22,7 @@ use crate::edge::roberts_cross_float;
 use crate::gaussian::gaussian_blur_float;
 use crate::image::{GrayImage, ImageError};
 use crate::planner::TilePlanner;
-use sc_core::LANES;
-use sc_graph::{Executor, StreamJob};
+use sc_graph::{Executor, StreamJob, StreamStats};
 use sc_telemetry::TelemetrySink;
 use std::hash::{Hash, Hasher};
 
@@ -196,6 +195,25 @@ impl PipelineConfig {
         self.telemetry = sink;
         self
     }
+
+    /// The worker-thread count of a one-shot run or an
+    /// [`crate::ImageServer`] built from this config: [`Self::threads`], or
+    /// the available parallelism when unset.
+    ///
+    /// # Errors
+    ///
+    /// [`ImageError::EmptyImage`] for degenerate configurations (zero tile
+    /// size, stream length, or source-bank size).
+    pub(crate) fn checked_threads(&self) -> Result<usize, ImageError> {
+        if self.tile_size == 0 || self.stream_length == 0 || self.rng_bank_size == 0 {
+            return Err(ImageError::EmptyImage);
+        }
+        Ok(self.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        }))
+    }
 }
 
 /// Floating-point reference pipeline: Gaussian blur followed by Roberts cross.
@@ -216,40 +234,17 @@ pub struct PipelineStats {
     /// retargeted onto the cached template, so this counts *distinct tile
     /// classes*, not tiles.
     pub compilations: usize,
-    /// Upper bound on simultaneously-live retargeted tile plans during the
-    /// streaming dispatch ([`sc_graph::StreamStats`]'s `peak_in_flight`:
-    /// jobs submitted but not yet reported back — a worker may already have
-    /// freed a counted job's plan; cached per-class templates are counted
-    /// separately by `compilations`). Never exceeds the dispatch window,
-    /// which is how streaming keeps whole-image memory at O(window) instead
-    /// of O(tiles). Depends on the worker count (the inline sequential path
-    /// buffers up to the window too, so same-class tiles can be lane-batched),
-    /// so it is excluded from cross-thread stats comparisons.
-    pub peak_live_plans: usize,
-    /// Tiles executed as members of a `u64×LANES` lane-batched group
-    /// ([`sc_graph::StreamStats`]'s `lane_batched_jobs`): same-class
-    /// retargeted tiles transposed into lanes and stepped together. Depends
-    /// on how tiles happened to group inside the window, so — like
-    /// `peak_live_plans` — it is excluded from cross-thread comparisons.
-    pub lane_batched_jobs: usize,
-    /// Tiles executed solo on the scalar path (window-flush singletons and
-    /// non-batchable plans). `lane_batched_jobs + scalar_jobs == tiles`.
-    pub scalar_jobs: usize,
-    /// Lane-group fill distribution ([`sc_graph::StreamStats`]'s
-    /// `lane_group_fill`): `lane_group_fill[k]` counts the same-class tile
-    /// groups flushed with `k + 1` members, so `lane_group_fill[LANES - 1]`
-    /// is the fully-filled count, lower indices are early window flushes, and
-    /// `lane_group_fill[0]` counts singleton flushes (which execute on the
-    /// scalar path). `lane_batched_jobs == Σ_{k≥1} (k+1)·lane_group_fill[k]`.
-    pub lane_group_fill: [usize; LANES],
-    /// The execution tallies above broken down per compiled tile class
-    /// ([`sc_graph::PlanClassStats`], keyed by the cached template's
-    /// `plan_class`), in class-id order — `compilations` counts these
-    /// classes, and this names how each one's tiles actually executed, so a
-    /// slow or scalar-stuck tile class is identifiable instead of averaged
-    /// away. Per-class latency histograms live on the attached
+    /// What the streaming tile dispatch did ([`sc_graph::StreamStats`]):
+    /// `stream.peak_in_flight` bounds the simultaneously-live retargeted
+    /// tile plans (cached per-class templates are counted by
+    /// `compilations`) and never exceeds the dispatch window, which is how
+    /// streaming keeps whole-image memory at O(window) instead of
+    /// O(tiles); `stream.lane_batched_jobs + stream.scalar_jobs == tiles`.
+    /// The peak and the lane/scalar split depend on the worker count and on
+    /// how tiles grouped inside the window, so they are excluded from
+    /// cross-thread comparisons. Per-class tallies live on the attached
     /// [`TelemetrySink`]'s report ([`sc_telemetry::TelemetryReport::classes`]).
-    pub classes: Vec<sc_graph::PlanClassStats>,
+    pub stream: StreamStats,
     /// Duplicate source generators the emitted plans share through the
     /// executor's source cache, across all tile-class compiles (summed
     /// [`sc_graph::CompileReport::shared_sources`]).
@@ -320,16 +315,8 @@ pub fn run_sc_pipeline_with_stats(
     variant: PipelineVariant,
     config: &PipelineConfig,
 ) -> Result<(GrayImage, PipelineStats), ImageError> {
-    if config.tile_size == 0 || config.stream_length == 0 || config.rng_bank_size == 0 {
-        return Err(ImageError::EmptyImage);
-    }
-    let threads = config.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    });
     let executor = Executor::new(config.stream_length)
-        .with_threads(threads)
+        .with_threads(config.checked_threads()?)
         .with_telemetry(config.telemetry.clone());
     let window = config.window.unwrap_or_else(|| executor.default_window());
     let mut output = GrayImage::filled(image.width(), image.height(), 0.0);
@@ -359,14 +346,10 @@ pub fn run_sc_pipeline_with_stats(
             input: planned.input,
         }
     });
-    let (results, stream_stats) = executor
+    let (results, stream) = executor
         .run_stream_with_stats(jobs, window)
         .expect("tile graphs execute over their own batch input");
-    stats.peak_live_plans = stream_stats.peak_in_flight;
-    stats.lane_batched_jobs = stream_stats.lane_batched_jobs;
-    stats.scalar_jobs = stream_stats.scalar_jobs;
-    stats.lane_group_fill = stream_stats.lane_group_fill;
-    stats.classes = stream_stats.classes;
+    stats.stream = stream;
 
     // Scatter the per-tile sink values into the output image.
     scatter_sinks(&mut output, &sinks, &results, &config.telemetry);
@@ -535,10 +518,11 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The cross-tile dispatcher is bit-identical at every worker count for
-    /// every variant (including a cache-hitting 12×12 image whose retargeted
-    /// plans are shared across tiles), so the parallelism is purely a
-    /// throughput lever.
+    /// The cross-tile dispatcher is bit-identical at every worker count and
+    /// window for every variant (including a cache-hitting 12×12 image whose
+    /// retargeted plans are shared across tiles), so the parallelism is
+    /// purely a throughput lever, and the window bounds the live plans: at
+    /// most `window` at once, and every tile at once when it is unbounded.
     #[test]
     fn cross_tile_dispatch_is_thread_count_invariant() {
         let config = PipelineConfig {
@@ -556,35 +540,51 @@ mod tests {
                 .with_threads(1)
                 .default_window();
             assert!(
-                seq_stats.peak_live_plans <= seq_window,
+                seq_stats.stream.peak_in_flight <= seq_window,
                 "inline path buffers at most the window ({seq_window}) of plans \
                  for lane batching, saw {}",
-                seq_stats.peak_live_plans
+                seq_stats.stream.peak_in_flight
             );
             for threads in [2usize, 8] {
-                let (sharded, stats) =
-                    run_sc_pipeline_with_threads(&img, variant, &config, threads).unwrap();
-                assert_eq!(
-                    sharded, sequential,
-                    "{variant:?} at {threads} threads diverged from 1 thread"
-                );
-                // Planning work is thread-invariant; the peak of live plans
-                // is a property of the window, not of the results, so it is
-                // compared against its bound rather than across thread
-                // counts.
-                assert_eq!(stats.tiles, seq_stats.tiles, "{variant:?} tile count");
-                assert_eq!(
-                    stats.compilations, seq_stats.compilations,
-                    "{variant:?} compilations are thread-invariant"
-                );
-                let window = Executor::new(config.stream_length)
-                    .with_threads(threads)
-                    .default_window();
-                assert!(
-                    stats.peak_live_plans <= window,
-                    "{variant:?} at {threads} threads: {} live plans exceed window {window}",
-                    stats.peak_live_plans
-                );
+                let default_window = threads * sc_graph::DEFAULT_WINDOW_FACTOR;
+                for window in [1, threads, default_window, usize::MAX] {
+                    let (sharded, stats) = run_sc_pipeline_with_stats(
+                        &img,
+                        variant,
+                        &config.clone().with_threads(threads).with_window(window),
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        sharded, sequential,
+                        "{variant:?} at {threads} threads, window {window} diverged \
+                         from 1 thread"
+                    );
+                    // Planning work is thread-invariant; the peak of live
+                    // plans is a property of the window, not of the results,
+                    // so it is compared against its bound rather than across
+                    // thread counts.
+                    assert_eq!(stats.tiles, seq_stats.tiles, "{variant:?} tile count");
+                    assert_eq!(
+                        stats.compilations, seq_stats.compilations,
+                        "{variant:?} compilations are thread-invariant"
+                    );
+                    let peak = stats.stream.peak_in_flight;
+                    assert!(
+                        peak <= window,
+                        "{variant:?} at {threads} threads: {peak} live plans exceed \
+                         window {window}"
+                    );
+                    // The pool path admits the whole image before the first
+                    // result when nothing bounds it: the O(tiles) exposure
+                    // the bounded windows avoid.
+                    if window == usize::MAX {
+                        assert_eq!(
+                            peak, stats.tiles,
+                            "{variant:?} at {threads} threads: an unbounded window \
+                             plans every tile ahead of the first result"
+                        );
+                    }
+                }
             }
         }
     }

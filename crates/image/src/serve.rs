@@ -29,7 +29,7 @@ use sc_graph::{
 };
 use sc_telemetry::TelemetrySink;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Builder for an [`ImageServer`]; see [`ImageServer::builder`].
 #[derive(Debug, Clone)]
@@ -74,19 +74,8 @@ impl ImageServerBuilder {
     /// Returns [`ImageError::EmptyImage`] for degenerate configurations
     /// (zero-sized tiles or streams), mirroring the one-shot pipeline.
     pub fn start(self) -> Result<ImageServer, ImageError> {
-        if self.config.tile_size == 0
-            || self.config.stream_length == 0
-            || self.config.rng_bank_size == 0
-        {
-            return Err(ImageError::EmptyImage);
-        }
-        let threads = self.config.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
         let mut service_config = ServiceConfig::new(self.config.stream_length)
-            .with_threads(threads)
+            .with_threads(self.config.checked_threads()?)
             .with_telemetry(self.config.telemetry.clone());
         if let Some(window) = self.config.window {
             service_config = service_config.with_window(window);
@@ -157,8 +146,8 @@ pub struct ImageResponse {
     /// Lane-batched tiles whose group mixed tiles from two or more requests.
     pub cross_request_lane_jobs: usize,
     /// Planning-side accounting for this request (tiles planned, plan-cache
-    /// compilations, shared sources); execution-side fields are zero —
-    /// they live in the request's lane/scalar tallies above.
+    /// compilations, shared sources). Its `stream` is zero: the request's
+    /// execution tallies are the lane/scalar fields above.
     pub planning: PipelineStats,
 }
 
@@ -305,20 +294,6 @@ impl ImageServer {
         deadline: Instant,
     ) -> Result<ImageHandle, ImageSubmitError> {
         self.submit_request(image, Some(deadline), false)
-    }
-
-    /// Like [`submit_with_deadline`](Self::submit_with_deadline) with a
-    /// deadline `timeout` from now.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`submit_with_deadline`](Self::submit_with_deadline).
-    pub fn submit_with_timeout(
-        &self,
-        image: &GrayImage,
-        timeout: Duration,
-    ) -> Result<ImageHandle, ImageSubmitError> {
-        self.submit_request(image, Some(Instant::now() + timeout), false)
     }
 
     /// Non-blocking submit: fails with [`ImageSubmitError::Rejected`]

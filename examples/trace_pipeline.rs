@@ -66,9 +66,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "jobs: {} lane-batched + {} scalar of {} pulled (peak {} in flight)",
-        stats.lane_batched_jobs, stats.scalar_jobs, stats.tiles, stats.peak_live_plans
+        stats.stream.lane_batched_jobs,
+        stats.stream.scalar_jobs,
+        stats.tiles,
+        stats.stream.peak_in_flight
     );
     let fill: Vec<String> = stats
+        .stream
         .lane_group_fill
         .iter()
         .enumerate()

@@ -127,34 +127,38 @@ fn pipeline_report_agrees_with_stats_view() {
 
     // Satellite: the lane-batched/scalar split and the fill distribution
     // surface through PipelineStats and match the sink's cumulative view.
-    assert_eq!(stats.lane_batched_jobs + stats.scalar_jobs, stats.tiles);
+    assert_eq!(
+        stats.stream.lane_batched_jobs + stats.stream.scalar_jobs,
+        stats.tiles
+    );
     assert!(
-        stats.lane_batched_jobs > 0,
+        stats.stream.lane_batched_jobs > 0,
         "same-class tiles of a 16-tile image lane-batch inside the window"
     );
     let batched: usize = stats
+        .stream
         .lane_group_fill
         .iter()
         .enumerate()
         .skip(1)
         .map(|(k, &groups)| (k + 1) * groups)
         .sum();
-    assert_eq!(batched, stats.lane_batched_jobs);
+    assert_eq!(batched, stats.stream.lane_batched_jobs);
     let fill = report.lane_group_fill();
     assert!(
         fill.iter().any(|&count| count > 0),
         "the lane-group fill histogram is populated"
     );
-    for (k, &groups) in stats.lane_group_fill.iter().enumerate() {
+    for (k, &groups) in stats.stream.lane_group_fill.iter().enumerate() {
         assert_eq!(fill[k], groups as u64, "fill-{} group count", k + 1);
     }
     assert_eq!(
         report.counter(Counter::LaneBatchedJobs),
-        stats.lane_batched_jobs as u64
+        stats.stream.lane_batched_jobs as u64
     );
     assert_eq!(
         report.counter(Counter::ScalarJobs),
-        stats.scalar_jobs as u64
+        stats.stream.scalar_jobs as u64
     );
 
     // Every pulled job closed exactly one execute span and one latency sample.
@@ -343,10 +347,10 @@ fn snapshot_deltas_sum_to_cumulative_across_a_live_run() {
     }
 }
 
-/// Tentpole acceptance: the per-plan-class breakdown surfaces through
-/// [`sc_image::PipelineStats`] — classes partition the run's jobs — and the
-/// sink's report carries the matching tallies plus a per-class latency
-/// histogram with one sample per job.
+/// The sink's bounded class table is the one per-class view of a pipeline
+/// run: its rows partition [`sc_image::PipelineStats`]' execution tallies —
+/// one row per compiled template, jobs, lane/scalar split and lane-group
+/// fill summing to the run's totals — with one latency sample per job.
 #[test]
 fn pipeline_stats_expose_the_per_class_breakdown() {
     let sink = TelemetrySink::new();
@@ -355,42 +359,39 @@ fn pipeline_stats_expose_the_per_class_breakdown() {
         run_sc_pipeline_with_threads(&test_image(), PipelineVariant::Synchronizer, &config, 2)
             .unwrap();
     let report = sink.drain();
+    let classes = report.classes();
 
-    assert!(!stats.classes.is_empty());
+    assert!(!classes.is_empty());
     assert!(
-        stats
-            .classes
+        classes
             .windows(2)
             .all(|w| w[0].plan_class < w[1].plan_class),
         "classes are reported in class-id order without duplicates"
     );
-    let class_jobs: usize = stats
-        .classes
-        .iter()
-        .map(sc_graph::PlanClassStats::jobs)
-        .sum();
-    assert_eq!(class_jobs, stats.tiles, "classes partition the run's jobs");
     assert_eq!(
-        stats.classes.len(),
+        classes.len(),
         stats.compilations,
         "one compiled template per executed class"
     );
-
-    for class in &stats.classes {
-        let sink_class = report
-            .class(class.plan_class)
-            .expect("every executed class appears in the sink report");
-        assert_eq!(sink_class.lane_batched_jobs, class.lane_batched_jobs as u64);
-        assert_eq!(sink_class.scalar_jobs, class.scalar_jobs as u64);
-        assert_eq!(
-            sink_class.latency.count,
-            class.jobs() as u64,
-            "one latency sample per job of class {}",
-            class.plan_class
-        );
-        for (k, &groups) in class.lane_group_fill.iter().enumerate() {
-            assert_eq!(sink_class.lane_group_fill[k], groups as u64);
-        }
+    let sum = |f: fn(&sc_telemetry::ClassReport) -> u64| classes.iter().map(f).sum::<u64>();
+    assert_eq!(
+        sum(|c| c.jobs()),
+        stats.tiles as u64,
+        "classes partition the run's jobs"
+    );
+    assert_eq!(
+        sum(|c| c.lane_batched_jobs),
+        stats.stream.lane_batched_jobs as u64
+    );
+    assert_eq!(sum(|c| c.scalar_jobs), stats.stream.scalar_jobs as u64);
+    assert_eq!(
+        sum(|c| c.latency.count),
+        stats.tiles as u64,
+        "one latency sample per job"
+    );
+    for (k, &groups) in stats.stream.lane_group_fill.iter().enumerate() {
+        let per_class: u64 = classes.iter().map(|c| c.lane_group_fill[k]).sum();
+        assert_eq!(per_class, groups as u64, "fill-{} groups partition", k + 1);
     }
 }
 
