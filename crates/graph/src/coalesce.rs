@@ -30,25 +30,55 @@ pub(crate) struct Member {
 
 /// A released group: 1..=[`LANES`] jobs of one plan class that execute
 /// together — in lockstep lanes when it holds two or more, solo otherwise.
-pub(crate) struct Group {
-    /// The members, in admission order.
-    pub members: Vec<Member>,
-    /// Whether the members belong to two or more owners.
-    pub cross_request: bool,
+pub(crate) enum Group {
+    /// One job, executed solo: a plan that cannot lane-batch, a window of
+    /// 1, or a bucket flushed before a partner arrived. Held inline, so the
+    /// common scalar job costs the dispatch loop no allocation.
+    Solo(Member),
+    /// 2..=[`LANES`] jobs, in admission order, executed in lockstep lanes.
+    Lanes {
+        /// The members, in admission order.
+        members: Vec<Member>,
+        /// Whether the members belong to two or more owners.
+        cross_request: bool,
+    },
 }
 
 impl Group {
-    /// Whether the group executes through the lane-batched path.
-    pub fn lane_batched(&self) -> bool {
-        self.members.len() >= 2
+    /// A bucket's members as a group: solo when only one is left.
+    fn from_bucket(mut members: Vec<Member>) -> Self {
+        if members.len() == 1 {
+            return Group::Solo(members.pop().expect("one member"));
+        }
+        let owner = members[0].owner;
+        Group::Lanes {
+            cross_request: members.iter().any(|m| m.owner != owner),
+            members,
+        }
     }
 
-    /// Splits the group into its members' `(owner, index)` keys and jobs.
-    pub fn into_parts(self) -> (Vec<(u64, usize)>, Vec<StreamJob>) {
-        self.members
-            .into_iter()
-            .map(|m| ((m.owner, m.index), m.job))
-            .unzip()
+    /// The members, in admission order.
+    pub fn members(&self) -> &[Member] {
+        match self {
+            Group::Solo(member) => std::slice::from_ref(member),
+            Group::Lanes { members, .. } => members,
+        }
+    }
+
+    /// Whether the group executes through the lane-batched path.
+    pub fn lane_batched(&self) -> bool {
+        matches!(self, Group::Lanes { .. })
+    }
+
+    /// Whether the members belong to two or more owners.
+    pub fn cross_request(&self) -> bool {
+        matches!(
+            self,
+            Group::Lanes {
+                cross_request: true,
+                ..
+            }
+        )
     }
 }
 
@@ -125,7 +155,7 @@ impl Coalescer {
         };
         self.next_seq += 1;
         if self.window < 2 || !member.job.plan.lane_batchable() {
-            return Some(self.release(vec![member], false));
+            return Some(self.release(Group::Solo(member), false));
         }
         let class = member.job.plan.plan_class();
         let i = match self.buckets.iter().position(|b| b.class == class) {
@@ -143,7 +173,7 @@ impl Coalescer {
             return None;
         }
         let bucket = self.buckets.swap_remove(i);
-        Some(self.release(bucket.members, true))
+        Some(self.release(Group::from_bucket(bucket.members), true))
     }
 
     /// The flush decision, made once the dispatch loop can admit nothing more.
@@ -159,7 +189,7 @@ impl Coalescer {
                 .min_by_key(|&i| self.buckets[i].members[0].seq)
                 .expect("buckets are non-empty");
             let bucket = self.buckets.swap_remove(oldest);
-            released.push(self.release(bucket.members, true));
+            released.push(self.release(Group::from_bucket(bucket.members), true));
         }
         released
     }
@@ -169,7 +199,9 @@ impl Coalescer {
     pub fn done(&mut self, jobs: usize, failures: usize) {
         self.running -= 1;
         self.in_window -= jobs;
-        self.telemetry.add(Counter::JobsFailed, failures as u64);
+        if failures > 0 {
+            self.telemetry.add(Counter::JobsFailed, failures as u64);
+        }
         self.telemetry
             .gauge_set(Gauge::WindowOccupancy, self.in_window as u64);
     }
@@ -198,14 +230,9 @@ impl Coalescer {
     /// bucket fill, plan class, cross-request — into the stats and the sink.
     /// `grouped` marks bucket-origin groups: lane fill is a grouping metric,
     /// so directly released scalar jobs stay out of it.
-    fn release(&mut self, members: Vec<Member>, grouped: bool) -> Group {
-        let len = members.len();
-        let class = members[0].job.plan.plan_class();
-        let owner = members[0].owner;
-        let group = Group {
-            cross_request: len >= 2 && members.iter().any(|m| m.owner != owner),
-            members,
-        };
+    fn release(&mut self, group: Group, grouped: bool) -> Group {
+        let len = group.members().len();
+        let class = group.members()[0].job.plan.plan_class();
         let lane = group.lane_batched();
         if grouped {
             self.stats.lane_group_fill[len - 1] += 1;
@@ -221,7 +248,7 @@ impl Coalescer {
             self.telemetry.add(Counter::ScalarJobs, len as u64);
             self.telemetry.class_add_jobs(class, 0, len as u64);
         }
-        if group.cross_request {
+        if group.cross_request() {
             self.telemetry
                 .add(Counter::CrossRequestLaneJobs, len as u64);
         }
@@ -390,8 +417,15 @@ mod tests {
                 return;
             }
             let group = self.running.swap_remove(arg as usize % self.running.len());
-            let (keys, jobs) = group.into_parts();
-            let results = (!panicked).then(|| execute_group(N, &jobs, &TelemetrySink::default()));
+            let keys: Vec<(u64, usize)> =
+                group.members().iter().map(|m| (m.owner, m.index)).collect();
+            let results = (!panicked).then(|| {
+                let mut results = Vec::new();
+                execute_group(N, &group, &TelemetrySink::default(), |_, result| {
+                    results.push(result);
+                });
+                results
+            });
             let failures = results
                 .iter()
                 .flatten()
@@ -464,7 +498,7 @@ mod tests {
 
         fn check(&self) {
             let stats = &self.core.stats;
-            let running_jobs: usize = self.running.iter().map(|g| g.members.len()).sum();
+            let running_jobs: usize = self.running.iter().map(|g| g.members().len()).sum();
             assert!(self.core.in_window <= self.window, "window bound");
             assert_eq!(self.core.in_window, self.buffered() + running_jobs);
             assert_eq!(self.core.running(), self.running.len());
@@ -480,12 +514,11 @@ mod tests {
                 "unsettled keys are exactly the window"
             );
             for group in &self.running {
-                assert!((1..=LANES).contains(&group.members.len()));
-                let class = group.members[0].job.plan.plan_class();
-                assert!(group
-                    .members
-                    .iter()
-                    .all(|m| m.job.plan.plan_class() == class));
+                let members = group.members();
+                assert!((1..=LANES).contains(&members.len()));
+                assert_eq!(group.lane_batched(), members.len() >= 2);
+                let class = members[0].job.plan.plan_class();
+                assert!(members.iter().all(|m| m.job.plan.plan_class() == class));
             }
         }
     }

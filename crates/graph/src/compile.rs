@@ -31,6 +31,7 @@ use sc_rng::SourceSpec;
 use sc_telemetry::TelemetrySink;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Process-wide monotonic counter behind [`CompiledGraph::plan_class`]: every
 /// `compile` call mints a fresh class, and clones / retargeted copies keep
@@ -305,36 +306,41 @@ pub enum Step {
     },
     /// Sink: expose the stream itself.
     SinkStream {
-        /// Output name.
-        name: String,
+        /// Output name, shared with every execution's
+        /// [`ExecOutput`](crate::ExecOutput).
+        name: Arc<str>,
         /// Input stream slot.
         src: usize,
     },
     /// Sink: S/D conversion to the stream's unipolar value.
     SinkValue {
-        /// Output name.
-        name: String,
+        /// Output name, shared with every execution's
+        /// [`ExecOutput`](crate::ExecOutput).
+        name: Arc<str>,
         /// Input stream slot.
         src: usize,
     },
     /// Sink: S/D conversion to the raw 1s count.
     SinkCount {
-        /// Output name.
-        name: String,
+        /// Output name, shared with every execution's
+        /// [`ExecOutput`](crate::ExecOutput).
+        name: Arc<str>,
         /// Input stream slot.
         src: usize,
     },
     /// Sink: accumulative parallel counter over all inputs.
     SinkSum {
-        /// Output name.
-        name: String,
+        /// Output name, shared with every execution's
+        /// [`ExecOutput`](crate::ExecOutput).
+        name: Arc<str>,
         /// Input stream slots.
         srcs: Vec<usize>,
     },
     /// Sink: SCC probe over a stream pair.
     SccProbe {
-        /// Output name.
-        name: String,
+        /// Output name, shared with every execution's
+        /// [`ExecOutput`](crate::ExecOutput).
+        name: Arc<str>,
         /// X input slot.
         x: usize,
         /// Y input slot.
@@ -363,6 +369,9 @@ pub struct CompiledGraph {
     /// differ), which is what lets the executor run same-class jobs in
     /// lockstep lanes.
     class: u64,
+    /// [`CompiledGraph::lane_batchable`], decided once here rather than per
+    /// dispatched job.
+    lane_batchable: bool,
 }
 
 impl CompiledGraph {
@@ -375,7 +384,19 @@ impl CompiledGraph {
         report: CompileReport,
         ops: Vec<NodeOp>,
     ) -> CompiledGraph {
+        let lane_batchable = steps.iter().any(|step| {
+            matches!(
+                step,
+                Step::Manipulate { .. }
+                    | Step::UnaryFsm { .. }
+                    | Step::Binary {
+                        op: BinaryOp::CaMax | BinaryOp::CaMin,
+                        ..
+                    }
+            )
+        });
         CompiledGraph {
+            lane_batchable,
             steps,
             slot_count,
             value_slots,
@@ -437,17 +458,7 @@ impl CompiledGraph {
     /// already word-parallel) and are executed solo.
     #[must_use]
     pub fn lane_batchable(&self) -> bool {
-        self.steps.iter().any(|step| {
-            matches!(
-                step,
-                Step::Manipulate { .. }
-                    | Step::UnaryFsm { .. }
-                    | Step::Binary {
-                        op: BinaryOp::CaMax | BinaryOp::CaMin,
-                        ..
-                    }
-            )
-        })
+        self.lane_batchable
     }
 
     /// Returns a copy of the plan with every stored [`SourceSpec`] rewritten

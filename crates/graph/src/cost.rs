@@ -235,11 +235,10 @@ pub fn compiled_netlist(plan: &CompiledGraph, name: &str, converter_bits: u32) -
     total
 }
 
-/// [`compiled_netlist`] under the executor's source-sharing model: every
+/// [`compiled_netlist`] under the shared-RNG hardware model of §II.B: every
 /// step's logic is priced in full, but each distinct [`SourceSpec`] is priced
-/// **once** — exactly one physical sample generator per spec, which is how
-/// the executor's `SourceCache` (and the shared-RNG hardware of §II.B)
-/// actually instantiates them.
+/// **once** — exactly one physical sample generator per spec, whose
+/// consumers read consecutive `skip` ranges of its one sample sequence.
 #[must_use]
 pub fn compiled_netlist_shared(plan: &CompiledGraph, name: &str, converter_bits: u32) -> Netlist {
     let mut total = Netlist::new(name);

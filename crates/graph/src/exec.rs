@@ -2,19 +2,17 @@
 //! of independent input sets, optionally sharded across a persistent worker
 //! pool.
 
-use crate::coalesce::{Coalescer, Group};
+use crate::coalesce::{Coalescer, Group, Member};
 use crate::compile::{CompiledGraph, Step};
 use crate::graph::GraphError;
 use crate::node::BinaryOp;
-use sc_arith::add::{half_select_stream, mux_add};
+use crate::planes::{self, PlaneStore};
+use sc_arith::add::mux_add;
 use sc_bitstream::{scc, Bitstream, Probability};
-use sc_convert::{
-    AccumulativeParallelCounter, DigitalToStochastic, Regenerator, StochasticToDigital,
-};
+use sc_convert::{AccumulativeParallelCounter, StochasticToDigital};
 use sc_core::{process_lane_pairs, CorrelationManipulator, LaneChain, ManipulatorChain, LANES};
-use sc_rng::{RandomSource, RngKind, SourceSpec};
 use sc_telemetry::{Gauge, Hist, Stage, TelemetrySink};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 
@@ -55,93 +53,53 @@ impl BatchInput {
 }
 
 /// The named results of executing a plan over one input set.
+///
+/// Each list is sorted by name and holds the plan's own `Arc<str>` sink
+/// names, so recording a result allocates nothing for its name.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecOutput {
-    streams: BTreeMap<String, Bitstream>,
-    values: BTreeMap<String, f64>,
+    streams: Vec<(Arc<str>, Bitstream)>,
+    values: Vec<(Arc<str>, f64)>,
+}
+
+/// Files `item` under `name` in a name-sorted list, replacing an earlier
+/// result of the same name.
+fn record<T>(list: &mut Vec<(Arc<str>, T)>, name: &Arc<str>, item: T) {
+    match list.binary_search_by(|(key, _)| (**key).cmp(name)) {
+        Ok(i) => list[i].1 = item,
+        Err(i) => list.insert(i, (Arc::clone(name), item)),
+    }
+}
+
+/// The item filed under `name` in a name-sorted list.
+fn lookup<'a, T>(list: &'a [(Arc<str>, T)], name: &str) -> Option<&'a T> {
+    list.binary_search_by(|(key, _)| (**key).cmp(name))
+        .ok()
+        .map(|i| &list[i].1)
 }
 
 impl ExecOutput {
     /// The stream captured by the `SinkStream` sink of that name.
     #[must_use]
     pub fn stream(&self, name: &str) -> Option<&Bitstream> {
-        self.streams.get(name)
+        lookup(&self.streams, name)
     }
 
     /// The value captured by the value-producing sink of that name
     /// (`SinkValue`, `SinkCount`, `SinkSum`, or `SccProbe`).
     #[must_use]
     pub fn value(&self, name: &str) -> Option<f64> {
-        self.values.get(name).copied()
+        lookup(&self.values, name).copied()
     }
 
     /// Iterates over `(name, stream)` sink results in name order.
     pub fn streams(&self) -> impl Iterator<Item = (&str, &Bitstream)> {
-        self.streams.iter().map(|(k, v)| (k.as_str(), v))
+        self.streams.iter().map(|(k, v)| (&**k, v))
     }
 
     /// Iterates over `(name, value)` sink results in name order.
     pub fn values(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-}
-
-/// Per-execution cache of live source instances, so plan steps that draw from
-/// one *logically shared* hardware source (equal [`SourceSpec`], consecutive
-/// `skip` ranges) continue a single instance instead of each rebuilding a
-/// fresh source and sample-stepping to its position. For the tiled `sc_image`
-/// pipeline this turns the per-tile select-sample cost from quadratic in
-/// kernels (re-skipping `k·N` samples for kernel `k`) to linear, and the
-/// LFSR's companion-matrix [`sc_rng::RandomSource::skip_ahead`] makes the
-/// remaining cold positioning logarithmic.
-///
-/// Correctness: sources are deterministic, so continuing one instance from
-/// position `p` is bit-identical to `spec.build_skipped(p)`; any consumer
-/// whose requested position does not match the cached position gets a freshly
-/// positioned instance.
-#[derive(Default)]
-struct SourceCache {
-    entries: HashMap<SourceSpec, (Box<dyn RandomSource>, u64)>,
-}
-
-impl SourceCache {
-    /// Returns a source positioned `skip` samples into the spec's sequence
-    /// and records that the caller is about to draw `samples` more.
-    fn source(&mut self, spec: &SourceSpec, skip: u64, samples: u64) -> &mut dyn RandomSource {
-        let entry = self
-            .entries
-            .entry(spec.clone())
-            .and_modify(|(source, position)| {
-                if *position != skip {
-                    *source = spec.build_skipped(skip);
-                    *position = skip;
-                }
-            })
-            .or_insert_with(|| (spec.build_skipped(skip), skip));
-        entry.1 += samples;
-        entry.0.as_mut()
-    }
-}
-
-/// Adapter lending a cached source to the by-value converter constructors
-/// without giving up ownership.
-struct BorrowedSource<'a>(&'a mut dyn RandomSource);
-
-impl RandomSource for BorrowedSource<'_> {
-    fn next_unit(&mut self) -> f64 {
-        self.0.next_unit()
-    }
-
-    fn reset(&mut self) {
-        self.0.reset();
-    }
-
-    fn kind(&self) -> RngKind {
-        self.0.kind()
-    }
-
-    fn skip_ahead(&mut self, count: u64) {
-        self.0.skip_ahead(count);
+        self.values.iter().map(|(k, v)| (&**k, *v))
     }
 }
 
@@ -350,9 +308,10 @@ pub struct StreamStats {
 
 /// Executes compiled plans over streams of input sets.
 ///
-/// Every job is independent: each execution builds fresh source and FSM
-/// instances from the plan's specs, so results are deterministic and
-/// identical whether the jobs run on one thread or many. Parallel dispatch
+/// Every job is independent: each execution builds fresh FSM instances and
+/// reads its source samples from memoized planes that hold exactly what the
+/// plan's specs would draw, so results are deterministic and identical
+/// whether the jobs run on one thread or many. Parallel dispatch
 /// runs on a lazily-spawned persistent [`WorkerPool`] (no external
 /// dependencies) that lives as long as the executor, so back-to-back calls
 /// reuse warm threads. [`Executor::run`] executes one job in place;
@@ -446,24 +405,24 @@ impl Executor {
     /// the plan requires, and [`GraphError::Stream`] if input streams have
     /// mismatched lengths.
     pub fn run(&self, plan: &CompiledGraph, input: &BatchInput) -> Result<ExecOutput, GraphError> {
-        execute_plan(self.stream_length, plan, input)
+        execute_plan(planes::global(), self.stream_length, plan, input)
     }
 }
 
 /// Per-job execution state threaded through [`execute_step`]: the dense
-/// stream-slot environment, the shared-source cache, and the sink results
-/// accumulated so far.
-struct ExecEnv {
+/// stream-slot environment, the plane store the source-drawing steps read,
+/// and the sink results accumulated so far.
+struct ExecEnv<'p> {
     slots: Vec<Option<Bitstream>>,
-    sources: SourceCache,
+    planes: &'p PlaneStore,
     out: ExecOutput,
 }
 
-impl ExecEnv {
-    fn new(slot_count: usize) -> Self {
+impl<'p> ExecEnv<'p> {
+    fn new(slot_count: usize, planes: &'p PlaneStore) -> Self {
         ExecEnv {
             slots: vec![None; slot_count],
-            sources: SourceCache::default(),
+            planes,
             out: ExecOutput::default(),
         }
     }
@@ -477,14 +436,16 @@ fn slot(slots: &[Option<Bitstream>], idx: usize) -> &Bitstream {
         .expect("topological order guarantees producers run first")
 }
 
-/// Executes one plan over one input set at stream length `n`. Free-standing
-/// so pool workers can run jobs without capturing an [`Executor`].
+/// Executes one plan over one input set at stream length `n`, reading
+/// samples from `planes`. Free-standing so pool workers can run jobs without
+/// capturing an [`Executor`].
 fn execute_plan(
+    planes: &PlaneStore,
     n: usize,
     plan: &CompiledGraph,
     input: &BatchInput,
 ) -> Result<ExecOutput, GraphError> {
-    let mut env = ExecEnv::new(plan.slot_count);
+    let mut env = ExecEnv::new(plan.slot_count, planes);
     for step in &plan.steps {
         execute_step(n, step, input, &mut env)?;
     }
@@ -500,11 +461,7 @@ fn execute_step(
     input: &BatchInput,
     env: &mut ExecEnv,
 ) -> Result<(), GraphError> {
-    let ExecEnv {
-        slots,
-        sources,
-        out,
-    } = env;
+    let ExecEnv { slots, planes, out } = env;
     {
         match step {
             Step::Input { slot, dst } => {
@@ -530,10 +487,8 @@ fn execute_step(
                         slot: *slot,
                         provided: input.values.len(),
                     })?;
-                let mut d2s = DigitalToStochastic::new(BorrowedSource(
-                    sources.source(source, *skip, n as u64),
-                ));
-                slots[*dst] = Some(d2s.generate(Probability::saturating(value), n));
+                let p = Probability::saturating(value);
+                slots[*dst] = Some(planes.generate(source, *skip, p, n));
             }
             Step::Constant {
                 probability,
@@ -541,10 +496,8 @@ fn execute_step(
                 skip,
                 dst,
             } => {
-                let mut d2s = DigitalToStochastic::new(BorrowedSource(
-                    sources.source(source, *skip, n as u64),
-                ));
-                slots[*dst] = Some(d2s.generate(Probability::saturating(*probability), n));
+                let p = Probability::saturating(*probability);
+                slots[*dst] = Some(planes.generate(source, *skip, p, n));
             }
             Step::Manipulate {
                 kinds,
@@ -574,9 +527,7 @@ fn execute_step(
                 src,
                 dst,
             } => {
-                let mut regen =
-                    Regenerator::new(BorrowedSource(sources.source(source, *skip, n as u64)));
-                let regenerated = regen.regenerate(slot(slots, *src));
+                let regenerated = planes.regenerate(source, *skip, slot(slots, *src));
                 slots[*dst] = Some(regenerated);
             }
             Step::Not { src, dst } => {
@@ -607,7 +558,7 @@ fn execute_step(
                 dst,
             } => {
                 let mut divider = sc_arith::divide::Divider::with_counter_bits(
-                    BorrowedSource(sources.source(source, *skip, n as u64)),
+                    source.build_skipped(*skip),
                     *counter_bits,
                 );
                 let z = divider.divide(slot(slots, *x), slot(slots, *y))?;
@@ -622,11 +573,7 @@ fn execute_step(
             } => {
                 let z = {
                     let (sx, sy) = (slot(slots, *x), slot(slots, *y));
-                    let sel = half_select_stream(
-                        &mut BorrowedSource(sources.source(select, *skip, sx.len() as u64)),
-                        sx.len(),
-                    );
-                    mux_add(sx, sy, &sel)?
+                    mux_add(sx, sy, &planes.half_select(select, *skip, sx.len()))?
                 };
                 slots[*dst] = Some(z);
             }
@@ -639,21 +586,21 @@ fn execute_step(
             } => {
                 let z = {
                     let refs: Vec<&Bitstream> = srcs.iter().map(|s| slot(slots, *s)).collect();
-                    let samples = refs.first().map_or(0, |s| s.len()) as u64;
-                    weighted_mux(&refs, weights, sources.source(select, *skip, samples))?
+                    check_lengths(&refs)?;
+                    planes.weighted_mux(&refs, weights, select, *skip)
                 };
                 slots[*dst] = Some(z);
             }
             Step::SinkStream { name, src } => {
-                out.streams.insert(name.clone(), slot(slots, *src).clone());
+                record(&mut out.streams, name, slot(slots, *src).clone());
             }
             Step::SinkValue { name, src } => {
                 let value = StochasticToDigital::convert(slot(slots, *src)).get();
-                out.values.insert(name.clone(), value);
+                record(&mut out.values, name, value);
             }
             Step::SinkCount { name, src } => {
                 let count = StochasticToDigital::convert_to_count(slot(slots, *src));
-                out.values.insert(name.clone(), count as f64);
+                record(&mut out.values, name, count as f64);
             }
             Step::SinkSum { name, srcs } => {
                 // The APC consumes owned streams; sum sinks are rare
@@ -661,11 +608,11 @@ fn execute_step(
                 let inputs: Vec<Bitstream> = srcs.iter().map(|s| slot(slots, *s).clone()).collect();
                 let mut apc = AccumulativeParallelCounter::new(inputs.len());
                 apc.accumulate_streams(&inputs)?;
-                out.values.insert(name.clone(), apc.sum_of_values());
+                record(&mut out.values, name, apc.sum_of_values());
             }
             Step::SccProbe { name, x, y } => {
                 let value = scc(slot(slots, *x), slot(slots, *y));
-                out.values.insert(name.clone(), value);
+                record(&mut out.values, name, value);
             }
         }
     }
@@ -719,7 +666,7 @@ fn check_pair_lengths(
 /// lanes finish together.
 pub(crate) fn execute_plan_group(
     n: usize,
-    group: &[StreamJob],
+    group: &[&StreamJob],
     telemetry: &TelemetrySink,
 ) -> Vec<Result<ExecOutput, GraphError>> {
     let span = telemetry.span_with(Stage::LaneGroupExecute, group.len() as u64);
@@ -736,7 +683,7 @@ pub(crate) fn execute_plan_group(
     );
     let mut envs: Vec<ExecEnv> = group
         .iter()
-        .map(|job| ExecEnv::new(job.plan.slot_count))
+        .map(|job| ExecEnv::new(job.plan.slot_count, planes::global()))
         .collect();
     let mut errs: Vec<Option<GraphError>> = (0..group.len()).map(|_| None).collect();
     for i in 0..group[0].plan.steps.len() {
@@ -858,7 +805,7 @@ pub(crate) fn execute_job_scalar(
     telemetry: &TelemetrySink,
 ) -> Result<ExecOutput, GraphError> {
     let span = telemetry.span(Stage::ScalarExecute);
-    let result = execute_plan(n, &job.plan, &job.input);
+    let result = execute_plan(planes::global(), n, &job.plan, &job.input);
     let dur_ns = span.finish();
     if telemetry.is_enabled() {
         telemetry.observe(Hist::JobLatencyNs, dur_ns);
@@ -914,7 +861,7 @@ impl Executor {
     /// result, so the window genuinely bounds live-plan memory at
     /// O(window), not O(total jobs). Results are collected in job order and
     /// are bit-identical at any worker count and any window, because every
-    /// job executes with fresh deterministic sources and FSMs.
+    /// job executes with fresh FSMs and deterministic source samples.
     ///
     /// With one configured thread the jobs run inline on the caller's
     /// thread (at most `window` planned jobs live at a time), which is also
@@ -961,7 +908,7 @@ impl Executor {
         let pool = (self.threads > 1).then(|| self.pool());
         // Pool groups report here; inline groups settle on the spot.
         let (tx, rx) = mpsc::channel::<GroupReport>();
-        let mut slots: Vec<Slot> = Vec::new();
+        let mut slots: Vec<Slot> = Vec::with_capacity(jobs.size_hint().0);
         let mut exhausted = false;
         let mut failed = false;
         let run = |group: Group, core: &mut Coalescer, slots: &mut Vec<Slot>| match &pool {
@@ -970,10 +917,13 @@ impl Executor {
                 false
             }
             None => {
-                let (keys, jobs) = group.into_parts();
-                let outcome = Ok(execute_group(n, &jobs, telemetry));
-                drop(jobs);
-                settle_stream(GroupReport { keys, outcome }, core, slots)
+                let mut failures = 0;
+                execute_group(n, &group, telemetry, |member, result| {
+                    failures += usize::from(result.is_err());
+                    slots[member.index] = Some(result);
+                });
+                core.done(group.members().len(), failures);
+                failures > 0
             }
         };
         loop {
@@ -1003,12 +953,11 @@ impl Executor {
                 failed |= settle_stream(report, &mut core, &mut slots);
             }
         }
-        let stats = core.stats();
-        let mut outputs = Vec::with_capacity(slots.len());
-        for slot in slots {
-            outputs.push(slot.expect("every admitted job reported")?);
-        }
-        Ok((outputs, stats))
+        let outputs = slots
+            .into_iter()
+            .map(|slot| slot.expect("every admitted job reported"))
+            .collect::<Result<_, _>>()?;
+        Ok((outputs, core.stats()))
     }
 }
 
@@ -1042,21 +991,25 @@ pub(crate) struct GroupReport {
     pub outcome: std::thread::Result<Vec<Result<ExecOutput, GraphError>>>,
 }
 
-/// Executes one released group: lane-batched lockstep when it holds ≥ 2
-/// jobs, scalar otherwise.
+/// Executes one released group — lane-batched lockstep for
+/// [`Group::Lanes`], scalar for [`Group::Solo`] — handing each member's
+/// result to `deliver` in member order.
 pub(crate) fn execute_group(
     n: usize,
-    jobs: &[StreamJob],
+    group: &Group,
     telemetry: &TelemetrySink,
-) -> Vec<Result<ExecOutput, GraphError>> {
+    mut deliver: impl FnMut(&Member, Result<ExecOutput, GraphError>),
+) {
     #[cfg(any(test, feature = "fault-injection"))]
-    crate::fault::check(jobs);
-    if jobs.len() >= 2 {
-        execute_plan_group(n, jobs, telemetry)
-    } else {
-        jobs.iter()
-            .map(|job| execute_job_scalar(n, job, telemetry))
-            .collect()
+    crate::fault::check(group.members());
+    match group {
+        Group::Solo(member) => deliver(member, execute_job_scalar(n, &member.job, telemetry)),
+        Group::Lanes { members, .. } => {
+            let jobs: Vec<&StreamJob> = members.iter().map(|m| &m.job).collect();
+            for (member, result) in members.iter().zip(execute_plan_group(n, &jobs, telemetry)) {
+                deliver(member, result);
+            }
+        }
     }
 }
 
@@ -1074,11 +1027,15 @@ pub(crate) fn spawn_group<M>(
     let tx = tx.clone();
     let telemetry = telemetry.clone();
     pool.submit(Box::new(move || {
-        let (keys, jobs) = group.into_parts();
-        let outcome = catch_unwind(AssertUnwindSafe(|| execute_group(n, &jobs, &telemetry)));
+        let keys: Vec<(u64, usize)> = group.members().iter().map(|m| (m.owner, m.index)).collect();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut results = Vec::with_capacity(keys.len());
+            execute_group(n, &group, &telemetry, |_, result| results.push(result));
+            results
+        }));
         // Free the jobs — and their plan handles — *before* the report
         // becomes visible, so the window bounds live-plan memory.
-        drop(jobs);
+        drop(group);
         let _ = tx.send(M::from(GroupReport { keys, outcome }));
     }));
 }
@@ -1104,46 +1061,17 @@ fn apply_binary(
     Ok(z)
 }
 
-/// The weighted multiplexer tree: each cycle one input is sampled with
-/// probability equal to its weight (cumulative walk over `weights`; leftover
-/// mass falls to the last input). The selection sequence is data-independent,
-/// so the gather runs word-parallel: per 64 cycles one selection mask is
-/// built per input and the output word is one AND-OR per input over the
-/// packed words — the generalisation of the `sc_image` Gaussian-blur kernel.
-fn weighted_mux(
-    inputs: &[&Bitstream],
-    weights: &[f64],
-    source: &mut dyn RandomSource,
-) -> Result<Bitstream, GraphError> {
+/// Rejects a multiplexer tree whose inputs differ in length, with the error
+/// the first mismatching input raises against the first.
+fn check_lengths(inputs: &[&Bitstream]) -> Result<(), GraphError> {
     let n = inputs[0].len();
-    for s in inputs {
-        if s.len() != n {
-            return Err(GraphError::Stream(sc_bitstream::Error::LengthMismatch {
-                left: n,
-                right: s.len(),
-            }));
-        }
+    match inputs.iter().find(|s| s.len() != n) {
+        Some(s) => Err(GraphError::Stream(sc_bitstream::Error::LengthMismatch {
+            left: n,
+            right: s.len(),
+        })),
+        None => Ok(()),
     }
-    let mut masks = vec![0u64; weights.len()];
-    Ok(Bitstream::from_word_fn(n, |w| {
-        let valid = inputs[0].word_len(w);
-        masks.iter_mut().for_each(|m| *m = 0);
-        for i in 0..valid {
-            let mut u = source.next_unit();
-            let mut selected = weights.len() - 1;
-            for (idx, weight) in weights.iter().enumerate() {
-                if u < *weight {
-                    selected = idx;
-                    break;
-                }
-                u -= weight;
-            }
-            masks[selected] |= 1u64 << i;
-        }
-        masks.iter().enumerate().fold(0u64, |out, (k, &mask)| {
-            out | (inputs[k].as_words()[w] & mask)
-        })
-    }))
 }
 
 #[cfg(test)]
@@ -1154,6 +1082,7 @@ mod tests {
     use proptest::prelude::*;
     use sc_rng::SourceSpec;
     use sc_telemetry::Counter;
+    use std::collections::HashMap;
 
     fn sobol(d: u32) -> SourceSpec {
         SourceSpec::Sobol { dimension: d }
@@ -1361,10 +1290,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_source_cache_matches_per_step_positioning() {
+    fn shared_select_source_matches_per_step_positioning() {
         // Two MUX adders drawing from one logically shared select LFSR via
-        // per-node skips, in one plan (cache continues one instance) vs in
-        // two separate plans (each positions a fresh instance): identical.
+        // per-node skips, in one plan (consecutive windows of one sequence)
+        // vs in two separate plans (each positioned on its own): identical.
         let n = 301usize;
         let select = SourceSpec::Lfsr {
             width: 16,
@@ -1398,6 +1327,109 @@ mod tests {
         };
         assert_eq!(out.stream("z0").unwrap(), &solo(0));
         assert_eq!(out.stream("z1").unwrap(), &solo(n as u64));
+    }
+
+    /// A full 10×10 tile of the GB→ED accelerator with the sources, skips
+    /// and seeds `sc_image`'s tile graph gives it: Sobol-bank pixel
+    /// generators, 3×3 Gaussian MUX trees sharing one select LFSR through
+    /// `k·N` skips, optional regeneration, and XOR/MUX-adder edge pixels
+    /// sharing a second select LFSR.
+    fn gbed_tile(
+        x0: isize,
+        y0: isize,
+        tile_index: u64,
+        regenerate: bool,
+        n: u64,
+    ) -> (Graph, BatchInput) {
+        const TILE: isize = 10;
+        let gaussian = [1.0, 2.0, 1.0, 2.0, 4.0, 2.0, 1.0, 2.0, 1.0].map(|w: f64| w / 16.0);
+        let mut g = Graph::new();
+        let mut input = BatchInput::new();
+        let mut pixels = HashMap::new();
+        for py in -1..=TILE + 1 {
+            for px in -1..=TILE + 1 {
+                let (x, y) = (x0 + px, y0 + py);
+                input
+                    .values
+                    .push((x * 7 + y * 3).rem_euclid(17) as f64 / 16.0);
+                let dimension = (x.rem_euclid(4) + 4 * y.rem_euclid(2)) as u32 + 1;
+                let wire = g.generate(input.values.len() - 1, sobol(dimension));
+                pixels.insert((px, py), wire);
+            }
+        }
+        let blur = SourceSpec::Lfsr {
+            width: 16,
+            seed: 0xACE1 ^ (tile_index.wrapping_mul(2_654_435_761) & 0xFFFF).max(1),
+        };
+        let mut blurred = HashMap::new();
+        for gy in 0..=TILE {
+            for gx in 0..=TILE {
+                let taps: Vec<_> = (-1..=1)
+                    .flat_map(|dy| (-1..=1).map(move |dx| (gx + dx, gy + dy)))
+                    .map(|key| pixels[&key])
+                    .collect();
+                let k = blurred.len() as u64;
+                let mut wire = g.weighted_mux_skipped(&taps, &gaussian, blur.clone(), k * n);
+                if regenerate {
+                    wire = g.regenerate(SourceSpec::VanDerCorput { offset: 0 }, wire);
+                }
+                blurred.insert((gx, gy), wire);
+            }
+        }
+        let edge = SourceSpec::Lfsr {
+            width: 16,
+            seed: 0x7331 ^ (tile_index.wrapping_mul(40_503) & 0xFFFF).max(1),
+        };
+        for y in 0..TILE {
+            for x in 0..TILE {
+                let b = |dx: isize, dy: isize| blurred[&(x + dx, y + dy)];
+                let diagonal = g.binary(BinaryOp::XorSubtract, b(0, 0), b(1, 1));
+                let anti = g.binary(BinaryOp::XorSubtract, b(1, 0), b(0, 1));
+                let p = (y * TILE + x) as u64;
+                let z = g.mux_add_skipped(diagonal, anti, edge.clone(), p * n);
+                g.sink_value(format!("edge_{x}_{y}"), z);
+            }
+        }
+        (g, input)
+    }
+
+    /// The plane store stays bounded under the GB→ED accelerator: a 40×40
+    /// image in all three variants fills it, and a 120×120 image — tile
+    /// indices 0..144, each a new pair of select seeds — adds no cycle-table
+    /// bytes, with the whole store within 512 KiB.
+    #[test]
+    fn gbed_images_keep_the_plane_store_bounded() {
+        let store = PlaneStore::default();
+        let n = 256;
+        let run_image = |side: isize, options: &PlannerOptions, regenerate: bool| {
+            let tiles = side / 10;
+            for ty in 0..tiles {
+                for tx in 0..tiles {
+                    let tile_index = (ty * tiles + tx) as u64;
+                    let (g, input) = gbed_tile(tx * 10, ty * 10, tile_index, regenerate, n as u64);
+                    let plan = g.compile(options).unwrap();
+                    let out = execute_plan(&store, n, &plan, &input).unwrap();
+                    assert_eq!(out.values().count(), 100);
+                }
+            }
+        };
+        let variants = [
+            (PlannerOptions::no_repair(), false),
+            (PlannerOptions::default(), true),
+            (PlannerOptions::default(), false),
+        ];
+        for (options, regenerate) in &variants {
+            run_image(40, options, *regenerate);
+        }
+        let first = store.retained_bytes();
+        assert!(first.cycles > 0, "the select LFSRs read cycle tables");
+        run_image(120, &PlannerOptions::no_repair(), false);
+        let second = store.retained_bytes();
+        assert_eq!(
+            second.cycles, first.cycles,
+            "new tile indices reuse the tables"
+        );
+        assert!(second.total() <= 512 << 10, "{second:?}");
     }
 
     #[test]
@@ -1719,7 +1751,7 @@ mod tests {
         g.sink_stream("y", sy);
         let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
         let good = BatchInput::with_values(vec![0.4, 0.7]);
-        let jobs = vec![
+        let jobs = [
             StreamJob {
                 plan: Arc::clone(&plan),
                 input: good.clone(),
@@ -1733,6 +1765,7 @@ mod tests {
                 input: good.clone(),
             },
         ];
+        let jobs: Vec<&StreamJob> = jobs.iter().collect();
         let results = execute_plan_group(64, &jobs, &TelemetrySink::default());
         assert_eq!(results.len(), 3);
         let expected = Executor::new(64).run(&plan, &good).unwrap();

@@ -10,7 +10,7 @@
 //! tests running in parallel only ever fault their own plans. While no
 //! class is marked, the per-group check is one relaxed atomic load.
 
-use crate::exec::StreamJob;
+use crate::coalesce::Member;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -38,16 +38,16 @@ pub fn clear_class(plan_class: u64) {
 }
 
 /// Panics if any job of the group belongs to a marked plan class.
-pub(crate) fn check(jobs: &[StreamJob]) {
+pub(crate) fn check(members: &[Member]) {
     if MARKED.load(Ordering::Acquire) == 0 {
         return;
     }
     let marked = marked();
-    if let Some(job) = jobs
+    if let Some(member) = members
         .iter()
-        .find(|job| marked.contains(&job.plan.plan_class()))
+        .find(|member| marked.contains(&member.job.plan.plan_class()))
     {
-        let class = job.plan.plan_class();
+        let class = member.job.plan.plan_class();
         drop(marked);
         panic!("injected fault in plan class {class}");
     }

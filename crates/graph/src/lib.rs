@@ -37,9 +37,11 @@
 //! window. The warm serving tier ([`Service`]) multiplexes many requests
 //! over one pool; both dispatch loops share one coalescing core (lane buckets,
 //! window, flush decision, tally). Plans are `Send + Sync` plain data: every
-//! execution builds fresh deterministic sources and FSMs from
-//! [`sc_rng::SourceSpec`]s, so parallel results are bit-identical to
-//! sequential ones at any worker count and any window.
+//! execution builds fresh FSMs, and reads the samples its
+//! [`sc_rng::SourceSpec`]s would draw from a bounded process-wide store of
+//! sample planes (LFSR selects read windows of one cycle table per width), so
+//! parallel results are bit-identical to sequential ones at any worker count
+//! and any window.
 //!
 //! A compiled plan also bridges to the gate-level cost model:
 //! [`CompiledGraph::netlist`] sums the `sc_hwcost` netlists of every executed
@@ -98,6 +100,7 @@ pub mod fault;
 pub mod graph;
 pub mod node;
 mod passes;
+mod planes;
 pub mod serve;
 
 pub use compile::{CompileReport, CompiledGraph, MeasuredPair, PassDelta, PlannerOptions, Step};

@@ -5,6 +5,7 @@ use crate::compile::{CompileReport, CompiledGraph, PassDelta, Step};
 use crate::node::{Node, NodeOp, Wire};
 use sc_rng::SourceSpec;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Walks the topological order, collapses linear manipulator runs into
 /// [`sc_core::ManipulatorChain`] steps, assigns dense slots, and emits the
@@ -199,28 +200,28 @@ pub(crate) fn emit_steps(
             NodeOp::SinkStream { name } => {
                 let src = slot_of(inputs[0], &mut slots);
                 Step::SinkStream {
-                    name: name.clone(),
+                    name: Arc::from(name.as_str()),
                     src,
                 }
             }
             NodeOp::SinkValue { name } => {
                 let src = slot_of(inputs[0], &mut slots);
                 Step::SinkValue {
-                    name: name.clone(),
+                    name: Arc::from(name.as_str()),
                     src,
                 }
             }
             NodeOp::SinkCount { name } => {
                 let src = slot_of(inputs[0], &mut slots);
                 Step::SinkCount {
-                    name: name.clone(),
+                    name: Arc::from(name.as_str()),
                     src,
                 }
             }
             NodeOp::SinkSum { name } => {
                 let srcs: Vec<usize> = inputs.iter().map(|w| slot_of(*w, &mut slots)).collect();
                 Step::SinkSum {
-                    name: name.clone(),
+                    name: Arc::from(name.as_str()),
                     srcs,
                 }
             }
@@ -228,7 +229,7 @@ pub(crate) fn emit_steps(
                 let x = slot_of(inputs[0], &mut slots);
                 let y = slot_of(inputs[1], &mut slots);
                 Step::SccProbe {
-                    name: name.clone(),
+                    name: Arc::from(name.as_str()),
                     x,
                     y,
                 }
@@ -237,8 +238,8 @@ pub(crate) fn emit_steps(
         steps.push(step);
     }
 
-    // Shared-source accounting: the executor's per-spec source cache means
-    // each distinct spec drives one physical sample generator; count the
+    // Shared-source accounting: under the shared-RNG hardware of §II.B each
+    // distinct spec drives one physical sample generator; count the
     // generator instances the sharing saves.
     let mut seen: HashSet<&SourceSpec> = HashSet::new();
     report.shared_sources = steps

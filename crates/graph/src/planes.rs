@@ -1,0 +1,732 @@
+//! The process-wide store of data-independent sample planes.
+//!
+//! Every D/S comparator, regenerator and MUX select of a plan reads a source
+//! whose samples depend only on its [`SourceSpec`], its `skip` and the stream
+//! length — never on the data. The executor therefore reads them from
+//! memoized planes instead of drawing them per bit, per job:
+//!
+//! * **Sample planes** hold the `n` values `spec.build_skipped(skip)` returns,
+//!   keyed by `(spec, skip, n)`. `Generate`, `Constant` and `Regenerate`
+//!   compare their target against one; a MUX select whose source has no
+//!   cycle table falls back to one.
+//! * **Cycle tables** serve MUX selects driven by an LFSR of width ≤ 16. Its
+//!   taps are primitive, so every seed walks the same maximal-length cycle
+//!   and every `(seed, skip)` window is an offset into it: a `u16`
+//!   state→position map per width finds the offset. A select rule (the
+//!   cumulative walk over the tree's weights) maps each cycle position to
+//!   one input; one bit-plane per input, laid over two laps of the cycle,
+//!   turns each select word into one funnel shift. One table per
+//!   `(width, weights)` serves every seed and skip — the tile-shared select
+//!   LFSRs of the GB→ED accelerator hit it for every tile index.
+//!
+//! Planes are built once and shared across jobs and threads: a hit takes the
+//! store's lock shared, only an insert takes it exclusively. The store is
+//! bounded by const byte budgets; past them, planes are computed per use and
+//! not kept. Either way a plane holds exactly the samples the source would
+//! draw, so the output bits never depend on what the store retains.
+
+use sc_bitstream::{Bitstream, Probability, WORD_BITS};
+use sc_convert::StochasticToDigital;
+use sc_rng::{Lfsr, RandomSource, SourceSpec};
+use std::collections::HashMap;
+use std::mem::size_of;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// Widest LFSR served from a cycle table: its positions fit a `u16`.
+const MAX_CYCLE_WIDTH: u32 = 16;
+
+/// Byte budget of the retained `(spec, skip, n)` sample planes, sized for
+/// the GB→ED accelerator at `n` = 256 (its planes take ~20 KiB there).
+const SAMPLE_BUDGET_BYTES: usize = 256 << 10;
+
+/// What one retained sample plane costs beyond its samples: the map's key
+/// and value slots and the `Arc` header (strong and weak counts). Charged
+/// against the budget, so planes of a few samples cannot pile up unbounded.
+const SAMPLE_ENTRY_BYTES: usize =
+    size_of::<SampleKey>() + size_of::<Arc<[f64]>>() + 2 * size_of::<usize>();
+
+/// Byte budget of the retained cycle tables (position maps and select
+/// bit-planes). The GB→ED accelerator needs ~270 KiB of it: the 16-bit
+/// position map, the Gaussian blur's eight planes and the edge adders' one.
+const CYCLE_BUDGET_BYTES: usize = 1 << 20;
+
+/// The select rule of a multiplexer tree: sample `u` picks the first input
+/// whose cumulative weight exceeds it; leftover mass falls to the last input.
+fn select_index(u: f64, weights: &[f64]) -> usize {
+    let mut u = u;
+    for (idx, weight) in weights.iter().enumerate() {
+        if u < *weight {
+            return idx;
+        }
+        u -= weight;
+    }
+    weights.len() - 1
+}
+
+/// A MUX adder's select rule as a two-input tree: its first input is picked
+/// exactly when `u < ½`, the rule of `sc_arith::add::half_select_stream`.
+fn half_select_weights() -> [f64; 2] {
+    let half = Probability::HALF.get();
+    [half, half]
+}
+
+/// The cycle of one LFSR width: cycle index `j` is the state `j + 1` steps
+/// after state 1.
+struct CycleTable {
+    width: u32,
+    /// `position[state]` is the cycle index of `state` (entry 0 unused).
+    position: Box<[u16]>,
+}
+
+impl CycleTable {
+    fn bytes(width: u32) -> usize {
+        (1 << width) * size_of::<u16>()
+    }
+
+    fn build(width: u32) -> Self {
+        let mut lfsr = Lfsr::new(width, 1);
+        let mut position = vec![0u16; 1 << width];
+        for j in 0..lfsr.period() {
+            lfsr.step();
+            position[lfsr.state() as usize] = j as u16;
+        }
+        CycleTable {
+            width,
+            position: position.into(),
+        }
+    }
+
+    fn period(&self) -> usize {
+        (1 << self.width) - 1
+    }
+}
+
+/// The select bit-planes of one `(width, weights)` pair.
+struct SelectPlanes {
+    cycle: Arc<CycleTable>,
+    weights: Box<[f64]>,
+    /// One plane per input but the last, whose mask is the complement of
+    /// theirs: bit `j` of plane `k` is set iff the sample at cycle index
+    /// `j mod period` selects input `k`. Two laps plus a padding word, so
+    /// any window of fewer than `period` bits reads without wrapping.
+    planes: Box<[Box<[u64]>]>,
+}
+
+impl SelectPlanes {
+    /// Words per plane over a cycle of `period` states.
+    fn words(period: usize) -> usize {
+        (2 * period).div_ceil(WORD_BITS) + 1
+    }
+
+    fn bytes(width: u32, inputs: usize) -> usize {
+        (inputs - 1) * Self::words((1 << width) - 1) * size_of::<u64>()
+    }
+
+    fn build(cycle: Arc<CycleTable>, weights: &[f64]) -> Self {
+        let period = cycle.period();
+        let mut planes = vec![vec![0u64; Self::words(period)]; weights.len() - 1];
+        // The same register and `next_unit` the executor's source would
+        // run, walked once around the cycle from state 1.
+        let mut lfsr = Lfsr::new(cycle.width, 1);
+        for j in 0..period {
+            let k = select_index(lfsr.next_unit(), weights);
+            if let Some(plane) = planes.get_mut(k) {
+                for bit in [j, j + period] {
+                    plane[bit / WORD_BITS] |= 1 << (bit % WORD_BITS);
+                }
+            }
+        }
+        SelectPlanes {
+            cycle,
+            weights: weights.into(),
+            planes: planes.into_iter().map(Vec::into_boxed_slice).collect(),
+        }
+    }
+
+    fn serves(&self, width: u32, weights: &[f64]) -> bool {
+        self.cycle.width == width
+            && self.weights.len() == weights.len()
+            && self
+                .weights
+                .iter()
+                .zip(weights)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// The cycle index of the first sample an LFSR of this width seeded
+    /// with `seed` draws after `skip` draws.
+    fn offset(&self, seed: u64, skip: u64) -> usize {
+        let period = self.cycle.period() as u64;
+        // `Lfsr::new` applies the seed-masking rule; the first draw steps
+        // once past the start state.
+        let start = Lfsr::new(self.cycle.width, seed).state() as usize;
+        ((u64::from(self.cycle.position[start]) + 1 + skip % period) % period) as usize
+    }
+
+    /// Select word `w` of the window starting at cycle index `offset`.
+    fn word(plane: &[u64], offset: usize, w: usize) -> u64 {
+        let bit = offset + w * WORD_BITS;
+        let i = bit / WORD_BITS;
+        let pair = u128::from(plane[i]) | u128::from(plane[i + 1]) << WORD_BITS;
+        (pair >> (bit % WORD_BITS)) as u64
+    }
+}
+
+/// The samples a select source draws for one step.
+enum SelectWindow {
+    /// The window starting at `offset` in a shared cycle table.
+    Cycle {
+        planes: Arc<SelectPlanes>,
+        offset: usize,
+    },
+    /// The raw samples, for sources without a cycle table.
+    Samples(Arc<[f64]>),
+}
+
+/// Bytes the store currently retains, by kind.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Retained {
+    /// Cycle tables: position maps and select bit-planes.
+    pub cycles: usize,
+    /// `(spec, skip, n)` sample planes.
+    pub samples: usize,
+}
+
+#[cfg(test)]
+impl Retained {
+    pub(crate) fn total(self) -> usize {
+        self.cycles + self.samples
+    }
+}
+
+/// A sample plane's key: the source, the draws it skips, the plane length.
+type SampleKey = (SourceSpec, u64, usize);
+
+#[derive(Default)]
+struct Store {
+    cycles: Vec<Arc<CycleTable>>,
+    selects: Vec<Arc<SelectPlanes>>,
+    samples: HashMap<SampleKey, Arc<[f64]>>,
+    cycle_bytes: usize,
+    sample_bytes: usize,
+}
+
+/// A bounded store of sample planes; [`global`] is the executor's.
+#[derive(Default)]
+pub(crate) struct PlaneStore {
+    store: RwLock<Store>,
+}
+
+/// The process-wide plane store every execution reads.
+pub(crate) fn global() -> &'static PlaneStore {
+    static STORE: OnceLock<PlaneStore> = OnceLock::new();
+    STORE.get_or_init(PlaneStore::default)
+}
+
+impl PlaneStore {
+    // Plane builders never leave the store half-updated, so a panic
+    // elsewhere while it was held leaves it usable.
+    fn read(&self) -> RwLockReadGuard<'_, Store> {
+        self.store.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Store> {
+        self.store.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Bytes currently retained.
+    #[cfg(test)]
+    pub(crate) fn retained_bytes(&self) -> Retained {
+        let store = self.read();
+        Retained {
+            cycles: store.cycle_bytes,
+            samples: store.sample_bytes,
+        }
+    }
+
+    /// The `n` samples `spec.build_skipped(skip)` draws first.
+    pub(crate) fn samples(&self, spec: &SourceSpec, skip: u64, n: usize) -> Arc<[f64]> {
+        if n == 0 {
+            return Arc::new([]);
+        }
+        let key = (spec.clone(), skip, n);
+        if let Some(plane) = self.read().samples.get(&key) {
+            return Arc::clone(plane);
+        }
+        // Drawn outside the lock: a plane past the budget is drawn per use.
+        let mut source = spec.build_skipped(skip);
+        let plane: Arc<[f64]> = (0..n).map(|_| source.next_unit()).collect();
+        let bytes = SAMPLE_ENTRY_BYTES + n * size_of::<f64>();
+        let mut guard = self.write();
+        let store = &mut *guard;
+        if store.sample_bytes + bytes <= SAMPLE_BUDGET_BYTES {
+            let kept = store.samples.entry(key).or_insert_with(|| {
+                store.sample_bytes += bytes;
+                Arc::clone(&plane)
+            });
+            return Arc::clone(kept);
+        }
+        plane
+    }
+
+    /// The select planes of `(width, weights)`, built on first use; `None`
+    /// when they would not fit the cycle budget.
+    fn select_planes(&self, width: u32, weights: &[f64]) -> Option<Arc<SelectPlanes>> {
+        let find = |store: &Store| {
+            store
+                .selects
+                .iter()
+                .find(|p| p.serves(width, weights))
+                .cloned()
+        };
+        if let Some(planes) = find(&self.read()) {
+            return Some(planes);
+        }
+        let mut guard = self.write();
+        let store = &mut *guard;
+        // Another thread may have built them since the shared lookup.
+        if let Some(planes) = find(store) {
+            return Some(planes);
+        }
+        let cycle = store.cycles.iter().find(|c| c.width == width).cloned();
+        let mut bytes = SelectPlanes::bytes(width, weights.len());
+        if cycle.is_none() {
+            bytes += CycleTable::bytes(width);
+        }
+        if store.cycle_bytes + bytes > CYCLE_BUDGET_BYTES {
+            return None;
+        }
+        // Built under the lock: at most a few per process, bounded by the
+        // budget, each one pass around a cycle of ≤ 65 535 states.
+        let cycle = cycle.unwrap_or_else(|| {
+            let cycle = Arc::new(CycleTable::build(width));
+            store.cycles.push(Arc::clone(&cycle));
+            cycle
+        });
+        let planes = Arc::new(SelectPlanes::build(cycle, weights));
+        store.cycle_bytes += bytes;
+        store.selects.push(Arc::clone(&planes));
+        Some(planes)
+    }
+
+    /// The samples of `select` advanced by `skip` for an `n`-bit window,
+    /// mapped through `weights`' select rule.
+    fn select_window(
+        &self,
+        select: &SourceSpec,
+        skip: u64,
+        weights: &[f64],
+        n: usize,
+    ) -> SelectWindow {
+        if let SourceSpec::Lfsr { width, seed } = *select {
+            if (3..=MAX_CYCLE_WIDTH).contains(&width) && n < (1 << width) - 1 {
+                if let Some(planes) = self.select_planes(width, weights) {
+                    let offset = planes.offset(seed, skip);
+                    return SelectWindow::Cycle { planes, offset };
+                }
+            }
+        }
+        SelectWindow::Samples(self.samples(select, skip, n))
+    }
+
+    /// D/S conversion of `p` against `source` advanced by `skip`: bit `i` is
+    /// 1 iff `p` exceeds the source's `i`-th sample.
+    pub(crate) fn generate(
+        &self,
+        source: &SourceSpec,
+        skip: u64,
+        p: Probability,
+        n: usize,
+    ) -> Bitstream {
+        let plane = self.samples(source, skip, n);
+        let target = p.get();
+        Bitstream::from_fn(n, |i| target > plane[i])
+    }
+
+    /// Regeneration of `stream` against `source` advanced by `skip`: the
+    /// stream's count as a ratio of its length, D/S-converted afresh.
+    pub(crate) fn regenerate(
+        &self,
+        source: &SourceSpec,
+        skip: u64,
+        stream: &Bitstream,
+    ) -> Bitstream {
+        let n = stream.len();
+        if n == 0 {
+            return Bitstream::new();
+        }
+        let count = StochasticToDigital::convert_to_count(stream);
+        self.generate(source, skip, Probability::from_ratio(count, n as u64), n)
+    }
+
+    /// The select stream of a MUX adder: bit `i` is 1 (pick `x`) iff the
+    /// select source's `i`-th sample after `skip` is below ½.
+    pub(crate) fn half_select(&self, select: &SourceSpec, skip: u64, n: usize) -> Bitstream {
+        let weights = half_select_weights();
+        match self.select_window(select, skip, &weights, n) {
+            SelectWindow::Cycle { planes, offset } => {
+                Bitstream::from_word_fn(n, |w| SelectPlanes::word(&planes.planes[0], offset, w))
+            }
+            SelectWindow::Samples(samples) => {
+                Bitstream::from_fn(n, |i| select_index(samples[i], &weights) == 0)
+            }
+        }
+    }
+
+    /// The weighted multiplexer tree: each cycle one input is sampled with
+    /// probability equal to its weight, by [`select_index`] over the
+    /// `select` source advanced by `skip`. Each output word is one AND-OR
+    /// of the packed input words with that word's selection masks.
+    ///
+    /// `inputs` holds one stream per weight, all of one length.
+    pub(crate) fn weighted_mux(
+        &self,
+        inputs: &[&Bitstream],
+        weights: &[f64],
+        select: &SourceSpec,
+        skip: u64,
+    ) -> Bitstream {
+        let n = inputs[0].len();
+        let last = weights.len() - 1;
+        match self.select_window(select, skip, weights, n) {
+            SelectWindow::Cycle { planes, offset } => Bitstream::from_word_fn(n, |w| {
+                let mut rest = !0u64;
+                let mut out = 0u64;
+                for (input, plane) in inputs.iter().zip(planes.planes.iter()) {
+                    let mask = SelectPlanes::word(plane, offset, w);
+                    out |= input.as_words()[w] & mask;
+                    rest &= !mask;
+                }
+                out | (inputs[last].as_words()[w] & rest)
+            }),
+            SelectWindow::Samples(samples) => {
+                let mut masks = vec![0u64; weights.len()];
+                Bitstream::from_word_fn(n, |w| {
+                    masks.iter_mut().for_each(|m| *m = 0);
+                    for i in 0..inputs[0].word_len(w) {
+                        let k = select_index(samples[w * WORD_BITS + i], weights);
+                        masks[k] |= 1 << i;
+                    }
+                    inputs
+                        .iter()
+                        .zip(&masks)
+                        .fold(0, |out, (input, &mask)| out | (input.as_words()[w] & mask))
+                })
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::GraphError;
+    use sc_arith::add::half_select_stream;
+    use sc_convert::{DigitalToStochastic, Regenerator};
+
+    /// The per-bit weighted multiplexer reference: one `next_unit` and one
+    /// cumulative walk per stream bit.
+    fn weighted_mux_reference(
+        inputs: &[&Bitstream],
+        weights: &[f64],
+        source: &mut dyn RandomSource,
+    ) -> Result<Bitstream, GraphError> {
+        let n = inputs[0].len();
+        for s in inputs {
+            if s.len() != n {
+                return Err(GraphError::Stream(sc_bitstream::Error::LengthMismatch {
+                    left: n,
+                    right: s.len(),
+                }));
+            }
+        }
+        let mut masks = vec![0u64; weights.len()];
+        Ok(Bitstream::from_word_fn(n, |w| {
+            let valid = inputs[0].word_len(w);
+            masks.iter_mut().for_each(|m| *m = 0);
+            for i in 0..valid {
+                let mut u = source.next_unit();
+                let mut selected = weights.len() - 1;
+                for (idx, weight) in weights.iter().enumerate() {
+                    if u < *weight {
+                        selected = idx;
+                        break;
+                    }
+                    u -= weight;
+                }
+                masks[selected] |= 1u64 << i;
+            }
+            masks.iter().enumerate().fold(0u64, |out, (k, &mask)| {
+                out | (inputs[k].as_words()[w] & mask)
+            })
+        }))
+    }
+
+    /// The per-bit MUX adder select reference.
+    fn half_select_reference(select: &SourceSpec, skip: u64, n: usize) -> Bitstream {
+        half_select_stream(&mut select.build_skipped(skip), n)
+    }
+
+    const GAUSSIAN: [f64; 9] = [
+        1.0 / 16.0,
+        2.0 / 16.0,
+        1.0 / 16.0,
+        2.0 / 16.0,
+        4.0 / 16.0,
+        2.0 / 16.0,
+        1.0 / 16.0,
+        2.0 / 16.0,
+        1.0 / 16.0,
+    ];
+
+    /// Weight sets: a 3×3 Gaussian kernel, weights summing to < 1 (the
+    /// leftover mass falls to the last input), and a single input.
+    const WEIGHT_SETS: [&[f64]; 3] = [&GAUSSIAN, &[0.3, 0.25, 0.05, 0.1], &[1.0]];
+
+    /// Deterministic, structure-free input streams: stream `k` of `count`.
+    fn inputs(count: usize, n: usize) -> Vec<Bitstream> {
+        (0..count)
+            .map(|k| {
+                let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ (k as u64 + 1).wrapping_mul(0xBF58_476D);
+                Bitstream::from_fn(n, |_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x & 1 == 1
+                })
+            })
+            .collect()
+    }
+
+    /// Every `(seed, skip, n)` window of an LFSR select, through the cycle
+    /// tables (width ≤ 16, `n` < period) and through the sample-plane
+    /// fallback (wider registers, `n` ≥ period), against the per-bit
+    /// references. Windows of a period or more are drawn for the widths with
+    /// cycle tables; above them a period is ~10⁵–10⁷ reference draws.
+    #[test]
+    fn lfsr_select_windows_match_the_per_bit_references() {
+        for width in 3..=24u32 {
+            let period = (1u64 << width) - 1;
+            let mask = period;
+            let seeds = [0, 1, mask, mask + 5, 0x5DEE_CE66_D1CE_4E5B];
+            let skips = [0, 1, period - 1, period, 3 * period + 5];
+            let mut lengths = vec![1usize, 63, 64, 65, 256];
+            if width <= MAX_CYCLE_WIDTH {
+                lengths.extend([period as usize, period as usize + 1]);
+            }
+            let store = PlaneStore::default();
+            for &n in &lengths {
+                let streams = inputs(GAUSSIAN.len(), n);
+                for seed in seeds {
+                    let select = SourceSpec::Lfsr { width, seed };
+                    for skip in skips {
+                        let case = format!("width {width} seed {seed:#x} skip {skip} n {n}");
+                        assert_eq!(
+                            store.half_select(&select, skip, n),
+                            half_select_reference(&select, skip, n),
+                            "half select, {case}"
+                        );
+                        for weights in WEIGHT_SETS {
+                            let refs: Vec<&Bitstream> =
+                                streams.iter().take(weights.len()).collect();
+                            let reference = weighted_mux_reference(
+                                &refs,
+                                weights,
+                                &mut select.build_skipped(skip),
+                            )
+                            .unwrap();
+                            assert_eq!(
+                                store.weighted_mux(&refs, weights, &select, skip),
+                                reference,
+                                "weights {weights:?}, {case}"
+                            );
+                        }
+                    }
+                }
+            }
+            // Non-vacuity: exactly the narrow registers took the cycle path.
+            let retained = store.retained_bytes();
+            assert_eq!(
+                retained.cycles > 0,
+                width <= MAX_CYCLE_WIDTH,
+                "width {width}"
+            );
+        }
+    }
+
+    /// Selects from the other families read `(spec, skip, n)` sample planes.
+    #[test]
+    fn non_lfsr_selects_match_the_per_bit_references() {
+        let store = PlaneStore::default();
+        let selects = [
+            SourceSpec::VanDerCorput { offset: 3 },
+            SourceSpec::Halton { base: 3, offset: 1 },
+            SourceSpec::Sobol { dimension: 5 },
+            SourceSpec::Counter {
+                modulus: 100,
+                phase: 7,
+            },
+        ];
+        for select in &selects {
+            for n in [1usize, 63, 64, 65, 257] {
+                let streams = inputs(GAUSSIAN.len(), n);
+                for skip in [0u64, 1, 1000] {
+                    assert_eq!(
+                        store.half_select(select, skip, n),
+                        half_select_reference(select, skip, n),
+                        "{select} skip {skip} n {n}"
+                    );
+                    for weights in WEIGHT_SETS {
+                        let refs: Vec<&Bitstream> = streams.iter().take(weights.len()).collect();
+                        let reference =
+                            weighted_mux_reference(&refs, weights, &mut select.build_skipped(skip))
+                                .unwrap();
+                        assert_eq!(
+                            store.weighted_mux(&refs, weights, select, skip),
+                            reference,
+                            "{select} skip {skip} n {n} weights {weights:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(store.retained_bytes().cycles, 0);
+    }
+
+    /// `Generate`/`Constant` and `Regenerate` against `DigitalToStochastic`
+    /// and `Regenerator` over the positioned source, for every family.
+    #[test]
+    fn generate_and_regenerate_match_the_converters_for_every_family() {
+        let store = PlaneStore::default();
+        let specs = [
+            SourceSpec::Lfsr {
+                width: 16,
+                seed: 0xBEEF,
+            },
+            SourceSpec::Lfsr {
+                width: 21,
+                seed: 0x1_2345,
+            },
+            SourceSpec::VanDerCorput { offset: 5 },
+            SourceSpec::Halton { base: 7, offset: 2 },
+            SourceSpec::Sobol { dimension: 3 },
+            SourceSpec::Counter {
+                modulus: 100,
+                phase: 11,
+            },
+        ];
+        for spec in &specs {
+            for n in [0usize, 1, 63, 64, 65, 256] {
+                for skip in [0u64, 1, 999, 65_535] {
+                    for p in [0.0, 0.3, 0.5, 0.77, 1.0] {
+                        let p = Probability::saturating(p);
+                        let expected =
+                            DigitalToStochastic::new(spec.build_skipped(skip)).generate(p, n);
+                        assert_eq!(
+                            store.generate(spec, skip, p, n),
+                            expected,
+                            "{spec} skip {skip} n {n} p {p:?}"
+                        );
+                    }
+                    for stream in inputs(2, n) {
+                        let expected =
+                            Regenerator::new(spec.build_skipped(skip)).regenerate(&stream);
+                        assert_eq!(
+                            store.regenerate(spec, skip, &stream),
+                            expected,
+                            "{spec} skip {skip} n {n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Planes of a few samples are charged their entry overhead, so a flood
+    /// of distinct tiny keys stays within the budget; empty planes are never
+    /// kept.
+    #[test]
+    fn tiny_planes_are_charged_their_entry_overhead() {
+        let store = PlaneStore::default();
+        let spec = SourceSpec::VanDerCorput { offset: 1 };
+        for skip in 0..1000 {
+            assert!(store.samples(&spec, skip, 0).is_empty());
+        }
+        assert_eq!(store.retained_bytes().samples, 0);
+        let per_plane = SAMPLE_ENTRY_BYTES + size_of::<f64>();
+        let fits = SAMPLE_BUDGET_BYTES / per_plane;
+        for skip in 0..fits as u64 + 100 {
+            let expected = spec.build_skipped(skip).next_unit();
+            assert_eq!(*store.samples(&spec, skip, 1), [expected], "skip {skip}");
+        }
+        let kept = store.read();
+        assert_eq!(kept.samples.len(), fits);
+        assert_eq!(kept.sample_bytes, fits * per_plane);
+        assert!(kept.sample_bytes <= SAMPLE_BUDGET_BYTES);
+    }
+
+    /// Past their budgets the stores keep nothing more, and the planes they
+    /// compute per use give the same bits.
+    #[test]
+    fn full_stores_retain_nothing_more_and_stay_bit_identical() {
+        let store = PlaneStore::default();
+        let n = 4096;
+        let streams = inputs(GAUSSIAN.len(), n);
+        let refs: Vec<&Bitstream> = streams.iter().collect();
+        let select = SourceSpec::Halton { base: 5, offset: 0 };
+        let plane_bytes = SAMPLE_ENTRY_BYTES + n * size_of::<f64>();
+        let fits = SAMPLE_BUDGET_BYTES / plane_bytes;
+        let mut previous = store.retained_bytes();
+        for i in 0..fits as u64 + 4 {
+            let skip = i * 10_007;
+            let reference =
+                weighted_mux_reference(&refs, &GAUSSIAN, &mut select.build_skipped(skip)).unwrap();
+            assert_eq!(
+                store.weighted_mux(&refs, &GAUSSIAN, &select, skip),
+                reference
+            );
+            let retained = store.retained_bytes();
+            let kept = if i < fits as u64 { plane_bytes } else { 0 };
+            assert_eq!(retained.samples, previous.samples + kept, "plane {i}");
+            previous = retained;
+        }
+        assert!(previous.samples <= SAMPLE_BUDGET_BYTES);
+        // A retained plane still serves its key.
+        let reference =
+            weighted_mux_reference(&refs, &GAUSSIAN, &mut select.build_skipped(0)).unwrap();
+        assert_eq!(store.weighted_mux(&refs, &GAUSSIAN, &select, 0), reference);
+
+        // The cycle budget: distinct select rules on the 16-bit register
+        // until one no longer fits, then windows drawn per use.
+        let n = 300;
+        let streams = inputs(GAUSSIAN.len(), n);
+        let refs: Vec<&Bitstream> = streams.iter().collect();
+        let select = SourceSpec::Lfsr {
+            width: 16,
+            seed: 0xACE1,
+        };
+        let mut refused = 0;
+        for i in 0..24u32 {
+            let mut weights = GAUSSIAN;
+            weights[0] += f64::from(i) * 1e-3;
+            let before = store.retained_bytes();
+            let reference =
+                weighted_mux_reference(&refs, &weights, &mut select.build_skipped(77)).unwrap();
+            assert_eq!(store.weighted_mux(&refs, &weights, &select, 77), reference);
+            let after = store.retained_bytes();
+            assert!(after.cycles <= CYCLE_BUDGET_BYTES);
+            if after.cycles == before.cycles {
+                refused += 1;
+            }
+        }
+        assert!(refused > 0, "the cycle budget was never reached");
+        let full = store.retained_bytes().cycles;
+        let mut weights = GAUSSIAN;
+        weights[8] = 0.5;
+        let reference =
+            weighted_mux_reference(&refs, &weights, &mut select.build_skipped(5)).unwrap();
+        assert_eq!(store.weighted_mux(&refs, &weights, &select, 5), reference);
+        assert_eq!(store.retained_bytes().cycles, full);
+    }
+}

@@ -884,7 +884,7 @@ fn dispatcher_loop(
 /// Copies one released group's classification (from the core's tally)
 /// into each member request's accounting.
 fn attribute(group: &Group, live: &HashMap<u64, LiveRequest>) {
-    for member in &group.members {
+    for member in group.members() {
         if let Some(req) = live.get(&member.owner) {
             let mut done = req.state.lock();
             if group.lane_batched() {
@@ -892,7 +892,7 @@ fn attribute(group: &Group, live: &HashMap<u64, LiveRequest>) {
             } else {
                 done.scalar += 1;
             }
-            if group.cross_request {
+            if group.cross_request() {
                 done.cross_request += 1;
             }
         }

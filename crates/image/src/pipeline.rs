@@ -245,8 +245,9 @@ pub struct PipelineStats {
     /// cross-thread comparisons. Per-class tallies live on the attached
     /// [`TelemetrySink`]'s report ([`sc_telemetry::TelemetryReport::classes`]).
     pub stream: StreamStats,
-    /// Duplicate source generators the emitted plans share through the
-    /// executor's source cache, across all tile-class compiles (summed
+    /// Duplicate source generators the emitted plans share — one physical
+    /// generator per distinct spec, the shared-RNG hardware of §II.B —
+    /// across all tile-class compiles (summed
     /// [`sc_graph::CompileReport::shared_sources`]).
     pub shared_sources: usize,
 }
@@ -302,8 +303,8 @@ pub fn run_sc_pipeline_with_threads(
 /// solo execution. Sink values are scattered into the output image as the
 /// final step.
 ///
-/// Every tile executes with fresh deterministic sources and FSMs, so the
-/// result is bit-identical to processing the tiles one at a time in raster
+/// Every tile executes with fresh FSMs and deterministic source samples, so
+/// the result is bit-identical to processing the tiles one at a time in raster
 /// order, at any worker count and any window.
 ///
 /// # Errors

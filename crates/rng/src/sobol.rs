@@ -103,6 +103,20 @@ impl Sobol {
         v
     }
 
+    /// The raw state after `index` draws, in closed form: the XOR of the
+    /// direction numbers over the set bits of the Gray code `index ^ (index
+    /// >> 1)`. Exact while `index ≤ 2³² − 1`, where the lowest zero bit
+    /// [`Sobol::next_raw`] reads never exceeds its `BITS − 1` cap.
+    fn state_at(&self, index: u64) -> u32 {
+        let mut gray = index ^ (index >> 1);
+        let mut state = 0u32;
+        while gray != 0 {
+            state ^= self.directions[gray.trailing_zeros() as usize];
+            gray &= gray - 1;
+        }
+        state
+    }
+
     /// Advances the sequence and returns the next raw 32-bit Sobol integer.
     pub fn next_raw(&mut self) -> u32 {
         // Gray-code construction: XOR the direction number of the lowest zero
@@ -130,6 +144,21 @@ impl RandomSource for Sobol {
 
     fn label(&self) -> String {
         format!("Sobol-{}", self.dimension)
+    }
+
+    /// Gray-code jump: `O(BITS)` up to index `2³² − 1`, stepping beyond it
+    /// (where the capped direction index makes the closed form diverge).
+    fn skip_ahead(&mut self, count: u64) {
+        const EXACT_UP_TO: u64 = (1 << BITS) - 1;
+        let target = self.index.saturating_add(count);
+        if self.index < EXACT_UP_TO {
+            let jump_to = target.min(EXACT_UP_TO);
+            self.state = self.state_at(jump_to);
+            self.index = jump_to;
+        }
+        for _ in self.index..target {
+            self.next_raw();
+        }
     }
 }
 
@@ -221,6 +250,23 @@ mod tests {
                     "dimension {dim} repeated a value early"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn skip_ahead_mid_sequence_matches_stepping() {
+        for dim in 1..=8u32 {
+            let mut stepped = Sobol::new(dim);
+            let mut jumped = Sobol::new(dim);
+            for _ in 0..5 {
+                stepped.next_raw();
+                jumped.next_raw();
+            }
+            for _ in 0..1027 {
+                stepped.next_raw();
+            }
+            jumped.skip_ahead(1027);
+            assert_eq!(stepped, jumped, "dimension {dim}");
         }
     }
 

@@ -165,8 +165,9 @@ impl SourceSpec {
     /// draws by other consumers.
     ///
     /// Index-addressable families (Van der Corput, Halton, counters) jump to
-    /// the skipped position in O(1) via their offset/phase constructors;
-    /// state-iterated families (LFSR, Sobol) step sample by sample.
+    /// the skipped position in O(1) via their offset/phase constructors; the
+    /// state-iterated families jump through [`RandomSource::skip_ahead`]
+    /// (LFSR: companion-matrix power; Sobol: closed-form Gray-code state).
     #[must_use]
     pub fn build_skipped(&self, skip: u64) -> Box<dyn RandomSource> {
         match *self {
@@ -294,6 +295,25 @@ mod tests {
                 assert_eq!(
                     manual.take_units(8),
                     skipped.take_units(8),
+                    "{spec} skip={skip}"
+                );
+            }
+        }
+        // Sobol's Gray-code jump on every dimension, across word and
+        // power-of-two boundaries of the running index: a skip of `k` equals
+        // `k` calls to `next_unit`.
+        for dimension in 1..=8u32 {
+            let spec = SourceSpec::Sobol { dimension };
+            let mut manual = Sobol::new(dimension);
+            let mut drawn = 0u64;
+            for skip in [0u64, 1, 2, 63, 64, 65, 1000, 12_345, (1 << 20) + 3] {
+                while drawn < skip {
+                    manual.next_unit();
+                    drawn += 1;
+                }
+                assert_eq!(
+                    manual.clone().take_units(8),
+                    spec.build_skipped(skip).take_units(8),
                     "{spec} skip={skip}"
                 );
             }

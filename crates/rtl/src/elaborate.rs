@@ -293,7 +293,7 @@ pub fn elaborate(
             }
             Step::SinkStream { name, src } => {
                 design.sinks.push(SinkPlan::Stream {
-                    name: name.clone(),
+                    name: name.to_string(),
                     net: slot(&slots, *src),
                 });
             }
@@ -306,7 +306,7 @@ pub fn elaborate(
                     &[net],
                 );
                 design.sinks.push(SinkPlan::Value {
-                    name: name.clone(),
+                    name: name.to_string(),
                     net,
                     count_bus: bus,
                 });
@@ -320,7 +320,7 @@ pub fn elaborate(
                     &[net],
                 );
                 design.sinks.push(SinkPlan::Count {
-                    name: name.clone(),
+                    name: name.to_string(),
                     net,
                     count_bus: bus,
                 });
@@ -336,7 +336,7 @@ pub fn elaborate(
                     &lanes,
                 );
                 design.sinks.push(SinkPlan::Sum {
-                    name: name.clone(),
+                    name: name.to_string(),
                     total_bus: bus,
                 });
             }
@@ -348,7 +348,7 @@ pub fn elaborate(
                 let x_bus = design.cell(CellKind::Counter { bits }, &[nx]);
                 let y_bus = design.cell(CellKind::Counter { bits }, &[ny]);
                 design.sinks.push(SinkPlan::Scc {
-                    name: name.clone(),
+                    name: name.to_string(),
                     x: nx,
                     y: ny,
                     a_bus,

@@ -622,30 +622,39 @@ pub fn thread_name(id: u32) -> Option<String> {
 }
 
 impl Inner {
-    /// This thread's span buffer for this sink, creating and registering it
-    /// on first use. The buffer is cached thread-locally so the steady state
-    /// is one vector scan plus one uncontended lock.
-    fn thread_buffer(self: &Arc<Self>) -> Arc<Mutex<SpanBuf>> {
+    /// Appends `event` to this thread's span buffer for this sink, creating
+    /// and registering the buffer on first use. The buffer is cached
+    /// thread-locally so the steady state is one vector scan plus one
+    /// uncontended lock.
+    fn record_span(&self, event: SpanEvent) {
         THREAD_BUFFERS.with(|cache| {
             let mut cache = cache.borrow_mut();
-            if let Some((_, buf)) = cache.iter().find(|(id, _)| *id == self.id) {
-                return Arc::clone(buf);
-            }
-            // Drop cache entries whose sink is gone (only this cache still
-            // holds the buffer) so long-lived worker threads stay bounded.
-            cache.retain(|(_, buf)| Arc::strong_count(buf) > 1);
-            let buf = Arc::new(Mutex::new(SpanBuf {
-                events: Vec::new(),
-                next: 0,
-                dropped: 0,
-            }));
-            self.buffers
+            let i = match cache.iter().position(|(id, _)| *id == self.id) {
+                Some(i) => i,
+                None => {
+                    // Drop cache entries whose sink is gone (only this cache
+                    // still holds the buffer) so long-lived worker threads
+                    // stay bounded.
+                    cache.retain(|(_, buf)| Arc::strong_count(buf) > 1);
+                    let buf = Arc::new(Mutex::new(SpanBuf {
+                        events: Vec::new(),
+                        next: 0,
+                        dropped: 0,
+                    }));
+                    self.buffers
+                        .lock()
+                        .expect("telemetry buffer registry lock is never poisoned")
+                        .push(Arc::clone(&buf));
+                    cache.push((self.id, buf));
+                    cache.len() - 1
+                }
+            };
+            cache[i]
+                .1
                 .lock()
-                .expect("telemetry buffer registry lock is never poisoned")
-                .push(Arc::clone(&buf));
-            cache.push((self.id, Arc::clone(&buf)));
-            buf
-        })
+                .expect("telemetry span buffer lock is never poisoned")
+                .record(event, self.span_capacity);
+        });
     }
 }
 
@@ -760,10 +769,7 @@ impl TelemetrySink {
                 dur_ns,
                 arg,
             };
-            let buf = inner.thread_buffer();
-            buf.lock()
-                .expect("telemetry span buffer lock is never poisoned")
-                .record(event, inner.span_capacity);
+            inner.record_span(event);
         }
     }
 
@@ -778,9 +784,14 @@ impl TelemetrySink {
     /// peaks if exceeded.
     pub fn gauge_set(&self, gauge: Gauge, value: u64) {
         if let Some(inner) = &self.inner {
-            inner.gauge_current[gauge as usize].store(value, Ordering::Relaxed);
-            inner.gauge_peak[gauge as usize].fetch_max(value, Ordering::Relaxed);
-            inner.gauge_window_peak[gauge as usize].fetch_max(value, Ordering::Relaxed);
+            let i = gauge as usize;
+            inner.gauge_current[i].store(value, Ordering::Relaxed);
+            // Most sets raise no peak: a load is cheaper than the RMW.
+            for peak in [&inner.gauge_peak[i], &inner.gauge_window_peak[i]] {
+                if value > peak.load(Ordering::Relaxed) {
+                    peak.fetch_max(value, Ordering::Relaxed);
+                }
+            }
         }
     }
 
@@ -1034,10 +1045,7 @@ impl SpanGuard<'_> {
             dur_ns,
             arg: state.arg,
         };
-        let buf = state.inner.thread_buffer();
-        buf.lock()
-            .expect("telemetry span buffer lock is never poisoned")
-            .record(event, state.inner.span_capacity);
+        state.inner.record_span(event);
         dur_ns
     }
 }
