@@ -25,6 +25,7 @@
 //!    [`sc_core::ManipulatorChain`] step, so a run of `k` circuits makes a
 //!    single register-staged pass per 64-bit word.
 
+use crate::exec::SinkNames;
 use crate::graph::{Graph, GraphError};
 use crate::node::{BinaryOp, ManipulatorKind, NodeOp, SccClass, UnaryFsmOp};
 use sc_rng::SourceSpec;
@@ -34,8 +35,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Process-wide monotonic counter behind [`CompiledGraph::plan_class`]: every
-/// `compile` call mints a fresh class, and clones / retargeted copies keep
-/// their template's class.
+/// `compile` call mints a fresh class, and clones keep their template's
+/// class.
 static PLAN_CLASS: AtomicU64 = AtomicU64::new(0);
 
 /// Mints the class id for a freshly compiled plan: a process-unique
@@ -363,12 +364,14 @@ pub struct CompiledGraph {
     /// Every operation the plan executes (graph nodes plus planner-inserted
     /// repairs), for introspection and the `sc_hwcost` bridge.
     ops: Vec<NodeOp>,
-    /// Template-class id: fresh per `compile` call, preserved by `Clone` and
-    /// [`CompiledGraph::retarget_sources`]. Two plans of one class are
-    /// structurally identical step for step (only their [`SourceSpec`]s may
-    /// differ), which is what lets the executor run same-class jobs in
-    /// lockstep lanes.
+    /// Template-class id: fresh per `compile` call, preserved by `Clone`.
+    /// Jobs of one class run one step list (their sources may differ only
+    /// through [`BatchInput::bindings`](crate::BatchInput::bindings)), which
+    /// is what lets the executor run same-class jobs in lockstep lanes.
     class: u64,
+    /// The sinks' names in emit order with a by-name index, shared with
+    /// every execution's [`ExecOutput`](crate::ExecOutput).
+    pub(crate) sinks: Arc<SinkNames>,
     /// [`CompiledGraph::lane_batchable`], decided once here rather than per
     /// dispatched job.
     lane_batchable: bool,
@@ -397,6 +400,7 @@ impl CompiledGraph {
         });
         CompiledGraph {
             lane_batchable,
+            sinks: Arc::new(SinkNames::of(&steps)),
             steps,
             slot_count,
             value_slots,
@@ -440,11 +444,12 @@ impl CompiledGraph {
     }
 
     /// The plan's template class: a process-unique id minted per
-    /// [`Graph::compile`] call and *shared* by every clone and
-    /// [`CompiledGraph::retarget_sources`] copy of that plan. Plans of one
-    /// class are structurally identical (same steps, slots, and scheduling;
-    /// only source seeding may differ), so the executor can transpose a
-    /// group of same-class jobs into lanes and step them in lockstep.
+    /// [`Graph::compile`] call and *shared* by every clone of that plan.
+    /// Jobs of one class run the same steps, slots and scheduling; their
+    /// source seeding may differ only through their inputs'
+    /// [`BatchInput::bindings`](crate::BatchInput::bindings). So the executor
+    /// can transpose a group of same-class jobs into lanes and step them in
+    /// lockstep.
     #[must_use]
     pub fn plan_class(&self) -> u64 {
         self.class
@@ -461,51 +466,13 @@ impl CompiledGraph {
         self.lane_batchable
     }
 
-    /// Returns a copy of the plan with every stored [`SourceSpec`] rewritten
-    /// by `retarget` (`None` keeps the spec unchanged). Wiring, slots, skips,
-    /// and scheduling are untouched, so the copy is exactly as valid as the
-    /// original.
-    ///
-    /// This exists so one compiled plan can serve as a *template* for a
-    /// family of structurally identical designs that differ only in source
-    /// seeding — e.g. `sc_image` compiles one plan per tile shape and
-    /// retargets the per-tile select-LFSR seeds, instead of re-running the
-    /// whole compiler per tile. Retargeting must preserve the spec *equality
-    /// structure* the planner reasoned about (two equal specs must stay
-    /// equal, two different specs must stay different); seed-only rewrites
-    /// within one family do.
+    /// The position of the named value-producing sink (`SinkValue`,
+    /// `SinkCount`, `SinkSum` or `SccProbe`) among the plan's value sinks:
+    /// the index its result takes in every execution's
+    /// [`ExecOutput::sink_values`](crate::ExecOutput::sink_values).
     #[must_use]
-    pub fn retarget_sources<F: Fn(&SourceSpec) -> Option<SourceSpec>>(
-        &self,
-        retarget: F,
-    ) -> CompiledGraph {
-        let swap = |spec: &mut SourceSpec| {
-            if let Some(new) = retarget(spec) {
-                *spec = new;
-            }
-        };
-        let mut plan = self.clone();
-        for step in &mut plan.steps {
-            match step {
-                Step::Generate { source, .. }
-                | Step::Constant { source, .. }
-                | Step::Regenerate { source, .. }
-                | Step::Divide { source, .. } => swap(source),
-                Step::MuxAdd { select, .. } | Step::WeightedMux { select, .. } => swap(select),
-                _ => {}
-            }
-        }
-        for op in &mut plan.ops {
-            match op {
-                NodeOp::Generate { source, .. }
-                | NodeOp::ConstStream { source, .. }
-                | NodeOp::Regenerate { source, .. }
-                | NodeOp::Divide { source, .. } => swap(source),
-                NodeOp::MuxAdd { select, .. } | NodeOp::WeightedMux { select, .. } => swap(select),
-                _ => {}
-            }
-        }
-        plan
+    pub fn value_sink_index(&self, name: &str) -> Option<usize> {
+        self.sinks.value_position(name)
     }
 
     /// Number of digital value slots the batch items must provide.
@@ -591,18 +558,10 @@ mod tests {
         };
         let a = build().compile(&PlannerOptions::default()).unwrap();
         let b = build().compile(&PlannerOptions::default()).unwrap();
-        // Every compile mints a fresh class; clones and retargeted copies
-        // keep their template's class (that sharing is what the executor's
-        // lane grouping keys on).
+        // Every compile mints a fresh class; clones keep their template's
+        // class (that sharing is what the executor's lane grouping keys on).
         assert_ne!(a.plan_class(), b.plan_class());
         assert_eq!(a.clone().plan_class(), a.plan_class());
-        let retargeted = a.retarget_sources(|_| {
-            Some(SourceSpec::Lfsr {
-                width: 16,
-                seed: 0x1234,
-            })
-        });
-        assert_eq!(retargeted.plan_class(), a.plan_class());
         // Manipulator steps make a plan lane batchable; a pure bitwise plan
         // (CaAdd is correlation-agnostic, so no repair is inserted) is not.
         assert!(a.lane_batchable());
@@ -849,34 +808,41 @@ mod tests {
     }
 
     #[test]
-    fn retargeted_plan_matches_directly_compiled_plan() {
+    fn bound_plan_matches_directly_compiled_plan() {
         use crate::exec::{BatchInput, Executor};
+        let lfsr = |seed: u64| SourceSpec::Lfsr { width: 16, seed };
         let build = |seed: u64| {
             let mut g = Graph::new();
             let x = g.generate(0, sobol(1));
             let y = g.generate(1, sobol(2));
-            let z = g.mux_add(x, y, SourceSpec::Lfsr { width: 16, seed });
+            let z = g.mux_add(x, y, lfsr(seed));
             g.sink_stream("z", z);
             g.compile(&PlannerOptions::default()).unwrap()
         };
         let template = build(0xACE1);
-        let retargeted = template.retarget_sources(|spec| match spec {
-            SourceSpec::Lfsr { width: 16, seed } if *seed == 0xACE1 => Some(SourceSpec::Lfsr {
-                width: 16,
-                seed: 0xBEEF,
-            }),
-            _ => None,
-        });
         let direct = build(0xBEEF);
         let input = BatchInput::with_values(vec![0.3, 0.8]);
+        let bound = BatchInput {
+            bindings: vec![(lfsr(0xACE1), lfsr(0xBEEF))],
+            ..input.clone()
+        };
         let exec = Executor::new(257);
         assert_eq!(
-            exec.run(&retargeted, &input).unwrap(),
+            exec.run(&template, &bound).unwrap(),
             exec.run(&direct, &input).unwrap()
         );
-        // And the retargeted plan really differs from the template.
+        // And the binding really changes what the template draws.
         assert_ne!(
-            exec.run(&retargeted, &input).unwrap(),
+            exec.run(&template, &bound).unwrap(),
+            exec.run(&template, &input).unwrap()
+        );
+        // A binding for a spec the plan never holds changes nothing.
+        let unrelated = BatchInput {
+            bindings: vec![(lfsr(7), lfsr(9))],
+            ..input.clone()
+        };
+        assert_eq!(
+            exec.run(&template, &unrelated).unwrap(),
             exec.run(&template, &input).unwrap()
         );
     }

@@ -11,19 +11,31 @@ use sc_arith::add::mux_add;
 use sc_bitstream::{scc, Bitstream, Probability};
 use sc_convert::{AccumulativeParallelCounter, StochasticToDigital};
 use sc_core::{process_lane_pairs, CorrelationManipulator, LaneChain, ManipulatorChain, LANES};
+use sc_rng::SourceSpec;
 use sc_telemetry::{Gauge, Hist, Stage, TelemetrySink};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 
 /// One independent input set of a batch: the digital values consumed by
-/// `Generate` nodes and the ready streams consumed by `InputStream` nodes.
+/// `Generate` nodes, the ready streams consumed by `InputStream` nodes, and
+/// the source bindings every source-drawing step resolves its spec through.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchInput {
     /// Digital values in `[0, 1]`, indexed by the `Generate` nodes' slots.
     pub values: Vec<f64>,
     /// Ready streams, indexed by the `InputStream` nodes' slots.
     pub streams: Vec<Bitstream>,
+    /// `(template spec, this job's spec)` pairs. Every source-drawing step
+    /// (`Generate`, `Constant`, `Regenerate`, `Divide` and the `MuxAdd` /
+    /// `WeightedMux` selects) draws from its spec's binding, or from its own
+    /// spec when the table has none ([`BatchInput::resolve`]). This is how
+    /// one compiled template serves a family of jobs that differ only in
+    /// source seeding, such as the per-tile select-LFSR seeds of the tiled
+    /// image pipeline. A binding must keep the spec equality structure the
+    /// compiler reasoned about: equal specs stay equal, distinct specs stay
+    /// distinct.
+    pub bindings: Vec<(SourceSpec, SourceSpec)>,
 }
 
 impl BatchInput {
@@ -38,7 +50,7 @@ impl BatchInput {
     pub fn with_values(values: Vec<f64>) -> Self {
         BatchInput {
             values,
-            streams: Vec::new(),
+            ..BatchInput::default()
         }
     }
 
@@ -46,60 +58,144 @@ impl BatchInput {
     #[must_use]
     pub fn with_streams(streams: Vec<Bitstream>) -> Self {
         BatchInput {
-            values: Vec::new(),
             streams,
+            ..BatchInput::default()
         }
     }
-}
 
-/// The named results of executing a plan over one input set.
-///
-/// Each list is sorted by name and holds the plan's own `Arc<str>` sink
-/// names, so recording a result allocates nothing for its name.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExecOutput {
-    streams: Vec<(Arc<str>, Bitstream)>,
-    values: Vec<(Arc<str>, f64)>,
-}
-
-/// Files `item` under `name` in a name-sorted list, replacing an earlier
-/// result of the same name.
-fn record<T>(list: &mut Vec<(Arc<str>, T)>, name: &Arc<str>, item: T) {
-    match list.binary_search_by(|(key, _)| (**key).cmp(name)) {
-        Ok(i) => list[i].1 = item,
-        Err(i) => list.insert(i, (Arc::clone(name), item)),
+    /// The spec a plan step holding `spec` draws from for this input set:
+    /// its binding, or `spec` itself when none is bound.
+    #[must_use]
+    pub fn resolve<'a>(&'a self, spec: &'a SourceSpec) -> &'a SourceSpec {
+        self.bindings
+            .iter()
+            .find(|(template, _)| template == spec)
+            .map_or(spec, |(_, bound)| bound)
     }
 }
 
-/// The item filed under `name` in a name-sorted list.
-fn lookup<'a, T>(list: &'a [(Arc<str>, T)], name: &str) -> Option<&'a T> {
-    list.binary_search_by(|(key, _)| (**key).cmp(name))
-        .ok()
-        .map(|i| &list[i].1)
+/// One sink kind's names in emit order, plus that order sorted by name.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct NameIndex {
+    names: Vec<Arc<str>>,
+    by_name: Vec<usize>,
+}
+
+impl NameIndex {
+    fn new(names: Vec<Arc<str>>) -> Self {
+        let mut by_name: Vec<usize> = (0..names.len()).collect();
+        by_name.sort_by(|&a, &b| names[a].cmp(&names[b]));
+        NameIndex { names, by_name }
+    }
+
+    fn position(&self, name: &str) -> Option<usize> {
+        self.by_name
+            .binary_search_by(|&i| (*self.names[i]).cmp(name))
+            .ok()
+            .map(|k| self.by_name[k])
+    }
+
+    fn sorted(&self) -> impl Iterator<Item = (usize, &str)> {
+        self.by_name.iter().map(|&i| (i, &*self.names[i]))
+    }
+}
+
+/// The sink names of one compiled plan, built once at emit. An execution
+/// produces its sink results in step order, so a result's position in
+/// [`ExecOutput`] *is* its sink's emit position, and names are only looked
+/// up when a caller asks by name.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct SinkNames {
+    streams: NameIndex,
+    values: NameIndex,
+}
+
+impl SinkNames {
+    /// Indexes the sinks of an emitted step list.
+    pub(crate) fn of(steps: &[Step]) -> SinkNames {
+        let (mut streams, mut values) = (Vec::new(), Vec::new());
+        for step in steps {
+            match step {
+                Step::SinkStream { name, .. } => streams.push(Arc::clone(name)),
+                Step::SinkValue { name, .. }
+                | Step::SinkCount { name, .. }
+                | Step::SinkSum { name, .. }
+                | Step::SccProbe { name, .. } => values.push(Arc::clone(name)),
+                _ => {}
+            }
+        }
+        SinkNames {
+            streams: NameIndex::new(streams),
+            values: NameIndex::new(values),
+        }
+    }
+
+    /// The emit position of the named value-producing sink.
+    pub(crate) fn value_position(&self, name: &str) -> Option<usize> {
+        self.values.position(name)
+    }
+}
+
+/// The results of executing a plan over one input set, held by sink
+/// position: each kind's results in the plan's emit order, next to the
+/// plan's shared name index.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ExecOutput {
+    names: Arc<SinkNames>,
+    streams: Vec<Bitstream>,
+    values: Vec<f64>,
 }
 
 impl ExecOutput {
+    fn for_plan(plan: &CompiledGraph) -> Self {
+        ExecOutput {
+            names: Arc::clone(&plan.sinks),
+            streams: Vec::with_capacity(plan.sinks.streams.names.len()),
+            values: Vec::with_capacity(plan.sinks.values.names.len()),
+        }
+    }
+
     /// The stream captured by the `SinkStream` sink of that name.
     #[must_use]
     pub fn stream(&self, name: &str) -> Option<&Bitstream> {
-        lookup(&self.streams, name)
+        self.names
+            .streams
+            .position(name)
+            .and_then(|i| self.streams.get(i))
     }
 
     /// The value captured by the value-producing sink of that name
     /// (`SinkValue`, `SinkCount`, `SinkSum`, or `SccProbe`).
     #[must_use]
     pub fn value(&self, name: &str) -> Option<f64> {
-        lookup(&self.values, name).copied()
+        self.names
+            .values
+            .position(name)
+            .and_then(|i| self.values.get(i).copied())
+    }
+
+    /// The value-producing sinks' results in the plan's sink order: entry
+    /// `i` belongs to the sink [`CompiledGraph::value_sink_index`] maps to
+    /// `i`. Positional consumers resolve names once per plan and then zip.
+    #[must_use]
+    pub fn sink_values(&self) -> &[f64] {
+        &self.values
     }
 
     /// Iterates over `(name, stream)` sink results in name order.
     pub fn streams(&self) -> impl Iterator<Item = (&str, &Bitstream)> {
-        self.streams.iter().map(|(k, v)| (&**k, v))
+        self.names
+            .streams
+            .sorted()
+            .map(|(i, name)| (name, &self.streams[i]))
     }
 
     /// Iterates over `(name, value)` sink results in name order.
     pub fn values(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.values.iter().map(|(k, v)| (&**k, *v))
+        self.names
+            .values
+            .sorted()
+            .map(|(i, name)| (name, self.values[i]))
     }
 }
 
@@ -419,11 +515,11 @@ struct ExecEnv<'p> {
 }
 
 impl<'p> ExecEnv<'p> {
-    fn new(slot_count: usize, planes: &'p PlaneStore) -> Self {
+    fn new(plan: &CompiledGraph, planes: &'p PlaneStore) -> Self {
         ExecEnv {
-            slots: vec![None; slot_count],
+            slots: vec![None; plan.slot_count],
             planes,
-            out: ExecOutput::default(),
+            out: ExecOutput::for_plan(plan),
         }
     }
 }
@@ -445,7 +541,7 @@ fn execute_plan(
     plan: &CompiledGraph,
     input: &BatchInput,
 ) -> Result<ExecOutput, GraphError> {
-    let mut env = ExecEnv::new(plan.slot_count, planes);
+    let mut env = ExecEnv::new(plan, planes);
     for step in &plan.steps {
         execute_step(n, step, input, &mut env)?;
     }
@@ -488,7 +584,7 @@ fn execute_step(
                         provided: input.values.len(),
                     })?;
                 let p = Probability::saturating(value);
-                slots[*dst] = Some(planes.generate(source, *skip, p, n));
+                slots[*dst] = Some(planes.generate(input.resolve(source), *skip, p, n));
             }
             Step::Constant {
                 probability,
@@ -497,7 +593,7 @@ fn execute_step(
                 dst,
             } => {
                 let p = Probability::saturating(*probability);
-                slots[*dst] = Some(planes.generate(source, *skip, p, n));
+                slots[*dst] = Some(planes.generate(input.resolve(source), *skip, p, n));
             }
             Step::Manipulate {
                 kinds,
@@ -527,7 +623,8 @@ fn execute_step(
                 src,
                 dst,
             } => {
-                let regenerated = planes.regenerate(source, *skip, slot(slots, *src));
+                let regenerated =
+                    planes.regenerate(input.resolve(source), *skip, slot(slots, *src));
                 slots[*dst] = Some(regenerated);
             }
             Step::Not { src, dst } => {
@@ -558,7 +655,7 @@ fn execute_step(
                 dst,
             } => {
                 let mut divider = sc_arith::divide::Divider::with_counter_bits(
-                    source.build_skipped(*skip),
+                    input.resolve(source).build_skipped(*skip),
                     *counter_bits,
                 );
                 let z = divider.divide(slot(slots, *x), slot(slots, *y))?;
@@ -573,7 +670,8 @@ fn execute_step(
             } => {
                 let z = {
                     let (sx, sy) = (slot(slots, *x), slot(slots, *y));
-                    mux_add(sx, sy, &planes.half_select(select, *skip, sx.len()))?
+                    let select = planes.half_select(input.resolve(select), *skip, sx.len());
+                    mux_add(sx, sy, &select)?
                 };
                 slots[*dst] = Some(z);
             }
@@ -587,32 +685,32 @@ fn execute_step(
                 let z = {
                     let refs: Vec<&Bitstream> = srcs.iter().map(|s| slot(slots, *s)).collect();
                     check_lengths(&refs)?;
-                    planes.weighted_mux(&refs, weights, select, *skip)
+                    planes.weighted_mux(&refs, weights, input.resolve(select), *skip)
                 };
                 slots[*dst] = Some(z);
             }
-            Step::SinkStream { name, src } => {
-                record(&mut out.streams, name, slot(slots, *src).clone());
+            Step::SinkStream { src, .. } => {
+                out.streams.push(slot(slots, *src).clone());
             }
-            Step::SinkValue { name, src } => {
+            Step::SinkValue { src, .. } => {
                 let value = StochasticToDigital::convert(slot(slots, *src)).get();
-                record(&mut out.values, name, value);
+                out.values.push(value);
             }
-            Step::SinkCount { name, src } => {
+            Step::SinkCount { src, .. } => {
                 let count = StochasticToDigital::convert_to_count(slot(slots, *src));
-                record(&mut out.values, name, count as f64);
+                out.values.push(count as f64);
             }
-            Step::SinkSum { name, srcs } => {
+            Step::SinkSum { srcs, .. } => {
                 // The APC consumes owned streams; sum sinks are rare
                 // enough that the copy is irrelevant.
                 let inputs: Vec<Bitstream> = srcs.iter().map(|s| slot(slots, *s).clone()).collect();
                 let mut apc = AccumulativeParallelCounter::new(inputs.len());
                 apc.accumulate_streams(&inputs)?;
-                record(&mut out.values, name, apc.sum_of_values());
+                out.values.push(apc.sum_of_values());
             }
-            Step::SccProbe { name, x, y } => {
+            Step::SccProbe { x, y, .. } => {
                 let value = scc(slot(slots, *x), slot(slots, *y));
-                record(&mut out.values, name, value);
+                out.values.push(value);
             }
         }
     }
@@ -651,8 +749,8 @@ fn check_pair_lengths(
 /// streams are transposed into lanes and stepped through one lane-batched
 /// kernel pass, so the lanes' serial FSM chains interleave instead of
 /// running back to back. Every other step runs scalar per lane against that
-/// lane's *own* plan, which is what keeps retargeted same-class templates
-/// (identical structure, per-tile sources) correct.
+/// lane's *own* input, so each lane's [`BatchInput::bindings`] pick its own
+/// sources (one template, per-tile select seeds).
 ///
 /// Per-job results are bit-identical to [`execute_plan`] on each job alone:
 /// the lane kernels are pinned bit-identical to their solo circuits, and a
@@ -683,7 +781,7 @@ pub(crate) fn execute_plan_group(
     );
     let mut envs: Vec<ExecEnv> = group
         .iter()
-        .map(|job| ExecEnv::new(job.plan.slot_count, planes::global()))
+        .map(|job| ExecEnv::new(&job.plan, planes::global()))
         .collect();
     let mut errs: Vec<Option<GraphError>> = (0..group.len()).map(|_| None).collect();
     for i in 0..group[0].plan.steps.len() {
@@ -694,7 +792,8 @@ pub(crate) fn execute_plan_group(
         // Same-class plans are structurally identical, so the lane-batched
         // arms read the shared structure (slot indices, manipulator kinds,
         // operators) from lane 0's step; the scalar arm runs each lane's own
-        // step so per-lane `SourceSpec`s are honoured.
+        // step against its own input, so per-lane source bindings are
+        // honoured.
         match &group[0].plan.steps[i] {
             Step::Manipulate {
                 kinds,
@@ -853,7 +952,7 @@ impl Executor {
     /// The streaming dispatch engine, also reporting what it did.
     ///
     /// The iterator is pulled on the **caller's thread** — so lazy job
-    /// construction (plan compilation, cache retargeting) is naturally
+    /// construction (plan compilation, plan-cache lookups) is naturally
     /// serialised and needs no synchronisation — but only when fewer than
     /// `window` jobs are in flight: at most `window` (clamped to ≥ 1)
     /// planned-but-unfinished jobs exist at any moment, and each worker
@@ -871,8 +970,8 @@ impl Executor {
     /// [`CompiledGraph::lane_batchable`] buffer into per-class buckets
     /// (windows of ≥ 2 only): when [`sc_core::LANES`] jobs of one
     /// [`CompiledGraph::plan_class`] are in flight — the tiled-pipeline
-    /// common case, where one compiled template is retargeted across
-    /// tiles — the group executes in lockstep, transposing its streams into
+    /// common case, where one compiled template serves many tiles through
+    /// per-tile source bindings — the group executes in lockstep, transposing its streams into
     /// lanes at every FSM-bearing step so the lanes' serial dependency
     /// chains interleave. When nothing more can be pulled, each idle worker
     /// takes the oldest partial bucket, so a straggler never waits behind

@@ -198,6 +198,7 @@ pub(crate) fn measured_class(
         streams: (0..plan.stream_slots())
             .map(|slot| Bitstream::from_fn(probe_length, |i| (i + slot) % 2 == 0))
             .collect(),
+        ..crate::exec::BatchInput::default()
     };
     let out = crate::exec::Executor::new(probe_length)
         .run(&plan, &input)

@@ -47,16 +47,68 @@ pub fn pixel_bank_index(px: isize, py: isize, config: &PipelineConfig) -> u32 {
     (((px.rem_euclid(4) as usize) + 4 * (py.rem_euclid(2) as usize)) % bank) as u32
 }
 
-/// The select-LFSR seed of a tile's Gaussian-blur kernels.
+/// The select LFSR shared by a tile's Gaussian-blur kernels, seeded per
+/// tile.
 #[must_use]
-pub fn blur_select_seed(tile_index: u64) -> u64 {
-    0xACE1 ^ (tile_index.wrapping_mul(2654435761) & 0xFFFF).max(1)
+pub fn blur_select_spec(tile_index: u64) -> SourceSpec {
+    SourceSpec::Lfsr {
+        width: 16,
+        seed: 0xACE1 ^ (tile_index.wrapping_mul(2654435761) & 0xFFFF).max(1),
+    }
 }
 
-/// The select-LFSR seed of a tile's edge-detector MUX adders.
+/// The select LFSR shared by a tile's edge-detector MUX adders, seeded per
+/// tile.
 #[must_use]
-pub fn edge_select_seed(tile_index: u64) -> u64 {
-    0x7331 ^ (tile_index.wrapping_mul(40503) & 0xFFFF).max(1)
+pub fn edge_select_spec(tile_index: u64) -> SourceSpec {
+    SourceSpec::Lfsr {
+        width: 16,
+        seed: 0x7331 ^ (tile_index.wrapping_mul(40503) & 0xFFFF).max(1),
+    }
+}
+
+/// The pixel extent of the tile whose top-left corner is `(x0, y0)`:
+/// `x0..x_end` × `y0..y_end`, truncated at the image border.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TileRegion {
+    pub(crate) x0: usize,
+    pub(crate) y0: usize,
+    pub(crate) x_end: usize,
+    pub(crate) y_end: usize,
+}
+
+impl TileRegion {
+    pub(crate) fn new(image: &GrayImage, x0: usize, y0: usize, tile_size: usize) -> Self {
+        TileRegion {
+            x0,
+            y0,
+            x_end: (x0 + tile_size).min(image.width()),
+            y_end: (y0 + tile_size).min(image.height()),
+        }
+    }
+
+    /// Tile width and height.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.x_end - self.x0, self.y_end - self.y0)
+    }
+
+    /// The haloed input pixels in raster order, which is the order of the
+    /// tile's `Generate` value slots. GB needs one extra ring and the ED
+    /// needs GB outputs one past the tile edge, so the halo is one pixel
+    /// wide on the low side and two on the high side.
+    pub(crate) fn halo(&self) -> impl Iterator<Item = (isize, isize)> {
+        let xs = (self.x0 as isize - 1)..=(self.x_end as isize + 1);
+        let ys = (self.y0 as isize - 1)..=(self.y_end as isize + 1);
+        ys.flat_map(move |py| xs.clone().map(move |px| (px, py)))
+    }
+
+    /// The tile's input values: the image (edge-clamped) over [`Self::halo`].
+    pub(crate) fn halo_values(&self, image: &GrayImage) -> Vec<f64> {
+        let (width, height) = self.shape();
+        let mut values = Vec::with_capacity((width + 3) * (height + 3));
+        values.extend(self.halo().map(|(px, py)| image.get_clamped(px, py)));
+        values
+    }
 }
 
 /// The planner configuration of each accelerator variant.
@@ -132,34 +184,24 @@ pub fn tile_graph(
     config: &PipelineConfig,
     tile_index: u64,
 ) -> TileGraph {
-    let tile = config.tile_size;
     let n = config.stream_length as u64;
-    let x_end = (x0 + tile).min(image.width());
-    let y_end = (y0 + tile).min(image.height());
+    let region = TileRegion::new(image, x0, y0, config.tile_size);
+    let (x_end, y_end) = (region.x_end, region.y_end);
     let mut g = Graph::new();
-    let mut input = BatchInput::new();
+    let input = BatchInput::with_values(region.halo_values(image));
 
-    // 1. Input pixel streams for the haloed region: GB needs one extra ring,
-    //    the ED needs GB outputs one past the tile edge, so the input halo is
-    //    two pixels wide on the high side and one on the low side.
+    // 1. Input pixel streams for the haloed region, one value slot each.
     let mut inputs: BTreeMap<(isize, isize), Wire> = BTreeMap::new();
-    for py in (y0 as isize - 1)..=(y_end as isize + 1) {
-        for px in (x0 as isize - 1)..=(x_end as isize + 1) {
-            let slot = input.values.len();
-            input.values.push(image.get_clamped(px, py));
-            let dimension = pixel_bank_index(px, py, config) + 1;
-            let wire = g.generate(slot, SourceSpec::Sobol { dimension });
-            inputs.insert((px, py), wire);
-        }
+    for (slot, (px, py)) in region.halo().enumerate() {
+        let dimension = pixel_bank_index(px, py, config) + 1;
+        let wire = g.generate(slot, SourceSpec::Sobol { dimension });
+        inputs.insert((px, py), wire);
     }
 
     // 2. Gaussian blur for every pixel the edge detector will touch. One
     //    select LFSR is shared across the tile's kernels in raster order,
     //    expressed as per-node skips of N samples each.
-    let blur_spec = SourceSpec::Lfsr {
-        width: 16,
-        seed: blur_select_seed(tile_index),
-    };
+    let blur_spec = blur_select_spec(tile_index);
     let mut blurred: BTreeMap<(isize, isize), Wire> = BTreeMap::new();
     let mut kernel_index = 0u64;
     for gy in (y0 as isize)..=(y_end as isize) {
@@ -197,10 +239,7 @@ pub fn tile_graph(
     // 4. Roberts cross for every tile pixel: two XOR subtractors feeding a
     //    MUX scaled adder whose select LFSR is shared in raster order. The
     //    XORs' SCC +1 precondition is the planner's problem, not ours.
-    let select_spec = SourceSpec::Lfsr {
-        width: 16,
-        seed: edge_select_seed(tile_index),
-    };
+    let select_spec = edge_select_spec(tile_index);
     let mut sinks = Vec::new();
     let mut pixel_index = 0u64;
     for y in y0..y_end {
@@ -220,7 +259,7 @@ pub fn tile_graph(
             let z = g.mux_add_skipped(diagonal, anti, select_spec.clone(), pixel_index * n);
             // Tile-relative sink names, so tiles of equal shape build
             // *identical* graphs up to their select-LFSR seeds and one
-            // compiled plan can be cached and retargeted across them.
+            // compiled plan serves them all through per-tile seed bindings.
             let name = format!("edge_{}_{}", x - x0, y - y0);
             g.sink_value(name.clone(), z);
             sinks.push((x, y, name));

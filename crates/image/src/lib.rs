@@ -27,9 +27,9 @@
 //!
 //! **Observability.** [`PipelineConfig::with_telemetry`] attaches an
 //! [`sc_telemetry::TelemetrySink`] that the whole run records into: per-tile
-//! plan-cache hits (with nested retarget spans) and misses (with per-stage
-//! compile spans), the executor's dispatch / lane-group / scalar / worker
-//! activity, and the final sink scatter. Draining the sink yields one
+//! plan-cache hits and misses (one span per planned tile; misses nest
+//! per-stage compile spans), the executor's dispatch / lane-group / scalar /
+//! worker activity, and the final sink scatter. Draining the sink yields one
 //! [`sc_telemetry::TelemetryReport`] with the per-stage time breakdown,
 //! counters, and the lane-group fill histogram; [`PipelineStats`] is a
 //! plain-struct view over the same run (tiles, compilations,
@@ -69,7 +69,7 @@ pub mod planner;
 pub mod serve;
 
 pub use accelerator::{AcceleratorCost, CostBreakdown};
-pub use assemble::scatter_sinks;
+pub use assemble::{scatter_sinks, TileSinks};
 pub use edge::{roberts_cross_float, sc_edge_detector};
 pub use gaussian::{gaussian_blur_float, ScGaussianBlur, GAUSSIAN_WEIGHTS};
 pub use graph::{measured_planner_options, planner_options, tile_graph, tile_mean, TileGraph};

@@ -8,16 +8,16 @@
 //! the planner*, not by hand), and executed. Execution is **streamed in
 //! bounded windows** ([`run_sc_pipeline_with_stats`], with the worker count
 //! and window taken from [`PipelineConfig`]): tiles are planned
-//! *lazily*, in raster order, inside the streaming dispatch — sharing
-//! compiled plans within each tile class (shape + source-bank phase) via
-//! seed retargeting — and at most `window` planned-but-unfinished tiles are
-//! alive at any moment on the executor's persistent worker pool, so
-//! arbitrarily large images run in O(window) plan memory while every core
-//! runs tiles concurrently, bit-identical to sequential raster-order
-//! processing. The pre-graph per-tile loop is retained in `crate::graph`'s
+//! *lazily*, in raster order, inside the streaming dispatch — every tile of
+//! a class (shape + source-bank phase) runs the class's one compiled
+//! template, with its own select seeds bound as job inputs — and at most
+//! `window` planned-but-unfinished tiles are alive at any moment on the
+//! executor's persistent worker pool, so arbitrarily large images run in
+//! O(window) tile inputs while every core runs tiles concurrently,
+//! bit-identical to sequential raster-order processing. The pre-graph per-tile loop is retained in `crate::graph`'s
 //! tests as the bit-identity reference.
 
-use crate::assemble::scatter_sinks;
+use crate::assemble::{scatter_sinks, TileSinks};
 use crate::edge::roberts_cross_float;
 use crate::gaussian::gaussian_blur_float;
 use crate::image::{GrayImage, ImageError};
@@ -88,13 +88,13 @@ pub struct PipelineConfig {
     /// [`MEASURE_BUCKETS`] brightness buckets and the bucket joins the
     /// cross-tile plan-cache key: tiles of the same shape, bank phase, and
     /// brightness bucket share one measured compile (probed at the bucket's
-    /// midpoint) with their select seeds retargeted in — so measured mode
+    /// midpoint) with their select seeds bound per tile — so measured mode
     /// keeps the per-class cache (and the executor's lane batching of
     /// same-class tiles) instead of recompiling per tile. `None` (the
     /// default) keeps the purely structural planner.
     pub measure_scc: Option<usize>,
     /// Telemetry sink the whole pipeline records into: plan-cache hits and
-    /// misses (with nested retarget / per-stage compile spans), the executor's
+    /// misses (misses with nested per-stage compile spans), the executor's
     /// dispatch, lane-group and scalar execution, worker activity, and the
     /// final sink scatter. The default sink is disabled and records nothing;
     /// attach an enabled [`TelemetrySink`] (see
@@ -230,13 +230,13 @@ pub struct PipelineStats {
     /// Number of graph compilations actually run. Tiles of equal shape and
     /// equal source-bank phase (tile origin modulo the bank pattern's 4×2
     /// period) — and, in measured-SCC mode, equal quantised brightness
-    /// bucket — share one compiled plan with the per-tile select-LFSR seeds
-    /// retargeted onto the cached template, so this counts *distinct tile
-    /// classes*, not tiles.
+    /// bucket — share one compiled template and bind their own select-LFSR
+    /// seeds as job inputs, so this counts *distinct tile classes*, not
+    /// tiles.
     pub compilations: usize,
     /// What the streaming tile dispatch did ([`sc_graph::StreamStats`]):
-    /// `stream.peak_in_flight` bounds the simultaneously-live retargeted
-    /// tile plans (cached per-class templates are counted by
+    /// `stream.peak_in_flight` bounds the simultaneously-live planned tiles
+    /// (their inputs; the per-class templates they share are counted by
     /// `compilations`) and never exceeds the dispatch window, which is how
     /// streaming keeps whole-image memory at O(window) instead of
     /// O(tiles); `stream.lane_batched_jobs + stream.scalar_jobs == tiles`.
@@ -283,25 +283,25 @@ pub fn run_sc_pipeline_with_threads(
 }
 
 /// Like [`run_sc_pipeline`], also reporting how much compilation work the
-/// plan cache saved and how many retargeted plans the streaming window kept
+/// plan cache saved and how many planned tiles the streaming window kept
 /// live at its peak — the one config-driven run: [`PipelineConfig::threads`]
 /// and [`PipelineConfig::window`] pick the worker count and the window.
 ///
 /// The streaming tile dispatcher walks the image's tiles in raster order,
-/// planning each tile **lazily inside the stream** — building its dataflow
-/// graph and obtaining a compiled plan from the per-class cache (tile shape
-/// plus source-bank phase, with the tile's select-LFSR seeds retargeted
-/// onto the cached template) or by compiling and caching — while the executor's
-/// persistent worker pool executes planned tiles concurrently. At most
-/// `window` planned-but-unfinished tiles are alive at any moment
-/// ([`Executor::run_stream`]), so peak memory is O(window) retargeted plans
-/// plus the per-class templates, regardless of image size; the per-class
-/// cache is never evicted, so a window never re-plans a class it already
-/// holds. Because retargeted tiles share their template's plan class, the
-/// executor's lane batching transposes up to four in-window same-class tiles
-/// into `u64×4` lanes and steps their FSM stages together — bit-identical to
-/// solo execution. Sink values are scattered into the output image as the
-/// final step.
+/// planning each tile **lazily inside the stream** ([`TilePlanner`]): a tile
+/// whose class (tile shape plus source-bank phase) is cached gets the
+/// class's compiled template plus its own pixel values and select-LFSR seed
+/// bindings; a tile of a new class builds its dataflow graph and compiles
+/// the template. Meanwhile the executor's persistent worker pool executes
+/// planned tiles concurrently. At most `window` planned-but-unfinished
+/// tiles are alive at any moment ([`Executor::run_stream`]), so peak memory
+/// is O(window) tile inputs plus the per-class templates, regardless of
+/// image size; the per-class cache is never evicted, so a window never
+/// re-plans a class it already holds. Because a class's tiles share one
+/// template, the executor's lane batching transposes up to four in-window
+/// same-class tiles into `u64×4` lanes and steps their FSM stages together
+/// — bit-identical to solo execution. Sink values are scattered into the
+/// output image as the final step.
 ///
 /// Every tile executes with fresh FSMs and deterministic source samples, so
 /// the result is bit-identical to processing the tiles one at a time in raster
@@ -330,15 +330,15 @@ pub fn run_sc_pipeline_with_stats(
 
     // Tile origins in raster order: raster order keeps tile_index, and
     // therefore every select seed, identical to the sequential reference
-    // loop. The origin list is O(tiles) coordinates — the heavy per-tile
-    // state (graph, plan, input streams) is only built inside the window.
+    // loop. The origin list is O(tiles) coordinates — the per-tile state
+    // (input values, seed bindings, input streams) only lives in the window.
     let origins = crate::planner::tile_origins(image, tile);
 
     // Stream the tiles: the executor pulls this iterator lazily (on the
     // caller's thread, so the cache and stats need no locking) whenever the
     // window has room, and the planned tile's sinks are recorded on the way
     // past for the scatter phase.
-    let mut sinks: Vec<Vec<(usize, usize, String)>> = Vec::with_capacity(origins.len());
+    let mut sinks: Vec<TileSinks> = Vec::with_capacity(origins.len());
     let jobs = origins.iter().enumerate().map(|(tile_index, &(x0, y0))| {
         let planned = planner.plan_tile(image, x0, y0, tile_index as u64, &mut stats);
         sinks.push(planned.sinks);
@@ -521,7 +521,7 @@ mod tests {
 
     /// The cross-tile dispatcher is bit-identical at every worker count and
     /// window for every variant (including a cache-hitting 12×12 image whose
-    /// retargeted plans are shared across tiles), so the parallelism is
+    /// templates are shared across tiles), so the parallelism is
     /// purely a throughput lever, and the window bounds the live plans: at
     /// most `window` at once, and every tile at once when it is unbounded.
     #[test]

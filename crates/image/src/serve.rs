@@ -5,7 +5,8 @@
 //! [`crate::run_sc_pipeline`] family. It keeps three things warm across
 //! requests: the service's worker pool (no per-image thread spin-up), the
 //! shared [`TilePlanner`] (one per-class plan cache for *all* requests, so a
-//! request whose tile classes were already compiled plans in retarget time),
+//! request whose tile classes were already compiled plans without building
+//! a graph: a pixel gather and two seed bindings per tile),
 //! and the service's dispatch window (tiles from concurrently submitted
 //! images coalesce into the same lane-batched groups when they share a
 //! `plan_class` — the cross-request batching the serving tier exists for).
@@ -19,7 +20,7 @@
 //! fails fast instead); per-request deadlines and cancellation pass straight
 //! through to the service.
 
-use crate::assemble::scatter_sinks;
+use crate::assemble::{scatter_sinks, TileSinks};
 use crate::image::{GrayImage, ImageError};
 use crate::pipeline::{PipelineConfig, PipelineStats, PipelineVariant};
 use crate::planner::{tile_origins, TilePlanner};
@@ -154,7 +155,7 @@ pub struct ImageResponse {
 /// An in-flight image request; resolves on [`wait`](ImageHandle::wait).
 pub struct ImageHandle {
     handle: RequestHandle,
-    sinks: Vec<Vec<(usize, usize, String)>>,
+    sinks: Vec<TileSinks>,
     width: usize,
     height: usize,
     planning: PipelineStats,

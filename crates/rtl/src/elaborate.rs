@@ -97,7 +97,10 @@ pub fn sink_counter_bits(stream_length: usize) -> u32 {
 /// `input` supplies the digital values consumed by `Generate` steps — in
 /// hardware those are the D/S converters' value registers, so they are part
 /// of the elaborated configuration, while `InputStream` slots stay dynamic
-/// (they become primary inputs driven at co-simulation time).
+/// (they become primary inputs driven at co-simulation time). Every source
+/// cell takes its spec through `input`'s
+/// [`BatchInput::bindings`](sc_graph::BatchInput::bindings), so a bound
+/// template's per-job seeds become the design's seed registers.
 /// `stream_length` sizes the sink counters (and is the cycle count the
 /// lowered circuit is meant to run for).
 ///
@@ -139,7 +142,7 @@ pub fn elaborate(
                 })?;
                 let out = design.cell(
                     CellKind::Source {
-                        spec: source.clone(),
+                        spec: input.resolve(source).clone(),
                         skip: *skip,
                         threshold: value,
                     },
@@ -155,7 +158,7 @@ pub fn elaborate(
             } => {
                 let out = design.cell(
                     CellKind::Source {
-                        spec: source.clone(),
+                        spec: input.resolve(source).clone(),
                         skip: *skip,
                         threshold: *probability,
                     },
@@ -234,7 +237,7 @@ pub fn elaborate(
                 let (nx, ny) = (slot(&slots, *x), slot(&slots, *y));
                 let out = design.cell(
                     CellKind::Divider {
-                        spec: source.clone(),
+                        spec: input.resolve(source).clone(),
                         skip: *skip,
                         counter_bits: *cb,
                     },
@@ -251,7 +254,7 @@ pub fn elaborate(
             } => {
                 let sel = design.cell(
                     CellKind::HalfSelect {
-                        spec: select.clone(),
+                        spec: input.resolve(select).clone(),
                         skip: *skip,
                     },
                     &[],
@@ -270,7 +273,7 @@ pub fn elaborate(
             } => {
                 let sels = design.cell(
                     CellKind::SelectOneHot {
-                        spec: select.clone(),
+                        spec: input.resolve(select).clone(),
                         skip: *skip,
                         weights: weights.clone(),
                     },

@@ -8,7 +8,7 @@
 //!
 //! * **Spans** — monotonic-clock scoped timers ([`TelemetrySink::span`])
 //!   against a static registry of stage names ([`Stage`]): compile stages,
-//!   plan-cache hits/misses, seed retargeting, stream dispatch, lane-group
+//!   plan-cache hits/misses, stream dispatch, lane-group
 //!   and scalar execution, worker park/run, stream de-transposition, and
 //!   image sink collection. Each thread records into its own fixed-capacity
 //!   ring buffer (owner-thread locks are uncontended), merged and
@@ -98,7 +98,10 @@ pub enum Stage {
     PlanCacheHit,
     /// Tile planning that compiled (and cached) a fresh class template.
     PlanCacheMiss,
-    /// Rewriting a cached template's source seeds onto a new tile.
+    /// Unused: nothing records it. Plan-cache hits bind per-tile seeds as
+    /// job inputs inside [`Stage::PlanCacheHit`] instead of rewriting the
+    /// template. The variant stays so existing readers of the stage
+    /// vocabulary keep working; its totals are always zero.
     Retarget,
     /// A whole streaming dispatch (`Executor::run_stream`), job pulls
     /// included.
@@ -1019,6 +1022,14 @@ impl SpanGuard<'_> {
     pub fn set_arg(&mut self, arg: u64) {
         if let Some(state) = &mut self.state {
             state.arg = arg;
+        }
+    }
+
+    /// Re-labels the open span — for work whose stage is only known part
+    /// way through (a plan-cache lookup that turns out to be a miss).
+    pub fn set_stage(&mut self, stage: Stage) {
+        if let Some(state) = &mut self.state {
+            state.stage = stage;
         }
     }
 

@@ -10,20 +10,20 @@
 //! (default 6 frames). The process performs one self-scrape of its own
 //! `/metrics` endpoint before exiting, so it is CI-smokeable end to end.
 
-use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sc_graph::{CompiledGraph, Executor, StreamJob};
-use sc_image::graph::{blur_select_seed, edge_select_seed};
-use sc_image::{planner_options, tile_graph, GrayImage, PipelineConfig, PipelineVariant};
-use sc_rng::SourceSpec;
+use sc_graph::{Executor, StreamJob};
+use sc_image::{
+    scatter_sinks, tile_origins, GrayImage, PipelineConfig, PipelineStats, PipelineVariant,
+    TilePlanner,
+};
 use sc_telemetry::serve::TelemetryServer;
 use sc_telemetry::watch::{Condition, Watcher};
-use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetryReport, TelemetrySink};
+use sc_telemetry::{Counter, Gauge, Hist, TelemetryReport, TelemetrySink};
 
 /// One frame of the synthetic scene: the Gaussian blob over a gradient, with
 /// a per-frame brightness swing so successive frames exercise the same plan
@@ -36,100 +36,11 @@ fn frame_image(size: usize, frame: usize) -> GrayImage {
     })
 }
 
-/// A cached compiled template for one tile class, with the select-LFSR seeds
-/// it was compiled against (needed to retarget it onto another tile).
-struct CachedPlan {
-    plan: Arc<CompiledGraph>,
-    blur_seed: u64,
-    edge_seed: u64,
-}
-
-/// Tile shape plus source-bank phase — the same per-class cache key the
-/// image pipeline uses, kept across frames so later frames are all cache
-/// hits (the "warm executor" part of the demo).
-type PlanKey = (usize, usize, usize, usize);
-
-/// Plans one tile: retarget the cached class template onto this tile's
-/// select seeds, or compile and cache it.
-fn plan_tile(
-    image: &GrayImage,
-    x0: usize,
-    y0: usize,
-    config: &PipelineConfig,
-    tile_index: u64,
-    cache: &mut HashMap<PlanKey, CachedPlan>,
-) -> (StreamJob, Vec<(usize, usize, String)>) {
-    let telemetry = &config.telemetry;
-    telemetry.add(Counter::Tiles, 1);
-    let tile = tile_graph(
-        image,
-        x0,
-        y0,
-        PipelineVariant::Synchronizer,
-        config,
-        tile_index,
-    );
-    let key = (
-        (x0 + config.tile_size).min(image.width()) - x0,
-        (y0 + config.tile_size).min(image.height()) - y0,
-        x0 % 4,
-        y0 % 2,
-    );
-    let blur_seed = blur_select_seed(tile_index);
-    let edge_seed = edge_select_seed(tile_index);
-    let cached = cache
-        .get(&key)
-        .filter(|c| c.blur_seed != c.edge_seed && blur_seed != edge_seed);
-    let plan = match cached {
-        Some(c) => {
-            telemetry.add(Counter::PlanCacheHits, 1);
-            let _retarget = telemetry.span(Stage::Retarget);
-            Arc::new(c.plan.retarget_sources(|spec| match spec {
-                SourceSpec::Lfsr { width: 16, seed } if *seed == c.blur_seed => {
-                    Some(SourceSpec::Lfsr {
-                        width: 16,
-                        seed: blur_seed,
-                    })
-                }
-                SourceSpec::Lfsr { width: 16, seed } if *seed == c.edge_seed => {
-                    Some(SourceSpec::Lfsr {
-                        width: 16,
-                        seed: edge_seed,
-                    })
-                }
-                _ => None,
-            }))
-        }
-        None => {
-            telemetry.add(Counter::PlanCacheMisses, 1);
-            let options = planner_options(PipelineVariant::Synchronizer, config);
-            let plan = Arc::new(
-                tile.graph
-                    .compile_with_telemetry(&options, telemetry)
-                    .expect("tile graphs are structurally valid by construction"),
-            );
-            cache.insert(
-                key,
-                CachedPlan {
-                    plan: Arc::clone(&plan),
-                    blur_seed,
-                    edge_seed,
-                },
-            );
-            plan
-        }
-    };
-    (
-        StreamJob {
-            plan,
-            input: tile.input,
-        },
-        tile.sinks,
-    )
-}
-
-/// Runs `frames` frames through one warm executor, returning each frame's
-/// mean edge magnitude (proof the streamed results were consumed).
+/// Runs `frames` frames through one warm executor and one tile planner,
+/// returning each frame's mean edge magnitude (proof the streamed results
+/// were consumed). The planner's cache lives across frames, so every frame
+/// after the first plans from cache hits (the "warm executor" part of the
+/// demo).
 fn run_frames(frames: usize, size: usize, config: &PipelineConfig) -> Vec<f64> {
     let threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -138,42 +49,27 @@ fn run_frames(frames: usize, size: usize, config: &PipelineConfig) -> Vec<f64> {
         .with_threads(threads)
         .with_telemetry(config.telemetry.clone());
     let window = executor.default_window();
-    let mut cache: HashMap<PlanKey, CachedPlan> = HashMap::new();
+    let mut planner = TilePlanner::new(PipelineVariant::Synchronizer, config.clone());
+    let mut stats = PipelineStats::default();
     let mut means = Vec::with_capacity(frames);
     for frame in 0..frames {
         let image = frame_image(size, frame);
-        let tile = config.tile_size;
-        let mut origins: Vec<(usize, usize)> = Vec::new();
-        let mut y0 = 0;
-        while y0 < image.height() {
-            let mut x0 = 0;
-            while x0 < image.width() {
-                origins.push((x0, y0));
-                x0 += tile;
-            }
-            y0 += tile;
-        }
-        let mut sinks: Vec<Vec<(usize, usize, String)>> = Vec::with_capacity(origins.len());
+        let origins = tile_origins(&image, config.tile_size);
+        let mut sinks = Vec::with_capacity(origins.len());
         let jobs = origins.iter().enumerate().map(|(tile_index, &(x0, y0))| {
-            let (job, tile_sinks) =
-                plan_tile(&image, x0, y0, config, tile_index as u64, &mut cache);
-            sinks.push(tile_sinks);
-            job
-        });
-        let (results, _stats) = executor
-            .run_stream_with_stats(jobs, window)
-            .expect("tile graphs execute over their own batch input");
-        let mut sum = 0.0;
-        let mut pixels = 0u64;
-        for (tile_sinks, result) in sinks.iter().zip(&results) {
-            for (_, _, name) in tile_sinks {
-                sum += result
-                    .value(name)
-                    .expect("every tile pixel has a value sink");
-                pixels += 1;
+            let planned = planner.plan_tile(&image, x0, y0, tile_index as u64, &mut stats);
+            sinks.push(planned.sinks);
+            StreamJob {
+                plan: planned.plan,
+                input: planned.input,
             }
-        }
-        means.push(sum / pixels.max(1) as f64);
+        });
+        let results = executor
+            .run_stream(jobs, window)
+            .expect("tile graphs execute over their own batch input");
+        let mut output = GrayImage::filled(image.width(), image.height(), 0.0);
+        scatter_sinks(&mut output, &sinks, &results, &config.telemetry);
+        means.push(output.mean());
     }
     means
 }

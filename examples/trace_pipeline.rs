@@ -1,7 +1,7 @@
 //! Observability demo: runs the Gaussian-blur → edge-detector accelerator
 //! with a [`TelemetrySink`] attached and prints where the time went — the
-//! per-stage span breakdown (plan-cache hits vs misses vs retargets vs
-//! lane-group vs scalar execution), the counters behind the
+//! per-stage span breakdown (plan-cache hits vs misses vs lane-group vs
+//! scalar execution), the counters behind the
 //! [`sc_image::PipelineStats`] view, and the lane-group fill distribution —
 //! then writes a chrome://tracing trace-event file of the whole run.
 //!
@@ -19,8 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| "trace_pipeline.json".into());
 
     // A 40×40 synthetic scene in 10-pixel tiles: 16 tiles in a handful of
-    // plan classes, so the run shows cache hits, retargets, and lane-batched
-    // groups — not just compiles.
+    // plan classes, so the run shows cache hits (each binding one tile's
+    // select seeds to a cached template) and lane-batched groups — not just
+    // compiles.
     let size = 40;
     let blob = GrayImage::gaussian_blob(size, size);
     let image = GrayImage::from_fn(size, size, |x, y| {

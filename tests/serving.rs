@@ -583,7 +583,7 @@ fn bounded_plan_cache_evicts_lru_but_pins_held_templates() {
     // hold it exactly like this) is pinned: the cache overshoots the cap
     // instead of evicting it.
     let mut planner =
-        TilePlanner::new(PipelineVariant::Synchronizer, config).with_capacity(Some(1));
+        TilePlanner::new(PipelineVariant::Synchronizer, config.clone()).with_capacity(Some(1));
     let mut stats = PipelineStats::default();
     let held = planner.plan_tile(&image, 0, 0, 0, &mut stats);
     drop(planner.plan_tile(&image, 6, 0, 1, &mut stats));
@@ -594,6 +594,31 @@ fn bounded_plan_cache_evicts_lru_but_pins_held_templates() {
     );
     assert_eq!(planner.evictions(), 0);
     drop(held);
+
+    // A cache hit hands out the template itself, so a held *hit* pins its
+    // class exactly like a held miss: tile 2 at (0, 6) hits the class of
+    // tile 0, whose own plan was dropped at once.
+    let mut planner =
+        TilePlanner::new(PipelineVariant::Synchronizer, config).with_capacity(Some(1));
+    let mut stats = PipelineStats::default();
+    drop(planner.plan_tile(&image, 0, 0, 0, &mut stats));
+    let held_hit = planner.plan_tile(&image, 0, 6, 2, &mut stats);
+    assert_eq!(stats.compilations, 1, "tile 2 is a cache hit");
+    drop(planner.plan_tile(&image, 6, 0, 1, &mut stats));
+    assert_eq!(
+        planner.cached_classes(),
+        2,
+        "a held hit pins its template, cache overshoots"
+    );
+    assert_eq!(planner.evictions(), 0);
+    drop(held_hit);
+    // Released, both classes are evictable again: the next miss (a 2×6
+    // border tile of a wider image, a third class) trims the cache to its
+    // cap.
+    let wider = GrayImage::gradient(14, 12);
+    drop(planner.plan_tile(&wider, 12, 0, 2, &mut stats));
+    assert_eq!(planner.evictions(), 2);
+    assert_eq!(planner.cached_classes(), 1);
 }
 
 #[test]
