@@ -13,11 +13,7 @@
 //!
 //! Both operate on **bipolar** streams.
 
-use sc_bitstream::{Bitstream, WORD_BITS};
-
-/// Number of independent streams the `*_lanes` kernels process per call;
-/// matches `sc_core::LANES` so executor lane groups map onto one call.
-const LANES: usize = 4;
+use sc_bitstream::Bitstream;
 
 /// Stochastic `tanh`-like activation (Brown & Card `Stanh`): a saturating
 /// counter with `2·half_states` states whose output is 1 while the counter is
@@ -104,134 +100,6 @@ pub fn slinear(input: &Bitstream, states: u32) -> Bitstream {
         }
         out
     })
-}
-
-/// Lane-batched [`stanh`]: up to four *independent* input streams through
-/// four independent saturating counters in one pass, bit-identical per lane
-/// to the solo function. Interleaving the four counter chains hides the
-/// per-bit state-update latency that caps single-stream throughput. Streams
-/// may have unequal lengths.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty or holds more than four streams, or if
-/// `half_states` is outside the range [`stanh`] supports.
-#[must_use]
-pub fn stanh_lanes(inputs: &[&Bitstream], half_states: u32) -> Vec<Bitstream> {
-    assert!(
-        (1..=2048).contains(&half_states),
-        "stanh state count {half_states} outside supported range 1..=2048"
-    );
-    let max = i64::from(2 * half_states - 1);
-    let threshold = i64::from(half_states);
-    counter_lane_walk(inputs, threshold, max, false)
-}
-
-/// Lane-batched [`slinear`] (see [`stanh_lanes`] for the lane semantics).
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty or holds more than four streams, or if
-/// `states` is outside the range [`slinear`] supports.
-#[must_use]
-pub fn slinear_lanes(inputs: &[&Bitstream], states: u32) -> Vec<Bitstream> {
-    assert!(
-        (2..=4096).contains(&states),
-        "slinear state count {states} outside supported range 2..=4096"
-    );
-    let max = i64::from(states - 1);
-    counter_lane_walk(inputs, 0, max, true)
-}
-
-/// Shared saturating-counter lane walk. `linear` selects the slinear output
-/// rule (mid-band toggle) over the stanh rule (`state >= threshold`); both
-/// share the identical `±1` clamp update, so one walk serves both ops.
-fn counter_lane_walk(
-    inputs: &[&Bitstream],
-    threshold: i64,
-    max: i64,
-    linear: bool,
-) -> Vec<Bitstream> {
-    assert!(
-        (1..=LANES).contains(&inputs.len()),
-        "lane group size {} outside 1..={LANES}",
-        inputs.len()
-    );
-    match inputs.len() {
-        1 => counter_walk::<1>(inputs, threshold, max, linear),
-        2 => counter_walk::<2>(inputs, threshold, max, linear),
-        3 => counter_walk::<3>(inputs, threshold, max, linear),
-        _ => counter_walk::<4>(inputs, threshold, max, linear),
-    }
-}
-
-fn counter_walk<const L: usize>(
-    inputs: &[&Bitstream],
-    threshold: i64,
-    max: i64,
-    linear: bool,
-) -> Vec<Bitstream> {
-    let start = if linear { max / 2 } else { threshold };
-    let mut state = [start; L];
-    let mut toggle = [false; L];
-    let (mid_low, mid_high) = (max / 2, max / 2 + 1);
-    let mut words: [Vec<u64>; L] =
-        std::array::from_fn(|l| Vec::with_capacity(inputs[l].as_words().len()));
-    let max_words = inputs.iter().map(|x| x.as_words().len()).max().unwrap_or(0);
-    for w in 0..max_words {
-        let (mut xw, mut valid) = ([0u64; L], [0usize; L]);
-        for l in 0..L {
-            if w * WORD_BITS < inputs[l].len() {
-                valid[l] = (inputs[l].len() - w * WORD_BITS).min(WORD_BITS);
-                xw[l] = inputs[l].as_words()[w];
-            }
-        }
-        let emit = |state: &mut [i64; L], toggle: &mut [bool; L], l: usize| {
-            if linear {
-                if state[l] > mid_high {
-                    true
-                } else if state[l] < mid_low {
-                    false
-                } else {
-                    toggle[l] = !toggle[l];
-                    toggle[l]
-                }
-            } else {
-                state[l] >= threshold
-            }
-        };
-        if valid.iter().all(|&v| v == WORD_BITS) {
-            let mut out = [0u64; L];
-            for i in 0..WORD_BITS as u32 {
-                for l in 0..L {
-                    out[l] |= u64::from(emit(&mut state, &mut toggle, l)) << i;
-                    state[l] += if (xw[l] >> i) & 1 == 1 { 1 } else { -1 };
-                    state[l] = state[l].clamp(0, max);
-                }
-            }
-            for l in 0..L {
-                words[l].push(out[l]);
-            }
-        } else {
-            for l in 0..L {
-                if valid[l] == 0 {
-                    continue;
-                }
-                let mut out = 0u64;
-                for i in 0..valid[l] as u32 {
-                    out |= u64::from(emit(&mut state, &mut toggle, l)) << i;
-                    state[l] += if (xw[l] >> i) & 1 == 1 { 1 } else { -1 };
-                    state[l] = state[l].clamp(0, max);
-                }
-                words[l].push(out);
-            }
-        }
-    }
-    words
-        .into_iter()
-        .zip(inputs)
-        .map(|(w, x)| Bitstream::from_words(w, x.len()))
-        .collect()
 }
 
 #[cfg(test)]
@@ -328,35 +196,6 @@ mod tests {
             out_mixed > out_bunched + 0.15,
             "bit order must matter: mixed {out_mixed} vs bunched {out_bunched}"
         );
-    }
-
-    #[test]
-    fn lane_kernels_match_solo_across_lengths_and_fills() {
-        let lengths = [1usize, 63, 64, 65, 1000];
-        for fill in 1..=4usize {
-            for rot in 0..lengths.len() {
-                let streams: Vec<Bitstream> = (0..fill)
-                    .map(|l| {
-                        let n = lengths[(rot + l) % lengths.len()];
-                        Bitstream::from_fn(n, move |i| (i * 7 + l * 5 + 1) % 3 != 0)
-                    })
-                    .collect();
-                let inputs: Vec<&Bitstream> = streams.iter().collect();
-                let tanh_lanes = stanh_lanes(&inputs, 4);
-                let lin_lanes = slinear_lanes(&inputs, 16);
-                for (l, x) in inputs.iter().enumerate() {
-                    assert_eq!(tanh_lanes[l], stanh(x, 4), "stanh lane {l} rot {rot}");
-                    assert_eq!(lin_lanes[l], slinear(x, 16), "slinear lane {l} rot {rot}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "outside 1..=")]
-    fn oversized_lane_group_panics() {
-        let a = Bitstream::zeros(8);
-        let _ = stanh_lanes(&[&a; 5], 4);
     }
 
     #[test]

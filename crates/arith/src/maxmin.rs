@@ -14,11 +14,7 @@
 //! The paper's *synchronizer-based* max/min (smaller than the
 //! correlation-agnostic design, nearly as accurate) live in `sc-core::ops`.
 
-use sc_bitstream::{Bitstream, Error, Result, WORD_BITS};
-
-/// Number of independent streams the `*_lanes` kernels process per call;
-/// matches `sc_core::LANES` so executor lane groups map onto one call.
-const LANES: usize = 4;
+use sc_bitstream::{Bitstream, Error, Result};
 
 /// SC maximum via a single OR gate (requires positively correlated inputs).
 ///
@@ -113,166 +109,6 @@ pub fn ca_min(x: &Bitstream, y: &Bitstream) -> Result<Bitstream> {
         out
     });
     Ok(out)
-}
-
-/// Lane-batched [`ca_max`]: up to four *independent* stream pairs in one
-/// pass, each with its own counter state. Per pair the result is bit-identical
-/// to [`ca_max`]; batching exists because the counter update is a serial
-/// per-bit chain, and interleaving four independent chains lets the core
-/// overlap them instead of waiting on one.
-///
-/// Pairs may have unequal lengths (exhausted lanes simply drop out).
-///
-/// # Errors
-///
-/// Returns a length-mismatch error if any pair's streams differ in length.
-///
-/// # Panics
-///
-/// Panics if `pairs` is empty or holds more than four entries.
-pub fn ca_max_lanes(pairs: &[(&Bitstream, &Bitstream)]) -> Result<Vec<Bitstream>> {
-    ca_lanes::<true>(pairs)
-}
-
-/// Lane-batched [`ca_min`] (dual of [`ca_max_lanes`]).
-///
-/// # Errors
-///
-/// Returns a length-mismatch error if any pair's streams differ in length.
-///
-/// # Panics
-///
-/// Panics if `pairs` is empty or holds more than four entries.
-pub fn ca_min_lanes(pairs: &[(&Bitstream, &Bitstream)]) -> Result<Vec<Bitstream>> {
-    ca_lanes::<false>(pairs)
-}
-
-fn ca_lanes<const MAX: bool>(pairs: &[(&Bitstream, &Bitstream)]) -> Result<Vec<Bitstream>> {
-    assert!(
-        (1..=LANES).contains(&pairs.len()),
-        "lane group size {} outside 1..={LANES}",
-        pairs.len()
-    );
-    for (x, y) in pairs {
-        if x.len() != y.len() {
-            return Err(Error::LengthMismatch {
-                left: x.len(),
-                right: y.len(),
-            });
-        }
-    }
-    // Monomorphise on the fill so the per-bit lane loop fully unrolls and the
-    // four counter chains live in registers.
-    match pairs.len() {
-        1 => ca_lane_walk::<1, MAX>(pairs),
-        2 => ca_lane_walk::<2, MAX>(pairs),
-        3 => ca_lane_walk::<3, MAX>(pairs),
-        _ => ca_lane_walk::<4, MAX>(pairs),
-    }
-}
-
-/// One word of the count-difference walk for a single lane.
-///
-/// The lane kernels carry `d = countX - countY` instead of the three counters
-/// of the solo path: the running maximum advances exactly when the (tied-)
-/// leading counter increments, so `out = (x & (d >= 0)) | (y & (d <= 0))` for
-/// max and `out = (x & y) | (x & (d < 0)) | (y & (d > 0))` for min, with
-/// `d += x - y` afterwards. Equivalent to the counter form bit for bit (the
-/// lane-vs-solo tests pin this down) but with a single state variable and a
-/// branch-free body.
-#[inline]
-fn ca_step_bits<const MAX: bool>(xw: u64, yw: u64, valid: u32, d: &mut i64) -> u64 {
-    let mut out = 0u64;
-    for i in 0..valid {
-        let xb = (xw >> i) & 1;
-        let yb = (yw >> i) & 1;
-        let bit = if MAX {
-            (xb & u64::from(*d >= 0)) | (yb & u64::from(*d <= 0))
-        } else {
-            (xb & yb) | (xb & u64::from(*d < 0)) | (yb & u64::from(*d > 0))
-        };
-        out |= bit << i;
-        *d += xb as i64 - yb as i64;
-    }
-    out
-}
-
-/// One full 64-bit word for a single lane, taking the sign-run fast path when
-/// the count difference cannot change sign within the word.
-///
-/// With `|d| >= 64` the per-bit comparisons are constant across all 64 cycles
-/// (the difference moves by at most 1 per bit), so the output word is simply
-/// one of the input words and the state update collapses to two popcounts.
-/// Once two streams of unequal value have drifted apart this path handles
-/// nearly every word, turning the serial per-bit walk into O(1) per word.
-#[inline]
-fn ca_step_word<const MAX: bool>(xw: u64, yw: u64, d: &mut i64) -> u64 {
-    if *d >= WORD_BITS as i64 {
-        // countX stays strictly ahead: max follows x, min follows y.
-        *d += xw.count_ones() as i64 - yw.count_ones() as i64;
-        if MAX {
-            xw
-        } else {
-            yw
-        }
-    } else if *d <= -(WORD_BITS as i64) {
-        *d += xw.count_ones() as i64 - yw.count_ones() as i64;
-        if MAX {
-            yw
-        } else {
-            xw
-        }
-    } else {
-        ca_step_bits::<MAX>(xw, yw, WORD_BITS as u32, d)
-    }
-}
-
-fn ca_lane_walk<const L: usize, const MAX: bool>(
-    pairs: &[(&Bitstream, &Bitstream)],
-) -> Result<Vec<Bitstream>> {
-    let mut d = [0i64; L];
-    let mut words: [Vec<u64>; L] =
-        std::array::from_fn(|l| Vec::with_capacity(pairs[l].0.as_words().len()));
-    let max_words = pairs
-        .iter()
-        .map(|(x, _)| x.as_words().len())
-        .max()
-        .unwrap_or(0);
-    // Words where every lane is full: no per-lane valid bookkeeping needed.
-    let common_full = pairs
-        .iter()
-        .map(|(x, _)| x.len() / WORD_BITS)
-        .min()
-        .unwrap_or(0);
-    for w in 0..common_full {
-        for l in 0..L {
-            let (x, y) = pairs[l];
-            let out = ca_step_word::<MAX>(x.as_words()[w], y.as_words()[w], &mut d[l]);
-            words[l].push(out);
-        }
-    }
-    // Ragged tail: finish each remaining lane solo.
-    for w in common_full..max_words {
-        for l in 0..L {
-            let (x, y) = pairs[l];
-            if w * WORD_BITS >= x.len() {
-                continue;
-            }
-            let valid = (x.len() - w * WORD_BITS).min(WORD_BITS) as u32;
-            let (xw, yw) = (x.as_words()[w], y.as_words()[w]);
-            let out = if valid == WORD_BITS as u32 {
-                ca_step_word::<MAX>(xw, yw, &mut d[l])
-            } else {
-                ca_step_bits::<MAX>(xw, yw, valid, &mut d[l])
-            };
-            words[l].push(out);
-        }
-    }
-    Ok(words
-        .into_iter()
-        .zip(pairs)
-        .map(|(w, (x, _))| Bitstream::from_words(w, x.len()))
-        .collect())
 }
 
 #[cfg(test)]
@@ -391,79 +227,7 @@ mod tests {
         assert!(ca_min(&a, &b).is_err());
     }
 
-    #[test]
-    fn lane_kernels_match_solo_across_lengths_and_fills() {
-        let lengths = [1usize, 63, 64, 65, 1000];
-        for fill in 1..=4usize {
-            for rot in 0..lengths.len() {
-                let streams: Vec<(Bitstream, Bitstream)> = (0..fill)
-                    .map(|l| {
-                        let n = lengths[(rot + l) % lengths.len()];
-                        (
-                            Bitstream::from_fn(n, move |i| (i * 7 + l * 3 + 1) % 3 == 0),
-                            Bitstream::from_fn(n, move |i| (i * 5 + l * 13 + 2) % 4 < 2),
-                        )
-                    })
-                    .collect();
-                let pairs: Vec<(&Bitstream, &Bitstream)> =
-                    streams.iter().map(|(x, y)| (x, y)).collect();
-                let max_lanes = ca_max_lanes(&pairs).unwrap();
-                let min_lanes = ca_min_lanes(&pairs).unwrap();
-                for (l, (x, y)) in pairs.iter().enumerate() {
-                    assert_eq!(
-                        max_lanes[l],
-                        ca_max(x, y).unwrap(),
-                        "max lane {l} rot {rot}"
-                    );
-                    assert_eq!(
-                        min_lanes[l],
-                        ca_min(x, y).unwrap(),
-                        "min lane {l} rot {rot}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_kernels_reject_mismatched_pairs() {
-        let a = Bitstream::zeros(8);
-        let b = Bitstream::zeros(9);
-        assert!(ca_max_lanes(&[(&a, &a), (&a, &b)]).is_err());
-        assert!(ca_min_lanes(&[(&a, &b)]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside 1..=")]
-    fn oversized_lane_group_panics() {
-        let a = Bitstream::zeros(8);
-        let _ = ca_max_lanes(&[(&a, &a); 5]);
-    }
-
     proptest! {
-        #[test]
-        fn prop_lane_ca_max_matches_solo(
-            lens in proptest::collection::vec(1usize..200, 1..=4),
-            salt in 0usize..1000,
-        ) {
-            let streams: Vec<(Bitstream, Bitstream)> = lens
-                .iter()
-                .enumerate()
-                .map(|(l, &n)| {
-                    (
-                        Bitstream::from_fn(n, move |i| (i * 11 + salt + l) % 5 < 2),
-                        Bitstream::from_fn(n, move |i| (i * 3 + salt * 2 + l) % 7 < 3),
-                    )
-                })
-                .collect();
-            let pairs: Vec<(&Bitstream, &Bitstream)> =
-                streams.iter().map(|(x, y)| (x, y)).collect();
-            let got = ca_max_lanes(&pairs).unwrap();
-            for (l, (x, y)) in pairs.iter().enumerate() {
-                prop_assert_eq!(&got[l], &ca_max(x, y).unwrap(), "lane {}", l);
-            }
-        }
-
         #[test]
         fn prop_or_max_always_upper_bounds_true_max(kx in 0u64..=64, ky in 0u64..=64) {
             let (x, y) = uncorrelated_pair(kx as f64 / 64.0, ky as f64 / 64.0);

@@ -19,15 +19,12 @@
 //! | `ablation_satadd` | Fig. 5c — saturating adder accuracy sweep |
 //! | `ablation_length` | §II.A — stream length vs. precision sweep |
 //!
-//! Two kernel perf-trajectory binaries record engine evidence as JSON:
-//! `word_parallel_speedup` (`BENCH_word_parallel.json`, bit-serial vs
-//! word-parallel kernels and speculative FSM word-stepping, plus `u64×4`
-//! lane-group columns for the FSM laggards) and `lane_batch_throughput`
-//! (`BENCH_lane_batch.json`, scalar vs lane-batched kernels vs the
-//! executor's same-class stream transposition for `ca_max`,
-//! `synchronizer_d1` and `decorrelator_d4`). End-to-end throughput of the
-//! GB→ED pipeline and the warm image server is measured by the separate
-//! `perfbench` package (`BENCHMARK.json` at the repository root), not here.
+//! The kernel perf-trajectory binary `word_parallel_speedup`
+//! (`BENCH_word_parallel.json`, bit-serial vs word-parallel kernels and
+//! speculative FSM word-stepping) records engine evidence as JSON.
+//! End-to-end throughput of the GB→ED pipeline and the warm image server is
+//! measured by the separate `perfbench` package (`BENCHMARK.json` at the
+//! repository root), not here.
 //!
 //! Criterion throughput benchmarks live in `benches/`.
 //!
@@ -146,7 +143,7 @@ pub fn cell1(v: f64) -> String {
 /// The host context every `BENCH_*.json` evidence file embeds under a
 /// `"host"` key, so a committed number can be read against the machine shape
 /// that produced it: worker-thread budget, cargo profile, and the kernel
-/// word/lane geometry the engine compiled with.
+/// word width the engine compiled with.
 #[must_use]
 pub fn host_context() -> Json {
     let worker_threads = std::thread::available_parallelism()
@@ -161,7 +158,6 @@ pub fn host_context() -> Json {
         ("worker_threads", Json::u64(worker_threads as u64)),
         ("cargo_profile", Json::str(cargo_profile)),
         ("word_bits", Json::u64(64)),
-        ("lanes", Json::u64(sc_core::LANES as u64)),
         ("arch", Json::str(std::env::consts::ARCH)),
         ("os", Json::str(std::env::consts::OS)),
     ])
@@ -236,10 +232,7 @@ mod tests {
         let host = host_context();
         assert!(host.get("worker_threads").and_then(Json::as_u64).unwrap() >= 1);
         assert_eq!(host.get("word_bits").and_then(Json::as_u64), Some(64));
-        assert_eq!(
-            host.get("lanes").and_then(Json::as_u64),
-            Some(sc_core::LANES as u64)
-        );
+        assert!(host.get("lanes").is_none());
         let profile = host.get("cargo_profile").and_then(Json::as_str).unwrap();
         assert!(profile == "debug" || profile == "release");
         // The rendered fragment is itself valid JSON — the hand-assembled

@@ -8,12 +8,10 @@
 //! a fixed offset and leave relative order intact, and unlike regeneration,
 //! which needs full S/D + D/S conversions.
 
-use crate::kernel::{LaneKernel, StreamKernel, LANES};
+use crate::kernel::StreamKernel;
 use crate::manipulator::CorrelationManipulator;
 use crate::shuffle_buffer::ShuffleBuffer;
-use sc_rng::{Lfsr, LfsrStructure, RandomSource};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use sc_rng::{Lfsr, RandomSource};
 
 /// A decorrelator built from two independently addressed shuffle buffers.
 ///
@@ -102,373 +100,6 @@ impl<S: RandomSource> StreamKernel for Decorrelator<S> {
             self.buffer_x.step_word(x, valid),
             self.buffer_y.step_word(y, valid),
         )
-    }
-}
-
-/// Widest auxiliary LFSR for which a lane bank precomputes the full
-/// state-to-address map (a `2^w`-entry table; 16 bits keeps it at 128 KiB).
-const MAX_ADDR_TABLE_WIDTH: u32 = 16;
-
-/// Returns the shared state-to-address table for `width`-bit LFSRs driving
-/// `depth`-slot buffers: `table[v]` is exactly what
-/// `SourceExt::next_below(depth)` computes for the sample derived from state
-/// `v`, so replaying addresses from the table is bit-identical to stepping
-/// the source through its floating-point unit-interval mapping. The tables
-/// are cached process-wide — the address map depends only on the state
-/// *value*, not on the LFSR's seed or feedback structure.
-/// Process-wide cache of [`addr_table`] results, keyed by `(width, depth)`.
-type AddrTableCache = Mutex<HashMap<(u32, usize), Arc<Vec<u16>>>>;
-
-fn addr_table(width: u32, depth: usize) -> Arc<Vec<u16>> {
-    static TABLES: OnceLock<AddrTableCache> = OnceLock::new();
-    let mut cache = TABLES
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("decorrelator address table cache poisoned");
-    Arc::clone(cache.entry((width, depth)).or_insert_with(|| {
-        let period = (1u64 << width) - 1;
-        let mut table = vec![0u16; (period + 1) as usize];
-        for v in 1..=period {
-            // Mirrors Lfsr::next_unit followed by SourceExt::next_below.
-            let unit = (v - 1) as f64 / period as f64;
-            let addr = ((unit * depth as f64) as u64).min(depth as u64 - 1);
-            table[v as usize] = addr as u16;
-        }
-        Arc::new(table)
-    }))
-}
-
-/// Returns the shared *fused* transition table for the register-staged walk:
-/// `table[v]` packs the successor state of a Fibonacci LFSR at state `v`
-/// (low 16 bits) together with the slot address that successor maps to
-/// (bits 16+). One load therefore replaces both the shift-XOR-popcount
-/// feedback computation and the address lookup — the two dependent steps of
-/// the per-cycle critical chain. Cached process-wide per
-/// `(width, taps, depth)` configuration; 256 KiB at the maximum 16-bit width.
-fn step_addr_table(width: u32, taps: u64, depth: usize) -> Arc<Vec<u32>> {
-    type Key = (u32, u64, usize);
-    static TABLES: OnceLock<Mutex<HashMap<Key, Arc<Vec<u32>>>>> = OnceLock::new();
-    let mut cache = TABLES
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("decorrelator step table cache poisoned");
-    Arc::clone(cache.entry((width, taps, depth)).or_insert_with(|| {
-        let mask = (1u64 << width) - 1;
-        let period = mask;
-        let mut table = vec![0u32; (period + 1) as usize];
-        for v in 1..=period {
-            // Mirrors Lfsr::transition (Fibonacci) then next_unit/next_below.
-            let next = ((v << 1) | ((v & taps).count_ones() as u64 & 1)) & mask;
-            let unit = (next - 1) as f64 / period as f64;
-            let addr = ((unit * depth as f64) as u64).min(depth as u64 - 1);
-            table[v as usize] = next as u32 | (addr as u32) << 16;
-        }
-        Arc::new(table)
-    }))
-}
-
-/// A bank of up to [`LANES`] independent decorrelators stepped together.
-///
-/// The decorrelator has no small-state speculative table — its state is the
-/// buffer contents plus two auxiliary source states — so lane batching works
-/// at the bit level instead. Two things make the lane walk fast where the
-/// solo walk is not:
-///
-/// * the per-cycle slot address comes from a precomputed state-to-address
-///   table (`addr_table`) instead of the unit-interval float division that
-///   dominates the solo path (the divider is a shared, low-throughput unit,
-///   so interleaving alone cannot hide it);
-/// * the remaining work — LFSR step, table load, slot swap — forms
-///   `2 × lanes` short independent chains that the core overlaps freely.
-///
-/// Lanes never exchange information; each is bit-identical to a solo
-/// [`Decorrelator`] built the same way. Banks whose sources are wider than
-/// 16 bits, or whose lanes disagree on depth or width, fall back to the
-/// table-free interleaved walk.
-///
-/// When the bank additionally qualifies for *register staging* — buffer depth
-/// at most 64 and default Fibonacci LFSR sources — the whole mutable state of
-/// every lane (slot contents as a `u64` bitset, source register values) is
-/// lifted out of the instances on the first full word of a batch, walked
-/// entirely in registers (the LFSR transition is inlined, slot reads/writes
-/// are shift-and-mask), and committed back by [`LaneKernel::flush`]. Between
-/// `step_words` calls of a batch the *staged* copy is the live state; the
-/// instances become authoritative again after `flush`.
-#[derive(Debug, Clone)]
-pub struct DecorrelatorLanes {
-    lanes: Vec<Decorrelator<Lfsr>>,
-    table: Option<Arc<Vec<u16>>>,
-    /// Fused step+address table of the register-staged walk, when the bank
-    /// qualifies.
-    fast: Option<Arc<Vec<u32>>>,
-    /// Live staged state while mid-batch on the fast path.
-    staged: Option<StagedLanes>,
-}
-
-/// The complete mutable state of every lane, staged in registers: slot
-/// bitsets (slot `j` ↔ bit `j`) and auxiliary source states for both buffers.
-#[derive(Debug, Clone, Copy)]
-struct StagedLanes {
-    slots_x: [u64; LANES],
-    slots_y: [u64; LANES],
-    state_x: [u64; LANES],
-    state_y: [u64; LANES],
-}
-
-impl DecorrelatorLanes {
-    /// Creates `lanes` independent default-configuration decorrelators
-    /// (each identical to [`Decorrelator::new`] with the given depth).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is outside `1..=`[`LANES`] or `depth` is outside
-    /// the supported buffer range.
-    #[must_use]
-    pub fn new(depth: usize, lanes: usize) -> Self {
-        Self::from_instances((0..lanes).map(|_| Decorrelator::new(depth)).collect())
-    }
-
-    /// Wraps pre-built decorrelator instances as a lane bank (lane `l` of
-    /// every [`LaneKernel::step_words`] call steps `instances[l]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `instances` is empty or holds more than [`LANES`] circuits.
-    #[must_use]
-    pub fn from_instances(instances: Vec<Decorrelator<Lfsr>>) -> Self {
-        assert!(
-            (1..=LANES).contains(&instances.len()),
-            "decorrelator lane count {} outside 1..={LANES}",
-            instances.len()
-        );
-        let table = Self::resolve_table(&instances);
-        let fast = table.as_ref().and_then(|_| Self::resolve_fast(&instances));
-        DecorrelatorLanes {
-            lanes: instances,
-            table,
-            fast,
-            staged: None,
-        }
-    }
-
-    /// One shared address table serves the whole bank when every lane agrees
-    /// on buffer depth and source width (and the width is table-sized).
-    fn resolve_table(instances: &[Decorrelator<Lfsr>]) -> Option<Arc<Vec<u16>>> {
-        let depth = instances.first()?.depth();
-        let width = instances.first()?.buffer_x.source().width();
-        if width > MAX_ADDR_TABLE_WIDTH {
-            return None;
-        }
-        for lane in instances {
-            if lane.depth() != depth
-                || lane.buffer_x.source().width() != width
-                || lane.buffer_y.source().width() != width
-            {
-                return None;
-            }
-        }
-        Some(addr_table(width, depth))
-    }
-
-    /// Register staging needs the slot bitset to fit one `u64` and the LFSR
-    /// transition to be tabulated, i.e. every source a Fibonacci register
-    /// with the same taps (equal widths are already guaranteed by
-    /// [`DecorrelatorLanes::resolve_table`]).
-    fn resolve_fast(instances: &[Decorrelator<Lfsr>]) -> Option<Arc<Vec<u32>>> {
-        let first = instances.first()?;
-        if first.depth() > 64 {
-            return None;
-        }
-        let taps = first.buffer_x.source().taps();
-        let width = first.buffer_x.source().width();
-        for lane in instances {
-            for source in [lane.buffer_x.source(), lane.buffer_y.source()] {
-                if source.structure() != LfsrStructure::Fibonacci || source.taps() != taps {
-                    return None;
-                }
-            }
-        }
-        Some(step_addr_table(width, taps, first.depth()))
-    }
-
-    /// Lifts the instances' mutable state into registers for the staged walk.
-    fn stage(lanes: &[Decorrelator<Lfsr>]) -> StagedLanes {
-        let pack = |slots: &[bool]| {
-            slots
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (i, &b)| acc | u64::from(b) << i)
-        };
-        let mut staged = StagedLanes {
-            slots_x: [0; LANES],
-            slots_y: [0; LANES],
-            state_x: [0; LANES],
-            state_y: [0; LANES],
-        };
-        for (l, lane) in lanes.iter().enumerate() {
-            staged.slots_x[l] = pack(lane.buffer_x.slots());
-            staged.slots_y[l] = pack(lane.buffer_y.slots());
-            staged.state_x[l] = lane.buffer_x.source().state();
-            staged.state_y[l] = lane.buffer_y.source().state();
-        }
-        staged
-    }
-
-    /// Commits staged state back into the instances (no-op when not staged).
-    fn unstage(&mut self) {
-        if let Some(staged) = self.staged.take() {
-            for (l, lane) in self.lanes.iter_mut().enumerate() {
-                for (i, slot) in lane.buffer_x.slots_mut().iter_mut().enumerate() {
-                    *slot = (staged.slots_x[l] >> i) & 1 == 1;
-                }
-                for (i, slot) in lane.buffer_y.slots_mut().iter_mut().enumerate() {
-                    *slot = (staged.slots_y[l] >> i) & 1 == 1;
-                }
-                lane.buffer_x.source_mut().set_state(staged.state_x[l]);
-                lane.buffer_y.source_mut().set_state(staged.state_y[l]);
-            }
-        }
-    }
-
-    /// Number of populated lanes.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-}
-
-/// Single-bit masks for the shuffle-slot bitsets, indexed by slot address.
-///
-/// On baseline x86-64 (no BMI2) a shift by a data-dependent amount costs two
-/// to three µops, and the staged walk would need two per buffer per cycle;
-/// this 512-byte L1-resident table turns each into one load.
-static SLOT_BIT: [u64; 64] = {
-    let mut masks = [0u64; 64];
-    let mut i = 0;
-    while i < 64 {
-        masks[i] = 1u64 << i;
-        i += 1;
-    }
-    masks
-};
-
-/// The register-staged full-word walk, monomorphised over the populated lane
-/// count `L` so the inner loop unrolls completely. Per cycle per buffer this
-/// is one fused table load (successor LFSR state *and* slot address in a
-/// single `u32`; the table length is `2^width`, a power of two, so the wrap
-/// mask is the identity and the bounds check folds away) plus an XOR-blend
-/// slot swap — no memory traffic besides the table loads, and the per-source
-/// critical chain is just load → extract → next load address.
-///
-/// Stream bits are consumed LSB-first from shrinking copies and rebuilt
-/// MSB-first into the outputs, so every stream access is a constant-distance
-/// shift; the slot accesses go through [`SLOT_BIT`]. Together these keep the
-/// walk free of variable-distance shifts, the dominant µop cost of the naive
-/// formulation on pre-BMI2 targets.
-fn staged_walk<const L: usize>(
-    staged: &mut StagedLanes,
-    table: &[u32],
-    x: &[u64; LANES],
-    y: &[u64; LANES],
-    out_x: &mut [u64; LANES],
-    out_y: &mut [u64; LANES],
-) {
-    let wrap = table.len() - 1;
-    let mut xi = [0u64; LANES];
-    let mut yi = [0u64; LANES];
-    xi[..L].copy_from_slice(&x[..L]);
-    yi[..L].copy_from_slice(&y[..L]);
-    for _ in 0..64 {
-        for l in 0..L {
-            let e = table[staged.state_x[l] as usize & wrap];
-            staged.state_x[l] = u64::from(e & 0xFFFF);
-            let mask = SLOT_BIT[(e >> 16) as usize & 63];
-            let out = u64::from(staged.slots_x[l] & mask != 0);
-            out_x[l] = (out_x[l] >> 1) | (out << 63);
-            // Replace the slot by the input bit: XOR-blend, toggling the slot
-            // exactly when the outgoing and incoming bits differ.
-            staged.slots_x[l] ^= mask & (out ^ (xi[l] & 1)).wrapping_neg();
-            xi[l] >>= 1;
-            let e = table[staged.state_y[l] as usize & wrap];
-            staged.state_y[l] = u64::from(e & 0xFFFF);
-            let mask = SLOT_BIT[(e >> 16) as usize & 63];
-            let out = u64::from(staged.slots_y[l] & mask != 0);
-            out_y[l] = (out_y[l] >> 1) | (out << 63);
-            staged.slots_y[l] ^= mask & (out ^ (yi[l] & 1)).wrapping_neg();
-            yi[l] >>= 1;
-        }
-    }
-}
-
-impl LaneKernel for DecorrelatorLanes {
-    fn step_words(
-        &mut self,
-        x: &[u64; LANES],
-        y: &[u64; LANES],
-        valid: &[u32; LANES],
-    ) -> ([u64; LANES], [u64; LANES]) {
-        let count = self.lanes.len();
-        debug_assert!(
-            valid[count..].iter().all(|&v| v == 0),
-            "unpopulated lanes must be inactive"
-        );
-        let (mut out_x, mut out_y) = ([0u64; LANES], [0u64; LANES]);
-        // Interleaved fast path: every populated lane carries a full word.
-        if valid[..count].iter().all(|&v| v == 64) {
-            if let Some(fused) = &self.fast {
-                let table = fused.as_slice();
-                let staged = self.staged.get_or_insert_with(|| Self::stage(&self.lanes));
-                match count {
-                    1 => staged_walk::<1>(staged, table, x, y, &mut out_x, &mut out_y),
-                    2 => staged_walk::<2>(staged, table, x, y, &mut out_x, &mut out_y),
-                    3 => staged_walk::<3>(staged, table, x, y, &mut out_x, &mut out_y),
-                    _ => staged_walk::<4>(staged, table, x, y, &mut out_x, &mut out_y),
-                }
-                return (out_x, out_y);
-            }
-            if let Some(table) = &self.table {
-                // Table-driven addressing: the real LFSRs still step (so the
-                // instances stay cycle-exact) but the float mapping is a load.
-                let tbl = table.as_slice();
-                for i in 0..64 {
-                    for (l, lane) in self.lanes.iter_mut().enumerate() {
-                        let ax = tbl[lane.buffer_x.source_mut().step() as usize] as usize;
-                        let slots = lane.buffer_x.slots_mut();
-                        out_x[l] |= u64::from(slots[ax]) << i;
-                        slots[ax] = (x[l] >> i) & 1 == 1;
-                        let ay = tbl[lane.buffer_y.source_mut().step() as usize] as usize;
-                        let slots = lane.buffer_y.slots_mut();
-                        out_y[l] |= u64::from(slots[ay]) << i;
-                        slots[ay] = (y[l] >> i) & 1 == 1;
-                    }
-                }
-                return (out_x, out_y);
-            }
-            for i in 0..64 {
-                for (l, lane) in self.lanes.iter_mut().enumerate() {
-                    let bx = lane.buffer_x.step((x[l] >> i) & 1 == 1);
-                    let by = lane.buffer_y.step((y[l] >> i) & 1 == 1);
-                    out_x[l] |= u64::from(bx) << i;
-                    out_y[l] |= u64::from(by) << i;
-                }
-            }
-            return (out_x, out_y);
-        }
-        // Ragged tail: commit any staged state first (the instances must be
-        // live again), then step each remaining active lane solo.
-        self.unstage();
-        for (l, lane) in self.lanes.iter_mut().enumerate() {
-            if valid[l] > 0 {
-                let (ox, oy) = StreamKernel::step_word(lane, x[l], y[l], valid[l]);
-                out_x[l] = ox;
-                out_y[l] = oy;
-            }
-        }
-        (out_x, out_y)
-    }
-
-    fn flush(&mut self) {
-        self.unstage();
     }
 }
 

@@ -245,26 +245,6 @@ impl CorrelationManipulator for Desynchronizer {
     fn step_word_dyn(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
         StreamKernel::step_word(self, x, y, valid)
     }
-
-    /// Exposes the banked-bit FSM to lane-batched dispatch: all
-    /// desynchronizers of one depth share a single table `Arc`, so a lane
-    /// group of equal-depth instances steps through
-    /// [`SpeculativeTable::step_words`] in one pass.
-    fn table_state(&self) -> Option<(Arc<SpeculativeTable>, usize)> {
-        self.table.as_ref().map(|t| {
-            (
-                Arc::clone(t),
-                state_index(self.depth, self.saved_x, self.saved_y, self.bank_x_next),
-            )
-        })
-    }
-
-    fn set_table_state(&mut self, state: usize) {
-        let (saved_x, saved_y, bank_x_next) = state_decode(self.depth, state);
-        self.saved_x = saved_x;
-        self.saved_y = saved_y;
-        self.bank_x_next = bank_x_next;
-    }
 }
 
 impl StreamKernel for Desynchronizer {

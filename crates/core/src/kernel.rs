@@ -45,47 +45,13 @@ pub trait StreamKernel: Send {
     fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64);
 }
 
-/// Number of independent stream pairs a lane-batched kernel steps per pass.
+/// Width of the retired lane dimension, which batched four stream pairs per
+/// pass.
 ///
-/// Four `u64` chains is the sweet spot for the table-driven FSM walks: the
-/// per-chunk dependent latency (address OR + 2-byte load) is long enough to
-/// overlap four independent chains on current cores without spilling lane
-/// state out of registers.
+/// Nothing in the workspace reads it any more: every stream pair runs solo.
+/// It stays only because the benchmark crate sizes an (always-zero) lane-fill
+/// histogram with it, and is retired by the next benchmark change.
 pub const LANES: usize = 4;
-
-/// A bank of identical circuits that transforms [`LANES`] *independent*
-/// stream pairs one packed 64-bit word per lane at a time.
-///
-/// Each lane is a full [`StreamKernel`]-equivalent instance with its own FSM
-/// state; lanes never exchange information, so a lane bank is bit-identical
-/// to running [`LANES`] solo kernels. Batching exists purely for throughput:
-/// the per-bit (or per-chunk) dependent chains of the lanes interleave in the
-/// execution window, hiding the state-update latency that caps single-stream
-/// FSM speed.
-///
-/// `valid[l]` is the number of meaningful low bits in `x[l]`/`y[l]`.
-/// **`valid[l] == 0` marks lane `l` inactive for this pass**: its inputs are
-/// ignored, its outputs are zero, and its circuit state must not advance.
-/// This is how ragged groups (streams of unequal length, or a group smaller
-/// than [`LANES`]) are expressed at the word level.
-pub trait LaneKernel: Send {
-    /// Steps every active lane by up to 64 cycles; element `l` of the
-    /// returned pair holds the output words for lane `l`.
-    fn step_words(
-        &mut self,
-        x: &[u64; LANES],
-        y: &[u64; LANES],
-        valid: &[u32; LANES],
-    ) -> ([u64; LANES], [u64; LANES]);
-
-    /// Commits any internally staged lane state back to the underlying
-    /// circuit instances. Lane kernels may keep hot state (FSM credits,
-    /// buffer bitsets, source registers) staged outside the instances between
-    /// [`LaneKernel::step_words`] calls; engine loops call `flush` once after
-    /// the final word of a batch, at which point instance state is exact
-    /// again. Kernels without staged state need not override this.
-    fn flush(&mut self) {}
-}
 
 /// Runs a manipulator's bit-stepped FSM over one register-resident word.
 ///
@@ -190,32 +156,6 @@ pub fn drive_step_word<F: FnMut(u64, u64, u32) -> (u64, u64)>(
 /// exceeds the bound simply keep the exact [`bit_serial_step_word`] path.
 pub const MAX_SPECULATIVE_STATES: usize = 64;
 
-/// Largest FSM state count for which the packed 6-cycle *lane* table is built
-/// in addition to the scalar tables.
-///
-/// The lane walk trades table footprint for µop count: one `u64` entry fuses
-/// both output chunks and the pre-scaled next row, so a four-lane word walk is
-/// ten fused lookups per lane instead of thirteen split ones. The entries are
-/// 4× wider and there are 4× more symbols, so the table only stays
-/// cache-resident for very small FSMs (`8 × 4096 × 8 B = 256 KiB` at the
-/// bound, 96 KiB for the 3-state depth-1 synchronizer). Larger FSMs keep the
-/// 5-cycle interleaved walk, which touches far less table per state.
-pub const MAX_PACKED_LANE_STATES: usize = 8;
-
-/// Largest FSM state count for which the *state-parallel* 6-cycle lane table
-/// is built (and the packed per-state table skipped).
-///
-/// Below this bound one `u64` entry has room for the outputs and successor of
-/// **every** state, so the table is indexed by the input symbol alone and the
-/// per-chunk lookup no longer sits on the FSM's serial dependence chain — the
-/// chain reduces to a shift-and-mask per chunk while the loads (4 KiB of
-/// symbols × 8 B = 32 KiB, L1-resident) issue independently. Three states is
-/// the layout's capacity: 3 × 6-bit X chunks, 3 × 6-bit Y chunks and 3 ×
-/// 4-bit next-shift fields fill 60 of the 64 bits. This covers the paper's
-/// depth-1 synchronizer and desynchronizer (`2D + 1 = 3` states), the
-/// workhorses of the tile pipeline.
-pub const MAX_STATE_PARALLEL_STATES: usize = 3;
-
 /// Precomputed speculative-stepping tables of a small-state Mealy FSM.
 ///
 /// A table is built from the FSM's own single-cycle transition function (so
@@ -252,25 +192,6 @@ pub struct SpeculativeTable {
     step5_next: Vec<u16>,
     /// Same index → output bits: X chunk in bits 0–4, Y chunk in 8–12.
     step5_out: Vec<u16>,
-    /// Packed 6-cycle lane table, built only when
-    /// [`MAX_STATE_PARALLEL_STATES`]` < states <= `[`MAX_PACKED_LANE_STATES`]
-    /// (empty otherwise). Indexed by
-    /// `state * 4096 + (x_6bits | y_6bits << 6)`; each `u64` entry fuses the
-    /// whole chunk result: X output bits 0–5, Y output bits 32–37, and the
-    /// next row base (`next_state * 4096`) in bits 40–57. The table length is
-    /// padded to a power of two so the walk can mask indices instead of
-    /// bounds-checking them.
-    lane6: Vec<u64>,
-    /// State-parallel 6-cycle lane table, built only when
-    /// `states <= `[`MAX_STATE_PARALLEL_STATES`] (empty otherwise). Indexed
-    /// by the 12-bit symbol `x_6bits | y_6bits << 6` *alone* — one entry
-    /// carries the chunk result for **every** possible starting state `s`:
-    /// X output bits at `6s..6s+6`, Y output bits at `30+6s..36+6s`, and the
-    /// next shift amount (`next_state * 6`) in the 4-bit field at `48+6s`.
-    /// Because the load address never depends on the FSM state, the walk's
-    /// serial dependence shrinks from a load per chunk to a shift-and-mask
-    /// per chunk, and the 32 KiB table stays L1-resident.
-    lane6_all: Vec<u64>,
 }
 
 impl SpeculativeTable {
@@ -325,53 +246,6 @@ impl SpeculativeTable {
         };
         let (step4_next, step4_out) = compose(4);
         let (step5_next, step5_out) = compose(5);
-        // The lane tables compose the same 1-cycle table, so they too are
-        // bit-identical to the generating transition function by construction.
-        let lane6_all = if states <= MAX_STATE_PARALLEL_STATES {
-            let mut table = vec![0u64; 4096];
-            for (sym, entry) in table.iter_mut().enumerate() {
-                for state in 0..states {
-                    let (mut row, mut ox, mut oy) = (state * 4, 0u64, 0u64);
-                    for cycle in 0..6 {
-                        let bx = (sym >> cycle) & 1;
-                        let by = (sym >> (6 + cycle)) & 1;
-                        let idx = row | bx | by << 1;
-                        let out = step1_out[idx];
-                        ox |= u64::from(out & 1) << cycle;
-                        oy |= u64::from(out >> 8) << cycle;
-                        row = step1_next[idx] as usize;
-                    }
-                    *entry |= ox << (6 * state)
-                        | oy << (30 + 6 * state)
-                        | (((row / 4) * 6) as u64) << (48 + 6 * state);
-                }
-            }
-            table
-        } else {
-            Vec::new()
-        };
-        let lane6 = if states <= MAX_PACKED_LANE_STATES && lane6_all.is_empty() {
-            let rows = states.next_power_of_two();
-            let mut table = vec![0u64; rows * 4096];
-            for state in 0..states {
-                for sym in 0..4096usize {
-                    let (mut row, mut ox, mut oy) = (state * 4, 0u64, 0u64);
-                    for cycle in 0..6 {
-                        let bx = (sym >> cycle) & 1;
-                        let by = (sym >> (6 + cycle)) & 1;
-                        let idx = row | bx | by << 1;
-                        let out = step1_out[idx];
-                        ox |= u64::from(out & 1) << cycle;
-                        oy |= u64::from(out >> 8) << cycle;
-                        row = step1_next[idx] as usize;
-                    }
-                    table[state * 4096 + sym] = ox | oy << 32 | (((row / 4) * 4096) as u64) << 40;
-                }
-            }
-            table
-        } else {
-            Vec::new()
-        };
         SpeculativeTable {
             states,
             step1_next,
@@ -380,8 +254,6 @@ impl SpeculativeTable {
             step4_out,
             step5_next,
             step5_out,
-            lane6,
-            lane6_all,
         }
     }
 
@@ -448,253 +320,6 @@ impl SpeculativeTable {
             row1 = self.step1_next[idx] as usize;
         }
         *state = row1 / 4;
-        (out_x, out_y)
-    }
-
-    /// Steps [`LANES`] independent `(state, word)` pairs through the shared
-    /// tables in one pass, updating each `states[l]` in place.
-    ///
-    /// Per lane this is exactly [`SpeculativeTable::step_word`] — lanes share
-    /// the immutable tables, never each other's state — but the four chunk
-    /// walks are interleaved so their serial `row → load → row` chains
-    /// overlap instead of waiting on one another. Lanes with `valid[l] == 0`
-    /// are inactive: outputs zero, `states[l]` untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics (via indexing) if any active lane's `states[l] >= self.states()`.
-    #[must_use]
-    pub fn step_words(
-        &self,
-        states: &mut [usize; LANES],
-        x: &[u64; LANES],
-        y: &[u64; LANES],
-        valid: &[u32; LANES],
-    ) -> ([u64; LANES], [u64; LANES]) {
-        let (mut out_x, mut out_y) = ([0u64; LANES], [0u64; LANES]);
-        // The interleaved fast path requires every lane to be either full
-        // (valid 64) or inactive (valid 0); inactive lanes walk a scratch
-        // chain from state 0 on their (ignored) inputs so the loop body stays
-        // branch-free, and their results are discarded at the end.
-        if valid.iter().all(|&v| v == 64 || v == 0) && valid.contains(&64) {
-            if !self.lane6_all.is_empty() {
-                return self.step_words_state_parallel(states, x, y, valid);
-            }
-            if !self.lane6.is_empty() {
-                return self.step_words_packed(states, x, y, valid);
-            }
-            let mut rows = [0usize; LANES];
-            for l in 0..LANES {
-                rows[l] = if valid[l] == 64 { states[l] * 1024 } else { 0 };
-            }
-            for c in 0..12 {
-                let i = c * 5;
-                for l in 0..LANES {
-                    let sym = (((x[l] >> i) & 0x1F) | (((y[l] >> i) & 0x1F) << 5)) as usize;
-                    let idx = rows[l] | sym;
-                    let out = self.step5_out[idx];
-                    out_x[l] |= u64::from(out & 0x1F) << i;
-                    out_y[l] |= u64::from(out >> 8) << i;
-                    rows[l] = self.step5_next[idx] as usize;
-                }
-            }
-            for l in 0..LANES {
-                let sym = ((x[l] >> 60) | ((y[l] >> 60) << 4)) as usize;
-                let idx = ((rows[l] / 1024) * 256) | sym;
-                let out = self.step4_out[idx];
-                out_x[l] |= u64::from(out & 0xF) << 60;
-                out_y[l] |= u64::from(out >> 8) << 60;
-                if valid[l] == 64 {
-                    states[l] = self.step4_next[idx] as usize / 256;
-                } else {
-                    out_x[l] = 0;
-                    out_y[l] = 0;
-                }
-            }
-            return (out_x, out_y);
-        }
-        // Ragged tails (some lane shorter than 64 bits) fall back to the solo
-        // walk per active lane; these are at most the final word of a group.
-        for l in 0..LANES {
-            if valid[l] > 0 {
-                let (ox, oy) = self.step_word(&mut states[l], x[l], y[l], valid[l]);
-                out_x[l] = ox;
-                out_y[l] = oy;
-            }
-        }
-        (out_x, out_y)
-    }
-
-    /// The packed 6-cycle lane walk behind [`SpeculativeTable::step_words`]:
-    /// ten fused lookups per lane cover bits 0–59, the existing 4-cycle table
-    /// finishes bits 60–63.
-    ///
-    /// Every `valid[l]` must be 0 or 64. Three tricks keep the per-chunk µop
-    /// count low enough to beat four solo walks:
-    ///
-    /// * one masked `u64` load yields both output chunks *and* the pre-scaled
-    ///   next row, so a chunk is extract-symbol / load / accumulate / shift —
-    ///   no split output loads, no row rescaling;
-    /// * indices are wrapped with `& (len - 1)` (the table length is a power
-    ///   of two and the mask is the identity on every reachable index), which
-    ///   lets the compiler drop the bounds checks from the hot loop;
-    /// * output chunks accumulate into two per-lane halves (bits 0–29 and
-    ///   30–59) holding X low / Y high, so each chunk commits both streams
-    ///   with a single AND-shift-OR.
-    fn step_words_packed(
-        &self,
-        states: &mut [usize; LANES],
-        x: &[u64; LANES],
-        y: &[u64; LANES],
-        valid: &[u32; LANES],
-    ) -> ([u64; LANES], [u64; LANES]) {
-        /// X chunk in bits 0–5 of an entry, Y chunk in bits 32–37.
-        const HALVES: u64 = 0x0000_003F_0000_003F;
-        let table = self.lane6.as_slice();
-        let mask = table.len() - 1;
-        let mut rows = [0usize; LANES];
-        // Pre-shifted stream copies: the Y stream is staged 6 bits up once per
-        // half-word so a chunk symbol is two shift-and-mask extractions and an
-        // OR — no per-chunk re-alignment of Y next to X. The first half only
-        // consumes Y bits 0–29, so `y << 6` loses nothing it needs; the second
-        // half pre-shift `(y >> 30) << 6` fits in 40 bits and is lossless.
-        let mut ya = [0u64; LANES];
-        let mut xb = [0u64; LANES];
-        let mut yb = [0u64; LANES];
-        for l in 0..LANES {
-            // Inactive lanes walk a scratch chain from state 0 to keep the
-            // loop branch-free; their results are discarded below.
-            rows[l] = if valid[l] == 64 { states[l] * 4096 } else { 0 };
-            ya[l] = y[l] << 6;
-            xb[l] = x[l] >> 30;
-            yb[l] = (y[l] >> 30) << 6;
-        }
-        let (mut acc_a, mut acc_b) = ([0u64; LANES], [0u64; LANES]);
-        for c in 0..5 {
-            let i = c * 6;
-            for l in 0..LANES {
-                let sym = (((x[l] >> i) & 0x3F) | ((ya[l] >> i) & 0xFC0)) as usize;
-                let entry = table[(rows[l] | sym) & mask];
-                acc_a[l] |= (entry & HALVES) << i;
-                rows[l] = (entry >> 40) as usize;
-            }
-        }
-        for c in 0..5 {
-            let i = c * 6;
-            for l in 0..LANES {
-                let sym = (((xb[l] >> i) & 0x3F) | ((yb[l] >> i) & 0xFC0)) as usize;
-                let entry = table[(rows[l] | sym) & mask];
-                acc_b[l] |= (entry & HALVES) << i;
-                rows[l] = (entry >> 40) as usize;
-            }
-        }
-        let (mut out_x, mut out_y) = ([0u64; LANES], [0u64; LANES]);
-        for l in 0..LANES {
-            let sym = ((x[l] >> 60) | ((y[l] >> 60) << 4)) as usize;
-            let idx = ((rows[l] >> 12) * 256) | sym;
-            let out = self.step4_out[idx];
-            out_x[l] = (acc_a[l] & 0x3FFF_FFFF)
-                | ((acc_b[l] & 0x3FFF_FFFF) << 30)
-                | u64::from(out & 0xF) << 60;
-            out_y[l] = ((acc_a[l] >> 32) & 0x3FFF_FFFF)
-                | (((acc_b[l] >> 32) & 0x3FFF_FFFF) << 30)
-                | u64::from(out >> 8) << 60;
-            if valid[l] == 64 {
-                states[l] = self.step4_next[idx] as usize / 256;
-            } else {
-                out_x[l] = 0;
-                out_y[l] = 0;
-            }
-        }
-        (out_x, out_y)
-    }
-
-    /// The state-parallel lane walk behind [`SpeculativeTable::step_words`],
-    /// used when `states <= `[`MAX_STATE_PARALLEL_STATES`].
-    ///
-    /// Every `valid[l]` must be 0 or 64. The packed walk
-    /// ([`SpeculativeTable::step_words_packed`]) is limited by its serial
-    /// chain of state-indexed loads — each chunk's lookup address depends on
-    /// the previous chunk's result, so four interleaved lanes still pay a
-    /// cache-latency-bound recurrence. Here the entry for a symbol holds the
-    /// results for *all* states ([`SpeculativeTable::lane6_all`]), so:
-    ///
-    /// * loads are addressed by the input symbol alone and issue as soon as
-    ///   the stream words arrive, entirely off the FSM dependence chain;
-    /// * the chain itself is `entry >> shamt` then a 4-bit extract of the
-    ///   next shift amount — a few ALU cycles per chunk instead of a load;
-    /// * the per-state field layout keeps the dual-half accumulator trick:
-    ///   after the shift, X sits at bits 0–5 and Y at 30–35, so one
-    ///   AND-shift-OR commits both streams' chunks.
-    fn step_words_state_parallel(
-        &self,
-        states: &mut [usize; LANES],
-        x: &[u64; LANES],
-        y: &[u64; LANES],
-        valid: &[u32; LANES],
-    ) -> ([u64; LANES], [u64; LANES]) {
-        /// X chunk in bits 0–5 of a shifted entry, Y chunk in bits 30–35.
-        const HALVES: u64 = 0x0000_000F_C000_003F;
-        let table: &[u64; 4096] = self
-            .lane6_all
-            .as_slice()
-            .try_into()
-            .expect("state-parallel table always has 4096 entries");
-        // Pre-shifted stream copies, as in the packed walk: symbols become two
-        // shift-and-mask extractions and an OR.
-        let mut shamt = [0u64; LANES];
-        let mut ya = [0u64; LANES];
-        let mut xb = [0u64; LANES];
-        let mut yb = [0u64; LANES];
-        for l in 0..LANES {
-            // Inactive lanes walk a scratch chain from state 0; their results
-            // are discarded below.
-            shamt[l] = if valid[l] == 64 {
-                (states[l] * 6) as u64
-            } else {
-                0
-            };
-            ya[l] = y[l] << 6;
-            xb[l] = x[l] >> 30;
-            yb[l] = (y[l] >> 30) << 6;
-        }
-        let (mut acc_a, mut acc_b) = ([0u64; LANES], [0u64; LANES]);
-        for c in 0..5 {
-            let i = c * 6;
-            for l in 0..LANES {
-                let sym = (((x[l] >> i) & 0x3F) | ((ya[l] >> i) & 0xFC0)) as usize;
-                let f = table[sym] >> shamt[l];
-                acc_a[l] |= (f & HALVES) << i;
-                shamt[l] = (f >> 48) & 0xF;
-            }
-        }
-        for c in 0..5 {
-            let i = c * 6;
-            for l in 0..LANES {
-                let sym = (((xb[l] >> i) & 0x3F) | ((yb[l] >> i) & 0xFC0)) as usize;
-                let f = table[sym] >> shamt[l];
-                acc_b[l] |= (f & HALVES) << i;
-                shamt[l] = (f >> 48) & 0xF;
-            }
-        }
-        let (mut out_x, mut out_y) = ([0u64; LANES], [0u64; LANES]);
-        for l in 0..LANES {
-            let sym = ((x[l] >> 60) | ((y[l] >> 60) << 4)) as usize;
-            let idx = ((shamt[l] as usize / 6) * 256) | sym;
-            let out = self.step4_out[idx];
-            out_x[l] = (acc_a[l] & 0x3FFF_FFFF)
-                | ((acc_b[l] & 0x3FFF_FFFF) << 30)
-                | u64::from(out & 0xF) << 60;
-            out_y[l] = ((acc_a[l] >> 30) & 0x3FFF_FFFF)
-                | (((acc_b[l] >> 30) & 0x3FFF_FFFF) << 30)
-                | u64::from(out >> 8) << 60;
-            if valid[l] == 64 {
-                states[l] = self.step4_next[idx] as usize / 256;
-            } else {
-                out_x[l] = 0;
-                out_y[l] = 0;
-            }
-        }
         (out_x, out_y)
     }
 }
@@ -804,52 +429,5 @@ mod tests {
     #[should_panic(expected = "outside 1..=")]
     fn speculative_table_rejects_oversized_state_space() {
         let _ = SpeculativeTable::build(MAX_SPECULATIVE_STATES + 1, |s, _, _| (s, false, false));
-    }
-
-    /// Lane-batched table stepping must agree with the solo word stepper for
-    /// every lane, including ragged tails (lanes of unequal length) and fully
-    /// inactive lanes, whose state must stay untouched.
-    #[test]
-    fn speculative_lane_stepping_matches_solo() {
-        let step = |s: usize, x: bool, y: bool| {
-            let next = if x { (s + 1) % 5 } else { s };
-            (next, s >= 3 || y, x ^ (s == 2))
-        };
-        let table = SpeculativeTable::build(5, step);
-        let lens = [257usize, 100, 64, 1];
-        let (x, y) = streams(257);
-        let words = x.as_words();
-        let ywords = y.as_words();
-
-        let mut lane_states = [3usize, 1, 4, 0];
-        let mut solo_states = lane_states;
-        let max_words = lens[0].div_ceil(64);
-        for w in 0..max_words {
-            let (mut xw, mut yw, mut valid) = ([0u64; LANES], [0u64; LANES], [0u32; LANES]);
-            for l in 0..LANES {
-                if w * 64 < lens[l] {
-                    valid[l] = (lens[l] - w * 64).min(64) as u32;
-                    let mask = if valid[l] == 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << valid[l]) - 1
-                    };
-                    xw[l] = words[w] & mask;
-                    yw[l] = ywords[w] & mask;
-                }
-            }
-            let before = lane_states;
-            let (ox, oy) = table.step_words(&mut lane_states, &xw, &yw, &valid);
-            for l in 0..LANES {
-                if valid[l] == 0 {
-                    assert_eq!((ox[l], oy[l]), (0, 0), "inactive lane {l} word {w}");
-                    assert_eq!(lane_states[l], before[l], "inactive lane {l} state");
-                } else {
-                    let (ex, ey) = table.step_word(&mut solo_states[l], xw[l], yw[l], valid[l]);
-                    assert_eq!((ox[l], oy[l]), (ex, ey), "lane {l} word {w}");
-                    assert_eq!(lane_states[l], solo_states[l], "lane {l} state word {w}");
-                }
-            }
-        }
     }
 }

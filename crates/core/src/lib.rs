@@ -31,13 +31,9 @@
 //! [`CorrelationManipulator::process_bit_serial`] and verified bit-identical
 //! by equivalence tests.
 //!
-//! A second **lane dimension** ([`lanes`]) batches [`LANES`] *independent*
-//! stream pairs through banks of identical circuits in one pass: the serial
-//! state chains that cap single-stream FSM throughput are interleaved across
-//! lanes ([`SpeculativeTable::step_words`], [`DecorrelatorLanes`]), so the
-//! per-stream cost approaches the chain's issue throughput instead of its
-//! latency. Lane banks are bit-identical to solo execution by construction —
-//! lanes never exchange information.
+//! Every stream pair runs solo: the paper's circuits are per-pair FSMs, and
+//! callers that have many pairs run them one after another (or on separate
+//! threads) through the same word path.
 //!
 //! # Example
 //!
@@ -72,7 +68,6 @@ pub mod decorrelator;
 pub mod desynchronizer;
 pub mod isolator;
 pub mod kernel;
-pub mod lanes;
 pub mod manipulator;
 pub mod ops;
 pub mod shuffle_buffer;
@@ -82,14 +77,13 @@ pub mod tfm;
 pub mod tracker;
 
 pub use compose::{ChainStage, ManipulatorChain};
-pub use decorrelator::{Decorrelator, DecorrelatorLanes};
+pub use decorrelator::Decorrelator;
 pub use desynchronizer::Desynchronizer;
 pub use isolator::Isolator;
 pub use kernel::{
-    bit_serial_step_word, drive_step_word, process_with_kernel, BitSerial, LaneKernel,
-    SpeculativeTable, StreamKernel, LANES, MAX_SPECULATIVE_STATES,
+    bit_serial_step_word, drive_step_word, process_with_kernel, BitSerial, SpeculativeTable,
+    StreamKernel, LANES, MAX_SPECULATIVE_STATES,
 };
-pub use lanes::{process_lane_pairs, LaneBank, LaneChain};
 pub use manipulator::{CorrelationManipulator, Identity};
 pub use shuffle_buffer::ShuffleBuffer;
 pub use synchronizer::Synchronizer;

@@ -1,9 +1,8 @@
 //! The [`CorrelationManipulator`] trait implemented by every correlation
 //! manipulating circuit in this crate.
 
-use crate::kernel::{bit_serial_step_word, SpeculativeTable, StreamKernel, LANES};
+use crate::kernel::{bit_serial_step_word, StreamKernel};
 use sc_bitstream::{Bitstream, Error, Result};
-use std::sync::Arc;
 
 /// A circuit that transforms a pair of stochastic numbers cycle by cycle,
 /// changing their mutual correlation while (ideally) preserving their values.
@@ -57,89 +56,6 @@ pub trait CorrelationManipulator: Send {
         bit_serial_step_word(self, x, y, valid)
     }
 
-    /// The circuit's speculative-table view — the configuration-shared
-    /// transition table plus the current encoded FSM state — when the circuit
-    /// steps words through a [`SpeculativeTable`]. Lane-batched dispatch uses
-    /// this to step several same-configuration instances through one shared
-    /// table per pass ([`CorrelationManipulator::step_words_dyn`]) without
-    /// downcasting. Circuits without a table view (shuffle buffers, shift
-    /// registers, oversized state spaces) return `None` and keep their
-    /// per-lane word paths.
-    fn table_state(&self) -> Option<(Arc<SpeculativeTable>, usize)> {
-        None
-    }
-
-    /// Restores an encoded FSM state previously reported by
-    /// [`CorrelationManipulator::table_state`]. The default is a no-op for
-    /// circuits with no table view.
-    fn set_table_state(&mut self, _state: usize) {}
-
-    /// Lane-batched word stepping through dynamic dispatch: `self` carries
-    /// lane 0 and `rest` carries up to [`LANES`]` - 1` further instances of
-    /// the *same circuit configuration* for lanes `1..`. Lanes beyond
-    /// `1 + rest.len()` must have `valid == 0`; as for
-    /// [`crate::LaneKernel::step_words`], a lane with `valid == 0` is
-    /// inactive (outputs zero, state untouched).
-    ///
-    /// When every active lane exposes the same shared [`SpeculativeTable`]
-    /// via [`CorrelationManipulator::table_state`], the default gathers the
-    /// lane states, steps them through
-    /// [`SpeculativeTable::step_words`] in one interleaved pass, and
-    /// scatters the states back; otherwise it falls back to per-lane
-    /// [`CorrelationManipulator::step_word_dyn`] calls, which is
-    /// bit-identical (lanes are independent) but without the cross-lane
-    /// overlap.
-    fn step_words_dyn(
-        &mut self,
-        rest: &mut [Box<dyn CorrelationManipulator>],
-        x: &[u64; LANES],
-        y: &[u64; LANES],
-        valid: &[u32; LANES],
-    ) -> ([u64; LANES], [u64; LANES]) {
-        debug_assert!(
-            rest.len() < LANES,
-            "a lane group holds at most LANES circuits"
-        );
-        if let Some((table, state0)) = self.table_state() {
-            let mut states = [0usize; LANES];
-            states[0] = state0;
-            let mut shared = rest.len() < LANES;
-            for (l, lane) in rest.iter().enumerate() {
-                match lane.table_state() {
-                    Some((t, s)) if Arc::ptr_eq(&t, &table) => states[l + 1] = s,
-                    _ => {
-                        shared = false;
-                        break;
-                    }
-                }
-            }
-            if shared {
-                let out = table.step_words(&mut states, x, y, valid);
-                // Inactive lanes' states are untouched by step_words, so an
-                // unconditional scatter is safe.
-                self.set_table_state(states[0]);
-                for (l, lane) in rest.iter_mut().enumerate() {
-                    lane.set_table_state(states[l + 1]);
-                }
-                return out;
-            }
-        }
-        let (mut out_x, mut out_y) = ([0u64; LANES], [0u64; LANES]);
-        if valid[0] > 0 {
-            let (ox, oy) = self.step_word_dyn(x[0], y[0], valid[0]);
-            out_x[0] = ox;
-            out_y[0] = oy;
-        }
-        for (l, lane) in rest.iter_mut().enumerate() {
-            if valid[l + 1] > 0 {
-                let (ox, oy) = lane.step_word_dyn(x[l + 1], y[l + 1], valid[l + 1]);
-                out_x[l + 1] = ox;
-                out_y[l + 1] = oy;
-            }
-        }
-        (out_x, out_y)
-    }
-
     /// The original one-bit-per-cycle `process` formulation, retained as the
     /// executable specification the word-parallel paths are verified against.
     ///
@@ -187,24 +103,6 @@ impl CorrelationManipulator for Box<dyn CorrelationManipulator> {
 
     fn step_word_dyn(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
         self.as_mut().step_word_dyn(x, y, valid)
-    }
-
-    fn table_state(&self) -> Option<(Arc<SpeculativeTable>, usize)> {
-        self.as_ref().table_state()
-    }
-
-    fn set_table_state(&mut self, state: usize) {
-        self.as_mut().set_table_state(state);
-    }
-
-    fn step_words_dyn(
-        &mut self,
-        rest: &mut [Box<dyn CorrelationManipulator>],
-        x: &[u64; LANES],
-        y: &[u64; LANES],
-        valid: &[u32; LANES],
-    ) -> ([u64; LANES], [u64; LANES]) {
-        self.as_mut().step_words_dyn(rest, x, y, valid)
     }
 }
 

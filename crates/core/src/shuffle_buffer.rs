@@ -68,26 +68,6 @@ impl<S: RandomSource> ShuffleBuffer<S> {
         self.slots.iter().filter(|&&b| b).count()
     }
 
-    /// Direct slot access for the lane-batched decorrelator fast path.
-    pub(crate) fn slots_mut(&mut self) -> &mut [bool] {
-        &mut self.slots
-    }
-
-    /// Read-only slot access for staging the buffer into a register bitset.
-    pub(crate) fn slots(&self) -> &[bool] {
-        &self.slots
-    }
-
-    /// Direct source access for the lane-batched decorrelator fast path.
-    pub(crate) fn source_mut(&mut self) -> &mut S {
-        &mut self.source
-    }
-
-    /// Immutable source access for lane-batch configuration checks.
-    pub(crate) fn source(&self) -> &S {
-        &self.source
-    }
-
     /// Processes one bit: a random slot is read out and replaced by `input`.
     pub fn step(&mut self, input: bool) -> bool {
         let addr = self.source.next_below(self.slots.len() as u64) as usize;

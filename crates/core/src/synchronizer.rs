@@ -262,19 +262,6 @@ impl CorrelationManipulator for Synchronizer {
     fn step_word_dyn(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
         StreamKernel::step_word(self, x, y, valid)
     }
-
-    /// Exposes the credit FSM to lane-batched dispatch: all synchronizers of
-    /// one depth share a single table `Arc`, so a lane group of equal-depth
-    /// instances steps through [`SpeculativeTable::step_words`] in one pass.
-    fn table_state(&self) -> Option<(Arc<SpeculativeTable>, usize)> {
-        self.table
-            .as_ref()
-            .map(|t| (Arc::clone(t), (self.credit + self.depth) as usize))
-    }
-
-    fn set_table_state(&mut self, state: usize) {
-        self.credit = state as i32 - self.depth;
-    }
 }
 
 impl StreamKernel for Synchronizer {

@@ -366,15 +366,11 @@ pub struct CompiledGraph {
     ops: Vec<NodeOp>,
     /// Template-class id: fresh per `compile` call, preserved by `Clone`.
     /// Jobs of one class run one step list (their sources may differ only
-    /// through [`BatchInput::bindings`](crate::BatchInput::bindings)), which
-    /// is what lets the executor run same-class jobs in lockstep lanes.
+    /// through [`BatchInput::bindings`](crate::BatchInput::bindings)).
     class: u64,
     /// The sinks' names in emit order with a by-name index, shared with
     /// every execution's [`ExecOutput`](crate::ExecOutput).
     pub(crate) sinks: Arc<SinkNames>,
-    /// [`CompiledGraph::lane_batchable`], decided once here rather than per
-    /// dispatched job.
-    lane_batchable: bool,
 }
 
 impl CompiledGraph {
@@ -387,19 +383,7 @@ impl CompiledGraph {
         report: CompileReport,
         ops: Vec<NodeOp>,
     ) -> CompiledGraph {
-        let lane_batchable = steps.iter().any(|step| {
-            matches!(
-                step,
-                Step::Manipulate { .. }
-                    | Step::UnaryFsm { .. }
-                    | Step::Binary {
-                        op: BinaryOp::CaMax | BinaryOp::CaMin,
-                        ..
-                    }
-            )
-        });
         CompiledGraph {
-            lane_batchable,
             sinks: Arc::new(SinkNames::of(&steps)),
             steps,
             slot_count,
@@ -447,23 +431,11 @@ impl CompiledGraph {
     /// [`Graph::compile`] call and *shared* by every clone of that plan.
     /// Jobs of one class run the same steps, slots and scheduling; their
     /// source seeding may differ only through their inputs'
-    /// [`BatchInput::bindings`](crate::BatchInput::bindings). So the executor
-    /// can transpose a group of same-class jobs into lanes and step them in
-    /// lockstep.
+    /// [`BatchInput::bindings`](crate::BatchInput::bindings). Telemetry keys
+    /// its per-class job and latency table by it.
     #[must_use]
     pub fn plan_class(&self) -> u64 {
         self.class
-    }
-
-    /// Whether the plan contains at least one step with a lane-batched
-    /// kernel — a manipulator (solo or fused run), a saturating-counter FSM
-    /// activation, or a counter-based max/min — so grouping same-class jobs
-    /// into lanes can actually amortise an FSM dependency chain. Plans of
-    /// pure bitwise ops gain nothing from lane transposition (they are
-    /// already word-parallel) and are executed solo.
-    #[must_use]
-    pub fn lane_batchable(&self) -> bool {
-        self.lane_batchable
     }
 
     /// The position of the named value-producing sink (`SinkValue`,
@@ -546,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_class_marks_templates_and_lane_batchable_plans() {
+    fn plan_class_marks_templates() {
         let build = || {
             let mut g = Graph::new();
             let x = g.generate(0, sobol(1));
@@ -559,28 +531,9 @@ mod tests {
         let a = build().compile(&PlannerOptions::default()).unwrap();
         let b = build().compile(&PlannerOptions::default()).unwrap();
         // Every compile mints a fresh class; clones keep their template's
-        // class (that sharing is what the executor's lane grouping keys on).
+        // class.
         assert_ne!(a.plan_class(), b.plan_class());
         assert_eq!(a.clone().plan_class(), a.plan_class());
-        // Manipulator steps make a plan lane batchable; a pure bitwise plan
-        // (CaAdd is correlation-agnostic, so no repair is inserted) is not.
-        assert!(a.lane_batchable());
-        let mut g = Graph::new();
-        let x = g.generate(0, sobol(1));
-        let y = g.generate(1, sobol(2));
-        let z = g.binary(BinaryOp::CaAdd, x, y);
-        g.sink_value("z", z);
-        let plain = g.compile(&PlannerOptions::default()).unwrap();
-        assert!(!plain.lane_batchable());
-        // Counter-based max and activation FSMs are lane batchable too.
-        let mut g = Graph::new();
-        let x = g.generate(0, sobol(1));
-        let t = g.stanh(3, x);
-        g.sink_value("t", t);
-        assert!(g
-            .compile(&PlannerOptions::default())
-            .unwrap()
-            .lane_batchable());
     }
 
     #[test]

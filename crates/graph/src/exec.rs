@@ -2,15 +2,14 @@
 //! of independent input sets, optionally sharded across a persistent worker
 //! pool.
 
-use crate::coalesce::{Coalescer, Group, Member};
+use crate::coalesce::{DispatchCore, Member};
 use crate::compile::{CompiledGraph, Step};
 use crate::graph::GraphError;
-use crate::node::BinaryOp;
 use crate::planes::{self, PlaneStore};
 use sc_arith::add::mux_add;
 use sc_bitstream::{scc, Bitstream, Probability};
 use sc_convert::{AccumulativeParallelCounter, StochasticToDigital};
-use sc_core::{process_lane_pairs, CorrelationManipulator, LaneChain, ManipulatorChain, LANES};
+use sc_core::{CorrelationManipulator, ManipulatorChain, LANES};
 use sc_rng::SourceSpec;
 use sc_telemetry::{Gauge, Hist, Stage, TelemetrySink};
 use std::collections::VecDeque;
@@ -365,40 +364,31 @@ pub struct StreamJob {
 
 /// What one [`Executor::run_stream_with_stats`] call actually did.
 ///
-/// `StreamStats` is a view of the coalescing core's one tally. When the
+/// `StreamStats` is a view of the dispatch core's one tally. When the
 /// executor carries an enabled [`TelemetrySink`]
-/// ([`Executor::with_telemetry`]), the core adds each tally to the sink at
-/// the moment it counts it (`jobs` → `Counter::JobsPulled`, the path split
-/// → `Counter::LaneBatchedJobs` / `Counter::ScalarJobs`, the fill array
-/// → the sink's lane-fill distribution, and each released group's plan
+/// ([`Executor::with_telemetry`]), the core adds each job to the sink at the
+/// moment it counts it (`jobs` → `Counter::JobsPulled` and the job's plan
 /// class → the sink's bounded class table, the one per-class view) —
 /// `StreamStats` is the per-call view and the sink the cumulative view of
 /// **one** set of tallies, so the two reporting paths cannot drift.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Total jobs pulled from the iterator.
+    /// Total jobs pulled from the iterator; every one runs solo.
     pub jobs: usize,
     /// Peak number of jobs *in flight* — pulled from the iterator but not
     /// yet completed (executed inline, or reported back by a worker). This
-    /// is **exact** on both dispatch paths, jobs buffered for lane grouping
-    /// included, and it never exceeds `window.max(1)` — on the error path
-    /// too — which is what makes the bound useful: each worker drops its
-    /// job (and plan handle) before reporting, so live-plan memory is
-    /// provably O(window).
+    /// is **exact** on both dispatch paths and it never exceeds
+    /// `window.max(1)` — on the error path too — which is what makes the
+    /// bound useful: each worker drops its job (and plan handle) before
+    /// reporting, so live-plan memory is provably O(window).
     pub peak_in_flight: usize,
-    /// Jobs executed through the lane-batched lockstep path: groups of ≥ 2
-    /// jobs sharing a [`CompiledGraph::plan_class`] whose streams were
-    /// transposed into lanes at every FSM-bearing step.
+    /// Always 0: lane batching was removed and every job runs solo. Kept
+    /// only because the benchmark crate reads it; retired by the next
+    /// benchmark change.
     pub lane_batched_jobs: usize,
-    /// Jobs executed solo through the scalar per-job path (plans without
-    /// lane-batchable steps, windows of 1, or leftover groups of 1).
-    pub scalar_jobs: usize,
-    /// How full the executed lane groups were: `lane_group_fill[k]` counts
-    /// bucket-origin groups of `k + 1` jobs (so `lane_group_fill[0]` counts
-    /// leftover singleton flushes, which execute scalar). Only jobs that
-    /// entered a per-class bucket are counted; non-batchable jobs never
-    /// appear here. Invariant: `lane_batched_jobs` = Σ over `k ≥ 1` of
-    /// `(k + 1) · lane_group_fill[k]`.
+    /// Always all-zero: lane groups are never formed any more. Kept only
+    /// because the benchmark crate reads it; retired by the next benchmark
+    /// change.
     pub lane_group_fill: [usize; LANES],
 }
 
@@ -460,8 +450,7 @@ impl Executor {
     }
 
     /// Attaches a [`TelemetrySink`]: subsequent dispatches record per-stage
-    /// spans (dispatch, lane-group/scalar execute, worker park/run,
-    /// de-transpose), counters, window-occupancy and queue-depth gauges, and
+    /// spans (dispatch, per-job execute, worker park/run), counters, window-occupancy and queue-depth gauges, and
     /// job-latency histograms into it. The default sink is a no-op;
     /// instrumentation sits at step/job granularity, never inside the word
     /// kernels. Resets any already-spawned pool so its workers record into
@@ -548,9 +537,8 @@ fn execute_plan(
     Ok(env.out)
 }
 
-/// Executes one plan step against one job's environment — the scalar
-/// single-lane unit both [`execute_plan`] and the lockstep group engine
-/// ([`execute_plan_group`]) are built from.
+/// Executes one plan step against one job's environment — the unit
+/// [`execute_plan`] is built from.
 fn execute_step(
     n: usize,
     step: &Step,
@@ -717,192 +705,16 @@ fn execute_step(
     Ok(())
 }
 
-/// Marks lanes whose step operands differ in length as failed — exactly the
-/// error the scalar path would report for that job — and returns the
-/// still-live subset, which is safe to feed to a lane kernel.
-fn check_pair_lengths(
-    envs: &[ExecEnv],
-    errs: &mut [Option<GraphError>],
-    alive: &[usize],
-    x: usize,
-    y: usize,
-) -> Vec<usize> {
-    let mut live = Vec::with_capacity(alive.len());
-    for &l in alive {
-        let (sx, sy) = (slot(&envs[l].slots, x), slot(&envs[l].slots, y));
-        if sx.len() == sy.len() {
-            live.push(l);
-        } else {
-            errs[l] = Some(GraphError::Stream(sc_bitstream::Error::LengthMismatch {
-                left: sx.len(),
-                right: sy.len(),
-            }));
-        }
-    }
-    live
-}
-
-/// Executes a group of 2..=[`LANES`] jobs sharing one
-/// [`CompiledGraph::plan_class`] in lockstep: all jobs advance through the
-/// step list together, and at every FSM-bearing step — manipulator runs,
-/// saturating-counter activations, counter-based max/min — the group's
-/// streams are transposed into lanes and stepped through one lane-batched
-/// kernel pass, so the lanes' serial FSM chains interleave instead of
-/// running back to back. Every other step runs scalar per lane against that
-/// lane's *own* input, so each lane's [`BatchInput::bindings`] pick its own
-/// sources (one template, per-tile select seeds).
-///
-/// Per-job results are bit-identical to [`execute_plan`] on each job alone:
-/// the lane kernels are pinned bit-identical to their solo circuits, and a
-/// lane that fails mid-plan simply drops out (`valid = 0`-style) with the
-/// same first error the scalar path reports, without disturbing its peers.
-///
-/// Records one [`Stage::LaneGroupExecute`] span (argument = group fill) with
-/// a nested [`Stage::DeTranspose`] span around the per-lane result
-/// re-assembly, and observes the group's duration once per member job in
-/// [`Hist::JobLatencyNs`] — the group *is* each member's latency, since the
-/// lanes finish together.
-pub(crate) fn execute_plan_group(
-    n: usize,
-    group: &[&StreamJob],
-    telemetry: &TelemetrySink,
-) -> Vec<Result<ExecOutput, GraphError>> {
-    let span = telemetry.span_with(Stage::LaneGroupExecute, group.len() as u64);
-    debug_assert!(
-        (2..=LANES).contains(&group.len()),
-        "lane group size {} outside 2..={LANES}",
-        group.len()
-    );
-    debug_assert!(
-        group
-            .iter()
-            .all(|job| job.plan.plan_class() == group[0].plan.plan_class()),
-        "lane groups must share one plan class"
-    );
-    let mut envs: Vec<ExecEnv> = group
-        .iter()
-        .map(|job| ExecEnv::new(&job.plan, planes::global()))
-        .collect();
-    let mut errs: Vec<Option<GraphError>> = (0..group.len()).map(|_| None).collect();
-    for i in 0..group[0].plan.steps.len() {
-        let alive: Vec<usize> = (0..group.len()).filter(|&l| errs[l].is_none()).collect();
-        if alive.is_empty() {
-            break;
-        }
-        // Same-class plans are structurally identical, so the lane-batched
-        // arms read the shared structure (slot indices, manipulator kinds,
-        // operators) from lane 0's step; the scalar arm runs each lane's own
-        // step against its own input, so per-lane source bindings are
-        // honoured.
-        match &group[0].plan.steps[i] {
-            Step::Manipulate {
-                kinds,
-                x,
-                y,
-                dst_x,
-                dst_y,
-            } => {
-                let live = check_pair_lengths(&envs, &mut errs, &alive, *x, *y);
-                if live.is_empty() {
-                    continue;
-                }
-                let mut chain = LaneChain::new();
-                for kind in kinds {
-                    chain.push_boxed(kind.build_lanes(live.len()));
-                }
-                let processed = {
-                    let pairs: Vec<(&Bitstream, &Bitstream)> = live
-                        .iter()
-                        .map(|&l| (slot(&envs[l].slots, *x), slot(&envs[l].slots, *y)))
-                        .collect();
-                    process_lane_pairs(&mut chain, &pairs).expect("pair lengths pre-checked")
-                };
-                for (&l, (ox, oy)) in live.iter().zip(processed) {
-                    envs[l].slots[*dst_x] = Some(ox);
-                    envs[l].slots[*dst_y] = Some(oy);
-                }
-            }
-            Step::Binary {
-                op: op @ (BinaryOp::CaMax | BinaryOp::CaMin),
-                x,
-                y,
-                dst,
-            } => {
-                let live = check_pair_lengths(&envs, &mut errs, &alive, *x, *y);
-                if live.is_empty() {
-                    continue;
-                }
-                let results = {
-                    let pairs: Vec<(&Bitstream, &Bitstream)> = live
-                        .iter()
-                        .map(|&l| (slot(&envs[l].slots, *x), slot(&envs[l].slots, *y)))
-                        .collect();
-                    match op {
-                        BinaryOp::CaMax => sc_arith::maxmin::ca_max_lanes(&pairs),
-                        _ => sc_arith::maxmin::ca_min_lanes(&pairs),
-                    }
-                    .expect("pair lengths pre-checked")
-                };
-                for (&l, z) in live.iter().zip(results) {
-                    envs[l].slots[*dst] = Some(z);
-                }
-            }
-            Step::UnaryFsm { op, src, dst } => {
-                let results = {
-                    let inputs: Vec<&Bitstream> =
-                        alive.iter().map(|&l| slot(&envs[l].slots, *src)).collect();
-                    match op {
-                        crate::node::UnaryFsmOp::Stanh { half_states } => {
-                            sc_arith::fsm_ops::stanh_lanes(&inputs, *half_states)
-                        }
-                        crate::node::UnaryFsmOp::Slinear { states } => {
-                            sc_arith::fsm_ops::slinear_lanes(&inputs, *states)
-                        }
-                    }
-                };
-                for (&l, z) in alive.iter().zip(results) {
-                    envs[l].slots[*dst] = Some(z);
-                }
-            }
-            _ => {
-                for &l in &alive {
-                    let job = &group[l];
-                    if let Err(e) = execute_step(n, &job.plan.steps[i], &job.input, &mut envs[l]) {
-                        errs[l] = Some(e);
-                    }
-                }
-            }
-        }
-    }
-    let results = {
-        let _detranspose = telemetry.span(Stage::DeTranspose);
-        errs.into_iter()
-            .zip(envs)
-            .map(|(err, env)| match err {
-                Some(e) => Err(e),
-                None => Ok(env.out),
-            })
-            .collect()
-    };
-    let dur_ns = span.finish();
-    if telemetry.is_enabled() {
-        let class = group[0].plan.plan_class();
-        for _ in 0..group.len() {
-            telemetry.observe(Hist::JobLatencyNs, dur_ns);
-            telemetry.class_latency(class, dur_ns);
-        }
-    }
-    results
-}
-
-/// Executes one job solo under a [`Stage::ScalarExecute`] span, observing
-/// its duration in [`Hist::JobLatencyNs`] (globally and keyed by the job's
-/// plan class).
-pub(crate) fn execute_job_scalar(
+/// Executes one dispatched job under a [`Stage::ScalarExecute`] span,
+/// observing its duration in [`Hist::JobLatencyNs`] (globally and keyed by
+/// the job's plan class).
+pub(crate) fn execute_job(
     n: usize,
     job: &StreamJob,
     telemetry: &TelemetrySink,
 ) -> Result<ExecOutput, GraphError> {
+    #[cfg(any(test, feature = "fault-injection"))]
+    crate::fault::check(job);
     let span = telemetry.span(Stage::ScalarExecute);
     let result = execute_plan(planes::global(), n, &job.plan, &job.input);
     let dur_ns = span.finish();
@@ -963,22 +775,12 @@ impl Executor {
     /// job executes with fresh FSMs and deterministic source samples.
     ///
     /// With one configured thread the jobs run inline on the caller's
-    /// thread (at most `window` planned jobs live at a time), which is also
-    /// the sequential reference the parallel path is tested against.
+    /// thread, one at a time, which is also the sequential reference the
+    /// parallel path is tested against.
     ///
-    /// **Lane batching.** On both paths, jobs whose plans are
-    /// [`CompiledGraph::lane_batchable`] buffer into per-class buckets
-    /// (windows of ≥ 2 only): when [`sc_core::LANES`] jobs of one
-    /// [`CompiledGraph::plan_class`] are in flight — the tiled-pipeline
-    /// common case, where one compiled template serves many tiles through
-    /// per-tile source bindings — the group executes in lockstep, transposing its streams into
-    /// lanes at every FSM-bearing step so the lanes' serial dependency
-    /// chains interleave. When nothing more can be pulled, each idle worker
-    /// takes the oldest partial bucket, so a straggler never waits behind
-    /// a busy group. Results stay bit-identical to solo execution at any
-    /// thread count, window, and grouping; [`StreamStats`] reports how many
-    /// jobs took each path. The buckets, window, flush decision, and tally
-    /// live in the coalescing core shared with [`crate::Service`].
+    /// The window count and the tally live in the dispatch core shared
+    /// with [`crate::Service`]; every job runs solo through the one
+    /// per-job engine, and [`StreamStats`] reports what the call did.
     ///
     /// # Errors
     ///
@@ -1003,28 +805,13 @@ impl Executor {
         let telemetry = &self.telemetry;
         let _dispatch = telemetry.span(Stage::Dispatch);
         let mut jobs = jobs.into_iter();
-        let mut core = Coalescer::new(window, self.threads, telemetry.clone());
+        let mut core = DispatchCore::new(window, telemetry.clone());
         let pool = (self.threads > 1).then(|| self.pool());
-        // Pool groups report here; inline groups settle on the spot.
-        let (tx, rx) = mpsc::channel::<GroupReport>();
+        // Pool jobs report here; inline jobs settle on the spot.
+        let (tx, rx) = mpsc::channel::<JobReport>();
         let mut slots: Vec<Slot> = Vec::with_capacity(jobs.size_hint().0);
         let mut exhausted = false;
         let mut failed = false;
-        let run = |group: Group, core: &mut Coalescer, slots: &mut Vec<Slot>| match &pool {
-            Some(pool) => {
-                spawn_group(pool, &tx, n, group, telemetry);
-                false
-            }
-            None => {
-                let mut failures = 0;
-                execute_group(n, &group, telemetry, |member, result| {
-                    failures += usize::from(result.is_err());
-                    slots[member.index] = Some(result);
-                });
-                core.done(group.members().len(), failures);
-                failures > 0
-            }
-        };
         loop {
             while !exhausted && !failed && core.has_room() {
                 let Some(job) = jobs.next() else {
@@ -1032,25 +819,26 @@ impl Executor {
                     break;
                 };
                 slots.push(None);
-                if let Some(group) = core.admit(0, slots.len() - 1, job) {
-                    failed |= run(group, &mut core, &mut slots);
+                let member = core.admit(0, slots.len() - 1, job);
+                match &pool {
+                    Some(pool) => spawn_job(pool, &tx, n, member, telemetry),
+                    None => {
+                        let result = execute_job(n, &member.job, telemetry);
+                        failed |= result.is_err();
+                        core.done(result.is_err());
+                        slots[member.index] = Some(result);
+                    }
                 }
             }
-            // Nothing more can be admitted: once no job will follow (the
-            // iterator is done, or a job failed) every partial bucket
-            // drains; otherwise each idle worker takes the oldest one.
-            for group in core.flush(exhausted || failed) {
-                failed |= run(group, &mut core, &mut slots);
-            }
-            if core.is_empty() && (exhausted || failed) {
+            // Admission stopped on a full window, the iterator's end, or a
+            // failure; an empty window therefore means nothing is left.
+            if core.is_empty() {
                 break;
             }
-            if core.running() > 0 {
-                let report = rx
-                    .recv()
-                    .expect("running groups hold a live sender, so recv cannot disconnect");
-                failed |= settle_stream(report, &mut core, &mut slots);
-            }
+            let report = rx
+                .recv()
+                .expect("running jobs hold a live sender, so recv cannot disconnect");
+            failed |= settle_stream(report, &mut core, &mut slots);
         }
         let outputs = slots
             .into_iter()
@@ -1060,82 +848,57 @@ impl Executor {
     }
 }
 
-/// Files one finished group's results into a `run_stream` call's result
-/// slots, returning whether any member failed. A worker panic is resumed on
-/// the caller with its original payload; still-queued groups finish against
-/// a dropped receiver, and the pool itself stays healthy.
-fn settle_stream(report: GroupReport, core: &mut Coalescer, slots: &mut [Slot]) -> bool {
-    let results = report
+/// Files one finished job's result into a `run_stream` call's result slots,
+/// returning whether it failed. A worker panic is resumed on the caller
+/// with its original payload; still-queued jobs finish against a dropped
+/// receiver, and the pool itself stays healthy.
+fn settle_stream(report: JobReport, core: &mut DispatchCore, slots: &mut [Slot]) -> bool {
+    let result = report
         .outcome
         .unwrap_or_else(|payload| resume_unwind(payload));
-    let failures = results.iter().filter(|result| result.is_err()).count();
-    core.done(report.keys.len(), failures);
-    for ((_, index), result) in report.keys.into_iter().zip(results) {
-        slots[index] = Some(result);
-    }
-    failures > 0
+    let failed = result.is_err();
+    core.done(failed);
+    slots[report.key.1] = Some(result);
+    failed
 }
 
 /// One job's result slot in a dispatch loop's result list.
 type Slot = Option<Result<ExecOutput, GraphError>>;
 
-/// A pool-executed group's report back to its dispatch loop: every member's
-/// `(owner, index)` key, plus either every member's result or the panic
-/// payload that took the whole group down — so a panic still accounts for
-/// every member, and no dispatch loop waits on a report that never comes.
-pub(crate) struct GroupReport {
-    /// The members' `(owner, index)` keys, in group order.
-    pub keys: Vec<(u64, usize)>,
-    /// The members' results, or the worker's panic payload.
-    pub outcome: std::thread::Result<Vec<Result<ExecOutput, GraphError>>>,
+/// A pool-executed job's report back to its dispatch loop: the job's
+/// `(owner, index)` key, plus either its result or the panic payload that
+/// took it down — so a panic still reports, and no dispatch loop waits on a
+/// report that never comes.
+pub(crate) struct JobReport {
+    /// The job's `(owner, index)` key.
+    pub key: (u64, usize),
+    /// The job's result, or the worker's panic payload.
+    pub outcome: std::thread::Result<Result<ExecOutput, GraphError>>,
 }
 
-/// Executes one released group — lane-batched lockstep for
-/// [`Group::Lanes`], scalar for [`Group::Solo`] — handing each member's
-/// result to `deliver` in member order.
-pub(crate) fn execute_group(
-    n: usize,
-    group: &Group,
-    telemetry: &TelemetrySink,
-    mut deliver: impl FnMut(&Member, Result<ExecOutput, GraphError>),
-) {
-    #[cfg(any(test, feature = "fault-injection"))]
-    crate::fault::check(group.members());
-    match group {
-        Group::Solo(member) => deliver(member, execute_job_scalar(n, &member.job, telemetry)),
-        Group::Lanes { members, .. } => {
-            let jobs: Vec<&StreamJob> = members.iter().map(|m| &m.job).collect();
-            for (member, result) in members.iter().zip(execute_plan_group(n, &jobs, telemetry)) {
-                deliver(member, result);
-            }
-        }
-    }
-}
-
-/// Submits one released group to the pool as a single task, which executes
-/// it under one `catch_unwind` and sends exactly one [`GroupReport`].
-pub(crate) fn spawn_group<M>(
+/// Submits one admitted job to the pool as a single task, which executes it
+/// under one `catch_unwind` and sends exactly one [`JobReport`].
+pub(crate) fn spawn_job<M>(
     pool: &WorkerPool,
     tx: &mpsc::Sender<M>,
     n: usize,
-    group: Group,
+    member: Member,
     telemetry: &TelemetrySink,
 ) where
-    M: From<GroupReport> + Send + 'static,
+    M: From<JobReport> + Send + 'static,
 {
     let tx = tx.clone();
     let telemetry = telemetry.clone();
     pool.submit(Box::new(move || {
-        let keys: Vec<(u64, usize)> = group.members().iter().map(|m| (m.owner, m.index)).collect();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut results = Vec::with_capacity(keys.len());
-            execute_group(n, &group, &telemetry, |_, result| results.push(result));
-            results
+        let Member { owner, index, job } = member;
+        let outcome = catch_unwind(AssertUnwindSafe(|| execute_job(n, &job, &telemetry)));
+        // Free the job — and its plan handle — *before* the report becomes
+        // visible, so the window bounds live-plan memory.
+        drop(job);
+        let _ = tx.send(M::from(JobReport {
+            key: (owner, index),
+            outcome,
         }));
-        // Free the jobs — and their plan handles — *before* the report
-        // becomes visible, so the window bounds live-plan memory.
-        drop(group);
-        let _ = tx.send(M::from(GroupReport { keys, outcome }));
     }));
 }
 
@@ -1261,6 +1024,27 @@ mod tests {
             Executor::new(64).run(&plan, &bad),
             Err(GraphError::Stream(_))
         ));
+        // A manipulator step and a counter-based max report the operands'
+        // exact lengths.
+        let mismatch = Err(GraphError::Stream(sc_bitstream::Error::LengthMismatch {
+            left: 64,
+            right: 65,
+        }));
+        let mut g = Graph::new();
+        let a = g.input_stream(0);
+        let b = g.input_stream(1);
+        let (sa, sb) = g.manipulate(ManipulatorKind::Synchronizer { depth: 2 }, a, b);
+        g.sink_stream("a", sa);
+        g.sink_stream("b", sb);
+        let manipulate = g.compile(&PlannerOptions::default()).unwrap();
+        assert_eq!(Executor::new(64).run(&manipulate, &bad), mismatch);
+        let mut g = Graph::new();
+        let a = g.input_stream(0);
+        let b = g.input_stream(1);
+        let z = g.binary(BinaryOp::CaMax, a, b);
+        g.sink_stream("z", z);
+        let ca_max = g.compile(&PlannerOptions::default()).unwrap();
+        assert_eq!(Executor::new(64).run(&ca_max, &bad), mismatch);
     }
 
     #[test]
@@ -1570,9 +1354,9 @@ mod tests {
         assert!(matches!(err, GraphError::ValueSlotOutOfRange { .. }));
     }
 
-    /// Heterogeneous dispatch: different plans in one stream produce exactly
-    /// what running each plan alone produces, in job order, at any thread
-    /// count.
+    /// Heterogeneous dispatch: different plans — and jobs of one plan with
+    /// different stream lengths — in one stream produce exactly what running
+    /// each job alone produces, in job order, at any thread count.
     #[test]
     fn heterogeneous_stream_matches_individual_runs() {
         let make_plan = |flip: bool| {
@@ -1597,11 +1381,46 @@ mod tests {
             .map(|(plan, input)| Executor::new(193).run(plan, input).unwrap())
             .collect();
         for threads in [1usize, 3, 8] {
-            let grouped = Executor::new(193)
+            let streamed = Executor::new(193)
                 .with_threads(threads)
                 .run_stream(paired(&plans, &inputs), usize::MAX)
                 .unwrap();
-            assert_eq!(grouped, solo, "threads={threads}");
+            assert_eq!(streamed, solo, "threads={threads}");
+        }
+
+        // Jobs of one stream may carry streams of different lengths:
+        // sub-word, word-straddling and multi-word inputs through a
+        // synchronizer, a depth-4 decorrelator and a counter-based max.
+        let mut g = Graph::new();
+        let a = g.input_stream(0);
+        let b = g.input_stream(1);
+        let (sa, sb) = g.manipulate(ManipulatorKind::Synchronizer { depth: 1 }, a, b);
+        let (da, db) = g.manipulate(ManipulatorKind::Decorrelator { depth: 4 }, sa, sb);
+        let z = g.binary(BinaryOp::CaMax, da, db);
+        g.sink_stream("z", z);
+        let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
+        let inputs: Vec<BatchInput> = [1usize, 63, 64, 65, 1000, 65, 1]
+            .iter()
+            .enumerate()
+            .map(|(salt, &n)| {
+                BatchInput::with_streams(vec![
+                    Bitstream::from_fn(n, move |i| (i * 7 + salt * 13 + 1) % 3 == 0),
+                    Bitstream::from_fn(n, move |i| (i * 5 + salt * 11 + 2) % 4 < 2),
+                ])
+            })
+            .collect();
+        let solo: Vec<ExecOutput> = inputs
+            .iter()
+            .map(|input| Executor::new(193).run(&plan, input).unwrap())
+            .collect();
+        for threads in [1usize, 3] {
+            for window in [1usize, 4, usize::MAX] {
+                let streamed = Executor::new(193)
+                    .with_threads(threads)
+                    .run_stream(jobs_for(&plan, &inputs), window)
+                    .unwrap();
+                assert_eq!(streamed, solo, "threads={threads}, window={window}");
+            }
         }
     }
 
@@ -1783,12 +1602,12 @@ mod tests {
         assert_eq!(narrow_stats.peak_in_flight, 1);
     }
 
-    /// The lane-batched path: a family of same-class jobs (one shared plan
-    /// with manipulator, counter-max, and activation steps) groups into
-    /// lockstep lanes at 1 and N threads and stays bit-identical to solo
-    /// execution, leftover partial groups included.
+    /// A family of same-class FSM-heavy jobs (one shared plan with
+    /// synchronizer, depth-4 decorrelator, counter-max and activation steps)
+    /// streams bit-identically to solo execution at 1 and N threads, at a
+    /// bounded, an unbounded and a unit window.
     #[test]
-    fn lane_batched_stream_matches_solo() {
+    fn fsm_plan_stream_matches_solo() {
         let mut g = Graph::new();
         let x = g.generate(0, sobol(1));
         let y = g.generate(1, SourceSpec::Halton { base: 3, offset: 0 });
@@ -1799,7 +1618,6 @@ mod tests {
         g.sink_stream("z", z);
         g.sink_stream("t", t);
         let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
-        assert!(plan.lane_batchable());
         let n = 257usize;
         let inputs: Vec<BatchInput> = (0..11)
             .map(|i| BatchInput::with_values(vec![i as f64 / 11.0, 1.0 - i as f64 / 13.0]))
@@ -1816,64 +1634,20 @@ mod tests {
             });
             let (streamed, stats) = exec.run_stream_with_stats(jobs, 8).unwrap();
             assert_eq!(streamed, solo, "threads={threads}");
-            assert_eq!(stats.lane_batched_jobs + stats.scalar_jobs, inputs.len());
-            // 11 same-class jobs at window 8: two full lane groups plus a
-            // leftover group of 3, all lane-batched.
-            assert_eq!(stats.lane_batched_jobs, inputs.len(), "threads={threads}");
-            // A whole batch at an unbounded window groups the same way.
+            assert_eq!(stats.jobs, inputs.len());
             assert_eq!(
                 exec.run_stream(jobs_for(&plan, &inputs), usize::MAX)
                     .unwrap(),
                 solo
             );
         }
-        // A window of 1 disables grouping entirely.
         let jobs = inputs.iter().map(|input| StreamJob {
             plan: Arc::clone(&plan),
             input: input.clone(),
         });
         let (narrow, stats) = Executor::new(n).run_stream_with_stats(jobs, 1).unwrap();
         assert_eq!(narrow, solo);
-        assert_eq!(stats.lane_batched_jobs, 0);
-        assert_eq!(stats.scalar_jobs, inputs.len());
-    }
-
-    /// A failing lane (missing value slot) drops out of its group with the
-    /// same error the scalar path reports, without disturbing its peers.
-    #[test]
-    fn lane_batched_group_isolates_failing_lane() {
-        let mut g = Graph::new();
-        let x = g.generate(0, sobol(1));
-        let y = g.generate(1, sobol(2));
-        let (sx, sy) = g.manipulate(ManipulatorKind::Synchronizer { depth: 1 }, x, y);
-        g.sink_stream("x", sx);
-        g.sink_stream("y", sy);
-        let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
-        let good = BatchInput::with_values(vec![0.4, 0.7]);
-        let jobs = [
-            StreamJob {
-                plan: Arc::clone(&plan),
-                input: good.clone(),
-            },
-            StreamJob {
-                plan: Arc::clone(&plan),
-                input: BatchInput::new(), // missing both value slots
-            },
-            StreamJob {
-                plan: Arc::clone(&plan),
-                input: good.clone(),
-            },
-        ];
-        let jobs: Vec<&StreamJob> = jobs.iter().collect();
-        let results = execute_plan_group(64, &jobs, &TelemetrySink::default());
-        assert_eq!(results.len(), 3);
-        let expected = Executor::new(64).run(&plan, &good).unwrap();
-        assert_eq!(results[0].as_ref().unwrap(), &expected);
-        assert!(matches!(
-            results[1],
-            Err(GraphError::ValueSlotOutOfRange { .. })
-        ));
-        assert_eq!(results[2].as_ref().unwrap(), &expected);
+        assert_eq!(stats.jobs, inputs.len());
     }
 
     /// Once a job fails, the error returned is deterministically the failing
@@ -1903,8 +1677,8 @@ mod tests {
         }
     }
 
-    /// A lane-batchable plan (synchronizer step) for the streaming tests.
-    fn batchable_plan() -> Arc<CompiledGraph> {
+    /// A synchronizer plan for the streaming tests.
+    fn synchronizer_plan() -> Arc<CompiledGraph> {
         let mut g = Graph::new();
         let x = g.generate(0, sobol(1));
         let y = g.generate(1, sobol(2));
@@ -1915,62 +1689,37 @@ mod tests {
     }
 
     /// Jobs a report says were executed: one [`Stage::ScalarExecute`] span
-    /// per scalar job plus each [`Stage::LaneGroupExecute`] span's group size
-    /// carried in its arg.
+    /// per job.
     fn executed_jobs(report: &sc_telemetry::TelemetryReport) -> u64 {
         report.stage_totals(Stage::ScalarExecute).0
-            + report.stage_args_total(Stage::LaneGroupExecute)
     }
 
-    /// `peak_in_flight` is exact on the inline path: a buffered
-    /// lane-grouping job counts from its pull to its group's flush, so the
-    /// peak equals the window while grouping is active (not 1, as a
-    /// count-at-execute would report), and caps at [`LANES`] under an
-    /// unbounded window.
+    /// `peak_in_flight` is exact on the inline path: each job runs on the
+    /// caller's thread as soon as it is pulled, so the peak is 1 at any
+    /// window, and every pulled job is counted.
     #[test]
     fn inline_peak_in_flight_is_exact() {
-        let plan = batchable_plan();
+        let plan = synchronizer_plan();
         let exec = Executor::new(64);
-        let jobs = |count: usize| {
-            let plan = Arc::clone(&plan);
-            (0..count).map(move |_| StreamJob {
+        for window in [1usize, 3, usize::MAX] {
+            let jobs = (0..9).map(|_| StreamJob {
                 plan: Arc::clone(&plan),
                 input: BatchInput::with_values(vec![0.4, 0.7]),
-            })
-        };
-
-        // Window 3 never fills a LANES-sized bucket: every group flushes at
-        // the window boundary with 3 members, and the peak is the window.
-        let (_, stats) = exec.run_stream_with_stats(jobs(9), 3).unwrap();
-        assert_eq!(stats.peak_in_flight, 3);
-        assert_eq!(stats.lane_group_fill, [0, 0, 3, 0]);
-        assert_eq!(stats.lane_batched_jobs, 9);
-        assert_eq!(stats.scalar_jobs, 0);
-
-        // Unbounded window: buckets flush at LANES, so the peak is LANES and
-        // 9 jobs split into two full groups plus a singleton flush (which
-        // executes scalar).
-        let (_, stats) = exec.run_stream_with_stats(jobs(9), usize::MAX).unwrap();
-        assert_eq!(stats.peak_in_flight, LANES);
-        assert_eq!(stats.lane_group_fill, [1, 0, 0, 2]);
-        assert_eq!(stats.lane_batched_jobs, 2 * LANES);
-        assert_eq!(stats.scalar_jobs, 1);
-
-        // A window of 1 disables grouping entirely: scalar, peak 1.
-        let (_, stats) = exec.run_stream_with_stats(jobs(9), 1).unwrap();
-        assert_eq!(stats.peak_in_flight, 1);
-        assert_eq!(stats.lane_group_fill, [0; LANES]);
-        assert_eq!(stats.scalar_jobs, 9);
+            });
+            let (_, stats) = exec.run_stream_with_stats(jobs, window).unwrap();
+            assert_eq!(stats.peak_in_flight, 1, "window {window}");
+            assert_eq!(stats.jobs, 9);
+        }
     }
 
     /// The sink's bounded class table — the one per-class view — partitions
-    /// a call's [`StreamStats`] tallies on both dispatch paths: per-class
-    /// lane/scalar/fill sums reproduce the global fields, and each class
-    /// carries one latency sample per job.
+    /// a call's [`StreamStats`] tally on both dispatch paths: per-class job
+    /// counts sum to the global count, and each class carries one latency
+    /// sample per job.
     #[test]
     fn stream_stats_attribute_jobs_per_plan_class() {
-        let a = batchable_plan();
-        let b = batchable_plan(); // same shape, fresh compile → distinct class
+        let a = synchronizer_plan();
+        let b = synchronizer_plan(); // same shape, fresh compile → distinct class
         assert_ne!(a.plan_class(), b.plan_class());
         for threads in [1usize, 4] {
             let sink = TelemetrySink::new();
@@ -1995,19 +1744,9 @@ mod tests {
             let sum = |f: fn(&sc_telemetry::ClassReport) -> u64| {
                 classes.iter().map(f).sum::<u64>() as usize
             };
-            assert_eq!(sum(|c| c.jobs()), stats.jobs);
-            assert_eq!(sum(|c| c.lane_batched_jobs), stats.lane_batched_jobs);
-            assert_eq!(sum(|c| c.scalar_jobs), stats.scalar_jobs);
+            assert_eq!(sum(|c| c.jobs), stats.jobs);
             assert_eq!(sum(|c| c.latency.count), stats.jobs);
-            for k in 0..LANES {
-                assert_eq!(
-                    classes.iter().map(|c| c.lane_group_fill[k]).sum::<u64>() as usize,
-                    stats.lane_group_fill[k],
-                    "fill-{} groups partition per class",
-                    k + 1
-                );
-            }
-            let jobs_of = |class: u64| report.class(class).map_or(0, |c| c.jobs());
+            let jobs_of = |class: u64| report.class(class).map_or(0, |c| c.jobs);
             assert_eq!(jobs_of(a.plan_class()), 4);
             assert_eq!(jobs_of(b.plan_class()), 8);
         }
@@ -2020,7 +1759,7 @@ mod tests {
     /// tally, sampled at the same points.
     #[test]
     fn peak_in_flight_bounded_by_window_on_both_paths() {
-        let plan = batchable_plan();
+        let plan = synchronizer_plan();
         for threads in [1usize, 4] {
             for window in [1usize, 3, usize::MAX] {
                 for fail_at in [None, Some(5usize)] {
@@ -2060,13 +1799,12 @@ mod tests {
 
     /// A stream whose k-th job fails still yields a drainable, *consistent*
     /// report: every pulled job was executed under a closed span
-    /// (scalar-span count plus lane-group span args == `JobsPulled` == the
-    /// job-latency histogram count), exactly one failure is counted, and the
-    /// path-split counters partition the pulled jobs — at 1 and 4 threads,
+    /// (execute-span count == `JobsPulled` == the job-latency histogram
+    /// count) and exactly one failure is counted — at 1 and 4 threads,
     /// window 1 and unbounded.
     #[test]
     fn failing_stream_telemetry_is_consistent() {
-        let plan = batchable_plan();
+        let plan = synchronizer_plan();
         for threads in [1usize, 4] {
             for window in [1usize, usize::MAX] {
                 let sink = TelemetrySink::new();
@@ -2098,11 +1836,6 @@ mod tests {
                 );
                 assert_eq!(report.histogram(Hist::JobLatencyNs).count, pulled);
                 assert_eq!(report.counter(Counter::JobsFailed), 1);
-                assert_eq!(
-                    report.counter(Counter::LaneBatchedJobs) + report.counter(Counter::ScalarJobs),
-                    pulled,
-                    "the lane/scalar split partitions the pulled jobs"
-                );
             }
         }
     }
@@ -2112,13 +1845,10 @@ mod tests {
     /// equal the sum of the per-call stats, field for field.
     #[test]
     fn sink_counters_are_derived_from_stream_stats() {
-        let plan = batchable_plan();
+        let plan = synchronizer_plan();
         let sink = TelemetrySink::new();
         let exec = Executor::new(64).with_telemetry(sink.clone());
         let mut total_jobs = 0u64;
-        let mut total_batched = 0u64;
-        let mut total_scalar = 0u64;
-        let mut total_fill = [0u64; LANES];
         for count in [9usize, 5] {
             let jobs = (0..count).map(|_| StreamJob {
                 plan: Arc::clone(&plan),
@@ -2126,18 +1856,10 @@ mod tests {
             });
             let (_, stats) = exec.run_stream_with_stats(jobs, usize::MAX).unwrap();
             total_jobs += stats.jobs as u64;
-            total_batched += stats.lane_batched_jobs as u64;
-            total_scalar += stats.scalar_jobs as u64;
-            for (t, s) in total_fill.iter_mut().zip(stats.lane_group_fill) {
-                *t += s as u64;
-            }
         }
         let report = sink.drain();
         assert_eq!(report.counter(Counter::JobsPulled), total_jobs);
-        assert_eq!(report.counter(Counter::LaneBatchedJobs), total_batched);
-        assert_eq!(report.counter(Counter::ScalarJobs), total_scalar);
         assert_eq!(report.counter(Counter::JobsFailed), 0);
-        assert_eq!(&report.lane_group_fill()[..LANES], &total_fill);
         assert_eq!(executed_jobs(&report), total_jobs);
     }
 
@@ -2164,13 +1886,13 @@ mod tests {
         drop(pool);
     }
 
-    /// An injected panic in a lane group surfaces on the caller with its
-    /// payload — inline and from the pool — and the executor keeps serving
-    /// afterwards (the pool's workers survive).
+    /// An injected panic in a job surfaces on the caller with its payload —
+    /// inline and from the pool — and the executor keeps serving afterwards
+    /// (the pool's workers survive).
     #[test]
-    fn injected_group_panic_resumes_on_the_caller() {
-        let faulty = batchable_plan();
-        let healthy = batchable_plan();
+    fn injected_job_panic_resumes_on_the_caller() {
+        let faulty = synchronizer_plan();
+        let healthy = synchronizer_plan();
         crate::fault::panic_on_class(faulty.plan_class());
         let input = BatchInput::with_values(vec![0.4, 0.7]);
         for threads in [1usize, 3] {

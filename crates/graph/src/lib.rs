@@ -35,8 +35,8 @@
 //! alive at once, so arbitrarily long job streams run in O(window) plan
 //! memory; a batch is a materialised job list streamed with an unbounded
 //! window. The warm serving tier ([`Service`]) multiplexes many requests
-//! over one pool; both dispatch loops share one coalescing core (lane buckets,
-//! window, flush decision, tally). Plans are `Send + Sync` plain data: every
+//! over one pool; both dispatch loops share one dispatch core (window count
+//! and tally), and every job runs solo through the one per-job engine. Plans are `Send + Sync` plain data: every
 //! execution builds fresh FSMs, and reads the samples its
 //! [`sc_rng::SourceSpec`]s would draw from a bounded process-wide store of
 //! sample planes (LFSR selects read windows of one cycle table per width), so
@@ -49,8 +49,8 @@
 //!
 //! **Observability.** Both the compiler and the executor accept an
 //! [`sc_telemetry::TelemetrySink`] ([`Graph::compile_with_telemetry`],
-//! [`Executor::with_telemetry`]): compile stages, dispatches, lane-group and
-//! scalar executions, and worker park/run cycles record named spans,
+//! [`Executor::with_telemetry`]): compile stages, dispatches, per-job
+//! executions, and worker park/run cycles record named spans,
 //! counters, gauges, and histograms into it, drainable as one
 //! [`sc_telemetry::TelemetryReport`]. The default sink is a no-op and the
 //! instrumentation sits at step/job granularity — never inside the word

@@ -2,8 +2,7 @@
 //! manipulators, arithmetic operators, and sinks.
 
 use sc_core::{
-    CorrelationManipulator, Decorrelator, DecorrelatorLanes, Desynchronizer, Identity, Isolator,
-    LaneBank, LaneKernel, Synchronizer,
+    CorrelationManipulator, Decorrelator, Desynchronizer, Identity, Isolator, Synchronizer,
 };
 use sc_rng::SourceSpec;
 use std::fmt;
@@ -98,27 +97,6 @@ impl ManipulatorKind {
             ManipulatorKind::Synchronizer { depth } => Box::new(Synchronizer::new(depth)),
             ManipulatorKind::Desynchronizer { depth } => Box::new(Desynchronizer::new(depth)),
             ManipulatorKind::Decorrelator { depth } => Box::new(Decorrelator::new(depth)),
-        }
-    }
-
-    /// Builds a lane-batched kernel of `count` fresh instances in their
-    /// power-on state: lane `l` of every kernel step advances instance `l`,
-    /// bit-identically to `count` solo [`ManipulatorKind::build`] circuits.
-    /// Decorrelators get their dedicated register-staged lane bank
-    /// ([`DecorrelatorLanes`]); every other family goes through the generic
-    /// [`LaneBank`], whose equal-configuration FSMs share one speculative
-    /// table across all lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is 0 or greater than [`sc_core::LANES`].
-    #[must_use]
-    pub fn build_lanes(&self, count: usize) -> Box<dyn LaneKernel> {
-        match *self {
-            ManipulatorKind::Decorrelator { depth } => {
-                Box::new(DecorrelatorLanes::new(depth, count))
-            }
-            _ => Box::new(LaneBank::new((0..count).map(|_| self.build()).collect())),
         }
     }
 

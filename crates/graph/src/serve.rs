@@ -4,38 +4,34 @@
 //! `run_stream` is a *call*: it owns the dispatch loop until its job
 //! iterator drains, so two concurrent images either serialise behind one
 //! call or split across two executors (and two worker pools, and two
-//! windows that can never coalesce). [`Service`] inverts that shape into a
+//! windows that never share a bound). [`Service`] inverts that shape into a
 //! long-lived tier:
 //!
 //! * **One warm pool.** A dedicated dispatcher thread owns a persistent
-//!   [`WorkerPool`] and the same coalescing core `run_stream` drives (lane
-//!   buckets, window, flush decision, tally); every request multiplexes
-//!   over the same threads, so back-to-back images reuse warm workers
-//!   instead of respawning them.
+//!   [`WorkerPool`] and the same dispatch core `run_stream` drives (window
+//!   count and tally); every request multiplexes over the same threads, so
+//!   back-to-back images reuse warm workers instead of respawning them.
 //! * **Bounded intake with backpressure.** [`Service::submit`] blocks until
 //!   the intake queue has room; [`Service::try_submit`] fails fast and
 //!   returns the request, so open-loop producers slow down instead of
 //!   buffering unboundedly ahead of the dispatch window. Intake depth is
 //!   exported through [`Gauge::IntakeDepth`] for `watch`-driven shedding.
-//! * **Cross-request tile coalescing.** The dispatcher drains admitted jobs
-//!   round-robin across requests into the same heterogeneous dispatch
-//!   window, so same-[`plan_class`](crate::CompiledGraph::plan_class) tiles
-//!   from *different* requests fill one lane group and execute in lockstep
-//!   — under concurrent traffic, per-image parallelism becomes sustained
-//!   multi-user throughput. [`Counter::CrossRequestLaneJobs`] counts the
-//!   lane-batched jobs whose group mixed two or more requests.
+//! * **Round-robin FIFO admission.** The dispatcher moves queued jobs into
+//!   the bounded dispatch window one request at a time in rotation, so a
+//!   large request cannot starve a small one queued behind it; each
+//!   admitted job goes straight to the pool and runs solo.
 //! * **Deadlines and cancellation.** A [`Request`] may carry an absolute
 //!   deadline: expired-at-submit requests are rejected without queueing,
-//!   and in-flight expiry purges the request's remaining jobs — the
+//!   and in-flight expiry drops the request's queued jobs — the
 //!   dispatcher sleeps until the earliest pending deadline, so expiry fires
 //!   when it is due, not on a polling tick. [`RequestHandle::cancel`]
-//!   resolves the request at once and wakes the dispatcher to purge it;
+//!   resolves the request at once and wakes the dispatcher to drop it;
 //!   results of already-executed tiles are discarded cleanly.
 //! * **Failure contract.** Every admitted request resolves exactly once —
 //!   completed, panicked, cancelled, expired, or shut down — and counts
 //!   into exactly one of the matching `Requests*` counters. A panic inside
-//!   a lane group resolves *every* request with a job in that group, and
-//!   `Drop` always returns: each pool task reports its whole group once,
+//!   a job resolves exactly that job's request, and `Drop` always returns:
+//!   each pool task is one job under one `catch_unwind` and reports once,
 //!   panic or not.
 //! * **Attribution.** Every request's life is cut into consecutive
 //!   segments — submit, queue-wait, execute, assemble — whose sum is the
@@ -45,12 +41,11 @@
 //!   [`Hist::RequestLatencyNs`] histogram in the shared
 //!   [`TelemetrySink`].
 //!
-//! Results are bit-identical to solo execution: the dispatcher reuses the
-//! executor's own lane-group and scalar engines, and grouping never changes
-//! a job's output, only its schedule.
+//! Results are bit-identical to solo execution: the dispatcher runs every
+//! job through the executor's own per-job engine.
 
-use crate::coalesce::{Coalescer, Group};
-use crate::exec::{spawn_group, GroupReport, StreamJob, WorkerPool};
+use crate::coalesce::{DispatchCore, Member};
+use crate::exec::{spawn_job, JobReport, StreamJob, WorkerPool};
 use crate::graph::GraphError;
 use crate::ExecOutput;
 use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
@@ -75,7 +70,7 @@ pub struct ServiceConfig {
     /// thread is extra).
     pub threads: usize,
     /// Dispatch-window size: the maximum number of admitted-but-unfinished
-    /// jobs (pool-submitted plus coalescing-buffered). `None` uses
+    /// jobs on the pool. `None` uses
     /// `threads ×`[`DEFAULT_WINDOW_FACTOR`](crate::exec::DEFAULT_WINDOW_FACTOR).
     pub window: Option<usize>,
     /// Intake capacity: the maximum number of admitted-but-undispatched
@@ -245,13 +240,6 @@ pub struct RequestReport {
     pub outputs: Vec<ExecOutput>,
     /// Wall-clock attribution across the serving stages.
     pub attribution: RequestAttribution,
-    /// Jobs of this request executed through the lane-batched path.
-    pub lane_batched_jobs: usize,
-    /// Jobs of this request executed through the scalar path.
-    pub scalar_jobs: usize,
-    /// Lane-batched jobs of this request whose group mixed jobs from two or
-    /// more requests — the cross-request coalescing the tier exists for.
-    pub cross_request_lane_jobs: usize,
 }
 
 /// How a request ended. Set exactly once, under the completion lock, by
@@ -291,9 +279,6 @@ struct Completion {
     t_admitted: Instant,
     t_first_dispatch: Option<Instant>,
     t_last_done: Option<Instant>,
-    lane_batched: usize,
-    scalar: usize,
-    cross_request: usize,
 }
 
 impl RequestState {
@@ -425,9 +410,7 @@ impl RequestHandle {
     /// # Panics
     ///
     /// If a job of this request panicked on a worker thread, the panic is
-    /// resumed here: with the original payload on the request owning the
-    /// group's first job, with its message on every other request that had
-    /// a job in the same lane group.
+    /// resumed here with its original payload.
     pub fn wait(self) -> Result<RequestReport, RequestError> {
         let mut done = self.state.lock();
         while done.verdict.is_none() {
@@ -483,9 +466,6 @@ impl RequestHandle {
         Ok(RequestReport {
             outputs,
             attribution,
-            lane_batched_jobs: done.lane_batched,
-            scalar_jobs: done.scalar,
-            cross_request_lane_jobs: done.cross_request,
         })
     }
 }
@@ -527,21 +507,21 @@ impl Shared {
 
 /// A message to the dispatcher thread.
 enum Msg {
-    /// One finished group's report.
-    Done(GroupReport),
+    /// One finished job's report.
+    Done(JobReport),
     /// Intake changed (new request, cancellation, shutdown): re-scan.
     Wake,
 }
 
-impl From<GroupReport> for Msg {
-    fn from(report: GroupReport) -> Self {
+impl From<JobReport> for Msg {
+    fn from(report: JobReport) -> Self {
         Msg::Done(report)
     }
 }
 
 /// The long-lived serving tier: a dispatcher thread multiplexing many
 /// concurrent requests over one warm [`WorkerPool`], with bounded intake
-/// and cross-request lane coalescing. See the [module docs](self).
+/// and round-robin FIFO admission. See the [module docs](self).
 pub struct Service {
     shared: Arc<Shared>,
     tx: mpsc::Sender<Msg>,
@@ -683,9 +663,6 @@ impl Service {
                 t_admitted,
                 t_first_dispatch: None,
                 t_last_done: None,
-                lane_batched: 0,
-                scalar: 0,
-                cross_request: 0,
             }),
             finished_cv: Condvar::new(),
         });
@@ -727,15 +704,13 @@ impl Drop for Service {
 /// One live request's dispatcher-side bookkeeping.
 struct LiveRequest {
     state: Arc<RequestState>,
-    /// Jobs moved into the window (buffered or pool-side) but not yet
-    /// reported or purged.
+    /// Jobs moved into the window but not yet reported.
     outstanding: usize,
 }
 
-/// The dispatcher: drains the intake round-robin into the coalescing core,
-/// submits the groups it releases to the pool, routes each group's report
-/// back into its requests' states, and enforces deadlines and
-/// cancellation. Single-threaded by design — all scheduling state is
+/// The dispatcher: drains the intake round-robin into the dispatch window,
+/// submits each admitted job to the pool, routes each job's report back
+/// into its request's state, and enforces deadlines and cancellation. Single-threaded by design — all scheduling state is
 /// thread-local to this loop.
 fn dispatcher_loop(
     shared: &Shared,
@@ -747,12 +722,12 @@ fn dispatcher_loop(
 ) {
     let telemetry = &shared.telemetry;
     let pool = WorkerPool::with_telemetry(threads, telemetry.clone());
-    let mut core = Coalescer::new(window, threads, telemetry.clone());
+    let mut core = DispatchCore::new(window, telemetry.clone());
     let mut live: HashMap<u64, LiveRequest> = HashMap::new();
     loop {
-        // Phase 1: settle deadlines and drop finished requests' remaining
-        // jobs — queued and in-window alike. Jobs already on the pool
-        // finish and their results are discarded on arrival.
+        // Phase 1: settle deadlines and drop finished requests' queued
+        // jobs. Jobs already on the pool finish and their results are
+        // discarded on arrival.
         let now = Instant::now();
         let mut next_deadline: Option<Instant> = None;
         let mut pending_deadline = |state: &RequestState| {
@@ -779,19 +754,15 @@ fn dispatcher_loop(
                 shared.room.notify_all();
             }
         }
-        for (&id, req) in &mut live {
-            if req.state.settle_deadline(now, telemetry) {
-                req.outstanding -= core.purge(id);
-            } else {
+        for req in live.values() {
+            if !req.state.settle_deadline(now, telemetry) {
                 pending_deadline(&req.state);
             }
         }
 
-        // Phase 2: the coalesce pass — move intake jobs into the window,
-        // round-robin across requests so concurrent same-class requests
-        // interleave into the same lane buckets; then let the core flush
-        // partial buckets to idle workers.
-        let mut ready: Vec<Group> = Vec::new();
+        // Phase 2: move intake jobs into the window, round-robin across
+        // requests, then hand each admitted job to the pool.
+        let mut ready: Vec<Member> = Vec::new();
         let shutdown;
         {
             let mut span = telemetry.span_with(Stage::ServeCoalesce, 0);
@@ -828,7 +799,7 @@ fn dispatcher_loop(
                 if !pending.jobs.is_empty() {
                     intake.queue.push_back(pending);
                 }
-                ready.extend(core.admit(id, index, job));
+                ready.push(core.admit(id, index, job));
             }
             telemetry.gauge_set(Gauge::IntakeDepth, intake.pending_jobs as u64);
             drop(intake);
@@ -837,10 +808,8 @@ fn dispatcher_loop(
             }
             span.set_arg(moved);
         }
-        ready.extend(core.flush(shutdown));
-        for group in ready {
-            attribute(&group, &live);
-            spawn_group(&pool, tx, n, group, telemetry);
+        for member in ready {
+            spawn_job(&pool, tx, n, member, telemetry);
         }
 
         // Phase 3: shutdown — stop admitting, fail every still-queued
@@ -861,7 +830,7 @@ fn dispatcher_loop(
             }
         }
 
-        // Phase 4: sleep until the next event — a group report, a
+        // Phase 4: sleep until the next event — a job report, a
         // submission, a cancellation — or the earliest pending deadline.
         let first = match next_deadline {
             Some(deadline) => rx
@@ -881,69 +850,29 @@ fn dispatcher_loop(
     }
 }
 
-/// Copies one released group's classification (from the core's tally)
-/// into each member request's accounting.
-fn attribute(group: &Group, live: &HashMap<u64, LiveRequest>) {
-    for member in group.members() {
-        if let Some(req) = live.get(&member.owner) {
-            let mut done = req.state.lock();
-            if group.lane_batched() {
-                done.lane_batched += 1;
-            } else {
-                done.scalar += 1;
-            }
-            if group.cross_request() {
-                done.cross_request += 1;
-            }
-        }
-    }
-}
-
-/// Routes one group report: every member leaves the window and its request
-/// gets the result — or, for a panicked group, every member's request
-/// resolves as panicked (the first with the original payload, the others
-/// with its message).
+/// Routes one job report: the job leaves the window and its request gets
+/// the result — or, for a panicked job, resolves as panicked with the
+/// original payload.
 fn settle(
-    report: GroupReport,
-    core: &mut Coalescer,
+    report: JobReport,
+    core: &mut DispatchCore,
     live: &mut HashMap<u64, LiveRequest>,
     telemetry: &TelemetrySink,
 ) {
-    let GroupReport { keys, outcome } = report;
-    let failures = outcome
-        .as_ref()
-        .map_or(0, |results| results.iter().filter(|r| r.is_err()).count());
-    core.done(keys.len(), failures);
-    let now = Instant::now();
+    let JobReport {
+        key: (id, index),
+        outcome,
+    } = report;
+    core.done(matches!(outcome, Ok(Err(_))));
+    let Some(req) = live.get_mut(&id) else {
+        return;
+    };
+    req.outstanding -= 1;
     match outcome {
-        Ok(results) => {
-            for ((id, index), result) in keys.into_iter().zip(results) {
-                if let Some(req) = live.get_mut(&id) {
-                    req.outstanding -= 1;
-                    req.state.deliver(index, result, now, telemetry);
-                }
-            }
-        }
+        Ok(result) => req.state.deliver(index, result, Instant::now(), telemetry),
         Err(payload) => {
-            let message = panic_message(&payload);
-            let mut payload = Some(payload);
-            for (id, _) in keys {
-                if let Some(req) = live.get_mut(&id) {
-                    req.outstanding -= 1;
-                    let payload = payload.take().unwrap_or_else(|| Box::new(message.clone()));
-                    req.state
-                        .resolve(Verdict::Panicked, telemetry, Some(payload));
-                }
-            }
+            req.state
+                .resolve(Verdict::Panicked, telemetry, Some(payload));
         }
     }
-}
-
-/// The text of a panic payload (`panic!` payloads are `&str` or `String`).
-fn panic_message(payload: &Payload) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "a job in this request's lane group panicked".to_string())
 }

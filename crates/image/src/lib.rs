@@ -28,12 +28,12 @@
 //! **Observability.** [`PipelineConfig::with_telemetry`] attaches an
 //! [`sc_telemetry::TelemetrySink`] that the whole run records into: per-tile
 //! plan-cache hits and misses (one span per planned tile; misses nest
-//! per-stage compile spans), the executor's dispatch / lane-group / scalar /
+//! per-stage compile spans), the executor's dispatch / per-tile execute /
 //! worker activity, and the final sink scatter. Draining the sink yields one
 //! [`sc_telemetry::TelemetryReport`] with the per-stage time breakdown,
-//! counters, and the lane-group fill histogram; [`PipelineStats`] is a
-//! plain-struct view over the same run (tiles, compilations,
-//! lane-batched vs scalar jobs, fill distribution).
+//! counters, and the per-class job table; [`PipelineStats`] is a
+//! plain-struct view over the same run (tiles, compilations, jobs, peak
+//! tiles in flight).
 //!
 //! The paper's input images are not published, so workloads are synthetic
 //! ([`GrayImage::gradient`], [`GrayImage::checkerboard`],

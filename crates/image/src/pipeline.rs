@@ -89,14 +89,13 @@ pub struct PipelineConfig {
     /// cross-tile plan-cache key: tiles of the same shape, bank phase, and
     /// brightness bucket share one measured compile (probed at the bucket's
     /// midpoint) with their select seeds bound per tile — so measured mode
-    /// keeps the per-class cache (and the executor's lane batching of
-    /// same-class tiles) instead of recompiling per tile. `None` (the
+    /// keeps the per-class cache instead of recompiling per tile. `None` (the
     /// default) keeps the purely structural planner.
     pub measure_scc: Option<usize>,
     /// Telemetry sink the whole pipeline records into: plan-cache hits and
     /// misses (misses with nested per-stage compile spans), the executor's
-    /// dispatch, lane-group and scalar execution, worker activity, and the
-    /// final sink scatter. The default sink is disabled and records nothing;
+    /// dispatch, per-tile execution, worker activity, and the final sink
+    /// scatter. The default sink is disabled and records nothing;
     /// attach an enabled [`TelemetrySink`] (see
     /// [`PipelineConfig::with_telemetry`]) and drain it after the run for a
     /// per-stage breakdown. Ignored by `PartialEq`/`Hash`.
@@ -107,7 +106,8 @@ pub struct PipelineConfig {
     /// the plan cache).
     pub threads: Option<usize>,
     /// Dispatch window of a one-shot run and of an [`crate::ImageServer`]:
-    /// at most this many planned tiles are live at once. `None` uses the
+    /// at most this many planned tiles are in flight (admitted and not yet
+    /// finished) at once. `None` uses the
     /// executor default (`threads ×`[`sc_graph::DEFAULT_WINDOW_FACTOR`]).
     /// Ignored by `PartialEq`/`Hash`.
     pub window: Option<usize>,
@@ -239,10 +239,8 @@ pub struct PipelineStats {
     /// (their inputs; the per-class templates they share are counted by
     /// `compilations`) and never exceeds the dispatch window, which is how
     /// streaming keeps whole-image memory at O(window) instead of
-    /// O(tiles); `stream.lane_batched_jobs + stream.scalar_jobs == tiles`.
-    /// The peak and the lane/scalar split depend on the worker count and on
-    /// how tiles grouped inside the window, so they are excluded from
-    /// cross-thread comparisons. Per-class tallies live on the attached
+    /// O(tiles); `stream.jobs == tiles`. The peak depends on the worker
+    /// count, so it is excluded from cross-thread comparisons. Per-class tallies live on the attached
     /// [`TelemetrySink`]'s report ([`sc_telemetry::TelemetryReport::classes`]).
     pub stream: StreamStats,
     /// Duplicate source generators the emitted plans share — one physical
@@ -297,11 +295,9 @@ pub fn run_sc_pipeline_with_threads(
 /// tiles are alive at any moment ([`Executor::run_stream`]), so peak memory
 /// is O(window) tile inputs plus the per-class templates, regardless of
 /// image size; the per-class cache is never evicted, so a window never
-/// re-plans a class it already holds. Because a class's tiles share one
-/// template, the executor's lane batching transposes up to four in-window
-/// same-class tiles into `u64×4` lanes and steps their FSM stages together
-/// — bit-identical to solo execution. Sink values are scattered into the
-/// output image as the final step.
+/// re-plans a class it already holds. Every tile runs solo on the
+/// executor. Sink values are scattered into the output image as the final
+/// step.
 ///
 /// Every tile executes with fresh FSMs and deterministic source samples, so
 /// the result is bit-identical to processing the tiles one at a time in raster
@@ -542,8 +538,8 @@ mod tests {
                 .default_window();
             assert!(
                 seq_stats.stream.peak_in_flight <= seq_window,
-                "inline path buffers at most the window ({seq_window}) of plans \
-                 for lane batching, saw {}",
+                "inline path holds at most the window ({seq_window}) of plans, \
+                 saw {}",
                 seq_stats.stream.peak_in_flight
             );
             for threads in [2usize, 8] {

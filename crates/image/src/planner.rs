@@ -24,7 +24,7 @@
 //! fresh planner per call (the historical per-run cache), while the serving
 //! tier ([`crate::ImageServer`]) keeps **one planner alive across requests**
 //! behind a lock — which is what lets tiles from *different* requests share
-//! a template's `plan_class` and lane-batch together on the warm executor.
+//! one compiled template on the warm executor.
 //!
 //! Long-lived planners can bound the cache with
 //! [`TilePlanner::with_capacity`]: a per-class LRU that evicts the

@@ -8,8 +8,7 @@
 //! request whose tile classes were already compiled plans without building
 //! a graph: a pixel gather and two seed bindings per tile),
 //! and the service's dispatch window (tiles from concurrently submitted
-//! images coalesce into the same lane-batched groups when they share a
-//! `plan_class` — the cross-request batching the serving tier exists for).
+//! images are admitted round-robin and run solo on the shared pool).
 //!
 //! [`ImageServer::submit`] decomposes the image into per-tile
 //! [`sc_graph::StreamJob`]s (raster order, so per-request select seeds — and
@@ -140,15 +139,17 @@ pub struct ImageResponse {
     /// Wall-clock attribution across the serving stages
     /// (submit → queue-wait → execute → assemble, summing to `wall_ns`).
     pub attribution: RequestAttribution,
-    /// Tiles executed through the lane-batched path.
+    /// Always 0: lane batching was removed and every tile runs solo. Kept
+    /// only because the benchmark crate reads it; retired by the next
+    /// benchmark change.
     pub lane_batched_jobs: usize,
-    /// Tiles executed through the scalar path.
-    pub scalar_jobs: usize,
-    /// Lane-batched tiles whose group mixed tiles from two or more requests.
+    /// Always 0, like `lane_batched_jobs`: no tile shares a lane group with
+    /// another request's tile. Kept only because the benchmark crate reads
+    /// it; retired by the next benchmark change.
     pub cross_request_lane_jobs: usize,
     /// Planning-side accounting for this request (tiles planned, plan-cache
     /// compilations, shared sources). Its `stream` is zero: the request's
-    /// execution tallies are the lane/scalar fields above.
+    /// execution count is `tiles`.
     pub planning: PipelineStats,
 }
 
@@ -206,9 +207,8 @@ impl ImageHandle {
             image,
             tiles: report.outputs.len(),
             attribution: report.attribution,
-            lane_batched_jobs: report.lane_batched_jobs,
-            scalar_jobs: report.scalar_jobs,
-            cross_request_lane_jobs: report.cross_request_lane_jobs,
+            lane_batched_jobs: 0,
+            cross_request_lane_jobs: 0,
             planning: self.planning,
         })
     }

@@ -8,15 +8,13 @@
 //!
 //! * **Spans** — monotonic-clock scoped timers ([`TelemetrySink::span`])
 //!   against a static registry of stage names ([`Stage`]): compile stages,
-//!   plan-cache hits/misses, stream dispatch, lane-group
-//!   and scalar execution, worker park/run, stream de-transposition, and
-//!   image sink collection. Each thread records into its own fixed-capacity
+//!   plan-cache hits/misses, stream dispatch, per-job execution, worker
+//!   park/run, serving segments, and image sink collection. Each thread records into its own fixed-capacity
 //!   ring buffer (owner-thread locks are uncontended), merged and
 //!   time-sorted on [`TelemetrySink::drain`].
 //! * **Metrics** — atomic [`Counter`]s, [`Gauge`]s (current value + peak),
 //!   fixed-bucket log2 [`Hist`]ograms (job latency, queue depth, window
-//!   occupancy, per-worker busy/idle time), and an exact lane-group fill
-//!   distribution ([`TelemetrySink::lane_fill`]).
+//!   occupancy, per-worker busy/idle time).
 //! * **Export** — a drained [`TelemetryReport`] renders as pretty text
 //!   ([`TelemetryReport::to_pretty_string`]), JSON lines
 //!   ([`TelemetryReport::to_json_lines`]), and chrome://tracing trace-event
@@ -32,8 +30,7 @@
 //!   current snapshot over HTTP in Prometheus text exposition format, and
 //!   the [`watch`] module evaluates registered thresholds against interval
 //!   snapshots and fires callbacks.
-//! * **Attribution** — job latency and the lane/scalar/fill tallies are
-//!   additionally keyed by `CompiledGraph::plan_class` in a bounded lock-free
+//! * **Attribution** — job counts and job latency are additionally keyed by `CompiledGraph::plan_class` in a bounded lock-free
 //!   class table ([`TelemetrySink::class_latency`] and friends), so a report
 //!   names *which* plan class is slow ([`TelemetryReport::classes`]).
 //!
@@ -106,16 +103,16 @@ pub enum Stage {
     /// A whole streaming dispatch (`Executor::run_stream`), job pulls
     /// included.
     Dispatch,
-    /// Lockstep execution of one same-class lane group (`arg` = group fill).
+    /// Unused: nothing records it since lane batching was removed, so its
+    /// totals are always zero. The variant stays only because the benchmark
+    /// crate reads it; it is retired by the next benchmark change.
     LaneGroupExecute,
-    /// Solo execution of one scalar job.
+    /// Execution of one dispatched job (every job runs solo).
     ScalarExecute,
     /// One task executed by a worker-pool thread.
     WorkerRun,
     /// A worker-pool thread parked waiting for work.
     WorkerPark,
-    /// Re-assembling per-lane results after a lane-group execution.
-    DeTranspose,
     /// Scattering per-tile sink values into the output image.
     SinkCollect,
     /// Admitting one request into the serving tier's intake queue
@@ -124,8 +121,8 @@ pub enum Stage {
     /// Time one request's jobs spent queued before their first execution
     /// (recorded once per request with the measured duration).
     ServeQueueWait,
-    /// One dispatcher pass that drains admitted jobs into per-class
-    /// coalescing buckets (`arg` = jobs moved).
+    /// One dispatcher pass that moves queued intake jobs into the dispatch
+    /// window (`arg` = jobs moved).
     ServeCoalesce,
     /// Re-assembling one request's tile results into its response.
     ServeAssemble,
@@ -133,7 +130,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in declaration order.
-    pub const ALL: [Stage; 20] = [
+    pub const ALL: [Stage; 19] = [
         Stage::Compile,
         Stage::CompileValidate,
         Stage::CompilePlan,
@@ -148,7 +145,6 @@ impl Stage {
         Stage::ScalarExecute,
         Stage::WorkerRun,
         Stage::WorkerPark,
-        Stage::DeTranspose,
         Stage::SinkCollect,
         Stage::ServeSubmit,
         Stage::ServeQueueWait,
@@ -174,7 +170,6 @@ impl Stage {
             Stage::ScalarExecute => "execute.scalar",
             Stage::WorkerRun => "worker.run",
             Stage::WorkerPark => "worker.park",
-            Stage::DeTranspose => "de_transpose",
             Stage::SinkCollect => "sink.collect",
             Stage::ServeSubmit => "serve.submit",
             Stage::ServeQueueWait => "serve.queue_wait",
@@ -191,10 +186,6 @@ pub enum Counter {
     JobsPulled,
     /// Jobs whose execution returned an error.
     JobsFailed,
-    /// Jobs executed through the lane-batched lockstep path.
-    LaneBatchedJobs,
-    /// Jobs executed solo through the scalar path.
-    ScalarJobs,
     /// `Graph::compile` calls completed.
     Compilations,
     /// Repair manipulators auto-inserted by the correlation planner.
@@ -221,11 +212,7 @@ pub enum Counter {
     RequestsCancelled,
     /// Requests whose deadline expired (at submit or in flight).
     RequestsExpired,
-    /// Lane-batched jobs that executed in a dispatch group mixing two or
-    /// more requests (cross-request coalescing at work).
-    CrossRequestLaneJobs,
-    /// Requests resolved by a worker panic in a group holding one of their
-    /// jobs.
+    /// Requests resolved by a worker panic in one of their jobs.
     RequestsPanicked,
     /// Requests failed by the serving tier shutting down.
     RequestsShutDown,
@@ -233,11 +220,9 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 17] = [
         Counter::JobsPulled,
         Counter::JobsFailed,
-        Counter::LaneBatchedJobs,
-        Counter::ScalarJobs,
         Counter::Compilations,
         Counter::RepairsInserted,
         Counter::MeasuredProbes,
@@ -251,7 +236,6 @@ impl Counter {
         Counter::RequestsRejected,
         Counter::RequestsCancelled,
         Counter::RequestsExpired,
-        Counter::CrossRequestLaneJobs,
         Counter::RequestsPanicked,
         Counter::RequestsShutDown,
     ];
@@ -262,8 +246,6 @@ impl Counter {
         match self {
             Counter::JobsPulled => "jobs_pulled",
             Counter::JobsFailed => "jobs_failed",
-            Counter::LaneBatchedJobs => "lane_batched_jobs",
-            Counter::ScalarJobs => "scalar_jobs",
             Counter::Compilations => "compilations",
             Counter::RepairsInserted => "repairs_inserted",
             Counter::MeasuredProbes => "measured_probes",
@@ -277,7 +259,6 @@ impl Counter {
             Counter::RequestsRejected => "requests_rejected",
             Counter::RequestsCancelled => "requests_cancelled",
             Counter::RequestsExpired => "requests_expired",
-            Counter::CrossRequestLaneJobs => "cross_request_lane_jobs",
             Counter::RequestsPanicked => "requests_panicked",
             Counter::RequestsShutDown => "requests_shut_down",
         }
@@ -363,11 +344,6 @@ impl Hist {
 /// Number of log2 histogram buckets (bit lengths of a `u64`, 0 through 63+).
 pub const HIST_BUCKETS: usize = 64;
 
-/// Widest lane-group fill tracked exactly by the fill distribution. The
-/// executor's lane width is 4 today; the extra headroom means a wider future
-/// kernel cannot silently truncate (wider groups clamp into the last slot).
-pub const MAX_LANE_FILL: usize = 8;
-
 /// Maximum number of distinct plan classes the attribution table tracks
 /// exactly; classes seen after every slot is claimed aggregate into one
 /// shared overflow bucket (reported with `plan_class: None`).
@@ -380,7 +356,8 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 16 * 1024;
 
 /// One closed span: a stage, the recording thread, when it started (relative
 /// to the sink's epoch), how long it ran, and a stage-specific argument
-/// (lane-group fill for [`Stage::LaneGroupExecute`], zero elsewhere).
+/// (jobs moved for [`Stage::ServeCoalesce`], the request id for
+/// [`Stage::ServeQueueWait`], zero elsewhere).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     /// The stage this span timed.
@@ -451,30 +428,24 @@ struct ClassCells {
     /// Claimed plan-class id plus one; zero marks a free slot (plan-class
     /// ids start at zero, so a raw id cannot be its own empty sentinel).
     key: AtomicU64,
-    lane_batched: AtomicU64,
-    scalar: AtomicU64,
+    jobs: AtomicU64,
     latency: HistCells,
-    fill: [AtomicU64; MAX_LANE_FILL],
 }
 
 impl ClassCells {
     fn new() -> Self {
         ClassCells {
             key: AtomicU64::new(0),
-            lane_batched: AtomicU64::new(0),
-            scalar: AtomicU64::new(0),
+            jobs: AtomicU64::new(0),
             latency: HistCells::new(),
-            fill: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
     fn snapshot(&self, plan_class: Option<u64>) -> ClassReport {
         ClassReport {
             plan_class,
-            lane_batched_jobs: self.lane_batched.load(Ordering::Relaxed),
-            scalar_jobs: self.scalar.load(Ordering::Relaxed),
+            jobs: self.jobs.load(Ordering::Relaxed),
             latency: self.latency.snapshot(),
-            lane_group_fill: std::array::from_fn(|i| self.fill[i].load(Ordering::Relaxed)),
         }
     }
 }
@@ -558,7 +529,6 @@ struct Inner {
     /// Per-interval gauge peaks, reset by each [`TelemetrySink::snapshot_delta`].
     gauge_window_peak: [AtomicU64; Gauge::ALL.len()],
     hists: [HistCells; Hist::ALL.len()],
-    lane_fill: [AtomicU64; MAX_LANE_FILL],
     classes: ClassTable,
     /// Every thread's span ring, registered on that thread's first record.
     buffers: Mutex<Vec<Arc<Mutex<SpanBuf>>>>,
@@ -573,7 +543,6 @@ struct DeltaBaseline {
     elapsed_ns: u64,
     counters: [u64; Counter::ALL.len()],
     hists: [HistSnapshot; Hist::ALL.len()],
-    lane_fill: [u64; MAX_LANE_FILL],
     classes: Vec<ClassReport>,
 }
 
@@ -717,7 +686,6 @@ impl TelemetrySink {
                 gauge_peak: std::array::from_fn(|_| AtomicU64::new(0)),
                 gauge_window_peak: std::array::from_fn(|_| AtomicU64::new(0)),
                 hists: std::array::from_fn(|_| HistCells::new()),
-                lane_fill: std::array::from_fn(|_| AtomicU64::new(0)),
                 classes: ClassTable::new(),
                 buffers: Mutex::new(Vec::new()),
                 delta: Mutex::new(DeltaBaseline::default()),
@@ -745,7 +713,7 @@ impl TelemetrySink {
     }
 
     /// Like [`TelemetrySink::span`] with a stage-specific argument (e.g. the
-    /// lane-group fill for [`Stage::LaneGroupExecute`]).
+    /// jobs moved by one [`Stage::ServeCoalesce`] pass).
     pub fn span_with(&self, stage: Stage, arg: u64) -> SpanGuard<'_> {
         SpanGuard {
             state: self.inner.as_ref().map(|inner| GuardState {
@@ -805,22 +773,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Records one executed lane group of the given fill (number of jobs,
-    /// clamped to [`MAX_LANE_FILL`]; zero-fill groups are ignored).
-    pub fn lane_fill(&self, fill: usize) {
-        self.lane_fill_n(fill, 1);
-    }
-
-    /// Records `n` executed lane groups of the given fill in one operation —
-    /// for callers that tally fills locally and flush once per dispatch.
-    pub fn lane_fill_n(&self, fill: usize, n: u64) {
-        if let Some(inner) = &self.inner {
-            if fill > 0 && n > 0 {
-                inner.lane_fill[fill.min(MAX_LANE_FILL) - 1].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Records one job-latency observation attributed to a plan class. The
     /// global [`Hist::JobLatencyNs`] histogram is recorded separately by the
     /// executor; this feeds the per-class breakdown
@@ -831,40 +783,22 @@ impl TelemetrySink {
         }
     }
 
-    /// Attributes `lane_batched` lane-path jobs and `scalar` scalar-path
-    /// jobs to a plan class — for callers that tally per class locally and
-    /// flush once per dispatch.
-    pub fn class_add_jobs(&self, plan_class: u64, lane_batched: u64, scalar: u64) {
+    /// Attributes `jobs` dispatched jobs to a plan class.
+    pub fn class_add_jobs(&self, plan_class: u64, jobs: u64) {
         if let Some(inner) = &self.inner {
-            if lane_batched == 0 && scalar == 0 {
-                return;
-            }
-            let cells = inner.classes.cells(plan_class);
-            if lane_batched > 0 {
-                cells
-                    .lane_batched
-                    .fetch_add(lane_batched, Ordering::Relaxed);
-            }
-            if scalar > 0 {
-                cells.scalar.fetch_add(scalar, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Records `n` executed lane groups of the given fill attributed to a
-    /// plan class (the per-class mirror of [`TelemetrySink::lane_fill_n`]).
-    pub fn class_fill_n(&self, plan_class: u64, fill: usize, n: u64) {
-        if let Some(inner) = &self.inner {
-            if fill > 0 && n > 0 {
-                inner.classes.cells(plan_class).fill[fill.min(MAX_LANE_FILL) - 1]
-                    .fetch_add(n, Ordering::Relaxed);
+            if jobs > 0 {
+                inner
+                    .classes
+                    .cells(plan_class)
+                    .jobs
+                    .fetch_add(jobs, Ordering::Relaxed);
             }
         }
     }
 
     /// Drains every thread's recorded spans into a time-sorted report,
     /// together with a snapshot of the (cumulative) counters, gauges,
-    /// histograms, lane-fill distribution, and per-class table. Spans are
+    /// histograms, and per-class table. Spans are
     /// consumed; metrics are not reset, so back-to-back drains see monotonic
     /// counters. For live observation without consuming anything, use
     /// [`TelemetrySink::snapshot`]; for interval views, use
@@ -893,15 +827,15 @@ impl TelemetrySink {
     }
 
     /// The change since the previous `snapshot_delta` (or since the sink's
-    /// creation, for the first call): counters, histograms, lane-fill slots,
-    /// and per-class tallies are diffed against the previous cumulative
+    /// creation, for the first call): counters, histograms, and per-class
+    /// tallies are diffed against the previous cumulative
     /// values; gauges report their sampled current value and their peak
     /// within the interval; spans are drained incrementally (each delta
     /// carries the spans recorded since the last consume, with ring
     /// overwrite counts preserved); `elapsed_ns` is the interval length.
     ///
     /// A sequence of deltas therefore sums to the cumulative report:
-    /// concatenated spans, summed counters/histograms/fills, and the max
+    /// concatenated spans, summed counters/histograms, and the max
     /// over interval gauge peaks equals the all-time peak. Concurrent
     /// callers are serialized on an internal baseline lock.
     #[must_use]
@@ -927,9 +861,6 @@ impl TelemetrySink {
                 (current, window_peak.max(current))
             }),
             hists: std::array::from_fn(|i| now.hists[i].delta_since(&baseline.hists[i])),
-            lane_fill: std::array::from_fn(|i| {
-                now.lane_fill[i].saturating_sub(baseline.lane_fill[i])
-            }),
             classes: now
                 .classes
                 .iter()
@@ -950,7 +881,6 @@ impl TelemetrySink {
             elapsed_ns: now.elapsed_ns,
             counters: now.counters,
             hists: now.hists,
-            lane_fill: now.lane_fill,
             classes: now.classes,
         };
         report
@@ -995,7 +925,6 @@ impl Inner {
                 )
             }),
             hists: std::array::from_fn(|i| self.hists[i].snapshot()),
-            lane_fill: std::array::from_fn(|i| self.lane_fill[i].load(Ordering::Relaxed)),
             classes: self.classes.snapshot(),
         }
     }
@@ -1165,33 +1094,21 @@ pub fn bucket_upper_bound(bucket: usize) -> u64 {
     }
 }
 
-/// One plan class's slice of the execution tallies: how many jobs ran
-/// through the lane-batched vs scalar path, their latency histogram, and
-/// the lane-group fill distribution — so a report names *which* compiled
-/// class is slow, not just that something is.
+/// One plan class's slice of the execution tallies: how many jobs ran and
+/// their latency histogram — so a report names *which* compiled class is
+/// slow, not just that something is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassReport {
     /// The `CompiledGraph::plan_class` id, or `None` for the shared
     /// overflow bucket (classes beyond [`MAX_PLAN_CLASSES`]).
     pub plan_class: Option<u64>,
-    /// Jobs of this class executed through the lane-batched lockstep path.
-    pub lane_batched_jobs: u64,
-    /// Jobs of this class executed through the scalar path.
-    pub scalar_jobs: u64,
+    /// Jobs of this class dispatched.
+    pub jobs: u64,
     /// Job-latency histogram for this class.
     pub latency: HistSnapshot,
-    /// Lane-group fill distribution for this class (`[k]` counts groups of
-    /// `k + 1` jobs).
-    pub lane_group_fill: [u64; MAX_LANE_FILL],
 }
 
 impl ClassReport {
-    /// Total jobs attributed to this class.
-    #[must_use]
-    pub fn jobs(&self) -> u64 {
-        self.lane_batched_jobs + self.scalar_jobs
-    }
-
     /// A label for display and export: the class id, or `"overflow"`.
     #[must_use]
     pub fn label(&self) -> String {
@@ -1202,20 +1119,14 @@ impl ClassReport {
     }
 
     fn is_empty(&self) -> bool {
-        self.jobs() == 0 && self.latency.count == 0 && self.lane_group_fill.iter().all(|&c| c == 0)
+        self.jobs == 0 && self.latency.count == 0
     }
 
     fn delta_since(&self, baseline: &ClassReport) -> ClassReport {
         ClassReport {
             plan_class: self.plan_class,
-            lane_batched_jobs: self
-                .lane_batched_jobs
-                .saturating_sub(baseline.lane_batched_jobs),
-            scalar_jobs: self.scalar_jobs.saturating_sub(baseline.scalar_jobs),
+            jobs: self.jobs.saturating_sub(baseline.jobs),
             latency: self.latency.delta_since(&baseline.latency),
-            lane_group_fill: std::array::from_fn(|i| {
-                self.lane_group_fill[i].saturating_sub(baseline.lane_group_fill[i])
-            }),
         }
     }
 }
@@ -1235,7 +1146,6 @@ pub struct TelemetryReport {
     counters: [u64; Counter::ALL.len()],
     gauges: [(u64, u64); Gauge::ALL.len()],
     hists: [HistSnapshot; Hist::ALL.len()],
-    lane_fill: [u64; MAX_LANE_FILL],
     classes: Vec<ClassReport>,
 }
 
@@ -1258,12 +1168,12 @@ impl TelemetryReport {
         &self.hists[hist as usize]
     }
 
-    /// Exact lane-group fill distribution: `lane_group_fill()[k]` counts
-    /// executed groups of `k + 1` jobs (fills wider than [`MAX_LANE_FILL`]
-    /// clamp into the last slot).
+    /// Always all-zero: lane groups are never formed since lane batching
+    /// was removed. Kept only because the benchmark crate reads it; retired
+    /// by the next benchmark change.
     #[must_use]
-    pub fn lane_group_fill(&self) -> &[u64; MAX_LANE_FILL] {
-        &self.lane_fill
+    pub fn lane_group_fill(&self) -> &'static [u64; 4] {
+        &[0; 4]
     }
 
     /// The per-plan-class attribution breakdown, in class-id order with the
@@ -1294,8 +1204,7 @@ impl TelemetryReport {
     }
 
     /// Sum of the stage-specific span arguments across one stage — e.g. the
-    /// total jobs covered by [`Stage::LaneGroupExecute`] spans, whose `arg`
-    /// is the group fill.
+    /// total jobs moved by [`Stage::ServeCoalesce`] passes.
     #[must_use]
     pub fn stage_args_total(&self, stage: Stage) -> u64 {
         self.spans
@@ -1306,7 +1215,7 @@ impl TelemetryReport {
     }
 
     /// A human-readable multi-section summary: per-stage span totals, then
-    /// the non-zero counters, gauges, histograms, and lane-fill slots.
+    /// the non-zero counters, gauges, histograms, and plan classes.
     #[must_use]
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
@@ -1362,25 +1271,13 @@ impl TelemetryReport {
                 buckets.join(" "),
             ));
         }
-        let fills: Vec<String> = self
-            .lane_fill
-            .iter()
-            .enumerate()
-            .filter(|(_, &count)| count > 0)
-            .map(|(i, &count)| format!("fill {}: {count}", i + 1))
-            .collect();
-        if !fills.is_empty() {
-            out.push_str(&format!("\n  lane-group fill: {}\n", fills.join(", ")));
-        }
         if !self.classes.is_empty() {
-            out.push_str("\n  plan classes (jobs = lane + scalar, latency p50/p99 ≤):\n");
+            out.push_str("\n  plan classes (jobs, latency p50/p99 ≤):\n");
             for class in &self.classes {
                 out.push_str(&format!(
-                    "    class {:<10} {:>6} jobs = {} + {}  p50 ≤ {} ns  p99 ≤ {} ns\n",
+                    "    class {:<10} {:>6} jobs  p50 ≤ {} ns  p99 ≤ {} ns\n",
                     class.label(),
-                    class.jobs(),
-                    class.lane_batched_jobs,
-                    class.scalar_jobs,
+                    class.jobs,
                     class.latency.quantile(0.5),
                     class.latency.quantile(0.99),
                 ));
@@ -1390,7 +1287,7 @@ impl TelemetryReport {
     }
 
     /// The machine-readable summary as a [`Json`] value: per-stage totals,
-    /// counters, gauges, histograms, and the lane-fill distribution (spans
+    /// counters, gauges, histograms, and plan classes (spans
     /// are summarised, not listed — use [`TelemetryReport::to_json_lines`]
     /// or [`TelemetryReport::to_chrome_trace`] for the full event stream).
     #[must_use]
@@ -1462,8 +1359,7 @@ impl TelemetryReport {
                             None => Json::str("overflow"),
                         },
                     ),
-                    ("lane_batched_jobs", Json::u64(class.lane_batched_jobs)),
-                    ("scalar_jobs", Json::u64(class.scalar_jobs)),
+                    ("jobs", Json::u64(class.jobs)),
                     (
                         "latency",
                         Json::obj(vec![
@@ -1471,16 +1367,6 @@ impl TelemetryReport {
                             ("sum", Json::u64(class.latency.sum)),
                             ("buckets", Json::Arr(buckets)),
                         ]),
-                    ),
-                    (
-                        "lane_group_fill",
-                        Json::Arr(
-                            class
-                                .lane_group_fill
-                                .iter()
-                                .map(|&c| Json::u64(c))
-                                .collect(),
-                        ),
                     ),
                 ])
             })
@@ -1493,10 +1379,6 @@ impl TelemetryReport {
             ("counters", Json::Obj(counters)),
             ("gauges", Json::Obj(gauges)),
             ("histograms", Json::Obj(hists)),
-            (
-                "lane_group_fill",
-                Json::Arr(self.lane_fill.iter().map(|&c| Json::u64(c)).collect()),
-            ),
             ("classes", Json::Arr(classes)),
         ])
     }
@@ -1592,7 +1474,7 @@ mod tests {
         sink.add(Counter::JobsPulled, 3);
         sink.gauge_set(Gauge::QueueDepth, 9);
         sink.observe(Hist::JobLatencyNs, 1000);
-        sink.lane_fill(4);
+        sink.class_add_jobs(1, 1);
         let report = sink.drain();
         assert_eq!(report, TelemetryReport::default());
         assert!(report.spans.is_empty());
@@ -1603,17 +1485,17 @@ mod tests {
     fn spans_record_and_aggregate_by_stage() {
         let sink = TelemetrySink::new();
         for i in 0..3 {
-            let _span = sink.span_with(Stage::LaneGroupExecute, i + 2);
+            let _span = sink.span_with(Stage::ServeCoalesce, i + 2);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         {
             let _span = sink.span(Stage::ScalarExecute);
         }
         let report = sink.drain();
-        let (count, total_ns) = report.stage_totals(Stage::LaneGroupExecute);
+        let (count, total_ns) = report.stage_totals(Stage::ServeCoalesce);
         assert_eq!(count, 3);
         assert!(total_ns >= 3_000_000, "three ≥1ms spans, got {total_ns} ns");
-        assert_eq!(report.stage_args_total(Stage::LaneGroupExecute), 2 + 3 + 4);
+        assert_eq!(report.stage_args_total(Stage::ServeCoalesce), 2 + 3 + 4);
         assert_eq!(report.stage_totals(Stage::ScalarExecute).0, 1);
         assert_eq!(report.stage_totals(Stage::Compile), (0, 0));
         // Spans are time-sorted and were consumed by the drain.
@@ -1681,21 +1563,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_fill_distribution_is_exact() {
-        let sink = TelemetrySink::new();
-        sink.lane_fill(1);
-        sink.lane_fill(4);
-        sink.lane_fill(4);
-        sink.lane_fill(0); // ignored
-        sink.lane_fill(100); // clamps into the last slot
-        let report = sink.drain();
-        let fill = report.lane_group_fill();
-        assert_eq!(fill[0], 1);
-        assert_eq!(fill[3], 2);
-        assert_eq!(fill[MAX_LANE_FILL - 1], 1);
-    }
-
-    #[test]
     fn ring_buffer_drops_oldest_beyond_capacity() {
         let sink = TelemetrySink::with_span_capacity(4);
         for _ in 0..10 {
@@ -1745,9 +1612,9 @@ mod tests {
         sink.add(Counter::JobsPulled, 2);
         sink.gauge_set(Gauge::QueueDepth, 1);
         sink.observe(Hist::JobLatencyNs, 1500);
-        sink.lane_fill(3);
+        sink.class_add_jobs(5, 3);
         {
-            let _span = sink.span_with(Stage::LaneGroupExecute, 3);
+            let _span = sink.span_with(Stage::ServeCoalesce, 3);
         }
         {
             let _span = sink.span(Stage::Dispatch);
@@ -1755,9 +1622,9 @@ mod tests {
         let report = sink.drain();
 
         let pretty = report.to_pretty_string();
-        assert!(pretty.contains("execute.lane_group"));
+        assert!(pretty.contains("serve.coalesce"));
         assert!(pretty.contains("jobs_pulled"));
-        assert!(pretty.contains("fill 3: 1"));
+        assert!(pretty.contains("3 jobs"));
 
         let doc = json::parse(&report.to_json().to_string_pretty()).unwrap();
         assert_eq!(
@@ -1812,9 +1679,8 @@ mod tests {
         sink.add(Counter::JobsPulled, 4);
         sink.gauge_set(Gauge::QueueDepth, 3);
         sink.observe(Hist::JobLatencyNs, 900);
-        sink.lane_fill(2);
         sink.class_latency(7, 900);
-        sink.class_add_jobs(7, 1, 0);
+        sink.class_add_jobs(7, 1);
         for _ in 0..3 {
             let _span = sink.span(Stage::ScalarExecute);
         }
@@ -1851,7 +1717,7 @@ mod tests {
         sink.add(Counter::JobsPulled, 2);
         sink.observe(Hist::JobLatencyNs, 100);
         sink.gauge_set(Gauge::QueueDepth, 9);
-        sink.class_add_jobs(3, 2, 0);
+        sink.class_add_jobs(3, 2);
         {
             let _span = sink.span(Stage::Dispatch);
         }
@@ -1865,8 +1731,8 @@ mod tests {
         sink.add(Counter::JobsPulled, 5);
         sink.observe(Hist::JobLatencyNs, 3000);
         sink.gauge_set(Gauge::QueueDepth, 4);
-        sink.class_add_jobs(3, 0, 1);
-        sink.class_add_jobs(8, 1, 0);
+        sink.class_add_jobs(3, 1);
+        sink.class_add_jobs(8, 1);
         {
             let _span = sink.span(Stage::ScalarExecute);
         }
@@ -1881,9 +1747,8 @@ mod tests {
             "the gauge held 9 at the interval's start before dropping to 4, \
              so the carried-in level is the interval peak"
         );
-        assert_eq!(second.class(3).unwrap().scalar_jobs, 1);
-        assert_eq!(second.class(3).unwrap().lane_batched_jobs, 0, "diffed");
-        assert_eq!(second.class(8).unwrap().lane_batched_jobs, 1);
+        assert_eq!(second.class(3).unwrap().jobs, 1, "diffed");
+        assert_eq!(second.class(8).unwrap().jobs, 1);
 
         // The two deltas sum to the cumulative view at the first snapshot
         // plus everything recorded after it.
@@ -1916,23 +1781,21 @@ mod tests {
         // Claim every slot, then two more classes: both share the overflow
         // bucket.
         for class in 0..(MAX_PLAN_CLASSES as u64 + 2) {
-            sink.class_add_jobs(class, 1, 0);
+            sink.class_add_jobs(class, 1);
             sink.class_latency(class, 50 * (class + 1));
         }
-        sink.class_fill_n(0, 4, 2);
         let report = sink.drain();
         let classes = report.classes();
         assert_eq!(classes.len(), MAX_PLAN_CLASSES + 1);
         for (i, class) in classes.iter().take(MAX_PLAN_CLASSES).enumerate() {
             assert_eq!(class.plan_class, Some(i as u64), "sorted by class id");
-            assert_eq!(class.jobs(), 1);
+            assert_eq!(class.jobs, 1);
             assert_eq!(class.latency.count, 1);
         }
         let overflow = classes.last().unwrap();
         assert_eq!(overflow.plan_class, None);
         assert_eq!(overflow.label(), "overflow");
-        assert_eq!(overflow.jobs(), 2, "both overflowed classes aggregated");
-        assert_eq!(report.class(0).unwrap().lane_group_fill[3], 2);
+        assert_eq!(overflow.jobs, 2, "both overflowed classes aggregated");
         assert!(
             report.class(MAX_PLAN_CLASSES as u64).is_none(),
             "overflowed"

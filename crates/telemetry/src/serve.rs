@@ -25,7 +25,7 @@
 
 use crate::{
     bucket_upper_bound, Counter, Gauge, Hist, HistSnapshot, Stage, TelemetryReport, TelemetrySink,
-    HIST_BUCKETS, MAX_LANE_FILL,
+    HIST_BUCKETS,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -162,8 +162,8 @@ impl TelemetryReport {
     /// This report in Prometheus text exposition format: every counter,
     /// gauge (current and peak as separate series), and histogram (with
     /// cumulative `_bucket{le="..."}` series at the log2 bucket edges, plus
-    /// `_sum`/`_count`), the per-stage span totals and lane-fill slots as
-    /// labeled series, and the per-class attribution under a `class` label.
+    /// `_sum`/`_count`), the per-stage span totals as labeled series, and
+    /// the per-class attribution under a `class` label.
     /// All metric names carry the `sc_` prefix.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
@@ -212,26 +212,13 @@ impl TelemetryReport {
             ));
         }
 
-        out.push_str("# TYPE sc_lane_group_fill counter\n");
-        for (i, &count) in self.lane_group_fill().iter().enumerate() {
-            if count > 0 || i < MAX_LANE_FILL / 2 {
-                out.push_str(&format!(
-                    "sc_lane_group_fill{{fill=\"{}\"}} {count}\n",
-                    i + 1
-                ));
-            }
-        }
-
         if !self.classes().is_empty() {
-            out.push_str(
-                "# TYPE sc_class_lane_batched_jobs counter\n# TYPE sc_class_scalar_jobs counter\n",
-            );
+            out.push_str("# TYPE sc_class_jobs counter\n");
             for class in self.classes() {
                 out.push_str(&format!(
-                    "sc_class_lane_batched_jobs{{class=\"{0}\"}} {1}\nsc_class_scalar_jobs{{class=\"{0}\"}} {2}\n",
+                    "sc_class_jobs{{class=\"{}\"}} {}\n",
                     class.label(),
-                    class.lane_batched_jobs,
-                    class.scalar_jobs,
+                    class.jobs,
                 ));
             }
             for class in self.classes() {
@@ -311,7 +298,7 @@ mod tests {
         let sink = TelemetrySink::new();
         sink.add(Counter::Tiles, 11);
         sink.observe(Hist::JobLatencyNs, 750);
-        sink.class_add_jobs(2, 4, 1);
+        sink.class_add_jobs(2, 5);
         let server = TelemetryServer::start(sink.clone(), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
 
@@ -320,7 +307,8 @@ mod tests {
         assert!(head.contains("text/plain; version=0.0.4"));
         assert!(body.contains("sc_tiles 11"));
         assert!(body.contains("# TYPE sc_hist_job_latency_ns histogram"));
-        assert!(body.contains("sc_class_lane_batched_jobs{class=\"2\"} 4"));
+        assert!(body.contains("sc_class_jobs{class=\"2\"} 5"));
+        assert!(!body.contains("lane"), "no lane series are exported");
 
         let (head, body) = get(addr, "/json");
         assert!(head.starts_with("HTTP/1.1 200 OK"));

@@ -87,7 +87,7 @@ fn snapshots_interleaved_with_writers_do_not_consume_drained_spans() {
     };
 
     for _ in 0..TOTAL_SPANS {
-        let _span = sink.span(Stage::LaneGroupExecute);
+        let _span = sink.span(Stage::ScalarExecute);
     }
     stop.store(true, Ordering::Release);
     let observations = sampler.join().expect("sampler thread completes");

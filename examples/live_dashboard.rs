@@ -74,22 +74,20 @@ fn run_frames(frames: usize, size: usize, config: &PipelineConfig) -> Vec<f64> {
     means
 }
 
-/// One interval line of the live view: jobs, paths, latency quantiles,
-/// queue/window pressure, per-class job split.
+/// One interval line of the live view: jobs, latency quantiles,
+/// queue/window pressure, per-class jobs.
 fn print_interval(tick: usize, delta: &TelemetryReport) {
     let latency = delta.histogram(Hist::JobLatencyNs);
     let (queue_now, queue_peak) = delta.gauge(Gauge::QueueDepth);
     let classes: Vec<String> = delta
         .classes()
         .iter()
-        .map(|c| format!("{}:{}", c.label(), c.jobs()))
+        .map(|c| format!("{}:{}", c.label(), c.jobs))
         .collect();
     println!(
-        "[t{tick:>2} {:>7.1} ms] jobs {:>3} ({} lane / {} scalar) | p50 ≤ {} ns, p99 ≤ {} ns | queue {queue_now} (peak {queue_peak}) | class jobs {{{}}}",
+        "[t{tick:>2} {:>7.1} ms] jobs {:>3} | p50 ≤ {} ns, p99 ≤ {} ns | queue {queue_now} (peak {queue_peak}) | class jobs {{{}}}",
         delta.elapsed_ns as f64 / 1e6,
-        delta.counter(Counter::LaneBatchedJobs) + delta.counter(Counter::ScalarJobs),
-        delta.counter(Counter::LaneBatchedJobs),
-        delta.counter(Counter::ScalarJobs),
+        delta.counter(Counter::JobsPulled),
         latency.quantile(0.5),
         latency.quantile(0.99),
         classes.join(", "),
@@ -205,15 +203,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.dropped_spans,
     );
     println!(
-        "{:<10} {:>6} {:>8} {:>12} {:>12}",
-        "class", "lane", "scalar", "p50 ≤ ns", "p99 ≤ ns"
+        "{:<10} {:>6} {:>12} {:>12}",
+        "class", "jobs", "p50 ≤ ns", "p99 ≤ ns"
     );
     for class in report.classes() {
         println!(
-            "{:<10} {:>6} {:>8} {:>12} {:>12}",
+            "{:<10} {:>6} {:>12} {:>12}",
             class.label(),
-            class.lane_batched_jobs,
-            class.scalar_jobs,
+            class.jobs,
             class.latency.quantile(0.5),
             class.latency.quantile(0.99),
         );

@@ -1,9 +1,8 @@
 //! Observability demo: runs the Gaussian-blur → edge-detector accelerator
 //! with a [`TelemetrySink`] attached and prints where the time went — the
-//! per-stage span breakdown (plan-cache hits vs misses vs lane-group vs
-//! scalar execution), the counters behind the
-//! [`sc_image::PipelineStats`] view, and the lane-group fill distribution —
-//! then writes a chrome://tracing trace-event file of the whole run.
+//! per-stage span breakdown (plan-cache hits vs misses vs per-tile
+//! execution), and the counters behind the [`sc_image::PipelineStats`]
+//! view — then writes a chrome://tracing trace-event file of the whole run.
 //!
 //! Run with `cargo run --release --example trace_pipeline`. The trace is
 //! written to `trace_pipeline.json` in the current directory (or to the path
@@ -20,8 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A 40×40 synthetic scene in 10-pixel tiles: 16 tiles in a handful of
     // plan classes, so the run shows cache hits (each binding one tile's
-    // select seeds to a cached template) and lane-batched groups — not just
-    // compiles.
+    // select seeds to a cached template) — not just compiles.
     let size = 40;
     let blob = GrayImage::gaussian_blob(size, size);
     let image = GrayImage::from_fn(size, size, |x, y| {
@@ -66,20 +64,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.counter(Counter::RepairsInserted),
     );
     println!(
-        "jobs: {} lane-batched + {} scalar of {} pulled (peak {} in flight)",
-        stats.stream.lane_batched_jobs,
-        stats.stream.scalar_jobs,
-        stats.tiles,
-        stats.stream.peak_in_flight
+        "jobs: {} of {} tiles (peak {} in flight)",
+        stats.stream.jobs, stats.tiles, stats.stream.peak_in_flight
     );
-    let fill: Vec<String> = stats
-        .stream
-        .lane_group_fill
-        .iter()
-        .enumerate()
-        .map(|(k, &groups)| format!("{}-fill x{groups}", k + 1))
-        .collect();
-    println!("lane-group fill: {}", fill.join(", "));
 
     std::fs::write(&trace_path, report.to_chrome_trace())?;
     println!("\nwrote {trace_path} — open it at chrome://tracing or ui.perfetto.dev");

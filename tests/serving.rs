@@ -1,7 +1,8 @@
 //! Serving-tier integration tests: the warm [`sc_graph::Service`] edge cases
 //! (deadlines, cancellation, bounded intake, first-error ordering,
-//! attribution) and the [`sc_image::ImageServer`] front (bit-identity with
-//! the one-shot pipeline, cross-request lane batching, bounded plan cache).
+//! attribution, panics) and the [`sc_image::ImageServer`] front
+//! (bit-identity with the one-shot pipeline under sequential and concurrent
+//! requests, config-driven sizing, bounded plan cache).
 
 use sc_graph::{
     BatchInput, BinaryOp, Graph, GraphError, PlannerOptions, Request, RequestError, RequestHandle,
@@ -12,13 +13,13 @@ use sc_image::{
     PipelineVariant, TilePlanner,
 };
 use sc_rng::SourceSpec;
-use sc_telemetry::{Counter, Stage, TelemetrySink};
+use sc_telemetry::{Counter, Gauge, Stage, TelemetrySink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One compiled two-source XOR plan; every job built from it shares a
-/// `plan_class`, so same-plan jobs lane-batch.
+/// `plan_class`.
 fn xor_plan() -> Arc<sc_graph::CompiledGraph> {
     let mut g = Graph::new();
     let x = g.generate(0, SourceSpec::Sobol { dimension: 1 });
@@ -197,7 +198,7 @@ fn attribution_segments_sum_to_request_wall_clock() {
         "attribution segments partition the request wall-clock exactly"
     );
     assert!(a.wall_ns > 0, "a real request takes nonzero time");
-    assert_eq!(report.lane_batched_jobs + report.scalar_jobs, 6);
+    assert_eq!(report.outputs.len(), 6);
     drop(service);
     let report = sink.drain();
     // The serving stages are first-class members of the static registry.
@@ -219,75 +220,14 @@ fn attribution_segments_sum_to_request_wall_clock() {
     );
 }
 
-/// A plan with no FSM step: its jobs never lane-batch, so one of them keeps
-/// a worker busy on its own.
-fn scalar_plan() -> Arc<sc_graph::CompiledGraph> {
+/// A plan with no FSM step: one AND gate over two generated sources.
+fn and_plan() -> Arc<sc_graph::CompiledGraph> {
     let mut g = Graph::new();
     let x = g.generate(0, SourceSpec::Sobol { dimension: 1 });
     let y = g.generate(1, SourceSpec::Sobol { dimension: 2 });
     let z = g.binary(BinaryOp::AndMultiply, x, y);
     g.sink_value("z", z);
-    let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
-    assert!(!plan.lane_batchable());
-    plan
-}
-
-/// Starts a one-worker service, occupies its worker with a slow scalar
-/// blocker, and submits two requests of two `plan` jobs each while the
-/// worker is busy: with no idle worker the partial bucket waits, so the
-/// four jobs fill one mixed lane group. Returns the blocker's and the two
-/// requests' handles.
-fn submit_behind_blocker(
-    service: &Service,
-    plan: &Arc<sc_graph::CompiledGraph>,
-) -> (RequestHandle, RequestHandle, RequestHandle) {
-    let blocker = service
-        .submit(Request::new(vec![ok_job(&scalar_plan())]))
-        .expect("submit blocker");
-    let a = service
-        .submit(Request::new(vec![ok_job(plan), ok_job(plan)]))
-        .expect("submit a");
-    let b = service
-        .submit(Request::new(vec![ok_job(plan), ok_job(plan)]))
-        .expect("submit b");
-    (blocker, a, b)
-}
-
-/// A one-worker service at a stream length long enough that one job keeps
-/// the worker busy for milliseconds.
-fn slow_single_worker(sink: &TelemetrySink) -> Service {
-    Service::start(
-        ServiceConfig::new(1 << 20)
-            .with_threads(1)
-            .with_window(5)
-            .with_telemetry(sink.clone()),
-    )
-}
-
-#[test]
-fn tiles_from_concurrent_requests_lane_batch_together() {
-    // The blocker runs for milliseconds against microseconds between the
-    // submits, but the scheduler can in principle starve the submitting
-    // thread, so allow a few attempts.
-    let mut cross = 0usize;
-    for _ in 0..5 {
-        let sink = TelemetrySink::new();
-        let service = slow_single_worker(&sink);
-        let plan = xor_plan();
-        let (blocker, a, b) = submit_behind_blocker(&service, &plan);
-        let ra = a.wait().expect("a completes");
-        let rb = b.wait().expect("b completes");
-        blocker.wait().expect("blocker completes");
-        assert_eq!(ra.cross_request_lane_jobs, rb.cross_request_lane_jobs);
-        drop(service);
-        cross = sink.drain().counter(Counter::CrossRequestLaneJobs) as usize;
-        if cross > 0 {
-            assert_eq!(cross, 4, "all four jobs share one mixed lane group");
-            assert_eq!(ra.cross_request_lane_jobs, 2);
-            break;
-        }
-    }
-    assert!(cross > 0, "no attempt produced a cross-request lane group");
+    Arc::new(g.compile(&PlannerOptions::default()).unwrap())
 }
 
 /// A long-lived service sees a fresh plan class on every compile (a plan
@@ -335,38 +275,43 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 #[test]
-fn lane_group_panic_resolves_every_member_request_and_drop_returns() {
-    // A panic inside a lane group mixing two requests must resolve both —
-    // each waiter resumes the panic — and the service must still drain and
-    // shut down: every member of the group reports, so no window slot leaks.
-    let plan = xor_plan();
-    sc_graph::fault::panic_on_class(plan.plan_class());
-    let mut mixed = false;
-    for _ in 0..5 {
-        let sink = TelemetrySink::new();
-        let service = slow_single_worker(&sink);
-        let (blocker, a, b) = submit_behind_blocker(&service, &plan);
-        for handle in [a, b] {
-            let payload = catch_unwind(AssertUnwindSafe(|| handle.wait()))
-                .expect_err("a request in a panicked group resumes the panic");
-            assert!(panic_text(&*payload).contains("injected fault"));
-        }
-        blocker
-            .wait()
-            .expect("a request outside the group is unaffected");
-        // Dropping the service joins its dispatcher: this returns only if
-        // the window drained.
-        drop(service);
-        let report = sink.drain();
-        assert_eq!(report.counter(Counter::RequestsPanicked), 2);
-        assert_eq!(report.counter(Counter::RequestsCompleted), 1);
-        if report.counter(Counter::CrossRequestLaneJobs) == 4 {
-            mixed = true;
-            break;
-        }
-    }
-    sc_graph::fault::clear_class(plan.plan_class());
-    assert!(mixed, "no attempt produced a mixed panicking lane group");
+fn fault_marked_class_panic_resolves_its_request_and_drop_returns() {
+    // Each pool task is one job under one `catch_unwind`: a panicking job
+    // resolves exactly its own request, a concurrent request of another
+    // class completes with the one-shot bits, and the service still drains
+    // and shuts down.
+    let faulty = xor_plan();
+    let healthy = xor_plan();
+    sc_graph::fault::panic_on_class(faulty.plan_class());
+    let sink = TelemetrySink::new();
+    let service = Service::start(
+        ServiceConfig::new(256)
+            .with_threads(2)
+            .with_window(3)
+            .with_telemetry(sink.clone()),
+    );
+    let doomed = service
+        .submit(Request::new((0..3).map(|_| ok_job(&faulty)).collect()))
+        .expect("submit the faulty request");
+    let fine = service
+        .submit(Request::new((0..3).map(|_| ok_job(&healthy)).collect()))
+        .expect("submit the healthy request");
+    let payload = catch_unwind(AssertUnwindSafe(|| doomed.wait()))
+        .expect_err("a request with a panicked job resumes the panic");
+    assert!(panic_text(&*payload).contains("injected fault"));
+    let one_shot = sc_graph::Executor::new(256)
+        .run(&healthy, &ok_job(&healthy).input)
+        .unwrap();
+    let report = fine.wait().expect("a request of another class completes");
+    assert_eq!(report.outputs, vec![one_shot; 3]);
+    // Dropping the service joins its dispatcher: this returns only if the
+    // window drained.
+    drop(service);
+    sc_graph::fault::clear_class(faulty.plan_class());
+    let report = sink.drain();
+    assert_eq!(report.counter(Counter::RequestsSubmitted), 2);
+    assert_eq!(report.counter(Counter::RequestsPanicked), 1);
+    assert_eq!(report.counter(Counter::RequestsCompleted), 1);
 }
 
 #[test]
@@ -404,13 +349,13 @@ fn in_flight_deadline_fires_while_jobs_still_run() {
 #[test]
 fn every_request_resolves_exactly_once_under_random_faults() {
     // Seeded random traffic over one service: short, already-expired, and
-    // open deadlines; cancellations; panicking lane groups; rejected
+    // open deadlines; cancellations; panicking jobs; rejected
     // submits; and a shutdown with requests still in flight. Every admitted
     // request must resolve (no waiter hangs), and the `Requests*` counters
     // must partition the submissions and agree with what the waiters saw.
     let faulty = xor_plan();
     let healthy = xor_plan();
-    let scalar = scalar_plan();
+    let and = and_plan();
     sc_graph::fault::panic_on_class(faulty.plan_class());
     let sink = TelemetrySink::new();
     let service = Service::start(
@@ -435,7 +380,7 @@ fn every_request_resolves_exactly_once_under_random_faults() {
         let jobs = (0..r % 6)
             .map(|j| match (r >> (8 + 3 * j)) % 8 {
                 0 => ok_job(&faulty),
-                1 | 2 => ok_job(&scalar),
+                1 | 2 => ok_job(&and),
                 _ => ok_job(&healthy),
             })
             .collect();
@@ -497,7 +442,7 @@ fn every_request_resolves_exactly_once_under_random_faults() {
         seen[3] + expired_at_submit
     );
     assert_eq!(report.counter(Counter::RequestsShutDown), seen[4]);
-    assert!(seen[1] > 0, "the seed exercises panicking groups");
+    assert!(seen[1] > 0, "the seed exercises panicking jobs");
     assert!(seen[2] > 0, "the seed exercises cancellation");
 }
 
@@ -523,25 +468,71 @@ fn image_server_matches_the_one_shot_pipeline_bit_for_bit() {
                 "{variant:?} round {round}: served image diverged from the pipeline"
             );
             assert_eq!(response.tiles, 4);
-            assert_eq!(response.lane_batched_jobs + response.scalar_jobs, 4);
         }
         assert!(server.cached_classes() > 0, "the plan cache stays warm");
     }
 }
 
+/// Images submitted concurrently to one warm server — their tiles share the
+/// dispatch window and the pool — each equal their one-shot image.
+#[test]
+fn concurrent_image_requests_equal_their_one_shot_images() {
+    let config = PipelineConfig::quick();
+    let images = [
+        GrayImage::gradient(12, 12),
+        GrayImage::checkerboard(12, 12, 3),
+        GrayImage::gaussian_blob(12, 12),
+        GrayImage::noise(12, 12, 7),
+    ];
+    let server = ImageServer::builder(PipelineVariant::Synchronizer, config.clone())
+        .with_threads(2)
+        .start()
+        .unwrap();
+    let handles: Vec<_> = images
+        .iter()
+        .map(|image| server.submit(image).unwrap())
+        .collect();
+    for (image, handle) in images.iter().zip(handles) {
+        let expected = run_sc_pipeline(image, PipelineVariant::Synchronizer, &config).unwrap();
+        assert_eq!(handle.wait().unwrap().image, expected);
+    }
+}
+
 /// The server takes its worker count and window from the same
-/// `PipelineConfig` fields the one-shot pipeline reads: a window of 1 set on
-/// the config turns lane batching off on the server too.
+/// `PipelineConfig` fields the one-shot pipeline reads: with one thread and
+/// a window of 1, every tile runs on one worker thread and at most one tile
+/// is ever in flight.
 #[test]
 fn image_server_reads_threads_and_window_from_the_config() {
     let image = GrayImage::gradient(12, 12);
+    let sink = TelemetrySink::new();
     let config = PipelineConfig::quick().with_threads(1).with_window(1);
     let expected = run_sc_pipeline(&image, PipelineVariant::Synchronizer, &config).unwrap();
-    let server = ImageServer::start(PipelineVariant::Synchronizer, config).unwrap();
+    let server = ImageServer::start(
+        PipelineVariant::Synchronizer,
+        config.with_telemetry(sink.clone()),
+    )
+    .unwrap();
     let response = server.submit(&image).unwrap().wait().unwrap();
     assert_eq!(response.image, expected);
-    assert_eq!(response.lane_batched_jobs, 0, "window 1 never groups");
-    assert_eq!(response.scalar_jobs, response.tiles);
+    drop(server);
+    let report = sink.drain();
+    assert_eq!(
+        report.gauge(Gauge::WindowOccupancy).1,
+        1,
+        "window 1 admits one tile at a time"
+    );
+    let workers: std::collections::HashSet<u32> = report
+        .spans
+        .iter()
+        .filter(|s| s.stage == Stage::WorkerRun)
+        .map(|s| s.thread)
+        .collect();
+    assert_eq!(workers.len(), 1, "one configured thread, one worker");
+    assert_eq!(
+        report.stage_totals(Stage::WorkerRun).0,
+        response.tiles as u64
+    );
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! End-to-end observability acceptance tests: an image-pipeline run under an
 //! attached [`TelemetrySink`] yields a report whose per-stage span totals
 //! cover the run's wall-clock, whose counters agree with the returned
-//! [`sc_image::PipelineStats`] view, whose lane-group fill distribution is
-//! populated, and whose chrome://tracing export is structurally valid JSON.
+//! [`sc_image::PipelineStats`] view, and whose chrome://tracing export is
+//! structurally valid JSON.
 //! The continuous-telemetry layer is pinned end to end too: interval deltas
 //! sampled while the pipeline dispatches must sum to the cumulative report,
 //! the per-plan-class breakdown must surface through both
@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// A 24×24 blob-plus-gradient image: 16 full-size 6-pixel tiles in 2 bank
-/// phases, so the plan cache hits 14 times and same-class tiles lane-batch.
+/// phases, so the plan cache hits 14 times.
 fn test_image() -> GrayImage {
     let blob = GrayImage::gaussian_blob(24, 24);
     GrayImage::from_fn(24, 24, |x, y| {
@@ -38,10 +38,9 @@ fn instrumented_config(sink: &TelemetrySink) -> PipelineConfig {
     .with_telemetry(sink.clone())
 }
 
-/// Jobs a report says were executed: one `execute.scalar` span per scalar
-/// job plus each `execute.lane_group` span's group size carried in its arg.
+/// Jobs a report says were executed: one `execute.scalar` span per job.
 fn executed_jobs(report: &sc_telemetry::TelemetryReport) -> u64 {
-    report.stage_totals(Stage::ScalarExecute).0 + report.stage_args_total(Stage::LaneGroupExecute)
+    report.stage_totals(Stage::ScalarExecute).0
 }
 
 /// At one thread the whole run is sequential on the caller's thread, so the
@@ -80,7 +79,6 @@ fn pipeline_span_totals_cover_wall_clock() {
     let nested: u64 = [
         Stage::PlanCacheHit,
         Stage::PlanCacheMiss,
-        Stage::LaneGroupExecute,
         Stage::ScalarExecute,
     ]
     .into_iter()
@@ -93,10 +91,9 @@ fn pipeline_span_totals_cover_wall_clock() {
     );
 }
 
-/// The report's counters, the fill distribution, and the returned
-/// [`sc_image::PipelineStats`] are views over the same tallies: tiles,
-/// cache hits/misses, the lane/scalar split, and the per-fill group counts
-/// all agree, and every pulled job closed exactly one span.
+/// The report's counters and the returned [`sc_image::PipelineStats`] are
+/// views over the same tallies: tiles, cache hits/misses, and jobs all
+/// agree, and every pulled job closed exactly one span.
 #[test]
 fn pipeline_report_agrees_with_stats_view() {
     let sink = TelemetrySink::new();
@@ -125,41 +122,7 @@ fn pipeline_report_agrees_with_stats_view() {
         "the synchronizer variant's repairs are planner-inserted"
     );
 
-    // Satellite: the lane-batched/scalar split and the fill distribution
-    // surface through PipelineStats and match the sink's cumulative view.
-    assert_eq!(
-        stats.stream.lane_batched_jobs + stats.stream.scalar_jobs,
-        stats.tiles
-    );
-    assert!(
-        stats.stream.lane_batched_jobs > 0,
-        "same-class tiles of a 16-tile image lane-batch inside the window"
-    );
-    let batched: usize = stats
-        .stream
-        .lane_group_fill
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(k, &groups)| (k + 1) * groups)
-        .sum();
-    assert_eq!(batched, stats.stream.lane_batched_jobs);
-    let fill = report.lane_group_fill();
-    assert!(
-        fill.iter().any(|&count| count > 0),
-        "the lane-group fill histogram is populated"
-    );
-    for (k, &groups) in stats.stream.lane_group_fill.iter().enumerate() {
-        assert_eq!(fill[k], groups as u64, "fill-{} group count", k + 1);
-    }
-    assert_eq!(
-        report.counter(Counter::LaneBatchedJobs),
-        stats.stream.lane_batched_jobs as u64
-    );
-    assert_eq!(
-        report.counter(Counter::ScalarJobs),
-        stats.stream.scalar_jobs as u64
-    );
+    assert_eq!(stats.stream.jobs, stats.tiles);
 
     // Every pulled job closed exactly one execute span and one latency sample.
     let pulled = report.counter(Counter::JobsPulled);
@@ -313,7 +276,7 @@ fn snapshot_deltas_sum_to_cumulative_across_a_live_run() {
         }
         latency_count_sum += delta.histogram(Hist::JobLatencyNs).count;
         for class in delta.classes() {
-            *class_job_sums.entry(class.plan_class).or_default() += class.jobs();
+            *class_job_sums.entry(class.plan_class).or_default() += class.jobs;
         }
         if finished {
             break;
@@ -340,7 +303,7 @@ fn snapshot_deltas_sum_to_cumulative_across_a_live_run() {
     for class in cumulative.classes() {
         assert_eq!(
             class_job_sums.get(&class.plan_class).copied().unwrap_or(0),
-            class.jobs(),
+            class.jobs,
             "per-class deltas for {:?} must sum to the cumulative tally",
             class.plan_class
         );
@@ -348,9 +311,9 @@ fn snapshot_deltas_sum_to_cumulative_across_a_live_run() {
 }
 
 /// The sink's bounded class table is the one per-class view of a pipeline
-/// run: its rows partition [`sc_image::PipelineStats`]' execution tallies —
-/// one row per compiled template, jobs, lane/scalar split and lane-group
-/// fill summing to the run's totals — with one latency sample per job.
+/// run: its rows partition [`sc_image::PipelineStats`]' execution tally —
+/// one row per compiled template, jobs summing to the run's total — with one
+/// latency sample per job.
 #[test]
 fn pipeline_stats_expose_the_per_class_breakdown() {
     let sink = TelemetrySink::new();
@@ -375,24 +338,15 @@ fn pipeline_stats_expose_the_per_class_breakdown() {
     );
     let sum = |f: fn(&sc_telemetry::ClassReport) -> u64| classes.iter().map(f).sum::<u64>();
     assert_eq!(
-        sum(|c| c.jobs()),
+        sum(|c| c.jobs),
         stats.tiles as u64,
         "classes partition the run's jobs"
     );
-    assert_eq!(
-        sum(|c| c.lane_batched_jobs),
-        stats.stream.lane_batched_jobs as u64
-    );
-    assert_eq!(sum(|c| c.scalar_jobs), stats.stream.scalar_jobs as u64);
     assert_eq!(
         sum(|c| c.latency.count),
         stats.tiles as u64,
         "one latency sample per job"
     );
-    for (k, &groups) in stats.stream.lane_group_fill.iter().enumerate() {
-        let per_class: u64 = classes.iter().map(|c| c.lane_group_fill[k]).sum();
-        assert_eq!(per_class, groups as u64, "fill-{} groups partition", k + 1);
-    }
 }
 
 /// A parsed exposition series: metric name, `key=value` labels, sample value.
