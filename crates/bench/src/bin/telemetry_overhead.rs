@@ -19,8 +19,7 @@
 //! * **live** — the enabled stream while a concurrent sampler thread takes
 //!   [`TelemetrySink::snapshot_delta`] interval snapshots at 1 kHz the
 //!   whole time — the continuous-observation configuration a scrape
-//!   endpoint or SLO watcher puts the sink in, at a far harsher cadence
-//!   than either uses.
+//!   endpoint puts the sink in, at a far harsher cadence than it uses.
 //!
 //! Three claims are gated:
 //!

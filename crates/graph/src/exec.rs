@@ -2,7 +2,6 @@
 //! of independent input sets, optionally sharded across a persistent worker
 //! pool.
 
-use crate::coalesce::{DispatchCore, Member};
 use crate::compile::{CompiledGraph, Step};
 use crate::graph::GraphError;
 use crate::planes::{self, PlaneStore};
@@ -11,7 +10,7 @@ use sc_bitstream::{scc, Bitstream, Probability};
 use sc_convert::{AccumulativeParallelCounter, StochasticToDigital};
 use sc_core::{CorrelationManipulator, ManipulatorChain, LANES};
 use sc_rng::SourceSpec;
-use sc_telemetry::{Gauge, Hist, Stage, TelemetrySink};
+use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
@@ -205,11 +204,13 @@ impl ExecOutput {
 /// first parallel dispatch) and stay parked on a condition variable between
 /// calls, so a service processing a continuous stream of jobs pays the
 /// thread-spawn cost once instead of per dispatch. Tasks are boxed
-/// `'static` closures submitted internally by the streaming engine, which
-/// wraps every job in its own `catch_unwind` and routes the payload back to
-/// the submitting call — the pool itself runs tasks bare and relies on that
-/// wrapping, which is why submission is not public API. The pool shuts its
-/// workers down (and joins them) on drop.
+/// `'static` closures submitted internally — by `run_stream` (one task per
+/// pulled job) and by [`crate::Service`] (one task per submitted job, which
+/// takes the next intake job round-robin) — and each wraps its job in one
+/// `catch_unwind` and routes the payload to the job's caller or request;
+/// the pool itself runs tasks bare and relies on that wrapping, which is why
+/// submission is not public API. The pool shuts its workers down on drop:
+/// it runs every task still queued, then joins them.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -364,11 +365,11 @@ pub struct StreamJob {
 
 /// What one [`Executor::run_stream_with_stats`] call actually did.
 ///
-/// `StreamStats` is a view of the dispatch core's one tally. When the
-/// executor carries an enabled [`TelemetrySink`]
-/// ([`Executor::with_telemetry`]), the core adds each job to the sink at the
-/// moment it counts it (`jobs` → `Counter::JobsPulled` and the job's plan
-/// class → the sink's bounded class table, the one per-class view) —
+/// `StreamStats` is the call's one tally. When the executor carries an
+/// enabled [`TelemetrySink`] ([`Executor::with_telemetry`]), the call adds
+/// each job to the sink at the moment it counts it (`jobs` →
+/// `Counter::JobsPulled` and the job's plan class → the sink's bounded
+/// class table, the one per-class view) —
 /// `StreamStats` is the per-call view and the sink the cumulative view of
 /// **one** set of tallies, so the two reporting paths cannot drift.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -778,8 +779,8 @@ impl Executor {
     /// thread, one at a time, which is also the sequential reference the
     /// parallel path is tested against.
     ///
-    /// The window count and the tally live in the dispatch core shared
-    /// with [`crate::Service`]; every job runs solo through the one
+    /// The window count, the [`Gauge::WindowOccupancy`] gauge and histogram
+    /// and the tally live here alone: every job runs solo through the one
     /// per-job engine, and [`StreamStats`] reports what the call did.
     ///
     /// # Errors
@@ -804,101 +805,112 @@ impl Executor {
         let n = self.stream_length;
         let telemetry = &self.telemetry;
         let _dispatch = telemetry.span(Stage::Dispatch);
+        let window = window.max(1);
         let mut jobs = jobs.into_iter();
-        let mut core = DispatchCore::new(window, telemetry.clone());
         let pool = (self.threads > 1).then(|| self.pool());
-        // Pool jobs report here; inline jobs settle on the spot.
+        // Pool jobs report here; inline jobs finish on the spot.
         let (tx, rx) = mpsc::channel::<JobReport>();
         let mut slots: Vec<Slot> = Vec::with_capacity(jobs.size_hint().0);
+        let mut stats = StreamStats::default();
+        // Pulled but not yet finished: the window count.
+        let mut in_flight = 0;
         let mut exhausted = false;
         let mut failed = false;
         loop {
-            while !exhausted && !failed && core.has_room() {
+            while !exhausted && !failed && in_flight < window {
                 let Some(job) = jobs.next() else {
                     exhausted = true;
                     break;
                 };
+                in_flight += 1;
+                stats.jobs += 1;
+                stats.peak_in_flight = stats.peak_in_flight.max(in_flight);
+                telemetry.add(Counter::JobsPulled, 1);
+                telemetry.class_add_jobs(job.plan.plan_class(), 1);
+                telemetry.gauge_set(Gauge::WindowOccupancy, in_flight as u64);
+                telemetry.observe(Hist::WindowOccupancy, in_flight as u64);
+                let index = slots.len();
                 slots.push(None);
-                let member = core.admit(0, slots.len() - 1, job);
                 match &pool {
-                    Some(pool) => spawn_job(pool, &tx, n, member, telemetry),
+                    Some(pool) => spawn_job(pool, &tx, n, index, job, telemetry),
                     None => {
-                        let result = execute_job(n, &member.job, telemetry);
-                        failed |= result.is_err();
-                        core.done(result.is_err());
-                        slots[member.index] = Some(result);
+                        let result = execute_job(n, &job, telemetry);
+                        failed |= finish(&mut slots[index], result, &mut in_flight, telemetry);
                     }
                 }
             }
-            // Admission stopped on a full window, the iterator's end, or a
+            // Pulling stopped on a full window, the iterator's end, or a
             // failure; an empty window therefore means nothing is left.
-            if core.is_empty() {
+            if in_flight == 0 {
                 break;
             }
             let report = rx
                 .recv()
                 .expect("running jobs hold a live sender, so recv cannot disconnect");
-            failed |= settle_stream(report, &mut core, &mut slots);
+            // A worker panic is resumed on the caller with its original
+            // payload; still-queued jobs finish against a dropped receiver,
+            // and the pool itself stays healthy.
+            let result = report
+                .outcome
+                .unwrap_or_else(|payload| resume_unwind(payload));
+            failed |= finish(&mut slots[report.index], result, &mut in_flight, telemetry);
         }
         let outputs = slots
             .into_iter()
-            .map(|slot| slot.expect("every admitted job reported"))
+            .map(|slot| slot.expect("every pulled job reported"))
             .collect::<Result<_, _>>()?;
-        Ok((outputs, core.stats()))
+        Ok((outputs, stats))
     }
 }
 
-/// Files one finished job's result into a `run_stream` call's result slots,
-/// returning whether it failed. A worker panic is resumed on the caller
-/// with its original payload; still-queued jobs finish against a dropped
-/// receiver, and the pool itself stays healthy.
-fn settle_stream(report: JobReport, core: &mut DispatchCore, slots: &mut [Slot]) -> bool {
-    let result = report
-        .outcome
-        .unwrap_or_else(|payload| resume_unwind(payload));
+/// Files one finished job's result into its slot and takes the job out of
+/// the window, returning whether it failed.
+fn finish(
+    slot: &mut Slot,
+    result: Result<ExecOutput, GraphError>,
+    in_flight: &mut usize,
+    telemetry: &TelemetrySink,
+) -> bool {
+    *in_flight -= 1;
     let failed = result.is_err();
-    core.done(failed);
-    slots[report.key.1] = Some(result);
+    if failed {
+        telemetry.add(Counter::JobsFailed, 1);
+    }
+    telemetry.gauge_set(Gauge::WindowOccupancy, *in_flight as u64);
+    *slot = Some(result);
     failed
 }
 
-/// One job's result slot in a dispatch loop's result list.
+/// One job's result slot in a `run_stream` call's result list.
 type Slot = Option<Result<ExecOutput, GraphError>>;
 
-/// A pool-executed job's report back to its dispatch loop: the job's
-/// `(owner, index)` key, plus either its result or the panic payload that
-/// took it down — so a panic still reports, and no dispatch loop waits on a
-/// report that never comes.
-pub(crate) struct JobReport {
-    /// The job's `(owner, index)` key.
-    pub key: (u64, usize),
-    /// The job's result, or the worker's panic payload.
-    pub outcome: std::thread::Result<Result<ExecOutput, GraphError>>,
+/// A pool-executed job's report back to its `run_stream` call: the job's
+/// index, plus either its result or the panic payload that took it down —
+/// so a panic still reports, and the call never waits on a report that
+/// never comes.
+struct JobReport {
+    index: usize,
+    outcome: std::thread::Result<Result<ExecOutput, GraphError>>,
 }
 
-/// Submits one admitted job to the pool as a single task, which executes it
+/// Submits one pulled job to the pool as a single task, which executes it
 /// under one `catch_unwind` and sends exactly one [`JobReport`].
-pub(crate) fn spawn_job<M>(
+fn spawn_job(
     pool: &WorkerPool,
-    tx: &mpsc::Sender<M>,
+    tx: &mpsc::Sender<JobReport>,
     n: usize,
-    member: Member,
+    index: usize,
+    job: StreamJob,
     telemetry: &TelemetrySink,
-) where
-    M: From<JobReport> + Send + 'static,
-{
+) {
     let tx = tx.clone();
     let telemetry = telemetry.clone();
     pool.submit(Box::new(move || {
-        let Member { owner, index, job } = member;
         let outcome = catch_unwind(AssertUnwindSafe(|| execute_job(n, &job, &telemetry)));
         // Free the job — and its plan handle — *before* the report becomes
         // visible, so the window bounds live-plan memory.
         drop(job);
-        let _ = tx.send(M::from(JobReport {
-            key: (owner, index),
-            outcome,
-        }));
+        let _ = tx.send(JobReport { index, outcome });
     }));
 }
 

@@ -1,9 +1,9 @@
 //! Test-only fault injection: makes every dispatched job of a marked plan
-//! class panic when it executes, on whichever dispatch loop runs it —
+//! class panic when it executes, on whichever path runs it —
 //! [`Executor::run_stream`](crate::Executor::run_stream)'s inline or pool
-//! path, or the [`Service`](crate::Service) dispatcher — so the failure
-//! contracts (a panicked job still reports, every request resolves exactly
-//! once, `Drop` returns) are pinned deterministically.
+//! path, or a [`Service`](crate::Service) worker's intake pick — so the
+//! failure contracts (a panicked job still reports, every request resolves
+//! exactly once, `Drop` returns) are pinned deterministically.
 //!
 //! Compiled into this crate's own tests, and into other crates' tests
 //! through the `fault-injection` feature. Marks are keyed by plan class, so

@@ -35,13 +35,14 @@
 //! alive at once, so arbitrarily long job streams run in O(window) plan
 //! memory; a batch is a materialised job list streamed with an unbounded
 //! window. The warm serving tier ([`Service`]) multiplexes many requests
-//! over one pool; both dispatch loops share one dispatch core (window count
-//! and tally), and every job runs solo through the one per-job engine. Plans are `Send + Sync` plain data: every
-//! execution builds fresh FSMs, and reads the samples its
-//! [`sc_rng::SourceSpec`]s would draw from a bounded process-wide store of
-//! sample planes (LFSR selects read windows of one cycle table per width), so
-//! parallel results are bit-identical to sequential ones at any worker count
-//! and any window.
+//! over one pool with no dispatcher thread: each submitted job becomes one
+//! pool task, which takes the next job from the bounded intake round-robin.
+//! Every job runs solo through the one per-job engine. Plans are
+//! `Send + Sync` plain data: every execution builds fresh FSMs, and reads
+//! the samples its [`sc_rng::SourceSpec`]s would draw from a bounded
+//! process-wide store of sample planes (LFSR selects read windows of one
+//! cycle table per width), so parallel results are bit-identical to
+//! sequential ones at any worker count and any window.
 //!
 //! A compiled plan also bridges to the gate-level cost model:
 //! [`CompiledGraph::netlist`] sums the `sc_hwcost` netlists of every executed
@@ -91,7 +92,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod coalesce;
 pub mod compile;
 pub mod cost;
 pub mod exec;

@@ -105,11 +105,11 @@ pub struct PipelineConfig {
     /// accelerator identity, so it is ignored by `PartialEq`/`Hash` (and by
     /// the plan cache).
     pub threads: Option<usize>,
-    /// Dispatch window of a one-shot run and of an [`crate::ImageServer`]:
-    /// at most this many planned tiles are in flight (admitted and not yet
-    /// finished) at once. `None` uses the
+    /// Dispatch window of a one-shot run: at most this many planned tiles
+    /// are in flight (pulled and not yet finished) at once. `None` uses the
     /// executor default (`threads ×`[`sc_graph::DEFAULT_WINDOW_FACTOR`]).
-    /// Ignored by `PartialEq`/`Hash`.
+    /// An [`crate::ImageServer`] has no window and ignores it. Ignored by
+    /// `PartialEq`/`Hash`.
     pub window: Option<usize>,
 }
 
@@ -181,7 +181,7 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the dispatch window (clamped to ≥ 1).
+    /// Sets the one-shot dispatch window (clamped to ≥ 1).
     #[must_use]
     pub fn with_window(mut self, window: usize) -> Self {
         self.window = Some(window.max(1));

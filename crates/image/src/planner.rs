@@ -276,10 +276,10 @@ impl TilePlanner {
 
     /// Evicts least-recently-used unpinned templates while the class count
     /// exceeds the capacity. The just-inserted key and any template whose
-    /// `Arc` is still held outside the cache (every planned tile in the live
-    /// dispatch window executes its template itself) are pinned, so
-    /// the cache may transiently overshoot the cap rather than drop a class
-    /// the window still holds.
+    /// `Arc` is still held outside the cache (every planned tile that is
+    /// queued or running holds its template itself) are pinned, so the
+    /// cache may transiently overshoot the cap rather than drop a class a
+    /// live tile still holds.
     fn enforce_capacity(&mut self, just_inserted: &PlanKey) {
         let Some(cap) = self.capacity else { return };
         while self.cache.len() > cap.max(1) {

@@ -7,8 +7,8 @@
 //! shared [`TilePlanner`] (one per-class plan cache for *all* requests, so a
 //! request whose tile classes were already compiled plans without building
 //! a graph: a pixel gather and two seed bindings per tile),
-//! and the service's dispatch window (tiles from concurrently submitted
-//! images are admitted round-robin and run solo on the shared pool).
+//! and the service's intake (the workers take tiles of concurrently
+//! submitted images round-robin and run each solo on the shared pool).
 //!
 //! [`ImageServer::submit`] decomposes the image into per-tile
 //! [`sc_graph::StreamJob`]s (raster order, so per-request select seeds — and
@@ -36,25 +36,15 @@ use std::time::Instant;
 pub struct ImageServerBuilder {
     variant: PipelineVariant,
     config: PipelineConfig,
-    intake_capacity: Option<usize>,
     plan_cache_capacity: Option<usize>,
 }
 
 impl ImageServerBuilder {
     /// Sets [`PipelineConfig::threads`], the server's worker-thread count
-    /// (default: available parallelism). The dispatch window is
-    /// [`PipelineConfig::window`].
+    /// (default: available parallelism).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.config = self.config.with_threads(threads);
-        self
-    }
-
-    /// Sets the intake capacity in *tiles* (default:
-    /// `window ×`[`sc_graph::serve::DEFAULT_INTAKE_FACTOR`]).
-    #[must_use]
-    pub fn with_intake_capacity(mut self, capacity: usize) -> Self {
-        self.intake_capacity = Some(capacity.max(1));
         self
     }
 
@@ -74,15 +64,9 @@ impl ImageServerBuilder {
     /// Returns [`ImageError::EmptyImage`] for degenerate configurations
     /// (zero-sized tiles or streams), mirroring the one-shot pipeline.
     pub fn start(self) -> Result<ImageServer, ImageError> {
-        let mut service_config = ServiceConfig::new(self.config.stream_length)
+        let service_config = ServiceConfig::new(self.config.stream_length)
             .with_threads(self.config.checked_threads()?)
             .with_telemetry(self.config.telemetry.clone());
-        if let Some(window) = self.config.window {
-            service_config = service_config.with_window(window);
-        }
-        if let Some(capacity) = self.intake_capacity {
-            service_config = service_config.with_intake_capacity(capacity);
-        }
         let planner = TilePlanner::new(self.variant, self.config.clone())
             .with_capacity(self.plan_cache_capacity);
         Ok(ImageServer {
@@ -223,8 +207,7 @@ pub struct ImageServer {
 
 impl ImageServer {
     /// A server for one variant + configuration, sized by the config's
-    /// `threads` and `window`; use [`builder`](Self::builder) to bound the
-    /// intake and the plan cache.
+    /// `threads`; use [`builder`](Self::builder) to bound the plan cache.
     ///
     /// # Errors
     ///
@@ -242,7 +225,6 @@ impl ImageServer {
         ImageServerBuilder {
             variant,
             config,
-            intake_capacity: None,
             plan_cache_capacity: None,
         }
     }

@@ -27,9 +27,7 @@
 //!   diffed, gauges sampled with per-interval peaks, span rings drained
 //!   incrementally), and both are safe to call from a background thread
 //!   while a dispatch is mid-flight. The [`serve`] module exposes the
-//!   current snapshot over HTTP in Prometheus text exposition format, and
-//!   the [`watch`] module evaluates registered thresholds against interval
-//!   snapshots and fires callbacks.
+//!   current snapshot over HTTP in Prometheus text exposition format.
 //! * **Attribution** — job counts and job latency are additionally keyed by `CompiledGraph::plan_class` in a bounded lock-free
 //!   class table ([`TelemetrySink::class_latency`] and friends), so a report
 //!   names *which* plan class is slow ([`TelemetryReport::classes`]).
@@ -64,7 +62,6 @@
 
 pub mod json;
 pub mod serve;
-pub mod watch;
 
 pub use json::Json;
 
@@ -121,8 +118,9 @@ pub enum Stage {
     /// Time one request's jobs spent queued before their first execution
     /// (recorded once per request with the measured duration).
     ServeQueueWait,
-    /// One dispatcher pass that moves queued intake jobs into the dispatch
-    /// window (`arg` = jobs moved).
+    /// One serving worker taking the next job from the intake, round-robin
+    /// across requests (`arg` = jobs taken: 1, or 0 when the intake held
+    /// none).
     ServeCoalesce,
     /// Re-assembling one request's tile results into its response.
     ServeAssemble,
@@ -269,11 +267,12 @@ impl Counter {
 /// peak ever set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gauge {
-    /// Planned-but-unfinished jobs inside a streaming dispatch window.
+    /// Pulled-but-unfinished jobs inside one streaming dispatch window
+    /// (`run_stream` only).
     WindowOccupancy,
     /// Tasks queued on the worker pool.
     QueueDepth,
-    /// Tile jobs admitted to the serving tier but not yet dispatched.
+    /// Jobs queued on the serving tier's intake, not yet taken by a worker.
     IntakeDepth,
 }
 
@@ -303,7 +302,7 @@ impl Gauge {
 pub enum Hist {
     /// Wall-clock nanoseconds one job spent executing.
     JobLatencyNs,
-    /// Window occupancy sampled at every job pull.
+    /// Window occupancy sampled at every job pull (`run_stream` only).
     WindowOccupancy,
     /// Pool queue depth sampled at every submission.
     QueueDepth,
@@ -356,7 +355,7 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 16 * 1024;
 
 /// One closed span: a stage, the recording thread, when it started (relative
 /// to the sink's epoch), how long it ran, and a stage-specific argument
-/// (jobs moved for [`Stage::ServeCoalesce`], the request id for
+/// (jobs taken for [`Stage::ServeCoalesce`], the request id for
 /// [`Stage::ServeQueueWait`], zero elsewhere).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
@@ -713,7 +712,7 @@ impl TelemetrySink {
     }
 
     /// Like [`TelemetrySink::span`] with a stage-specific argument (e.g. the
-    /// jobs moved by one [`Stage::ServeCoalesce`] pass).
+    /// jobs taken by one [`Stage::ServeCoalesce`] pick).
     pub fn span_with(&self, stage: Stage, arg: u64) -> SpanGuard<'_> {
         SpanGuard {
             state: self.inner.as_ref().map(|inner| GuardState {
@@ -1204,7 +1203,7 @@ impl TelemetryReport {
     }
 
     /// Sum of the stage-specific span arguments across one stage — e.g. the
-    /// total jobs moved by [`Stage::ServeCoalesce`] passes.
+    /// total jobs taken by [`Stage::ServeCoalesce`] picks.
     #[must_use]
     pub fn stage_args_total(&self, stage: Stage) -> u64 {
         self.spans

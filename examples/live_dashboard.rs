@@ -1,10 +1,9 @@
 //! Continuous-telemetry demo: a multi-frame accelerator workload on one
 //! **warm** executor, observed live while it runs — a sampler loop prints
-//! interval deltas ([`TelemetrySink::snapshot_delta`]), a
-//! [`sc_telemetry::watch::Watcher`] fires SLO alerts (p99 job latency, queue
-//! backlog, span-ring overwrites), and a [`TelemetryServer`] answers
-//! Prometheus/JSON scrapes over real TCP the whole time — then prints the
-//! cumulative per-plan-class attribution table.
+//! interval deltas ([`TelemetrySink::snapshot_delta`]) and a
+//! [`TelemetryServer`] answers Prometheus/JSON scrapes over real TCP the
+//! whole time — then prints the cumulative per-plan-class attribution
+//! table.
 //!
 //! Run with `cargo run --release --example live_dashboard [frames]`
 //! (default 6 frames). The process performs one self-scrape of its own
@@ -22,7 +21,6 @@ use sc_image::{
     TilePlanner,
 };
 use sc_telemetry::serve::TelemetryServer;
-use sc_telemetry::watch::{Condition, Watcher};
 use sc_telemetry::{Counter, Gauge, Hist, TelemetryReport, TelemetrySink};
 
 /// One frame of the synthetic scene: the Gaussian blob over a gradient, with
@@ -118,33 +116,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         server.local_addr(),
     );
 
-    // SLO watchers evaluated against the same interval deltas the sampler
-    // prints (one snapshot_delta consumer, no interval races).
-    let mut watcher = Watcher::new(sink.clone());
-    watcher
-        .watch(
-            "p99 job latency over 50 ms",
-            Condition::HistQuantileAbove {
-                hist: Hist::JobLatencyNs,
-                q: 0.99,
-                threshold: 50_000_000,
-            },
-            |alert| println!("  !! {alert}"),
-        )
-        .watch(
-            "queue backlog over 512",
-            Condition::GaugePeakAbove {
-                gauge: Gauge::QueueDepth,
-                threshold: 512,
-            },
-            |alert| println!("  !! {alert}"),
-        )
-        .watch(
-            "span-ring overwrites",
-            Condition::DroppedSpansAbove { threshold: 0 },
-            |alert| println!("  !! {alert}"),
-        );
-
     // The workload thread streams frames through one warm executor while the
     // main thread samples interval deltas.
     let done = Arc::new(AtomicBool::new(false));
@@ -166,7 +137,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if delta.counter(Counter::JobsPulled) > 0 || !delta.classes().is_empty() {
             print_interval(tick, &delta);
         }
-        watcher.evaluate(&delta);
         if workload_finished {
             break;
         }

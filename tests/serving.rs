@@ -13,7 +13,7 @@ use sc_image::{
     PipelineVariant, TilePlanner,
 };
 use sc_rng::SourceSpec;
-use sc_telemetry::{Counter, Gauge, Stage, TelemetrySink};
+use sc_telemetry::{Counter, Stage, TelemetrySink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -74,12 +74,11 @@ fn deadline_expired_at_submit_fails_fast() {
 #[test]
 fn cancellation_drops_remaining_jobs_and_discards_results() {
     let sink = TelemetrySink::new();
-    // One worker, window 1, slow jobs: cancellation lands while most of the
-    // request is still queued.
+    // One worker, slow jobs: cancellation lands while most of the request
+    // is still queued.
     let service = Service::start(
         ServiceConfig::new(1 << 21)
             .with_threads(1)
-            .with_window(1)
             .with_telemetry(sink.clone()),
     );
     let plan = xor_plan();
@@ -112,12 +111,11 @@ fn cancellation_drops_remaining_jobs_and_discards_results() {
 #[test]
 fn full_intake_blocks_submit_and_fails_try_submit() {
     let sink = TelemetrySink::new();
-    // Slow jobs + window 1 + intake 1: the first (oversized) request is
+    // Slow jobs + one worker + intake 1: the first (oversized) request is
     // admitted because the intake is empty, then keeps it full for a while.
     let service = Arc::new(Service::start(
         ServiceConfig::new(1 << 21)
             .with_threads(1)
-            .with_window(1)
             .with_intake_capacity(1)
             .with_telemetry(sink.clone()),
     ));
@@ -287,7 +285,6 @@ fn fault_marked_class_panic_resolves_its_request_and_drop_returns() {
     let service = Service::start(
         ServiceConfig::new(256)
             .with_threads(2)
-            .with_window(3)
             .with_telemetry(sink.clone()),
     );
     let doomed = service
@@ -304,8 +301,8 @@ fn fault_marked_class_panic_resolves_its_request_and_drop_returns() {
         .unwrap();
     let report = fine.wait().expect("a request of another class completes");
     assert_eq!(report.outputs, vec![one_shot; 3]);
-    // Dropping the service joins its dispatcher: this returns only if the
-    // window drained.
+    // Dropping the service joins its workers: this returns only if every
+    // picked job delivered.
     drop(service);
     sc_graph::fault::clear_class(faulty.plan_class());
     let report = sink.drain();
@@ -316,14 +313,13 @@ fn fault_marked_class_panic_resolves_its_request_and_drop_returns() {
 
 #[test]
 fn in_flight_deadline_fires_while_jobs_still_run() {
-    // One worker, window 1, slow jobs: the deadline passes while the first
-    // job is still running, and the waiter is released at the deadline
-    // instead of after the request's remaining jobs.
+    // One worker, slow jobs: the deadline passes while the first job is
+    // still running, and the waiter is released at the deadline instead of
+    // after the request's remaining jobs.
     let sink = TelemetrySink::new();
     let service = Service::start(
         ServiceConfig::new(1 << 21)
             .with_threads(1)
-            .with_window(1)
             .with_telemetry(sink.clone()),
     );
     let plan = xor_plan();
@@ -346,6 +342,69 @@ fn in_flight_deadline_fires_while_jobs_still_run() {
     assert_eq!(report.counter(Counter::RequestsCompleted), 1);
 }
 
+/// A plan with six generated sources ANDed in a chain: several times the
+/// work of [`xor_plan`] per job.
+fn slow_plan() -> Arc<sc_graph::CompiledGraph> {
+    let mut g = Graph::new();
+    let mut z = g.generate(0, SourceSpec::Sobol { dimension: 1 });
+    for slot in 1..6 {
+        let x = g.generate(
+            slot,
+            SourceSpec::Sobol {
+                dimension: slot as u32 + 1,
+            },
+        );
+        z = g.binary(BinaryOp::AndMultiply, z, x);
+    }
+    g.sink_value("z", z);
+    Arc::new(g.compile(&PlannerOptions::default()).unwrap())
+}
+
+#[test]
+fn expired_queued_request_frees_intake_room_for_a_blocked_submit() {
+    // One worker busy on a slow job, intake capacity 1. A queued request with
+    // a short deadline and no waiter holds the intake; a blocked submit must
+    // get through at about that deadline, not when the worker next picks.
+    let sink = TelemetrySink::new();
+    let service = Service::start(
+        ServiceConfig::new(1 << 21)
+            .with_threads(1)
+            .with_intake_capacity(1)
+            .with_telemetry(sink.clone()),
+    );
+    let plan = xor_plan();
+    let slow = service
+        .submit(Request::new(vec![StreamJob {
+            plan: slow_plan(),
+            input: BatchInput::with_values(vec![0.9; 6]),
+        }]))
+        .expect("an empty intake admits the slow request");
+    // Wait until the worker has taken the slow job, leaving the intake empty.
+    while sink.snapshot().counter(Counter::JobsPulled) == 0 {
+        std::thread::yield_now();
+    }
+    let deadline = Instant::now() + Duration::from_millis(20);
+    let queued = service
+        .submit(Request::new(vec![ok_job(&plan)]).with_deadline(deadline))
+        .expect("an empty intake admits the short-deadline request");
+    let blocked = service
+        .submit(Request::new(vec![ok_job(&plan)]))
+        .expect("a blocked submit gets in once the expired request is dropped");
+    let freed = Instant::now();
+    assert!(
+        !slow.is_finished(),
+        "room was freed only when the slow job finished"
+    );
+    assert!(freed >= deadline, "room was freed before the deadline");
+    assert!(matches!(queued.wait(), Err(RequestError::DeadlineExceeded)));
+    slow.cancel();
+    blocked.cancel();
+    drop(service);
+    let report = sink.drain();
+    assert_eq!(report.counter(Counter::RequestsExpired), 1);
+    assert_eq!(report.counter(Counter::RequestsSubmitted), 3);
+}
+
 #[test]
 fn every_request_resolves_exactly_once_under_random_faults() {
     // Seeded random traffic over one service: short, already-expired, and
@@ -361,7 +420,6 @@ fn every_request_resolves_exactly_once_under_random_faults() {
     let service = Service::start(
         ServiceConfig::new(256)
             .with_threads(2)
-            .with_window(6)
             .with_intake_capacity(12)
             .with_telemetry(sink.clone()),
     );
@@ -474,7 +532,7 @@ fn image_server_matches_the_one_shot_pipeline_bit_for_bit() {
 }
 
 /// Images submitted concurrently to one warm server — their tiles share the
-/// dispatch window and the pool — each equal their one-shot image.
+/// intake and the pool — each equal their one-shot image.
 #[test]
 fn concurrent_image_requests_equal_their_one_shot_images() {
     let config = PipelineConfig::quick();
@@ -498,15 +556,14 @@ fn concurrent_image_requests_equal_their_one_shot_images() {
     }
 }
 
-/// The server takes its worker count and window from the same
-/// `PipelineConfig` fields the one-shot pipeline reads: with one thread and
-/// a window of 1, every tile runs on one worker thread and at most one tile
-/// is ever in flight.
+/// The server takes its worker count from the same `PipelineConfig` field
+/// the one-shot pipeline reads: with one thread, every tile runs on one
+/// worker thread.
 #[test]
-fn image_server_reads_threads_and_window_from_the_config() {
+fn image_server_reads_threads_from_the_config() {
     let image = GrayImage::gradient(12, 12);
     let sink = TelemetrySink::new();
-    let config = PipelineConfig::quick().with_threads(1).with_window(1);
+    let config = PipelineConfig::quick().with_threads(1);
     let expected = run_sc_pipeline(&image, PipelineVariant::Synchronizer, &config).unwrap();
     let server = ImageServer::start(
         PipelineVariant::Synchronizer,
@@ -517,11 +574,6 @@ fn image_server_reads_threads_and_window_from_the_config() {
     assert_eq!(response.image, expected);
     drop(server);
     let report = sink.drain();
-    assert_eq!(
-        report.gauge(Gauge::WindowOccupancy).1,
-        1,
-        "window 1 admits one tile at a time"
-    );
     let workers: std::collections::HashSet<u32> = report
         .spans
         .iter()
