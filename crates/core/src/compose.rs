@@ -79,19 +79,12 @@ impl ManipulatorChain {
         chain
     }
 
-    /// Appends a stage to the end of the chain.
-    pub fn push<M: ChainStage + 'static>(&mut self, stage: M) {
-        self.stages.push(Box::new(stage));
-    }
-
-    /// Appends an already-boxed manipulator, the dynamic variant of
-    /// [`ManipulatorChain::push`] used by plan compilers (e.g. the `sc_graph`
-    /// fusion pass) that assemble chains from run-time descriptions.
-    ///
-    /// The boxed stage executes through the register-staged
+    /// Appends a stage to the end of the chain. A
+    /// `Box<dyn CorrelationManipulator>` is a stage too: it runs through the
+    /// register-staged
     /// [`bit_serial_step_word`](crate::kernel::bit_serial_step_word) kernel
-    /// view, so fused processing still makes a single pass per word.
-    pub fn push_boxed(&mut self, stage: Box<dyn CorrelationManipulator>) {
+    /// view, so the chain still makes a single pass per word.
+    pub fn push<M: ChainStage + 'static>(&mut self, stage: M) {
         self.stages.push(Box::new(stage));
     }
 
@@ -234,14 +227,19 @@ mod tests {
     }
 
     #[test]
-    fn push_boxed_matches_push() {
+    fn boxed_stages_match_typed_stages() {
         let (x, y) = uncorrelated_pair(0.4, 0.6);
         let mut typed = ManipulatorChain::new();
         typed.push(Synchronizer::new(1));
         typed.push(Decorrelator::new(4));
+        let stages: [Box<dyn CorrelationManipulator>; 2] = [
+            Box::new(Synchronizer::new(1)),
+            Box::new(Decorrelator::new(4)),
+        ];
         let mut boxed = ManipulatorChain::new();
-        boxed.push_boxed(Box::new(Synchronizer::new(1)));
-        boxed.push_boxed(Box::new(Decorrelator::new(4)));
+        for stage in stages {
+            boxed.push(stage);
+        }
         assert_eq!(
             typed.process(&x, &y).unwrap(),
             boxed.process(&x, &y).unwrap()

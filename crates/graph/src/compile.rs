@@ -13,24 +13,21 @@
 //!    positively correlated (shared-RNG, §II.B), streams from different
 //!    specs are uncorrelated, and a manipulator pins its output pair to the
 //!    class it establishes (+1 synchronizer / −1 desynchronizer / 0
-//!    decorrelator, §III). Structurally unknown pairs can be resolved by a
-//!    measured-SCC probe execution ([`PlannerOptions::measure_unknown`]).
+//!    decorrelator, §III). Any other pair is [`crate::SccClass::Unknown`],
+//!    which meets no precondition.
 //! 3. **repair** — where a precondition is not met and
 //!    [`PlannerOptions::auto_repair`] is on, the manipulator that
 //!    establishes the required class is inserted in front of the operator
 //!    (the paper's core insight, applied automatically).
 //! 4. **emit** — nodes are laid out in topological order as a flat step
-//!    list over dense stream slots, ready for the batch executor. Maximal
-//!    linear runs of manipulator nodes collapse into one
-//!    [`sc_core::ManipulatorChain`] step, so a run of `k` circuits makes a
-//!    single register-staged pass per 64-bit word.
+//!    list over dense stream slots, one step per node, ready for the batch
+//!    executor.
 
 use crate::exec::SinkNames;
 use crate::graph::{Graph, GraphError};
-use crate::node::{BinaryOp, ManipulatorKind, NodeOp, SccClass, UnaryFsmOp};
+use crate::node::{BinaryOp, ManipulatorKind, NodeOp, UnaryFsmOp};
 use sc_rng::SourceSpec;
 use sc_telemetry::TelemetrySink;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -59,19 +56,6 @@ pub struct PlannerOptions {
     pub desynchronizer_depth: u32,
     /// Shuffle-buffer depth of auto-inserted decorrelators.
     pub decorrelator_depth: usize,
-    /// Measured-SCC feedback: when an operator's input pair has structural
-    /// class [`SccClass::Unknown`], run a short [`sc_core::SccTracker`]-style
-    /// probe execution of this length over representative inputs and use the
-    /// *measured* class for the repair decision instead of pessimistically
-    /// treating the pair as unknown. `None` (the default) keeps the purely
-    /// structural behaviour.
-    pub measure_unknown: Option<usize>,
-    /// The digital value fed to every `Generate` slot during a measured-SCC
-    /// probe execution (default `0.5`, the maximum-entropy stimulus). Set
-    /// this to a representative batch statistic — e.g. the mean pixel value
-    /// of the images a tile pipeline will process — so repair decisions are
-    /// driven by the operating point the design actually sees.
-    pub probe_value: f64,
 }
 
 impl Default for PlannerOptions {
@@ -81,8 +65,6 @@ impl Default for PlannerOptions {
             synchronizer_depth: 1,
             desynchronizer_depth: 1,
             decorrelator_depth: 4,
-            measure_unknown: None,
-            probe_value: 0.5,
         }
     }
 }
@@ -95,49 +77,6 @@ impl PlannerOptions {
             auto_repair: false,
             ..PlannerOptions::default()
         }
-    }
-
-    /// Options with measured-SCC feedback enabled at the given probe length.
-    #[must_use]
-    pub fn with_measurement(probe_length: usize) -> Self {
-        PlannerOptions {
-            measure_unknown: Some(probe_length.max(1)),
-            ..PlannerOptions::default()
-        }
-    }
-}
-
-/// One structurally-unknown input pair whose class was resolved by a
-/// measured-SCC probe ([`PlannerOptions::measure_unknown`]). The `Display`
-/// impl reproduces the pre-structured report text.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeasuredPair {
-    /// The operator whose input pair was probed (e.g. `xor_subtract`).
-    pub label: String,
-    /// The operator's node index.
-    pub node: usize,
-    /// The measured stochastic cross-correlation, in `[-1, 1]`.
-    pub scc: f64,
-    /// Probe execution length in cycles.
-    pub probe_length: usize,
-    /// The class the measurement resolved the pair to.
-    pub class: SccClass,
-}
-
-impl fmt::Display for MeasuredPair {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let MeasuredPair {
-            label,
-            node,
-            scc,
-            probe_length,
-            class,
-        } = self;
-        write!(
-            f,
-            "inputs of {label} (node n{node}) measured SCC {scc:.3} over {probe_length} \
-             cycles: treating pair as {class:?}"
-        )
     }
 }
 
@@ -160,11 +99,6 @@ pub struct CompileReport {
     /// One entry per binary operator whose precondition is not structurally
     /// guaranteed and was *not* repaired (auto-repair off).
     pub unsatisfied: Vec<String>,
-    /// Number of fused manipulator runs of length ≥ 2.
-    pub fused_runs: usize,
-    /// One entry per structurally-unknown input pair whose class was resolved
-    /// by a measured-SCC probe ([`PlannerOptions::measure_unknown`]).
-    pub measured: Vec<MeasuredPair>,
     /// Source-drawing steps whose [`SourceSpec`] is shared with an earlier
     /// step — generator hardware the plan does not have to duplicate.
     pub shared_sources: usize,
@@ -177,10 +111,9 @@ pub struct CompileReport {
 ///
 /// Steps are public so lowering backends (the `sc_rtl` gate-level elaborator
 /// in particular) can walk a plan's exact execution structure — including
-/// fused manipulator runs and planner-inserted repairs —
-/// without re-deriving it from the source graph. The enum is
-/// `#[non_exhaustive]`: consumers must handle unknown future step kinds
-/// (typically by reporting the plan as unsupported).
+/// planner-inserted repairs — without re-deriving it from the source graph.
+/// The enum is `#[non_exhaustive]`: consumers must handle unknown future
+/// step kinds (typically by reporting the plan as unsupported).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Step {
@@ -213,10 +146,10 @@ pub enum Step {
         /// Destination stream slot.
         dst: usize,
     },
-    /// Run a (possibly fused) chain of correlation manipulators.
+    /// Run one correlation manipulator.
     Manipulate {
-        /// The chained circuit kinds, in dataflow order.
-        kinds: Vec<ManipulatorKind>,
+        /// The circuit.
+        kind: ManipulatorKind,
         /// X input slot.
         x: usize,
         /// Y input slot.
@@ -395,7 +328,7 @@ impl CompiledGraph {
         }
     }
 
-    /// What the pipeline inserted, left unrepaired, measured, and fused.
+    /// What the pipeline inserted and left unrepaired.
     #[must_use]
     pub fn report(&self) -> &CompileReport {
         &self.report
@@ -408,7 +341,7 @@ impl CompiledGraph {
         &self.ops
     }
 
-    /// Number of executable steps (a fused manipulator run counts once).
+    /// Number of executable steps: one per node, repairs included.
     #[must_use]
     pub fn step_count(&self) -> usize {
         self.steps.len()
@@ -479,12 +412,10 @@ impl Graph {
     /// nested span per stage ([`sc_telemetry::Stage::CompileValidate`],
     /// [`sc_telemetry::Stage::CompilePlan`],
     /// [`sc_telemetry::Stage::CompileRepair`],
-    /// [`sc_telemetry::Stage::CompileEmit`], plus one
-    /// [`sc_telemetry::Stage::MeasuredProbe`] span per planner probe
-    /// execution), and on success bumps the sink's compilation,
-    /// repair-insertion, measured-probe, and fused-run counters straight
-    /// from the plan's [`CompileReport`] — the counters are derived from
-    /// the report, so the two cannot drift.
+    /// [`sc_telemetry::Stage::CompileEmit`]), and on success bumps the
+    /// sink's compilation and repair-insertion counters straight from the
+    /// plan's [`CompileReport`] — the counters are derived from the report,
+    /// so the two cannot drift.
     ///
     /// # Errors
     ///
@@ -651,116 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn measured_scc_feedback_resolves_unknown_pairs() {
-        // or_max and and_min over a shared-spec (positively correlated) pair
-        // produce two operator outputs whose mutual class is structurally
-        // Unknown — but their actual SCC is strongly positive (both outputs
-        // are supersets/subsets of the same streams). The XOR subtractor over
-        // them therefore needs no repair once the pair is measured.
-        let build = |options: &PlannerOptions| {
-            let mut g = Graph::new();
-            let x = g.generate(0, sobol(1));
-            let y = g.generate(1, sobol(1)); // shared spec ⇒ SCC +1
-            let hi = g.binary(BinaryOp::OrMax, x, y);
-            let lo = g.binary(BinaryOp::AndMin, x, y);
-            let z = g.binary(BinaryOp::XorSubtract, hi, lo);
-            g.sink_value("range", z);
-            g.compile(options).unwrap()
-        };
-        let structural = build(&PlannerOptions::default());
-        assert_eq!(
-            structural.report().inserted.len(),
-            1,
-            "without measurement the Unknown pair is pessimistically repaired"
-        );
-        assert!(structural.report().measured.is_empty());
-        let measured = build(&PlannerOptions::with_measurement(256));
-        assert!(
-            measured.report().inserted.is_empty(),
-            "measured SCC ≈ +1 satisfies the XOR precondition: {:?}",
-            measured.report().inserted
-        );
-        assert_eq!(measured.report().measured.len(), 1);
-        assert_eq!(measured.report().measured[0].class, SccClass::Positive);
-        assert!(measured.report().measured[0]
-            .to_string()
-            .contains("Positive"));
-    }
-
-    #[test]
-    fn measurement_still_repairs_truly_uncorrelated_pairs() {
-        // Two unrelated multiplies: the pair really is uncorrelated, so the
-        // measured class must still trigger a synchronizer for the XOR.
-        let mut g = Graph::new();
-        let a = g.generate(0, sobol(1));
-        let b = g.generate(1, sobol(2));
-        let c = g.generate(2, sobol(3));
-        let d = g.generate(3, sobol(4));
-        let p = g.binary(BinaryOp::AndMultiply, a, b);
-        let q = g.binary(BinaryOp::AndMultiply, c, d);
-        let z = g.binary(BinaryOp::XorSubtract, p, q);
-        g.sink_value("z", z);
-        let plan = g.compile(&PlannerOptions::with_measurement(256)).unwrap();
-        assert_eq!(plan.report().measured.len(), 1);
-        assert_eq!(plan.report().measured[0].class, SccClass::Uncorrelated);
-        assert!(plan.report().measured[0]
-            .to_string()
-            .contains("Uncorrelated"));
-        assert_eq!(plan.report().inserted.len(), 1);
-    }
-
-    /// The structured [`MeasuredPair`] record renders exactly the legacy
-    /// report line, so log consumers see unchanged text.
-    #[test]
-    fn measured_pair_display_reproduces_legacy_text() {
-        let pair = MeasuredPair {
-            label: "xor_subtract".to_string(),
-            node: 7,
-            scc: 0.98765,
-            probe_length: 256,
-            class: SccClass::Positive,
-        };
-        assert_eq!(
-            pair.to_string(),
-            "inputs of xor_subtract (node n7) measured SCC 0.988 over 256 cycles: \
-             treating pair as Positive"
-        );
-    }
-
-    /// The configurable probe stimulus defaults to 0.5 and, at 0.5,
-    /// reproduces the decisions the planner made before the knob existed —
-    /// for both the skip-repair and the must-repair measured outcomes.
-    #[test]
-    fn probe_value_half_reproduces_current_decisions() {
-        assert!((PlannerOptions::default().probe_value - 0.5).abs() < f64::EPSILON);
-        let build = |options: &PlannerOptions| {
-            let mut g = Graph::new();
-            let x = g.generate(0, sobol(1));
-            let y = g.generate(1, sobol(1));
-            let hi = g.binary(BinaryOp::OrMax, x, y);
-            let lo = g.binary(BinaryOp::AndMin, x, y);
-            let z = g.binary(BinaryOp::XorSubtract, hi, lo);
-            g.sink_value("range", z);
-            g.compile(options).unwrap()
-        };
-        let implicit = build(&PlannerOptions::with_measurement(256));
-        let explicit = build(&PlannerOptions {
-            probe_value: 0.5,
-            ..PlannerOptions::with_measurement(256)
-        });
-        assert_eq!(implicit.report(), explicit.report());
-        assert!(explicit.report().inserted.is_empty());
-        // A different stimulus still measures (and here reaches the same
-        // strongly-positive verdict — the pair is shared-source at any value).
-        let shifted = build(&PlannerOptions {
-            probe_value: 0.8,
-            ..PlannerOptions::with_measurement(256)
-        });
-        assert_eq!(shifted.report().measured.len(), 1);
-        assert_eq!(shifted.report().measured[0].class, SccClass::Positive);
-    }
-
-    #[test]
     fn bound_plan_matches_directly_compiled_plan() {
         use crate::exec::{BatchInput, Executor};
         let lfsr = |seed: u64| SourceSpec::Lfsr { width: 16, seed };
@@ -820,7 +641,7 @@ mod tests {
     }
 
     #[test]
-    fn linear_manipulator_runs_fuse() {
+    fn manipulator_runs_emit_one_step_per_node() {
         let mut g = Graph::new();
         let x = g.input_stream(0);
         let y = g.input_stream(1);
@@ -830,23 +651,24 @@ mod tests {
         g.sink_stream("x", c0);
         g.sink_stream("y", c1);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
-        assert_eq!(plan.report().fused_runs, 1);
-        // 2 inputs + 1 fused manipulator step + 2 sinks.
-        assert_eq!(plan.step_count(), 5);
-    }
-
-    #[test]
-    fn branching_runs_do_not_fuse() {
-        let mut g = Graph::new();
-        let x = g.input_stream(0);
-        let y = g.input_stream(1);
-        let (a0, a1) = g.manipulate(ManipulatorKind::Synchronizer { depth: 1 }, x, y);
-        let (_, b1) = g.manipulate(ManipulatorKind::Synchronizer { depth: 1 }, a0, a1);
-        // a0 feeds the second manipulator AND a sink: the run must not fuse.
-        g.sink_stream("tap", a0);
-        g.sink_stream("out", b1);
-        let plan = g.compile(&PlannerOptions::default()).unwrap();
-        assert_eq!(plan.report().fused_runs, 0);
+        // 2 inputs + 3 manipulator steps + 2 sinks.
+        assert_eq!(plan.step_count(), 7);
+        let kinds: Vec<ManipulatorKind> = plan
+            .steps()
+            .iter()
+            .filter_map(|s| match s {
+                Step::Manipulate { kind, .. } => Some(*kind),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![
+                ManipulatorKind::Synchronizer { depth: 1 },
+                ManipulatorKind::Synchronizer { depth: 2 },
+                ManipulatorKind::Isolator { delay: 2 },
+            ]
+        );
     }
 
     #[test]

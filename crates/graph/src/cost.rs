@@ -179,13 +179,7 @@ pub fn step_logic_netlist(step: &Step, converter_bits: u32) -> Netlist {
     match step {
         Step::Input { .. } | Step::SinkStream { .. } => Netlist::new("wire"),
         Step::Generate { .. } | Step::Constant { .. } => characterize::ds_converter(converter_bits),
-        Step::Manipulate { kinds, .. } => {
-            let mut n = Netlist::new("manipulator-chain");
-            for kind in kinds {
-                n.merge(&manipulator_netlist(kind));
-            }
-            n
-        }
+        Step::Manipulate { kind, .. } => manipulator_netlist(kind),
         Step::Regenerate { .. } => characterize::regeneration_unit(converter_bits),
         Step::Not { .. } => Netlist::new("not").with(Primitive::Inverter, 1),
         Step::Binary { op, .. } => binary_netlist(*op),
@@ -210,9 +204,8 @@ pub fn step_logic_netlist(step: &Step, converter_bits: u32) -> Netlist {
 
 /// Netlist of one *scheduled step* of a compiled plan: its logic plus its
 /// own sample source. Equivalent to summing [`node_netlist`] over the step's
-/// operations, but with access to execution arity: a fused manipulator run is
-/// the sum of its chained circuits, and an APC sum sink over `k` lanes
-/// includes its `k − 1`-adder reduction tree.
+/// operations, but with access to execution arity: an APC sum sink over `k`
+/// lanes includes its `k − 1`-adder reduction tree.
 #[must_use]
 pub fn step_netlist(step: &Step, converter_bits: u32) -> Netlist {
     let mut n = step_logic_netlist(step, converter_bits);

@@ -8,7 +8,7 @@ use crate::planes::{self, PlaneStore};
 use sc_arith::add::mux_add;
 use sc_bitstream::{scc, Bitstream, Probability};
 use sc_convert::{AccumulativeParallelCounter, StochasticToDigital};
-use sc_core::{CorrelationManipulator, ManipulatorChain, LANES};
+use sc_core::{CorrelationManipulator, LANES};
 use sc_rng::SourceSpec;
 use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
 use std::collections::VecDeque;
@@ -585,24 +585,13 @@ fn execute_step(
                 slots[*dst] = Some(planes.generate(input.resolve(source), *skip, p, n));
             }
             Step::Manipulate {
-                kinds,
+                kind,
                 x,
                 y,
                 dst_x,
                 dst_y,
             } => {
-                let (sx, sy) = (slot(slots, *x), slot(slots, *y));
-                let (ox, oy) = if kinds.len() == 1 {
-                    // A single circuit keeps its own word-level fast path.
-                    kinds[0].build().process(sx, sy)?
-                } else {
-                    // A fused run makes one register-staged pass per word.
-                    let mut chain = ManipulatorChain::new();
-                    for kind in kinds {
-                        chain.push_boxed(kind.build());
-                    }
-                    chain.process(sx, sy)?
-                };
+                let (ox, oy) = kind.build().process(slot(slots, *x), slot(slots, *y))?;
                 slots[*dst_x] = Some(ox);
                 slots[*dst_y] = Some(oy);
             }
@@ -1099,7 +1088,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_chain_matches_unfused_bits() {
+    fn chained_manipulators_match_stagewise_bits() {
         use sc_core::CorrelationManipulator;
         let mut g = Graph::new();
         let x = g.input_stream(0);
@@ -1108,15 +1097,14 @@ mod tests {
         let (b0, b1) = g.manipulate(ManipulatorKind::Desynchronizer { depth: 1 }, a0, a1);
         g.sink_stream("x", b0);
         g.sink_stream("y", b1);
-        let fused = g.compile(&PlannerOptions::default()).unwrap();
-        assert_eq!(fused.report().fused_runs, 1);
+        let plan = g.compile(&PlannerOptions::default()).unwrap();
         let (sx, sy) = (
             Bitstream::from_fn(301, |i| (i * 7 + 1) % 3 == 0),
             Bitstream::from_fn(301, |i| (i * 5 + 2) % 4 < 2),
         );
         let input = BatchInput::with_streams(vec![sx.clone(), sy.clone()]);
-        let out = Executor::new(301).run(&fused, &input).unwrap();
-        // Unfused reference: the two circuits run one after another.
+        let out = Executor::new(301).run(&plan, &input).unwrap();
+        // Reference: the two circuits run one after another.
         let (ix, iy) = sc_core::Synchronizer::new(2).process(&sx, &sy).unwrap();
         let (ex, ey) = sc_core::Desynchronizer::new(1).process(&ix, &iy).unwrap();
         assert_eq!(out.stream("x").unwrap(), &ex);

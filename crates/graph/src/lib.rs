@@ -23,9 +23,8 @@
 //! pair to the class it establishes. Where a precondition is not met, the
 //! repair stage **auto-inserts** the establishing circuit — synchronizer,
 //! desynchronizer, or decorrelator (§III), the paper's core insight applied
-//! automatically. At emission, linear manipulator runs are **fused** into
-//! single [`sc_core::ManipulatorChain`] steps that make one register-staged
-//! pass per 64-bit word.
+//! automatically. A pair the rules cannot place is unknown and gets the
+//! repair too. The emit stage lays out one step per node.
 //!
 //! The [`Executor`] then runs the compiled plan word-parallel over **streams**
 //! of independent input sets, dispatched across a persistent [`WorkerPool`]
@@ -103,7 +102,7 @@ mod passes;
 mod planes;
 pub mod serve;
 
-pub use compile::{CompileReport, CompiledGraph, MeasuredPair, PassDelta, PlannerOptions, Step};
+pub use compile::{CompileReport, CompiledGraph, PassDelta, PlannerOptions, Step};
 pub use exec::{
     BatchInput, ExecOutput, Executor, StreamJob, StreamStats, WorkerPool, DEFAULT_WINDOW_FACTOR,
 };

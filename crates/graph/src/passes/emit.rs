@@ -1,5 +1,5 @@
-//! The **emit** stage: manipulator-chain fusion, dense slot assignment, and
-//! step emission in topological order.
+//! The **emit** stage: dense slot assignment and step emission in
+//! topological order, one step per node.
 
 use crate::compile::{CompileReport, CompiledGraph, PassDelta, Step};
 use crate::node::{Node, NodeOp, Wire};
@@ -7,44 +7,16 @@ use sc_rng::SourceSpec;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Walks the topological order, collapses linear manipulator runs into
-/// [`sc_core::ManipulatorChain`] steps, assigns dense slots, and emits the
-/// flat step list.
+/// Walks the topological order, assigns dense slots, and emits one step per
+/// node.
 pub(crate) fn emit_steps(
     nodes: &[Node],
     order: &[usize],
     mut report: CompileReport,
 ) -> CompiledGraph {
-    // Count consumers of every wire to find fusible manipulator runs.
-    let mut consumer_count: HashMap<Wire, usize> = HashMap::new();
-    let mut sole_consumer: HashMap<Wire, usize> = HashMap::new();
-    for (i, node) in nodes.iter().enumerate() {
-        for wire in &node.inputs {
-            *consumer_count.entry(*wire).or_insert(0) += 1;
-            sole_consumer.insert(*wire, i);
-        }
-    }
     let port = |i: usize, p: u8| Wire {
         node: crate::node::NodeId(i),
         port: p,
-    };
-    // A manipulator run `m → q` can fuse when both of m's outputs are
-    // consumed exactly once, by q's inputs 0/1 in order, and q is itself a
-    // manipulator.
-    let fuse_next = |i: usize| -> Option<usize> {
-        let (p0, p1) = (port(i, 0), port(i, 1));
-        if consumer_count.get(&p0) != Some(&1) || consumer_count.get(&p1) != Some(&1) {
-            return None;
-        }
-        let q = *sole_consumer.get(&p0)?;
-        if sole_consumer.get(&p1) != Some(&q) {
-            return None;
-        }
-        let qn = &nodes[q];
-        if !matches!(qn.op, NodeOp::Manipulate(_)) || qn.inputs != vec![p0, p1] {
-            return None;
-        }
-        Some(q)
     };
 
     let mut slots: HashMap<Wire, usize> = HashMap::new();
@@ -59,14 +31,10 @@ pub(crate) fn emit_steps(
 
     let mut steps = Vec::new();
     let mut ops = Vec::new();
-    let mut fused: Vec<bool> = vec![false; nodes.len()];
     let mut value_slots = 0usize;
     let mut stream_slots = 0usize;
 
     for &i in order {
-        if fused[i] {
-            continue;
-        }
         let node = &nodes[i];
         ops.push(node.op.clone());
         let inputs = &node.inputs;
@@ -102,25 +70,10 @@ pub(crate) fn emit_steps(
             NodeOp::Manipulate(kind) => {
                 let x = slot_of(inputs[0], &mut slots);
                 let y = slot_of(inputs[1], &mut slots);
-                let mut kinds = vec![*kind];
-                let mut last = i;
-                while let Some(next) = fuse_next(last) {
-                    fused[next] = true;
-                    let NodeOp::Manipulate(next_kind) = &nodes[next].op else {
-                        unreachable!("fuse_next only follows manipulator nodes");
-                    };
-                    let next_kind = *next_kind;
-                    ops.push(nodes[next].op.clone());
-                    kinds.push(next_kind);
-                    last = next;
-                }
-                if kinds.len() > 1 {
-                    report.fused_runs += 1;
-                }
-                let dst_x = slot_of(port(last, 0), &mut slots);
-                let dst_y = slot_of(port(last, 1), &mut slots);
+                let dst_x = slot_of(port(i, 0), &mut slots);
+                let dst_y = slot_of(port(i, 1), &mut slots);
                 Step::Manipulate {
-                    kinds,
+                    kind: *kind,
                     x,
                     y,
                     dst_x,
@@ -251,11 +204,7 @@ pub(crate) fn emit_steps(
     report.pass_deltas.push(PassDelta {
         pass: "emit",
         nodes_added: 0,
-        detail: format!(
-            "{} steps ({} manipulator runs fused)",
-            steps.len(),
-            report.fused_runs
-        ),
+        detail: format!("{} steps", steps.len()),
     });
 
     CompiledGraph::assemble(steps, slot_count, value_slots, stream_slots, report, ops)

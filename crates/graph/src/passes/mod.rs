@@ -7,14 +7,13 @@
 //! 1. **validate** ([`Stage::CompileValidate`]) — arity, sink-uniqueness,
 //!    and cycle checks.
 //! 2. **scc-infer** ([`Stage::CompilePlan`]) — derives every tracked
-//!    operator's input-pair SCC class structurally, running measured-SCC
-//!    probe executions for structurally unknown pairs when enabled.
+//!    operator's input-pair SCC class from structure alone.
 //! 3. **repair** ([`Stage::CompileRepair`]) — where an inferred class misses
 //!    an operator's precondition, appends the one manipulator that
 //!    establishes the required class: synchronizer, desynchronizer, or
 //!    decorrelator.
 //! 4. **emit** ([`Stage::CompileEmit`]) — topological scheduling, dense
-//!    slot assignment, manipulator-chain fusion, and step emission.
+//!    slot assignment, and step emission, one step per node.
 
 pub(crate) mod emit;
 pub(crate) mod infer;
@@ -44,7 +43,7 @@ pub(crate) fn run_pipeline(
     }
     let classes = {
         let _span = telemetry.span(Stage::CompilePlan);
-        infer::infer(&graph.nodes, options, &mut report, telemetry)
+        infer::infer(&graph.nodes, &mut report)
     };
     let nodes = {
         let _span = telemetry.span(Stage::CompileRepair);
@@ -63,7 +62,6 @@ pub(crate) fn run_pipeline(
             Counter::RepairsInserted,
             plan.report().inserted.len() as u64,
         );
-        telemetry.add(Counter::FusedRuns, plan.report().fused_runs as u64);
     }
     Ok(plan)
 }

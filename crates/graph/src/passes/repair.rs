@@ -4,11 +4,10 @@ use crate::compile::{CompileReport, PassDelta, PlannerOptions};
 use crate::node::{Node, NodeId, NodeOp, SccClass, Wire};
 use std::collections::HashMap;
 
-/// For every correlation-tracked operator whose inferred (or measured) input
-/// class misses its precondition, splices the one manipulator that
-/// establishes the required class
-/// ([`crate::CorrRequirement::establishing_manipulator`]) in front of the
-/// operator. With [`PlannerOptions::auto_repair`] off the miss is only
+/// For every correlation-tracked operator whose inferred input class misses
+/// its precondition, splices the one manipulator that establishes the
+/// required class ([`crate::CorrRequirement::establishing_manipulator`]) in
+/// front of the operator. With [`PlannerOptions::auto_repair`] off the miss is only
 /// recorded in [`CompileReport::unsatisfied`]. Returns the node list with
 /// the repairs appended (existing indices unchanged).
 pub(crate) fn repair(

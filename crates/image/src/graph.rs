@@ -130,37 +130,6 @@ pub fn planner_options(variant: PipelineVariant, config: &PipelineConfig) -> Pla
     }
 }
 
-/// The planner configuration of a tile compiled under **measured-SCC
-/// feedback** ([`PipelineConfig::measure_scc`]): structurally-unknown input
-/// pairs (the edge detector's XOR subtractors fed by Gaussian-blur MUX
-/// outputs) are probed with a short execution whose `Generate` stimulus is
-/// `probe_value` — the tile's mean pixel value, the real batch statistic
-/// the ROADMAP calls for — instead of the maximum-entropy 0.5 default.
-#[must_use]
-pub fn measured_planner_options(
-    variant: PipelineVariant,
-    config: &PipelineConfig,
-    probe_value: f64,
-) -> PlannerOptions {
-    PlannerOptions {
-        measure_unknown: Some(config.measure_scc.unwrap_or(config.stream_length).max(1)),
-        probe_value,
-        ..planner_options(variant, config)
-    }
-}
-
-/// Mean of a tile's input pixel values — the representative batch statistic
-/// fed to the measured-SCC probe as its stimulus. Returns 0.5 (the
-/// maximum-entropy default) for an input with no values.
-#[must_use]
-pub fn tile_mean(input: &BatchInput) -> f64 {
-    if input.values.is_empty() {
-        0.5
-    } else {
-        input.values.iter().sum::<f64>() / input.values.len() as f64
-    }
-}
-
 /// A built tile graph: the graph itself, the batch item carrying the tile's
 /// input pixel values, and the `(x, y, sink name)` triple of every output
 /// pixel.
@@ -519,127 +488,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The measured-SCC probe runs on **real batch statistics**: compiling a
-    /// tile under measurement feeds the tile's mean pixel value (here well
-    /// away from 0.5) as the probe stimulus, every structurally-unknown XOR
-    /// input pair is resolved by measurement, and the repair decisions match
-    /// the ones the maximum-entropy 0.5 stimulus reaches — the probe verdict
-    /// is robust to the operating point, which is exactly what makes it safe
-    /// to drive from live data.
-    #[test]
-    fn measured_probe_uses_tile_mean_stimulus() {
-        // A dim image: the tile mean sits near 0.23, far from 0.5.
-        let img = GrayImage::from_fn(8, 8, |x, y| 0.15 + 0.05 * ((x + y) % 4) as f64);
-        let config = PipelineConfig {
-            measure_scc: Some(64),
-            ..PipelineConfig::quick()
-        };
-        let tg = tile_graph(&img, 0, 0, PipelineVariant::Synchronizer, &config, 0);
-        let mean = tile_mean(&tg.input);
-        assert!(
-            (mean - 0.5).abs() > 0.2,
-            "the stimulus must be genuinely non-0.5, got {mean}"
-        );
-        let options = measured_planner_options(PipelineVariant::Synchronizer, &config, mean);
-        assert_eq!(options.measure_unknown, Some(64));
-        assert!((options.probe_value - mean).abs() < f64::EPSILON);
-        let at_mean = tg.graph.compile(&options).unwrap();
-        // Every XOR subtractor pair (2 per tile pixel) was resolved by a
-        // probe execution instead of being treated pessimistically.
-        let t = config.tile_size;
-        assert_eq!(at_mean.report().measured.len(), 2 * t * t);
-        // Decision parity: the default 0.5 stimulus reaches the same repair
-        // decisions as the tile-mean stimulus on this workload.
-        let at_half = tg
-            .graph
-            .compile(&sc_graph::PlannerOptions {
-                probe_value: 0.5,
-                ..measured_planner_options(PipelineVariant::Synchronizer, &config, 0.5)
-            })
-            .unwrap();
-        // The measured SCC magnitudes (and occasionally a borderline class
-        // label) shift with the stimulus, but the *decision* — which
-        // operators get which repair — must not: compare the repair kind
-        // and location, stripping the measured-class rationale suffix.
-        let decisions = |report: &sc_graph::CompileReport| -> Vec<String> {
-            report
-                .inserted
-                .iter()
-                .map(|entry| {
-                    entry
-                        .split(": inputs are")
-                        .next()
-                        .expect("split always yields a first piece")
-                        .to_string()
-                })
-                .collect()
-        };
-        assert_eq!(
-            decisions(at_mean.report()),
-            decisions(at_half.report()),
-            "probe decision at the tile mean diverged from the 0.5 stimulus"
-        );
-        // Identical decisions produce structurally identical plans.
-        assert_eq!(at_mean.ops(), at_half.ops());
-    }
-
-    /// Pipeline-level wiring of measured-SCC mode: the probe stimulus is
-    /// quantised into brightness buckets that join the plan-cache key, so
-    /// tiles of equal shape, bank phase, *and* bucket share one measured
-    /// compile (probed at the bucket midpoint) — the cache hits instead of
-    /// recompiling per tile — while tiles whose means land in different
-    /// buckets still get their own measured compiles.
-    #[test]
-    fn pipeline_measure_scc_hits_quantised_plan_cache() {
-        let config = PipelineConfig {
-            measure_scc: Some(32),
-            ..PipelineConfig::quick()
-        };
-        // Uniform brightness: a 12×18 image has 6 full-size tiles in 2 bank
-        // phases (x0 ∈ {0, 6} ⇒ x0 % 4 ∈ {0, 2}), and every tile mean is
-        // exactly 0.3 ⇒ one shared bucket. The cache collapses 6 tiles to
-        // 2 measured compilations — strictly fewer than the tile count.
-        let img = GrayImage::filled(12, 18, 0.3);
-        let (out, stats) = crate::pipeline::run_sc_pipeline_with_stats(
-            &img,
-            PipelineVariant::Synchronizer,
-            &config,
-        )
-        .unwrap();
-        assert_eq!((out.width(), out.height()), (12, 18));
-        assert_eq!(stats.tiles, 6);
-        assert_eq!(
-            stats.compilations, 2,
-            "measured compiles are per (shape, phase, brightness bucket) \
-             class: equal-bucket tiles must hit the plan cache"
-        );
-        assert!(
-            stats.compilations < stats.tiles,
-            "the quantised probe key must let measured mode reuse plans"
-        );
-        for y in 0..18 {
-            for x in 0..12 {
-                assert!((0.0..=1.0).contains(&out.get(x, y)));
-            }
-        }
-        // Split brightness: the top half is dim, the bottom half bright, so
-        // the two tile rows of a 12×12 image land in different buckets and
-        // the bucket dimension of the key keeps them apart — 2 phases × 2
-        // buckets = 4 compilations (the structural planner would need 2).
-        let img = GrayImage::from_fn(12, 12, |_, y| if y < 6 { 0.1 } else { 0.9 });
-        let (_, stats) = crate::pipeline::run_sc_pipeline_with_stats(
-            &img,
-            PipelineVariant::Synchronizer,
-            &config,
-        )
-        .unwrap();
-        assert_eq!(stats.tiles, 4);
-        assert_eq!(
-            stats.compilations, 4,
-            "tiles in different brightness buckets must not share a measured plan"
-        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use accelerator::{AcceleratorCost, CostBreakdown};
 pub use assemble::{scatter_sinks, TileSinks};
 pub use edge::{roberts_cross_float, sc_edge_detector};
 pub use gaussian::{gaussian_blur_float, ScGaussianBlur, GAUSSIAN_WEIGHTS};
-pub use graph::{measured_planner_options, planner_options, tile_graph, tile_mean, TileGraph};
+pub use graph::{planner_options, tile_graph, TileGraph};
 pub use image::{GrayImage, ImageError};
 pub use pipeline::{
     run_float_pipeline, run_sc_pipeline, run_sc_pipeline_with_stats, run_sc_pipeline_with_threads,

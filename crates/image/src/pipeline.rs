@@ -79,19 +79,6 @@ pub struct PipelineConfig {
     pub rng_bank_size: usize,
     /// Save depth of the synchronizers in the synchronizer variant.
     pub synchronizer_depth: u32,
-    /// Measured-SCC planner feedback: when `Some(probe_length)`, tiles
-    /// compile under measurement ([`sc_graph::PlannerOptions`]'s
-    /// `measure_unknown`) with the **tile's mean pixel value** as the probe
-    /// stimulus (`probe_value`), so repair decisions are driven by the batch
-    /// statistics of the data actually flowing through the tile rather than
-    /// the maximum-entropy 0.5 default. The stimulus is quantised to
-    /// [`MEASURE_BUCKETS`] brightness buckets and the bucket joins the
-    /// cross-tile plan-cache key: tiles of the same shape, bank phase, and
-    /// brightness bucket share one measured compile (probed at the bucket's
-    /// midpoint) with their select seeds bound per tile — so measured mode
-    /// keeps the per-class cache instead of recompiling per tile. `None` (the
-    /// default) keeps the purely structural planner.
-    pub measure_scc: Option<usize>,
     /// Telemetry sink the whole pipeline records into: plan-cache hits and
     /// misses (misses with nested per-stage compile spans), the executor's
     /// dispatch, per-tile execution, worker activity, and the final sink
@@ -119,7 +106,6 @@ impl PartialEq for PipelineConfig {
             && self.tile_size == other.tile_size
             && self.rng_bank_size == other.rng_bank_size
             && self.synchronizer_depth == other.synchronizer_depth
-            && self.measure_scc == other.measure_scc
     }
 }
 
@@ -131,18 +117,8 @@ impl Hash for PipelineConfig {
         self.tile_size.hash(state);
         self.rng_bank_size.hash(state);
         self.synchronizer_depth.hash(state);
-        self.measure_scc.hash(state);
     }
 }
-
-/// Number of brightness buckets the measured-SCC probe stimulus is quantised
-/// into ([`PipelineConfig::measure_scc`]): a tile's mean pixel value maps to
-/// bucket `⌊mean × 64⌋` (clamped to 63) and the probe runs at the bucket's
-/// midpoint `(bucket + 0.5) / 64`. A step of 1/64 is far below the stimulus
-/// swing the probe verdict is robust to (the decision-parity test holds from
-/// 0.23 to 0.5), so quantisation changes no repair decisions — it only makes
-/// equal-class tiles of similar brightness share one compiled plan.
-pub const MEASURE_BUCKETS: usize = 64;
 
 impl Default for PipelineConfig {
     fn default() -> Self {
@@ -155,7 +131,6 @@ impl Default for PipelineConfig {
             // the minimal 1) is needed for the synchronizer variant to match
             // regeneration accuracy; see the ablation_depth experiment.
             synchronizer_depth: 2,
-            measure_scc: None,
             telemetry: TelemetrySink::disabled(),
             threads: None,
             window: None,
@@ -229,8 +204,7 @@ pub struct PipelineStats {
     pub tiles: usize,
     /// Number of graph compilations actually run. Tiles of equal shape and
     /// equal source-bank phase (tile origin modulo the bank pattern's 4×2
-    /// period) — and, in measured-SCC mode, equal quantised brightness
-    /// bucket — share one compiled template and bind their own select-LFSR
+    /// period) share one compiled template and bind their own select-LFSR
     /// seeds as job inputs, so this counts *distinct tile classes*, not
     /// tiles.
     pub compilations: usize,

@@ -1,11 +1,10 @@
 //! The **planning layer** of the tiled pipeline: [`TilePlanner`] turns one
 //! tile position into a dispatch-ready [`PlannedTile`].
 //!
-//! Planning is done once per tile *class*: tile shape, source-bank phase
-//! and, in measured-SCC mode, the quantised brightness bucket. Tiles of one
-//! class build the same circuit up to their two select-LFSR seeds, which is
-//! the paper's hardware: a fixed circuit behind one shared select LFSR per
-//! kernel family, seeded per tile (§II.B, §IV). So a cache hit builds no
+//! Planning is done once per tile *class*: tile shape and source-bank
+//! phase. Tiles of one class build the same circuit up to their two
+//! select-LFSR seeds, which is the paper's hardware: a fixed circuit behind
+//! one shared select LFSR per kernel family, seeded per tile (§II.B, §IV). So a cache hit builds no
 //! graph and touches no plan. It computes the class key from the tile
 //! position, gathers the tile's haloed pixels, and returns
 //!
@@ -36,23 +35,19 @@
 //! cache.
 
 use crate::assemble::TileSinks;
-use crate::graph::{
-    blur_select_spec, edge_select_spec, measured_planner_options, planner_options, tile_graph,
-    tile_mean, TileRegion,
-};
+use crate::graph::{blur_select_spec, edge_select_spec, planner_options, tile_graph, TileRegion};
 use crate::image::GrayImage;
-use crate::pipeline::{PipelineConfig, PipelineStats, PipelineVariant, MEASURE_BUCKETS};
-use sc_graph::{BatchInput, CompiledGraph, PlannerOptions};
+use crate::pipeline::{PipelineConfig, PipelineStats, PipelineVariant};
+use sc_graph::{BatchInput, CompiledGraph};
 use sc_rng::SourceSpec;
 use sc_telemetry::{Counter, Stage};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Plan-cache key: tile width, tile height, source-bank phase (x0 mod 4,
-/// y0 mod 2), and — in measured-SCC mode — the quantised probe-stimulus
-/// bucket (`None` for the structural planner, whose plans are
-/// brightness-independent).
-type PlanKey = (usize, usize, usize, usize, Option<usize>);
+/// Plan-cache key: tile width, tile height and source-bank phase (x0 mod 4,
+/// y0 mod 2). Plans are brightness-independent, so pixel values never enter
+/// the key.
+type PlanKey = (usize, usize, usize, usize);
 
 /// A cached compiled template for one tile class: the plan, the two select
 /// specs it was compiled with (the left-hand sides of every hit's seed
@@ -77,44 +72,24 @@ pub struct PlannedTile {
     pub sinks: TileSinks,
 }
 
-/// The measured-SCC brightness bucket of a tile whose mean input is `mean`.
-fn measure_bucket(mean: f64) -> usize {
-    ((mean * MEASURE_BUCKETS as f64).floor() as usize).min(MEASURE_BUCKETS - 1)
-}
-
-/// The compile options of a tile class. A measured class probes at its
-/// bucket's midpoint, so every tile the bucket covers gets one set of
-/// planner decisions and the cached template serves all of them.
-fn class_options(
-    variant: PipelineVariant,
-    config: &PipelineConfig,
-    bucket: Option<usize>,
-) -> PlannerOptions {
-    match bucket {
-        Some(b) => {
-            measured_planner_options(variant, config, (b as f64 + 0.5) / MEASURE_BUCKETS as f64)
-        }
-        None => planner_options(variant, config),
-    }
-}
-
 /// Tile origins of an image in raster order. Raster order fixes
 /// `tile_index`, and therefore every per-tile select seed, to match the
 /// sequential reference loop — both execution fronts must enumerate tiles
 /// this way for bit-identity.
+///
+/// # Panics
+///
+/// If `tile_size` is 0.
 #[must_use]
 pub fn tile_origins(image: &GrayImage, tile_size: usize) -> Vec<(usize, usize)> {
-    let mut origins = Vec::new();
-    let mut y0 = 0;
-    while y0 < image.height() {
-        let mut x0 = 0;
-        while x0 < image.width() {
-            origins.push((x0, y0));
-            x0 += tile_size;
-        }
-        y0 += tile_size;
-    }
-    origins
+    (0..image.height())
+        .step_by(tile_size)
+        .flat_map(|y0| {
+            (0..image.width())
+                .step_by(tile_size)
+                .map(move |x0| (x0, y0))
+        })
+        .collect()
 }
 
 /// The shared tile planner: one accelerator configuration plus its per-class
@@ -203,24 +178,15 @@ impl TilePlanner {
         // pixel's Sobol dimension from its absolute coordinates with periods
         // 4 (x) and 2 (y), so only tiles whose origins agree modulo those
         // periods build identical `Generate` layouts; two equal-shape tiles
-        // at different phases must not share a plan. In measured-SCC mode
-        // the quantised probe-stimulus bucket joins the key, so tiles whose
-        // mean brightness lands in different buckets never share a measured
-        // compile.
-        let bucket = self
-            .config
-            .measure_scc
-            .is_some()
-            .then(|| measure_bucket(tile_mean(&input)));
+        // at different phases must not share a plan.
         let (width, height) = region.shape();
-        let key = (width, height, x0 % 4, y0 % 2, bucket);
+        let key = (width, height, x0 % 4, y0 % 2);
         self.tick += 1;
         if let Some(entry) = self.cache.get_mut(&key) {
             // Tiles sharing a key build the same graph up to their two
             // select seeds, which never collide (see the seed tests), so
             // binding the template's specs to this tile's runs this tile's
-            // circuit. (A measured class keeps its template's probe
-            // verdicts for every tile it serves.)
+            // circuit.
             entry.last_used = self.tick;
             telemetry.add(Counter::PlanCacheHits, 1);
             input.bindings = vec![
@@ -239,7 +205,7 @@ impl TilePlanner {
         stats.compilations += 1;
         let tile = tile_graph(image, x0, y0, self.variant, &self.config, tile_index);
         debug_assert_eq!(tile.input, input, "one gather feeds hits and misses");
-        let options = class_options(self.variant, &self.config, bucket);
+        let options = planner_options(self.variant, &self.config);
         let plan = Arc::new(
             tile.graph
                 .compile_with_telemetry(&options, &telemetry)
@@ -330,77 +296,62 @@ mod tests {
     }
 
     /// A planned tile — a bound template on a hit — executes bit-identically
-    /// to a direct compile of that tile's own graph, for every variant, in
-    /// structural and measured-SCC mode, on ragged image sizes and at tile
-    /// indices far from 0.
-    ///
-    /// Measured mode caches a class's probe *verdicts*: a probe runs the
-    /// tile's real select sources, and every tile of the class gets the
-    /// template's repair decisions (the contract
-    /// `tests/compiler_golden_bits.rs` pins). A direct per-tile compile is
-    /// therefore only a reference where the verdicts do not depend on the
-    /// seeds. That holds at a full-length probe; at 32 cycles about one XOR
-    /// pair in twenty flips its verdict from tile to tile.
+    /// to a direct compile of that tile's own graph, for every variant, on
+    /// ragged image sizes and at tile indices far from 0.
     #[test]
     fn bound_templates_match_direct_per_tile_compiles() {
         const FIRST_INDEX: u64 = 3 * (1 << 16) + 40_000;
-        let structural = PipelineConfig {
+        let config = PipelineConfig {
             stream_length: 64,
             ..PipelineConfig::default()
         };
-        let measured = PipelineConfig {
-            measure_scc: Some(256),
-            ..structural.clone()
-        };
-        for config in [structural, measured] {
-            for (width, height) in [(33, 27), (64, 48)] {
-                // Two flat halves with a fine texture: a genuine vertical
-                // edge, and tile means that share measured buckets.
-                let image = GrayImage::from_fn(width, height, |x, y| {
-                    let half = if 2 * x < width { 0.25 } else { 0.7 };
-                    half + 0.01 * ((x + 2 * y) % 3) as f64
-                });
-                for variant in PipelineVariant::all() {
-                    let what = format!(
-                        "{variant:?} at {width}x{height}, measure_scc {:?}",
-                        config.measure_scc
+        for (width, height) in [(33, 27), (64, 48)] {
+            // Two flat halves with a fine texture: a genuine vertical edge.
+            let image = GrayImage::from_fn(width, height, |x, y| {
+                let half = if 2 * x < width { 0.25 } else { 0.7 };
+                half + 0.01 * ((x + 2 * y) % 3) as f64
+            });
+            for variant in PipelineVariant::all() {
+                let what = format!("{variant:?} at {width}x{height}");
+                let exec = Executor::new(config.stream_length);
+                let mut planner = TilePlanner::new(variant, config.clone());
+                let mut stats = PipelineStats::default();
+                let mut planned_out = GrayImage::filled(width, height, 0.0);
+                let mut direct_out = GrayImage::filled(width, height, 0.0);
+                let mut bound_hits = 0;
+                for (i, &(x0, y0)) in tile_origins(&image, config.tile_size).iter().enumerate() {
+                    let index = FIRST_INDEX + i as u64;
+                    let planned = planner.plan_tile(&image, x0, y0, index, &mut stats);
+                    let tile = tile_graph(&image, x0, y0, variant, &config, index);
+                    let direct = tile
+                        .graph
+                        .compile(&planner_options(variant, &config))
+                        .unwrap();
+                    assert_eq!(planned.input.values, tile.input.values, "{what}: gather");
+                    bound_hits += usize::from(!planned.input.bindings.is_empty());
+                    let planned_result = exec.run(&planned.plan, &planned.input).unwrap();
+                    let direct_result = exec.run(&direct, &tile.input).unwrap();
+                    assert_eq!(planned_result, direct_result, "{what}: tile {index}");
+                    scatter_sinks(
+                        &mut planned_out,
+                        &[planned.sinks],
+                        &[planned_result],
+                        &TelemetrySink::disabled(),
                     );
-                    let exec = Executor::new(config.stream_length);
-                    let mut planner = TilePlanner::new(variant, config.clone());
-                    let mut stats = PipelineStats::default();
-                    let mut planned_out = GrayImage::filled(width, height, 0.0);
-                    let mut direct_out = GrayImage::filled(width, height, 0.0);
-                    let mut bound_hits = 0;
-                    for (i, &(x0, y0)) in tile_origins(&image, config.tile_size).iter().enumerate()
-                    {
-                        let index = FIRST_INDEX + i as u64;
-                        let planned = planner.plan_tile(&image, x0, y0, index, &mut stats);
-                        let tile = tile_graph(&image, x0, y0, variant, &config, index);
-                        let bucket = config
-                            .measure_scc
-                            .map(|_| measure_bucket(tile_mean(&tile.input)));
-                        let options = class_options(variant, &config, bucket);
-                        let direct = tile.graph.compile(&options).unwrap();
-                        assert_eq!(planned.input.values, tile.input.values, "{what}: gather");
-                        bound_hits += usize::from(!planned.input.bindings.is_empty());
-                        let planned_result = exec.run(&planned.plan, &planned.input).unwrap();
-                        let direct_result = exec.run(&direct, &tile.input).unwrap();
-                        assert_eq!(planned_result, direct_result, "{what}: tile {index}");
-                        scatter_sinks(
-                            &mut planned_out,
-                            &[planned.sinks],
-                            &[planned_result],
-                            &TelemetrySink::disabled(),
-                        );
-                        for (x, y, name) in &tile.sinks {
-                            direct_out.set(*x, *y, direct_result.value(name).unwrap());
-                        }
+                    for (x, y, name) in &tile.sinks {
+                        direct_out.set(*x, *y, direct_result.value(name).unwrap());
                     }
-                    assert!(bound_hits > 0, "{what}: the image must exercise cache hits");
-                    assert_eq!(planned_out, direct_out, "{what}: scattered image");
                 }
+                assert!(bound_hits > 0, "{what}: the image must exercise cache hits");
+                assert_eq!(planned_out, direct_out, "{what}: scattered image");
             }
         }
+    }
+
+    #[test]
+    #[should_panic]
+    fn tile_origins_rejects_a_zero_tile_size() {
+        let _ = tile_origins(&GrayImage::gradient(4, 4), 0);
     }
 
     /// A hit hands out the cached template itself, not a copy, and opens

@@ -167,28 +167,26 @@ pub fn elaborate(
                 slots[*dst] = Some(out[0]);
             }
             Step::Manipulate {
-                kinds,
+                kind,
                 x,
                 y,
                 dst_x,
                 dst_y,
             } => {
                 let (mut nx, mut ny) = (slot(&slots, *x), slot(&slots, *y));
-                for kind in kinds {
-                    match kind {
-                        ManipulatorKind::Identity => {}
-                        ManipulatorKind::Isolator { delay } => {
-                            // A k-stage isolator is literally k flip-flops in
-                            // the X path; Y passes through untouched.
-                            for _ in 0..*delay {
-                                nx = design.cell(CellKind::Dff, &[nx])[0];
-                            }
+                match kind {
+                    ManipulatorKind::Identity => {}
+                    ManipulatorKind::Isolator { delay } => {
+                        // A k-stage isolator is literally k flip-flops in the
+                        // X path; Y passes through untouched.
+                        for _ in 0..*delay {
+                            nx = design.cell(CellKind::Dff, &[nx])[0];
                         }
-                        _ => {
-                            let outs = design.cell(CellKind::Fsm { kind: *kind }, &[nx, ny]);
-                            nx = outs[0];
-                            ny = outs[1];
-                        }
+                    }
+                    _ => {
+                        let outs = design.cell(CellKind::Fsm { kind: *kind }, &[nx, ny]);
+                        nx = outs[0];
+                        ny = outs[1];
                     }
                 }
                 slots[*dst_x] = Some(nx);

@@ -15,9 +15,8 @@
 //! * **Metrics** — atomic [`Counter`]s, [`Gauge`]s (current value + peak),
 //!   fixed-bucket log2 [`Hist`]ograms (job latency, queue depth, window
 //!   occupancy, per-worker busy/idle time).
-//! * **Export** — a drained [`TelemetryReport`] renders as pretty text
-//!   ([`TelemetryReport::to_pretty_string`]), JSON lines
-//!   ([`TelemetryReport::to_json_lines`]), and chrome://tracing trace-event
+//! * **Export** — a drained [`TelemetryReport`] renders as JSON lines
+//!   ([`TelemetryReport::to_json_lines`]) and chrome://tracing trace-event
 //!   JSON ([`TelemetryReport::to_chrome_trace`]) for flamegraph-style
 //!   inspection; [`TelemetryReport::to_json`] is the machine-readable
 //!   summary the bench binaries embed in their `BENCH_*.json` evidence.
@@ -79,15 +78,12 @@ pub enum Stage {
     Compile,
     /// Compile stage: structural validation + cycle check.
     CompileValidate,
-    /// Compile stage: SCC inference (structural classes + measured probes).
+    /// Compile stage: structural SCC inference.
     CompilePlan,
     /// Compile stage: correlation-repair insertion.
     CompileRepair,
-    /// Compile stage: scheduling, manipulator-chain fusion, and step
-    /// emission.
+    /// Compile stage: scheduling and step emission.
     CompileEmit,
-    /// One measured-SCC probe execution inside the planner.
-    MeasuredProbe,
     /// Tile planning served from the per-class plan cache.
     PlanCacheHit,
     /// Tile planning that compiled (and cached) a fresh class template.
@@ -128,13 +124,12 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in declaration order.
-    pub const ALL: [Stage; 19] = [
+    pub const ALL: [Stage; 18] = [
         Stage::Compile,
         Stage::CompileValidate,
         Stage::CompilePlan,
         Stage::CompileRepair,
         Stage::CompileEmit,
-        Stage::MeasuredProbe,
         Stage::PlanCacheHit,
         Stage::PlanCacheMiss,
         Stage::Retarget,
@@ -159,7 +154,6 @@ impl Stage {
             Stage::CompilePlan => "compile.plan",
             Stage::CompileRepair => "compile.repair",
             Stage::CompileEmit => "compile.emit",
-            Stage::MeasuredProbe => "compile.measured_probe",
             Stage::PlanCacheHit => "plan_cache.hit",
             Stage::PlanCacheMiss => "plan_cache.miss",
             Stage::Retarget => "retarget",
@@ -188,10 +182,6 @@ pub enum Counter {
     Compilations,
     /// Repair manipulators auto-inserted by the correlation planner.
     RepairsInserted,
-    /// Measured-SCC probe executions run by the planner.
-    MeasuredProbes,
-    /// Manipulator runs of length ≥ 2 fused into chain steps.
-    FusedRuns,
     /// Tile plans served from the image pipeline's per-class cache.
     PlanCacheHits,
     /// Tile plans compiled fresh (and cached) by the image pipeline.
@@ -218,13 +208,11 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 17] = [
+    pub const ALL: [Counter; 15] = [
         Counter::JobsPulled,
         Counter::JobsFailed,
         Counter::Compilations,
         Counter::RepairsInserted,
-        Counter::MeasuredProbes,
-        Counter::FusedRuns,
         Counter::PlanCacheHits,
         Counter::PlanCacheMisses,
         Counter::PlanCacheEvictions,
@@ -246,8 +234,6 @@ impl Counter {
             Counter::JobsFailed => "jobs_failed",
             Counter::Compilations => "compilations",
             Counter::RepairsInserted => "repairs_inserted",
-            Counter::MeasuredProbes => "measured_probes",
-            Counter::FusedRuns => "fused_runs",
             Counter::PlanCacheHits => "plan_cache_hits",
             Counter::PlanCacheMisses => "plan_cache_misses",
             Counter::PlanCacheEvictions => "plan_cache_evictions",
@@ -1132,8 +1118,8 @@ impl ClassReport {
 
 /// A drained telemetry snapshot: time-sorted spans plus cumulative metrics.
 ///
-/// Produced by [`TelemetrySink::drain`]; renders as pretty text, JSON, JSON
-/// lines, or a chrome://tracing trace-event document.
+/// Produced by [`TelemetrySink::drain`]; renders as JSON, JSON lines, or a
+/// chrome://tracing trace-event document.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryReport {
     /// Every drained span, sorted by start time.
@@ -1200,89 +1186,6 @@ impl TelemetryReport {
             .iter()
             .filter(|s| s.stage == stage)
             .fold((0, 0), |(count, total), s| (count + 1, total + s.dur_ns))
-    }
-
-    /// Sum of the stage-specific span arguments across one stage — e.g. the
-    /// total jobs taken by [`Stage::ServeCoalesce`] picks.
-    #[must_use]
-    pub fn stage_args_total(&self, stage: Stage) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.stage == stage)
-            .map(|s| s.arg)
-            .sum()
-    }
-
-    /// A human-readable multi-section summary: per-stage span totals, then
-    /// the non-zero counters, gauges, histograms, and plan classes.
-    #[must_use]
-    pub fn to_pretty_string(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "telemetry report: {} spans over {:.3} ms wall-clock ({} dropped)\n",
-            self.spans.len(),
-            self.elapsed_ns as f64 / 1e6,
-            self.dropped_spans,
-        ));
-        out.push_str("\n  spans by stage:\n");
-        for stage in Stage::ALL {
-            let (count, total_ns) = self.stage_totals(stage);
-            if count == 0 {
-                continue;
-            }
-            out.push_str(&format!(
-                "    {:<24} {:>7} × {:>12.1} µs mean = {:>12.3} ms total\n",
-                stage.name(),
-                count,
-                total_ns as f64 / count as f64 / 1e3,
-                total_ns as f64 / 1e6,
-            ));
-        }
-        out.push_str("\n  counters:\n");
-        for counter in Counter::ALL {
-            let value = self.counter(counter);
-            if value > 0 {
-                out.push_str(&format!("    {:<24} {value}\n", counter.name()));
-            }
-        }
-        out.push_str("\n  gauges (current / peak):\n");
-        for gauge in Gauge::ALL {
-            let (current, peak) = self.gauge(gauge);
-            if peak > 0 {
-                out.push_str(&format!("    {:<24} {current} / {peak}\n", gauge.name()));
-            }
-        }
-        out.push_str("\n  histograms:\n");
-        for hist in Hist::ALL {
-            let snap = self.histogram(hist);
-            if snap.count == 0 {
-                continue;
-            }
-            let buckets: Vec<String> = snap
-                .nonzero_buckets()
-                .map(|(lo, count)| format!("≥{lo}:{count}"))
-                .collect();
-            out.push_str(&format!(
-                "    {:<24} n={} mean={:.1} [{}]\n",
-                hist.name(),
-                snap.count,
-                snap.mean(),
-                buckets.join(" "),
-            ));
-        }
-        if !self.classes.is_empty() {
-            out.push_str("\n  plan classes (jobs, latency p50/p99 ≤):\n");
-            for class in &self.classes {
-                out.push_str(&format!(
-                    "    class {:<10} {:>6} jobs  p50 ≤ {} ns  p99 ≤ {} ns\n",
-                    class.label(),
-                    class.jobs,
-                    class.latency.quantile(0.5),
-                    class.latency.quantile(0.99),
-                ));
-            }
-        }
-        out
     }
 
     /// The machine-readable summary as a [`Json`] value: per-stage totals,
@@ -1494,7 +1397,6 @@ mod tests {
         let (count, total_ns) = report.stage_totals(Stage::ServeCoalesce);
         assert_eq!(count, 3);
         assert!(total_ns >= 3_000_000, "three ≥1ms spans, got {total_ns} ns");
-        assert_eq!(report.stage_args_total(Stage::ServeCoalesce), 2 + 3 + 4);
         assert_eq!(report.stage_totals(Stage::ScalarExecute).0, 1);
         assert_eq!(report.stage_totals(Stage::Compile), (0, 0));
         // Spans are time-sorted and were consumed by the drain.
@@ -1619,11 +1521,6 @@ mod tests {
             let _span = sink.span(Stage::Dispatch);
         }
         let report = sink.drain();
-
-        let pretty = report.to_pretty_string();
-        assert!(pretty.contains("serve.coalesce"));
-        assert!(pretty.contains("jobs_pulled"));
-        assert!(pretty.contains("3 jobs"));
 
         let doc = json::parse(&report.to_json().to_string_pretty()).unwrap();
         assert_eq!(
@@ -1800,7 +1697,6 @@ mod tests {
             "overflowed"
         );
         // The exports carry the breakdown.
-        assert!(report.to_pretty_string().contains("plan classes"));
         let doc = json::parse(&report.to_json().to_string_compact()).unwrap();
         let exported = doc.get("classes").and_then(Json::as_array).unwrap();
         assert_eq!(exported.len(), MAX_PLAN_CLASSES + 1);

@@ -34,11 +34,9 @@ fn main() -> Result<(), GraphError> {
     for line in &plan.report().inserted {
         println!("  inserted: {line}");
     }
-    println!(
-        "  steps: {}, fused runs: {}",
-        plan.step_count(),
-        plan.report().fused_runs
-    );
+    for delta in &plan.report().pass_deltas {
+        println!("  {}: {}", delta.pass, delta.detail);
+    }
 
     // --- Compile with auto-repair off, as the broken baseline.
     let broken = graph.compile(&PlannerOptions::no_repair())?;

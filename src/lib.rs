@@ -15,8 +15,7 @@
 //! * [`sc_core`] — the synchronizer, desynchronizer, decorrelator, and the
 //!   improved max/min/saturating-add operators (the paper's contribution),
 //! * [`sc_graph`] — the dataflow-graph compiler (validate → scc-infer →
-//!   repair → emit, with manipulator-chain fusion at emit) and sharded batch
-//!   executor,
+//!   repair → emit) and sharded batch executor,
 //! * [`sc_hwcost`] — the gate-level area/power/energy model,
 //! * [`sc_image`] — the Gaussian-blur → edge-detector accelerator case study,
 //!   implemented on the graph engine.

