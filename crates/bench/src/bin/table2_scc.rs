@@ -8,7 +8,9 @@
 //! samples, exactly as sharing one hardware RNG between two D/S converters
 //! would; all other rows use two independent sources.
 //!
-//! Pass `--quick` to run a coarser value grid (useful in debug builds).
+//! Pass `--quick` to run a coarser value grid (useful in debug builds). The
+//! run exits non-zero unless every row's output-SCC sign agrees with the
+//! paper's.
 
 use sc_bench::{cell, print_table, PAPER_STREAM_LENGTH};
 use sc_core::analysis::{
@@ -307,17 +309,27 @@ fn main() {
     );
 
     // Shape summary: the sign and ordering of the output SCC is what the
-    // paper's argument rests on.
-    let sign_matches = rows
+    // paper's argument rests on, so any disagreeing row fails the run.
+    let disagreeing: Vec<&Row> = rows
         .iter()
         .filter(|r| {
-            r.paper_output_scc == 0.0
+            !(r.paper_output_scc == 0.0
                 || (r.paper_output_scc > 0.0) == (r.eval.output_scc > 0.0)
-                || r.eval.output_scc.abs() < 0.3
+                || r.eval.output_scc.abs() < 0.3)
         })
-        .count();
+        .collect();
     println!(
-        "\nOutput-SCC sign/shape agreement: {sign_matches}/{} rows",
+        "\nOutput-SCC sign/shape agreement: {}/{} rows",
+        rows.len() - disagreeing.len(),
         rows.len()
     );
+    if !disagreeing.is_empty() {
+        for r in &disagreeing {
+            eprintln!(
+                "sign disagreement: {} {}/{}: paper {:+.3}, measured {:+.3}",
+                r.design, r.x_rng, r.y_rng, r.paper_output_scc, r.eval.output_scc
+            );
+        }
+        std::process::exit(1);
+    }
 }

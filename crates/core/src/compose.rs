@@ -7,23 +7,13 @@
 //! FSM compound, which §III.B suggests mitigating by giving alternating
 //! stages opposite initial states ([`crate::Synchronizer::with_initial_credit`]).
 
-use crate::kernel::StreamKernel;
 use crate::manipulator::CorrelationManipulator;
-
-/// A chain stage: a manipulator that also exposes the word-level kernel
-/// interface, so the chain can fuse all stages into a single pass per word.
-///
-/// Blanket-implemented for every type that is both a
-/// [`CorrelationManipulator`] and a [`StreamKernel`].
-pub trait ChainStage: CorrelationManipulator + StreamKernel {}
-
-impl<T: CorrelationManipulator + StreamKernel + ?Sized> ChainStage for T {}
 
 /// A series chain of correlation manipulators applied left to right.
 ///
 /// Processing is **fused**: each packed 64-bit word of the inputs travels
-/// through every stage's [`StreamKernel::step_word`] while still in
-/// registers, so a chain of `k` stages makes one pass over the streams
+/// through every stage's [`CorrelationManipulator::step_word`] while still
+/// in registers, so a chain of `k` stages makes one pass over the streams
 /// instead of materialising `k − 1` intermediate stream pairs.
 ///
 /// # Example
@@ -44,7 +34,7 @@ impl<T: CorrelationManipulator + StreamKernel + ?Sized> ChainStage for T {}
 /// ```
 #[derive(Default)]
 pub struct ManipulatorChain {
-    stages: Vec<Box<dyn ChainStage>>,
+    stages: Vec<Box<dyn CorrelationManipulator>>,
 }
 
 impl std::fmt::Debug for ManipulatorChain {
@@ -69,7 +59,7 @@ impl ManipulatorChain {
     #[must_use]
     pub fn repeated<M, F>(count: usize, mut make: F) -> Self
     where
-        M: ChainStage + 'static,
+        M: CorrelationManipulator + 'static,
         F: FnMut(usize) -> M,
     {
         let mut chain = Self::new();
@@ -80,11 +70,9 @@ impl ManipulatorChain {
     }
 
     /// Appends a stage to the end of the chain. A
-    /// `Box<dyn CorrelationManipulator>` is a stage too: it runs through the
-    /// register-staged
-    /// [`bit_serial_step_word`](crate::kernel::bit_serial_step_word) kernel
-    /// view, so the chain still makes a single pass per word.
-    pub fn push<M: ChainStage + 'static>(&mut self, stage: M) {
+    /// `Box<dyn CorrelationManipulator>` is a stage too, stepped through its
+    /// circuit's own [`CorrelationManipulator::step_word`].
+    pub fn push<M: CorrelationManipulator + 'static>(&mut self, stage: M) {
         self.stages.push(Box::new(stage));
     }
 
@@ -135,12 +123,6 @@ impl CorrelationManipulator for ManipulatorChain {
         }
     }
 
-    fn step_word_dyn(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        StreamKernel::step_word(self, x, y, valid)
-    }
-}
-
-impl StreamKernel for ManipulatorChain {
     /// One fused pass: the word pair flows through every stage while still in
     /// registers.
     fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {

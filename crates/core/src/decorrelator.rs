@@ -8,7 +8,6 @@
 //! a fixed offset and leave relative order intact, and unlike regeneration,
 //! which needs full S/D + D/S conversions.
 
-use crate::kernel::StreamKernel;
 use crate::manipulator::CorrelationManipulator;
 use crate::shuffle_buffer::ShuffleBuffer;
 use sc_rng::{Lfsr, RandomSource};
@@ -45,7 +44,7 @@ impl Decorrelator<Lfsr> {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is 0 or greater than 4096.
+    /// Panics if `depth` is outside [`crate::DEPTH_RANGE`].
     #[must_use]
     pub fn new(depth: usize) -> Self {
         Self::with_sources(depth, Lfsr::new(16, 0xACE1), Lfsr::new(16, 0x7331))
@@ -58,7 +57,7 @@ impl<S: RandomSource> Decorrelator<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is 0 or greater than 4096.
+    /// Panics if `depth` is outside [`crate::DEPTH_RANGE`].
     #[must_use]
     pub fn with_sources(depth: usize, source_x: S, source_y: S) -> Self {
         Decorrelator {
@@ -89,12 +88,6 @@ impl<S: RandomSource> CorrelationManipulator for Decorrelator<S> {
         self.buffer_y.reset();
     }
 
-    fn step_word_dyn(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        StreamKernel::step_word(self, x, y, valid)
-    }
-}
-
-impl<S: RandomSource> StreamKernel for Decorrelator<S> {
     fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
         (
             self.buffer_x.step_word(x, valid),

@@ -12,8 +12,8 @@
 //! balanced between the two outputs, matching the four-state cycle of
 //! Fig. 3b. The save depth `D` generalises the design to bank up to `D` bits.
 
-use crate::kernel::{bit_serial_step_word, SpeculativeTable, StreamKernel, MAX_SPECULATIVE_STATES};
-use crate::manipulator::CorrelationManipulator;
+use crate::kernel::{bit_serial_step_word, SpeculativeTable, MAX_SPECULATIVE_STATES};
+use crate::manipulator::{CorrelationManipulator, DEPTH_RANGE};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -157,12 +157,12 @@ impl Desynchronizer {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is 0 or greater than 4096.
+    /// Panics if `depth` is outside [`DEPTH_RANGE`].
     #[must_use]
     pub fn new(depth: u32) -> Self {
         assert!(
-            (1..=4096).contains(&depth),
-            "desynchronizer save depth {depth} outside supported range 1..=4096"
+            DEPTH_RANGE.contains(&(depth as usize)),
+            "desynchronizer save depth {depth} outside supported range {DEPTH_RANGE:?}"
         );
         Desynchronizer {
             depth,
@@ -240,15 +240,8 @@ impl CorrelationManipulator for Desynchronizer {
         self.bank_x_next = true;
     }
 
-    /// Routes every entry point — `process`, boxed dispatch, fused chains —
-    /// onto the speculative table path.
-    fn step_word_dyn(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        StreamKernel::step_word(self, x, y, valid)
-    }
-}
-
-impl StreamKernel for Desynchronizer {
-    /// Speculative multi-bit stepping: the `(saved_x, saved_y, bank)` state
+    /// Speculative multi-bit stepping, taken by every entry point (`process`,
+    /// a boxed circuit, a chain stage): the `(saved_x, saved_y, bank)` state
     /// space is small, so all 64 output bits are resolved by table-driven
     /// state propagation (thirteen chunk lookups per word) instead of
     /// 64 data-dependent branchy transitions — bit-identical to
@@ -430,8 +423,8 @@ mod tests {
         }
     }
 
-    /// Word-level entry points (direct, via the kernel trait, and via dynamic
-    /// dispatch) all take the speculative path and agree with the reference.
+    /// Word-level entry points (direct and via dynamic dispatch) both take
+    /// the speculative path and agree with the reference.
     #[test]
     fn speculative_step_word_entry_points_agree() {
         let (x, y) = (0x5A5A_1234_FFFF_0001u64, 0xA5A5_4321_0000_FFFEu64);
@@ -439,8 +432,8 @@ mod tests {
             let mut direct = Desynchronizer::new(2);
             let mut reference = direct.clone();
             let mut boxed: Box<dyn CorrelationManipulator> = Box::new(Desynchronizer::new(2));
-            let fast = StreamKernel::step_word(&mut direct, x, y, valid);
-            let via_box = StreamKernel::step_word(&mut boxed, x, y, valid);
+            let fast = direct.step_word(x, y, valid);
+            let via_box = boxed.step_word(x, y, valid);
             let slow = bit_serial_step_word(&mut reference, x, y, valid);
             assert_eq!(fast, slow, "valid={valid}");
             assert_eq!(via_box, slow, "boxed valid={valid}");

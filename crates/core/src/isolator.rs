@@ -9,17 +9,17 @@
 //! removing it). They are included here as the baseline the decorrelator is
 //! compared against.
 
-use crate::kernel::StreamKernel;
-use crate::manipulator::CorrelationManipulator;
+use crate::manipulator::{CorrelationManipulator, DEPTH_RANGE};
 use sc_bitstream::BitQueue;
 
 /// A chain of `k` isolator flip-flops in the X operand path (Y passes
 /// through untouched).
 ///
-/// The delay line is held as a packed [`BitQueue`], so the word-parallel
-/// engine shifts 64 stream bits through the flip-flop chain per operation
-/// (see [`StreamKernel`]); the bit-stepped [`CorrelationManipulator::step`]
-/// view of the same state remains available for cycle-level simulation.
+/// The delay line is held as a packed [`BitQueue`], so
+/// [`CorrelationManipulator::step_word`] shifts 64 stream bits through the
+/// flip-flop chain per operation; the bit-stepped
+/// [`CorrelationManipulator::step`] view of the same state remains available
+/// for cycle-level simulation.
 ///
 /// # Example
 ///
@@ -46,12 +46,12 @@ impl Isolator {
     ///
     /// # Panics
     ///
-    /// Panics if `delay` is 0 or greater than 4096.
+    /// Panics if `delay` is outside [`DEPTH_RANGE`].
     #[must_use]
     pub fn new(delay: usize) -> Self {
         assert!(
-            (1..=4096).contains(&delay),
-            "isolator delay {delay} outside supported range 1..=4096"
+            DEPTH_RANGE.contains(&delay),
+            "isolator delay {delay} outside supported range {DEPTH_RANGE:?}"
         );
         Isolator {
             delay,
@@ -80,12 +80,6 @@ impl CorrelationManipulator for Isolator {
         self.pipeline = BitQueue::filled(self.delay, false);
     }
 
-    fn step_word_dyn(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        StreamKernel::step_word(self, x, y, valid)
-    }
-}
-
-impl StreamKernel for Isolator {
     fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
         // FIFO order is insertion order, so pushing the whole input word and
         // popping a whole output word is exactly 64 interleaved

@@ -2,23 +2,23 @@
 //!
 //! [`CorrelationManipulator::step`] models hardware faithfully — one pair of
 //! bits per clock — but executing a whole stream that way wastes the 64×
-//! parallelism latent in [`Bitstream`]'s packed representation. This module
-//! adds a second execution interface, [`StreamKernel::step_word`], that
-//! consumes and produces 64 stream bits per call:
+//! parallelism latent in [`Bitstream`]'s packed representation. Every
+//! circuit therefore also steps 64 cycles per call through
+//! [`CorrelationManipulator::step_word`]:
 //!
 //! * stateless or shift-register circuits ([`crate::Identity`],
-//!   [`crate::Isolator`]) implement it with genuine whole-word operations;
-//! * data-dependent FSMs (synchronizer, desynchronizer) keep their bit-stepped
-//!   transition functions but run them on register-resident words via
-//!   [`bit_serial_step_word`], avoiding per-bit stream indexing and bounds
-//!   checks;
-//! * [`BitSerial`] wraps *any* manipulator into a kernel, giving every
-//!   circuit a word-driven execution path for free.
+//!   [`crate::Isolator`]) override it with genuine whole-word operations;
+//! * every other circuit keeps the default, [`bit_serial_step_word`], which
+//!   runs its bit-stepped transition function on register-resident words,
+//!   avoiding per-bit stream indexing and bounds checks;
+//! * [`BitSerial`] pins any circuit to that default, the baseline the fast
+//!   paths are checked and measured against.
 //!
-//! [`process_with_kernel`] is the engine loop: it walks the packed words of
-//! both input streams, feeds them through a kernel, and assembles the outputs
-//! word by word. [`crate::ManipulatorChain`] uses the same interface to fuse
-//! a whole pipeline of manipulators into a single pass per word.
+//! [`drive_step_word`] is the one engine loop: it walks the packed words of
+//! both input streams, feeds them through a word step, and assembles the
+//! outputs word by word. The default [`CorrelationManipulator::process`] is
+//! built on it, and [`crate::ManipulatorChain`] passes each word through all
+//! of its stages in one walk.
 //!
 //! For the data-dependent FSMs whose state space is *small* — the
 //! synchronizer's signed credit (`2D + 1` states) and the desynchronizer's
@@ -33,17 +33,6 @@
 
 use crate::manipulator::CorrelationManipulator;
 use sc_bitstream::{Bitstream, Error, Result, WORD_BITS};
-
-/// A circuit that transforms streams one packed 64-bit word at a time.
-///
-/// `valid` is the number of meaningful low bits in `x`/`y` (always 64 except
-/// possibly for the final word of a stream); bits at positions `>= valid` are
-/// zero on input and are ignored on output.
-pub trait StreamKernel: Send {
-    /// Processes up to 64 stream cycles: bit `i` of the returned pair is the
-    /// output for input bits `(x >> i) & 1` / `(y >> i) & 1`, for `i < valid`.
-    fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64);
-}
 
 /// Width of the retired lane dimension, which batched four stream pairs per
 /// pass.
@@ -74,17 +63,12 @@ pub fn bit_serial_step_word<M: CorrelationManipulator + ?Sized>(
     (out_x, out_y)
 }
 
-/// Adapter giving any [`CorrelationManipulator`] a [`StreamKernel`] view via
-/// the bit-serial fallback. Used by equivalence tests and benchmarks as the
-/// baseline the word-level fast paths are checked and measured against.
+/// Runs any [`CorrelationManipulator`] on the bit-serial default
+/// [`CorrelationManipulator::step_word`], whatever fast path the wrapped
+/// circuit has: the baseline the equivalence tests check the word-level fast
+/// paths against.
 #[derive(Debug, Clone)]
 pub struct BitSerial<M>(pub M);
-
-impl<M: CorrelationManipulator> StreamKernel for BitSerial<M> {
-    fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        bit_serial_step_word(&mut self.0, x, y, valid)
-    }
-}
 
 impl<M: CorrelationManipulator> CorrelationManipulator for BitSerial<M> {
     fn name(&self) -> String {
@@ -100,23 +84,8 @@ impl<M: CorrelationManipulator> CorrelationManipulator for BitSerial<M> {
     }
 }
 
-/// Drives a kernel over two equal-length streams: the word-parallel engine
-/// loop behind every manipulator's `process`.
-///
-/// # Errors
-///
-/// Returns [`Error::LengthMismatch`] if the streams differ in length.
-pub fn process_with_kernel<K: StreamKernel + ?Sized>(
-    kernel: &mut K,
-    x: &Bitstream,
-    y: &Bitstream,
-) -> Result<(Bitstream, Bitstream)> {
-    drive_step_word(x, y, |xw, yw, valid| kernel.step_word(xw, yw, valid))
-}
-
-/// Drives an arbitrary word-level step closure over two equal-length streams:
-/// the single engine loop shared by [`process_with_kernel`] and the default
-/// [`CorrelationManipulator::process`].
+/// Drives a word-level step closure over two equal-length streams: the
+/// engine loop behind the default [`CorrelationManipulator::process`].
 ///
 /// # Errors
 ///
@@ -343,7 +312,7 @@ mod tests {
             let mut direct = Synchronizer::new(2);
             let expected = direct.process_bit_serial(&x, &y).unwrap();
             let mut wrapped = BitSerial(Synchronizer::new(2));
-            let got = process_with_kernel(&mut wrapped, &x, &y).unwrap();
+            let got = wrapped.process(&x, &y).unwrap();
             assert_eq!(got, expected, "n={n}");
         }
     }
@@ -356,8 +325,8 @@ mod tests {
             let mut id_fast = Identity::new();
             let mut id_ref = BitSerial(Identity::new());
             assert_eq!(
-                process_with_kernel(&mut id_fast, &x, &y).unwrap(),
-                process_with_kernel(&mut id_ref, &x, &y).unwrap(),
+                id_fast.process(&x, &y).unwrap(),
+                id_ref.process(&x, &y).unwrap(),
                 "identity n={n}"
             );
 
@@ -365,8 +334,8 @@ mod tests {
                 let mut iso_fast = Isolator::new(k);
                 let mut iso_ref = BitSerial(Isolator::new(k));
                 assert_eq!(
-                    process_with_kernel(&mut iso_fast, &x, &y).unwrap(),
-                    process_with_kernel(&mut iso_ref, &x, &y).unwrap(),
+                    iso_fast.process(&x, &y).unwrap(),
+                    iso_ref.process(&x, &y).unwrap(),
                     "isolator n={n} k={k}"
                 );
             }
@@ -375,8 +344,8 @@ mod tests {
                 let mut deco_fast = Decorrelator::new(d);
                 let mut deco_ref = BitSerial(Decorrelator::new(d));
                 assert_eq!(
-                    process_with_kernel(&mut deco_fast, &x, &y).unwrap(),
-                    process_with_kernel(&mut deco_ref, &x, &y).unwrap(),
+                    deco_fast.process(&x, &y).unwrap(),
+                    deco_ref.process(&x, &y).unwrap(),
                     "decorrelator n={n} d={d}"
                 );
             }
@@ -384,8 +353,8 @@ mod tests {
             let mut desync_fast = Desynchronizer::new(3);
             let mut desync_ref = BitSerial(Desynchronizer::new(3));
             assert_eq!(
-                process_with_kernel(&mut desync_fast, &x, &y).unwrap(),
-                process_with_kernel(&mut desync_ref, &x, &y).unwrap(),
+                desync_fast.process(&x, &y).unwrap(),
+                desync_ref.process(&x, &y).unwrap(),
                 "desynchronizer n={n}"
             );
         }
@@ -393,8 +362,10 @@ mod tests {
 
     #[test]
     fn engine_rejects_length_mismatch() {
-        let mut id = Identity::new();
-        assert!(process_with_kernel(&mut id, &Bitstream::zeros(4), &Bitstream::zeros(5)).is_err());
+        let mut id = BitSerial(Identity::new());
+        assert!(id
+            .process(&Bitstream::zeros(4), &Bitstream::zeros(5))
+            .is_err());
     }
 
     /// A toy 2-state FSM (state toggles on x, output depends on state and y):

@@ -20,16 +20,20 @@
 //! ([`compose::ManipulatorChain`]) and the Table II evaluation harness
 //! ([`analysis`]).
 //!
-//! Execution runs on the **word-parallel engine** ([`kernel`]): every
-//! manipulator processes streams 64 packed bits at a time via
-//! [`StreamKernel::step_word`]. Stateless and shift-register circuits
-//! ([`manipulator::Identity`], [`Isolator`]) have true whole-word fast paths;
-//! the data-dependent FSMs keep their cycle-accurate transition functions but
-//! stage bits through machine registers instead of per-bit stream indexing,
-//! and [`ManipulatorChain`] fuses all its stages into a single pass per word.
+//! Every circuit implements one trait, [`CorrelationManipulator`]: `step`
+//! is one clock of the Mealy FSM, and [`CorrelationManipulator::step_word`]
+//! runs the same FSM for 64 packed cycles per call on the word-parallel
+//! engine ([`kernel`]). Stateless and shift-register circuits
+//! ([`manipulator::Identity`], [`Isolator`]) override `step_word` with
+//! whole-word operations; the synchronizer and desynchronizer resolve a word
+//! by speculative table lookups; the decorrelator steps its shuffle buffers
+//! a word at a time; every other circuit keeps the default, which stages
+//! bits through machine registers instead of per-bit stream indexing.
+//! [`ManipulatorChain`] passes each word through all its stages in one walk.
 //! The original per-bit execution is retained as
-//! [`CorrelationManipulator::process_bit_serial`] and verified bit-identical
-//! by equivalence tests.
+//! [`CorrelationManipulator::process_bit_serial`] (and [`BitSerial`] pins a
+//! circuit to the default `step_word`); equivalence tests check every fast
+//! path against them bit for bit.
 //!
 //! Every stream pair runs solo: the paper's circuits are per-pair FSMs, and
 //! callers that have many pairs run them one after another (or on separate
@@ -76,15 +80,15 @@ pub mod synchronizer;
 pub mod tfm;
 pub mod tracker;
 
-pub use compose::{ChainStage, ManipulatorChain};
+pub use compose::ManipulatorChain;
 pub use decorrelator::Decorrelator;
 pub use desynchronizer::Desynchronizer;
 pub use isolator::Isolator;
 pub use kernel::{
-    bit_serial_step_word, drive_step_word, process_with_kernel, BitSerial, SpeculativeTable,
-    StreamKernel, LANES, MAX_SPECULATIVE_STATES,
+    bit_serial_step_word, drive_step_word, BitSerial, SpeculativeTable, LANES,
+    MAX_SPECULATIVE_STATES,
 };
-pub use manipulator::{CorrelationManipulator, Identity};
+pub use manipulator::{CorrelationManipulator, Identity, DEPTH_RANGE};
 pub use shuffle_buffer::ShuffleBuffer;
 pub use synchronizer::Synchronizer;
 pub use tfm::TrackingForecastMemory;

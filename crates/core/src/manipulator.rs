@@ -1,20 +1,30 @@
 //! The [`CorrelationManipulator`] trait implemented by every correlation
-//! manipulating circuit in this crate.
+//! manipulating circuit in this crate, and [`DEPTH_RANGE`], the size range
+//! every circuit constructor accepts.
 
-use crate::kernel::{bit_serial_step_word, StreamKernel};
+use crate::kernel::{bit_serial_step_word, drive_step_word};
 use sc_bitstream::{Bitstream, Error, Result};
+use std::ops::RangeInclusive;
+
+/// The supported size of every circuit: the save depth of a
+/// [`crate::Synchronizer`] or [`crate::Desynchronizer`], the delay of an
+/// [`crate::Isolator`] and the shuffle-buffer depth of a
+/// [`crate::Decorrelator`]. Their constructors panic outside it, so callers
+/// that take sizes from configuration check them against it first.
+pub const DEPTH_RANGE: RangeInclusive<usize> = 1..=4096;
 
 /// A circuit that transforms a pair of stochastic numbers cycle by cycle,
 /// changing their mutual correlation while (ideally) preserving their values.
 ///
 /// Implementors are Mealy machines: [`CorrelationManipulator::step`] consumes
 /// one bit from each input stream and produces one bit for each output stream.
-/// The default [`CorrelationManipulator::process`] drives the FSM over two
-/// whole streams on the word-parallel engine: input bits are staged through
-/// register-resident `u64` words (64 stream bits per load/store) instead of
-/// per-bit stream indexing. Circuits with genuinely word-level semantics
-/// additionally implement [`StreamKernel`] with a true 64-bits-per-operation
-/// fast path and route `process` through it.
+/// [`CorrelationManipulator::step_word`] runs the same FSM for up to 64
+/// cycles per call on packed words, and the default
+/// [`CorrelationManipulator::process`] drives whole streams through it on the
+/// word-parallel engine ([`drive_step_word`]). A circuit only has to provide
+/// `name`, `step` and `reset`; circuits with a faster word path override
+/// `step_word`, and every entry point (direct `process`, boxed dispatch and
+/// chains) then takes it.
 pub trait CorrelationManipulator: Send {
     /// Short human-readable name (used in experiment tables).
     fn name(&self) -> String;
@@ -25,35 +35,31 @@ pub trait CorrelationManipulator: Send {
     /// Restores the power-on state.
     fn reset(&mut self);
 
+    /// Processes up to 64 stream cycles: bit `i` of the returned pair is the
+    /// output for input bits `(x >> i) & 1` / `(y >> i) & 1`, for
+    /// `i < valid`.
+    ///
+    /// `valid` is the number of meaningful low bits in `x`/`y` (64 except
+    /// possibly for the final word of a stream); bits at positions
+    /// `>= valid` are zero on input and are ignored on output. The default
+    /// stages the bits through [`bit_serial_step_word`], one
+    /// [`CorrelationManipulator::step`] per cycle.
+    fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
+        bit_serial_step_word(self, x, y, valid)
+    }
+
     /// Processes two equal-length streams and returns the manipulated pair.
     ///
     /// The manipulator is *not* reset first, so chained calls continue from
     /// the current state; call [`CorrelationManipulator::reset`] explicitly
-    /// when independent runs are required.
-    ///
-    /// The default drives the engine loop through
-    /// [`CorrelationManipulator::step_word_dyn`], so a circuit that
-    /// overrides that one hook gets its word-level fast path on every entry
-    /// point — direct `process`, boxed dispatch, and fused chains — at once.
+    /// when independent runs are required. The default drives
+    /// [`CorrelationManipulator::step_word`] over the streams' packed words.
     ///
     /// # Errors
     ///
     /// Returns [`Error::LengthMismatch`] if the streams differ in length.
     fn process(&mut self, x: &Bitstream, y: &Bitstream) -> Result<(Bitstream, Bitstream)> {
-        crate::kernel::drive_step_word(x, y, |xw, yw, valid| self.step_word_dyn(xw, yw, valid))
-    }
-
-    /// Word-level stepping through dynamic dispatch: the hook that lets the
-    /// default [`CorrelationManipulator::process`] and a
-    /// `Box<dyn CorrelationManipulator>` reach a concrete circuit's
-    /// [`StreamKernel::step_word`] fast path (object safety prevents the
-    /// blanket box impl from seeing it directly). The default stages the bits
-    /// through [`bit_serial_step_word`]; circuits with a faster word path —
-    /// the speculative-table FSMs, the shift-register and shuffle-buffer
-    /// circuits — override it to delegate to their [`StreamKernel`]
-    /// implementation.
-    fn step_word_dyn(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        bit_serial_step_word(self, x, y, valid)
+        drive_step_word(x, y, |xw, yw, valid| self.step_word(xw, yw, valid))
     }
 
     /// The original one-bit-per-cycle `process` formulation, retained as the
@@ -84,6 +90,8 @@ pub trait CorrelationManipulator: Send {
     }
 }
 
+/// Forwards every method, `process` as one whole-stream call: a boxed
+/// circuit costs one dynamic dispatch per stream, not one per word.
 impl CorrelationManipulator for Box<dyn CorrelationManipulator> {
     fn name(&self) -> String {
         self.as_ref().name()
@@ -101,14 +109,8 @@ impl CorrelationManipulator for Box<dyn CorrelationManipulator> {
         self.as_mut().process(x, y)
     }
 
-    fn step_word_dyn(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        self.as_mut().step_word_dyn(x, y, valid)
-    }
-}
-
-impl StreamKernel for Box<dyn CorrelationManipulator> {
     fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        self.as_mut().step_word_dyn(x, y, valid)
+        self.as_mut().step_word(x, y, valid)
     }
 }
 
@@ -146,12 +148,6 @@ impl CorrelationManipulator for Identity {
         Ok((x.clone(), y.clone()))
     }
 
-    fn step_word_dyn(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        StreamKernel::step_word(self, x, y, valid)
-    }
-}
-
-impl StreamKernel for Identity {
     fn step_word(&mut self, x: u64, y: u64, _valid: u32) -> (u64, u64) {
         (x, y)
     }

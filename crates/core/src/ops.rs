@@ -64,131 +64,6 @@ pub fn desync_saturating_add(x: &Bitstream, y: &Bitstream, depth: u32) -> Result
     dx.try_or(&dy)
 }
 
-/// A reusable synchronizer-based maximum unit holding its FSM state across
-/// calls (hardware-faithful streaming form of [`sync_max`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SyncMax {
-    sync: Synchronizer,
-}
-
-impl SyncMax {
-    /// Creates the unit with the given synchronizer save depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is 0 or greater than 4096.
-    #[must_use]
-    pub fn new(depth: u32) -> Self {
-        SyncMax {
-            sync: Synchronizer::new(depth),
-        }
-    }
-
-    /// Processes one cycle.
-    pub fn step(&mut self, x: bool, y: bool) -> bool {
-        let (sx, sy) = self.sync.step(x, y);
-        sx || sy
-    }
-
-    /// Processes whole streams.
-    ///
-    /// # Errors
-    ///
-    /// Returns a length-mismatch error if the streams differ in length.
-    pub fn process(&mut self, x: &Bitstream, y: &Bitstream) -> Result<Bitstream> {
-        let (sx, sy) = self.sync.process(x, y)?;
-        sx.try_or(&sy)
-    }
-
-    /// Resets the FSM.
-    pub fn reset(&mut self) {
-        self.sync.reset();
-    }
-}
-
-/// A reusable synchronizer-based minimum unit (streaming form of [`sync_min`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SyncMin {
-    sync: Synchronizer,
-}
-
-impl SyncMin {
-    /// Creates the unit with the given synchronizer save depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is 0 or greater than 4096.
-    #[must_use]
-    pub fn new(depth: u32) -> Self {
-        SyncMin {
-            sync: Synchronizer::new(depth),
-        }
-    }
-
-    /// Processes one cycle.
-    pub fn step(&mut self, x: bool, y: bool) -> bool {
-        let (sx, sy) = self.sync.step(x, y);
-        sx && sy
-    }
-
-    /// Processes whole streams.
-    ///
-    /// # Errors
-    ///
-    /// Returns a length-mismatch error if the streams differ in length.
-    pub fn process(&mut self, x: &Bitstream, y: &Bitstream) -> Result<Bitstream> {
-        let (sx, sy) = self.sync.process(x, y)?;
-        sx.try_and(&sy)
-    }
-
-    /// Resets the FSM.
-    pub fn reset(&mut self) {
-        self.sync.reset();
-    }
-}
-
-/// A reusable desynchronizer-based saturating adder (streaming form of
-/// [`desync_saturating_add`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DesyncSaturatingAdder {
-    desync: Desynchronizer,
-}
-
-impl DesyncSaturatingAdder {
-    /// Creates the unit with the given desynchronizer save depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is 0 or greater than 4096.
-    #[must_use]
-    pub fn new(depth: u32) -> Self {
-        DesyncSaturatingAdder {
-            desync: Desynchronizer::new(depth),
-        }
-    }
-
-    /// Processes one cycle.
-    pub fn step(&mut self, x: bool, y: bool) -> bool {
-        let (dx, dy) = self.desync.step(x, y);
-        dx || dy
-    }
-
-    /// Processes whole streams.
-    ///
-    /// # Errors
-    ///
-    /// Returns a length-mismatch error if the streams differ in length.
-    pub fn process(&mut self, x: &Bitstream, y: &Bitstream) -> Result<Bitstream> {
-        let (dx, dy) = self.desync.process(x, y)?;
-        dx.try_or(&dy)
-    }
-
-    /// Resets the FSM.
-    pub fn reset(&mut self) {
-        self.desync.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,40 +156,6 @@ mod tests {
             plain_stats.mean_abs_error()
         );
         assert!(desync_stats.mean_abs_error() < 0.05);
-    }
-
-    #[test]
-    fn streaming_units_match_free_functions() {
-        let (x, y) = paper_input_pair(0.4, 0.8);
-        assert_eq!(
-            SyncMax::new(1).process(&x, &y).unwrap(),
-            sync_max(&x, &y, 1).unwrap()
-        );
-        assert_eq!(
-            SyncMin::new(1).process(&x, &y).unwrap(),
-            sync_min(&x, &y, 1).unwrap()
-        );
-        assert_eq!(
-            DesyncSaturatingAdder::new(1).process(&x, &y).unwrap(),
-            desync_saturating_add(&x, &y, 1).unwrap()
-        );
-    }
-
-    #[test]
-    fn streaming_step_interface_and_reset() {
-        let (x, y) = paper_input_pair(0.5, 0.25);
-        let mut unit = SyncMax::new(2);
-        let streamed: Bitstream = (0..N).map(|i| unit.step(x.bit(i), y.bit(i))).collect();
-        unit.reset();
-        let batch = unit.process(&x, &y).unwrap();
-        assert_eq!(streamed, batch);
-
-        let mut min_unit = SyncMin::new(2);
-        let _ = min_unit.step(true, false);
-        min_unit.reset();
-        let mut add_unit = DesyncSaturatingAdder::new(2);
-        let _ = add_unit.step(true, true);
-        add_unit.reset();
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! on average the bits stranded in the buffer at the end of the stream carry
 //! the same weight as the bits that seeded it (§III.C).
 
+use crate::manipulator::DEPTH_RANGE;
 use sc_bitstream::Bitstream;
 use sc_rng::{RandomSource, SourceExt};
 
@@ -45,12 +46,12 @@ impl<S: RandomSource> ShuffleBuffer<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is 0 or greater than 4096.
+    /// Panics if `depth` is outside [`DEPTH_RANGE`].
     #[must_use]
     pub fn new(depth: usize, source: S) -> Self {
         assert!(
-            (1..=4096).contains(&depth),
-            "shuffle buffer depth {depth} outside supported range 1..=4096"
+            DEPTH_RANGE.contains(&depth),
+            "shuffle buffer depth {depth} outside supported range {DEPTH_RANGE:?}"
         );
         let slots = (0..depth).map(|i| i % 2 == 0).collect();
         ShuffleBuffer { slots, source }

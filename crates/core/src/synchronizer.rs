@@ -16,8 +16,8 @@
 //! three-state FSM of Fig. 3a. An optional *flush* mode force-emits saved bits
 //! when the remaining stream length would otherwise strand them.
 
-use crate::kernel::{bit_serial_step_word, SpeculativeTable, StreamKernel, MAX_SPECULATIVE_STATES};
-use crate::manipulator::CorrelationManipulator;
+use crate::kernel::{bit_serial_step_word, SpeculativeTable, MAX_SPECULATIVE_STATES};
+use crate::manipulator::{CorrelationManipulator, DEPTH_RANGE};
 use sc_bitstream::{Bitstream, Error, Result};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -113,12 +113,12 @@ impl Synchronizer {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is 0 or greater than 4096.
+    /// Panics if `depth` is outside [`DEPTH_RANGE`].
     #[must_use]
     pub fn new(depth: u32) -> Self {
         assert!(
-            (1..=4096).contains(&depth),
-            "synchronizer save depth {depth} outside supported range 1..=4096"
+            DEPTH_RANGE.contains(&(depth as usize)),
+            "synchronizer save depth {depth} outside supported range {DEPTH_RANGE:?}"
         );
         Synchronizer {
             depth: depth as i32,
@@ -134,7 +134,7 @@ impl Synchronizer {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is outside `1..=4096` or `|initial_credit| > depth`.
+    /// Panics if `depth` is outside [`DEPTH_RANGE`] or `|initial_credit| > depth`.
     #[must_use]
     pub fn with_initial_credit(depth: u32, initial_credit: i32) -> Self {
         let mut s = Self::new(depth);
@@ -257,15 +257,8 @@ impl CorrelationManipulator for Synchronizer {
         self.credit = self.initial_credit;
     }
 
-    /// Routes every entry point — `process`, boxed dispatch, fused chains —
-    /// onto the speculative table path.
-    fn step_word_dyn(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        StreamKernel::step_word(self, x, y, valid)
-    }
-}
-
-impl StreamKernel for Synchronizer {
-    /// Speculative multi-bit stepping: the credit FSM has only `2D + 1`
+    /// Speculative multi-bit stepping, taken by every entry point (`process`,
+    /// a boxed circuit, a chain stage): the credit FSM has only `2D + 1`
     /// states, so all 64 output bits are resolved by table-driven state
     /// propagation (thirteen chunk lookups per word) instead of 64
     /// data-dependent branchy transitions — bit-identical to
@@ -491,8 +484,8 @@ mod tests {
         }
     }
 
-    /// Word-level entry points (direct, via the kernel trait, and via dynamic
-    /// dispatch) all take the speculative path and agree with the reference.
+    /// Word-level entry points (direct and via dynamic dispatch) both take
+    /// the speculative path and agree with the reference.
     #[test]
     fn speculative_step_word_entry_points_agree() {
         let (x, y) = (0x5A5A_1234_FFFF_0001u64, 0xA5A5_4321_0000_FFFEu64);
@@ -501,8 +494,8 @@ mod tests {
             let mut reference = direct.clone();
             let mut boxed: Box<dyn CorrelationManipulator> =
                 Box::new(Synchronizer::with_initial_credit(2, 1));
-            let fast = StreamKernel::step_word(&mut direct, x, y, valid);
-            let via_box = StreamKernel::step_word(&mut boxed, x, y, valid);
+            let fast = direct.step_word(x, y, valid);
+            let via_box = boxed.step_word(x, y, valid);
             let slow = bit_serial_step_word(&mut reference, x, y, valid);
             assert_eq!(fast, slow, "valid={valid}");
             assert_eq!(via_box, slow, "boxed valid={valid}");

@@ -15,7 +15,6 @@
 //! slowly; they are included here purely as a published baseline.
 
 use crate::manipulator::CorrelationManipulator;
-use sc_bitstream::Bitstream;
 use sc_rng::{Lfsr, RandomSource};
 
 /// A pair of tracking forecast memories, one per operand.
@@ -73,19 +72,6 @@ impl<S: RandomSource> TrackingForecastMemory<S> {
     pub fn estimates(&self) -> (f64, f64) {
         (self.estimate_x, self.estimate_y)
     }
-
-    /// Processes a whole pair of streams (convenience over the trait method).
-    ///
-    /// # Errors
-    ///
-    /// Returns a length-mismatch error if the streams differ in length.
-    pub fn process_pair(
-        &mut self,
-        x: &Bitstream,
-        y: &Bitstream,
-    ) -> sc_bitstream::Result<(Bitstream, Bitstream)> {
-        self.process(x, y)
-    }
 }
 
 impl<S: RandomSource> CorrelationManipulator for TrackingForecastMemory<S> {
@@ -111,18 +97,11 @@ impl<S: RandomSource> CorrelationManipulator for TrackingForecastMemory<S> {
     }
 }
 
-impl<S: RandomSource> crate::kernel::StreamKernel for TrackingForecastMemory<S> {
-    /// The tracking loop is data-dependent; bits are staged through registers.
-    fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        crate::kernel::bit_serial_step_word(self, x, y, valid)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use sc_bitstream::{scc, Probability};
+    use sc_bitstream::{scc, Bitstream, Probability};
     use sc_convert::DigitalToStochastic;
     use sc_rng::VanDerCorput;
 
@@ -141,7 +120,7 @@ mod tests {
     fn tracker_converges_to_stream_value() {
         let (x, y) = correlated_pair(0.75, 0.25);
         let mut tfm = TrackingForecastMemory::new(3);
-        let _ = tfm.process_pair(&x, &y).unwrap();
+        let _ = tfm.process(&x, &y).unwrap();
         let (ex, ey) = tfm.estimates();
         assert!((ex - 0.75).abs() < 0.15, "ex = {ex}");
         assert!((ey - 0.25).abs() < 0.15, "ey = {ey}");
@@ -152,7 +131,7 @@ mod tests {
         let (x, y) = correlated_pair(0.5, 0.5);
         assert!(scc(&x, &y) > 0.95);
         let mut tfm = TrackingForecastMemory::new(3);
-        let (tx, ty) = tfm.process_pair(&x, &y).unwrap();
+        let (tx, ty) = tfm.process(&x, &y).unwrap();
         let tfm_scc = scc(&tx, &ty).abs();
         let mut deco = crate::Decorrelator::new(4);
         let (dx, dy) = deco.process(&x, &y).unwrap();
@@ -171,7 +150,7 @@ mod tests {
     fn output_value_roughly_tracks_input() {
         let (x, y) = correlated_pair(0.7, 0.3);
         let mut tfm = TrackingForecastMemory::new(2);
-        let (ox, oy) = tfm.process_pair(&x, &y).unwrap();
+        let (ox, oy) = tfm.process(&x, &y).unwrap();
         // TFM bias is visibly larger than the FSM manipulators' (Table II),
         // but the value should still be in the right neighbourhood.
         assert!((ox.value() - 0.7).abs() < 0.2, "got {}", ox.value());
@@ -182,10 +161,10 @@ mod tests {
     fn reset_restores_behaviour() {
         let (x, y) = correlated_pair(0.5, 0.5);
         let mut tfm = TrackingForecastMemory::new(3);
-        let (a, _) = tfm.process_pair(&x, &y).unwrap();
+        let (a, _) = tfm.process(&x, &y).unwrap();
         tfm.reset();
         assert_eq!(tfm.estimates(), (0.5, 0.5));
-        let (b, _) = tfm.process_pair(&x, &y).unwrap();
+        let (b, _) = tfm.process(&x, &y).unwrap();
         assert_eq!(a, b);
         assert!((tfm.beta() - 0.125).abs() < 1e-12);
         assert!(tfm.name().contains("tfm"));
@@ -203,7 +182,7 @@ mod tests {
         fn prop_outputs_stay_in_value_neighbourhood(kx in 8u64..=56, ky in 8u64..=56) {
             let (x, y) = correlated_pair(kx as f64 / 64.0, ky as f64 / 64.0);
             let mut tfm = TrackingForecastMemory::new(3);
-            let (ox, oy) = tfm.process_pair(&x, &y).unwrap();
+            let (ox, oy) = tfm.process(&x, &y).unwrap();
             prop_assert!((ox.value() - x.value()).abs() < 0.25);
             prop_assert!((oy.value() - y.value()).abs() < 0.25);
         }

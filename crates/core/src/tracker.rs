@@ -201,14 +201,6 @@ impl<M: crate::CorrelationManipulator> crate::CorrelationManipulator for Adaptiv
     }
 }
 
-impl<M: crate::CorrelationManipulator> crate::kernel::StreamKernel for AdaptiveManipulator<M> {
-    /// The engage decision depends on the running SCC, so bits are staged
-    /// through registers rather than processed as whole words.
-    fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        crate::kernel::bit_serial_step_word(self, x, y, valid)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -402,7 +402,9 @@ impl Graph {
     /// Returns [`GraphError::EmptyGraph`], [`GraphError::Cycle`],
     /// [`GraphError::BadArity`] (a `WeightedMux` whose weight count drifted
     /// from its input count via [`Graph::rewire`] misuse cannot occur, but
-    /// the check is kept for defence), or [`GraphError::DuplicateSink`].
+    /// the check is kept for defence), [`GraphError::DuplicateSink`], or
+    /// [`GraphError::ManipulatorOutOfRange`] for a `Manipulate` node, or an
+    /// auto-repair depth in `options`, outside [`sc_core::DEPTH_RANGE`].
     pub fn compile(&self, options: &PlannerOptions) -> Result<CompiledGraph, GraphError> {
         self.compile_with_telemetry(options, &TelemetrySink::default())
     }

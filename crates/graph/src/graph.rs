@@ -55,6 +55,13 @@ pub enum GraphError {
         /// Number of streams the batch item provided.
         provided: usize,
     },
+    /// A manipulator's depth or delay is outside [`sc_core::DEPTH_RANGE`]:
+    /// a `Manipulate` node's, or an auto-repair depth of the
+    /// [`crate::PlannerOptions`].
+    ManipulatorOutOfRange {
+        /// The offending manipulator.
+        kind: ManipulatorKind,
+    },
     /// A node received input streams of different lengths.
     Stream(
         /// The underlying bitstream error.
@@ -84,6 +91,11 @@ impl fmt::Display for GraphError {
             GraphError::StreamSlotOutOfRange { slot, provided } => write!(
                 f,
                 "input node reads stream slot {slot} but the batch item has {provided} streams"
+            ),
+            GraphError::ManipulatorOutOfRange { kind } => write!(
+                f,
+                "{kind}: depth or delay outside supported range {:?}",
+                sc_core::DEPTH_RANGE
             ),
             GraphError::Stream(e) => write!(f, "stream error during execution: {e}"),
         }

@@ -3,6 +3,7 @@
 
 use sc_core::{
     CorrelationManipulator, Decorrelator, Desynchronizer, Identity, Isolator, Synchronizer,
+    DEPTH_RANGE,
 };
 use sc_rng::SourceSpec;
 use std::fmt;
@@ -65,7 +66,7 @@ impl fmt::Display for Wire {
 pub enum ManipulatorKind {
     /// Pass-through (no manipulation).
     Identity,
-    /// `delay` isolator flip-flops on the Y stream (Ting & Hayes baseline).
+    /// `delay` isolator flip-flops on the X stream (Ting & Hayes baseline).
     Isolator {
         /// Number of flip-flop stages.
         delay: usize,
@@ -98,6 +99,22 @@ impl ManipulatorKind {
             ManipulatorKind::Desynchronizer { depth } => Box::new(Desynchronizer::new(depth)),
             ManipulatorKind::Decorrelator { depth } => Box::new(Decorrelator::new(depth)),
         }
+    }
+
+    /// Whether the depth or delay lies in [`DEPTH_RANGE`], the range
+    /// [`ManipulatorKind::build`] accepts. [`crate::Graph::compile`] rejects
+    /// kinds outside it, so a compiled plan never panics building one.
+    #[must_use]
+    pub fn in_range(&self) -> bool {
+        let size = match *self {
+            ManipulatorKind::Identity => return true,
+            ManipulatorKind::Isolator { delay: size }
+            | ManipulatorKind::Decorrelator { depth: size } => size,
+            ManipulatorKind::Synchronizer { depth } | ManipulatorKind::Desynchronizer { depth } => {
+                depth as usize
+            }
+        };
+        DEPTH_RANGE.contains(&size)
     }
 
     /// The SCC class this circuit establishes between its two outputs, or

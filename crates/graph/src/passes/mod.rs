@@ -5,7 +5,7 @@
 //! its delta into the plan's [`CompileReport`]:
 //!
 //! 1. **validate** ([`Stage::CompileValidate`]) — arity, sink-uniqueness,
-//!    and cycle checks.
+//!    manipulator-range, and cycle checks.
 //! 2. **scc-infer** ([`Stage::CompilePlan`]) — derives every tracked
 //!    operator's input-pair SCC class from structure alone.
 //! 3. **repair** ([`Stage::CompileRepair`]) — where an inferred class misses
@@ -39,7 +39,7 @@ pub(crate) fn run_pipeline(
     let mut report = CompileReport::default();
     {
         let _span = telemetry.span(Stage::CompileValidate);
-        validate::validate(&graph.nodes, &mut report)?;
+        validate::validate(&graph.nodes, options, &mut report)?;
     }
     let classes = {
         let _span = telemetry.span(Stage::CompilePlan);

@@ -15,6 +15,12 @@ pub enum ImageError {
     },
     /// A zero-sized image was requested.
     EmptyImage,
+    /// The configured synchronizer save depth is outside
+    /// [`sc_core::DEPTH_RANGE`].
+    DepthOutOfRange {
+        /// The configured depth.
+        depth: u32,
+    },
 }
 
 impl fmt::Display for ImageError {
@@ -26,6 +32,11 @@ impl fmt::Display for ImageError {
                 left.0, left.1, right.0, right.1
             ),
             ImageError::EmptyImage => write!(f, "image dimensions must be non-zero"),
+            ImageError::DepthOutOfRange { depth } => write!(
+                f,
+                "synchronizer save depth {depth} outside supported range {:?}",
+                sc_core::DEPTH_RANGE
+            ),
         }
     }
 }

@@ -178,10 +178,17 @@ impl PipelineConfig {
     /// # Errors
     ///
     /// [`ImageError::EmptyImage`] for degenerate configurations (zero tile
-    /// size, stream length, or source-bank size).
+    /// size, stream length, or source-bank size), and
+    /// [`ImageError::DepthOutOfRange`] for a synchronizer depth outside
+    /// [`sc_core::DEPTH_RANGE`].
     pub(crate) fn checked_threads(&self) -> Result<usize, ImageError> {
         if self.tile_size == 0 || self.stream_length == 0 || self.rng_bank_size == 0 {
             return Err(ImageError::EmptyImage);
+        }
+        if !sc_core::DEPTH_RANGE.contains(&(self.synchronizer_depth as usize)) {
+            return Err(ImageError::DepthOutOfRange {
+                depth: self.synchronizer_depth,
+            });
         }
         Ok(self.threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -230,7 +237,8 @@ pub struct PipelineStats {
 /// # Errors
 ///
 /// Returns an [`ImageError`] only for degenerate configurations (zero-sized
-/// tiles or streams are rejected as [`ImageError::EmptyImage`]).
+/// tiles or streams are rejected as [`ImageError::EmptyImage`], an
+/// unsupported synchronizer depth as [`ImageError::DepthOutOfRange`]).
 pub fn run_sc_pipeline(
     image: &GrayImage,
     variant: PipelineVariant,
@@ -280,7 +288,8 @@ pub fn run_sc_pipeline_with_threads(
 /// # Errors
 ///
 /// Returns an [`ImageError`] only for degenerate configurations (zero-sized
-/// tiles or streams are rejected as [`ImageError::EmptyImage`]).
+/// tiles or streams are rejected as [`ImageError::EmptyImage`], an
+/// unsupported synchronizer depth as [`ImageError::DepthOutOfRange`]).
 pub fn run_sc_pipeline_with_stats(
     image: &GrayImage,
     variant: PipelineVariant,

@@ -62,7 +62,8 @@ impl ImageServerBuilder {
     /// # Errors
     ///
     /// Returns [`ImageError::EmptyImage`] for degenerate configurations
-    /// (zero-sized tiles or streams), mirroring the one-shot pipeline.
+    /// (zero-sized tiles or streams) and [`ImageError::DepthOutOfRange`] for
+    /// an unsupported synchronizer depth, mirroring the one-shot pipeline.
     pub fn start(self) -> Result<ImageServer, ImageError> {
         let service_config = ServiceConfig::new(self.config.stream_length)
             .with_threads(self.config.checked_threads()?)
@@ -211,7 +212,7 @@ impl ImageServer {
     ///
     /// # Errors
     ///
-    /// Returns [`ImageError::EmptyImage`] for degenerate configurations.
+    /// As [`ImageServerBuilder::start`].
     pub fn start(
         variant: PipelineVariant,
         config: PipelineConfig,

@@ -266,3 +266,49 @@ proptest! {
         );
     }
 }
+
+/// A manipulator size outside `sc_core::DEPTH_RANGE` is a compile error, not
+/// a panic once the plan executes: both a `Manipulate` node's own depth or
+/// delay and, with auto-repair on, the depth repair would insert.
+#[test]
+fn out_of_range_manipulators_fail_compile_instead_of_execution() {
+    let compile_and_run = |kind: Option<ManipulatorKind>, op: BinaryOp, options: PlannerOptions| {
+        let mut g = Graph::new();
+        let mut x = g.generate(0, SourceSpec::Sobol { dimension: 1 });
+        let mut y = g.generate(1, SourceSpec::Sobol { dimension: 2 });
+        if let Some(kind) = kind {
+            (x, y) = g.manipulate(kind, x, y);
+        }
+        let z = g.binary(op, x, y);
+        g.sink_value("z", z);
+        g.compile(&options).and_then(|plan| {
+            Executor::new(64).run(&plan, &BatchInput::with_values(vec![0.5, 0.25]))
+        })
+    };
+    for kind in [
+        ManipulatorKind::Synchronizer { depth: 0 },
+        ManipulatorKind::Desynchronizer { depth: 4097 },
+        ManipulatorKind::Isolator { delay: 0 },
+        ManipulatorKind::Decorrelator { depth: 4097 },
+    ] {
+        let err = compile_and_run(Some(kind), BinaryOp::CaAdd, PlannerOptions::default())
+            .expect_err("out-of-range node must not compile");
+        assert!(
+            err.to_string().contains("outside supported range"),
+            "{kind}: {err}"
+        );
+    }
+    let options = PlannerOptions {
+        synchronizer_depth: 0,
+        ..PlannerOptions::default()
+    };
+    let err = compile_and_run(None, BinaryOp::OrMax, options.clone())
+        .expect_err("out-of-range repair depth must not compile");
+    assert!(err.to_string().contains("outside supported range"), "{err}");
+    // Without auto-repair the depth is never built, so the graph compiles.
+    let options = PlannerOptions {
+        auto_repair: false,
+        ..options
+    };
+    assert!(compile_and_run(None, BinaryOp::OrMax, options).is_ok());
+}

@@ -137,3 +137,18 @@ fn sc_pipeline_tracks_reference_on_flat_images() {
         );
     }
 }
+
+#[test]
+fn out_of_range_synchronizer_depth_is_an_error_not_a_panic() {
+    for depth in [0, 4097] {
+        let config = PipelineConfig {
+            synchronizer_depth: depth,
+            ..quick_config()
+        };
+        let err = run_sc_pipeline(&scene(), PipelineVariant::Synchronizer, &config)
+            .expect_err("unsupported depth must be rejected");
+        assert!(err.to_string().contains("outside supported range"), "{err}");
+        let server = sc_image::ImageServer::start(PipelineVariant::Synchronizer, config);
+        assert!(server.is_err(), "server must refuse depth {depth}");
+    }
+}

@@ -13,8 +13,8 @@ use sc_repro::{sc_arith, sc_bitstream, sc_core, sc_image, sc_rng};
 
 use sc_bitstream::{reference as bs_ref, Bitstream};
 use sc_core::{
-    process_with_kernel, BitSerial, CorrelationManipulator, Decorrelator, Desynchronizer, Isolator,
-    ManipulatorChain, StreamKernel, Synchronizer, TrackingForecastMemory,
+    BitSerial, CorrelationManipulator, Decorrelator, Desynchronizer, Isolator, ManipulatorChain,
+    Synchronizer, TrackingForecastMemory,
 };
 use sc_rng::{Halton, Lfsr, RandomSource, Sobol, VanDerCorput};
 
@@ -108,11 +108,13 @@ fn counter_operators_match_bit_serial_reference() {
 }
 
 /// Asserts that `make()`-built manipulators produce bit-identical results via
-/// the word-parallel `process`, the retained `process_bit_serial`, and the
-/// generic kernel engine driving a `BitSerial` wrapper.
+/// the word-parallel `process`, the retained `process_bit_serial`, the
+/// engine driving a `BitSerial` wrapper, and the circuit boxed as a
+/// `Box<dyn CorrelationManipulator>` — both its whole-stream `process` and
+/// its `step_word` driven word by word.
 fn assert_manipulator_equivalence<M, F>(label: &str, make: F)
 where
-    M: CorrelationManipulator + StreamKernel,
+    M: CorrelationManipulator + 'static,
     F: Fn() -> M,
 {
     for (salt, &n) in LENGTHS.iter().enumerate() {
@@ -121,10 +123,31 @@ where
         let serial = make().process_bit_serial(&x, &y).unwrap();
         assert_eq!(word, serial, "{label}: process vs bit-serial, n={n}");
         let mut wrapped = BitSerial(make());
-        let via_kernel = process_with_kernel(&mut wrapped, &x, &y).unwrap();
+        let via_kernel = wrapped.process(&x, &y).unwrap();
         assert_eq!(
             word, via_kernel,
             "{label}: kernel engine vs bit-serial, n={n}"
+        );
+        let mut boxed: Box<dyn CorrelationManipulator> = Box::new(make());
+        assert_eq!(
+            boxed.process(&x, &y).unwrap(),
+            serial,
+            "{label}: boxed process vs bit-serial, n={n}"
+        );
+        let mut boxed: Box<dyn CorrelationManipulator> = Box::new(make());
+        let (mut out_x, mut out_y) = (Vec::new(), Vec::new());
+        for (w, (xw, yw)) in x.zip_words(&y).enumerate() {
+            let (ox, oy) = boxed.step_word(xw, yw, (n - w * 64).min(64) as u32);
+            out_x.push(ox);
+            out_y.push(oy);
+        }
+        assert_eq!(
+            (
+                Bitstream::from_words(out_x, n),
+                Bitstream::from_words(out_y, n)
+            ),
+            serial,
+            "{label}: boxed step_word vs bit-serial, n={n}"
         );
     }
 }
@@ -177,12 +200,12 @@ fn speculative_fsm_word_stepping_matches_bit_serial_fallback() {
             for (w, (xw, yw)) in x.zip_words(&y).enumerate() {
                 let valid = (n - w * 64).min(64) as u32;
                 assert_eq!(
-                    StreamKernel::step_word(&mut sync_fast, xw, yw, valid),
+                    sync_fast.step_word(xw, yw, valid),
                     bit_serial_step_word(&mut sync_slow, xw, yw, valid),
                     "synchronizer d={depth} n={n} word={w}"
                 );
                 assert_eq!(
-                    StreamKernel::step_word(&mut desync_fast, xw, yw, valid),
+                    desync_fast.step_word(xw, yw, valid),
                     bit_serial_step_word(&mut desync_slow, xw, yw, valid),
                     "desynchronizer d={depth} n={n} word={w}"
                 );
