@@ -14,8 +14,7 @@
 
 use crate::kernel::{bit_serial_step_word, SpeculativeTable, MAX_SPECULATIVE_STATES};
 use crate::manipulator::{CorrelationManipulator, DEPTH_RANGE};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Number of `(saved_x, saved_y)` pairs with `saved_x + saved_y ≤ D`: the
 /// FSM never banks more than `D` bits in total, so its bank states form a
@@ -55,23 +54,28 @@ fn state_decode(depth: u32, state: usize) -> (u32, u32, bool) {
     (rest as u32, sy as u32, bank_x_next)
 }
 
+/// Deepest save depth with a speculative table: its `(D+1)(D+2)` encoded
+/// states must fit [`MAX_SPECULATIVE_STATES`].
+const TABLE_DEPTHS: usize = {
+    let mut depth = 0;
+    while (depth + 2) * (depth + 3) <= MAX_SPECULATIVE_STATES {
+        depth += 1;
+    }
+    depth
+};
+
 /// Returns the shared speculative-stepping table for save depth `depth`, or
 /// `None` when the `(D+1)(D+2)` encoded states exceed
 /// [`MAX_SPECULATIVE_STATES`] (deep FSMs keep the bit-serial path). Built
 /// once per depth, process-wide, from the desynchronizer's own
-/// [`CorrelationManipulator::step`].
-fn speculative_table(depth: u32) -> Option<Arc<SpeculativeTable>> {
-    let states = 2 * triangle(depth);
-    if states > MAX_SPECULATIVE_STATES {
-        return None;
-    }
-    static TABLES: OnceLock<Mutex<HashMap<u32, Arc<SpeculativeTable>>>> = OnceLock::new();
-    let mut cache = TABLES
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("desynchronizer table cache poisoned");
-    Some(Arc::clone(cache.entry(depth).or_insert_with(|| {
-        Arc::new(SpeculativeTable::build(states, |state, x, y| {
+/// [`CorrelationManipulator::step`], into one `OnceLock` slot per depth: a
+/// lookup after the first is one load, with no lock and no reference count.
+fn speculative_table(depth: u32) -> Option<&'static SpeculativeTable> {
+    static TABLES: [OnceLock<SpeculativeTable>; TABLE_DEPTHS] =
+        [const { OnceLock::new() }; TABLE_DEPTHS];
+    let slot = TABLES.get((depth as usize).checked_sub(1)?)?;
+    Some(slot.get_or_init(|| {
+        SpeculativeTable::build(2 * triangle(depth), |state, x, y| {
             let (saved_x, saved_y, bank_x_next) = state_decode(depth, state);
             let mut scratch = Desynchronizer {
                 depth,
@@ -86,8 +90,8 @@ fn speculative_table(depth: u32) -> Option<Arc<SpeculativeTable>> {
                 ox,
                 oy,
             )
-        }))
-    })))
+        })
+    }))
 }
 
 /// FSM desynchronizer with configurable save depth.
@@ -121,7 +125,7 @@ pub struct Desynchronizer {
     bank_x_next: bool,
     /// Shared speculative word-stepping table (`None` for very deep FSMs);
     /// pure acceleration state, excluded from equality and hashing.
-    table: Option<Arc<SpeculativeTable>>,
+    table: Option<&'static SpeculativeTable>,
 }
 
 impl std::fmt::Debug for Desynchronizer {
@@ -248,7 +252,7 @@ impl CorrelationManipulator for Desynchronizer {
     /// [`bit_serial_step_word`], which remains the in-tree reference (and the
     /// fallback for depths whose state space exceeds the table bound).
     fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        let stepped = self.table.as_ref().map(|table| {
+        let stepped = self.table.map(|table| {
             let mut state = state_index(self.depth, self.saved_x, self.saved_y, self.bank_x_next);
             let out = table.step_word(&mut state, x, y, valid);
             (out, state)

@@ -14,11 +14,12 @@
 //! * [`BitSerial`] pins any circuit to that default, the baseline the fast
 //!   paths are checked and measured against.
 //!
-//! [`drive_step_word`] is the one engine loop: it walks the packed words of
-//! both input streams, feeds them through a word step, and assembles the
-//! outputs word by word. The default [`CorrelationManipulator::process`] is
-//! built on it, and [`crate::ManipulatorChain`] passes each word through all
-//! of its stages in one walk.
+//! [`drive_words`] is the one engine loop: it walks the packed words of
+//! both input streams, feeds them through a word step, and writes the
+//! outputs word by word into caller-owned buffers. [`drive_step_word`] runs
+//! it over [`Bitstream`]s, the default [`CorrelationManipulator::process`]
+//! is built on that, and [`crate::ManipulatorChain`] passes each word
+//! through all of its stages in one walk.
 //!
 //! For the data-dependent FSMs whose state space is *small* — the
 //! synchronizer's signed credit (`2D + 1` states) and the desynchronizer's
@@ -85,7 +86,7 @@ impl<M: CorrelationManipulator> CorrelationManipulator for BitSerial<M> {
 }
 
 /// Drives a word-level step closure over two equal-length streams: the
-/// engine loop behind the default [`CorrelationManipulator::process`].
+/// default [`CorrelationManipulator::process`], on [`drive_words`].
 ///
 /// # Errors
 ///
@@ -93,7 +94,7 @@ impl<M: CorrelationManipulator> CorrelationManipulator for BitSerial<M> {
 pub fn drive_step_word<F: FnMut(u64, u64, u32) -> (u64, u64)>(
     x: &Bitstream,
     y: &Bitstream,
-    mut step: F,
+    step: F,
 ) -> Result<(Bitstream, Bitstream)> {
     if x.len() != y.len() {
         return Err(Error::LengthMismatch {
@@ -102,18 +103,43 @@ pub fn drive_step_word<F: FnMut(u64, u64, u32) -> (u64, u64)>(
         });
     }
     let n = x.len();
-    let mut out_x = Vec::with_capacity(x.as_words().len());
-    let mut out_y = Vec::with_capacity(x.as_words().len());
-    for (w, (xw, yw)) in x.zip_words(y).enumerate() {
-        let valid = (n - w * WORD_BITS).min(WORD_BITS) as u32;
-        let (ox, oy) = step(xw, yw, valid);
-        out_x.push(ox);
-        out_y.push(oy);
-    }
+    let mut out_x = vec![0; x.as_words().len()];
+    let mut out_y = vec![0; x.as_words().len()];
+    drive_words(x.as_words(), y.as_words(), n, &mut out_x, &mut out_y, step);
     Ok((
         Bitstream::from_words(out_x, n),
         Bitstream::from_words(out_y, n),
     ))
+}
+
+/// The one engine loop, on caller-owned words: feeds the packed words of two
+/// `len`-bit streams through a word step and writes the outputs to `out_x`
+/// / `out_y`, whose bits past `len` it leaves zero. Executors that keep
+/// their streams in their own word buffers call it directly.
+///
+/// # Panics
+///
+/// Panics if any slice holds fewer than `len.div_ceil(64)` words.
+pub fn drive_words<F: FnMut(u64, u64, u32) -> (u64, u64)>(
+    x: &[u64],
+    y: &[u64],
+    len: usize,
+    out_x: &mut [u64],
+    out_y: &mut [u64],
+    mut step: F,
+) {
+    let words = len.div_ceil(WORD_BITS);
+    let ins = x[..words].iter().zip(&y[..words]);
+    let outs = out_x[..words].iter_mut().zip(&mut out_y[..words]);
+    for (w, ((&xw, &yw), (ox, oy))) in ins.zip(outs).enumerate() {
+        let valid = (len - w * WORD_BITS).min(WORD_BITS) as u32;
+        (*ox, *oy) = step(xw, yw, valid);
+    }
+    if !len.is_multiple_of(WORD_BITS) {
+        let mask = u64::MAX >> (WORD_BITS - len % WORD_BITS);
+        out_x[words - 1] &= mask;
+        out_y[words - 1] &= mask;
+    }
 }
 
 /// Largest FSM state count for which speculative transition tables are built.
@@ -129,8 +155,8 @@ pub const MAX_SPECULATIVE_STATES: usize = 64;
 ///
 /// A table is built from the FSM's own single-cycle transition function (so
 /// the speculative path is bit-identical to bit-serial stepping *by
-/// construction*) and is immutable afterwards: one `Arc<SpeculativeTable>`
-/// per FSM configuration is shared by every instance on every thread.
+/// construction*) and is immutable afterwards: one table per FSM
+/// configuration is shared by every instance on every thread.
 ///
 /// Three granularities are stored: a 1-cycle table (`states × 4` symbols)
 /// for trailing cycles of a partial word, a 4-cycle table (`states × 256`

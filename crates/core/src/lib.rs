@@ -85,7 +85,7 @@ pub use decorrelator::Decorrelator;
 pub use desynchronizer::Desynchronizer;
 pub use isolator::Isolator;
 pub use kernel::{
-    bit_serial_step_word, drive_step_word, BitSerial, SpeculativeTable, LANES,
+    bit_serial_step_word, drive_step_word, drive_words, BitSerial, SpeculativeTable, LANES,
     MAX_SPECULATIVE_STATES,
 };
 pub use manipulator::{CorrelationManipulator, Identity, DEPTH_RANGE};

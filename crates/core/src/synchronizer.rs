@@ -19,26 +19,24 @@
 use crate::kernel::{bit_serial_step_word, SpeculativeTable, MAX_SPECULATIVE_STATES};
 use crate::manipulator::{CorrelationManipulator, DEPTH_RANGE};
 use sc_bitstream::{Bitstream, Error, Result};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
+
+/// Deepest save depth with a speculative table: its `2·D + 1` credit states
+/// must fit [`MAX_SPECULATIVE_STATES`].
+const TABLE_DEPTHS: usize = (MAX_SPECULATIVE_STATES - 1) / 2;
 
 /// Returns the shared speculative-stepping table for save depth `depth`, or
 /// `None` when the `2·D + 1` credit states exceed
 /// [`MAX_SPECULATIVE_STATES`] (very deep FSMs keep the bit-serial path).
 /// Tables are built once per depth, process-wide, from the synchronizer's own
-/// [`CorrelationManipulator::step`], and shared across instances and threads.
-fn speculative_table(depth: u32) -> Option<Arc<SpeculativeTable>> {
-    let states = 2 * depth as usize + 1;
-    if states > MAX_SPECULATIVE_STATES {
-        return None;
-    }
-    static TABLES: OnceLock<Mutex<HashMap<u32, Arc<SpeculativeTable>>>> = OnceLock::new();
-    let mut cache = TABLES
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("synchronizer table cache poisoned");
-    Some(Arc::clone(cache.entry(depth).or_insert_with(|| {
-        Arc::new(SpeculativeTable::build(states, |state, x, y| {
+/// [`CorrelationManipulator::step`], into one `OnceLock` slot per depth: a
+/// lookup after the first is one load, with no lock and no reference count.
+fn speculative_table(depth: u32) -> Option<&'static SpeculativeTable> {
+    static TABLES: [OnceLock<SpeculativeTable>; TABLE_DEPTHS] =
+        [const { OnceLock::new() }; TABLE_DEPTHS];
+    let slot = TABLES.get((depth as usize).checked_sub(1)?)?;
+    Some(slot.get_or_init(|| {
+        SpeculativeTable::build(2 * depth as usize + 1, |state, x, y| {
             let mut scratch = Synchronizer {
                 depth: depth as i32,
                 credit: state as i32 - depth as i32,
@@ -47,8 +45,8 @@ fn speculative_table(depth: u32) -> Option<Arc<SpeculativeTable>> {
             };
             let (ox, oy) = scratch.step(x, y);
             ((scratch.credit + depth as i32) as usize, ox, oy)
-        }))
-    })))
+        })
+    }))
 }
 
 /// FSM synchronizer with configurable save depth.
@@ -80,7 +78,7 @@ pub struct Synchronizer {
     initial_credit: i32,
     /// Shared speculative word-stepping table (`None` for very deep FSMs);
     /// pure acceleration state, excluded from equality and hashing.
-    table: Option<Arc<SpeculativeTable>>,
+    table: Option<&'static SpeculativeTable>,
 }
 
 impl std::fmt::Debug for Synchronizer {
@@ -265,7 +263,7 @@ impl CorrelationManipulator for Synchronizer {
     /// [`bit_serial_step_word`], which remains the in-tree reference (and the
     /// fallback for depths whose state space exceeds the table bound).
     fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        let stepped = self.table.as_ref().map(|table| {
+        let stepped = self.table.map(|table| {
             let mut state = (self.credit + self.depth) as usize;
             let out = table.step_word(&mut state, x, y, valid);
             (out, state as i32 - self.depth)

@@ -26,6 +26,7 @@
 use crate::exec::SinkNames;
 use crate::graph::{Graph, GraphError};
 use crate::node::{BinaryOp, ManipulatorKind, NodeOp, UnaryFsmOp};
+use crate::planes::PlanCache;
 use sc_rng::SourceSpec;
 use sc_telemetry::TelemetrySink;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -304,6 +305,9 @@ pub struct CompiledGraph {
     /// The sinks' names in emit order with a by-name index, shared with
     /// every execution's [`ExecOutput`](crate::ExecOutput).
     pub(crate) sinks: Arc<SinkNames>,
+    /// The source-drawing steps' plane handles, resolved once per stream
+    /// length on the first job at it and shared by clones.
+    pub(crate) planes: Arc<PlanCache>,
 }
 
 impl CompiledGraph {
@@ -325,6 +329,7 @@ impl CompiledGraph {
             report,
             ops,
             class: next_plan_class(),
+            planes: Arc::default(),
         }
     }
 

@@ -4,11 +4,10 @@
 
 use crate::compile::{CompiledGraph, Step};
 use crate::graph::GraphError;
-use crate::planes::{self, PlaneStore};
-use sc_arith::add::mux_add;
-use sc_bitstream::{scc, Bitstream, Probability};
-use sc_convert::{AccumulativeParallelCounter, StochasticToDigital};
-use sc_core::{CorrelationManipulator, LANES};
+use crate::planes::{self, JobPlanes, PlaneStore};
+use sc_bitstream::{scc, Bitstream, Probability, WORD_BITS};
+use sc_convert::AccumulativeParallelCounter;
+use sc_core::LANES;
 use sc_rng::SourceSpec;
 use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
 use std::collections::VecDeque;
@@ -395,10 +394,12 @@ pub struct StreamStats {
 
 /// Executes compiled plans over streams of input sets.
 ///
-/// Every job is independent: each execution builds fresh FSM instances and
-/// reads its source samples from memoized planes that hold exactly what the
-/// plan's specs would draw, so results are deterministic and identical
-/// whether the jobs run on one thread or many. Parallel dispatch
+/// Every job is independent: each execution runs fresh FSM instances over
+/// its own word arena and reads its source samples from memoized planes
+/// that hold exactly what the plan's specs would draw (through the plan's
+/// handles, resolved on its first job at each stream length), so results
+/// are deterministic and identical whether the jobs run on one thread or
+/// many. Parallel dispatch
 /// runs on a lazily-spawned persistent [`WorkerPool`] (no external
 /// dependencies) that lives as long as the executor, so back-to-back calls
 /// reuse warm threads. [`Executor::run`] executes one job in place;
@@ -495,201 +496,341 @@ impl Executor {
     }
 }
 
-/// Per-job execution state threaded through [`execute_step`]: the dense
-/// stream-slot environment, the plane store the source-drawing steps read,
-/// and the sink results accumulated so far.
-struct ExecEnv<'p> {
-    slots: Vec<Option<Bitstream>>,
-    planes: &'p PlaneStore,
-    out: ExecOutput,
+/// One job's stream slots in one word arena: `slot_count` rows of `stride`
+/// words, and the length of the stream each row holds. A row's words past
+/// its stream's last are unused, and the bits past its length in that last
+/// word are zero. Emit gives every wire its slot when its producer is
+/// emitted, so a step's operands always sit in rows below its destinations:
+/// a step reads the rows below its first destination and writes its own.
+struct Arena {
+    words: Vec<u64>,
+    lens: Vec<usize>,
+    stride: usize,
 }
 
-impl<'p> ExecEnv<'p> {
-    fn new(plan: &CompiledGraph, planes: &'p PlaneStore) -> Self {
-        ExecEnv {
-            slots: vec![None; plan.slot_count],
-            planes,
-            out: ExecOutput::for_plan(plan),
+/// Read access to an arena's rows.
+#[derive(Clone, Copy)]
+struct Slots<'a> {
+    words: &'a [u64],
+    lens: &'a [usize],
+    stride: usize,
+}
+
+impl<'a> Slots<'a> {
+    fn len(self, slot: usize) -> usize {
+        self.lens[slot]
+    }
+
+    /// The packed words of the stream in `slot`.
+    fn words(self, slot: usize) -> &'a [u64] {
+        let start = slot * self.stride;
+        &self.words[start..start + self.lens[slot].div_ceil(WORD_BITS)]
+    }
+
+    /// The number of 1s of the stream in `slot`.
+    fn count_ones(self, slot: usize) -> u64 {
+        self.words(slot)
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum()
+    }
+
+    /// An owned copy of the stream in `slot`, for the kernels that take
+    /// [`Bitstream`]s.
+    fn stream(self, slot: usize) -> Bitstream {
+        Bitstream::from_words(self.words(slot).to_vec(), self.len(slot))
+    }
+
+    /// The common length of the streams in `x` and `y`; otherwise the
+    /// mismatch error a kernel taking `(x, y)` reports.
+    fn common_len(self, x: usize, y: usize) -> Result<usize, GraphError> {
+        match (self.len(x), self.len(y)) {
+            (left, right) if left == right => Ok(left),
+            (left, right) => Err(mismatch(left, right)),
         }
     }
 }
 
-/// Borrow, never clone: operand reads finish before the destination
-/// slot is written, so the streams stay in place across the plan.
-fn slot(slots: &[Option<Bitstream>], idx: usize) -> &Bitstream {
-    slots[idx]
-        .as_ref()
-        .expect("topological order guarantees producers run first")
+impl Arena {
+    fn new(slots: usize, stride: usize) -> Self {
+        Arena {
+            words: vec![0; slots * stride],
+            lens: vec![0; slots],
+            stride,
+        }
+    }
+
+    fn slots(&self) -> Slots<'_> {
+        Slots {
+            words: &self.words,
+            lens: &self.lens,
+            stride: self.stride,
+        }
+    }
+
+    /// Makes row `dst` hold a `len`-bit stream: the rows below it to read,
+    /// and the stream's words to write.
+    fn row(&mut self, dst: usize, len: usize) -> (Slots<'_>, &mut [u64]) {
+        self.lens[dst] = len;
+        let (below, rows) = self.words.split_at_mut(dst * self.stride);
+        let slots = Slots {
+            words: below,
+            lens: &self.lens,
+            stride: self.stride,
+        };
+        (slots, &mut rows[..len.div_ceil(WORD_BITS)])
+    }
+
+    /// [`Arena::row`] for a pair of destinations, `dst_x` below `dst_y`.
+    fn rows(
+        &mut self,
+        dst_x: usize,
+        dst_y: usize,
+        len: usize,
+    ) -> (Slots<'_>, &mut [u64], &mut [u64]) {
+        let words = len.div_ceil(WORD_BITS);
+        let gap = (dst_y - dst_x) * self.stride;
+        self.lens[dst_x] = len;
+        self.lens[dst_y] = len;
+        let (below, rows) = self.words.split_at_mut(dst_x * self.stride);
+        let (row_x, row_y) = rows.split_at_mut(gap);
+        let slots = Slots {
+            words: below,
+            lens: &self.lens,
+            stride: self.stride,
+        };
+        (slots, &mut row_x[..words], &mut row_y[..words])
+    }
+
+    /// Copies `stream` into row `dst`.
+    fn put(&mut self, dst: usize, stream: &Bitstream) {
+        self.row(dst, stream.len())
+            .1
+            .copy_from_slice(stream.as_words());
+    }
+}
+
+/// The length-mismatch error of two operand streams.
+fn mismatch(left: usize, right: usize) -> GraphError {
+    GraphError::Stream(sc_bitstream::Error::LengthMismatch { left, right })
+}
+
+/// Clears the bits past `len` in the last word of a `len`-bit stream.
+fn mask_tail(words: &mut [u64], len: usize) {
+    if let Some(last) = words.last_mut() {
+        *last &= u64::MAX >> ((WORD_BITS - len % WORD_BITS) % WORD_BITS);
+    }
 }
 
 /// Executes one plan over one input set at stream length `n`, reading
-/// samples from `planes`. Free-standing so pool workers can run jobs without
-/// capturing an [`Executor`].
+/// samples from `planes` through the plan's handles. Free-standing so pool
+/// workers can run jobs without capturing an [`Executor`].
 fn execute_plan(
     planes: &PlaneStore,
     n: usize,
     plan: &CompiledGraph,
     input: &BatchInput,
 ) -> Result<ExecOutput, GraphError> {
-    let mut env = ExecEnv::new(plan, planes);
+    let resolved = plan.planes.get(planes, &plan.steps, n);
+    let mut draws = resolved.for_job(planes, input);
+    let longest = input.streams.iter().map(Bitstream::len).fold(n, usize::max);
+    let mut arena = Arena::new(plan.slot_count, longest.div_ceil(WORD_BITS));
+    let mut out = ExecOutput::for_plan(plan);
     for step in &plan.steps {
-        execute_step(n, step, input, &mut env)?;
+        execute_step(n, step, input, &mut draws, &mut arena, &mut out)?;
     }
-    Ok(env.out)
+    Ok(out)
 }
 
-/// Executes one plan step against one job's environment — the unit
-/// [`execute_plan`] is built from.
+/// Executes one plan step against one job's arena — the unit
+/// [`execute_plan`] is built from. Gates, multiplexers, manipulators and
+/// conversions run as word loops on the arena's rows; the rare kernels
+/// (counter-based operators, activation FSMs, the divider and the APC and
+/// SCC sinks) run on [`Bitstream`] copies.
 fn execute_step(
     n: usize,
     step: &Step,
     input: &BatchInput,
-    env: &mut ExecEnv,
+    draws: &mut JobPlanes,
+    arena: &mut Arena,
+    out: &mut ExecOutput,
 ) -> Result<(), GraphError> {
-    let ExecEnv { slots, planes, out } = env;
-    {
-        match step {
-            Step::Input { slot, dst } => {
-                let stream = input
-                    .streams
-                    .get(*slot)
-                    .ok_or(GraphError::StreamSlotOutOfRange {
-                        slot: *slot,
-                        provided: input.streams.len(),
-                    })?;
-                slots[*dst] = Some(stream.clone());
+    match step {
+        Step::Input { slot, dst } => {
+            let stream = input
+                .streams
+                .get(*slot)
+                .ok_or(GraphError::StreamSlotOutOfRange {
+                    slot: *slot,
+                    provided: input.streams.len(),
+                })?;
+            arena.put(*dst, stream);
+        }
+        Step::Generate {
+            slot,
+            source,
+            skip,
+            dst,
+        } => {
+            let value = *input
+                .values
+                .get(*slot)
+                .ok_or(GraphError::ValueSlotOutOfRange {
+                    slot: *slot,
+                    provided: input.values.len(),
+                })?;
+            let p = Probability::saturating(value).get();
+            draws
+                .comparator(source, *skip, n)
+                .convert(p, n, arena.row(*dst, n).1);
+        }
+        Step::Constant {
+            probability,
+            source,
+            skip,
+            dst,
+        } => {
+            let p = Probability::saturating(*probability).get();
+            draws
+                .comparator(source, *skip, n)
+                .convert(p, n, arena.row(*dst, n).1);
+        }
+        Step::Manipulate {
+            kind,
+            x,
+            y,
+            dst_x,
+            dst_y,
+        } => {
+            let len = arena.slots().common_len(*x, *y)?;
+            let (slots, out_x, out_y) = arena.rows(*dst_x, *dst_y, len);
+            kind.process_words(slots.words(*x), slots.words(*y), len, out_x, out_y);
+        }
+        Step::Regenerate {
+            source,
+            skip,
+            src,
+            dst,
+        } => {
+            // S/D conversion of the stream, then D/S conversion afresh.
+            let slots = arena.slots();
+            let len = slots.len(*src);
+            let p = match len {
+                0 => 0.0,
+                len => Probability::from_ratio(slots.count_ones(*src), len as u64).get(),
+            };
+            draws
+                .comparator(source, *skip, len)
+                .convert(p, len, arena.row(*dst, len).1);
+        }
+        Step::Not { src, dst } => {
+            let len = arena.slots().len(*src);
+            let (slots, row) = arena.row(*dst, len);
+            for (z, &a) in row.iter_mut().zip(slots.words(*src)) {
+                *z = !a;
             }
-            Step::Generate {
-                slot,
-                source,
-                skip,
-                dst,
-            } => {
-                let value = *input
-                    .values
-                    .get(*slot)
-                    .ok_or(GraphError::ValueSlotOutOfRange {
-                        slot: *slot,
-                        provided: input.values.len(),
-                    })?;
-                let p = Probability::saturating(value);
-                slots[*dst] = Some(planes.generate(input.resolve(source), *skip, p, n));
+            mask_tail(row, len);
+        }
+        Step::Binary { op, x, y, dst } => {
+            use crate::node::BinaryOp as B;
+            let counter = match op {
+                B::CaAdd => sc_arith::add::ca_add,
+                B::CaMax => sc_arith::maxmin::ca_max,
+                B::CaMin => sc_arith::maxmin::ca_min,
+                B::AndMultiply | B::AndMin => return gate(arena, *x, *y, *dst, |a, b| a & b),
+                B::OrMax | B::SaturatingAdd => return gate(arena, *x, *y, *dst, |a, b| a | b),
+                B::XorSubtract => return gate(arena, *x, *y, *dst, |a, b| a ^ b),
+                B::XnorMultiply => return gate(arena, *x, *y, *dst, |a, b| !(a ^ b)),
+            };
+            let slots = arena.slots();
+            let z = counter(&slots.stream(*x), &slots.stream(*y))?;
+            arena.put(*dst, &z);
+        }
+        Step::UnaryFsm { op, src, dst } => {
+            let stream = arena.slots().stream(*src);
+            let z = match op {
+                crate::node::UnaryFsmOp::Stanh { half_states } => {
+                    sc_arith::fsm_ops::stanh(&stream, *half_states)
+                }
+                crate::node::UnaryFsmOp::Slinear { states } => {
+                    sc_arith::fsm_ops::slinear(&stream, *states)
+                }
+            };
+            arena.put(*dst, &z);
+        }
+        Step::Divide {
+            source,
+            skip,
+            counter_bits,
+            x,
+            y,
+            dst,
+        } => {
+            let mut divider = sc_arith::divide::Divider::with_counter_bits(
+                input.resolve(source).build_skipped(*skip),
+                *counter_bits,
+            );
+            let slots = arena.slots();
+            let z = divider.divide(&slots.stream(*x), &slots.stream(*y))?;
+            arena.put(*dst, &z);
+        }
+        Step::MuxAdd {
+            select,
+            skip,
+            x,
+            y,
+            dst,
+        } => {
+            // `mux_add(x, y, select)` multiplexes `y` (select 0) against
+            // `x` and reports a mismatch in that order.
+            let len = arena.slots().common_len(*y, *x)?;
+            let window = draws.select(select, *skip, &planes::half_select_weights(), len);
+            let (slots, row) = arena.row(*dst, len);
+            window.mux_add(slots.words(*x), slots.words(*y), len, row);
+        }
+        Step::WeightedMux {
+            weights,
+            select,
+            skip,
+            srcs,
+            dst,
+        } => {
+            // A tree whose inputs differ in length fails with the error the
+            // first mismatching input raises against the first.
+            let slots = arena.slots();
+            let len = slots.len(srcs[0]);
+            if let Some(&s) = srcs.iter().find(|&&s| slots.len(s) != len) {
+                return Err(mismatch(len, slots.len(s)));
             }
-            Step::Constant {
-                probability,
-                source,
-                skip,
-                dst,
-            } => {
-                let p = Probability::saturating(*probability);
-                slots[*dst] = Some(planes.generate(input.resolve(source), *skip, p, n));
-            }
-            Step::Manipulate {
-                kind,
-                x,
-                y,
-                dst_x,
-                dst_y,
-            } => {
-                let (ox, oy) = kind.build().process(slot(slots, *x), slot(slots, *y))?;
-                slots[*dst_x] = Some(ox);
-                slots[*dst_y] = Some(oy);
-            }
-            Step::Regenerate {
-                source,
-                skip,
-                src,
-                dst,
-            } => {
-                let regenerated =
-                    planes.regenerate(input.resolve(source), *skip, slot(slots, *src));
-                slots[*dst] = Some(regenerated);
-            }
-            Step::Not { src, dst } => {
-                let complemented = slot(slots, *src).not();
-                slots[*dst] = Some(complemented);
-            }
-            Step::Binary { op, x, y, dst } => {
-                let z = apply_binary(*op, slot(slots, *x), slot(slots, *y))?;
-                slots[*dst] = Some(z);
-            }
-            Step::UnaryFsm { op, src, dst } => {
-                let z = match op {
-                    crate::node::UnaryFsmOp::Stanh { half_states } => {
-                        sc_arith::fsm_ops::stanh(slot(slots, *src), *half_states)
-                    }
-                    crate::node::UnaryFsmOp::Slinear { states } => {
-                        sc_arith::fsm_ops::slinear(slot(slots, *src), *states)
-                    }
-                };
-                slots[*dst] = Some(z);
-            }
-            Step::Divide {
-                source,
-                skip,
-                counter_bits,
-                x,
-                y,
-                dst,
-            } => {
-                let mut divider = sc_arith::divide::Divider::with_counter_bits(
-                    input.resolve(source).build_skipped(*skip),
-                    *counter_bits,
-                );
-                let z = divider.divide(slot(slots, *x), slot(slots, *y))?;
-                slots[*dst] = Some(z);
-            }
-            Step::MuxAdd {
-                select,
-                skip,
-                x,
-                y,
-                dst,
-            } => {
-                let z = {
-                    let (sx, sy) = (slot(slots, *x), slot(slots, *y));
-                    let select = planes.half_select(input.resolve(select), *skip, sx.len());
-                    mux_add(sx, sy, &select)?
-                };
-                slots[*dst] = Some(z);
-            }
-            Step::WeightedMux {
-                weights,
-                select,
-                skip,
-                srcs,
-                dst,
-            } => {
-                let z = {
-                    let refs: Vec<&Bitstream> = srcs.iter().map(|s| slot(slots, *s)).collect();
-                    check_lengths(&refs)?;
-                    planes.weighted_mux(&refs, weights, input.resolve(select), *skip)
-                };
-                slots[*dst] = Some(z);
-            }
-            Step::SinkStream { src, .. } => {
-                out.streams.push(slot(slots, *src).clone());
-            }
-            Step::SinkValue { src, .. } => {
-                let value = StochasticToDigital::convert(slot(slots, *src)).get();
-                out.values.push(value);
-            }
-            Step::SinkCount { src, .. } => {
-                let count = StochasticToDigital::convert_to_count(slot(slots, *src));
-                out.values.push(count as f64);
-            }
-            Step::SinkSum { srcs, .. } => {
-                // The APC consumes owned streams; sum sinks are rare
-                // enough that the copy is irrelevant.
-                let inputs: Vec<Bitstream> = srcs.iter().map(|s| slot(slots, *s).clone()).collect();
-                let mut apc = AccumulativeParallelCounter::new(inputs.len());
-                apc.accumulate_streams(&inputs)?;
-                out.values.push(apc.sum_of_values());
-            }
-            Step::SccProbe { x, y, .. } => {
-                let value = scc(slot(slots, *x), slot(slots, *y));
-                out.values.push(value);
-            }
+            let window = draws.select(select, *skip, weights, len);
+            let (slots, row) = arena.row(*dst, len);
+            window.weighted_mux(weights, |k| slots.words(srcs[k]), len, row);
+        }
+        Step::SinkStream { src, .. } => {
+            out.streams.push(arena.slots().stream(*src));
+        }
+        Step::SinkValue { src, .. } => {
+            // The value `StochasticToDigital::convert` reads off the stream.
+            let slots = arena.slots();
+            let value = match slots.len(*src) {
+                0 => 0.0,
+                len => slots.count_ones(*src) as f64 / len as f64,
+            };
+            out.values.push(Probability::saturating(value).get());
+        }
+        Step::SinkCount { src, .. } => {
+            out.values.push(arena.slots().count_ones(*src) as f64);
+        }
+        Step::SinkSum { srcs, .. } => {
+            let slots = arena.slots();
+            let inputs: Vec<Bitstream> = srcs.iter().map(|s| slots.stream(*s)).collect();
+            let mut apc = AccumulativeParallelCounter::new(inputs.len());
+            apc.accumulate_streams(&inputs)?;
+            out.values.push(apc.sum_of_values());
+        }
+        Step::SccProbe { x, y, .. } => {
+            let slots = arena.slots();
+            out.values.push(scc(&slots.stream(*x), &slots.stream(*y)));
         }
     }
     Ok(())
@@ -903,38 +1044,21 @@ fn spawn_job(
     }));
 }
 
-/// Applies a binary operator through the `sc_arith` word-parallel kernels.
-fn apply_binary(
-    op: crate::node::BinaryOp,
-    x: &Bitstream,
-    y: &Bitstream,
-) -> Result<Bitstream, GraphError> {
-    use crate::node::BinaryOp as B;
-    let z = match op {
-        B::AndMultiply => sc_arith::multiply::and_multiply(x, y)?,
-        B::XnorMultiply => sc_arith::multiply::xnor_multiply(x, y)?,
-        B::OrMax => sc_arith::maxmin::or_max(x, y)?,
-        B::AndMin => sc_arith::maxmin::and_min(x, y)?,
-        B::SaturatingAdd => sc_arith::add::saturating_add(x, y)?,
-        B::XorSubtract => sc_arith::subtract::xor_subtract(x, y)?,
-        B::CaAdd => sc_arith::add::ca_add(x, y)?,
-        B::CaMax => sc_arith::maxmin::ca_max(x, y)?,
-        B::CaMin => sc_arith::maxmin::ca_min(x, y)?,
-    };
-    Ok(z)
-}
-
-/// Rejects a multiplexer tree whose inputs differ in length, with the error
-/// the first mismatching input raises against the first.
-fn check_lengths(inputs: &[&Bitstream]) -> Result<(), GraphError> {
-    let n = inputs[0].len();
-    match inputs.iter().find(|s| s.len() != n) {
-        Some(s) => Err(GraphError::Stream(sc_bitstream::Error::LengthMismatch {
-            left: n,
-            right: s.len(),
-        })),
-        None => Ok(()),
+/// A two-input gate as a word loop from rows `x` and `y` into row `dst`.
+fn gate(
+    arena: &mut Arena,
+    x: usize,
+    y: usize,
+    dst: usize,
+    f: impl Fn(u64, u64) -> u64,
+) -> Result<(), GraphError> {
+    let len = arena.slots().common_len(x, y)?;
+    let (slots, row) = arena.row(dst, len);
+    for ((z, &a), &b) in row.iter_mut().zip(slots.words(x)).zip(slots.words(y)) {
+        *z = f(a, b);
     }
+    mask_tail(row, len);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1210,6 +1334,104 @@ mod tests {
         };
         assert_eq!(out.stream("z0").unwrap(), &solo(0));
         assert_eq!(out.stream("z1").unwrap(), &solo(n as u64));
+    }
+
+    /// One compiled template, run with per-job bindings on a `Generate`
+    /// spec, a `Regenerate` spec and two selects — one rebinding within its
+    /// cycle table, one to a register of another width — at 64, then 256,
+    /// then 64 bits again, and unbound in between: every output equals a
+    /// fresh compile of the equivalent unbound graph, so the plan's resolved
+    /// handles never serve another length or the template's spec. Streams
+    /// of another length than the executor's read the store, not the plan.
+    #[test]
+    fn resolved_planes_never_go_stale() {
+        let lfsr = |width: u32, seed: u64| SourceSpec::Lfsr { width, seed };
+        let build =
+            |pixel: &SourceSpec, regen: &SourceSpec, blur: &SourceSpec, edge: &SourceSpec| {
+                let mut g = Graph::new();
+                let x = g.generate(0, pixel.clone());
+                let y = g.generate(1, sobol(2));
+                let c = g.constant(0.375, pixel.clone());
+                let w = g.weighted_mux(&[x, y, c], &[0.25, 0.5, 0.25], blur.clone());
+                let r = g.regenerate(regen.clone(), w);
+                let z = g.mux_add(r, y, edge.clone());
+                for (name, wire) in [("x", x), ("c", c), ("w", w), ("r", r), ("z", z)] {
+                    g.sink_stream(name, wire);
+                }
+                g.compile(&PlannerOptions::default()).unwrap()
+            };
+        let template_specs = [
+            sobol(1),
+            SourceSpec::VanDerCorput { offset: 0 },
+            lfsr(16, 0xACE1),
+            lfsr(16, 0x7331),
+        ];
+        let bound_specs = [
+            SourceSpec::Halton { base: 3, offset: 1 },
+            SourceSpec::VanDerCorput { offset: 7 },
+            lfsr(16, 0xBEEF),
+            lfsr(12, 0x0123),
+        ];
+        let [a, b, c, d] = &template_specs;
+        let template = build(a, b, c, d);
+        let values = vec![0.3, 0.8];
+        let unbound = BatchInput::with_values(values.clone());
+        let bound = BatchInput {
+            bindings: template_specs
+                .iter()
+                .cloned()
+                .zip(bound_specs.clone())
+                .collect(),
+            ..unbound.clone()
+        };
+        for n in [64, 256, 64] {
+            let exec = Executor::new(n);
+            let [a, b, c, d] = &bound_specs;
+            let direct = exec.run(&build(a, b, c, d), &unbound).unwrap();
+            assert_eq!(exec.run(&template, &bound).unwrap(), direct, "bound, n {n}");
+            let [a, b, c, d] = &template_specs;
+            let direct = exec.run(&build(a, b, c, d), &unbound).unwrap();
+            assert_eq!(
+                exec.run(&template, &unbound).unwrap(),
+                direct,
+                "unbound, n {n}"
+            );
+            assert_ne!(
+                exec.run(&template, &bound).unwrap(),
+                direct,
+                "the bindings change the bits at n {n}"
+            );
+        }
+
+        // Input streams of another length than the executor's, in as many
+        // words: the conversions and sample-plane selects over them cannot
+        // use the plan's handles, which were resolved for the executor's
+        // length (a shorter stream would read a tail bit, a longer one miss
+        // its last samples).
+        let mut g = Graph::new();
+        let a = g.input_stream(0);
+        let b = g.input_stream(1);
+        let r = g.regenerate(SourceSpec::VanDerCorput { offset: 0 }, a);
+        let z = g.mux_add(a, b, lfsr(16, 0xACE1));
+        let halton = SourceSpec::Halton { base: 5, offset: 0 };
+        let w = g.weighted_mux(&[a, b, r], &[0.25, 0.5, 0.25], halton);
+        for (name, wire) in [("r", r), ("z", z), ("w", w)] {
+            g.sink_stream(name, wire);
+            g.sink_count(format!("{name} ones"), wire);
+        }
+        let plan = g.compile(&PlannerOptions::default()).unwrap();
+        for (n, len) in [(64, 63), (250, 255), (64, 63)] {
+            let input = BatchInput::with_streams(vec![
+                Bitstream::from_fn(len, |i| (i * 7 + 1) % 3 == 0),
+                Bitstream::from_fn(len, |i| (i * 5 + 2) % 4 < 2),
+            ]);
+            let fresh = g.compile(&PlannerOptions::default()).unwrap();
+            assert_eq!(
+                Executor::new(n).run(&plan, &input).unwrap(),
+                Executor::new(len).run(&fresh, &input).unwrap(),
+                "{len}-bit inputs at n {n}"
+            );
+        }
     }
 
     /// A full 10×10 tile of the GB→ED accelerator with the sources, skips

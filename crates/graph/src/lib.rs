@@ -37,11 +37,13 @@
 //! over one pool with no dispatcher thread: each submitted job becomes one
 //! pool task, which takes the next job from the bounded intake round-robin.
 //! Every job runs solo through the one per-job engine. Plans are
-//! `Send + Sync` plain data: every execution builds fresh FSMs, and reads
-//! the samples its [`sc_rng::SourceSpec`]s would draw from a bounded
-//! process-wide store of sample planes (LFSR selects read windows of one
-//! cycle table per width), so parallel results are bit-identical to
-//! sequential ones at any worker count and any window.
+//! `Send + Sync` plain data: every execution runs fresh FSMs over one word
+//! arena per job, and reads the samples its [`sc_rng::SourceSpec`]s would
+//! draw from a bounded process-wide store of planes (D/S conversions copy a
+//! prefix mask, LFSR selects read windows of one cycle table per width),
+//! through handles each plan resolves once per stream length. So parallel
+//! results are bit-identical to sequential ones at any worker count and any
+//! window.
 //!
 //! A compiled plan also bridges to the gate-level cost model:
 //! [`CompiledGraph::netlist`] sums the `sc_hwcost` netlists of every executed

@@ -59,8 +59,9 @@ impl fmt::Display for Wire {
 /// The correlation-manipulating circuit family a manipulator node instantiates.
 ///
 /// Kinds are plain data (no live FSM state): every execution of a compiled
-/// plan builds fresh instances via [`ManipulatorKind::build`], so batch items
-/// never share FSM state and sharded execution is deterministic.
+/// plan runs a fresh instance per step ([`ManipulatorKind::process_words`]),
+/// so batch items never share FSM state and sharded execution is
+/// deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ManipulatorKind {
@@ -98,6 +99,53 @@ impl ManipulatorKind {
             ManipulatorKind::Synchronizer { depth } => Box::new(Synchronizer::new(depth)),
             ManipulatorKind::Desynchronizer { depth } => Box::new(Desynchronizer::new(depth)),
             ManipulatorKind::Decorrelator { depth } => Box::new(Decorrelator::new(depth)),
+        }
+    }
+
+    /// Runs a fresh instance over the packed words of two `len`-bit streams,
+    /// writing the manipulated pair to `out_x` / `out_y`: the circuit is
+    /// built on the stack as its concrete type and driven by
+    /// [`sc_core::drive_words`], bit-identical to
+    /// [`CorrelationManipulator::process`] on the built circuit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any slice holds fewer than `len.div_ceil(64)` words, or if
+    /// the kind is not [`ManipulatorKind::in_range`].
+    pub fn process_words(
+        &self,
+        x: &[u64],
+        y: &[u64],
+        len: usize,
+        out_x: &mut [u64],
+        out_y: &mut [u64],
+    ) {
+        fn drive(
+            mut circuit: impl CorrelationManipulator,
+            x: &[u64],
+            y: &[u64],
+            len: usize,
+            out_x: &mut [u64],
+            out_y: &mut [u64],
+        ) {
+            sc_core::drive_words(x, y, len, out_x, out_y, |xw, yw, valid| {
+                circuit.step_word(xw, yw, valid)
+            });
+        }
+        match *self {
+            ManipulatorKind::Identity => drive(Identity::new(), x, y, len, out_x, out_y),
+            ManipulatorKind::Isolator { delay } => {
+                drive(Isolator::new(delay), x, y, len, out_x, out_y);
+            }
+            ManipulatorKind::Synchronizer { depth } => {
+                drive(Synchronizer::new(depth), x, y, len, out_x, out_y);
+            }
+            ManipulatorKind::Desynchronizer { depth } => {
+                drive(Desynchronizer::new(depth), x, y, len, out_x, out_y);
+            }
+            ManipulatorKind::Decorrelator { depth } => {
+                drive(Decorrelator::new(depth), x, y, len, out_x, out_y);
+            }
         }
     }
 

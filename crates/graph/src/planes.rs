@@ -1,4 +1,5 @@
-//! The process-wide store of data-independent sample planes.
+//! The process-wide store of data-independent sample planes, and each
+//! plan's handles into it.
 //!
 //! Every D/S comparator, regenerator and MUX select of a plan reads a source
 //! whose samples depend only on its [`SourceSpec`], its `skip` and the stream
@@ -6,9 +7,15 @@
 //! memoized planes instead of drawing them per bit, per job:
 //!
 //! * **Sample planes** hold the `n` values `spec.build_skipped(skip)` returns,
-//!   keyed by `(spec, skip, n)`. `Generate`, `Constant` and `Regenerate`
-//!   compare their target against one; a MUX select whose source has no
-//!   cycle table falls back to one.
+//!   keyed by `(spec, skip, n)`. A MUX select whose source has no cycle
+//!   table reads one.
+//! * **Prefix planes** serve `Generate`, `Constant` and `Regenerate`. The
+//!   paper's D/S converter (§II.B) compares `p` against a shared sample
+//!   sequence, so bit `i` of its stream is set exactly when sample `i` is
+//!   among the `k` samples below `p`. A prefix plane sorts a sample plane
+//!   once and keeps its `n + 1` prefix masks, mask `k` holding the bits of
+//!   the `k` smallest samples; a conversion is then one binary search for
+//!   `k` and one copy of mask `k`, bit-identical to the per-bit compares.
 //! * **Cycle tables** serve MUX selects driven by an LFSR of width ≤ 16. Its
 //!   taps are primitive, so every seed walks the same maximal-length cycle
 //!   and every `(seed, skip)` window is an offset into it: a `u16`
@@ -22,15 +29,21 @@
 //! Planes are built once and shared across jobs and threads: a hit takes the
 //! store's lock shared, only an insert takes it exclusively. The store is
 //! bounded by const byte budgets; past them, planes are computed per use and
-//! not kept. Either way a plane holds exactly the samples the source would
-//! draw, so the output bits never depend on what the store retains.
+//! not kept, and a comparator without a prefix plane compares per bit. Either
+//! way a plane holds exactly the samples the source would draw, so the output
+//! bits never depend on what the store retains.
+//!
+//! A plan does not look its planes up per step: [`PlanPlanes`] resolves
+//! every source-drawing step's handle once per stream length, and the plan
+//! keeps the result in its [`PlanCache`].
 
-use sc_bitstream::{Bitstream, Probability, WORD_BITS};
-use sc_convert::StochasticToDigital;
+use crate::compile::Step;
+use crate::exec::BatchInput;
+use sc_bitstream::{Probability, WORD_BITS};
 use sc_rng::{Lfsr, RandomSource, SourceSpec};
 use std::collections::HashMap;
 use std::mem::size_of;
-use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Widest LFSR served from a cycle table: its positions fit a `u16`.
 const MAX_CYCLE_WIDTH: u32 = 16;
@@ -43,12 +56,26 @@ const SAMPLE_BUDGET_BYTES: usize = 256 << 10;
 /// and value slots and the `Arc` header (strong and weak counts). Charged
 /// against the budget, so planes of a few samples cannot pile up unbounded.
 const SAMPLE_ENTRY_BYTES: usize =
-    size_of::<SampleKey>() + size_of::<Arc<[f64]>>() + 2 * size_of::<usize>();
+    size_of::<SampleKey>() + size_of::<SampleEntry>() + 2 * size_of::<usize>();
+
+/// Byte budget of the retained prefix planes. One takes
+/// `(n + 1)·⌈n/64⌉` mask words plus its `n` sorted samples: ~10 KiB at
+/// `n` = 256, where the GB→ED accelerator needs nine (~93 KiB). A plane
+/// longer than the whole budget (`n` ≳ 1400) is never built.
+const PREFIX_BUDGET_BYTES: usize = 256 << 10;
+
+/// What one retained prefix plane costs beyond its masks and sorted
+/// samples: the plane's header and its `Arc` counts.
+const PREFIX_ENTRY_BYTES: usize = size_of::<PrefixPlane>() + 2 * size_of::<usize>();
 
 /// Byte budget of the retained cycle tables (position maps and select
 /// bit-planes). The GB→ED accelerator needs ~270 KiB of it: the 16-bit
 /// position map, the Gaussian blur's eight planes and the edge adders' one.
 const CYCLE_BUDGET_BYTES: usize = 1 << 20;
+
+/// Stream lengths a plan keeps resolved handles for; a plan run at more
+/// lengths than that resolves the rest per job.
+const PLAN_LENGTHS: usize = 4;
 
 /// The select rule of a multiplexer tree: sample `u` picks the first input
 /// whose cumulative weight exceeds it; leftover mass falls to the last input.
@@ -65,9 +92,14 @@ fn select_index(u: f64, weights: &[f64]) -> usize {
 
 /// A MUX adder's select rule as a two-input tree: its first input is picked
 /// exactly when `u < ½`, the rule of `sc_arith::add::half_select_stream`.
-fn half_select_weights() -> [f64; 2] {
+pub(crate) fn half_select_weights() -> [f64; 2] {
     let half = Probability::HALF.get();
     [half, half]
+}
+
+/// Number of stream bits word `w` of an `n`-bit stream holds.
+fn valid_bits(n: usize, w: usize) -> usize {
+    (n - w * WORD_BITS).min(WORD_BITS)
 }
 
 /// The cycle of one LFSR width: cycle index `j` is the state `j + 1` steps
@@ -102,7 +134,7 @@ impl CycleTable {
 }
 
 /// The select bit-planes of one `(width, weights)` pair.
-struct SelectPlanes {
+pub(crate) struct SelectPlanes {
     cycle: Arc<CycleTable>,
     weights: Box<[f64]>,
     /// One plane per input but the last, whose mask is the complement of
@@ -163,8 +195,10 @@ impl SelectPlanes {
         ((u64::from(self.cycle.position[start]) + 1 + skip % period) % period) as usize
     }
 
-    /// Select word `w` of the window starting at cycle index `offset`.
-    fn word(plane: &[u64], offset: usize, w: usize) -> u64 {
+    /// Select word `w` of plane `k`'s window starting at cycle index
+    /// `offset`.
+    fn word(&self, k: usize, offset: usize, w: usize) -> u64 {
+        let plane = &self.planes[k];
         let bit = offset + w * WORD_BITS;
         let i = bit / WORD_BITS;
         let pair = u128::from(plane[i]) | u128::from(plane[i + 1]) << WORD_BITS;
@@ -173,7 +207,7 @@ impl SelectPlanes {
 }
 
 /// The samples a select source draws for one step.
-enum SelectWindow {
+pub(crate) enum Select {
     /// The window starting at `offset` in a shared cycle table.
     Cycle {
         planes: Arc<SelectPlanes>,
@@ -181,6 +215,154 @@ enum SelectWindow {
     },
     /// The raw samples, for sources without a cycle table.
     Samples(Arc<[f64]>),
+}
+
+impl Select {
+    /// The window this handle reads.
+    fn window(&self) -> Window<'_> {
+        match self {
+            Select::Cycle { planes, offset } => Window::Cycle(planes, *offset),
+            Select::Samples(samples) => Window::Samples(samples),
+        }
+    }
+
+    /// The same window drawn from `bound`, when it reads the same cycle
+    /// table: a table is keyed by `(width, weights)`, so only the offset
+    /// depends on the seed. `None` when `bound` needs a store lookup.
+    fn rebind(&self, bound: &SourceSpec, skip: u64) -> Option<Window<'_>> {
+        match (self, bound) {
+            (Select::Cycle { planes, .. }, &SourceSpec::Lfsr { width, seed })
+                if width == planes.cycle.width =>
+            {
+                Some(Window::Cycle(planes, planes.offset(seed, skip)))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// A borrowed [`Select`]: the planes one step's select words come from.
+#[derive(Clone, Copy)]
+pub(crate) enum Window<'a> {
+    /// Select planes and the cycle index the window starts at.
+    Cycle(&'a SelectPlanes, usize),
+    /// The raw samples.
+    Samples(&'a [f64]),
+}
+
+impl Window<'_> {
+    /// The MUX adder over `n`-bit streams: bit `i` of `out` is `x`'s when
+    /// the select sample is below ½ (this select was drawn under
+    /// [`half_select_weights`]), else `y`'s.
+    pub(crate) fn mux_add(self, x: &[u64], y: &[u64], n: usize, out: &mut [u64]) {
+        let half = half_select_weights();
+        for (w, out) in out.iter_mut().enumerate() {
+            let select = match self {
+                Window::Cycle(planes, offset) => planes.word(0, offset, w),
+                Window::Samples(samples) => (0..valid_bits(n, w))
+                    .filter(|i| select_index(samples[w * WORD_BITS + i], &half) == 0)
+                    .fold(0, |word, i| word | 1 << i),
+            };
+            *out = (select & x[w]) | (!select & y[w]);
+        }
+    }
+
+    /// The weighted multiplexer tree over `n`-bit streams: each cycle one
+    /// input is sampled with probability equal to its weight, by
+    /// [`select_index`] over this window's samples. `input(k)` is input
+    /// `k`'s words, one input per weight. On a cycle table each output word
+    /// is one AND-OR of the input words with that word's selection masks.
+    pub(crate) fn weighted_mux<'s>(
+        self,
+        weights: &[f64],
+        input: impl Fn(usize) -> &'s [u64],
+        n: usize,
+        out: &mut [u64],
+    ) {
+        let last = weights.len() - 1;
+        for (w, out) in out.iter_mut().enumerate() {
+            *out = match self {
+                Window::Cycle(planes, offset) => {
+                    let mut rest = !0u64;
+                    let mut word = 0u64;
+                    for k in 0..last {
+                        let mask = planes.word(k, offset, w);
+                        word |= input(k)[w] & mask;
+                        rest &= !mask;
+                    }
+                    word | (input(last)[w] & rest)
+                }
+                Window::Samples(samples) => (0..valid_bits(n, w)).fold(0, |word, i| {
+                    let k = select_index(samples[w * WORD_BITS + i], weights);
+                    word | (input(k)[w] & 1 << i)
+                }),
+            };
+        }
+    }
+}
+
+/// The `n + 1` prefix masks of one sample plane.
+pub(crate) struct PrefixPlane {
+    /// The plane's samples in stable ascending order.
+    sorted: Box<[f64]>,
+    /// Mask `k` (words `k·words..(k+1)·words`) has bit `i` set iff sample
+    /// `i` is among the first `k` of `sorted`.
+    masks: Box<[u64]>,
+    words: usize,
+}
+
+impl PrefixPlane {
+    fn bytes(n: usize) -> usize {
+        PREFIX_ENTRY_BYTES + ((n + 1) * n.div_ceil(WORD_BITS) + n) * size_of::<u64>()
+    }
+
+    fn build(samples: &[f64]) -> Self {
+        let n = samples.len();
+        let words = n.div_ceil(WORD_BITS);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| samples[a].total_cmp(&samples[b]));
+        let mut masks = vec![0u64; (n + 1) * words];
+        for (k, &i) in order.iter().enumerate() {
+            let (done, next) = masks.split_at_mut((k + 1) * words);
+            next[..words].copy_from_slice(&done[k * words..]);
+            next[i / WORD_BITS] |= 1 << (i % WORD_BITS);
+        }
+        PrefixPlane {
+            sorted: order.iter().map(|&i| samples[i]).collect(),
+            masks: masks.into(),
+            words,
+        }
+    }
+}
+
+/// The planes of one D/S comparator (`Generate`, `Constant`, `Regenerate`).
+pub(crate) enum Comparator {
+    /// Prefix masks: one binary search and one copy per conversion.
+    Prefix(Arc<PrefixPlane>),
+    /// The raw samples, compared per bit.
+    Samples(Arc<[f64]>),
+}
+
+impl Comparator {
+    /// D/S conversion of `p` into the `n`-bit stream `out`: bit `i` is 1
+    /// iff `p` exceeds sample `i`.
+    pub(crate) fn convert(&self, p: f64, n: usize, out: &mut [u64]) {
+        match self {
+            Comparator::Prefix(plane) => {
+                // The samples below `p` are exactly a prefix of the sorted
+                // order, so the stream is the mask of that prefix.
+                let k = plane.sorted.partition_point(|&s| s < p);
+                out.copy_from_slice(&plane.masks[k * plane.words..(k + 1) * plane.words]);
+            }
+            Comparator::Samples(samples) => {
+                for (w, out) in out.iter_mut().enumerate() {
+                    *out = (0..valid_bits(n, w)).fold(0, |word, i| {
+                        word | u64::from(p > samples[w * WORD_BITS + i]) << i
+                    });
+                }
+            }
+        }
+    }
 }
 
 /// Bytes the store currently retains, by kind.
@@ -191,25 +373,34 @@ pub(crate) struct Retained {
     pub cycles: usize,
     /// `(spec, skip, n)` sample planes.
     pub samples: usize,
+    /// Prefix planes.
+    pub prefixes: usize,
 }
 
 #[cfg(test)]
 impl Retained {
     pub(crate) fn total(self) -> usize {
-        self.cycles + self.samples
+        self.cycles + self.samples + self.prefixes
     }
 }
 
 /// A sample plane's key: the source, the draws it skips, the plane length.
 type SampleKey = (SourceSpec, u64, usize);
 
+/// A retained sample plane and, once built, its prefix plane.
+struct SampleEntry {
+    samples: Arc<[f64]>,
+    prefix: Option<Arc<PrefixPlane>>,
+}
+
 #[derive(Default)]
 struct Store {
     cycles: Vec<Arc<CycleTable>>,
     selects: Vec<Arc<SelectPlanes>>,
-    samples: HashMap<SampleKey, Arc<[f64]>>,
+    samples: HashMap<SampleKey, SampleEntry>,
     cycle_bytes: usize,
     sample_bytes: usize,
+    prefix_bytes: usize,
 }
 
 /// A bounded store of sample planes; [`global`] is the executor's.
@@ -242,17 +433,19 @@ impl PlaneStore {
         Retained {
             cycles: store.cycle_bytes,
             samples: store.sample_bytes,
+            prefixes: store.prefix_bytes,
         }
     }
 
-    /// The `n` samples `spec.build_skipped(skip)` draws first.
-    pub(crate) fn samples(&self, spec: &SourceSpec, skip: u64, n: usize) -> Arc<[f64]> {
+    /// The `n` samples `spec.build_skipped(skip)` draws first, and whether
+    /// the store retains them.
+    fn samples(&self, spec: &SourceSpec, skip: u64, n: usize) -> (Arc<[f64]>, bool) {
         if n == 0 {
-            return Arc::new([]);
+            return (Arc::new([]), false);
         }
         let key = (spec.clone(), skip, n);
-        if let Some(plane) = self.read().samples.get(&key) {
-            return Arc::clone(plane);
+        if let Some(entry) = self.read().samples.get(&key) {
+            return (Arc::clone(&entry.samples), true);
         }
         // Drawn outside the lock: a plane past the budget is drawn per use.
         let mut source = spec.build_skipped(skip);
@@ -263,11 +456,51 @@ impl PlaneStore {
         if store.sample_bytes + bytes <= SAMPLE_BUDGET_BYTES {
             let kept = store.samples.entry(key).or_insert_with(|| {
                 store.sample_bytes += bytes;
-                Arc::clone(&plane)
+                SampleEntry {
+                    samples: Arc::clone(&plane),
+                    prefix: None,
+                }
             });
-            return Arc::clone(kept);
+            return (Arc::clone(&kept.samples), true);
         }
-        plane
+        (plane, false)
+    }
+
+    /// The comparator planes of `(spec, skip, n)` — its prefix plane when
+    /// the sample plane is retained and the prefix budget has room, else its
+    /// samples — and whether the store retains them.
+    pub(crate) fn comparator(&self, spec: &SourceSpec, skip: u64, n: usize) -> (Comparator, bool) {
+        let (samples, kept) = self.samples(spec, skip, n);
+        if !kept {
+            return (Comparator::Samples(samples), false);
+        }
+        let key = (spec.clone(), skip, n);
+        let bytes = PrefixPlane::bytes(n);
+        {
+            let store = self.read();
+            if let Some(prefix) = store.samples.get(&key).and_then(|e| e.prefix.as_ref()) {
+                return (Comparator::Prefix(Arc::clone(prefix)), true);
+            }
+            if store.prefix_bytes + bytes > PREFIX_BUDGET_BYTES {
+                return (Comparator::Samples(samples), true);
+            }
+        }
+        // Built outside the lock; a racing thread's plane wins the insert.
+        let built = Arc::new(PrefixPlane::build(&samples));
+        let mut guard = self.write();
+        let store = &mut *guard;
+        match store.samples.get_mut(&key) {
+            Some(SampleEntry {
+                prefix: Some(prefix),
+                ..
+            }) => (Comparator::Prefix(Arc::clone(prefix)), true),
+            Some(entry) if store.prefix_bytes + bytes <= PREFIX_BUDGET_BYTES => {
+                store.prefix_bytes += bytes;
+                entry.prefix = Some(Arc::clone(&built));
+                (Comparator::Prefix(built), true)
+            }
+            _ => (Comparator::Samples(samples), true),
+        }
     }
 
     /// The select planes of `(width, weights)`, built on first use; `None`
@@ -311,110 +544,202 @@ impl PlaneStore {
     }
 
     /// The samples of `select` advanced by `skip` for an `n`-bit window,
-    /// mapped through `weights`' select rule.
-    fn select_window(
+    /// mapped through `weights`' select rule, and whether the store retains
+    /// them.
+    pub(crate) fn select(
         &self,
         select: &SourceSpec,
         skip: u64,
         weights: &[f64],
         n: usize,
-    ) -> SelectWindow {
+    ) -> (Select, bool) {
         if let SourceSpec::Lfsr { width, seed } = *select {
             if (3..=MAX_CYCLE_WIDTH).contains(&width) && n < (1 << width) - 1 {
                 if let Some(planes) = self.select_planes(width, weights) {
                     let offset = planes.offset(seed, skip);
-                    return SelectWindow::Cycle { planes, offset };
+                    return (Select::Cycle { planes, offset }, true);
                 }
             }
         }
-        SelectWindow::Samples(self.samples(select, skip, n))
+        let (samples, kept) = self.samples(select, skip, n);
+        (Select::Samples(samples), kept)
     }
+}
 
-    /// D/S conversion of `p` against `source` advanced by `skip`: bit `i` is
-    /// 1 iff `p` exceeds the source's `i`-th sample.
-    pub(crate) fn generate(
-        &self,
-        source: &SourceSpec,
-        skip: u64,
-        p: Probability,
-        n: usize,
-    ) -> Bitstream {
-        let plane = self.samples(source, skip, n);
-        let target = p.get();
-        Bitstream::from_fn(n, |i| target > plane[i])
-    }
+/// One source-drawing step's planes, resolved for one stream length.
+enum Draw {
+    Comparator(Comparator),
+    Select(Select),
+    /// The store did not retain the planes: the step reads it per use.
+    PerUse,
+}
 
-    /// Regeneration of `stream` against `source` advanced by `skip`: the
-    /// stream's count as a ratio of its length, D/S-converted afresh.
-    pub(crate) fn regenerate(
-        &self,
-        source: &SourceSpec,
-        skip: u64,
-        stream: &Bitstream,
-    ) -> Bitstream {
-        let n = stream.len();
-        if n == 0 {
-            return Bitstream::new();
+/// A plan's source-drawing steps — `Generate`, `Constant`, `Regenerate`,
+/// `MuxAdd` and `WeightedMux` — resolved against the store for one stream
+/// length `n`: one handle per step, in step order, plus each step's index
+/// into the plan's distinct specs, which a job's bindings are matched
+/// against once per job.
+pub(crate) struct PlanPlanes {
+    n: usize,
+    draws: Box<[(Draw, usize)]>,
+    specs: Box<[SourceSpec]>,
+}
+
+impl PlanPlanes {
+    fn resolve(store: &PlaneStore, steps: &[Step], n: usize) -> PlanPlanes {
+        let mut specs: Vec<SourceSpec> = Vec::new();
+        let mut draws = Vec::new();
+        for step in steps {
+            let (spec, draw) = match step {
+                Step::Generate { source, skip, .. }
+                | Step::Constant { source, skip, .. }
+                | Step::Regenerate { source, skip, .. } => {
+                    let (comparator, kept) = store.comparator(source, *skip, n);
+                    (source, kept.then_some(Draw::Comparator(comparator)))
+                }
+                Step::MuxAdd { select, skip, .. } => {
+                    let (select_planes, kept) =
+                        store.select(select, *skip, &half_select_weights(), n);
+                    (select, kept.then_some(Draw::Select(select_planes)))
+                }
+                Step::WeightedMux {
+                    weights,
+                    select,
+                    skip,
+                    ..
+                } => {
+                    let (select_planes, kept) = store.select(select, *skip, weights, n);
+                    (select, kept.then_some(Draw::Select(select_planes)))
+                }
+                _ => continue,
+            };
+            let id = specs.iter().position(|s| s == spec).unwrap_or_else(|| {
+                specs.push(spec.clone());
+                specs.len() - 1
+            });
+            draws.push((draw.unwrap_or(Draw::PerUse), id));
         }
-        let count = StochasticToDigital::convert_to_count(stream);
-        self.generate(source, skip, Probability::from_ratio(count, n as u64), n)
+        PlanPlanes {
+            n,
+            draws: draws.into(),
+            specs: specs.into(),
+        }
     }
 
-    /// The select stream of a MUX adder: bit `i` is 1 (pick `x`) iff the
-    /// select source's `i`-th sample after `skip` is below ½.
-    pub(crate) fn half_select(&self, select: &SourceSpec, skip: u64, n: usize) -> Bitstream {
-        let weights = half_select_weights();
-        match self.select_window(select, skip, &weights, n) {
-            SelectWindow::Cycle { planes, offset } => {
-                Bitstream::from_word_fn(n, |w| SelectPlanes::word(&planes.planes[0], offset, w))
-            }
-            SelectWindow::Samples(samples) => {
-                Bitstream::from_fn(n, |i| select_index(samples[i], &weights) == 0)
+    /// A job's view: the handles in step order, with `input`'s bindings
+    /// matched to the plan's specs.
+    pub(crate) fn for_job<'a>(
+        &'a self,
+        store: &'a PlaneStore,
+        input: &'a BatchInput,
+    ) -> JobPlanes<'a> {
+        let mut bound = Vec::new();
+        if !input.bindings.is_empty() {
+            bound = self
+                .specs
+                .iter()
+                .map(|spec| Some(input.resolve(spec)).filter(|b| *b != spec))
+                .collect();
+        }
+        JobPlanes {
+            plan: self,
+            store,
+            bound,
+            next: 0,
+            fetched_comparator: None,
+            fetched_select: None,
+        }
+    }
+}
+
+/// One job's handles: the plan's, taken one per source-drawing step in step
+/// order, except where the job binds a step's spec to another.
+pub(crate) struct JobPlanes<'a> {
+    plan: &'a PlanPlanes,
+    store: &'a PlaneStore,
+    /// Per plan spec, this job's binding of it (empty when it has none).
+    bound: Vec<Option<&'a SourceSpec>>,
+    next: usize,
+    /// The last handle read from the store rather than the plan.
+    fetched_comparator: Option<Comparator>,
+    fetched_select: Option<Select>,
+}
+
+impl<'a> JobPlanes<'a> {
+    /// The next step's handle and its spec's binding.
+    fn take(&mut self) -> (&'a Draw, Option<&'a SourceSpec>) {
+        let (draw, spec) = &self.plan.draws[self.next];
+        self.next += 1;
+        (draw, self.bound.get(*spec).copied().flatten())
+    }
+
+    /// The comparator the next step (a `Generate`, `Constant` or
+    /// `Regenerate` of `spec`) converts against at length `n`. The plan's
+    /// handle serves it unless the spec is bound, the plane was not
+    /// retained, or `n` is not the length the plan was resolved for.
+    pub(crate) fn comparator(&mut self, spec: &SourceSpec, skip: u64, n: usize) -> &Comparator {
+        match self.take() {
+            (Draw::Comparator(comparator), None) if n == self.plan.n => comparator,
+            (_, bound) => {
+                let fetched = self.store.comparator(bound.unwrap_or(spec), skip, n).0;
+                self.fetched_comparator.insert(fetched)
             }
         }
     }
 
-    /// The weighted multiplexer tree: each cycle one input is sampled with
-    /// probability equal to its weight, by [`select_index`] over the
-    /// `select` source advanced by `skip`. Each output word is one AND-OR
-    /// of the packed input words with that word's selection masks.
-    ///
-    /// `inputs` holds one stream per weight, all of one length.
-    pub(crate) fn weighted_mux(
-        &self,
-        inputs: &[&Bitstream],
+    /// The select window the next step (a `MuxAdd` or `WeightedMux` of
+    /// `spec`) reads at length `n`. A bound spec still reads the plan's
+    /// handle when that is a cycle table of its register width: only the
+    /// offset depends on the seed.
+    pub(crate) fn select(
+        &mut self,
+        spec: &SourceSpec,
+        skip: u64,
         weights: &[f64],
-        select: &SourceSpec,
-        skip: u64,
-    ) -> Bitstream {
-        let n = inputs[0].len();
-        let last = weights.len() - 1;
-        match self.select_window(select, skip, weights, n) {
-            SelectWindow::Cycle { planes, offset } => Bitstream::from_word_fn(n, |w| {
-                let mut rest = !0u64;
-                let mut out = 0u64;
-                for (input, plane) in inputs.iter().zip(planes.planes.iter()) {
-                    let mask = SelectPlanes::word(plane, offset, w);
-                    out |= input.as_words()[w] & mask;
-                    rest &= !mask;
-                }
-                out | (inputs[last].as_words()[w] & rest)
-            }),
-            SelectWindow::Samples(samples) => {
-                let mut masks = vec![0u64; weights.len()];
-                Bitstream::from_word_fn(n, |w| {
-                    masks.iter_mut().for_each(|m| *m = 0);
-                    for i in 0..inputs[0].word_len(w) {
-                        let k = select_index(samples[w * WORD_BITS + i], weights);
-                        masks[k] |= 1 << i;
-                    }
-                    inputs
-                        .iter()
-                        .zip(&masks)
-                        .fold(0, |out, (input, &mask)| out | (input.as_words()[w] & mask))
-                })
-            }
+        n: usize,
+    ) -> Window<'_> {
+        let (draw, bound) = self.take();
+        let planned = match (draw, bound) {
+            (Draw::Select(select), None) if n == self.plan.n => Some(select.window()),
+            (Draw::Select(select), Some(bound)) if n == self.plan.n => select.rebind(bound, skip),
+            _ => None,
+        };
+        if let Some(window) = planned {
+            return window;
         }
+        let fetched = self.store.select(bound.unwrap_or(spec), skip, weights, n).0;
+        self.fetched_select.insert(fetched).window()
+    }
+}
+
+/// A plan's resolved planes, one [`PlanPlanes`] per stream length it ran
+/// at, built lazily on the first job of each length. Past
+/// [`PLAN_LENGTHS`] lengths a job resolves its own.
+#[derive(Default)]
+pub(crate) struct PlanCache {
+    lengths: Mutex<Vec<Arc<PlanPlanes>>>,
+}
+
+impl PlanCache {
+    /// The plan's handles at length `n`, resolving them on first use.
+    pub(crate) fn get(&self, store: &PlaneStore, steps: &[Step], n: usize) -> Arc<PlanPlanes> {
+        // Entries are pushed whole, so a panic elsewhere leaves the list
+        // usable.
+        let mut lengths = self.lengths.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(planes) = lengths.iter().find(|p| p.n == n) {
+            return Arc::clone(planes);
+        }
+        let planes = Arc::new(PlanPlanes::resolve(store, steps, n));
+        if lengths.len() < PLAN_LENGTHS {
+            lengths.push(Arc::clone(&planes));
+        }
+        planes
+    }
+}
+
+impl std::fmt::Debug for PlanCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PlanCache").finish_non_exhaustive()
     }
 }
 
@@ -423,7 +748,56 @@ mod tests {
     use super::*;
     use crate::graph::GraphError;
     use sc_arith::add::half_select_stream;
+    use sc_bitstream::Bitstream;
     use sc_convert::{DigitalToStochastic, Regenerator};
+
+    /// The `Bitstream` faces of the store's word writers, as the executor
+    /// drives them.
+    impl PlaneStore {
+        fn generate(&self, spec: &SourceSpec, skip: u64, p: Probability, n: usize) -> Bitstream {
+            let mut words = vec![0; n.div_ceil(WORD_BITS)];
+            self.comparator(spec, skip, n)
+                .0
+                .convert(p.get(), n, &mut words);
+            Bitstream::from_words(words, n)
+        }
+
+        fn regenerate(&self, spec: &SourceSpec, skip: u64, stream: &Bitstream) -> Bitstream {
+            let n = stream.len();
+            if n == 0 {
+                return Bitstream::new();
+            }
+            let p = Probability::from_ratio(stream.count_ones() as u64, n as u64);
+            self.generate(spec, skip, p, n)
+        }
+
+        /// The select stream itself: a MUX adder of all-ones over all-zeros.
+        fn half_select(&self, select: &SourceSpec, skip: u64, n: usize) -> Bitstream {
+            let (ones, zeros) = (Bitstream::ones(n), Bitstream::zeros(n));
+            let mut words = vec![0; n.div_ceil(WORD_BITS)];
+            self.select(select, skip, &half_select_weights(), n)
+                .0
+                .window()
+                .mux_add(ones.as_words(), zeros.as_words(), n, &mut words);
+            Bitstream::from_words(words, n)
+        }
+
+        fn weighted_mux(
+            &self,
+            inputs: &[&Bitstream],
+            weights: &[f64],
+            select: &SourceSpec,
+            skip: u64,
+        ) -> Bitstream {
+            let n = inputs[0].len();
+            let mut words = vec![0; n.div_ceil(WORD_BITS)];
+            self.select(select, skip, weights, n)
+                .0
+                .window()
+                .weighted_mux(weights, |k| inputs[k].as_words(), n, &mut words);
+            Bitstream::from_words(words, n)
+        }
+    }
 
     /// The per-bit weighted multiplexer reference: one `next_unit` and one
     /// cumulative walk per stream bit.
@@ -595,10 +969,12 @@ mod tests {
     }
 
     /// `Generate`/`Constant` and `Regenerate` against `DigitalToStochastic`
-    /// and `Regenerator` over the positioned source, for every family.
+    /// and `Regenerator` over the positioned source, for every family:
+    /// through prefix planes up to `n` = 512 and by per-bit compares past
+    /// the prefix budget, at `p` = 0, 1 and exactly a drawn sample (the
+    /// converter's strict `>` leaves that sample's bit 0).
     #[test]
     fn generate_and_regenerate_match_the_converters_for_every_family() {
-        let store = PlaneStore::default();
         let specs = [
             SourceSpec::Lfsr {
                 width: 16,
@@ -616,10 +992,22 @@ mod tests {
                 phase: 11,
             },
         ];
-        for spec in &specs {
-            for n in [0usize, 1, 63, 64, 65, 256] {
+        // Past the budget: one plane of 2048 samples takes 2049·32 mask
+        // words, more than the whole prefix budget.
+        let past_budget = 2048;
+        assert!(PrefixPlane::bytes(past_budget) > PREFIX_BUDGET_BYTES);
+        for n in [0usize, 1, 63, 64, 65, 256, 512, past_budget] {
+            // One store per length, so every length builds prefix planes
+            // until the budget runs out.
+            let store = PlaneStore::default();
+            let mut prefixed = 0;
+            for spec in &specs {
                 for skip in [0u64, 1, 999, 65_535] {
-                    for p in [0.0, 0.3, 0.5, 0.77, 1.0] {
+                    let mut source = spec.build_skipped(skip);
+                    let drawn: Vec<f64> = (0..n).map(|_| source.next_unit()).collect();
+                    let ties = drawn.get(n / 2).into_iter().chain(drawn.first());
+                    let ps = [0.0, 0.3, 0.5, 0.77, 1.0].into_iter().chain(ties.copied());
+                    for p in ps {
                         let p = Probability::saturating(p);
                         let expected =
                             DigitalToStochastic::new(spec.build_skipped(skip)).generate(p, n);
@@ -629,6 +1017,10 @@ mod tests {
                             "{spec} skip {skip} n {n} p {p:?}"
                         );
                     }
+                    prefixed += usize::from(matches!(
+                        store.comparator(spec, skip, n).0,
+                        Comparator::Prefix(_)
+                    ));
                     for stream in inputs(2, n) {
                         let expected =
                             Regenerator::new(spec.build_skipped(skip)).regenerate(&stream);
@@ -638,8 +1030,21 @@ mod tests {
                             "{spec} skip {skip} n {n}"
                         );
                     }
+                    assert!(store.retained_bytes().prefixes <= PREFIX_BUDGET_BYTES);
                 }
             }
+            // Non-vacuity: up to 512 samples the prefix path ran, past the
+            // budget only the compare path.
+            match n {
+                0 => assert_eq!(prefixed, 0),
+                n if n == past_budget => assert_eq!(prefixed, 0, "n {n}"),
+                n => assert!(prefixed > 0, "n {n}"),
+            }
+            assert_eq!(
+                store.retained_bytes().prefixes,
+                prefixed * PrefixPlane::bytes(n),
+                "n {n}"
+            );
         }
     }
 
@@ -651,14 +1056,14 @@ mod tests {
         let store = PlaneStore::default();
         let spec = SourceSpec::VanDerCorput { offset: 1 };
         for skip in 0..1000 {
-            assert!(store.samples(&spec, skip, 0).is_empty());
+            assert!(store.samples(&spec, skip, 0).0.is_empty());
         }
         assert_eq!(store.retained_bytes().samples, 0);
         let per_plane = SAMPLE_ENTRY_BYTES + size_of::<f64>();
         let fits = SAMPLE_BUDGET_BYTES / per_plane;
         for skip in 0..fits as u64 + 100 {
             let expected = spec.build_skipped(skip).next_unit();
-            assert_eq!(*store.samples(&spec, skip, 1), [expected], "skip {skip}");
+            assert_eq!(*store.samples(&spec, skip, 1).0, [expected], "skip {skip}");
         }
         let kept = store.read();
         assert_eq!(kept.samples.len(), fits);

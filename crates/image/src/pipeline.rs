@@ -127,9 +127,11 @@ impl Default for PipelineConfig {
             tile_size: 10,
             rng_bank_size: 8,
             // The Gaussian-blur outputs carry longer runs of identical bits
-            // than raw generator streams, so a save depth of 2 (rather than
-            // the minimal 1) is needed for the synchronizer variant to match
-            // regeneration accuracy; see the ablation_depth experiment.
+            // than raw generator streams, so a save depth of 2 roughly halves
+            // the synchronizer variant's error against the minimal 1. It does
+            // not reach regeneration's accuracy: at N = 256 the 30×30 Table IV
+            // scene reads 0.0475 at D = 2 against regeneration's 0.0206, and
+            // only D ≥ 4 comes close; see the ablation_depth experiment.
             synchronizer_depth: 2,
             telemetry: TelemetrySink::disabled(),
             threads: None,
