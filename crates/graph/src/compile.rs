@@ -25,7 +25,7 @@
 
 use crate::exec::SinkNames;
 use crate::graph::{Graph, GraphError};
-use crate::node::{BinaryOp, ManipulatorKind, NodeOp, UnaryFsmOp};
+use crate::node::{BinaryOp, ManipulatorKind, UnaryFsmOp};
 use crate::planes::PlanCache;
 use sc_rng::SourceSpec;
 use sc_telemetry::TelemetrySink;
@@ -295,9 +295,6 @@ pub struct CompiledGraph {
     pub(crate) value_slots: usize,
     pub(crate) stream_slots: usize,
     report: CompileReport,
-    /// Every operation the plan executes (graph nodes plus planner-inserted
-    /// repairs), for introspection and the `sc_hwcost` bridge.
-    ops: Vec<NodeOp>,
     /// Template-class id: fresh per `compile` call, preserved by `Clone`.
     /// Jobs of one class run one step list (their sources may differ only
     /// through [`BatchInput::bindings`](crate::BatchInput::bindings)).
@@ -318,7 +315,6 @@ impl CompiledGraph {
         value_slots: usize,
         stream_slots: usize,
         report: CompileReport,
-        ops: Vec<NodeOp>,
     ) -> CompiledGraph {
         CompiledGraph {
             sinks: Arc::new(SinkNames::of(&steps)),
@@ -327,7 +323,6 @@ impl CompiledGraph {
             value_slots,
             stream_slots,
             report,
-            ops,
             class: next_plan_class(),
             planes: Arc::default(),
         }
@@ -337,13 +332,6 @@ impl CompiledGraph {
     #[must_use]
     pub fn report(&self) -> &CompileReport {
         &self.report
-    }
-
-    /// Every operation the plan executes, including auto-inserted repair
-    /// manipulators.
-    #[must_use]
-    pub fn ops(&self) -> &[NodeOp] {
-        &self.ops
     }
 
     /// Number of executable steps: one per node, repairs included.
@@ -530,10 +518,13 @@ mod tests {
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         assert_eq!(plan.report().inserted.len(), 1);
         assert!(plan.report().inserted[0].contains("synchronizer"));
-        assert!(plan
-            .ops()
-            .iter()
-            .any(|op| matches!(op, NodeOp::Manipulate(ManipulatorKind::Synchronizer { .. }))));
+        assert!(plan.steps().iter().any(|step| matches!(
+            step,
+            Step::Manipulate {
+                kind: ManipulatorKind::Synchronizer { .. },
+                ..
+            }
+        )));
     }
 
     #[test]

@@ -1,19 +1,23 @@
 //! The `sc_graph` → `sc_hwcost` bridge: derive a gate-level area / power /
 //! energy report for a compiled plan.
 //!
-//! Every operation of a [`CompiledGraph`] — including manipulators the
-//! planner auto-inserted — maps to the netlist of the hardware block that
+//! Every scheduled [`Step`] of a [`CompiledGraph`] — including manipulators
+//! the planner auto-inserted — maps to the netlist of the hardware block that
 //! would implement it (the `sc_hwcost::characterize` library), and the plan's
 //! cost is the merge of all of them. Sinks that merely observe streams in
 //! software (`SinkStream`) are free; value sinks are S/D converters; probes
 //! are costed as the pair of counters they would need.
+//!
+//! [`CompiledGraph::shared_netlist`] is the one cost model of the GB→ED
+//! accelerator: Table IV's area and energy columns are the shared netlist of
+//! the compiled full-size tile (`sc_image::tile_netlist`).
 //!
 //! The absolute numbers inherit the calibration caveats of `sc_hwcost`:
 //! consume them as ratios between designs, exactly like the paper's
 //! Table III / Table IV columns.
 
 use crate::compile::{CompiledGraph, Step};
-use crate::node::{BinaryOp, ManipulatorKind, NodeOp, UnaryFsmOp};
+use crate::node::{BinaryOp, ManipulatorKind, UnaryFsmOp};
 use sc_hwcost::{characterize, Netlist, Primitive};
 use sc_rng::SourceSpec;
 
@@ -47,65 +51,6 @@ pub fn manipulator_netlist(kind: &ManipulatorKind) -> Netlist {
         ManipulatorKind::Synchronizer { depth } => characterize::synchronizer(depth),
         ManipulatorKind::Desynchronizer { depth } => characterize::desynchronizer(depth),
         ManipulatorKind::Decorrelator { depth } => characterize::decorrelator(depth as u32),
-    }
-}
-
-/// Netlist of one node operation (sources include their RNG hardware).
-#[must_use]
-pub fn node_netlist(op: &NodeOp, converter_bits: u32) -> Netlist {
-    match op {
-        // Ready streams arrive from outside the accelerator: free.
-        NodeOp::InputStream { .. } | NodeOp::SinkStream { .. } => Netlist::new("wire"),
-        NodeOp::Generate { source, .. } | NodeOp::ConstStream { source, .. } => {
-            let mut n = characterize::ds_converter(converter_bits);
-            n.merge(&source_netlist(source, converter_bits));
-            n
-        }
-        NodeOp::Manipulate(kind) => manipulator_netlist(kind),
-        NodeOp::Regenerate { source, .. } => {
-            let mut n = characterize::regeneration_unit(converter_bits);
-            n.merge(&source_netlist(source, converter_bits));
-            n
-        }
-        NodeOp::Not => Netlist::new("not").with(Primitive::Inverter, 1),
-        NodeOp::Binary(op) => binary_netlist(*op),
-        NodeOp::UnaryFsm(op) => unary_fsm_netlist(*op),
-        NodeOp::Divide {
-            source,
-            counter_bits,
-            ..
-        } => {
-            let mut n = divider_netlist(*counter_bits);
-            n.merge(&source_netlist(source, converter_bits));
-            n
-        }
-        NodeOp::MuxAdd { select, .. } => {
-            let mut n = characterize::mux_adder_netlist();
-            n.merge(&source_netlist(select, converter_bits));
-            n
-        }
-        // A k-way weighted MUX tree needs k − 1 two-way muxes plus its
-        // selection source (the Gaussian-blur kernel shape of §IV).
-        NodeOp::WeightedMux {
-            weights, select, ..
-        } => {
-            let mut n = Netlist::new("weighted-mux").with(
-                Primitive::Mux2,
-                weights.len().saturating_sub(1).max(1) as u64,
-            );
-            n.merge(&source_netlist(select, converter_bits));
-            n
-        }
-        NodeOp::SinkValue { .. } | NodeOp::SinkCount { .. } => {
-            characterize::sd_converter(converter_bits)
-        }
-        // The APC sums its lanes into one wider accumulator.
-        NodeOp::SinkSum { .. } => characterize::sd_converter(converter_bits + 2),
-        // An SCC probe counts both streams and their overlap (one AND gate
-        // feeding the joint counter).
-        NodeOp::SccProbe { .. } => characterize::sd_converter(converter_bits)
-            .scaled("scc-probe", 3)
-            .with(Primitive::And2, 1),
     }
 }
 
@@ -203,9 +148,8 @@ pub fn step_logic_netlist(step: &Step, converter_bits: u32) -> Netlist {
 }
 
 /// Netlist of one *scheduled step* of a compiled plan: its logic plus its
-/// own sample source. Equivalent to summing [`node_netlist`] over the step's
-/// operations, but with access to execution arity: an APC sum sink over `k`
-/// lanes includes its `k − 1`-adder reduction tree.
+/// own sample source. An APC sum sink over `k` lanes includes its
+/// `k − 1`-adder reduction tree.
 #[must_use]
 pub fn step_netlist(step: &Step, converter_bits: u32) -> Netlist {
     let mut n = step_logic_netlist(step, converter_bits);
@@ -398,11 +342,15 @@ mod tests {
             manipulator_netlist(&ManipulatorKind::Identity).cell_count(),
             0
         );
-        assert_eq!(node_netlist(&NodeOp::Not, 8).cell_count(), 1);
         assert_eq!(
-            node_netlist(
-                &NodeOp::SinkStream {
-                    name: "s".to_string()
+            step_netlist(&Step::Not { src: 0, dst: 1 }, 8).cell_count(),
+            1
+        );
+        assert_eq!(
+            step_netlist(
+                &Step::SinkStream {
+                    name: "s".into(),
+                    src: 0
                 },
                 8
             )

@@ -30,13 +30,11 @@ pub(crate) fn emit_steps(
     };
 
     let mut steps = Vec::new();
-    let mut ops = Vec::new();
     let mut value_slots = 0usize;
     let mut stream_slots = 0usize;
 
     for &i in order {
         let node = &nodes[i];
-        ops.push(node.op.clone());
         let inputs = &node.inputs;
         let step = match &node.op {
             NodeOp::InputStream { slot } => {
@@ -207,5 +205,5 @@ pub(crate) fn emit_steps(
         detail: format!("{} steps", steps.len()),
     });
 
-    CompiledGraph::assemble(steps, slot_count, value_slots, stream_slots, report, ops)
+    CompiledGraph::assemble(steps, slot_count, value_slots, stream_slots, report)
 }

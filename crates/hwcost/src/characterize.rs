@@ -183,22 +183,6 @@ pub fn regeneration_unit(bits: u32) -> Netlist {
     n
 }
 
-/// Netlist of one SC Gaussian-blur output kernel: a 3×3 weighted average
-/// implemented as an 8-deep multiplexer tree (Alaghi et al., DAC 2013).
-#[must_use]
-pub fn gaussian_blur_kernel() -> Netlist {
-    Netlist::new("gaussian-blur-kernel").with(Primitive::Mux2, 8)
-}
-
-/// Netlist of one SC Roberts-cross edge-detector output kernel: two XOR
-/// subtractors and a MUX scaled adder.
-#[must_use]
-pub fn edge_detector_kernel() -> Netlist {
-    Netlist::new("edge-detector-kernel")
-        .with(Primitive::Xor2, 2)
-        .with(Primitive::Mux2, 1)
-}
-
 /// Cost report of the OR maximum (Table III row 1).
 #[must_use]
 pub fn or_max() -> CostReport {
@@ -375,12 +359,6 @@ mod tests {
             "TFMs are larger (partly binary)"
         );
         assert!(shuffle_buffer(8).area_um2() > shuffle_buffer(2).area_um2());
-    }
-
-    #[test]
-    fn kernels_are_small() {
-        assert!(gaussian_blur_kernel().area_um2() < 30.0);
-        assert!(edge_detector_kernel().area_um2() < 10.0);
     }
 
     #[test]

@@ -30,20 +30,30 @@
 //! * the no-manipulation variant compiles with auto-repair off, which leaves
 //!   the precondition violations in the compile report (and the accuracy loss
 //!   in the output — Table IV's first column).
+//!
+//! The same compiled tile is the accelerator's hardware: [`tile_netlist`]
+//! prices a variant from its full-size tile plan (Table IV's area and energy
+//! columns).
 
 use crate::gaussian::GAUSSIAN_WEIGHTS;
-use crate::image::GrayImage;
+use crate::image::{GrayImage, ImageError};
 use crate::pipeline::{PipelineConfig, PipelineVariant};
 use sc_graph::{BatchInput, BinaryOp, Graph, PlannerOptions, Wire};
+use sc_hwcost::Netlist;
 use sc_rng::SourceSpec;
 use std::collections::BTreeMap;
+
+/// The largest source bank [`pixel_bank_index`] can use: its pattern has
+/// periods 4 (x) and 2 (y), so it addresses at most 8 distinct sources.
+/// Larger [`PipelineConfig::rng_bank_size`]s are configuration errors.
+pub const MAX_RNG_BANK_SIZE: usize = 8;
 
 /// Assigns a source-bank entry to an input pixel so that horizontally and
 /// vertically adjacent pixels draw from different (mutually uncorrelated)
 /// Sobol dimensions.
 #[must_use]
 pub fn pixel_bank_index(px: isize, py: isize, config: &PipelineConfig) -> u32 {
-    let bank = config.rng_bank_size.clamp(1, 8);
+    let bank = config.rng_bank_size.clamp(1, MAX_RNG_BANK_SIZE);
     (((px.rem_euclid(4) as usize) + 4 * (py.rem_euclid(2) as usize)) % bank) as u32
 }
 
@@ -243,6 +253,33 @@ pub fn tile_graph(
     }
 }
 
+/// The hardware of one accelerator variant: the compiled plan of a
+/// full-size tile, priced with one physical generator per distinct source
+/// spec ([`sc_graph::CompiledGraph::shared_netlist`]).
+///
+/// The accelerator processes one tile at a time (§IV.A), so streaming a
+/// `w`×`h` frame costs `energy_pj(⌈w/t⌉·⌈h/t⌉·N)` of this netlist. The
+/// variants differ only in their correlation-manipulation hardware, so a
+/// variant's manipulation overhead is its energy minus
+/// [`PipelineVariant::NoManipulation`]'s.
+///
+/// # Errors
+///
+/// The configurations [`crate::run_sc_pipeline`] rejects.
+pub fn tile_netlist(
+    variant: PipelineVariant,
+    config: &PipelineConfig,
+) -> Result<Netlist, ImageError> {
+    config.validate()?;
+    let image = GrayImage::filled(config.tile_size, config.tile_size, 0.0);
+    let tile = tile_graph(&image, 0, 0, variant, config, 0);
+    let plan = tile
+        .graph
+        .compile(&planner_options(variant, config))
+        .expect("tile graphs are structurally valid by construction");
+    Ok(plan.shared_netlist(variant.label()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,7 +301,7 @@ mod tests {
             .compile(&planner_options(PipelineVariant::Synchronizer, &config))
             .unwrap();
         // One synchronizer auto-inserted per XOR subtractor.
-        assert_eq!(tg.graph.node_count() + 2 * t * t, plan.ops().len());
+        assert_eq!(tg.graph.node_count() + 2 * t * t, plan.step_count());
         assert_eq!(plan.report().inserted.len(), 2 * t * t);
     }
 

@@ -21,6 +21,13 @@ pub enum ImageError {
         /// The configured depth.
         depth: u32,
     },
+    /// The configured source bank is larger than
+    /// [`crate::MAX_RNG_BANK_SIZE`], the number of distinct sources the
+    /// bank assignment ([`crate::graph::pixel_bank_index`]) can use.
+    BankSizeOutOfRange {
+        /// The configured bank size.
+        size: usize,
+    },
 }
 
 impl fmt::Display for ImageError {
@@ -36,6 +43,11 @@ impl fmt::Display for ImageError {
                 f,
                 "synchronizer save depth {depth} outside supported range {:?}",
                 sc_core::DEPTH_RANGE
+            ),
+            ImageError::BankSizeOutOfRange { size } => write!(
+                f,
+                "source bank size {size} outside supported range 1..={}",
+                crate::MAX_RNG_BANK_SIZE
             ),
         }
     }

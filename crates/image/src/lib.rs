@@ -25,6 +25,13 @@
 //! build → compile → execute; the pre-graph per-tile loop is retained in
 //! `graph`'s tests as the bit-identity reference.
 //!
+//! **Hardware cost.** Table IV's area and energy columns come from the same
+//! compiled plans: [`tile_netlist`] compiles a full-size tile and prices it
+//! with [`sc_graph::CompiledGraph::shared_netlist`], one physical generator
+//! per distinct source spec (§II.B). Energy per frame integrates that
+//! netlist over `⌈w/t⌉·⌈h/t⌉·N` cycles, and a variant's manipulation
+//! overhead is its energy minus the no-manipulation variant's.
+//!
 //! **Observability.** [`PipelineConfig::with_telemetry`] attaches an
 //! [`sc_telemetry::TelemetrySink`] that the whole run records into: per-tile
 //! plan-cache hits and misses (one span per planned tile; misses nest
@@ -58,7 +65,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accelerator;
 pub mod assemble;
 pub mod edge;
 pub mod gaussian;
@@ -68,11 +74,10 @@ pub mod pipeline;
 pub mod planner;
 pub mod serve;
 
-pub use accelerator::{AcceleratorCost, CostBreakdown};
 pub use assemble::{scatter_sinks, TileSinks};
 pub use edge::{roberts_cross_float, sc_edge_detector};
 pub use gaussian::{gaussian_blur_float, ScGaussianBlur, GAUSSIAN_WEIGHTS};
-pub use graph::{planner_options, tile_graph, TileGraph};
+pub use graph::{planner_options, tile_graph, tile_netlist, TileGraph, MAX_RNG_BANK_SIZE};
 pub use image::{GrayImage, ImageError};
 pub use pipeline::{
     run_float_pipeline, run_sc_pipeline, run_sc_pipeline_with_stats, run_sc_pipeline_with_threads,

@@ -20,6 +20,7 @@
 use crate::assemble::{scatter_sinks, TileSinks};
 use crate::edge::roberts_cross_float;
 use crate::gaussian::gaussian_blur_float;
+use crate::graph::MAX_RNG_BANK_SIZE;
 use crate::image::{GrayImage, ImageError};
 use crate::planner::TilePlanner;
 use sc_graph::{Executor, StreamJob, StreamStats};
@@ -75,7 +76,8 @@ pub struct PipelineConfig {
     pub stream_length: usize,
     /// Square tile size processed in parallel (the paper uses 10×10).
     pub tile_size: usize,
-    /// Number of independent sources in the input D/S converter bank.
+    /// Number of independent sources in the input D/S converter bank, at
+    /// most [`crate::MAX_RNG_BANK_SIZE`].
     pub rng_bank_size: usize,
     /// Save depth of the synchronizers in the synchronizer variant.
     pub synchronizer_depth: u32,
@@ -173,25 +175,41 @@ impl PipelineConfig {
         self
     }
 
-    /// The worker-thread count of a one-shot run or an
-    /// [`crate::ImageServer`] built from this config: [`Self::threads`], or
-    /// the available parallelism when unset.
+    /// Rejects the configurations no accelerator can be built from.
     ///
     /// # Errors
     ///
     /// [`ImageError::EmptyImage`] for degenerate configurations (zero tile
-    /// size, stream length, or source-bank size), and
-    /// [`ImageError::DepthOutOfRange`] for a synchronizer depth outside
-    /// [`sc_core::DEPTH_RANGE`].
-    pub(crate) fn checked_threads(&self) -> Result<usize, ImageError> {
+    /// size, stream length, or source-bank size),
+    /// [`ImageError::BankSizeOutOfRange`] for a source bank larger than
+    /// [`crate::MAX_RNG_BANK_SIZE`], and [`ImageError::DepthOutOfRange`] for
+    /// a synchronizer depth outside [`sc_core::DEPTH_RANGE`].
+    pub(crate) fn validate(&self) -> Result<(), ImageError> {
         if self.tile_size == 0 || self.stream_length == 0 || self.rng_bank_size == 0 {
             return Err(ImageError::EmptyImage);
+        }
+        if self.rng_bank_size > MAX_RNG_BANK_SIZE {
+            return Err(ImageError::BankSizeOutOfRange {
+                size: self.rng_bank_size,
+            });
         }
         if !sc_core::DEPTH_RANGE.contains(&(self.synchronizer_depth as usize)) {
             return Err(ImageError::DepthOutOfRange {
                 depth: self.synchronizer_depth,
             });
         }
+        Ok(())
+    }
+
+    /// The worker-thread count of a one-shot run or an
+    /// [`crate::ImageServer`] built from this config: [`Self::threads`], or
+    /// the available parallelism when unset.
+    ///
+    /// # Errors
+    ///
+    /// The configurations [`Self::validate`] rejects.
+    pub(crate) fn checked_threads(&self) -> Result<usize, ImageError> {
+        self.validate()?;
         Ok(self.threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -239,8 +257,10 @@ pub struct PipelineStats {
 /// # Errors
 ///
 /// Returns an [`ImageError`] only for degenerate configurations (zero-sized
-/// tiles or streams are rejected as [`ImageError::EmptyImage`], an
-/// unsupported synchronizer depth as [`ImageError::DepthOutOfRange`]).
+/// tiles or streams are rejected as [`ImageError::EmptyImage`], a source
+/// bank over [`crate::MAX_RNG_BANK_SIZE`] as
+/// [`ImageError::BankSizeOutOfRange`], an unsupported synchronizer depth as
+/// [`ImageError::DepthOutOfRange`]).
 pub fn run_sc_pipeline(
     image: &GrayImage,
     variant: PipelineVariant,
@@ -290,8 +310,10 @@ pub fn run_sc_pipeline_with_threads(
 /// # Errors
 ///
 /// Returns an [`ImageError`] only for degenerate configurations (zero-sized
-/// tiles or streams are rejected as [`ImageError::EmptyImage`], an
-/// unsupported synchronizer depth as [`ImageError::DepthOutOfRange`]).
+/// tiles or streams are rejected as [`ImageError::EmptyImage`], a source
+/// bank over [`crate::MAX_RNG_BANK_SIZE`] as
+/// [`ImageError::BankSizeOutOfRange`], an unsupported synchronizer depth as
+/// [`ImageError::DepthOutOfRange`]).
 pub fn run_sc_pipeline_with_stats(
     image: &GrayImage,
     variant: PipelineVariant,

@@ -61,9 +61,8 @@ impl ImageServerBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ImageError::EmptyImage`] for degenerate configurations
-    /// (zero-sized tiles or streams) and [`ImageError::DepthOutOfRange`] for
-    /// an unsupported synchronizer depth, mirroring the one-shot pipeline.
+    /// Rejects the configurations the one-shot pipeline rejects (see
+    /// [`crate::run_sc_pipeline`]).
     pub fn start(self) -> Result<ImageServer, ImageError> {
         let service_config = ServiceConfig::new(self.config.stream_length)
             .with_threads(self.config.checked_threads()?)
