@@ -5,8 +5,8 @@
 //!
 //! 1. **validate** — wires must reference existing nodes/ports, arities
 //!    must match, sink names must be unique, and the graph must be acyclic
-//!    (Kahn topological sort; only [`crate::Graph::rewire`] can introduce a
-//!    cycle).
+//!    (only [`crate::Graph::rewire`] can introduce a cycle, so only a graph
+//!    with a rewired forward edge is topologically sorted here).
 //! 2. **scc-infer** — every binary operator declares the SCC class its
 //!    inputs must have (paper Fig. 2). The stage derives the class of each
 //!    input pair *structurally*: streams from equal source specs are
@@ -18,17 +18,19 @@
 //! 3. **repair** — where a precondition is not met and
 //!    [`PlannerOptions::auto_repair`] is on, the manipulator that
 //!    establishes the required class is inserted in front of the operator
-//!    (the paper's core insight, applied automatically).
-//! 4. **emit** — nodes are laid out in topological order as a flat step
-//!    list over dense stream slots, one step per node, ready for the batch
-//!    executor.
+//!    (the paper's core insight, applied automatically); every miss is a
+//!    [`RepairRecord`] in the report.
+//! 4. **emit** — nodes are laid out in the compile's one topological order
+//!    as a flat step list over dense stream slots, one step per node, ready
+//!    for the batch executor.
 
 use crate::exec::SinkNames;
 use crate::graph::{Graph, GraphError};
-use crate::node::{BinaryOp, ManipulatorKind, UnaryFsmOp};
+use crate::node::{BinaryOp, CorrRequirement, ManipulatorKind, SccClass, UnaryFsmOp};
 use crate::planes::PlanCache;
 use sc_rng::SourceSpec;
 use sc_telemetry::TelemetrySink;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -92,14 +94,59 @@ pub struct PassDelta {
     pub detail: String,
 }
 
+/// One correlation-tracked operator whose structurally inferred input class
+/// misses its precondition, as the repair stage found it. Its `Display` is
+/// the report line: `synchronizer(D=1) inserted before xor_subtract (node
+/// n2): inputs are Uncorrelated, Positive required` for a repair, and
+/// `xor_subtract (node n2) requires Positive inputs but gets Uncorrelated`
+/// for a miss left standing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RepairRecord {
+    /// The operator's label (`xor_subtract`, `divide`, ...).
+    pub operator: &'static str,
+    /// The operator's node index in the source graph.
+    pub node: usize,
+    /// The inferred class of the operator's input pair.
+    pub class: SccClass,
+    /// The class the operator's precondition requires.
+    pub requirement: CorrRequirement,
+    /// The manipulator spliced in front of the operator, or `None` when
+    /// auto-repair is off and the miss is only recorded.
+    pub inserted: Option<ManipulatorKind>,
+}
+
+impl fmt::Display for RepairRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let RepairRecord {
+            operator,
+            node,
+            class,
+            requirement,
+            inserted,
+        } = self;
+        match inserted {
+            Some(kind) => write!(
+                f,
+                "{kind} inserted before {operator} (node n{node}): inputs are {class:?}, {requirement:?} required"
+            ),
+            None => write!(
+                f,
+                "{operator} (node n{node}) requires {requirement:?} inputs but gets {class:?}"
+            ),
+        }
+    }
+}
+
 /// What the pipeline did to a graph during compilation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompileReport {
-    /// One entry per auto-inserted repair manipulator.
-    pub inserted: Vec<String>,
-    /// One entry per binary operator whose precondition is not structurally
-    /// guaranteed and was *not* repaired (auto-repair off).
-    pub unsatisfied: Vec<String>,
+    /// One record per auto-inserted repair manipulator, in node order. The
+    /// `k`-th record's manipulator is the plan's node `n + k` of an
+    /// `n`-node source graph.
+    pub inserted: Vec<RepairRecord>,
+    /// One record per binary operator whose precondition is not
+    /// structurally guaranteed and was *not* repaired (auto-repair off).
+    pub unsatisfied: Vec<RepairRecord>,
     /// Source-drawing steps whose [`SourceSpec`] is shared with an earlier
     /// step — generator hardware the plan does not have to duplicate.
     pub shared_sources: usize,
@@ -490,6 +537,27 @@ mod tests {
     }
 
     #[test]
+    fn cycle_error_names_a_node_on_the_cycle() {
+        let mut g = Graph::new();
+        let n0 = g.generate(0, sobol(1));
+        let n1 = g.not(n0);
+        let n2 = g.not(n0);
+        let n3 = g.not(n2);
+        g.sink_value("z", n1);
+        // n1 and n2 now read n3, which reads n2: the cycle is n2 ↔ n3, and
+        // n1 hangs off it.
+        g.rewire(n1.node(), 0, n3).unwrap();
+        g.rewire(n2.node(), 0, n3).unwrap();
+        match g.compile(&PlannerOptions::default()) {
+            Err(GraphError::Cycle { node }) => assert!(
+                node == n2.node().index() || node == n3.node().index(),
+                "n{node} is not on the cycle n2 <-> n3"
+            ),
+            other => panic!("expected a cycle error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn identity_cycle_is_rejected_not_overflowed() {
         // Regression: pair_class recurses through identity manipulators, so a
         // rewired identity self-loop must be caught by the up-front cycle
@@ -517,7 +585,9 @@ mod tests {
         g.sink_value("z", z);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         assert_eq!(plan.report().inserted.len(), 1);
-        assert!(plan.report().inserted[0].contains("synchronizer"));
+        assert!(plan.report().inserted[0]
+            .to_string()
+            .contains("synchronizer"));
         assert!(plan.steps().iter().any(|step| matches!(
             step,
             Step::Manipulate {
@@ -576,7 +646,9 @@ mod tests {
         let plan = g.compile(&PlannerOptions::no_repair()).unwrap();
         assert!(plan.report().inserted.is_empty());
         assert_eq!(plan.report().unsatisfied.len(), 1);
-        assert!(plan.report().unsatisfied[0].contains("Positive"));
+        assert!(plan.report().unsatisfied[0]
+            .to_string()
+            .contains("Positive"));
     }
 
     #[test]

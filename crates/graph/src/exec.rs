@@ -1293,7 +1293,7 @@ mod tests {
         g.sink_value("q", q);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         assert_eq!(plan.report().inserted.len(), 1);
-        assert!(plan.report().inserted[0].contains("divide"));
+        assert!(plan.report().inserted[0].to_string().contains("divide"));
     }
 
     #[test]

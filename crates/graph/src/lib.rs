@@ -104,7 +104,7 @@ mod passes;
 mod planes;
 pub mod serve;
 
-pub use compile::{CompileReport, CompiledGraph, PassDelta, PlannerOptions, Step};
+pub use compile::{CompileReport, CompiledGraph, PassDelta, PlannerOptions, RepairRecord, Step};
 pub use exec::{
     BatchInput, ExecOutput, Executor, StreamJob, StreamStats, WorkerPool, DEFAULT_WINDOW_FACTOR,
 };

@@ -322,9 +322,10 @@ impl fmt::Display for UnaryFsmOp {
     }
 }
 
-impl fmt::Display for BinaryOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl BinaryOp {
+    /// The operator's name, as its `Display` prints it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
             BinaryOp::AndMultiply => "and_multiply",
             BinaryOp::XnorMultiply => "xnor_multiply",
             BinaryOp::OrMax => "or_max",
@@ -334,8 +335,13 @@ impl fmt::Display for BinaryOp {
             BinaryOp::CaAdd => "ca_add",
             BinaryOp::CaMax => "ca_max",
             BinaryOp::CaMin => "ca_min",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for BinaryOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -500,12 +506,12 @@ impl NodeOp {
     /// inputs, with a display label, if it is a two-input arithmetic operator
     /// the planner tracks (binary ops and the feedback divider).
     #[must_use]
-    pub fn correlation_requirement(&self) -> Option<(String, CorrRequirement)> {
+    pub fn correlation_requirement(&self) -> Option<(&'static str, CorrRequirement)> {
         match self {
-            NodeOp::Binary(op) => Some((op.to_string(), op.requirement())),
+            NodeOp::Binary(op) => Some((op.name(), op.requirement())),
             // Fig. 2e: the feedback divider wants positively correlated
             // inputs; uncorrelated inputs increase convergence noise.
-            NodeOp::Divide { .. } => Some(("divide".to_string(), CorrRequirement::Positive)),
+            NodeOp::Divide { .. } => Some(("divide", CorrRequirement::Positive)),
             _ => None,
         }
     }

@@ -1,16 +1,17 @@
 //! The **emit** stage: dense slot assignment and step emission in
 //! topological order, one step per node.
 
+use super::repair::Repaired;
 use crate::compile::{CompileReport, CompiledGraph, PassDelta, Step};
-use crate::node::{Node, NodeOp, Wire};
+use crate::node::{NodeOp, Wire};
 use sc_rng::SourceSpec;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Walks the topological order, assigns dense slots, and emits one step per
-/// node.
+/// node of the repaired graph.
 pub(crate) fn emit_steps(
-    nodes: &[Node],
+    repaired: &Repaired<'_>,
     order: &[usize],
     mut report: CompileReport,
 ) -> CompiledGraph {
@@ -19,24 +20,27 @@ pub(crate) fn emit_steps(
         port: p,
     };
 
-    let mut slots: HashMap<Wire, usize> = HashMap::new();
+    // Slot of each `(node, port)` output, at `2 · node + port` (a node has
+    // at most two outputs); slots are numbered in order of first use.
+    const UNASSIGNED: usize = usize::MAX;
+    let mut slots = vec![UNASSIGNED; 2 * repaired.len()];
     let mut slot_count = 0usize;
-    let mut slot_of = |w: Wire, slots: &mut HashMap<Wire, usize>| -> usize {
-        *slots.entry(w).or_insert_with(|| {
-            let s = slot_count;
+    let mut slot_of = |w: Wire, slots: &mut [usize]| -> usize {
+        let slot = &mut slots[2 * w.node().index() + w.port() as usize];
+        if *slot == UNASSIGNED {
+            *slot = slot_count;
             slot_count += 1;
-            s
-        })
+        }
+        *slot
     };
 
-    let mut steps = Vec::new();
+    let mut steps = Vec::with_capacity(order.len());
     let mut value_slots = 0usize;
     let mut stream_slots = 0usize;
 
     for &i in order {
-        let node = &nodes[i];
-        let inputs = &node.inputs;
-        let step = match &node.op {
+        let inputs = repaired.inputs(i);
+        let step = match repaired.op(i) {
             NodeOp::InputStream { slot } => {
                 stream_slots = stream_slots.max(slot + 1);
                 let dst = slot_of(port(i, 0), &mut slots);
@@ -192,7 +196,7 @@ pub(crate) fn emit_steps(
     // Shared-source accounting: under the shared-RNG hardware of §II.B each
     // distinct spec drives one physical sample generator; count the
     // generator instances the sharing saves.
-    let mut seen: HashSet<&SourceSpec> = HashSet::new();
+    let mut seen: HashSet<&SourceSpec> = HashSet::with_capacity(steps.len());
     report.shared_sources = steps
         .iter()
         .filter_map(crate::cost::step_source)

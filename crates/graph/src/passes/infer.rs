@@ -3,29 +3,30 @@
 use crate::compile::{CompileReport, PassDelta};
 use crate::node::{ManipulatorKind, Node, NodeOp, SccClass, Wire};
 use sc_rng::SourceSpec;
-use std::collections::HashMap;
 
-/// Derives every correlation-tracked operator's input-pair SCC class (node
-/// index → class) for the repair stage, from structure alone: a pair the
-/// rules of [`pair_class`] cannot place is [`SccClass::Unknown`], which
-/// only an agnostic operator accepts.
+/// Derives every correlation-tracked operator's input-pair SCC class for
+/// the repair stage, from structure alone, as a dense per-node table
+/// (`None` for untracked nodes): a pair the rules of [`pair_class`] cannot
+/// place is [`SccClass::Unknown`], which only an agnostic operator accepts.
 ///
 /// Classes are derived on the pre-repair graph; repair later only rewires
 /// the failing operator's own inputs, which cannot change any other pair's
 /// structural class, so inferring everything up front matches an
 /// interleaved derivation exactly.
-pub(crate) fn infer(nodes: &[Node], report: &mut CompileReport) -> HashMap<usize, SccClass> {
-    let mut classes = HashMap::new();
-    for (i, node) in nodes.iter().enumerate() {
-        if node.op.correlation_requirement().is_none() {
-            continue;
-        }
-        classes.insert(i, pair_class(nodes, node.inputs[0], node.inputs[1]));
-    }
+pub(crate) fn infer(nodes: &[Node], report: &mut CompileReport) -> Vec<Option<SccClass>> {
+    let classes: Vec<Option<SccClass>> = nodes
+        .iter()
+        .map(|node| {
+            node.op
+                .correlation_requirement()
+                .map(|_| pair_class(nodes, node.inputs[0], node.inputs[1]))
+        })
+        .collect();
+    let classified = classes.iter().flatten().count();
     report.pass_deltas.push(PassDelta {
         pass: "scc-infer",
         nodes_added: 0,
-        detail: format!("{} pairs classified", classes.len()),
+        detail: format!("{classified} pairs classified"),
     });
     classes
 }
@@ -51,14 +52,6 @@ pub(crate) fn pair_class(nodes: &[Node], a: Wire, b: Wire) -> SccClass {
         }
         return SccClass::Unknown;
     }
-    let source_of = |op: &NodeOp| -> Option<(SourceSpec, u64)> {
-        match op {
-            NodeOp::Generate { source, skip, .. } | NodeOp::ConstStream { source, skip, .. } => {
-                Some((source.clone(), *skip))
-            }
-            _ => None,
-        }
-    };
     // Two generated streams: equal spec + position ⇒ every comparator sample
     // is shared ⇒ maximal positive correlation (§II.B); otherwise the sample
     // sequences are independent ⇒ (close to) uncorrelated.
@@ -89,4 +82,14 @@ pub(crate) fn pair_class(nodes: &[Node], a: Wire, b: Wire) -> SccClass {
         };
     }
     SccClass::Unknown
+}
+
+/// The sample source and position of a D/S-converted stream.
+fn source_of(op: &NodeOp) -> Option<(&SourceSpec, u64)> {
+    match op {
+        NodeOp::Generate { source, skip, .. } | NodeOp::ConstStream { source, skip, .. } => {
+            Some((source, *skip))
+        }
+        _ => None,
+    }
 }

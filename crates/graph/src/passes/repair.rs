@@ -1,58 +1,119 @@
 //! The **repair** stage: insertion of correlation-establishing manipulators.
 
-use crate::compile::{CompileReport, PassDelta, PlannerOptions};
+use crate::compile::{CompileReport, PassDelta, PlannerOptions, RepairRecord};
 use crate::node::{Node, NodeId, NodeOp, SccClass, Wire};
-use std::collections::HashMap;
+
+/// The repaired graph, read in place: the source graph's `n` nodes, plus
+/// one appended manipulator per splice. Splice `k` is node `n + k`; it reads
+/// the inputs its operator had, and the operator reads its two outputs
+/// instead. No source node is copied.
+pub(crate) struct Repaired<'a> {
+    nodes: &'a [Node],
+    splices: Vec<Splice>,
+    /// Per source node: `k + 1` for the operator splice `k` feeds, else 0.
+    spliced: Vec<u32>,
+}
+
+/// One manipulator spliced in front of an operator.
+struct Splice {
+    /// The manipulator (a [`NodeOp::Manipulate`]).
+    op: NodeOp,
+    /// The operator it feeds.
+    before: usize,
+    /// The operator's new inputs: the manipulator's two outputs.
+    outputs: [Wire; 2],
+}
+
+impl Repaired<'_> {
+    /// Nodes of the repaired graph: source nodes plus splices.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len() + self.splices.len()
+    }
+
+    fn splice_feeding(&self, i: usize) -> Option<&Splice> {
+        match self.spliced.get(i).copied().unwrap_or(0) {
+            0 => None,
+            k => Some(&self.splices[k as usize - 1]),
+        }
+    }
+
+    /// The operation of node `i`.
+    pub(crate) fn op(&self, i: usize) -> &NodeOp {
+        match self.nodes.get(i) {
+            Some(node) => &node.op,
+            None => &self.splices[i - self.nodes.len()].op,
+        }
+    }
+
+    /// The input wires of node `i` in the repaired graph.
+    pub(crate) fn inputs(&self, i: usize) -> &[Wire] {
+        match self.nodes.get(i) {
+            Some(node) => match self.splice_feeding(i) {
+                Some(splice) => &splice.outputs,
+                None => &node.inputs,
+            },
+            None => &self.nodes[self.splices[i - self.nodes.len()].before].inputs,
+        }
+    }
+}
 
 /// For every correlation-tracked operator whose inferred input class misses
 /// its precondition, splices the one manipulator that establishes the
 /// required class ([`crate::CorrRequirement::establishing_manipulator`]) in
-/// front of the operator. With [`PlannerOptions::auto_repair`] off the miss is only
-/// recorded in [`CompileReport::unsatisfied`]. Returns the node list with
-/// the repairs appended (existing indices unchanged).
-pub(crate) fn repair(
-    nodes: &[Node],
-    classes: &HashMap<usize, SccClass>,
+/// front of the operator, and records it in [`CompileReport::inserted`].
+/// With [`PlannerOptions::auto_repair`] off the miss is only recorded in
+/// [`CompileReport::unsatisfied`].
+pub(crate) fn repair<'a>(
+    nodes: &'a [Node],
+    classes: &[Option<SccClass>],
     options: &PlannerOptions,
     report: &mut CompileReport,
-) -> Vec<Node> {
-    let mut nodes = nodes.to_vec();
-    // Repairs appended below sit past this bound and are never themselves
-    // correlation-tracked (manipulators have no requirement).
-    let tracked = nodes.len();
-    for i in 0..tracked {
-        let Some((label, requirement)) = nodes[i].op.correlation_requirement() else {
+) -> Repaired<'a> {
+    let mut repaired = Repaired {
+        nodes,
+        splices: Vec::new(),
+        spliced: Vec::new(),
+    };
+    for (i, node) in nodes.iter().enumerate() {
+        let Some((operator, requirement)) = node.op.correlation_requirement() else {
             continue;
         };
-        let class = classes.get(&i).copied().unwrap_or(SccClass::Unknown);
+        let class = classes[i].unwrap_or(SccClass::Unknown);
         if requirement.satisfied_by(class) {
             continue;
         }
         let Some(kind) = requirement.establishing_manipulator(options) else {
             continue;
         };
+        let mut record = RepairRecord {
+            operator,
+            node: i,
+            class,
+            requirement,
+            inserted: None,
+        };
         if !options.auto_repair {
-            report.unsatisfied.push(format!(
-                "{label} (node n{i}) requires {requirement:?} inputs but gets {class:?}"
-            ));
+            report.unsatisfied.push(record);
             continue;
         }
-        let node = NodeId(nodes.len());
-        let repaired = vec![Wire { node, port: 0 }, Wire { node, port: 1 }];
-        let inputs = std::mem::replace(&mut nodes[i].inputs, repaired);
-        nodes.push(Node {
+        let id = NodeId(repaired.len());
+        if repaired.spliced.is_empty() {
+            repaired.spliced = vec![0; nodes.len()];
+        }
+        repaired.splices.push(Splice {
             op: NodeOp::Manipulate(kind),
-            inputs,
+            before: i,
+            outputs: [Wire { node: id, port: 0 }, Wire { node: id, port: 1 }],
         });
-        report.inserted.push(format!(
-            "{kind} inserted before {label} (node n{i}): inputs are {class:?}, {requirement:?} required"
-        ));
+        repaired.spliced[i] = u32::try_from(repaired.splices.len()).expect("splices fit u32");
+        record.inserted = Some(kind);
+        report.inserted.push(record);
     }
-    let added = nodes.len() - tracked;
+    let added = repaired.splices.len();
     report.pass_deltas.push(PassDelta {
         pass: "repair",
         nodes_added: added,
         detail: format!("{added} repairs inserted"),
     });
-    nodes
+    repaired
 }

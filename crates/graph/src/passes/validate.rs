@@ -1,9 +1,10 @@
 //! The **validate** stage: structural checks before any transformation.
 
-use super::topo_order;
+use super::schedule;
 use crate::compile::{CompileReport, PassDelta, PlannerOptions};
 use crate::graph::GraphError;
 use crate::node::{CorrRequirement, Node, NodeOp};
+use std::collections::HashSet;
 
 /// Arity, sink-uniqueness, manipulator-range, and cycle checks (wires are
 /// builder-validated; arity and sink uniqueness are re-checked here to cover
@@ -27,7 +28,8 @@ pub(crate) fn validate(
             }
         }
     }
-    let mut sink_names: Vec<&str> = Vec::new();
+    let mut sink_names: HashSet<&str> = HashSet::new();
+    let mut forward_edge = false;
     for (i, node) in nodes.iter().enumerate() {
         if let NodeOp::Manipulate(kind) = node.op {
             if !kind.in_range() {
@@ -44,17 +46,21 @@ pub(crate) fn validate(
             }
         }
         if let Some(name) = node.op.sink_name() {
-            if sink_names.contains(&name) {
+            if !sink_names.insert(name) {
                 return Err(GraphError::DuplicateSink {
                     name: name.to_string(),
                 });
             }
-            sink_names.push(name);
         }
+        forward_edge |= node.inputs.iter().any(|wire| wire.node().index() >= i);
     }
     // Cycle check up front: scc-infer's class derivation recurses through
-    // identity manipulators and must only ever see a DAG.
-    topo_order(nodes)?;
+    // identity manipulators and must only ever see a DAG. A graph whose
+    // every wire points to a lower index is one; only a rewired forward
+    // edge can close a cycle, and only then is the full order needed.
+    if forward_edge {
+        schedule(nodes.len(), |i| &nodes[i].inputs)?;
+    }
     report.pass_deltas.push(PassDelta {
         pass: "validate",
         nodes_added: 0,

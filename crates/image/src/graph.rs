@@ -2,8 +2,9 @@
 //!
 //! Since the graph subsystem landed, this module is the *primary*
 //! implementation of the stochastic pipeline: [`crate::run_sc_pipeline`] is a
-//! thin wrapper that builds one graph per tile with [`tile_graph`], compiles
-//! it with the variant's [`planner_options`], and executes it. The hand-rolled
+//! thin wrapper that builds one graph per tile class (the circuit of
+//! [`tile_graph`]), compiles it with the variant's [`planner_options`], and
+//! executes it for every tile of the class. The hand-rolled
 //! per-tile loop it replaced is retained in this module's tests as the
 //! bit-identity reference.
 //!
@@ -38,10 +39,9 @@
 use crate::gaussian::GAUSSIAN_WEIGHTS;
 use crate::image::{GrayImage, ImageError};
 use crate::pipeline::{PipelineConfig, PipelineVariant};
-use sc_graph::{BatchInput, BinaryOp, Graph, PlannerOptions, Wire};
+use sc_graph::{BatchInput, BinaryOp, Graph, NodeId, PlannerOptions, Wire};
 use sc_hwcost::Netlist;
 use sc_rng::SourceSpec;
-use std::collections::BTreeMap;
 
 /// The largest source bank [`pixel_bank_index`] can use: its pattern has
 /// periods 4 (x) and 2 (y), so it addresses at most 8 distinct sources.
@@ -163,55 +163,92 @@ pub fn tile_graph(
     config: &PipelineConfig,
     tile_index: u64,
 ) -> TileGraph {
-    let n = config.stream_length as u64;
     let region = TileRegion::new(image, x0, y0, config.tile_size);
-    let (x_end, y_end) = (region.x_end, region.y_end);
-    let mut g = Graph::new();
-    let input = BatchInput::with_values(region.halo_values(image));
+    let TileCircuit { graph, sinks } = tile_circuit(&region, variant, config, tile_index);
+    let sinks = sinks
+        .into_iter()
+        .map(|(x, y, sink)| (x, y, sink_name(&graph, sink).to_string()))
+        .collect();
+    TileGraph {
+        graph,
+        input: BatchInput::with_values(region.halo_values(image)),
+        sinks,
+    }
+}
 
-    // 1. Input pixel streams for the haloed region, one value slot each.
-    let mut inputs: BTreeMap<(isize, isize), Wire> = BTreeMap::new();
+/// A tile's circuit without its input values: the graph, and the sink node
+/// of every output pixel `(x, y)` in raster order. This is the part of a
+/// tile a plan-cache miss builds ([`crate::TilePlanner::plan_tile`] has
+/// gathered the values already).
+pub(crate) struct TileCircuit {
+    pub(crate) graph: Graph,
+    pub(crate) sinks: Vec<(usize, usize, NodeId)>,
+}
+
+/// The name of a tile circuit's sink node.
+pub(crate) fn sink_name(graph: &Graph, sink: NodeId) -> &str {
+    graph
+        .node(sink)
+        .op
+        .sink_name()
+        .expect("tile circuits record sink nodes")
+}
+
+/// Builds the circuit of the tile over `region`. Wires are kept in dense
+/// grids: the haloed input pixels in raster order (the order of the value
+/// slots), and the blurred pixels `x0..=x_end` × `y0..=y_end`.
+pub(crate) fn tile_circuit(
+    region: &TileRegion,
+    variant: PipelineVariant,
+    config: &PipelineConfig,
+    tile_index: u64,
+) -> TileCircuit {
+    let n = config.stream_length as u64;
+    let (x0, y0) = (region.x0, region.y0);
+    let (width, height) = region.shape();
+    let mut g = Graph::new();
+
+    // 1. Input pixel streams for the haloed region, one value slot each:
+    //    pixel (x0 - 1 + hx, y0 - 1 + hy) is `inputs[hy * halo_width + hx]`.
+    let halo_width = width + 3;
+    let mut inputs: Vec<Wire> = Vec::with_capacity(halo_width * (height + 3));
     for (slot, (px, py)) in region.halo().enumerate() {
         let dimension = pixel_bank_index(px, py, config) + 1;
-        let wire = g.generate(slot, SourceSpec::Sobol { dimension });
-        inputs.insert((px, py), wire);
+        inputs.push(g.generate(slot, SourceSpec::Sobol { dimension }));
     }
 
-    // 2. Gaussian blur for every pixel the edge detector will touch. One
-    //    select LFSR is shared across the tile's kernels in raster order,
-    //    expressed as per-node skips of N samples each.
+    // 2. Gaussian blur for every pixel the edge detector will touch:
+    //    pixel (x0 + bx, y0 + by) is `blurred[by * blur_width + bx]`, and
+    //    its 3×3 neighbourhood lies inside the halo. One select LFSR is
+    //    shared across the tile's kernels in raster order, expressed as
+    //    per-node skips of N samples each.
     let blur_spec = blur_select_spec(tile_index);
-    let mut blurred: BTreeMap<(isize, isize), Wire> = BTreeMap::new();
-    let mut kernel_index = 0u64;
-    for gy in (y0 as isize)..=(y_end as isize) {
-        for gx in (x0 as isize)..=(x_end as isize) {
-            let mut neighbours: Vec<Wire> = Vec::with_capacity(9);
-            for dy in -1..=1isize {
-                for dx in -1..=1isize {
-                    let key = (
-                        (gx + dx).clamp(x0 as isize - 1, x_end as isize + 1),
-                        (gy + dy).clamp(y0 as isize - 1, y_end as isize + 1),
-                    );
-                    neighbours.push(inputs[&key]);
-                }
-            }
-            let wire = g.weighted_mux_skipped(
+    let blur_width = width + 1;
+    let mut blurred: Vec<Wire> = Vec::with_capacity(blur_width * (height + 1));
+    for by in 0..=height {
+        for bx in 0..=width {
+            let neighbours: [Wire; 9] =
+                std::array::from_fn(|k| inputs[(by + k / 3) * halo_width + bx + k % 3]);
+            let kernel_index = blurred.len() as u64;
+            blurred.push(g.weighted_mux_skipped(
                 &neighbours,
                 &GAUSSIAN_WEIGHTS,
                 blur_spec.clone(),
                 kernel_index * n,
-            );
-            blurred.insert((gx, gy), wire);
-            kernel_index += 1;
+            ));
         }
     }
 
     // 3. Regeneration variant: re-encode every blurred stream from a fresh
     //    instance of one shared sample sequence (§II.B). The planner sees
     //    the equal specs and derives SCC +1 for every regenerated pair.
+    //    Column by column, which fixes the regeneration nodes' order.
     if variant == PipelineVariant::Regeneration {
-        for wire in blurred.values_mut() {
-            *wire = g.regenerate(SourceSpec::VanDerCorput { offset: 0 }, *wire);
+        for bx in 0..=width {
+            for by in 0..=height {
+                let wire = &mut blurred[by * blur_width + bx];
+                *wire = g.regenerate(SourceSpec::VanDerCorput { offset: 0 }, *wire);
+            }
         }
     }
 
@@ -219,38 +256,23 @@ pub fn tile_graph(
     //    MUX scaled adder whose select LFSR is shared in raster order. The
     //    XORs' SCC +1 precondition is the planner's problem, not ours.
     let select_spec = edge_select_spec(tile_index);
-    let mut sinks = Vec::new();
-    let mut pixel_index = 0u64;
-    for y in y0..y_end {
-        for x in x0..x_end {
-            let clamp_key = |px: isize, py: isize| {
-                (
-                    px.clamp(x0 as isize, x_end as isize),
-                    py.clamp(y0 as isize, y_end as isize),
-                )
-            };
-            let a = blurred[&clamp_key(x as isize, y as isize)];
-            let b = blurred[&clamp_key(x as isize + 1, y as isize)];
-            let c = blurred[&clamp_key(x as isize, y as isize + 1)];
-            let d = blurred[&clamp_key(x as isize + 1, y as isize + 1)];
-            let diagonal = g.binary(BinaryOp::XorSubtract, a, d);
-            let anti = g.binary(BinaryOp::XorSubtract, b, c);
+    let mut sinks = Vec::with_capacity(width * height);
+    for ty in 0..height {
+        for tx in 0..width {
+            let at = |dx: usize, dy: usize| blurred[(ty + dy) * blur_width + tx + dx];
+            let diagonal = g.binary(BinaryOp::XorSubtract, at(0, 0), at(1, 1));
+            let anti = g.binary(BinaryOp::XorSubtract, at(1, 0), at(0, 1));
+            let pixel_index = sinks.len() as u64;
             let z = g.mux_add_skipped(diagonal, anti, select_spec.clone(), pixel_index * n);
             // Tile-relative sink names, so tiles of equal shape build
             // *identical* graphs up to their select-LFSR seeds and one
             // compiled plan serves them all through per-tile seed bindings.
-            let name = format!("edge_{}_{}", x - x0, y - y0);
-            g.sink_value(name.clone(), z);
-            sinks.push((x, y, name));
-            pixel_index += 1;
+            let sink = g.sink_value(format!("edge_{tx}_{ty}"), z);
+            sinks.push((x0 + tx, y0 + ty, sink));
         }
     }
 
-    TileGraph {
-        graph: g,
-        input,
-        sinks,
-    }
+    TileCircuit { graph: g, sinks }
 }
 
 /// The hardware of one accelerator variant: the compiled plan of a
@@ -272,8 +294,8 @@ pub fn tile_netlist(
 ) -> Result<Netlist, ImageError> {
     config.validate()?;
     let image = GrayImage::filled(config.tile_size, config.tile_size, 0.0);
-    let tile = tile_graph(&image, 0, 0, variant, config, 0);
-    let plan = tile
+    let region = TileRegion::new(&image, 0, 0, config.tile_size);
+    let plan = tile_circuit(&region, variant, config, 0)
         .graph
         .compile(&planner_options(variant, config))
         .expect("tile graphs are structurally valid by construction");

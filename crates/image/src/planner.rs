@@ -15,7 +15,8 @@
 //! * the template's shared sink layout at this tile's origin
 //!   ([`TileSinks`]).
 //!
-//! Only a miss builds the tile's graph ([`crate::graph::tile_graph`]) and
+//! Only a miss builds the tile's circuit (the graph of
+//! [`crate::graph::tile_graph`], without a second gather of its pixels) and
 //! compiles it.
 //!
 //! The planner is the piece both execution fronts share: the one-shot
@@ -35,7 +36,9 @@
 //! cache.
 
 use crate::assemble::TileSinks;
-use crate::graph::{blur_select_spec, edge_select_spec, planner_options, tile_graph, TileRegion};
+use crate::graph::{
+    blur_select_spec, edge_select_spec, planner_options, sink_name, tile_circuit, TileRegion,
+};
 use crate::image::GrayImage;
 use crate::pipeline::{PipelineConfig, PipelineStats, PipelineVariant};
 use sc_graph::{BatchInput, CompiledGraph};
@@ -203,8 +206,9 @@ impl TilePlanner {
         span.set_stage(Stage::PlanCacheMiss);
         telemetry.add(Counter::PlanCacheMisses, 1);
         stats.compilations += 1;
-        let tile = tile_graph(image, x0, y0, self.variant, &self.config, tile_index);
-        debug_assert_eq!(tile.input, input, "one gather feeds hits and misses");
+        // The input values were gathered above; a miss builds only the
+        // circuit.
+        let tile = tile_circuit(&region, self.variant, &self.config, tile_index);
         let options = planner_options(self.variant, &self.config);
         let plan = Arc::new(
             tile.graph
@@ -215,9 +219,9 @@ impl TilePlanner {
         // The sink layout, resolved by name once per class: entry `i` is the
         // tile-relative pixel of the plan's `i`-th value sink.
         let mut layout = vec![(0, 0); tile.sinks.len()];
-        for (x, y, name) in &tile.sinks {
+        for &(x, y, sink) in &tile.sinks {
             let position = plan
-                .value_sink_index(name)
+                .value_sink_index(sink_name(&tile.graph, sink))
                 .expect("every tile pixel has a value sink");
             layout[position] = (x - x0, y - y0);
         }
@@ -271,6 +275,7 @@ impl TilePlanner {
 mod tests {
     use super::*;
     use crate::assemble::scatter_sinks;
+    use crate::graph::tile_graph;
     use sc_graph::Executor;
     use sc_telemetry::TelemetrySink;
 
