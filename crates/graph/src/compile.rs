@@ -55,10 +55,6 @@ pub struct PlannerOptions {
     pub auto_repair: bool,
     /// Save depth of auto-inserted synchronizers.
     pub synchronizer_depth: u32,
-    /// Save depth of auto-inserted desynchronizers.
-    pub desynchronizer_depth: u32,
-    /// Shuffle-buffer depth of auto-inserted decorrelators.
-    pub decorrelator_depth: usize,
 }
 
 impl Default for PlannerOptions {
@@ -66,8 +62,6 @@ impl Default for PlannerOptions {
         PlannerOptions {
             auto_repair: true,
             synchronizer_depth: 1,
-            desynchronizer_depth: 1,
-            decorrelator_depth: 4,
         }
     }
 }

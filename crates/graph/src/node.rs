@@ -233,7 +233,9 @@ impl CorrRequirement {
     }
 
     /// The manipulator family that *establishes* this requirement, used by
-    /// the planner's auto-repair pass. `None` for agnostic ops.
+    /// the planner's auto-repair pass. `None` for agnostic ops. Synchronizers
+    /// take the options' save depth; desynchronizers save one bit and
+    /// decorrelators shuffle through four slots.
     #[must_use]
     pub fn establishing_manipulator(
         &self,
@@ -244,12 +246,8 @@ impl CorrRequirement {
             CorrRequirement::Positive => Some(ManipulatorKind::Synchronizer {
                 depth: options.synchronizer_depth,
             }),
-            CorrRequirement::Negative => Some(ManipulatorKind::Desynchronizer {
-                depth: options.desynchronizer_depth,
-            }),
-            CorrRequirement::Uncorrelated => Some(ManipulatorKind::Decorrelator {
-                depth: options.decorrelator_depth,
-            }),
+            CorrRequirement::Negative => Some(ManipulatorKind::Desynchronizer { depth: 1 }),
+            CorrRequirement::Uncorrelated => Some(ManipulatorKind::Decorrelator { depth: 4 }),
         }
     }
 }

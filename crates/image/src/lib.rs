@@ -38,9 +38,9 @@
 //! per-stage compile spans), the executor's dispatch / per-tile execute /
 //! worker activity, and the final sink scatter. Draining the sink yields one
 //! [`sc_telemetry::TelemetryReport`] with the per-stage time breakdown,
-//! counters, and the per-class job table; [`PipelineStats`] is a
-//! plain-struct view over the same run (tiles, compilations, jobs, peak
-//! tiles in flight).
+//! counters (jobs pulled, tiles, plan-cache hits and misses), the dispatch
+//! window's peak occupancy, and the per-class job table; [`PipelineStats`]
+//! holds only the run's planning tallies (tiles, compilations).
 //!
 //! The paper's input images are not published, so workloads are synthetic
 //! ([`GrayImage::gradient`], [`GrayImage::checkerboard`],

@@ -7,13 +7,13 @@
 //! options (the synchronizer variant's correlation repair is *inserted by
 //! the planner*, not by hand), and executed. Execution is **streamed in
 //! bounded windows** ([`run_sc_pipeline_with_stats`], with the worker count
-//! and window taken from [`PipelineConfig`]): tiles are planned
-//! *lazily*, in raster order, inside the streaming dispatch — every tile of
-//! a class (shape + source-bank phase) runs the class's one compiled
-//! template, with its own select seeds bound as job inputs — and at most
-//! `window` planned-but-unfinished tiles are alive at any moment on the
-//! executor's persistent worker pool, so arbitrarily large images run in
-//! O(window) tile inputs while every core runs tiles concurrently,
+//! taken from [`PipelineConfig`] and the executor's default window): tiles
+//! are planned *lazily*, in raster order, inside the streaming dispatch —
+//! every tile of a class (shape + source-bank phase) runs the class's one
+//! compiled template, with its own select seeds bound as job inputs — and
+//! at most `window` planned-but-unfinished tiles are alive at any moment on
+//! the executor's persistent worker pool, so arbitrarily large images run
+//! in O(window) tile inputs while every core runs tiles concurrently,
 //! bit-identical to sequential raster-order processing. The pre-graph per-tile loop is retained in `crate::graph`'s
 //! tests as the bit-identity reference.
 
@@ -23,7 +23,7 @@ use crate::gaussian::gaussian_blur_float;
 use crate::graph::MAX_RNG_BANK_SIZE;
 use crate::image::{GrayImage, ImageError};
 use crate::planner::TilePlanner;
-use sc_graph::{Executor, StreamJob, StreamStats};
+use sc_graph::{Executor, StreamJob};
 use sc_telemetry::TelemetrySink;
 use std::hash::{Hash, Hasher};
 
@@ -94,12 +94,6 @@ pub struct PipelineConfig {
     /// accelerator identity, so it is ignored by `PartialEq`/`Hash` (and by
     /// the plan cache).
     pub threads: Option<usize>,
-    /// Dispatch window of a one-shot run: at most this many planned tiles
-    /// are in flight (pulled and not yet finished) at once. `None` uses the
-    /// executor default (`threads ×`[`sc_graph::DEFAULT_WINDOW_FACTOR`]).
-    /// An [`crate::ImageServer`] has no window and ignores it. Ignored by
-    /// `PartialEq`/`Hash`.
-    pub window: Option<usize>,
 }
 
 impl PartialEq for PipelineConfig {
@@ -137,7 +131,6 @@ impl Default for PipelineConfig {
             synchronizer_depth: 2,
             telemetry: TelemetrySink::disabled(),
             threads: None,
-            window: None,
         }
     }
 }
@@ -157,13 +150,6 @@ impl PipelineConfig {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Sets the one-shot dispatch window (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = Some(window.max(1));
         self
     }
 
@@ -224,7 +210,9 @@ pub fn run_float_pipeline(image: &GrayImage) -> GrayImage {
     roberts_cross_float(&gaussian_blur_float(image))
 }
 
-/// Execution statistics of one [`run_sc_pipeline_with_stats`] call.
+/// Planning tallies of one [`run_sc_pipeline_with_stats`] call or one
+/// [`crate::ImageServer`] request. What execution did is recorded on the
+/// configuration's [`TelemetrySink`], not here.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Number of tiles processed.
@@ -235,20 +223,6 @@ pub struct PipelineStats {
     /// seeds as job inputs, so this counts *distinct tile classes*, not
     /// tiles.
     pub compilations: usize,
-    /// What the streaming tile dispatch did ([`sc_graph::StreamStats`]):
-    /// `stream.peak_in_flight` bounds the simultaneously-live planned tiles
-    /// (their inputs; the per-class templates they share are counted by
-    /// `compilations`) and never exceeds the dispatch window, which is how
-    /// streaming keeps whole-image memory at O(window) instead of
-    /// O(tiles); `stream.jobs == tiles`. The peak depends on the worker
-    /// count, so it is excluded from cross-thread comparisons. Per-class tallies live on the attached
-    /// [`TelemetrySink`]'s report ([`sc_telemetry::TelemetryReport::classes`]).
-    pub stream: StreamStats,
-    /// Duplicate source generators the emitted plans share — one physical
-    /// generator per distinct spec, the shared-RNG hardware of §II.B —
-    /// across all tile-class compiles (summed
-    /// [`sc_graph::CompileReport::shared_sources`]).
-    pub shared_sources: usize,
 }
 
 /// Runs the stochastic accelerator over the whole image, tile by tile, and
@@ -284,10 +258,12 @@ pub fn run_sc_pipeline_with_threads(
     run_sc_pipeline_with_stats(image, variant, &config.clone().with_threads(threads))
 }
 
-/// Like [`run_sc_pipeline`], also reporting how much compilation work the
-/// plan cache saved and how many planned tiles the streaming window kept
-/// live at its peak — the one config-driven run: [`PipelineConfig::threads`]
-/// and [`PipelineConfig::window`] pick the worker count and the window.
+/// Like [`run_sc_pipeline`], also reporting the tiles planned and the tile
+/// classes compiled — the one config-driven run: [`PipelineConfig::threads`]
+/// picks the worker count, and the window is the executor's
+/// [`Executor::default_window`]. Everything else the dispatch did (jobs
+/// pulled, the window's peak occupancy, per-class tallies) is recorded on
+/// the configuration's [`TelemetrySink`].
 ///
 /// The streaming tile dispatcher walks the image's tiles in raster order,
 /// planning each tile **lazily inside the stream** ([`TilePlanner`]): a tile
@@ -305,7 +281,7 @@ pub fn run_sc_pipeline_with_threads(
 ///
 /// Every tile executes with fresh FSMs and deterministic source samples, so
 /// the result is bit-identical to processing the tiles one at a time in raster
-/// order, at any worker count and any window.
+/// order, at any worker count.
 ///
 /// # Errors
 ///
@@ -322,11 +298,10 @@ pub fn run_sc_pipeline_with_stats(
     let executor = Executor::new(config.stream_length)
         .with_threads(config.checked_threads()?)
         .with_telemetry(config.telemetry.clone());
-    let window = config.window.unwrap_or_else(|| executor.default_window());
     let mut output = GrayImage::filled(image.width(), image.height(), 0.0);
-    // A fresh per-run planner keeps the historical unbounded per-run cache;
-    // the serving tier ([`crate::ImageServer`]) is the front that holds one
-    // planner across many requests.
+    // A fresh planner caches this run's classes only; the serving tier
+    // ([`crate::ImageServer`]) is the front that holds one planner across
+    // many requests.
     let mut planner = TilePlanner::new(variant, config.clone());
     let mut stats = PipelineStats::default();
     let tile = config.tile_size;
@@ -350,10 +325,9 @@ pub fn run_sc_pipeline_with_stats(
             input: planned.input,
         }
     });
-    let (results, stream) = executor
-        .run_stream_with_stats(jobs, window)
+    let results = executor
+        .run_stream(jobs, executor.default_window())
         .expect("tile graphs execute over their own batch input");
-    stats.stream = stream;
 
     // Scatter the per-tile sink values into the output image.
     scatter_sinks(&mut output, &sinks, &results, &config.telemetry);
@@ -522,11 +496,10 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The cross-tile dispatcher is bit-identical at every worker count and
-    /// window for every variant (including a cache-hitting 12×12 image whose
-    /// templates are shared across tiles), so the parallelism is
-    /// purely a throughput lever, and the window bounds the live plans: at
-    /// most `window` at once, and every tile at once when it is unbounded.
+    /// The cross-tile dispatcher is bit-identical at every worker count for
+    /// every variant (including a cache-hitting 12×12 image whose templates
+    /// are shared across tiles), so the parallelism is purely a throughput
+    /// lever, and planning work is thread-invariant.
     #[test]
     fn cross_tile_dispatch_is_thread_count_invariant() {
         let config = PipelineConfig {
@@ -540,55 +513,18 @@ mod tests {
         for variant in PipelineVariant::all() {
             let (sequential, seq_stats) =
                 run_sc_pipeline_with_threads(&img, variant, &config, 1).unwrap();
-            let seq_window = Executor::new(config.stream_length)
-                .with_threads(1)
-                .default_window();
-            assert!(
-                seq_stats.stream.peak_in_flight <= seq_window,
-                "inline path holds at most the window ({seq_window}) of plans, \
-                 saw {}",
-                seq_stats.stream.peak_in_flight
-            );
             for threads in [2usize, 8] {
-                let default_window = threads * sc_graph::DEFAULT_WINDOW_FACTOR;
-                for window in [1, threads, default_window, usize::MAX] {
-                    let (sharded, stats) = run_sc_pipeline_with_stats(
-                        &img,
-                        variant,
-                        &config.clone().with_threads(threads).with_window(window),
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        sharded, sequential,
-                        "{variant:?} at {threads} threads, window {window} diverged \
-                         from 1 thread"
-                    );
-                    // Planning work is thread-invariant; the peak of live
-                    // plans is a property of the window, not of the results,
-                    // so it is compared against its bound rather than across
-                    // thread counts.
-                    assert_eq!(stats.tiles, seq_stats.tiles, "{variant:?} tile count");
-                    assert_eq!(
-                        stats.compilations, seq_stats.compilations,
-                        "{variant:?} compilations are thread-invariant"
-                    );
-                    let peak = stats.stream.peak_in_flight;
-                    assert!(
-                        peak <= window,
-                        "{variant:?} at {threads} threads: {peak} live plans exceed \
-                         window {window}"
-                    );
-                    // The pool path admits the whole image before the first
-                    // result when nothing bounds it: the O(tiles) exposure
-                    // the bounded windows avoid.
-                    if window == usize::MAX {
-                        assert_eq!(
-                            peak, stats.tiles,
-                            "{variant:?} at {threads} threads: an unbounded window \
-                             plans every tile ahead of the first result"
-                        );
-                    }
-                }
+                let (sharded, stats) = run_sc_pipeline_with_stats(
+                    &img,
+                    variant,
+                    &config.clone().with_threads(threads),
+                )
+                .unwrap();
+                assert_eq!(
+                    sharded, sequential,
+                    "{variant:?} at {threads} threads diverged from 1 thread"
+                );
+                assert_eq!(stats, seq_stats, "{variant:?} planning is thread-invariant");
             }
         }
     }

@@ -26,14 +26,11 @@
 //! behind a lock — which is what lets tiles from *different* requests share
 //! one compiled template on the warm executor.
 //!
-//! Long-lived planners can bound the cache with
-//! [`TilePlanner::with_capacity`]: a per-class LRU that evicts the
-//! least-recently-used template once the class count exceeds the cap.
-//! Templates still held by in-flight work (every planned tile, hit or miss,
-//! holds its template's `Arc`) are pinned — never evicted, even if that
-//! temporarily overshoots the cap — so a class inside the live window is
-//! never re-planned mid-stream. The default is the historical unbounded
-//! cache.
+//! The cache is never evicted, because it is bounded by construction: a
+//! class is a tile width and height in `1..=tile_size` and one of the 4×2
+//! source-bank phases, so one planner holds at most `8·tile_size²`
+//! templates whatever images it sees (200 at the default 10×10 tile, where
+//! tile origins fall on only two phases).
 
 use crate::assemble::TileSinks;
 use crate::graph::{
@@ -54,13 +51,12 @@ type PlanKey = (usize, usize, usize, usize);
 
 /// A cached compiled template for one tile class: the plan, the two select
 /// specs it was compiled with (the left-hand sides of every hit's seed
-/// bindings), its tile-relative sink layout, and its LRU recency stamp.
+/// bindings) and its tile-relative sink layout.
 struct CacheEntry {
     plan: Arc<CompiledGraph>,
     blur_select: SourceSpec,
     edge_select: SourceSpec,
     layout: Arc<[(usize, usize)]>,
-    last_used: u64,
 }
 
 /// One tile ready for dispatch: its class template, its input (pixel values
@@ -96,39 +92,22 @@ pub fn tile_origins(image: &GrayImage, tile_size: usize) -> Vec<(usize, usize)> 
 }
 
 /// The shared tile planner: one accelerator configuration plus its per-class
-/// plan cache. See the [module docs](self) for the cache and LRU semantics.
+/// plan cache. See the [module docs](self) for the cache and its bound.
 pub struct TilePlanner {
     variant: PipelineVariant,
     config: PipelineConfig,
-    capacity: Option<usize>,
     cache: HashMap<PlanKey, CacheEntry>,
-    tick: u64,
-    evictions: u64,
 }
 
 impl TilePlanner {
-    /// An unbounded planner for one variant + configuration (the historical
-    /// per-run cache behavior).
+    /// A planner for one variant + configuration, with an empty cache.
     #[must_use]
     pub fn new(variant: PipelineVariant, config: PipelineConfig) -> Self {
         TilePlanner {
             variant,
             config,
-            capacity: None,
             cache: HashMap::new(),
-            tick: 0,
-            evictions: 0,
         }
-    }
-
-    /// Bounds the cache to at most `capacity` compiled tile classes,
-    /// evicting least-recently-used unpinned templates past the cap
-    /// (`None` restores the unbounded default). A capacity of zero keeps
-    /// nothing cached beyond pinned in-flight templates.
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.capacity = capacity;
-        self
     }
 
     /// The variant this planner plans for.
@@ -147,12 +126,6 @@ impl TilePlanner {
     #[must_use]
     pub fn cached_classes(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Number of templates evicted by the LRU bound so far.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Plans the tile whose top-left corner is `(x0, y0)`, recording
@@ -184,13 +157,11 @@ impl TilePlanner {
         // at different phases must not share a plan.
         let (width, height) = region.shape();
         let key = (width, height, x0 % 4, y0 % 2);
-        self.tick += 1;
-        if let Some(entry) = self.cache.get_mut(&key) {
+        if let Some(entry) = self.cache.get(&key) {
             // Tiles sharing a key build the same graph up to their two
             // select seeds, which never collide (see the seed tests), so
             // binding the template's specs to this tile's runs this tile's
             // circuit.
-            entry.last_used = self.tick;
             telemetry.add(Counter::PlanCacheHits, 1);
             input.bindings = vec![
                 (entry.blur_select.clone(), blur_select_spec(tile_index)),
@@ -215,7 +186,6 @@ impl TilePlanner {
                 .compile_with_telemetry(&options, &telemetry)
                 .expect("tile graphs are structurally valid by construction"),
         );
-        stats.shared_sources += plan.report().shared_sources;
         // The sink layout, resolved by name once per class: entry `i` is the
         // tile-relative pixel of the plan's `i`-th value sink.
         let mut layout = vec![(0, 0); tile.sinks.len()];
@@ -233,40 +203,12 @@ impl TilePlanner {
                 blur_select: blur_select_spec(tile_index),
                 edge_select: edge_select_spec(tile_index),
                 layout: Arc::clone(&layout),
-                last_used: self.tick,
             },
         );
-        self.enforce_capacity(&key);
         PlannedTile {
             plan,
             input,
             sinks: TileSinks::new(x0, y0, layout),
-        }
-    }
-
-    /// Evicts least-recently-used unpinned templates while the class count
-    /// exceeds the capacity. The just-inserted key and any template whose
-    /// `Arc` is still held outside the cache (every planned tile that is
-    /// queued or running holds its template itself) are pinned, so the
-    /// cache may transiently overshoot the cap rather than drop a class a
-    /// live tile still holds.
-    fn enforce_capacity(&mut self, just_inserted: &PlanKey) {
-        let Some(cap) = self.capacity else { return };
-        while self.cache.len() > cap.max(1) {
-            let victim = self
-                .cache
-                .iter()
-                .filter(|(key, entry)| *key != just_inserted && Arc::strong_count(&entry.plan) == 1)
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| *key);
-            match victim {
-                Some(key) => {
-                    self.cache.remove(&key);
-                    self.evictions += 1;
-                    self.config.telemetry.add(Counter::PlanCacheEvictions, 1);
-                }
-                None => break,
-            }
         }
     }
 }

@@ -36,7 +36,6 @@ use std::time::Instant;
 pub struct ImageServerBuilder {
     variant: PipelineVariant,
     config: PipelineConfig,
-    plan_cache_capacity: Option<usize>,
 }
 
 impl ImageServerBuilder {
@@ -45,15 +44,6 @@ impl ImageServerBuilder {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.config = self.config.with_threads(threads);
-        self
-    }
-
-    /// Bounds the shared plan cache to `capacity` compiled tile classes with
-    /// LRU eviction ([`TilePlanner::with_capacity`]); templates held by
-    /// in-flight tiles are pinned. Default: unbounded.
-    #[must_use]
-    pub fn with_plan_cache_capacity(mut self, capacity: usize) -> Self {
-        self.plan_cache_capacity = Some(capacity);
         self
     }
 
@@ -67,8 +57,7 @@ impl ImageServerBuilder {
         let service_config = ServiceConfig::new(self.config.stream_length)
             .with_threads(self.config.checked_threads()?)
             .with_telemetry(self.config.telemetry.clone());
-        let planner = TilePlanner::new(self.variant, self.config.clone())
-            .with_capacity(self.plan_cache_capacity);
+        let planner = TilePlanner::new(self.variant, self.config.clone());
         Ok(ImageServer {
             service: Service::start(service_config),
             planner: Mutex::new(planner),
@@ -131,9 +120,8 @@ pub struct ImageResponse {
     /// another request's tile. Kept only because the benchmark crate reads
     /// it; retired by the next benchmark change.
     pub cross_request_lane_jobs: usize,
-    /// Planning-side accounting for this request (tiles planned, plan-cache
-    /// compilations, shared sources). Its `stream` is zero: the request's
-    /// execution count is `tiles`.
+    /// Planning-side accounting for this request: tiles planned and
+    /// plan-cache compilations.
     pub planning: PipelineStats,
 }
 
@@ -207,7 +195,7 @@ pub struct ImageServer {
 
 impl ImageServer {
     /// A server for one variant + configuration, sized by the config's
-    /// `threads`; use [`builder`](Self::builder) to bound the plan cache.
+    /// `threads`.
     ///
     /// # Errors
     ///
@@ -222,11 +210,7 @@ impl ImageServer {
     /// A builder with default sizing for one variant + configuration.
     #[must_use]
     pub fn builder(variant: PipelineVariant, config: PipelineConfig) -> ImageServerBuilder {
-        ImageServerBuilder {
-            variant,
-            config,
-            plan_cache_capacity: None,
-        }
+        ImageServerBuilder { variant, config }
     }
 
     /// The telemetry sink the server (and its service) records into.
@@ -242,15 +226,6 @@ impl ImageServer {
             .lock()
             .expect("planner lock is never poisoned")
             .cached_classes()
-    }
-
-    /// Templates evicted by the plan cache's LRU bound so far.
-    #[must_use]
-    pub fn plan_cache_evictions(&self) -> u64 {
-        self.planner
-            .lock()
-            .expect("planner lock is never poisoned")
-            .evictions()
     }
 
     /// Submits a whole image, blocking while the service intake is full;

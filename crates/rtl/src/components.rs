@@ -8,7 +8,6 @@
 //! workspace `rtl_cosim` suite).
 
 use sc_bitstream::Probability;
-use sc_core::CorrelationManipulator;
 use sc_rng::{RandomSource, SourceSpec};
 use sc_sim::Component;
 
@@ -150,45 +149,6 @@ impl Component for SelectOneHot {
 
     fn reset(&mut self) {
         self.source = self.spec.build_skipped(self.skip);
-    }
-}
-
-/// A correlation-manipulating FSM as one two-in / two-out Mealy block.
-pub struct FsmPair {
-    inner: Box<dyn CorrelationManipulator>,
-    name: String,
-}
-
-impl FsmPair {
-    /// Wraps a freshly built manipulator.
-    #[must_use]
-    pub fn new(inner: Box<dyn CorrelationManipulator>) -> Self {
-        let name = inner.name();
-        FsmPair { inner, name }
-    }
-}
-
-impl Component for FsmPair {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn num_inputs(&self) -> usize {
-        2
-    }
-
-    fn num_outputs(&self) -> usize {
-        2
-    }
-
-    fn evaluate(&mut self, inputs: &[bool], outputs: &mut [bool]) {
-        let (ox, oy) = self.inner.step(inputs[0], inputs[1]);
-        outputs[0] = ox;
-        outputs[1] = oy;
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
     }
 }
 

@@ -3,11 +3,12 @@
 //! the same batch input the word-parallel executor consumes.
 
 use crate::components::{
-    ApcCell, CaAddCell, CaMaxMinCell, DividerCell, FsmPair, HalfSelectBit, SelectOneHot, SourceBit,
+    ApcCell, CaAddCell, CaMaxMinCell, DividerCell, HalfSelectBit, SelectOneHot, SourceBit,
     UnaryFsmCell,
 };
 use crate::design::{Cell, CellKind, Design, NetRef, SinkPlan};
 use sc_bitstream::Bitstream;
+use sc_core::sim_adapter::ManipulatorComponent;
 use sc_graph::{BatchInput, BinaryOp, CompiledGraph, ManipulatorKind, Step};
 use sc_sim::components::{
     AndGate, DFlipFlop, FullAdder, Mux2, NotGate, OrGate, UpCounter, XnorGate, XorGate,
@@ -598,7 +599,9 @@ fn instantiate(circuit: &mut Circuit, cell: &Cell, inputs: &[NetId]) -> Vec<NetI
             skip,
             weights,
         } => circuit.add_component(SelectOneHot::new(spec, *skip, weights), inputs),
-        CellKind::Fsm { kind } => circuit.add_component(FsmPair::new(kind.build()), inputs),
+        CellKind::Fsm { kind } => {
+            circuit.add_component(ManipulatorComponent::new(kind.build()), inputs)
+        }
         CellKind::CaAdd => circuit.add_component(CaAddCell::new(), inputs),
         CellKind::CaMax => circuit.add_component(CaMaxMinCell::new(true), inputs),
         CellKind::CaMin => circuit.add_component(CaMaxMinCell::new(false), inputs),

@@ -186,8 +186,6 @@ pub enum Counter {
     PlanCacheHits,
     /// Tile plans compiled fresh (and cached) by the image pipeline.
     PlanCacheMisses,
-    /// Cached tile-class templates evicted by a bounded plan cache's LRU.
-    PlanCacheEvictions,
     /// Image tiles planned.
     Tiles,
     /// Requests admitted into the serving tier's intake queue.
@@ -208,14 +206,13 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 15] = [
+    pub const ALL: [Counter; 14] = [
         Counter::JobsPulled,
         Counter::JobsFailed,
         Counter::Compilations,
         Counter::RepairsInserted,
         Counter::PlanCacheHits,
         Counter::PlanCacheMisses,
-        Counter::PlanCacheEvictions,
         Counter::Tiles,
         Counter::RequestsSubmitted,
         Counter::RequestsCompleted,
@@ -236,7 +233,6 @@ impl Counter {
             Counter::RepairsInserted => "repairs_inserted",
             Counter::PlanCacheHits => "plan_cache_hits",
             Counter::PlanCacheMisses => "plan_cache_misses",
-            Counter::PlanCacheEvictions => "plan_cache_evictions",
             Counter::Tiles => "tiles",
             Counter::RequestsSubmitted => "requests_submitted",
             Counter::RequestsCompleted => "requests_completed",

@@ -1,8 +1,9 @@
 //! Observability demo: runs the Gaussian-blur → edge-detector accelerator
 //! with a [`TelemetrySink`] attached and prints where the time went — the
 //! per-stage span breakdown (plan-cache hits vs misses vs per-tile
-//! execution), and the counters behind the [`sc_image::PipelineStats`]
-//! view — then writes a chrome://tracing trace-event file of the whole run.
+//! execution), the run's counters and the dispatch window's peak
+//! occupancy — then writes a chrome://tracing trace-event file of the
+//! whole run.
 //!
 //! Run with `cargo run --release --example trace_pipeline`. The trace is
 //! written to `trace_pipeline.json` in the current directory (or to the path
@@ -10,7 +11,7 @@
 //! <https://ui.perfetto.dev> to see the timeline.
 
 use sc_repro::prelude::*;
-use sc_telemetry::{Counter, Stage, TelemetrySink};
+use sc_telemetry::{Counter, Gauge, Stage, TelemetrySink};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace_path = std::env::args()
@@ -33,8 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     .with_telemetry(sink.clone());
 
-    let (_, stats) =
-        sc_image::run_sc_pipeline_with_stats(&image, PipelineVariant::Synchronizer, &config)?;
+    sc_image::run_sc_pipeline(&image, PipelineVariant::Synchronizer, &config)?;
     let report = sink.drain();
 
     println!(
@@ -65,7 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "jobs: {} of {} tiles (peak {} in flight)",
-        stats.stream.jobs, stats.tiles, stats.stream.peak_in_flight
+        report.counter(Counter::JobsPulled),
+        report.counter(Counter::Tiles),
+        report.gauge(Gauge::WindowOccupancy).1
     );
 
     std::fs::write(&trace_path, report.to_chrome_trace())?;

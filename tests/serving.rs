@@ -2,15 +2,15 @@
 //! (deadlines, cancellation, bounded intake, first-error ordering,
 //! attribution, panics) and the [`sc_image::ImageServer`] front
 //! (bit-identity with the one-shot pipeline under sequential and concurrent
-//! requests, config-driven sizing, bounded plan cache).
+//! requests, config-driven sizing, the plan cache's bound).
 
 use sc_graph::{
     BatchInput, BinaryOp, Graph, GraphError, PlannerOptions, Request, RequestError, RequestHandle,
     Service, ServiceConfig, StreamJob, SubmitError,
 };
 use sc_image::{
-    run_sc_pipeline, GrayImage, ImageServer, ImageSubmitError, PipelineConfig, PipelineStats,
-    PipelineVariant, TilePlanner,
+    run_sc_pipeline, tile_origins, GrayImage, ImageServer, ImageSubmitError, PipelineConfig,
+    PipelineStats, PipelineVariant, TilePlanner,
 };
 use sc_rng::SourceSpec;
 use sc_telemetry::{Counter, Stage, TelemetrySink};
@@ -228,8 +228,8 @@ fn and_plan() -> Arc<sc_graph::CompiledGraph> {
     Arc::new(g.compile(&PlannerOptions::default()).unwrap())
 }
 
-/// A long-lived service sees a fresh plan class on every compile (a plan
-/// cache refill after LRU eviction, a caller's new plan): many freshly
+/// A long-lived service sees a fresh plan class on every compile (a new
+/// tile class, a caller's new plan): many freshly
 /// compiled plans through one service all resolve bit-identical to solo
 /// runs, while the sink's per-class table stays bounded.
 #[test]
@@ -603,83 +603,46 @@ fn image_server_rejects_degenerate_configs_and_expired_deadlines() {
     assert_eq!(err, ImageSubmitError::Expired);
 }
 
+/// The plan cache is never evicted because it is bounded by construction:
+/// a class is a tile shape in `1..=t` × `1..=t` and one of the 4×2
+/// source-bank phases, so planning every image size up to two tiles a side
+/// caches at most `8·t²` templates, and a second pass over the same sizes
+/// compiles nothing.
 #[test]
-fn bounded_plan_cache_evicts_lru_but_pins_held_templates() {
-    let config = PipelineConfig::quick();
-    let image = GrayImage::gradient(12, 12);
-    // A 12×12 image with 6-pixel tiles has two tile classes (x-phases 0
-    // and 2). With capacity 1 and nothing held, planning both classes
-    // evicts the first.
-    let mut planner =
-        TilePlanner::new(PipelineVariant::Synchronizer, config.clone()).with_capacity(Some(1));
-    let mut stats = PipelineStats::default();
-    drop(planner.plan_tile(&image, 0, 0, 0, &mut stats));
-    drop(planner.plan_tile(&image, 6, 0, 1, &mut stats));
-    assert_eq!(planner.cached_classes(), 1);
-    assert_eq!(planner.evictions(), 1);
-    // Revisiting the evicted class recompiles it.
-    let before = stats.compilations;
-    drop(planner.plan_tile(&image, 0, 0, 2, &mut stats));
-    assert_eq!(stats.compilations, before + 1);
-
-    // A template still held outside the cache (a live dispatch window would
-    // hold it exactly like this) is pinned: the cache overshoots the cap
-    // instead of evicting it.
-    let mut planner =
-        TilePlanner::new(PipelineVariant::Synchronizer, config.clone()).with_capacity(Some(1));
-    let mut stats = PipelineStats::default();
-    let held = planner.plan_tile(&image, 0, 0, 0, &mut stats);
-    drop(planner.plan_tile(&image, 6, 0, 1, &mut stats));
-    assert_eq!(
-        planner.cached_classes(),
-        2,
-        "held template is pinned, cache overshoots"
-    );
-    assert_eq!(planner.evictions(), 0);
-    drop(held);
-
-    // A cache hit hands out the template itself, so a held *hit* pins its
-    // class exactly like a held miss: tile 2 at (0, 6) hits the class of
-    // tile 0, whose own plan was dropped at once.
-    let mut planner =
-        TilePlanner::new(PipelineVariant::Synchronizer, config).with_capacity(Some(1));
-    let mut stats = PipelineStats::default();
-    drop(planner.plan_tile(&image, 0, 0, 0, &mut stats));
-    let held_hit = planner.plan_tile(&image, 0, 6, 2, &mut stats);
-    assert_eq!(stats.compilations, 1, "tile 2 is a cache hit");
-    drop(planner.plan_tile(&image, 6, 0, 1, &mut stats));
-    assert_eq!(
-        planner.cached_classes(),
-        2,
-        "a held hit pins its template, cache overshoots"
-    );
-    assert_eq!(planner.evictions(), 0);
-    drop(held_hit);
-    // Released, both classes are evictable again: the next miss (a 2×6
-    // border tile of a wider image, a third class) trims the cache to its
-    // cap.
-    let wider = GrayImage::gradient(14, 12);
-    drop(planner.plan_tile(&wider, 12, 0, 2, &mut stats));
-    assert_eq!(planner.evictions(), 2);
-    assert_eq!(planner.cached_classes(), 1);
-}
-
-#[test]
-fn bounded_image_server_still_renders_correctly() {
-    let image = GrayImage::gradient(12, 12);
-    let config = PipelineConfig::quick();
-    let expected = run_sc_pipeline(&image, PipelineVariant::Synchronizer, &config).unwrap();
-    let server = ImageServer::builder(PipelineVariant::Synchronizer, config)
-        .with_threads(1)
-        .with_plan_cache_capacity(1)
-        .start()
-        .unwrap();
-    for _ in 0..3 {
-        let response = server.submit(&image).unwrap().wait().unwrap();
-        assert_eq!(response.image, expected);
+fn plan_cache_is_bounded_by_tile_shapes_and_bank_phases() {
+    for variant in PipelineVariant::all() {
+        let sink = TelemetrySink::new();
+        let config = PipelineConfig::quick().with_telemetry(sink.clone());
+        let t = config.tile_size;
+        let mut planner = TilePlanner::new(variant, config);
+        let mut plan_every_size = || {
+            let mut stats = PipelineStats::default();
+            for width in 1..=2 * t {
+                for height in 1..=2 * t {
+                    let image = GrayImage::gradient(width, height);
+                    for (i, &(x0, y0)) in tile_origins(&image, t).iter().enumerate() {
+                        drop(planner.plan_tile(&image, x0, y0, i as u64, &mut stats));
+                    }
+                }
+            }
+            stats.compilations
+        };
+        let misses = || sink.snapshot().counter(Counter::PlanCacheMisses);
+        let compiled = plan_every_size();
+        assert!(compiled > 0, "{variant:?}: the first pass compiles");
+        assert_eq!(misses(), compiled as u64);
+        assert_eq!(plan_every_size(), 0, "{variant:?}: no second-pass compiles");
+        assert_eq!(
+            misses(),
+            compiled as u64,
+            "{variant:?}: no second-pass misses"
+        );
+        assert_eq!(planner.cached_classes(), compiled);
+        assert!(
+            planner.cached_classes() <= 8 * t * t,
+            "{variant:?}: {} classes exceed 8·t² = {}",
+            planner.cached_classes(),
+            8 * t * t
+        );
     }
-    assert!(
-        server.cached_classes() <= 2,
-        "bounded cache stays near its cap (pinning may overshoot transiently)"
-    );
 }
