@@ -247,8 +247,9 @@ impl CorrelationManipulator for Desynchronizer {
     /// Speculative multi-bit stepping, taken by every entry point (`process`,
     /// a boxed circuit, a chain stage): the `(saved_x, saved_y, bank)` state
     /// space is small, so all 64 output bits are resolved by table-driven
-    /// state propagation (thirteen chunk lookups per word) instead of
-    /// 64 data-dependent branchy transitions — bit-identical to
+    /// state propagation (the word zipped once into 5-cycle chunk symbols,
+    /// then thirteen chunk lookups of one shift, one mask and one OR each)
+    /// instead of 64 data-dependent branchy transitions — bit-identical to
     /// [`bit_serial_step_word`], which remains the in-tree reference (and the
     /// fallback for depths whose state space exceeds the table bound).
     fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
@@ -459,6 +460,34 @@ mod tests {
     }
 
     proptest! {
+        /// The table of every depth that has one, from every start state,
+        /// against bit-serial stepping on random words and `valid` counts.
+        #[test]
+        fn prop_table_walk_matches_bit_serial(
+            x in any::<u64>(),
+            y in any::<u64>(),
+            valid in 1u32..=64,
+        ) {
+            for depth in 1..=TABLE_DEPTHS as u32 {
+                let table = speculative_table(depth).unwrap();
+                for state in 0..table.states() {
+                    let mut walked = state;
+                    let got = table.step_word(&mut walked, x, y, valid);
+                    let (saved_x, saved_y, bank_x_next) = state_decode(depth, state);
+                    let mut reference = Desynchronizer {
+                        depth,
+                        saved_x,
+                        saved_y,
+                        bank_x_next,
+                        table: None,
+                    };
+                    prop_assert_eq!(got, bit_serial_step_word(&mut reference, x, y, valid));
+                    let end = (reference.saved_x, reference.saved_y, reference.bank_x_next);
+                    prop_assert_eq!(state_decode(depth, walked), end);
+                }
+            }
+        }
+
         #[test]
         fn prop_values_preserved_within_depth(
             bits_x in proptest::collection::vec(any::<bool>(), 64..300),

@@ -27,10 +27,13 @@
 //! stepping** ([`SpeculativeTable`]): the FSM's transition function is
 //! precomputed for every `(state, input symbol)` pair at 1-, 4- and 5-cycle
 //! granularity, and [`SpeculativeTable::step_word`] resolves all 64 output
-//! bits of a word by table-driven state propagation (thirteen chunk lookups:
-//! twelve 5-cycle chunks plus one 4-cycle chunk) instead of 64 branchy
-//! per-bit transitions. Tables are built once per FSM configuration and
-//! shared between instances and threads.
+//! bits of a word by table-driven state propagation instead of 64 branchy
+//! per-bit transitions. A full word is zipped once into its 5-cycle chunk
+//! symbols, each chunk's X bits with its Y bits directly above them; the walk
+//! is then thirteen lookups (twelve 5-cycle chunks plus one 4-cycle chunk)
+//! of one shift, one mask and one OR each, and one unzip of the outputs.
+//! Tables are built once per FSM configuration and shared between instances
+//! and threads.
 
 use crate::manipulator::CorrelationManipulator;
 use sc_bitstream::{Bitstream, Error, Result, WORD_BITS};
@@ -160,9 +163,13 @@ pub const MAX_SPECULATIVE_STATES: usize = 64;
 ///
 /// Three granularities are stored: a 1-cycle table (`states × 4` symbols)
 /// for trailing cycles of a partial word, a 4-cycle table (`states × 256`
-/// symbols, the low nibble of X and Y packed into one byte), and a 5-cycle
-/// table (`states × 1024` symbols) so a full 64-bit word resolves in just
-/// thirteen lookups — twelve 5-cycle chunks plus one 4-cycle chunk.
+/// symbols) and a 5-cycle table (`states × 1024` symbols), so a full 64-bit
+/// word resolves in thirteen lookups — twelve 5-cycle chunks plus one
+/// 4-cycle chunk. Every symbol and every output is *chunk-zipped*: a chunk's
+/// X bits with its Y bits directly above them. A full word is zipped once,
+/// into its even and its odd 5-cycle chunks, so each chunk's symbol is one
+/// shift and one mask, each output one shift and one OR, and the outputs
+/// are unzipped once per word.
 ///
 /// The tables are laid out for the shortest possible dependent chain through
 /// the word walk: next-state row bases are stored in their own dense `u16`
@@ -175,17 +182,17 @@ pub struct SpeculativeTable {
     states: usize,
     /// `state * 4 + (x | y << 1)` → `next_state * 4` (one cycle).
     step1_next: Vec<u16>,
-    /// Same index → output bits: X in bit 0, Y in bit 8.
+    /// Same index → output bits: X in bit 0, Y in bit 1.
     step1_out: Vec<u16>,
     /// `state * 256 + (x_nibble | y_nibble << 4)` → `next_state * 256`
     /// (four cycles).
     step4_next: Vec<u16>,
-    /// Same index → output bits: X nibble in bits 0–3, Y nibble in 8–11.
+    /// Same index → output bits: X nibble in bits 0–3, Y nibble in 4–7.
     step4_out: Vec<u16>,
     /// `state * 1024 + (x_5bits | y_5bits << 5)` → `next_state * 1024`
     /// (five cycles).
     step5_next: Vec<u16>,
-    /// Same index → output bits: X chunk in bits 0–4, Y chunk in 8–12.
+    /// Same index → output bits: X chunk in bits 0–4, Y chunk in 5–9.
     step5_out: Vec<u16>,
 }
 
@@ -214,7 +221,7 @@ impl SpeculativeTable {
                 let (next, ox, oy) = step(state, sym & 1 == 1, sym & 2 == 2);
                 assert!(next < states, "transition leaves the declared state space");
                 step1_next.push((next * 4) as u16);
-                step1_out.push(u16::from(ox) | u16::from(oy) << 8);
+                step1_out.push(u16::from(ox) | u16::from(oy) << 1);
             }
         }
         // The wider tables are composed from the 1-cycle table, so every
@@ -230,7 +237,8 @@ impl SpeculativeTable {
                         let bx = (sym >> cycle) & 1;
                         let by = (sym >> (cycles + cycle)) & 1;
                         let idx = row | bx | by << 1;
-                        out |= step1_out[idx] << cycle;
+                        let bits = step1_out[idx];
+                        out |= (bits & 1) << cycle | (bits >> 1) << (cycles + cycle);
                         row = step1_next[idx] as usize;
                     }
                     next.push(((row / 4) * symbols * symbols) as u16);
@@ -268,50 +276,56 @@ impl SpeculativeTable {
     /// Panics (via indexing) if `state >= self.states()`.
     #[must_use]
     pub fn step_word(&self, state: &mut usize, x: u64, y: u64, valid: u32) -> (u64, u64) {
-        let (mut out_x, mut out_y) = (0u64, 0u64);
         // The dependent chain through the walk is row → load → row (one OR,
         // one 2-byte load per chunk): symbol extraction and output assembly
-        // run ahead of / behind it. A full word is dispatched with
-        // compile-time chunk counts — twelve 5-cycle chunks plus one 4-cycle
-        // chunk, thirteen serial lookups in total — so the walk fully
-        // unrolls; partial final words take the general 4/1-cycle path.
+        // run beside it. A full word is zipped once into its even chunks
+        // (chunk `2j` at bit `10j`, Y above X) and its odd chunks (chunk
+        // `2j + 1` likewise at bit `10j`) and walked with compile-time chunk
+        // counts — twelve 5-cycle chunks plus one 4-cycle chunk — so the walk
+        // fully unrolls; partial final words take the general 4/1-cycle path.
         if valid == 64 {
+            // Chunks 0, 2, …, 10 (bits `10j..10j + 5`) and 1, 3, …, 11.
+            const EVEN_CHUNKS: u64 = 0x007C_1F07_C1F0_7C1F;
+            const ODD_CHUNKS: u64 = EVEN_CHUNKS << 5;
+            let even = (x & EVEN_CHUNKS) | (y & EVEN_CHUNKS) << 5;
+            let odd = (x & ODD_CHUNKS) >> 5 | (y & ODD_CHUNKS);
+            let (mut out_even, mut out_odd) = (0u64, 0u64);
             let mut row = *state * 1024;
-            for c in 0..12 {
-                let i = c * 5;
-                let sym = (((x >> i) & 0x1F) | (((y >> i) & 0x1F) << 5)) as usize;
-                let idx = row | sym;
-                let out = self.step5_out[idx];
-                out_x |= u64::from(out & 0x1F) << i;
-                out_y |= u64::from(out >> 8) << i;
+            for j in 0..6 {
+                let i = 10 * j;
+                let idx = row | ((even >> i) & 0x3FF) as usize;
+                out_even |= u64::from(self.step5_out[idx]) << i;
+                row = self.step5_next[idx] as usize;
+                let idx = row | ((odd >> i) & 0x3FF) as usize;
+                out_odd |= u64::from(self.step5_out[idx]) << i;
                 row = self.step5_next[idx] as usize;
             }
-            let sym = ((x >> 60) | ((y >> 60) << 4)) as usize;
-            let idx = ((row / 1024) * 256) | sym;
-            let out = self.step4_out[idx];
-            out_x |= u64::from(out & 0xF) << 60;
-            out_y |= u64::from(out >> 8) << 60;
+            let idx = (row / 4) | ((x >> 60) | (y >> 60) << 4) as usize;
+            let last = u64::from(self.step4_out[idx]);
             *state = self.step4_next[idx] as usize / 256;
+            let out_x = (out_even & EVEN_CHUNKS) | (out_odd << 5 & ODD_CHUNKS) | (last & 0xF) << 60;
+            let out_y = (out_even >> 5 & EVEN_CHUNKS) | (out_odd & ODD_CHUNKS) | (last >> 4) << 60;
             return (out_x, out_y);
         }
+        let (mut out_x, mut out_y) = (0u64, 0u64);
         let chunks = (valid / 4) as usize;
         let mut row = *state * 256;
         for c in 0..chunks {
             let i = c * 4;
             let sym = (((x >> i) & 0xF) | (((y >> i) & 0xF) << 4)) as usize;
             let idx = row | sym;
-            let out = self.step4_out[idx];
-            out_x |= u64::from(out & 0xF) << i;
-            out_y |= u64::from(out >> 8) << i;
+            let out = u64::from(self.step4_out[idx]);
+            out_x |= (out & 0xF) << i;
+            out_y |= (out >> 4) << i;
             row = self.step4_next[idx] as usize;
         }
         let mut row1 = (row / 256) * 4;
         for i in (chunks * 4)..(valid as usize) {
             let sym = (((x >> i) & 1) | (((y >> i) & 1) << 1)) as usize;
             let idx = row1 | sym;
-            let out = self.step1_out[idx];
-            out_x |= u64::from(out & 1) << i;
-            out_y |= u64::from(out >> 8) << i;
+            let out = u64::from(self.step1_out[idx]);
+            out_x |= (out & 1) << i;
+            out_y |= (out >> 1) << i;
             row1 = self.step1_next[idx] as usize;
         }
         *state = row1 / 4;

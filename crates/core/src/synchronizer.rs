@@ -258,8 +258,9 @@ impl CorrelationManipulator for Synchronizer {
     /// Speculative multi-bit stepping, taken by every entry point (`process`,
     /// a boxed circuit, a chain stage): the credit FSM has only `2D + 1`
     /// states, so all 64 output bits are resolved by table-driven state
-    /// propagation (thirteen chunk lookups per word) instead of 64
-    /// data-dependent branchy transitions — bit-identical to
+    /// propagation (the word zipped once into 5-cycle chunk symbols, then
+    /// thirteen chunk lookups of one shift, one mask and one OR each) instead
+    /// of 64 data-dependent branchy transitions — bit-identical to
     /// [`bit_serial_step_word`], which remains the in-tree reference (and the
     /// fallback for depths whose state space exceeds the table bound).
     fn step_word(&mut self, x: u64, y: u64, valid: u32) -> (u64, u64) {
@@ -516,6 +517,27 @@ mod tests {
     }
 
     proptest! {
+        /// The table of every depth that has one, from every start state,
+        /// against bit-serial stepping on random words and `valid` counts.
+        #[test]
+        fn prop_table_walk_matches_bit_serial(
+            x in any::<u64>(),
+            y in any::<u64>(),
+            valid in 1u32..=64,
+        ) {
+            for depth in 1..=TABLE_DEPTHS as u32 {
+                let table = speculative_table(depth).unwrap();
+                for state in 0..table.states() {
+                    let mut walked = state;
+                    let got = table.step_word(&mut walked, x, y, valid);
+                    let credit = state as i32 - depth as i32;
+                    let mut reference = Synchronizer::with_initial_credit(depth, credit);
+                    prop_assert_eq!(got, bit_serial_step_word(&mut reference, x, y, valid));
+                    prop_assert_eq!(walked as i32, reference.credit + reference.depth);
+                }
+            }
+        }
+
         #[test]
         fn prop_values_preserved_within_depth(
             bits_x in proptest::collection::vec(any::<bool>(), 64..300),

@@ -782,11 +782,14 @@ fn execute_step(
             dst,
         } => {
             // `mux_add(x, y, select)` multiplexes `y` (select 0) against
-            // `x` and reports a mismatch in that order.
+            // `x` and reports a mismatch in that order. It is the two-input
+            // tree over `[x, y]` under the half-select rule.
             let len = arena.slots().common_len(*y, *x)?;
-            let window = draws.select(select, *skip, &planes::half_select_weights(), len);
+            let half = planes::half_select_weights();
+            let window = draws.select(select, *skip, &half, len);
             let (slots, row) = arena.row(*dst, len);
-            window.mux_add(slots.words(*x), slots.words(*y), len, row);
+            let inputs = [slots.words(*x), slots.words(*y)];
+            window.weighted_mux(&half, |k| inputs[k], len, row);
         }
         Step::WeightedMux {
             weights,

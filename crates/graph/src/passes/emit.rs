@@ -195,12 +195,19 @@ pub(crate) fn emit_steps(
 
     // Shared-source accounting: under the shared-RNG hardware of §II.B each
     // distinct spec drives one physical sample generator; count the
-    // generator instances the sharing saves.
+    // generator instances the sharing saves. Runs of one spec (a blur's or
+    // an edge detector's select steps) compare against their predecessor
+    // instead of hashing again.
     let mut seen: HashSet<&SourceSpec> = HashSet::with_capacity(steps.len());
+    let mut previous = None;
     report.shared_sources = steps
         .iter()
         .filter_map(crate::cost::step_source)
-        .filter(|spec| !seen.insert(*spec))
+        .filter(|&spec| {
+            let repeat = previous == Some(spec) || !seen.insert(spec);
+            previous = Some(spec);
+            repeat
+        })
         .count();
 
     report.pass_deltas.push(PassDelta {

@@ -14,17 +14,22 @@
 //!   sequence, so bit `i` of its stream is set exactly when sample `i` is
 //!   among the `k` samples below `p`. A prefix plane sorts a sample plane
 //!   once and keeps its `n + 1` prefix masks, mask `k` holding the bits of
-//!   the `k` smallest samples; a conversion is then one binary search for
-//!   `k` and one copy of mask `k`, bit-identical to the per-bit compares.
+//!   the `k` smallest samples, plus the number of samples below each of
+//!   `B + 1` bucket edges `b / B` (`B` the power of two at or above `n`, so
+//!   every edge and `p·B` are exact in `f64`). A conversion is then one
+//!   bucket lookup, a search for `k` within that bucket and one copy of
+//!   mask `k`, bit-identical to the per-bit compares.
 //! * **Cycle tables** serve MUX selects driven by an LFSR of width ≤ 16. Its
 //!   taps are primitive, so every seed walks the same maximal-length cycle
 //!   and every `(seed, skip)` window is an offset into it: a `u16`
 //!   state→position map per width finds the offset. A select rule (the
 //!   cumulative walk over the tree's weights) maps each cycle position to
 //!   one input; one bit-plane per input, laid over two laps of the cycle,
-//!   turns each select word into one funnel shift. One table per
-//!   `(width, weights)` serves every seed and skip — the tile-shared select
-//!   LFSRs of the GB→ED accelerator hit it for every tile index.
+//!   turns each select word into one funnel shift, and a MUX tree into one
+//!   pass per plane. One table per `(width, weights)` serves every seed and
+//!   skip — the tile-shared select LFSRs of the GB→ED accelerator hit it for
+//!   every tile index; a job binding a step to another seed looks that
+//!   seed's cycle position up once.
 //!
 //! Planes are built once and shared across jobs and threads: a hit takes the
 //! store's lock shared, only an insert takes it exclusively. The store is
@@ -90,8 +95,9 @@ fn select_index(u: f64, weights: &[f64]) -> usize {
     weights.len() - 1
 }
 
-/// A MUX adder's select rule as a two-input tree: its first input is picked
-/// exactly when `u < ½`, the rule of `sc_arith::add::half_select_stream`.
+/// A MUX adder's select rule: it is the two-input tree [`Window::weighted_mux`]
+/// runs under these weights, whose first input is picked exactly when
+/// `u < ½`, the rule of `sc_arith::add::half_select_stream`.
 pub(crate) fn half_select_weights() -> [f64; 2] {
     let half = Probability::HALF.get();
     [half, half]
@@ -146,17 +152,17 @@ pub(crate) struct SelectPlanes {
 
 impl SelectPlanes {
     /// Words per plane over a cycle of `period` states.
-    fn words(period: usize) -> usize {
+    fn plane_words(period: usize) -> usize {
         (2 * period).div_ceil(WORD_BITS) + 1
     }
 
     fn bytes(width: u32, inputs: usize) -> usize {
-        (inputs - 1) * Self::words((1 << width) - 1) * size_of::<u64>()
+        (inputs - 1) * Self::plane_words((1 << width) - 1) * size_of::<u64>()
     }
 
     fn build(cycle: Arc<CycleTable>, weights: &[f64]) -> Self {
         let period = cycle.period();
-        let mut planes = vec![vec![0u64; Self::words(period)]; weights.len() - 1];
+        let mut planes = vec![vec![0u64; Self::plane_words(period)]; weights.len() - 1];
         // The same register and `next_unit` the executor's source would
         // run, walked once around the cycle from state 1.
         let mut lfsr = Lfsr::new(cycle.width, 1);
@@ -185,33 +191,51 @@ impl SelectPlanes {
                 .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
-    /// The cycle index of the first sample an LFSR of this width seeded
-    /// with `seed` draws after `skip` draws.
-    fn offset(&self, seed: u64, skip: u64) -> usize {
-        let period = self.cycle.period() as u64;
-        // `Lfsr::new` applies the seed-masking rule; the first draw steps
-        // once past the start state.
+    /// The cycle index of the state an LFSR of this width seeded with
+    /// `seed` starts in. `Lfsr::new` applies the seed-masking rule.
+    fn position(&self, seed: u64) -> usize {
         let start = Lfsr::new(self.cycle.width, seed).state() as usize;
-        ((u64::from(self.cycle.position[start]) + 1 + skip % period) % period) as usize
+        usize::from(self.cycle.position[start])
     }
 
-    /// Select word `w` of plane `k`'s window starting at cycle index
-    /// `offset`.
-    fn word(&self, k: usize, offset: usize, w: usize) -> u64 {
-        let plane = &self.planes[k];
-        let bit = offset + w * WORD_BITS;
-        let i = bit / WORD_BITS;
-        let pair = u128::from(plane[i]) | u128::from(plane[i + 1]) << WORD_BITS;
-        (pair >> (bit % WORD_BITS)) as u64
+    /// How many cycle indices past its start state a window's first sample
+    /// lies after `skip` draws: the first draw steps once past the start.
+    fn advance(&self, skip: u64) -> usize {
+        let period = self.cycle.period() as u64;
+        ((1 + skip % period) % period) as usize
+    }
+
+    /// The cycle index `advance` steps past `position`; both are below the
+    /// period, so one conditional subtract wraps it.
+    fn offset(&self, position: usize, advance: usize) -> usize {
+        let (offset, period) = (position + advance, self.cycle.period());
+        if offset >= period {
+            offset - period
+        } else {
+            offset
+        }
+    }
+
+    /// The first `words` select words of plane `k`'s window starting at
+    /// cycle index `offset`: one funnel shift of two plane words each.
+    fn words(&self, k: usize, offset: usize, words: usize) -> impl Iterator<Item = u64> + '_ {
+        let (i, shift) = (offset / WORD_BITS, offset % WORD_BITS);
+        let plane = &self.planes[k][i..=i + words];
+        plane
+            .iter()
+            .zip(&plane[1..])
+            .map(move |(&lo, &hi)| ((u128::from(hi) << WORD_BITS | u128::from(lo)) >> shift) as u64)
     }
 }
 
 /// The samples a select source draws for one step.
 pub(crate) enum Select {
-    /// The window starting at `offset` in a shared cycle table.
+    /// The window starting at `offset` in a shared cycle table, `advance`
+    /// indices past its register's start state.
     Cycle {
         planes: Arc<SelectPlanes>,
         offset: usize,
+        advance: usize,
     },
     /// The raw samples, for sources without a cycle table.
     Samples(Arc<[f64]>),
@@ -221,22 +245,8 @@ impl Select {
     /// The window this handle reads.
     fn window(&self) -> Window<'_> {
         match self {
-            Select::Cycle { planes, offset } => Window::Cycle(planes, *offset),
+            Select::Cycle { planes, offset, .. } => Window::Cycle(planes, *offset),
             Select::Samples(samples) => Window::Samples(samples),
-        }
-    }
-
-    /// The same window drawn from `bound`, when it reads the same cycle
-    /// table: a table is keyed by `(width, weights)`, so only the offset
-    /// depends on the seed. `None` when `bound` needs a store lookup.
-    fn rebind(&self, bound: &SourceSpec, skip: u64) -> Option<Window<'_>> {
-        match (self, bound) {
-            (Select::Cycle { planes, .. }, &SourceSpec::Lfsr { width, seed })
-                if width == planes.cycle.width =>
-            {
-                Some(Window::Cycle(planes, planes.offset(seed, skip)))
-            }
-            _ => None,
         }
     }
 }
@@ -251,27 +261,11 @@ pub(crate) enum Window<'a> {
 }
 
 impl Window<'_> {
-    /// The MUX adder over `n`-bit streams: bit `i` of `out` is `x`'s when
-    /// the select sample is below ½ (this select was drawn under
-    /// [`half_select_weights`]), else `y`'s.
-    pub(crate) fn mux_add(self, x: &[u64], y: &[u64], n: usize, out: &mut [u64]) {
-        let half = half_select_weights();
-        for (w, out) in out.iter_mut().enumerate() {
-            let select = match self {
-                Window::Cycle(planes, offset) => planes.word(0, offset, w),
-                Window::Samples(samples) => (0..valid_bits(n, w))
-                    .filter(|i| select_index(samples[w * WORD_BITS + i], &half) == 0)
-                    .fold(0, |word, i| word | 1 << i),
-            };
-            *out = (select & x[w]) | (!select & y[w]);
-        }
-    }
-
     /// The weighted multiplexer tree over `n`-bit streams: each cycle one
     /// input is sampled with probability equal to its weight, by
     /// [`select_index`] over this window's samples. `input(k)` is input
-    /// `k`'s words, one input per weight. On a cycle table each output word
-    /// is one AND-OR of the input words with that word's selection masks.
+    /// `k`'s words, one input per weight. On a cycle table the output starts
+    /// as the last input and takes one pass per other input's select plane.
     pub(crate) fn weighted_mux<'s>(
         self,
         weights: &[f64],
@@ -280,23 +274,29 @@ impl Window<'_> {
         out: &mut [u64],
     ) {
         let last = weights.len() - 1;
-        for (w, out) in out.iter_mut().enumerate() {
-            *out = match self {
-                Window::Cycle(planes, offset) => {
-                    let mut rest = !0u64;
-                    let mut word = 0u64;
-                    for k in 0..last {
-                        let mask = planes.word(k, offset, w);
-                        word |= input(k)[w] & mask;
-                        rest &= !mask;
+        match self {
+            Window::Cycle(planes, offset) => {
+                // The select masks are disjoint, so on top of the last input
+                // each other input flips exactly the bits its mask selects.
+                let words = out.len();
+                let last_words = &input(last)[..words];
+                out.copy_from_slice(last_words);
+                for k in 0..last {
+                    let masks = planes.words(k, offset, words);
+                    let flips = input(k).iter().zip(last_words).zip(masks);
+                    for (out, ((&a, &b), mask)) in out.iter_mut().zip(flips) {
+                        *out ^= (a ^ b) & mask;
                     }
-                    word | (input(last)[w] & rest)
                 }
-                Window::Samples(samples) => (0..valid_bits(n, w)).fold(0, |word, i| {
-                    let k = select_index(samples[w * WORD_BITS + i], weights);
-                    word | (input(k)[w] & 1 << i)
-                }),
-            };
+            }
+            Window::Samples(samples) => {
+                for (w, out) in out.iter_mut().enumerate() {
+                    *out = (0..valid_bits(n, w)).fold(0, |word, i| {
+                        let k = select_index(samples[w * WORD_BITS + i], weights);
+                        word | (input(k)[w] & 1 << i)
+                    });
+                }
+            }
         }
     }
 }
@@ -309,13 +309,20 @@ pub(crate) struct PrefixPlane {
     /// `i` is among the first `k` of `sorted`.
     masks: Box<[u64]>,
     words: usize,
+    /// `start[b]` is the number of samples below `b / B` for the `B + 1`
+    /// bucket edges, `B = n.next_power_of_two()`, and `start[B + 1] = n`.
+    /// `B` is a power of two, so `p·B` and every edge are exact in `f64`.
+    start: Box<[u16]>,
 }
 
 impl PrefixPlane {
     fn bytes(n: usize) -> usize {
-        PREFIX_ENTRY_BYTES + ((n + 1) * n.div_ceil(WORD_BITS) + n) * size_of::<u64>()
+        let start = (n.next_power_of_two() + 2) * size_of::<u16>();
+        PREFIX_ENTRY_BYTES + ((n + 1) * n.div_ceil(WORD_BITS) + n) * size_of::<u64>() + start
     }
 
+    /// Panics if `samples` holds more than `u16::MAX` samples; no plane
+    /// near that long fits the prefix budget.
     fn build(samples: &[f64]) -> Self {
         let n = samples.len();
         let words = n.div_ceil(WORD_BITS);
@@ -327,17 +334,35 @@ impl PrefixPlane {
             next[..words].copy_from_slice(&done[k * words..]);
             next[i / WORD_BITS] |= 1 << (i % WORD_BITS);
         }
+        let sorted: Box<[f64]> = order.iter().map(|&i| samples[i]).collect();
+        let buckets = n.next_power_of_two();
+        let below = |edge: f64| sorted.partition_point(|&s| s < edge);
+        let start = (0..=buckets)
+            .map(|b| below(b as f64 / buckets as f64))
+            .chain([n])
+            .map(|k| u16::try_from(k).expect("prefix plane of at most u16::MAX samples"))
+            .collect();
         PrefixPlane {
-            sorted: order.iter().map(|&i| samples[i]).collect(),
+            sorted,
             masks: masks.into(),
             words,
+            start,
         }
+    }
+
+    /// The number of samples below the probability `p` (in [0, 1]): those
+    /// below `p`'s bucket, plus a search of that bucket alone.
+    fn rank(&self, p: f64) -> usize {
+        let b = (p * (self.start.len() - 2) as f64) as usize;
+        let (lo, hi) = (usize::from(self.start[b]), usize::from(self.start[b + 1]));
+        lo + self.sorted[lo..hi].partition_point(|&s| s < p)
     }
 }
 
 /// The planes of one D/S comparator (`Generate`, `Constant`, `Regenerate`).
 pub(crate) enum Comparator {
-    /// Prefix masks: one binary search and one copy per conversion.
+    /// Prefix masks: one bucket lookup, a search of one bucket and one copy
+    /// per conversion.
     Prefix(Arc<PrefixPlane>),
     /// The raw samples, compared per bit.
     Samples(Arc<[f64]>),
@@ -351,7 +376,7 @@ impl Comparator {
             Comparator::Prefix(plane) => {
                 // The samples below `p` are exactly a prefix of the sorted
                 // order, so the stream is the mask of that prefix.
-                let k = plane.sorted.partition_point(|&s| s < p);
+                let k = plane.rank(p);
                 out.copy_from_slice(&plane.masks[k * plane.words..(k + 1) * plane.words]);
             }
             Comparator::Samples(samples) => {
@@ -556,8 +581,14 @@ impl PlaneStore {
         if let SourceSpec::Lfsr { width, seed } = *select {
             if (3..=MAX_CYCLE_WIDTH).contains(&width) && n < (1 << width) - 1 {
                 if let Some(planes) = self.select_planes(width, weights) {
-                    let offset = planes.offset(seed, skip);
-                    return (Select::Cycle { planes, offset }, true);
+                    let advance = planes.advance(skip);
+                    let offset = planes.offset(planes.position(seed), advance);
+                    let select = Select::Cycle {
+                        planes,
+                        offset,
+                        advance,
+                    };
+                    return (select, true);
                 }
             }
         }
@@ -638,7 +669,7 @@ impl PlanPlanes {
             bound = self
                 .specs
                 .iter()
-                .map(|spec| Some(input.resolve(spec)).filter(|b| *b != spec))
+                .map(|spec| Some((input.resolve(spec), None)).filter(|(b, _)| *b != spec))
                 .collect();
         }
         JobPlanes {
@@ -657,8 +688,10 @@ impl PlanPlanes {
 pub(crate) struct JobPlanes<'a> {
     plan: &'a PlanPlanes,
     store: &'a PlaneStore,
-    /// Per plan spec, this job's binding of it (empty when it has none).
-    bound: Vec<Option<&'a SourceSpec>>,
+    /// Per plan spec, this job's binding of it (empty when it has none) and,
+    /// once a select step has read it, the cycle position of the bound
+    /// register's start state.
+    bound: Vec<Option<(&'a SourceSpec, Option<usize>)>>,
     next: usize,
     /// The last handle read from the store rather than the plan.
     fetched_comparator: Option<Comparator>,
@@ -667,10 +700,10 @@ pub(crate) struct JobPlanes<'a> {
 
 impl<'a> JobPlanes<'a> {
     /// The next step's handle and its spec's binding.
-    fn take(&mut self) -> (&'a Draw, Option<&'a SourceSpec>) {
+    fn take(&mut self) -> (&'a Draw, Option<&mut (&'a SourceSpec, Option<usize>)>) {
         let (draw, spec) = &self.plan.draws[self.next];
         self.next += 1;
-        (draw, self.bound.get(*spec).copied().flatten())
+        (draw, self.bound.get_mut(*spec).and_then(Option::as_mut))
     }
 
     /// The comparator the next step (a `Generate`, `Constant` or
@@ -678,10 +711,12 @@ impl<'a> JobPlanes<'a> {
     /// handle serves it unless the spec is bound, the plane was not
     /// retained, or `n` is not the length the plan was resolved for.
     pub(crate) fn comparator(&mut self, spec: &SourceSpec, skip: u64, n: usize) -> &Comparator {
+        let planned = self.plan.n == n;
         match self.take() {
-            (Draw::Comparator(comparator), None) if n == self.plan.n => comparator,
+            (Draw::Comparator(comparator), None) if planned => comparator,
             (_, bound) => {
-                let fetched = self.store.comparator(bound.unwrap_or(spec), skip, n).0;
+                let spec = bound.map_or(spec, |(bound, _)| *bound);
+                let fetched = self.store.comparator(spec, skip, n).0;
                 self.fetched_comparator.insert(fetched)
             }
         }
@@ -690,7 +725,8 @@ impl<'a> JobPlanes<'a> {
     /// The select window the next step (a `MuxAdd` or `WeightedMux` of
     /// `spec`) reads at length `n`. A bound spec still reads the plan's
     /// handle when that is a cycle table of its register width: only the
-    /// offset depends on the seed.
+    /// offset depends on the seed, through the bound register's start
+    /// position, which the job looks up once.
     pub(crate) fn select(
         &mut self,
         spec: &SourceSpec,
@@ -698,16 +734,22 @@ impl<'a> JobPlanes<'a> {
         weights: &[f64],
         n: usize,
     ) -> Window<'_> {
+        let planned = self.plan.n == n;
         let (draw, bound) = self.take();
-        let planned = match (draw, bound) {
-            (Draw::Select(select), None) if n == self.plan.n => Some(select.window()),
-            (Draw::Select(select), Some(bound)) if n == self.plan.n => select.rebind(bound, skip),
-            _ => None,
+        let spec = match (draw, bound) {
+            (Draw::Select(select), None) if planned => return select.window(),
+            (
+                Draw::Select(Select::Cycle {
+                    planes, advance, ..
+                }),
+                Some((&SourceSpec::Lfsr { width, seed }, position)),
+            ) if planned && width == planes.cycle.width => {
+                let position = *position.get_or_insert_with(|| planes.position(seed));
+                return Window::Cycle(planes, planes.offset(position, *advance));
+            }
+            (_, bound) => bound.map_or(spec, |(bound, _)| *bound),
         };
-        if let Some(window) = planned {
-            return window;
-        }
-        let fetched = self.store.select(bound.unwrap_or(spec), skip, weights, n).0;
+        let fetched = self.store.select(spec, skip, weights, n).0;
         self.fetched_select.insert(fetched).window()
     }
 }
@@ -774,12 +816,7 @@ mod tests {
         /// The select stream itself: a MUX adder of all-ones over all-zeros.
         fn half_select(&self, select: &SourceSpec, skip: u64, n: usize) -> Bitstream {
             let (ones, zeros) = (Bitstream::ones(n), Bitstream::zeros(n));
-            let mut words = vec![0; n.div_ceil(WORD_BITS)];
-            self.select(select, skip, &half_select_weights(), n)
-                .0
-                .window()
-                .mux_add(ones.as_words(), zeros.as_words(), n, &mut words);
-            Bitstream::from_words(words, n)
+            self.weighted_mux(&[&ones, &zeros], &half_select_weights(), select, skip)
         }
 
         fn weighted_mux(
@@ -972,7 +1009,10 @@ mod tests {
     /// and `Regenerator` over the positioned source, for every family:
     /// through prefix planes up to `n` = 512 and by per-bit compares past
     /// the prefix budget, at `p` = 0, 1 and exactly a drawn sample (the
-    /// converter's strict `>` leaves that sample's bit 0).
+    /// converter's strict `>` leaves that sample's bit 0). At the lengths
+    /// of `BUCKETED`, `p` also takes every bucket edge `b / B` of the prefix
+    /// plane's search table and both its neighbours; Sobol's first 256
+    /// samples sit exactly on the edges `k / 256`.
     #[test]
     fn generate_and_regenerate_match_the_converters_for_every_family() {
         let specs = [
@@ -996,7 +1036,22 @@ mod tests {
         // words, more than the whole prefix budget.
         let past_budget = 2048;
         assert!(PrefixPlane::bytes(past_budget) > PREFIX_BUDGET_BYTES);
-        for n in [0usize, 1, 63, 64, 65, 256, 512, past_budget] {
+        const BUCKETED: [usize; 6] = [63, 64, 65, 96, 256, 300];
+        // The first 256 Sobol draws are points 1..=256 of the sequence:
+        // points 1..=255 sit on the edges `k / 256`, `k` ≥ 1.
+        let mut sobol = SourceSpec::Sobol { dimension: 3 }.build_skipped(0);
+        let on_edges = (0..256)
+            .map(|_| sobol.next_unit() * 256.0)
+            .filter(|s| s.fract() == 0.0)
+            .count();
+        assert_eq!(on_edges, 255);
+        for n in [0usize, 1, 63, 64, 65, 96, 256, 300, 512, past_budget] {
+            let buckets = n.next_power_of_two();
+            let edges: Vec<f64> = (0..=buckets)
+                .filter(|_| BUCKETED.contains(&n))
+                .map(|b| b as f64 / buckets as f64)
+                .flat_map(|edge| [edge.next_down(), edge, edge.next_up()])
+                .collect();
             // One store per length, so every length builds prefix planes
             // until the budget runs out.
             let store = PlaneStore::default();
@@ -1006,7 +1061,10 @@ mod tests {
                     let mut source = spec.build_skipped(skip);
                     let drawn: Vec<f64> = (0..n).map(|_| source.next_unit()).collect();
                     let ties = drawn.get(n / 2).into_iter().chain(drawn.first());
-                    let ps = [0.0, 0.3, 0.5, 0.77, 1.0].into_iter().chain(ties.copied());
+                    let ps = [0.0, 0.3, 0.5, 0.77, 1.0]
+                        .into_iter()
+                        .chain(ties.copied())
+                        .chain(edges.iter().copied());
                     for p in ps {
                         let p = Probability::saturating(p);
                         let expected =
