@@ -254,23 +254,11 @@ pub enum Step {
         /// Destination stream slot.
         dst: usize,
     },
-    /// MUX scaled adder with a dedicated 0.5-valued select source.
-    MuxAdd {
-        /// Select-stream source.
-        select: SourceSpec,
-        /// Samples the source has already served to earlier consumers.
-        skip: u64,
-        /// X input slot (picked when the select bit is 1).
-        x: usize,
-        /// Y input slot.
-        y: usize,
-        /// Destination stream slot.
-        dst: usize,
-    },
-    /// Weighted multiplexer tree.
+    /// Weighted multiplexer tree (the MUX scaled adder is its two-input
+    /// case).
     WeightedMux {
         /// Per-input selection probabilities, in input order.
-        weights: Vec<f64>,
+        weights: Arc<[f64]>,
         /// Selection sample source.
         select: SourceSpec,
         /// Samples the source has already served to earlier consumers.

@@ -112,7 +112,7 @@ pub fn step_source(step: &Step) -> Option<&SourceSpec> {
         | Step::Constant { source, .. }
         | Step::Regenerate { source, .. }
         | Step::Divide { source, .. } => Some(source),
-        Step::MuxAdd { select, .. } | Step::WeightedMux { select, .. } => Some(select),
+        Step::WeightedMux { select, .. } => Some(select),
         _ => None,
     }
 }
@@ -130,7 +130,6 @@ pub fn step_logic_netlist(step: &Step, converter_bits: u32) -> Netlist {
         Step::Binary { op, .. } => binary_netlist(*op),
         Step::UnaryFsm { op, .. } => unary_fsm_netlist(*op),
         Step::Divide { counter_bits, .. } => divider_netlist(*counter_bits),
-        Step::MuxAdd { .. } => characterize::mux_adder_netlist(),
         Step::WeightedMux { weights, .. } => Netlist::new("weighted-mux").with(
             Primitive::Mux2,
             weights.len().saturating_sub(1).max(1) as u64,

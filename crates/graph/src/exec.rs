@@ -24,14 +24,14 @@ pub struct BatchInput {
     /// Ready streams, indexed by the `InputStream` nodes' slots.
     pub streams: Vec<Bitstream>,
     /// `(template spec, this job's spec)` pairs. Every source-drawing step
-    /// (`Generate`, `Constant`, `Regenerate`, `Divide` and the `MuxAdd` /
-    /// `WeightedMux` selects) draws from its spec's binding, or from its own
-    /// spec when the table has none ([`BatchInput::resolve`]). This is how
-    /// one compiled template serves a family of jobs that differ only in
-    /// source seeding, such as the per-tile select-LFSR seeds of the tiled
-    /// image pipeline. A binding must keep the spec equality structure the
-    /// compiler reasoned about: equal specs stay equal, distinct specs stay
-    /// distinct.
+    /// (`Generate`, `Constant`, `Regenerate`, `Divide` and the select of
+    /// `WeightedMux`, the one select step, MUX adders included) draws from
+    /// its spec's binding, or from its own spec when the table has none
+    /// ([`BatchInput::resolve`]). This is how one compiled template serves a
+    /// family of jobs that differ only in source seeding, such as the
+    /// per-tile select-LFSR seeds of the tiled image pipeline. A binding must
+    /// keep the spec equality structure the compiler reasoned about: equal
+    /// specs stay equal, distinct specs stay distinct.
     pub bindings: Vec<(SourceSpec, SourceSpec)>,
 }
 
@@ -774,23 +774,6 @@ fn execute_step(
             let z = divider.divide(&slots.stream(*x), &slots.stream(*y))?;
             arena.put(*dst, &z);
         }
-        Step::MuxAdd {
-            select,
-            skip,
-            x,
-            y,
-            dst,
-        } => {
-            // `mux_add(x, y, select)` multiplexes `y` (select 0) against
-            // `x` and reports a mismatch in that order. It is the two-input
-            // tree over `[x, y]` under the half-select rule.
-            let len = arena.slots().common_len(*y, *x)?;
-            let half = planes::half_select_weights();
-            let window = draws.select(select, *skip, &half, len);
-            let (slots, row) = arena.row(*dst, len);
-            let inputs = [slots.words(*x), slots.words(*y)];
-            window.weighted_mux(&half, |k| inputs[k], len, row);
-        }
         Step::WeightedMux {
             weights,
             select,
@@ -1152,8 +1135,8 @@ mod tests {
             Executor::new(64).run(&plan, &bad),
             Err(GraphError::Stream(_))
         ));
-        // A manipulator step and a counter-based max report the operands'
-        // exact lengths.
+        // A manipulator step, a counter-based max and a MUX adder report the
+        // operands' exact lengths, in input order.
         let mismatch = Err(GraphError::Stream(sc_bitstream::Error::LengthMismatch {
             left: 64,
             right: 65,
@@ -1173,6 +1156,17 @@ mod tests {
         g.sink_stream("z", z);
         let ca_max = g.compile(&PlannerOptions::default()).unwrap();
         assert_eq!(Executor::new(64).run(&ca_max, &bad), mismatch);
+        let mut g = Graph::new();
+        let a = g.input_stream(0);
+        let b = g.input_stream(1);
+        let select = SourceSpec::Lfsr {
+            width: 16,
+            seed: 0xACE1,
+        };
+        let z = g.mux_add(a, b, select);
+        g.sink_stream("z", z);
+        let mux_add = g.compile(&PlannerOptions::default()).unwrap();
+        assert_eq!(Executor::new(64).run(&mux_add, &bad), mismatch);
     }
 
     #[test]
@@ -1355,7 +1349,7 @@ mod tests {
                 let x = g.generate(0, pixel.clone());
                 let y = g.generate(1, sobol(2));
                 let c = g.constant(0.375, pixel.clone());
-                let w = g.weighted_mux(&[x, y, c], &[0.25, 0.5, 0.25], blur.clone());
+                let w = g.weighted_mux(&[x, y, c], [0.25, 0.5, 0.25], blur.clone());
                 let r = g.regenerate(regen.clone(), w);
                 let z = g.mux_add(r, y, edge.clone());
                 for (name, wire) in [("x", x), ("c", c), ("w", w), ("r", r), ("z", z)] {
@@ -1417,7 +1411,7 @@ mod tests {
         let r = g.regenerate(SourceSpec::VanDerCorput { offset: 0 }, a);
         let z = g.mux_add(a, b, lfsr(16, 0xACE1));
         let halton = SourceSpec::Halton { base: 5, offset: 0 };
-        let w = g.weighted_mux(&[a, b, r], &[0.25, 0.5, 0.25], halton);
+        let w = g.weighted_mux(&[a, b, r], [0.25, 0.5, 0.25], halton);
         for (name, wire) in [("r", r), ("z", z), ("w", w)] {
             g.sink_stream(name, wire);
             g.sink_count(format!("{name} ones"), wire);
@@ -1477,7 +1471,7 @@ mod tests {
                     .map(|key| pixels[&key])
                     .collect();
                 let k = blurred.len() as u64;
-                let mut wire = g.weighted_mux_skipped(&taps, &gaussian, blur.clone(), k * n);
+                let mut wire = g.weighted_mux_skipped(&taps, gaussian, blur.clone(), k * n);
                 if regenerate {
                     wire = g.regenerate(SourceSpec::VanDerCorput { offset: 0 }, wire);
                 }

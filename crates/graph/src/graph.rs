@@ -1,8 +1,10 @@
 //! The dataflow-graph builder.
 
 use crate::node::{BinaryOp, ManipulatorKind, Node, NodeId, NodeOp, UnaryFsmOp, Wire};
+use crate::planes::half_select_weights;
 use sc_rng::SourceSpec;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised while building, compiling, or executing a graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -350,7 +352,12 @@ impl Graph {
         self.out(id, 0)
     }
 
-    /// Adds a MUX scaled adder with a dedicated select source.
+    /// Adds a MUX scaled adder (`0.5(pX + pY)`, Fig. 2a): the two-input
+    /// [`Graph::weighted_mux`] over `[x, y]` under weights `[½, ½]`, whose
+    /// select bit is 1 (picking `x`) exactly when the select sample is below
+    /// ½ — the rule of `sc_arith::add::mux_add` over
+    /// `sc_arith::add::half_select_stream`. The select source must be
+    /// uncorrelated with the data inputs.
     pub fn mux_add(&mut self, x: Wire, y: Wire, select: SourceSpec) -> Wire {
         self.mux_add_skipped(x, y, select, 0)
     }
@@ -358,16 +365,21 @@ impl Graph {
     /// Like [`Graph::mux_add`], with the select source advanced by `skip`
     /// samples first.
     pub fn mux_add_skipped(&mut self, x: Wire, y: Wire, select: SourceSpec, skip: u64) -> Wire {
-        let id = self.add(NodeOp::MuxAdd { select, skip }, vec![x, y]);
-        self.out(id, 0)
+        self.weighted_mux_skipped(&[x, y], half_select_weights(), select, skip)
     }
 
     /// Adds a weighted multiplexer tree over `inputs` (one weight per input).
+    /// Nodes built from clones of one `Arc` share its weights.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` and `weights` differ in length or are empty.
-    pub fn weighted_mux(&mut self, inputs: &[Wire], weights: &[f64], select: SourceSpec) -> Wire {
+    pub fn weighted_mux(
+        &mut self,
+        inputs: &[Wire],
+        weights: impl Into<Arc<[f64]>>,
+        select: SourceSpec,
+    ) -> Wire {
         self.weighted_mux_skipped(inputs, weights, select, 0)
     }
 
@@ -380,10 +392,11 @@ impl Graph {
     pub fn weighted_mux_skipped(
         &mut self,
         inputs: &[Wire],
-        weights: &[f64],
+        weights: impl Into<Arc<[f64]>>,
         select: SourceSpec,
         skip: u64,
     ) -> Wire {
+        let weights = weights.into();
         assert!(!inputs.is_empty(), "weighted mux needs at least one input");
         assert_eq!(
             inputs.len(),
@@ -392,7 +405,7 @@ impl Graph {
         );
         let id = self.add(
             NodeOp::WeightedMux {
-                weights: weights.to_vec(),
+                weights,
                 select,
                 skip,
             },

@@ -8,10 +8,10 @@
 //! crate makes that structure first-class. A [`Graph`] is built from typed
 //! nodes — stream sources ([`Graph::generate`] D/S conversion,
 //! [`Graph::input_stream`]), correlation manipulators
-//! ([`Graph::manipulate`]), arithmetic operators ([`Graph::binary`],
-//! [`Graph::mux_add`], [`Graph::weighted_mux`]), and sinks (S/D value and
-//! count converters, APC sums, SCC probes) — connected by stream-valued
-//! [`Wire`]s.
+//! ([`Graph::manipulate`]), arithmetic operators ([`Graph::binary`], the
+//! weighted multiplexer [`Graph::weighted_mux`] and its two-input half-weight
+//! case [`Graph::mux_add`]), and sinks (S/D value and count converters, APC
+//! sums, SCC probes) — connected by stream-valued [`Wire`]s.
 //!
 //! [`Graph::compile`] runs four stages: validate → scc-infer → repair →
 //! emit (see `passes` internals and the README's compiler section). Every

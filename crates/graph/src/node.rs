@@ -7,6 +7,7 @@ use sc_core::{
 };
 use sc_rng::SourceSpec;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a node inside one [`crate::Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -410,23 +411,16 @@ pub enum NodeOp {
         /// Width of the saturating integration counter (`1..=20`).
         counter_bits: u32,
     },
-    /// MUX scaled adder with a dedicated 0.5-valued select source
-    /// (`0.5(pX + pY)`, Fig. 2a). 2 inputs, 1 output; select bit 1 picks the
-    /// first input.
-    MuxAdd {
-        /// Select-stream source (must be uncorrelated with the data inputs).
-        select: SourceSpec,
-        /// Samples the source has already served to earlier consumers.
-        skip: u64,
-    },
     /// Weighted multiplexer tree: each cycle one input stream is sampled with
     /// probability equal to its weight, so the output value is the weighted
-    /// average of the inputs (the Gaussian-blur kernel shape of §IV).
-    /// `weights.len()` inputs, 1 output. Any weight mass missing from 1.0
-    /// falls to the last input.
+    /// average of the inputs (the Gaussian-blur kernel shape of §IV). The
+    /// MUX scaled adder of Fig. 2a is the two-input tree under weights
+    /// `[½, ½]` ([`crate::Graph::mux_add`]). `weights.len()` inputs,
+    /// 1 output. Any weight mass missing from 1.0 falls to the last input.
     WeightedMux {
-        /// Per-input selection probabilities, in input order.
-        weights: Vec<f64>,
+        /// Per-input selection probabilities, in input order, shared by
+        /// every node and step built with the same weights.
+        weights: Arc<[f64]>,
         /// Selection sample source.
         select: SourceSpec,
         /// Samples the source has already served to earlier consumers.
@@ -493,7 +487,6 @@ impl NodeOp {
             NodeOp::Manipulate(_)
             | NodeOp::Binary(_)
             | NodeOp::Divide { .. }
-            | NodeOp::MuxAdd { .. }
             | NodeOp::SccProbe { .. } => Some(2),
             NodeOp::WeightedMux { weights, .. } => Some(weights.len()),
             NodeOp::SinkSum { .. } => None,
@@ -550,7 +543,6 @@ impl NodeOp {
             NodeOp::Binary(op) => op.to_string(),
             NodeOp::UnaryFsm(op) => op.to_string(),
             NodeOp::Divide { source, .. } => format!("divide({source})"),
-            NodeOp::MuxAdd { .. } => "mux_add".to_string(),
             NodeOp::WeightedMux { weights, .. } => format!("weighted_mux[{}]", weights.len()),
             NodeOp::SinkStream { name } => format!("sink_stream({name})"),
             NodeOp::SinkValue { name } => format!("sink_value({name})"),

@@ -125,18 +125,6 @@ pub(crate) fn emit_steps(
                     dst,
                 }
             }
-            NodeOp::MuxAdd { select, skip } => {
-                let x = slot_of(inputs[0], &mut slots);
-                let y = slot_of(inputs[1], &mut slots);
-                let dst = slot_of(port(i, 0), &mut slots);
-                Step::MuxAdd {
-                    select: select.clone(),
-                    skip: *skip,
-                    x,
-                    y,
-                    dst,
-                }
-            }
             NodeOp::WeightedMux {
                 weights,
                 select,
@@ -145,7 +133,7 @@ pub(crate) fn emit_steps(
                 let srcs: Vec<usize> = inputs.iter().map(|w| slot_of(*w, &mut slots)).collect();
                 let dst = slot_of(port(i, 0), &mut slots);
                 Step::WeightedMux {
-                    weights: weights.clone(),
+                    weights: Arc::clone(weights),
                     select: select.clone(),
                     skip: *skip,
                     srcs,

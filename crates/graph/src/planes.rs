@@ -3,8 +3,10 @@
 //!
 //! Every D/S comparator, regenerator and MUX select of a plan reads a source
 //! whose samples depend only on its [`SourceSpec`], its `skip` and the stream
-//! length — never on the data. The executor therefore reads them from
-//! memoized planes instead of drawing them per bit, per job:
+//! length — never on the data. There is one select step, `WeightedMux`: the
+//! MUX scaled adder is its two-input case under weights `[½, ½]`. The
+//! executor therefore reads them from memoized planes instead of drawing
+//! them per bit, per job:
 //!
 //! * **Sample planes** hold the `n` values `spec.build_skipped(skip)` returns,
 //!   keyed by `(spec, skip, n)`. A MUX select whose source has no cycle
@@ -97,10 +99,12 @@ fn select_index(u: f64, weights: &[f64]) -> usize {
 
 /// A MUX adder's select rule: it is the two-input tree [`Window::weighted_mux`]
 /// runs under these weights, whose first input is picked exactly when
-/// `u < ½`, the rule of `sc_arith::add::half_select_stream`.
-pub(crate) fn half_select_weights() -> [f64; 2] {
+/// `u < ½`, the rule of `sc_arith::add::half_select_stream`. One allocation
+/// serves every adder of the process.
+pub(crate) fn half_select_weights() -> Arc<[f64]> {
+    static HALF: OnceLock<Arc<[f64]>> = OnceLock::new();
     let half = Probability::HALF.get();
-    [half, half]
+    Arc::clone(HALF.get_or_init(|| Arc::new([half, half])))
 }
 
 /// Number of stream bits word `w` of an `n`-bit stream holds.
@@ -605,11 +609,11 @@ enum Draw {
     PerUse,
 }
 
-/// A plan's source-drawing steps — `Generate`, `Constant`, `Regenerate`,
-/// `MuxAdd` and `WeightedMux` — resolved against the store for one stream
-/// length `n`: one handle per step, in step order, plus each step's index
-/// into the plan's distinct specs, which a job's bindings are matched
-/// against once per job.
+/// A plan's source-drawing steps — the comparators of `Generate`,
+/// `Constant` and `Regenerate`, and the selects of `WeightedMux`, the one
+/// select step — resolved against the store for one stream length `n`: one
+/// handle per step, in step order, plus each step's index into the plan's
+/// distinct specs, which a job's bindings are matched against once per job.
 pub(crate) struct PlanPlanes {
     n: usize,
     draws: Box<[(Draw, usize)]>,
@@ -627,11 +631,6 @@ impl PlanPlanes {
                 | Step::Regenerate { source, skip, .. } => {
                     let (comparator, kept) = store.comparator(source, *skip, n);
                     (source, kept.then_some(Draw::Comparator(comparator)))
-                }
-                Step::MuxAdd { select, skip, .. } => {
-                    let (select_planes, kept) =
-                        store.select(select, *skip, &half_select_weights(), n);
-                    (select, kept.then_some(Draw::Select(select_planes)))
                 }
                 Step::WeightedMux {
                     weights,
@@ -683,8 +682,9 @@ impl PlanPlanes {
     }
 }
 
-/// One job's handles: the plan's, taken one per source-drawing step in step
-/// order, except where the job binds a step's spec to another.
+/// One job's handles: the plan's, taken one per source-drawing step (a
+/// comparator, or the select of a `WeightedMux`) in step order, except where
+/// the job binds a step's spec to another.
 pub(crate) struct JobPlanes<'a> {
     plan: &'a PlanPlanes,
     store: &'a PlaneStore,
@@ -722,11 +722,11 @@ impl<'a> JobPlanes<'a> {
         }
     }
 
-    /// The select window the next step (a `MuxAdd` or `WeightedMux` of
-    /// `spec`) reads at length `n`. A bound spec still reads the plan's
-    /// handle when that is a cycle table of its register width: only the
-    /// offset depends on the seed, through the bound register's start
-    /// position, which the job looks up once.
+    /// The select window the next step (a `WeightedMux` of `spec`) reads at
+    /// length `n`. A bound spec still reads the plan's handle when that is a
+    /// cycle table of its register width: only the offset depends on the
+    /// seed, through the bound register's start position, which the job
+    /// looks up once.
     pub(crate) fn select(
         &mut self,
         spec: &SourceSpec,

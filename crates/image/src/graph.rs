@@ -42,6 +42,7 @@ use crate::pipeline::{PipelineConfig, PipelineVariant};
 use sc_graph::{BatchInput, BinaryOp, Graph, NodeId, PlannerOptions, Wire};
 use sc_hwcost::Netlist;
 use sc_rng::SourceSpec;
+use std::sync::Arc;
 
 /// The largest source bank [`pixel_bank_index`] can use: its pattern has
 /// periods 4 (x) and 2 (y), so it addresses at most 8 distinct sources.
@@ -221,8 +222,10 @@ pub(crate) fn tile_circuit(
     //    pixel (x0 + bx, y0 + by) is `blurred[by * blur_width + bx]`, and
     //    its 3×3 neighbourhood lies inside the halo. One select LFSR is
     //    shared across the tile's kernels in raster order, expressed as
-    //    per-node skips of N samples each.
+    //    per-node skips of N samples each. The kernels share one copy of
+    //    the weights.
     let blur_spec = blur_select_spec(tile_index);
+    let weights: Arc<[f64]> = Arc::new(GAUSSIAN_WEIGHTS);
     let blur_width = width + 1;
     let mut blurred: Vec<Wire> = Vec::with_capacity(blur_width * (height + 1));
     for by in 0..=height {
@@ -232,7 +235,7 @@ pub(crate) fn tile_circuit(
             let kernel_index = blurred.len() as u64;
             blurred.push(g.weighted_mux_skipped(
                 &neighbours,
-                &GAUSSIAN_WEIGHTS,
+                Arc::clone(&weights),
                 blur_spec.clone(),
                 kernel_index * n,
             ));

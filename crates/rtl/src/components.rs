@@ -54,47 +54,6 @@ impl Component for SourceBit {
     }
 }
 
-/// 0.5-threshold select-bit source for MUX scaled adders: `sample < 0.5`.
-pub struct HalfSelectBit {
-    source: Box<dyn RandomSource>,
-    spec: SourceSpec,
-    skip: u64,
-}
-
-impl HalfSelectBit {
-    /// Builds the source positioned `skip` samples into its sequence.
-    #[must_use]
-    pub fn new(spec: &SourceSpec, skip: u64) -> Self {
-        HalfSelectBit {
-            source: spec.build_skipped(skip),
-            spec: spec.clone(),
-            skip,
-        }
-    }
-}
-
-impl Component for HalfSelectBit {
-    fn name(&self) -> &str {
-        "halfsel"
-    }
-
-    fn num_inputs(&self) -> usize {
-        0
-    }
-
-    fn num_outputs(&self) -> usize {
-        1
-    }
-
-    fn evaluate(&mut self, _inputs: &[bool], outputs: &mut [bool]) {
-        outputs[0] = self.source.next_unit() < Probability::HALF.get();
-    }
-
-    fn reset(&mut self) {
-        self.source = self.spec.build_skipped(self.skip);
-    }
-}
-
 /// Weighted one-hot selection: each cycle a cumulative walk over the weights
 /// against one fresh sample raises exactly one of the outputs — the select
 /// network of the weighted multiplexer tree, with leftover probability mass

@@ -14,6 +14,7 @@ use sc_graph::{cost as graph_cost, ManipulatorKind, UnaryFsmOp};
 use sc_hwcost::{Netlist, Primitive};
 use sc_rng::SourceSpec;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Identifier of a single-bit net in a [`Design`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -63,13 +64,6 @@ pub enum CellKind {
         /// The encoded probability (comparator threshold).
         threshold: f64,
     },
-    /// A 0.5-threshold select-bit source for MUX scaled adders.
-    HalfSelect {
-        /// The generator.
-        spec: SourceSpec,
-        /// Samples already served to earlier consumers.
-        skip: u64,
-    },
     /// Weighted one-hot selection source: each cycle exactly one of the
     /// `weights.len()` outputs is high, output `i` with probability
     /// `weights[i]` (cumulative-threshold comparison network).
@@ -78,8 +72,8 @@ pub enum CellKind {
         spec: SourceSpec,
         /// Samples already served to earlier consumers.
         skip: u64,
-        /// Per-output selection probabilities.
-        weights: Vec<f64>,
+        /// Per-output selection probabilities, shared with the plan step.
+        weights: Arc<[f64]>,
     },
     /// A correlation-manipulating FSM (synchronizer / desynchronizer /
     /// decorrelator), kept as one sequential block. Two inputs, two outputs.
@@ -133,7 +127,6 @@ impl CellKind {
             CellKind::FullAdder => "fa",
             CellKind::Counter { .. } => "counter",
             CellKind::Source { .. } => "source",
-            CellKind::HalfSelect { .. } => "halfsel",
             CellKind::SelectOneHot { .. } => "wsel",
             CellKind::Fsm { .. } => "fsm",
             CellKind::CaAdd => "caadd",
@@ -149,9 +142,7 @@ impl CellKind {
     #[must_use]
     pub fn num_inputs(&self) -> usize {
         match self {
-            CellKind::Source { .. }
-            | CellKind::HalfSelect { .. }
-            | CellKind::SelectOneHot { .. } => 0,
+            CellKind::Source { .. } | CellKind::SelectOneHot { .. } => 0,
             CellKind::Inv
             | CellKind::Dff
             | CellKind::Counter { .. }
@@ -208,7 +199,6 @@ impl CellKind {
                 n.merge(&graph_cost::source_netlist(spec, converter_bits));
                 n
             }
-            CellKind::HalfSelect { spec, .. } => graph_cost::source_netlist(spec, converter_bits),
             CellKind::SelectOneHot { spec, .. } => graph_cost::source_netlist(spec, converter_bits),
             CellKind::Fsm { kind } => graph_cost::manipulator_netlist(kind),
             // The structural CA adder refines the table model: the majority /

@@ -3,8 +3,7 @@
 //! the same batch input the word-parallel executor consumes.
 
 use crate::components::{
-    ApcCell, CaAddCell, CaMaxMinCell, DividerCell, HalfSelectBit, SelectOneHot, SourceBit,
-    UnaryFsmCell,
+    ApcCell, CaAddCell, CaMaxMinCell, DividerCell, SelectOneHot, SourceBit, UnaryFsmCell,
 };
 use crate::design::{Cell, CellKind, Design, NetRef, SinkPlan};
 use sc_bitstream::Bitstream;
@@ -16,6 +15,7 @@ use sc_sim::components::{
 use sc_sim::{Circuit, NetId, SimError};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised while lowering or co-simulating a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,25 +244,6 @@ pub fn elaborate(
                 );
                 slots[*dst] = Some(out[0]);
             }
-            Step::MuxAdd {
-                select,
-                skip,
-                x,
-                y,
-                dst,
-            } => {
-                let sel = design.cell(
-                    CellKind::HalfSelect {
-                        spec: input.resolve(select).clone(),
-                        skip: *skip,
-                    },
-                    &[],
-                )[0];
-                // Select = 1 picks X, matching the executor's mux_add.
-                let (nx, ny) = (slot(&slots, *x), slot(&slots, *y));
-                let out = design.cell(CellKind::Mux2, &[ny, nx, sel]);
-                slots[*dst] = Some(out[0]);
-            }
             Step::WeightedMux {
                 weights,
                 select,
@@ -274,7 +255,7 @@ pub fn elaborate(
                     CellKind::SelectOneHot {
                         spec: input.resolve(select).clone(),
                         skip: *skip,
-                        weights: weights.clone(),
+                        weights: Arc::clone(weights),
                     },
                     &[],
                 );
@@ -591,9 +572,6 @@ fn instantiate(circuit: &mut Circuit, cell: &Cell, inputs: &[NetId]) -> Vec<NetI
             skip,
             threshold,
         } => circuit.add_component(SourceBit::new(spec, *skip, *threshold), inputs),
-        CellKind::HalfSelect { spec, skip } => {
-            circuit.add_component(HalfSelectBit::new(spec, *skip), inputs)
-        }
         CellKind::SelectOneHot {
             spec,
             skip,

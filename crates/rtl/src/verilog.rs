@@ -113,10 +113,6 @@ fn used_modules(design: &Design) -> Vec<&'static str> {
                 mark("sc_sample");
                 mark("sc_source");
             }
-            CellKind::HalfSelect { .. } => {
-                mark("sc_sample");
-                mark("sc_halfsel");
-            }
             CellKind::SelectOneHot { .. } => {
                 mark("sc_sample");
                 mark("sc_wsel");
@@ -190,10 +186,6 @@ const MODULES: &[(&str, &str)] = &[
     (
         "sc_source",
         "// D/S converter (Fig. 2g): value register compared against a fresh\n// sample every cycle.\nmodule sc_source #(parameter FAMILY = 0,\n                   parameter WIDTH = 16,\n                   parameter [63:0] INIT = 64'd1,\n                   parameter [63:0] TAPS = 64'hB400,\n                   parameter [15:0] THRESH = 16'd32768)\n                  (input clk, input rst, output y);\n  wire [15:0] q16;\n  sc_sample #(.FAMILY(FAMILY), .WIDTH(WIDTH), .INIT(INIT), .TAPS(TAPS))\n    gen (.clk(clk), .rst(rst), .q16(q16));\n  assign y = THRESH > q16;\nendmodule\n",
-    ),
-    (
-        "sc_halfsel",
-        "// 0.5-valued select-bit source for MUX scaled adders.\nmodule sc_halfsel #(parameter FAMILY = 0,\n                    parameter WIDTH = 16,\n                    parameter [63:0] INIT = 64'd1,\n                    parameter [63:0] TAPS = 64'hB400)\n                   (input clk, input rst, output y);\n  wire [15:0] q16;\n  sc_sample #(.FAMILY(FAMILY), .WIDTH(WIDTH), .INIT(INIT), .TAPS(TAPS))\n    gen (.clk(clk), .rst(rst), .q16(q16));\n  assign y = q16 < 16'd32768;\nendmodule\n",
     ),
     (
         "sc_wsel",
@@ -394,11 +386,6 @@ fn emit_instance(cell: &crate::design::Cell, inst: &str) -> String {
             q16(*threshold),
             net(o[0])
         ),
-        CellKind::HalfSelect { spec, skip } => format!(
-            "sc_halfsel #({}) {inst} (.clk(clk), .rst(rst), .y({}));",
-            sample_param_text(spec, *skip),
-            net(o[0])
-        ),
         CellKind::SelectOneHot {
             spec,
             skip,
@@ -407,7 +394,7 @@ fn emit_instance(cell: &crate::design::Cell, inst: &str) -> String {
             // Packed cumulative thresholds, entry k at bits [16k+15 : 16k].
             let mut cumulative = 0.0f64;
             let mut packed: Vec<String> = Vec::with_capacity(weights.len());
-            for w in weights {
+            for w in weights.iter() {
                 cumulative += w;
                 packed.push(format!("16'd{}", q16(cumulative)));
             }

@@ -1,10 +1,13 @@
-//! Deterministic cost gate of a plan-cache miss's compile.
+//! Deterministic cost gates of a plan-cache miss: the tile's graph build
+//! and its compile.
 //!
 //! `Graph::compile` of a full-size 10×10 tile makes fewer heap allocations
 //! than the steps it emits, for every variant. A compiler that cloned every
 //! node or kept a consumer list per node would allocate at least once per
-//! node and fail here. This is a test binary of its own because it installs
-//! a counting global allocator.
+//! node and fail here. `tile_graph` of the same tile makes fewer than one
+//! per node plus one per sink (each sink owns its name), so a per-kernel
+//! copy of the blur weights fails it. This is a test binary of its own
+//! because it installs a counting global allocator.
 
 use sc_image::{planner_options, tile_graph, GrayImage, PipelineConfig, PipelineVariant};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -74,6 +77,33 @@ fn compiling_a_full_tile_allocates_less_than_once_per_step() {
         assert!(
             allocations < steps,
             "{variant:?}: compile made {allocations} allocations for {steps} steps"
+        );
+    }
+}
+
+#[test]
+fn building_a_full_tile_graph_allocates_less_than_once_per_node_and_sink() {
+    let config = PipelineConfig::default();
+    assert_eq!(
+        config.tile_size, 10,
+        "the gate is sized for the default tile"
+    );
+    let image = GrayImage::gradient(config.tile_size, config.tile_size);
+    let mut counts = Vec::new();
+    for variant in PipelineVariant::all() {
+        let before = ALLOCATIONS.with(Cell::get);
+        let tile = tile_graph(&image, 0, 0, variant, &config, 0);
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        let limit = (tile.graph.node_count() + tile.sinks.len()) as u64;
+        counts.push((variant, allocations, limit));
+    }
+    for &(variant, allocations, limit) in &counts {
+        eprintln!("{variant:?}: {allocations} allocations, limit {limit}");
+    }
+    for (variant, allocations, limit) in counts {
+        assert!(
+            allocations < limit,
+            "{variant:?}: tile_graph made {allocations} allocations, limit {limit}"
         );
     }
 }

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use sc_repro::{sc_arith, sc_bitstream, sc_convert, sc_core, sc_graph, sc_image, sc_rng, sc_sim};
 
-use sc_arith::add::ca_add;
+use sc_arith::add::{ca_add, half_select_stream, mux_add};
 use sc_bitstream::{Bitstream, Probability};
 use sc_convert::{DigitalToStochastic, StochasticToDigital};
 use sc_core::CorrelationManipulator;
@@ -108,7 +108,7 @@ fn gaussian_blur_graph_is_bit_identical_to_sc_image() {
             width: 16,
             seed: 0x1D0D,
         };
-        let blurred = g.weighted_mux(&wires, &GAUSSIAN_WEIGHTS, select);
+        let blurred = g.weighted_mux(&wires, GAUSSIAN_WEIGHTS, select);
         g.sink_stream("blur", blurred);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         let out = Executor::new(n)
@@ -240,7 +240,7 @@ proptest! {
     }
 
     /// Batch inputs through `InputStream` nodes round-trip losslessly into
-    /// binary ops.
+    /// binary ops and the MUX scaled adder.
     #[test]
     fn prop_input_stream_binary_ops_bit_identical(
         bits_x in proptest::collection::vec(any::<bool>(), 1..300),
@@ -253,8 +253,10 @@ proptest! {
         let (a, b) = (g.input_stream(0), g.input_stream(1));
         let sum = g.binary(BinaryOp::CaAdd, a, b);
         let max = g.binary(BinaryOp::CaMax, a, b);
+        let mux = g.mux_add(a, b, SourceSpec::Lfsr { width: 16, seed: 0xACE1 });
         g.sink_stream("sum", sum);
         g.sink_stream("max", max);
+        g.sink_stream("mux", mux);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         let out = Executor::new(n)
             .run(&plan, &BatchInput::with_streams(vec![x.clone(), y.clone()]))
@@ -264,6 +266,9 @@ proptest! {
             out.stream("max").unwrap(),
             &sc_arith::maxmin::ca_max(&x, &y).unwrap()
         );
+        // The two-input half-weight tree is the library's MUX scaled adder.
+        let select = half_select_stream(&mut sc_rng::Lfsr::new(16, 0xACE1), n);
+        prop_assert_eq!(out.stream("mux").unwrap(), &mux_add(&x, &y, &select).unwrap());
     }
 }
 

@@ -197,8 +197,8 @@ fn cosim_mux_adders_and_weighted_trees() {
     let y = g.generate(1, sobol(2));
     let z = g.generate(2, sobol(3));
     let m = g.mux_add_skipped(x, y, lfsr(0x7331), 17);
-    let w3 = g.weighted_mux(&[x, y, z], &[0.5, 0.25, 0.25], lfsr(0x1234));
-    let w1 = g.weighted_mux(&[x], &[1.0], lfsr(0x4321));
+    let w3 = g.weighted_mux(&[x, y, z], [0.5, 0.25, 0.25], lfsr(0x1234));
+    let w1 = g.weighted_mux(&[x], [1.0], lfsr(0x4321));
     let inv = g.not(w3);
     g.sink_value("m", m);
     g.sink_value("w3", w3);
@@ -347,7 +347,7 @@ fn structural_netlist_matches_table_bridge_per_kind() {
     let mut g = Graph::new();
     let x = g.generate(0, sobol(1));
     let y = g.generate(1, sobol(2));
-    let w = g.weighted_mux(&[x, y, x], &[0.5, 0.3, 0.2], lfsr(7));
+    let w = g.weighted_mux(&[x, y, x], [0.5, 0.3, 0.2], lfsr(7));
     let m = g.mux_add(w, y, lfsr(9));
     g.sink_sum("s", &[m, w]);
     g.scc_probe("p", m, w);

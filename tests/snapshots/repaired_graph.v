@@ -1,5 +1,5 @@
 // Generated by sc_rtl from a compiled sc_graph plan.
-// cells: 7, nets: 16, stream length: 256 cycles.
+// cells: 7, nets: 17, stream length: 256 cycles.
 // Leaf modules are emitted once per cell kind; instances are
 // parameterised. Do not edit by hand.
 
@@ -69,16 +69,30 @@ module sc_source #(parameter FAMILY = 0,
   assign y = THRESH > q16;
 endmodule
 
-// 0.5-valued select-bit source for MUX scaled adders.
-module sc_halfsel #(parameter FAMILY = 0,
-                    parameter WIDTH = 16,
-                    parameter [63:0] INIT = 64'd1,
-                    parameter [63:0] TAPS = 64'hB400)
-                   (input clk, input rst, output y);
+// Weighted one-hot selection network: one fresh sample against the
+// packed cumulative thresholds; leftover mass falls to the last output.
+module sc_wsel #(parameter FAMILY = 0,
+                 parameter WIDTH = 16,
+                 parameter [63:0] INIT = 64'd1,
+                 parameter [63:0] TAPS = 64'hB400,
+                 parameter K = 2,
+                 parameter [16*K-1:0] CDF = {16*K{1'b0}})
+                (input clk, input rst, output reg [K-1:0] onehot);
   wire [15:0] q16;
   sc_sample #(.FAMILY(FAMILY), .WIDTH(WIDTH), .INIT(INIT), .TAPS(TAPS))
     gen (.clk(clk), .rst(rst), .q16(q16));
-  assign y = q16 < 16'd32768;
+  reg found;
+  integer i;
+  always @(*) begin
+    onehot = {K{1'b0}};
+    found = 1'b0;
+    for (i = 0; i < K; i = i + 1)
+      if (!found && q16 < CDF[16*i +: 16]) begin
+        onehot[i] = 1'b1;
+        found = 1'b1;
+      end
+    if (!found) onehot[K-1] = 1'b1;
+  end
 endmodule
 
 // Synchronizer FSM (Fig. 3a), save depth D: a signed saved-bit credit
@@ -128,13 +142,14 @@ module repaired_graph (
   wire n13;
   wire n14;
   wire n15;
+  wire n16;
   sc_source #(.FAMILY(1), .WIDTH(16), .INIT(64'd0), .TAPS(64'd0), .THRESH(16'd49152)) u0 (.clk(clk), .rst(rst), .y(n0));
   sc_source #(.FAMILY(0), .WIDTH(16), .INIT(64'd44257), .TAPS(64'd46080), .THRESH(16'd16384)) u1 (.clk(clk), .rst(rst), .y(n1));
   sc_synchronizer #(.DEPTH(1)) u2 (.clk(clk), .rst(rst), .x(n0), .y(n1), .ox(n2), .oy(n3));
   sc_xor2 u3 (.a(n2), .b(n3), .y(n4));
-  sc_halfsel #(.FAMILY(0), .WIDTH(16), .INIT(64'd29489), .TAPS(64'd46080)) u4 (.clk(clk), .rst(rst), .y(n5));
-  sc_mux2 u5 (.d0(n0), .d1(n4), .sel(n5), .y(n6));
-  sc_counter #(.WIDTH(9)) u6 (.clk(clk), .rst(rst), .en(n6), .q({n15, n14, n13, n12, n11, n10, n9, n8, n7}));
-  assign edge_bit = n6;
-  assign edge_count = {n15, n14, n13, n12, n11, n10, n9, n8, n7};
+  sc_wsel #(.FAMILY(0), .WIDTH(16), .INIT(64'd29489), .TAPS(64'd46080), .K(2), .CDF({16'd65535, 16'd32768})) u4 (.clk(clk), .rst(rst), .onehot({n6, n5}));
+  sc_mux2 u5 (.d0(n4), .d1(n0), .sel(n6), .y(n7));
+  sc_counter #(.WIDTH(9)) u6 (.clk(clk), .rst(rst), .en(n7), .q({n16, n15, n14, n13, n12, n11, n10, n9, n8}));
+  assign edge_bit = n7;
+  assign edge_count = {n16, n15, n14, n13, n12, n11, n10, n9, n8};
 endmodule
