@@ -8,9 +8,61 @@
 //! sources: streams generated from the *same* source instance are maximally
 //! positively correlated; streams generated from independent (or
 //! low-discrepancy, different-base) sources are close to uncorrelated.
+//!
+//! The comparator samples depend only on the source, never on the target, so
+//! the converter draws them through a [`Replay`] log: after a reset the same
+//! samples come again, and a replayed stream compares `p` against the logged
+//! slice, 64 samples to a word, instead of stepping the source once per bit.
+//! The log holds the samples drawn since the source's last real reset, and
+//! the source stands at the end of the log. Recording starts at the first
+//! [`DigitalToStochastic::reset`], because a source may arrive mid-sequence;
+//! `reset` then rewinds the log without touching the source.
+//! [`DigitalToStochastic::into_inner`] still hands the source back at its
+//! logical position. A run of more than 8,192 samples (the log's 64 KiB
+//! bound) stops recording, and every later reset really resets the source.
+//! Before the first reset, and once recording has stopped, the samples are
+//! drawn from the source 64 to a chunk and compared as a logged chunk is.
 
-use sc_bitstream::{Bitstream, Probability};
-use sc_rng::{RandomSource, RngKind};
+use sc_bitstream::{Bitstream, Probability, WORD_BITS};
+use sc_rng::{Draws, RandomSource, Replay, RngKind};
+
+/// Bit `i` of the word is the comparator output `target > samples[i]`, for
+/// up to 64 samples. A full word is eight fixed 8-sample loops, which LLVM
+/// unrolls into branch-free compares.
+#[inline]
+fn comparator_word(target: f64, samples: &[f64]) -> u64 {
+    let bit = |(i, &r): (usize, &f64)| u64::from(target > r) << i;
+    let Ok(full) = <&[f64; WORD_BITS]>::try_from(samples) else {
+        return samples
+            .iter()
+            .enumerate()
+            .map(bit)
+            .fold(0, |word, b| word | b);
+    };
+    let mut word = 0u64;
+    for (j, eight) in full.chunks_exact(8).enumerate() {
+        let byte = eight
+            .iter()
+            .enumerate()
+            .map(bit)
+            .fold(0, |byte, b| byte | b);
+        word |= byte << (8 * j);
+    }
+    word
+}
+
+/// Appends the comparator word of each target against `samples` (up to 64)
+/// to that target's words.
+#[inline]
+fn push_comparator_words<const K: usize>(
+    words: &mut [Vec<u64>; K],
+    targets: [f64; K],
+    samples: &[f64],
+) {
+    for (words, target) in words.iter_mut().zip(targets) {
+        words.push(comparator_word(target, samples));
+    }
+}
 
 /// A digital-to-stochastic converter wrapping a random source.
 ///
@@ -31,37 +83,59 @@ use sc_rng::{RandomSource, RngKind};
 /// ```
 #[derive(Debug, Clone)]
 pub struct DigitalToStochastic<S> {
-    source: S,
+    samples: Replay<S, f64>,
 }
 
 impl<S: RandomSource> DigitalToStochastic<S> {
     /// Creates a converter around the given source.
     #[must_use]
     pub fn new(source: S) -> Self {
-        DigitalToStochastic { source }
+        DigitalToStochastic {
+            samples: Replay::new(source),
+        }
     }
 
-    /// Returns a reference to the underlying source.
-    #[must_use]
-    pub fn source(&self) -> &S {
-        &self.source
-    }
-
-    /// Consumes the converter and returns the underlying source.
+    /// Consumes the converter and returns the underlying source, positioned
+    /// after the samples drawn since the last reset.
     #[must_use]
     pub fn into_inner(self) -> S {
-        self.source
+        self.samples.into_inner()
     }
 
     /// The family of the wrapped source.
     #[must_use]
     pub fn kind(&self) -> RngKind {
-        self.source.kind()
+        self.samples.kind()
     }
 
-    /// Resets the underlying source to its initial state.
+    /// Restarts the sample sequence: from the log once it is recording,
+    /// otherwise by resetting the source.
     pub fn reset(&mut self) {
-        self.source.reset();
+        self.samples.reset();
+    }
+
+    /// The packed comparator words of every target against the same next
+    /// `n` samples. A replayed run reads the samples from the log as one
+    /// slice; otherwise they are drawn 64 to a chunk, and each chunk is
+    /// compared as a logged one is.
+    fn comparator_words<const K: usize>(&mut self, targets: [f64; K], n: usize) -> [Vec<u64>; K] {
+        let mut words = std::array::from_fn(|_| Vec::with_capacity(n.div_ceil(WORD_BITS)));
+        match self.samples.take(n, S::next_unit) {
+            Draws::Logged(samples) => {
+                for chunk in samples.chunks(WORD_BITS) {
+                    push_comparator_words(&mut words, targets, chunk);
+                }
+            }
+            Draws::Live(source) => {
+                let mut chunk = [0.0; WORD_BITS];
+                for start in (0..n).step_by(WORD_BITS) {
+                    let chunk = &mut chunk[..(n - start).min(WORD_BITS)];
+                    chunk.fill_with(|| source.next_unit());
+                    push_comparator_words(&mut words, targets, chunk);
+                }
+            }
+        }
+        words
     }
 
     /// Generates a length-`n` stochastic number encoding `p`.
@@ -69,13 +143,10 @@ impl<S: RandomSource> DigitalToStochastic<S> {
     /// The stream's exact value is `p` quantized to the grid `{0/n, …, n/n}`
     /// only when the source is a full-period low-discrepancy sequence; with an
     /// LFSR the value fluctuates around `p` as in real hardware.
-    ///
-    /// Generation is batched a word at a time: `Bitstream::from_fn` packs the
-    /// 64 comparator bits in a register before each store into the stream.
     #[must_use]
     pub fn generate(&mut self, p: Probability, n: usize) -> Bitstream {
-        let target = p.get();
-        Bitstream::from_fn(n, |_| target > self.source.next_unit())
+        let [words] = self.comparator_words([p.get()], n);
+        Bitstream::from_words(words, n)
     }
 
     /// Generates a length-`n` stream for the binary value `x` out of `max`
@@ -94,7 +165,7 @@ impl<S: RandomSource> DigitalToStochastic<S> {
 
     /// Generates two streams from the *same* source samples, producing a
     /// maximally positively correlated pair — the "shared RNG" technique of
-    /// §II.B. Both streams are assembled a packed word at a time.
+    /// §II.B. Both streams are assembled in one pass over the samples.
     #[must_use]
     pub fn generate_correlated_pair(
         &mut self,
@@ -102,22 +173,7 @@ impl<S: RandomSource> DigitalToStochastic<S> {
         py: Probability,
         n: usize,
     ) -> (Bitstream, Bitstream) {
-        let words = n.div_ceil(sc_bitstream::WORD_BITS);
-        let mut x_words = Vec::with_capacity(words);
-        let mut y_words = Vec::with_capacity(words);
-        let mut remaining = n;
-        while remaining > 0 {
-            let valid = remaining.min(sc_bitstream::WORD_BITS);
-            let (mut xw, mut yw) = (0u64, 0u64);
-            for i in 0..valid {
-                let r = self.source.next_unit();
-                xw |= u64::from(px.get() > r) << i;
-                yw |= u64::from(py.get() > r) << i;
-            }
-            x_words.push(xw);
-            y_words.push(yw);
-            remaining -= valid;
-        }
+        let [x_words, y_words] = self.comparator_words([px.get(), py.get()], n);
         (
             Bitstream::from_words(x_words, n),
             Bitstream::from_words(y_words, n),
@@ -306,9 +362,131 @@ mod tests {
     #[test]
     fn into_inner_returns_source() {
         let g = DigitalToStochastic::new(VanDerCorput::new());
-        assert_eq!(g.source().index(), 1);
         let src = g.into_inner();
         assert_eq!(src.index(), 1);
+    }
+
+    #[test]
+    fn into_inner_after_a_partial_replay_is_at_the_logical_position() {
+        let p = Probability::new(0.4).unwrap();
+        let mut g = DigitalToStochastic::new(Lfsr::new(16, 0xACE1));
+        g.reset();
+        let _ = g.generate(p, 100);
+        g.reset();
+        let _ = g.generate(p, 40);
+        let mut expected = Lfsr::new(16, 0xACE1);
+        expected.skip_ahead(40);
+        assert_eq!(g.into_inner().next_unit(), expected.next_unit());
+
+        let mut regen = crate::Regenerator::new(VanDerCorput::new());
+        regen.reset();
+        let _ = regen.regenerate(&Bitstream::from_fn(64, |i| i % 3 == 0));
+        regen.reset();
+        let _ = regen.regenerate(&Bitstream::from_fn(10, |i| i % 2 == 0));
+        assert_eq!(regen.into_inner().index(), 11);
+    }
+
+    /// The per-bit D/S loop the replayed path replaced, kept as the
+    /// reference: one comparator per sample, straight from the source.
+    fn reference_generate(source: &mut dyn RandomSource, p: f64, n: usize) -> Bitstream {
+        Bitstream::from_fn(n, |_| p > source.next_unit())
+    }
+
+    fn reference_pair(
+        source: &mut dyn RandomSource,
+        px: f64,
+        py: f64,
+        n: usize,
+    ) -> (Bitstream, Bitstream) {
+        let samples: Vec<f64> = (0..n).map(|_| source.next_unit()).collect();
+        (
+            Bitstream::from_fn(n, |i| px > samples[i]),
+            Bitstream::from_fn(n, |i| py > samples[i]),
+        )
+    }
+
+    const KINDS: [RngKind; 5] = [
+        RngKind::Lfsr,
+        RngKind::VanDerCorput,
+        RngKind::Halton,
+        RngKind::Sobol,
+        RngKind::Counter,
+    ];
+
+    /// Runs a call sequence (length, pair or single, reset first) through a
+    /// generator of every kind and through the reference on a fresh source.
+    fn check_calls(calls: &[(usize, bool, bool)], seed: u64) {
+        for kind in KINDS {
+            let mut generator = StreamGenerator::of_kind(kind);
+            let mut reference = sc_rng::build_source(kind);
+            let mut state = seed | 1;
+            let mut value = || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            for (call, &(n, pair, reset)) in calls.iter().enumerate() {
+                if reset {
+                    generator.reset();
+                    reference.reset();
+                }
+                let (px, py) = (value(), value());
+                let (p, q) = (Probability::new(px).unwrap(), Probability::new(py).unwrap());
+                if pair {
+                    let got = generator.generate_correlated_pair(p, q, n);
+                    assert_eq!(
+                        got,
+                        reference_pair(&mut *reference, px, py, n),
+                        "{kind:?} call {call}"
+                    );
+                } else {
+                    let got = generator.generate(p, n);
+                    assert_eq!(
+                        got,
+                        reference_generate(&mut *reference, px, n),
+                        "{kind:?} call {call}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_past_the_log_bound_replays_exactly() {
+        // 8,192 samples fill the log; the 9,000-sample run then outgrows it
+        // from the start of a replay, and later runs draw live.
+        check_calls(
+            &[
+                (300, false, false),
+                (8_192, true, true),
+                (100, false, true),
+                (9_000, false, true),
+                (5_000, true, false),
+                (64, true, true),
+            ],
+            5,
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_replay_matches_the_per_bit_reference(
+            lengths in proptest::collection::vec(1usize..=1100, 4..=10),
+            flags in any::<u64>(),
+            seed in any::<u64>(),
+        ) {
+            // Bit 2i picks a pair, bit 2i + 1 a reset before call i; the first
+            // calls may run before any reset.
+            let calls: Vec<(usize, bool, bool)> = lengths
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (n, flags >> (2 * i) & 1 == 1, flags >> (2 * i + 1) & 1 == 1))
+                .collect();
+            check_calls(&calls, seed);
+        }
     }
 
     proptest! {

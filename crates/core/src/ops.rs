@@ -10,11 +10,35 @@
 //! * [`desync_saturating_add`] — desynchronizer followed by an OR gate,
 //!   realising `min(1, pX + pY)` which requires *negatively* correlated
 //!   inputs.
+//!
+//! Each operator drives its circuit a word at a time and writes the gate of
+//! the two manipulated words straight into its one output stream.
 
 use crate::desynchronizer::Desynchronizer;
 use crate::manipulator::CorrelationManipulator;
 use crate::synchronizer::Synchronizer;
-use sc_bitstream::{Bitstream, Result};
+use sc_bitstream::{Bitstream, Error, Result};
+
+/// Runs `circuit` over the streams' packed words and returns `gate` of its
+/// two outputs, word by word: one output stream and one pass.
+fn gated<M: CorrelationManipulator>(
+    mut circuit: M,
+    x: &Bitstream,
+    y: &Bitstream,
+    gate: impl Fn(u64, u64) -> u64,
+) -> Result<Bitstream> {
+    if x.len() != y.len() {
+        return Err(Error::LengthMismatch {
+            left: x.len(),
+            right: y.len(),
+        });
+    }
+    let (xs, ys) = (x.as_words(), y.as_words());
+    Ok(Bitstream::from_word_fn(x.len(), |w| {
+        let (a, b) = circuit.step_word(xs[w], ys[w], x.word_len(w) as u32);
+        gate(a, b)
+    }))
+}
 
 /// Improved SC maximum: synchronizer (save depth `depth`) + OR gate (Fig. 5a).
 ///
@@ -36,9 +60,7 @@ use sc_bitstream::{Bitstream, Result};
 /// # Ok::<(), sc_bitstream::Error>(())
 /// ```
 pub fn sync_max(x: &Bitstream, y: &Bitstream, depth: u32) -> Result<Bitstream> {
-    let mut sync = Synchronizer::new(depth);
-    let (sx, sy) = sync.process(x, y)?;
-    sx.try_or(&sy)
+    gated(Synchronizer::new(depth), x, y, |a, b| a | b)
 }
 
 /// Improved SC minimum: synchronizer (save depth `depth`) + AND gate (Fig. 5b).
@@ -47,9 +69,7 @@ pub fn sync_max(x: &Bitstream, y: &Bitstream, depth: u32) -> Result<Bitstream> {
 ///
 /// Returns a length-mismatch error if the streams differ in length.
 pub fn sync_min(x: &Bitstream, y: &Bitstream, depth: u32) -> Result<Bitstream> {
-    let mut sync = Synchronizer::new(depth);
-    let (sx, sy) = sync.process(x, y)?;
-    sx.try_and(&sy)
+    gated(Synchronizer::new(depth), x, y, |a, b| a & b)
 }
 
 /// Improved SC saturating adder: desynchronizer (save depth `depth`) + OR gate
@@ -59,9 +79,7 @@ pub fn sync_min(x: &Bitstream, y: &Bitstream, depth: u32) -> Result<Bitstream> {
 ///
 /// Returns a length-mismatch error if the streams differ in length.
 pub fn desync_saturating_add(x: &Bitstream, y: &Bitstream, depth: u32) -> Result<Bitstream> {
-    let mut desync = Desynchronizer::new(depth);
-    let (dx, dy) = desync.process(x, y)?;
-    dx.try_or(&dy)
+    gated(Desynchronizer::new(depth), x, y, |a, b| a | b)
 }
 
 #[cfg(test)]
@@ -69,7 +87,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use sc_arith::maxmin::{and_min, or_max};
-    use sc_bitstream::{ErrorStats, Probability};
+    use sc_bitstream::{reference, ErrorStats, Probability};
     use sc_convert::DigitalToStochastic;
     use sc_rng::{Halton, VanDerCorput};
 
@@ -168,6 +186,25 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_gated_operators_match_the_bit_serial_circuits(
+            bits in proptest::collection::vec(any::<bool>(), 2..400),
+            depth in 1u32..=4,
+        ) {
+            // Odd lengths end in a partial word.
+            let half = bits.len() / 2;
+            let x = Bitstream::from_bools(bits[..half].iter().copied());
+            let y = Bitstream::from_bools(bits[half..2 * half].iter().copied());
+            let (sx, sy) = Synchronizer::new(depth).process_bit_serial(&x, &y).unwrap();
+            let (dx, dy) = Desynchronizer::new(depth).process_bit_serial(&x, &y).unwrap();
+            prop_assert_eq!(sync_max(&x, &y, depth).unwrap(), reference::or(&sx, &sy).unwrap());
+            prop_assert_eq!(sync_min(&x, &y, depth).unwrap(), reference::and(&sx, &sy).unwrap());
+            prop_assert_eq!(
+                desync_saturating_add(&x, &y, depth).unwrap(),
+                reference::or(&dx, &dy).unwrap()
+            );
+        }
+
         #[test]
         fn prop_sync_max_error_small(kx in 0u64..=32, ky in 0u64..=32) {
             let px = kx as f64 / 32.0;

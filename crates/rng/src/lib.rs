@@ -14,7 +14,9 @@
 //!
 //! All sources implement [`RandomSource`], which yields values in `[0, 1)`.
 //! A digital-to-stochastic converter compares the target value against these
-//! samples to emit bits (see the `sc-convert` crate).
+//! samples to emit bits (see the `sc-convert` crate). [`Replay`] wraps a
+//! source so that the draws made after a reset are logged and read back
+//! after the next one, instead of stepping the source again.
 //!
 //! # Example
 //!
@@ -36,6 +38,7 @@
 pub mod counter;
 pub mod halton;
 pub mod lfsr;
+pub mod replay;
 pub mod sobol;
 pub mod source;
 pub mod spec;
@@ -44,6 +47,7 @@ pub mod vandercorput;
 pub use counter::CounterSource;
 pub use halton::Halton;
 pub use lfsr::{Lfsr, LfsrStructure};
+pub use replay::{Draws, Replay};
 pub use sobol::Sobol;
 pub use source::{RandomSource, RngKind, SourceExt};
 pub use spec::{SourceGateModel, SourceSpec};
