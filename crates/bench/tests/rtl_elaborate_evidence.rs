@@ -4,15 +4,17 @@
 //! The full-size synchronizer tile is elaborated exactly as the
 //! `rtl_elaborate` binary does it, and every deterministic field of the
 //! committed file — plan steps, cells, nets, primitive instances and the
-//! cell histogram — must equal it. Timings and the rest of the host block
+//! cell histogram — must equal it. Every select line a `wsel` cell drives
+//! must be read by a mux, so a select tree leaves no dangling net. Timings and the rest of the host block
 //! move with the machine and are not compared; the host block must not carry
 //! the `lanes` field the executor no longer has. Regenerate the file with
 //! `cargo run --release -p sc_bench --bin rtl_elaborate` from the
 //! repository root.
 
 use sc_image::{planner_options, tile_graph, GrayImage, PipelineConfig, PipelineVariant};
-use sc_rtl::{elaborate, sink_counter_bits};
+use sc_rtl::{elaborate, sink_counter_bits, CellKind, NetRef};
 use sc_telemetry::json::{parse, Json};
+use std::collections::HashSet;
 
 const EVIDENCE: &str = include_str!("../../../BENCH_rtl_elaborate.json");
 
@@ -51,6 +53,18 @@ fn committed_evidence_matches_the_elaborated_tile() {
         .map(|(kind, count)| (kind, Some(count as u64)))
         .collect();
     assert_eq!(committed, elaborated, "cell histogram");
+    let read: HashSet<NetRef> = design
+        .cells()
+        .iter()
+        .flat_map(|cell| cell.inputs.iter().copied())
+        .collect();
+    for cell in design.cells() {
+        if matches!(cell.kind, CellKind::SelectOneHot { .. }) {
+            for line in &cell.outputs {
+                assert!(read.contains(line), "select line {line:?} is never read");
+            }
+        }
+    }
     let host = evidence.get("host").expect("host block");
     assert!(host.get("lanes").is_none(), "stale host field `lanes`");
 }

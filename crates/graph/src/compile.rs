@@ -21,16 +21,18 @@
 //!    (the paper's core insight, applied automatically); every miss is a
 //!    [`RepairRecord`] in the report.
 //! 4. **emit** — nodes are laid out in the compile's one topological order
-//!    as a flat step list over dense stream slots, one step per node, ready
-//!    for the batch executor.
+//!    as a flat step list over dense stream slots, ready for the batch
+//!    executor. A [`Step`] is the node's own [`NodeOp`] plus its slots: its
+//!    input slots live in one flat per-plan list ([`CompiledGraph::srcs`]),
+//!    and its outputs are consecutive slots from the step's `dst`.
 
 use crate::exec::SinkNames;
 use crate::graph::{Graph, GraphError};
-use crate::node::{BinaryOp, CorrRequirement, ManipulatorKind, SccClass, UnaryFsmOp};
+use crate::node::{CorrRequirement, ManipulatorKind, NodeOp, SccClass};
 use crate::planes::PlanCache;
-use sc_rng::SourceSpec;
 use sc_telemetry::TelemetrySink;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -141,175 +143,35 @@ pub struct CompileReport {
     /// One record per binary operator whose precondition is not
     /// structurally guaranteed and was *not* repaired (auto-repair off).
     pub unsatisfied: Vec<RepairRecord>,
-    /// Source-drawing steps whose [`SourceSpec`] is shared with an earlier
-    /// step — generator hardware the plan does not have to duplicate.
+    /// Source-drawing steps whose [`SourceSpec`](sc_rng::SourceSpec) is
+    /// shared with an earlier step — generator hardware the plan does not
+    /// have to duplicate.
     pub shared_sources: usize,
     /// Per-stage deltas, in execution order.
     pub pass_deltas: Vec<PassDelta>,
 }
 
-/// One executable step of a compiled plan. Slot indices address the dense
-/// per-execution stream environment (`0..CompiledGraph::slot_count()`).
+/// One executable step of a compiled plan: a node of the repaired graph —
+/// its own [`NodeOp`], planner-inserted repairs included — over dense
+/// stream slots (`0..CompiledGraph::slot_count()`).
+///
+/// The step's input slots, one per input port, are a range of the plan's
+/// one flat slot list, read through [`CompiledGraph::srcs`]. Its outputs
+/// are the `op.output_ports()` consecutive slots from `dst`: a
+/// manipulator writes its X output to `dst` and its Y output to `dst + 1`,
+/// and a sink writes none.
 ///
 /// Steps are public so lowering backends (the `sc_rtl` gate-level elaborator
-/// in particular) can walk a plan's exact execution structure — including
-/// planner-inserted repairs — without re-deriving it from the source graph.
-/// The enum is `#[non_exhaustive]`: consumers must handle unknown future
-/// step kinds (typically by reporting the plan as unsupported).
+/// in particular) can walk a plan's exact execution structure without
+/// re-deriving it from the source graph.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Step {
-    /// Copy `BatchInput::streams[slot]` into `dst`.
-    Input {
-        /// Index into the batch item's stream list.
-        slot: usize,
-        /// Destination stream slot.
-        dst: usize,
-    },
-    /// D/S-convert `BatchInput::values[slot]` into `dst`.
-    Generate {
-        /// Index into the batch item's value list.
-        slot: usize,
-        /// Comparator sample source.
-        source: SourceSpec,
-        /// Samples the source has already served to earlier consumers.
-        skip: u64,
-        /// Destination stream slot.
-        dst: usize,
-    },
-    /// D/S-convert a constant probability into `dst`.
-    Constant {
-        /// The encoded probability.
-        probability: f64,
-        /// Comparator sample source.
-        source: SourceSpec,
-        /// Samples the source has already served to earlier consumers.
-        skip: u64,
-        /// Destination stream slot.
-        dst: usize,
-    },
-    /// Run one correlation manipulator.
-    Manipulate {
-        /// The circuit.
-        kind: ManipulatorKind,
-        /// X input slot.
-        x: usize,
-        /// Y input slot.
-        y: usize,
-        /// Manipulated-X destination slot.
-        dst_x: usize,
-        /// Manipulated-Y destination slot.
-        dst_y: usize,
-    },
-    /// S/D + D/S regeneration from a fresh source.
-    Regenerate {
-        /// Re-encoding sample source.
-        source: SourceSpec,
-        /// Samples the source has already served to earlier consumers.
-        skip: u64,
-        /// Input stream slot.
-        src: usize,
-        /// Destination stream slot.
-        dst: usize,
-    },
-    /// Stream complement.
-    Not {
-        /// Input stream slot.
-        src: usize,
-        /// Destination stream slot.
-        dst: usize,
-    },
-    /// A two-input arithmetic operator.
-    Binary {
-        /// The operator.
-        op: BinaryOp,
-        /// X input slot.
-        x: usize,
-        /// Y input slot.
-        y: usize,
-        /// Destination stream slot.
-        dst: usize,
-    },
-    /// A saturating-counter FSM activation.
-    UnaryFsm {
-        /// The FSM design.
-        op: UnaryFsmOp,
-        /// Input stream slot.
-        src: usize,
-        /// Destination stream slot.
-        dst: usize,
-    },
-    /// The feedback SC divider.
-    Divide {
-        /// Comparison sample source.
-        source: SourceSpec,
-        /// Samples the source has already served to earlier consumers.
-        skip: u64,
-        /// Integration counter width.
-        counter_bits: u32,
-        /// Numerator input slot.
-        x: usize,
-        /// Denominator input slot.
-        y: usize,
-        /// Destination stream slot.
-        dst: usize,
-    },
-    /// Weighted multiplexer tree (the MUX scaled adder is its two-input
-    /// case).
-    WeightedMux {
-        /// Per-input selection probabilities, in input order.
-        weights: Arc<[f64]>,
-        /// Selection sample source.
-        select: SourceSpec,
-        /// Samples the source has already served to earlier consumers.
-        skip: u64,
-        /// Input stream slots, one per weight.
-        srcs: Vec<usize>,
-        /// Destination stream slot.
-        dst: usize,
-    },
-    /// Sink: expose the stream itself.
-    SinkStream {
-        /// Output name, shared with every execution's
-        /// [`ExecOutput`](crate::ExecOutput).
-        name: Arc<str>,
-        /// Input stream slot.
-        src: usize,
-    },
-    /// Sink: S/D conversion to the stream's unipolar value.
-    SinkValue {
-        /// Output name, shared with every execution's
-        /// [`ExecOutput`](crate::ExecOutput).
-        name: Arc<str>,
-        /// Input stream slot.
-        src: usize,
-    },
-    /// Sink: S/D conversion to the raw 1s count.
-    SinkCount {
-        /// Output name, shared with every execution's
-        /// [`ExecOutput`](crate::ExecOutput).
-        name: Arc<str>,
-        /// Input stream slot.
-        src: usize,
-    },
-    /// Sink: accumulative parallel counter over all inputs.
-    SinkSum {
-        /// Output name, shared with every execution's
-        /// [`ExecOutput`](crate::ExecOutput).
-        name: Arc<str>,
-        /// Input stream slots.
-        srcs: Vec<usize>,
-    },
-    /// Sink: SCC probe over a stream pair.
-    SccProbe {
-        /// Output name, shared with every execution's
-        /// [`ExecOutput`](crate::ExecOutput).
-        name: Arc<str>,
-        /// X input slot.
-        x: usize,
-        /// Y input slot.
-        y: usize,
-    },
+pub struct Step {
+    /// The operation the step performs.
+    pub op: NodeOp,
+    /// The step's range of the plan's input-slot list.
+    pub(crate) srcs: Range<usize>,
+    /// The first output slot.
+    pub dst: usize,
 }
 
 /// A validated, repaired, topologically ordered execution plan.
@@ -320,6 +182,8 @@ pub enum Step {
 #[derive(Debug, Clone)]
 pub struct CompiledGraph {
     pub(crate) steps: Vec<Step>,
+    /// Every step's input slots, back to back in step order.
+    srcs: Vec<usize>,
     pub(crate) slot_count: usize,
     pub(crate) value_slots: usize,
     pub(crate) stream_slots: usize,
@@ -340,6 +204,7 @@ impl CompiledGraph {
     /// Builds a plan from the emit stage's artifacts, minting its class id.
     pub(crate) fn assemble(
         steps: Vec<Step>,
+        srcs: Vec<usize>,
         slot_count: usize,
         value_slots: usize,
         stream_slots: usize,
@@ -348,6 +213,7 @@ impl CompiledGraph {
         CompiledGraph {
             sinks: Arc::new(SinkNames::of(&steps)),
             steps,
+            srcs,
             slot_count,
             value_slots,
             stream_slots,
@@ -374,6 +240,12 @@ impl CompiledGraph {
     #[must_use]
     pub fn steps(&self) -> &[Step] {
         &self.steps
+    }
+
+    /// The input slots of one of this plan's steps, one per input port.
+    #[must_use]
+    pub fn srcs(&self, step: &Step) -> &[usize] {
+        &self.srcs[step.srcs.clone()]
     }
 
     /// Number of dense stream slots an execution environment needs.
@@ -571,11 +443,8 @@ mod tests {
             .to_string()
             .contains("synchronizer"));
         assert!(plan.steps().iter().any(|step| matches!(
-            step,
-            Step::Manipulate {
-                kind: ManipulatorKind::Synchronizer { .. },
-                ..
-            }
+            step.op,
+            NodeOp::Manipulate(ManipulatorKind::Synchronizer { .. })
         )));
     }
 
@@ -616,6 +485,25 @@ mod tests {
             "unexpected inserts: {:?}",
             plan.report().inserted
         );
+    }
+
+    #[test]
+    fn a_generated_and_a_regenerated_stream_of_one_source_are_positive() {
+        use crate::exec::{BatchInput, Executor};
+        let mut g = Graph::new();
+        let x = g.generate(0, sobol(1));
+        let y = g.generate(1, sobol(2));
+        // Both compare against the same samples of one source.
+        let r = g.regenerate(sobol(1), y);
+        let z = g.binary(BinaryOp::XorSubtract, x, r);
+        g.sink_value("z", z);
+        g.scc_probe("scc", x, r);
+        let plan = g.compile(&PlannerOptions::default()).unwrap();
+        assert!(plan.report().inserted.is_empty());
+        let out = Executor::new(256)
+            .run(&plan, &BatchInput::with_values(vec![0.7, 0.3]))
+            .unwrap();
+        assert!(out.value("scc").unwrap() > 0.99);
     }
 
     #[test]
@@ -683,13 +571,10 @@ mod tests {
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         assert_eq!(plan.steps().len(), plan.step_count());
         assert!(plan.slot_count() >= 3);
-        assert!(plan.steps().iter().any(|s| matches!(
-            s,
-            Step::Binary {
-                op: BinaryOp::CaAdd,
-                ..
-            }
-        )));
+        assert!(plan
+            .steps()
+            .iter()
+            .any(|s| s.op == NodeOp::Binary(BinaryOp::CaAdd) && plan.srcs(s).len() == 2));
     }
 
     #[test]
@@ -708,8 +593,8 @@ mod tests {
         let kinds: Vec<ManipulatorKind> = plan
             .steps()
             .iter()
-            .filter_map(|s| match s {
-                Step::Manipulate { kind, .. } => Some(*kind),
+            .filter_map(|s| match s.op {
+                NodeOp::Manipulate(kind) => Some(kind),
                 _ => None,
             })
             .collect();
@@ -721,6 +606,21 @@ mod tests {
                 ManipulatorKind::Isolator { delay: 2 },
             ]
         );
+        // Each manipulator writes its pair to `dst` and `dst + 1`, which the
+        // next one reads; the sinks read the last pair.
+        let slots: Vec<(&[usize], usize)> =
+            plan.steps().iter().map(|s| (plan.srcs(s), s.dst)).collect();
+        let expected: [(&[usize], usize); 7] = [
+            (&[], 0),
+            (&[], 1),
+            (&[0, 1], 2),
+            (&[2, 3], 4),
+            (&[4, 5], 6),
+            (&[6], 8),
+            (&[7], 8),
+        ];
+        assert_eq!(slots, expected);
+        assert_eq!(plan.slot_count(), 8);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The `sc_graph` → `sc_hwcost` bridge: derive a gate-level area / power /
 //! energy report for a compiled plan.
 //!
-//! Every scheduled [`Step`] of a [`CompiledGraph`] — including manipulators
+//! Every scheduled [`Step`](crate::Step) of a [`CompiledGraph`] — including manipulators
 //! the planner auto-inserted — maps to the netlist of the hardware block that
 //! would implement it (the `sc_hwcost::characterize` library), and the plan's
 //! cost is the merge of all of them. Sinks that merely observe streams in
@@ -16,8 +16,8 @@
 //! consume them as ratios between designs, exactly like the paper's
 //! Table III / Table IV columns.
 
-use crate::compile::{CompiledGraph, Step};
-use crate::node::{BinaryOp, ManipulatorKind, UnaryFsmOp};
+use crate::compile::CompiledGraph;
+use crate::node::{BinaryOp, ManipulatorKind, NodeOp, UnaryFsmOp};
 use sc_hwcost::{characterize, Netlist, Primitive};
 use sc_rng::SourceSpec;
 
@@ -104,43 +104,33 @@ pub fn binary_netlist(op: BinaryOp) -> Netlist {
     }
 }
 
-/// The dedicated sample source a step draws from, if it has one.
-#[must_use]
-pub fn step_source(step: &Step) -> Option<&SourceSpec> {
-    match step {
-        Step::Generate { source, .. }
-        | Step::Constant { source, .. }
-        | Step::Regenerate { source, .. }
-        | Step::Divide { source, .. } => Some(source),
-        Step::WeightedMux { select, .. } => Some(select),
-        _ => None,
-    }
-}
-
 /// Netlist of one step's *logic* — everything except its sample source
-/// (see [`step_source`]).
+/// ([`NodeOp::source`]). `inputs` is the step's input count, which sizes an
+/// APC sum sink's reduction tree.
 #[must_use]
-pub fn step_logic_netlist(step: &Step, converter_bits: u32) -> Netlist {
-    match step {
-        Step::Input { .. } | Step::SinkStream { .. } => Netlist::new("wire"),
-        Step::Generate { .. } | Step::Constant { .. } => characterize::ds_converter(converter_bits),
-        Step::Manipulate { kind, .. } => manipulator_netlist(kind),
-        Step::Regenerate { .. } => characterize::regeneration_unit(converter_bits),
-        Step::Not { .. } => Netlist::new("not").with(Primitive::Inverter, 1),
-        Step::Binary { op, .. } => binary_netlist(*op),
-        Step::UnaryFsm { op, .. } => unary_fsm_netlist(*op),
-        Step::Divide { counter_bits, .. } => divider_netlist(*counter_bits),
-        Step::WeightedMux { weights, .. } => Netlist::new("weighted-mux").with(
+pub fn step_logic_netlist(op: &NodeOp, inputs: usize, converter_bits: u32) -> Netlist {
+    match op {
+        NodeOp::InputStream { .. } | NodeOp::SinkStream { .. } => Netlist::new("wire"),
+        NodeOp::Generate { .. } | NodeOp::ConstStream { .. } => {
+            characterize::ds_converter(converter_bits)
+        }
+        NodeOp::Manipulate(kind) => manipulator_netlist(kind),
+        NodeOp::Regenerate { .. } => characterize::regeneration_unit(converter_bits),
+        NodeOp::Not => Netlist::new("not").with(Primitive::Inverter, 1),
+        NodeOp::Binary(op) => binary_netlist(*op),
+        NodeOp::UnaryFsm(op) => unary_fsm_netlist(*op),
+        NodeOp::Divide { counter_bits, .. } => divider_netlist(*counter_bits),
+        NodeOp::WeightedMux { weights, .. } => Netlist::new("weighted-mux").with(
             Primitive::Mux2,
             weights.len().saturating_sub(1).max(1) as u64,
         ),
-        Step::SinkValue { .. } | Step::SinkCount { .. } => {
+        NodeOp::SinkValue { .. } | NodeOp::SinkCount { .. } => {
             characterize::sd_converter(converter_bits)
         }
         // A k-lane APC: full-adder reduction tree into one wider accumulator.
-        Step::SinkSum { srcs, .. } => characterize::sd_converter(converter_bits + 2)
-            .with(Primitive::FullAdder, srcs.len().saturating_sub(1) as u64),
-        Step::SccProbe { .. } => characterize::sd_converter(converter_bits)
+        NodeOp::SinkSum { .. } => characterize::sd_converter(converter_bits + 2)
+            .with(Primitive::FullAdder, inputs.saturating_sub(1) as u64),
+        NodeOp::SccProbe { .. } => characterize::sd_converter(converter_bits)
             .scaled("scc-probe", 3)
             .with(Primitive::And2, 1),
     }
@@ -150,9 +140,9 @@ pub fn step_logic_netlist(step: &Step, converter_bits: u32) -> Netlist {
 /// own sample source. An APC sum sink over `k` lanes includes its
 /// `k − 1`-adder reduction tree.
 #[must_use]
-pub fn step_netlist(step: &Step, converter_bits: u32) -> Netlist {
-    let mut n = step_logic_netlist(step, converter_bits);
-    if let Some(spec) = step_source(step) {
+pub fn step_netlist(op: &NodeOp, inputs: usize, converter_bits: u32) -> Netlist {
+    let mut n = step_logic_netlist(op, inputs, converter_bits);
+    if let Some((spec, _)) = op.source() {
         n.merge(&source_netlist(spec, converter_bits));
     }
     n
@@ -166,7 +156,11 @@ pub fn step_netlist(step: &Step, converter_bits: u32) -> Netlist {
 pub fn compiled_netlist(plan: &CompiledGraph, name: &str, converter_bits: u32) -> Netlist {
     let mut total = Netlist::new(name);
     for step in plan.steps() {
-        total.merge(&step_netlist(step, converter_bits));
+        total.merge(&step_netlist(
+            &step.op,
+            plan.srcs(step).len(),
+            converter_bits,
+        ));
     }
     total
 }
@@ -180,8 +174,12 @@ pub fn compiled_netlist_shared(plan: &CompiledGraph, name: &str, converter_bits:
     let mut total = Netlist::new(name);
     let mut seen = std::collections::HashSet::new();
     for step in plan.steps() {
-        total.merge(&step_logic_netlist(step, converter_bits));
-        if let Some(spec) = step_source(step) {
+        total.merge(&step_logic_netlist(
+            &step.op,
+            plan.srcs(step).len(),
+            converter_bits,
+        ));
+        if let Some((spec, _)) = step.op.source() {
             if seen.insert(spec) {
                 total.merge(&source_netlist(spec, converter_bits));
             }
@@ -341,19 +339,9 @@ mod tests {
             manipulator_netlist(&ManipulatorKind::Identity).cell_count(),
             0
         );
+        assert_eq!(step_netlist(&NodeOp::Not, 1, 8).cell_count(), 1);
         assert_eq!(
-            step_netlist(&Step::Not { src: 0, dst: 1 }, 8).cell_count(),
-            1
-        );
-        assert_eq!(
-            step_netlist(
-                &Step::SinkStream {
-                    name: "s".into(),
-                    src: 0
-                },
-                8
-            )
-            .cell_count(),
+            step_netlist(&NodeOp::SinkStream { name: "s".into() }, 1, 8).cell_count(),
             0
         );
     }

@@ -4,6 +4,7 @@
 
 use crate::compile::{CompiledGraph, Step};
 use crate::graph::GraphError;
+use crate::node::{NodeOp, UnaryFsmOp};
 use crate::planes::{self, JobPlanes, PlaneStore};
 use sc_bitstream::{scc, Bitstream, Probability, WORD_BITS};
 use sc_convert::AccumulativeParallelCounter;
@@ -24,7 +25,7 @@ pub struct BatchInput {
     /// Ready streams, indexed by the `InputStream` nodes' slots.
     pub streams: Vec<Bitstream>,
     /// `(template spec, this job's spec)` pairs. Every source-drawing step
-    /// (`Generate`, `Constant`, `Regenerate`, `Divide` and the select of
+    /// (`Generate`, `ConstStream`, `Regenerate`, `Divide` and the select of
     /// `WeightedMux`, the one select step, MUX adders included) draws from
     /// its spec's binding, or from its own spec when the table has none
     /// ([`BatchInput::resolve`]). This is how one compiled template serves a
@@ -112,12 +113,12 @@ impl SinkNames {
     pub(crate) fn of(steps: &[Step]) -> SinkNames {
         let (mut streams, mut values) = (Vec::new(), Vec::new());
         for step in steps {
-            match step {
-                Step::SinkStream { name, .. } => streams.push(Arc::clone(name)),
-                Step::SinkValue { name, .. }
-                | Step::SinkCount { name, .. }
-                | Step::SinkSum { name, .. }
-                | Step::SccProbe { name, .. } => values.push(Arc::clone(name)),
+            match &step.op {
+                NodeOp::SinkStream { name } => streams.push(Arc::clone(name)),
+                NodeOp::SinkValue { name }
+                | NodeOp::SinkCount { name }
+                | NodeOp::SinkSum { name }
+                | NodeOp::SccProbe { name } => values.push(Arc::clone(name)),
                 _ => {}
             }
         }
@@ -581,19 +582,13 @@ impl Arena {
         (slots, &mut rows[..len.div_ceil(WORD_BITS)])
     }
 
-    /// [`Arena::row`] for a pair of destinations, `dst_x` below `dst_y`.
-    fn rows(
-        &mut self,
-        dst_x: usize,
-        dst_y: usize,
-        len: usize,
-    ) -> (Slots<'_>, &mut [u64], &mut [u64]) {
+    /// [`Arena::row`] for the pair of destinations `dst` and `dst + 1`.
+    fn rows(&mut self, dst: usize, len: usize) -> (Slots<'_>, &mut [u64], &mut [u64]) {
         let words = len.div_ceil(WORD_BITS);
-        let gap = (dst_y - dst_x) * self.stride;
-        self.lens[dst_x] = len;
-        self.lens[dst_y] = len;
-        let (below, rows) = self.words.split_at_mut(dst_x * self.stride);
-        let (row_x, row_y) = rows.split_at_mut(gap);
+        self.lens[dst] = len;
+        self.lens[dst + 1] = len;
+        let (below, rows) = self.words.split_at_mut(dst * self.stride);
+        let (row_x, row_y) = rows.split_at_mut(self.stride);
         let slots = Slots {
             words: below,
             lens: &self.lens,
@@ -637,7 +632,8 @@ fn execute_plan(
     let mut arena = Arena::new(plan.slot_count, longest.div_ceil(WORD_BITS));
     let mut out = ExecOutput::for_plan(plan);
     for step in &plan.steps {
-        execute_step(n, step, input, &mut draws, &mut arena, &mut out)?;
+        let srcs = plan.srcs(step);
+        execute_step(n, step, srcs, input, &mut draws, &mut arena, &mut out)?;
     }
     Ok(out)
 }
@@ -650,13 +646,15 @@ fn execute_plan(
 fn execute_step(
     n: usize,
     step: &Step,
+    srcs: &[usize],
     input: &BatchInput,
     draws: &mut JobPlanes,
     arena: &mut Arena,
     out: &mut ExecOutput,
 ) -> Result<(), GraphError> {
-    match step {
-        Step::Input { slot, dst } => {
+    let dst = step.dst;
+    match &step.op {
+        NodeOp::InputStream { slot } => {
             let stream = input
                 .streams
                 .get(*slot)
@@ -664,14 +662,9 @@ fn execute_step(
                     slot: *slot,
                     provided: input.streams.len(),
                 })?;
-            arena.put(*dst, stream);
+            arena.put(dst, stream);
         }
-        Step::Generate {
-            slot,
-            source,
-            skip,
-            dst,
-        } => {
+        NodeOp::Generate { slot, source, skip } => {
             let value = *input
                 .values
                 .get(*slot)
@@ -682,104 +675,87 @@ fn execute_step(
             let p = Probability::saturating(value).get();
             draws
                 .comparator(source, *skip, n)
-                .convert(p, n, arena.row(*dst, n).1);
+                .convert(p, n, arena.row(dst, n).1);
         }
-        Step::Constant {
+        NodeOp::ConstStream {
             probability,
             source,
             skip,
-            dst,
         } => {
             let p = Probability::saturating(*probability).get();
             draws
                 .comparator(source, *skip, n)
-                .convert(p, n, arena.row(*dst, n).1);
+                .convert(p, n, arena.row(dst, n).1);
         }
-        Step::Manipulate {
-            kind,
-            x,
-            y,
-            dst_x,
-            dst_y,
-        } => {
-            let len = arena.slots().common_len(*x, *y)?;
-            let (slots, out_x, out_y) = arena.rows(*dst_x, *dst_y, len);
-            kind.process_words(slots.words(*x), slots.words(*y), len, out_x, out_y);
+        NodeOp::Manipulate(kind) => {
+            let (x, y) = (srcs[0], srcs[1]);
+            let len = arena.slots().common_len(x, y)?;
+            let (slots, out_x, out_y) = arena.rows(dst, len);
+            kind.process_words(slots.words(x), slots.words(y), len, out_x, out_y);
         }
-        Step::Regenerate {
-            source,
-            skip,
-            src,
-            dst,
-        } => {
+        NodeOp::Regenerate { source, skip } => {
             // S/D conversion of the stream, then D/S conversion afresh.
             let slots = arena.slots();
-            let len = slots.len(*src);
+            let len = slots.len(srcs[0]);
             let p = match len {
                 0 => 0.0,
-                len => Probability::from_ratio(slots.count_ones(*src), len as u64).get(),
+                len => Probability::from_ratio(slots.count_ones(srcs[0]), len as u64).get(),
             };
             draws
                 .comparator(source, *skip, len)
-                .convert(p, len, arena.row(*dst, len).1);
+                .convert(p, len, arena.row(dst, len).1);
         }
-        Step::Not { src, dst } => {
-            let len = arena.slots().len(*src);
-            let (slots, row) = arena.row(*dst, len);
-            for (z, &a) in row.iter_mut().zip(slots.words(*src)) {
+        NodeOp::Not => {
+            let len = arena.slots().len(srcs[0]);
+            let (slots, row) = arena.row(dst, len);
+            for (z, &a) in row.iter_mut().zip(slots.words(srcs[0])) {
                 *z = !a;
             }
             mask_tail(row, len);
         }
-        Step::Binary { op, x, y, dst } => {
+        NodeOp::Binary(op) => {
             use crate::node::BinaryOp as B;
+            let (x, y) = (srcs[0], srcs[1]);
             let counter = match op {
                 B::CaAdd => sc_arith::add::ca_add,
                 B::CaMax => sc_arith::maxmin::ca_max,
                 B::CaMin => sc_arith::maxmin::ca_min,
-                B::AndMultiply | B::AndMin => return gate(arena, *x, *y, *dst, |a, b| a & b),
-                B::OrMax | B::SaturatingAdd => return gate(arena, *x, *y, *dst, |a, b| a | b),
-                B::XorSubtract => return gate(arena, *x, *y, *dst, |a, b| a ^ b),
-                B::XnorMultiply => return gate(arena, *x, *y, *dst, |a, b| !(a ^ b)),
+                B::AndMultiply | B::AndMin => return gate(arena, x, y, dst, |a, b| a & b),
+                B::OrMax | B::SaturatingAdd => return gate(arena, x, y, dst, |a, b| a | b),
+                B::XorSubtract => return gate(arena, x, y, dst, |a, b| a ^ b),
+                B::XnorMultiply => return gate(arena, x, y, dst, |a, b| !(a ^ b)),
             };
             let slots = arena.slots();
-            let z = counter(&slots.stream(*x), &slots.stream(*y))?;
-            arena.put(*dst, &z);
+            let z = counter(&slots.stream(x), &slots.stream(y))?;
+            arena.put(dst, &z);
         }
-        Step::UnaryFsm { op, src, dst } => {
-            let stream = arena.slots().stream(*src);
+        NodeOp::UnaryFsm(op) => {
+            let stream = arena.slots().stream(srcs[0]);
             let z = match op {
-                crate::node::UnaryFsmOp::Stanh { half_states } => {
+                UnaryFsmOp::Stanh { half_states } => {
                     sc_arith::fsm_ops::stanh(&stream, *half_states)
                 }
-                crate::node::UnaryFsmOp::Slinear { states } => {
-                    sc_arith::fsm_ops::slinear(&stream, *states)
-                }
+                UnaryFsmOp::Slinear { states } => sc_arith::fsm_ops::slinear(&stream, *states),
             };
-            arena.put(*dst, &z);
+            arena.put(dst, &z);
         }
-        Step::Divide {
+        NodeOp::Divide {
             source,
             skip,
             counter_bits,
-            x,
-            y,
-            dst,
         } => {
             let mut divider = sc_arith::divide::Divider::with_counter_bits(
                 input.resolve(source).build_skipped(*skip),
                 *counter_bits,
             );
             let slots = arena.slots();
-            let z = divider.divide(&slots.stream(*x), &slots.stream(*y))?;
-            arena.put(*dst, &z);
+            let z = divider.divide(&slots.stream(srcs[0]), &slots.stream(srcs[1]))?;
+            arena.put(dst, &z);
         }
-        Step::WeightedMux {
+        NodeOp::WeightedMux {
             weights,
             select,
             skip,
-            srcs,
-            dst,
         } => {
             // A tree whose inputs differ in length fails with the error the
             // first mismatching input raises against the first.
@@ -789,34 +765,35 @@ fn execute_step(
                 return Err(mismatch(len, slots.len(s)));
             }
             let window = draws.select(select, *skip, weights, len);
-            let (slots, row) = arena.row(*dst, len);
+            let (slots, row) = arena.row(dst, len);
             window.weighted_mux(weights, |k| slots.words(srcs[k]), len, row);
         }
-        Step::SinkStream { src, .. } => {
-            out.streams.push(arena.slots().stream(*src));
+        NodeOp::SinkStream { .. } => {
+            out.streams.push(arena.slots().stream(srcs[0]));
         }
-        Step::SinkValue { src, .. } => {
+        NodeOp::SinkValue { .. } => {
             // The value `StochasticToDigital::convert` reads off the stream.
             let slots = arena.slots();
-            let value = match slots.len(*src) {
+            let value = match slots.len(srcs[0]) {
                 0 => 0.0,
-                len => slots.count_ones(*src) as f64 / len as f64,
+                len => slots.count_ones(srcs[0]) as f64 / len as f64,
             };
             out.values.push(Probability::saturating(value).get());
         }
-        Step::SinkCount { src, .. } => {
-            out.values.push(arena.slots().count_ones(*src) as f64);
+        NodeOp::SinkCount { .. } => {
+            out.values.push(arena.slots().count_ones(srcs[0]) as f64);
         }
-        Step::SinkSum { srcs, .. } => {
+        NodeOp::SinkSum { .. } => {
             let slots = arena.slots();
             let inputs: Vec<Bitstream> = srcs.iter().map(|s| slots.stream(*s)).collect();
             let mut apc = AccumulativeParallelCounter::new(inputs.len());
             apc.accumulate_streams(&inputs)?;
             out.values.push(apc.sum_of_values());
         }
-        Step::SccProbe { x, y, .. } => {
+        NodeOp::SccProbe { .. } => {
             let slots = arena.slots();
-            out.values.push(scc(&slots.stream(*x), &slots.stream(*y)));
+            out.values
+                .push(scc(&slots.stream(srcs[0]), &slots.stream(srcs[1])));
         }
     }
     Ok(())

@@ -415,17 +415,17 @@ impl Graph {
     }
 
     /// Adds a sink exposing the raw stream under `name`.
-    pub fn sink_stream(&mut self, name: impl Into<String>, x: Wire) -> NodeId {
+    pub fn sink_stream(&mut self, name: impl Into<Arc<str>>, x: Wire) -> NodeId {
         self.add(NodeOp::SinkStream { name: name.into() }, vec![x])
     }
 
     /// Adds an S/D sink exposing the stream's unipolar value under `name`.
-    pub fn sink_value(&mut self, name: impl Into<String>, x: Wire) -> NodeId {
+    pub fn sink_value(&mut self, name: impl Into<Arc<str>>, x: Wire) -> NodeId {
         self.add(NodeOp::SinkValue { name: name.into() }, vec![x])
     }
 
     /// Adds an S/D sink exposing the stream's 1s count under `name`.
-    pub fn sink_count(&mut self, name: impl Into<String>, x: Wire) -> NodeId {
+    pub fn sink_count(&mut self, name: impl Into<Arc<str>>, x: Wire) -> NodeId {
         self.add(NodeOp::SinkCount { name: name.into() }, vec![x])
     }
 
@@ -434,12 +434,12 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `inputs` is empty.
-    pub fn sink_sum(&mut self, name: impl Into<String>, inputs: &[Wire]) -> NodeId {
+    pub fn sink_sum(&mut self, name: impl Into<Arc<str>>, inputs: &[Wire]) -> NodeId {
         self.add(NodeOp::SinkSum { name: name.into() }, inputs.to_vec())
     }
 
     /// Adds an SCC probe over a stream pair.
-    pub fn scc_probe(&mut self, name: impl Into<String>, x: Wire, y: Wire) -> NodeId {
+    pub fn scc_probe(&mut self, name: impl Into<Arc<str>>, x: Wire, y: Wire) -> NodeId {
         self.add(NodeOp::SccProbe { name: name.into() }, vec![x, y])
     }
 

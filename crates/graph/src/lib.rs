@@ -24,7 +24,9 @@
 //! repair stage **auto-inserts** the establishing circuit — synchronizer,
 //! desynchronizer, or decorrelator (§III), the paper's core insight applied
 //! automatically. A pair the rules cannot place is unknown and gets the
-//! repair too. The emit stage lays out one step per node.
+//! repair too. The emit stage lays out one [`Step`] per node: the node's
+//! own [`NodeOp`] over dense stream slots, so the graph and the plan speak
+//! one op vocabulary.
 //!
 //! The [`Executor`] then runs the compiled plan word-parallel over **streams**
 //! of independent input sets, dispatched across a persistent [`WorkerPool`]

@@ -428,30 +428,35 @@ pub enum NodeOp {
     },
     /// Sink: expose the stream itself. 1 input, 0 outputs.
     SinkStream {
-        /// Output name in [`crate::ExecOutput`].
-        name: String,
+        /// Output name in [`crate::ExecOutput`], shared with every
+        /// execution's output.
+        name: Arc<str>,
     },
     /// Sink: S/D conversion to the stream's unipolar value (Fig. 2f).
     /// 1 input, 0 outputs.
     SinkValue {
-        /// Output name in [`crate::ExecOutput`].
-        name: String,
+        /// Output name in [`crate::ExecOutput`], shared with every
+        /// execution's output.
+        name: Arc<str>,
     },
     /// Sink: S/D conversion to the raw 1s count. 1 input, 0 outputs.
     SinkCount {
-        /// Output name in [`crate::ExecOutput`].
-        name: String,
+        /// Output name in [`crate::ExecOutput`], shared with every
+        /// execution's output.
+        name: Arc<str>,
     },
     /// Sink: accumulative parallel counter over all inputs, exposing the
     /// unscaled sum of values (Ting & Hayes APC). ≥1 inputs, 0 outputs.
     SinkSum {
-        /// Output name in [`crate::ExecOutput`].
-        name: String,
+        /// Output name in [`crate::ExecOutput`], shared with every
+        /// execution's output.
+        name: Arc<str>,
     },
     /// Sink: SCC probe over a pair of streams. 2 inputs, 0 outputs.
     SccProbe {
-        /// Output name in [`crate::ExecOutput`].
-        name: String,
+        /// Output name in [`crate::ExecOutput`], shared with every
+        /// execution's output.
+        name: Arc<str>,
     },
 }
 
@@ -503,6 +508,27 @@ impl NodeOp {
             // Fig. 2e: the feedback divider wants positively correlated
             // inputs; uncorrelated inputs increase convergence noise.
             NodeOp::Divide { .. } => Some(("divide", CorrRequirement::Positive)),
+            _ => None,
+        }
+    }
+
+    /// The sample source the node's hardware draws from, and the samples
+    /// that source has already served to earlier consumers: the comparator
+    /// source of a D/S conversion (`Generate`, `ConstStream`,
+    /// `Regenerate`), the divider's comparison source, or the select source
+    /// of a `WeightedMux`.
+    #[must_use]
+    pub fn source(&self) -> Option<(&SourceSpec, u64)> {
+        match self {
+            NodeOp::Generate { source, skip, .. }
+            | NodeOp::ConstStream { source, skip, .. }
+            | NodeOp::Regenerate { source, skip }
+            | NodeOp::Divide { source, skip, .. }
+            | NodeOp::WeightedMux {
+                select: source,
+                skip,
+                ..
+            } => Some((source, *skip)),
             _ => None,
         }
     }
@@ -575,24 +601,9 @@ mod tests {
             NodeOp::Manipulate(ManipulatorKind::Identity).output_ports(),
             2
         );
-        assert_eq!(
-            NodeOp::SinkSum {
-                name: "s".to_string()
-            }
-            .input_arity(),
-            None
-        );
-        assert!(NodeOp::SinkValue {
-            name: "v".to_string()
-        }
-        .is_sink());
-        assert_eq!(
-            NodeOp::SccProbe {
-                name: "p".to_string()
-            }
-            .sink_name(),
-            Some("p")
-        );
+        assert_eq!(NodeOp::SinkSum { name: "s".into() }.input_arity(), None);
+        assert!(NodeOp::SinkValue { name: "v".into() }.is_sink());
+        assert_eq!(NodeOp::SccProbe { name: "p".into() }.sink_name(), Some("p"));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::compile::{CompileReport, PassDelta};
 use crate::node::{ManipulatorKind, Node, NodeOp, SccClass, Wire};
-use sc_rng::SourceSpec;
 
 /// Derives every correlation-tracked operator's input-pair SCC class for
 /// the repair stage, from structure alone, as a dense per-node table
@@ -52,44 +51,22 @@ pub(crate) fn pair_class(nodes: &[Node], a: Wire, b: Wire) -> SccClass {
         }
         return SccClass::Unknown;
     }
-    // Two generated streams: equal spec + position ⇒ every comparator sample
-    // is shared ⇒ maximal positive correlation (§II.B); otherwise the sample
-    // sequences are independent ⇒ (close to) uncorrelated.
-    if let (Some(sa), Some(sb)) = (source_of(&na.op), source_of(&nb.op)) {
-        return if sa == sb {
-            SccClass::Positive
-        } else {
-            SccClass::Uncorrelated
-        };
-    }
-    // Two regenerated streams behave like generated streams of their
-    // re-encoding source.
-    if let (
-        NodeOp::Regenerate {
-            source: sa,
-            skip: ka,
-        },
-        NodeOp::Regenerate {
-            source: sb,
-            skip: kb,
-        },
-    ) = (&na.op, &nb.op)
-    {
-        return if sa == sb && ka == kb {
+    // Two D/S-converted streams (generated, constant or regenerated): equal
+    // spec + position ⇒ every comparator sample is shared ⇒ maximal positive
+    // correlation (§II.B); otherwise the sample sequences are independent ⇒
+    // (close to) uncorrelated.
+    let converted = |op: &NodeOp| {
+        matches!(
+            op,
+            NodeOp::Generate { .. } | NodeOp::ConstStream { .. } | NodeOp::Regenerate { .. }
+        )
+    };
+    if converted(&na.op) && converted(&nb.op) {
+        return if na.op.source() == nb.op.source() {
             SccClass::Positive
         } else {
             SccClass::Uncorrelated
         };
     }
     SccClass::Unknown
-}
-
-/// The sample source and position of a D/S-converted stream.
-fn source_of(op: &NodeOp) -> Option<(&SourceSpec, u64)> {
-    match op {
-        NodeOp::Generate { source, skip, .. } | NodeOp::ConstStream { source, skip, .. } => {
-            Some((source, *skip))
-        }
-        _ => None,
-    }
 }

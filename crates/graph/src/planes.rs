@@ -11,7 +11,7 @@
 //! * **Sample planes** hold the `n` values `spec.build_skipped(skip)` returns,
 //!   keyed by `(spec, skip, n)`. A MUX select whose source has no cycle
 //!   table reads one.
-//! * **Prefix planes** serve `Generate`, `Constant` and `Regenerate`. The
+//! * **Prefix planes** serve `Generate`, `ConstStream` and `Regenerate`. The
 //!   paper's D/S converter (§II.B) compares `p` against a shared sample
 //!   sequence, so bit `i` of its stream is set exactly when sample `i` is
 //!   among the `k` samples below `p`. A prefix plane sorts a sample plane
@@ -46,6 +46,7 @@
 
 use crate::compile::Step;
 use crate::exec::BatchInput;
+use crate::node::NodeOp;
 use sc_bitstream::{Probability, WORD_BITS};
 use sc_rng::{Lfsr, RandomSource, SourceSpec};
 use std::collections::HashMap;
@@ -363,7 +364,7 @@ impl PrefixPlane {
     }
 }
 
-/// The planes of one D/S comparator (`Generate`, `Constant`, `Regenerate`).
+/// The planes of one D/S comparator (`Generate`, `ConstStream`, `Regenerate`).
 pub(crate) enum Comparator {
     /// Prefix masks: one bucket lookup, a search of one bucket and one copy
     /// per conversion.
@@ -610,7 +611,7 @@ enum Draw {
 }
 
 /// A plan's source-drawing steps — the comparators of `Generate`,
-/// `Constant` and `Regenerate`, and the selects of `WeightedMux`, the one
+/// `ConstStream` and `Regenerate`, and the selects of `WeightedMux`, the one
 /// select step — resolved against the store for one stream length `n`: one
 /// handle per step, in step order, plus each step's index into the plan's
 /// distinct specs, which a job's bindings are matched against once per job.
@@ -625,23 +626,20 @@ impl PlanPlanes {
         let mut specs: Vec<SourceSpec> = Vec::new();
         let mut draws = Vec::new();
         for step in steps {
-            let (spec, draw) = match step {
-                Step::Generate { source, skip, .. }
-                | Step::Constant { source, skip, .. }
-                | Step::Regenerate { source, skip, .. } => {
-                    let (comparator, kept) = store.comparator(source, *skip, n);
-                    (source, kept.then_some(Draw::Comparator(comparator)))
+            let Some((spec, skip)) = step.op.source() else {
+                continue;
+            };
+            let draw = match &step.op {
+                NodeOp::WeightedMux { weights, .. } => {
+                    let (select_planes, kept) = store.select(spec, skip, weights, n);
+                    kept.then_some(Draw::Select(select_planes))
                 }
-                Step::WeightedMux {
-                    weights,
-                    select,
-                    skip,
-                    ..
-                } => {
-                    let (select_planes, kept) = store.select(select, *skip, weights, n);
-                    (select, kept.then_some(Draw::Select(select_planes)))
+                // The divider draws its comparison samples itself.
+                NodeOp::Divide { .. } => continue,
+                _ => {
+                    let (comparator, kept) = store.comparator(spec, skip, n);
+                    kept.then_some(Draw::Comparator(comparator))
                 }
-                _ => continue,
             };
             let id = specs.iter().position(|s| s == spec).unwrap_or_else(|| {
                 specs.push(spec.clone());
@@ -706,7 +704,7 @@ impl<'a> JobPlanes<'a> {
         (draw, self.bound.get_mut(*spec).and_then(Option::as_mut))
     }
 
-    /// The comparator the next step (a `Generate`, `Constant` or
+    /// The comparator the next step (a `Generate`, `ConstStream` or
     /// `Regenerate` of `spec`) converts against at length `n`. The plan's
     /// handle serves it unless the spec is bound, the plane was not
     /// retained, or `n` is not the length the plan was resolved for.
@@ -1005,7 +1003,7 @@ mod tests {
         assert_eq!(store.retained_bytes().cycles, 0);
     }
 
-    /// `Generate`/`Constant` and `Regenerate` against `DigitalToStochastic`
+    /// `Generate`/`ConstStream` and `Regenerate` against `DigitalToStochastic`
     /// and `Regenerator` over the positioned source, for every family:
     /// through prefix planes up to `n` = 512 and by per-bit compares past
     /// the prefix budget, at `p` = 0, 1 and exactly a drawn sample (the

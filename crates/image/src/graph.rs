@@ -42,6 +42,7 @@ use crate::pipeline::{PipelineConfig, PipelineVariant};
 use sc_graph::{BatchInput, BinaryOp, Graph, NodeId, PlannerOptions, Wire};
 use sc_hwcost::Netlist;
 use sc_rng::SourceSpec;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// The largest source bank [`pixel_bank_index`] can use: its pattern has
@@ -260,6 +261,7 @@ pub(crate) fn tile_circuit(
     //    XORs' SCC +1 precondition is the planner's problem, not ours.
     let select_spec = edge_select_spec(tile_index);
     let mut sinks = Vec::with_capacity(width * height);
+    let mut name = String::new();
     for ty in 0..height {
         for tx in 0..width {
             let at = |dx: usize, dy: usize| blurred[(ty + dy) * blur_width + tx + dx];
@@ -270,7 +272,11 @@ pub(crate) fn tile_circuit(
             // Tile-relative sink names, so tiles of equal shape build
             // *identical* graphs up to their select-LFSR seeds and one
             // compiled plan serves them all through per-tile seed bindings.
-            let sink = g.sink_value(format!("edge_{tx}_{ty}"), z);
+            // Each name is formatted into one reused buffer, so it costs
+            // only its shared copy.
+            name.clear();
+            write!(name, "edge_{tx}_{ty}").expect("writing to a String cannot fail");
+            let sink = g.sink_value(name.as_str(), z);
             sinks.push((x0 + tx, y0 + ty, sink));
         }
     }
@@ -309,6 +315,7 @@ pub fn tile_netlist(
 mod tests {
     use super::*;
     use crate::pipeline::run_sc_pipeline;
+    use proptest::prelude::*;
     use sc_graph::Executor;
 
     #[test]
@@ -466,6 +473,24 @@ mod tests {
         }
     }
 
+    /// The retained reference loop over a whole image: every tile in raster
+    /// order, numbered as the pipeline numbers them.
+    fn reference_pipeline(
+        image: &GrayImage,
+        variant: PipelineVariant,
+        config: &PipelineConfig,
+    ) -> GrayImage {
+        let mut out = GrayImage::filled(image.width(), image.height(), 0.0);
+        let mut tile_index = 0u64;
+        for y0 in (0..image.height()).step_by(config.tile_size) {
+            for x0 in (0..image.width()).step_by(config.tile_size) {
+                reference::process_tile(image, &mut out, x0, y0, variant, config, tile_index);
+                tile_index += 1;
+            }
+        }
+        out
+    }
+
     /// The headline regression: the graph-compiled pipeline is bit-identical
     /// (and therefore value-identical per pixel) to the retained hand-rolled
     /// implementation, for every variant, including truncated border tiles —
@@ -488,26 +513,7 @@ mod tests {
             });
             for variant in PipelineVariant::all() {
                 let via_graph = run_sc_pipeline(&img, variant, &config).unwrap();
-                let mut reference_out = GrayImage::filled(img.width(), img.height(), 0.0);
-                let mut tile_index = 0u64;
-                let mut y0 = 0;
-                while y0 < img.height() {
-                    let mut x0 = 0;
-                    while x0 < img.width() {
-                        reference::process_tile(
-                            &img,
-                            &mut reference_out,
-                            x0,
-                            y0,
-                            variant,
-                            &config,
-                            tile_index,
-                        );
-                        tile_index += 1;
-                        x0 += config.tile_size;
-                    }
-                    y0 += config.tile_size;
-                }
+                let reference_out = reference_pipeline(&img, variant, &config);
                 assert_eq!(
                     via_graph, reference_out,
                     "{variant:?} at {size}x{size}: graph pipeline diverged from the reference loop"
@@ -526,6 +532,46 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Stream lengths around the word boundaries, plus the paper's 256.
+    const STREAM_LENGTHS: [usize; 6] = [1, 63, 64, 65, 96, 256];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The differential harness over the configuration space: for a
+        /// drawn tile size, source bank, stream length, save depth, image
+        /// shape and variant, the tiled pipeline (plan cache, bindings and
+        /// executor) equals the reference loop, and an `ImageServer`
+        /// equals the one-shot pipeline.
+        #[test]
+        fn tiled_pipeline_matches_the_reference_loop_across_configurations(
+            tile_size in 1usize..=12,
+            rng_bank_size in 1usize..=8,
+            length in 0usize..STREAM_LENGTHS.len(),
+            synchronizer_depth in 1u32..=8,
+            width in 1usize..=30,
+            height in 1usize..=30,
+            variant in 0usize..3,
+        ) {
+            let config = PipelineConfig {
+                stream_length: STREAM_LENGTHS[length],
+                tile_size,
+                rng_bank_size,
+                synchronizer_depth,
+                ..PipelineConfig::default()
+            };
+            let variant = PipelineVariant::all()[variant];
+            let img = GrayImage::from_fn(width, height, |x, y| {
+                ((3 * x + 5 * y) % 11) as f64 / 10.0
+            });
+            let one_shot = run_sc_pipeline(&img, variant, &config).unwrap();
+            prop_assert_eq!(&one_shot, &reference_pipeline(&img, variant, &config));
+            let server = crate::ImageServer::start(variant, config).unwrap();
+            let served = server.submit(&img).unwrap().wait().unwrap().image;
+            prop_assert_eq!(served, one_shot);
         }
     }
 

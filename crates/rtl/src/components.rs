@@ -7,6 +7,7 @@
 //! co-simulates bit-identically to the executor (the property pinned by the
 //! workspace `rtl_cosim` suite).
 
+use crate::design::select_lines;
 use sc_bitstream::Probability;
 use sc_rng::{RandomSource, SourceSpec};
 use sc_sim::Component;
@@ -55,9 +56,11 @@ impl Component for SourceBit {
 }
 
 /// Weighted one-hot selection: each cycle a cumulative walk over the weights
-/// against one fresh sample raises exactly one of the outputs — the select
+/// against one fresh sample raises exactly one select line — the select
 /// network of the weighted multiplexer tree, with leftover probability mass
-/// falling to the last output (identical to the executor's selection rule).
+/// falling to the last line (identical to the executor's selection rule).
+/// The outputs are the lines the tree's mux chain reads (line 0 is the
+/// chain's default, so a `k > 1`-way tree's outputs are lines `1..k`).
 pub struct SelectOneHot {
     source: Box<dyn RandomSource>,
     spec: SourceSpec,
@@ -88,7 +91,7 @@ impl Component for SelectOneHot {
     }
 
     fn num_outputs(&self) -> usize {
-        self.weights.len()
+        select_lines(self.weights.len()).len()
     }
 
     fn evaluate(&mut self, _inputs: &[bool], outputs: &mut [bool]) {
@@ -101,8 +104,8 @@ impl Component for SelectOneHot {
             }
             u -= weight;
         }
-        for (i, out) in outputs.iter_mut().enumerate() {
-            *out = i == selected;
+        for (line, out) in select_lines(self.weights.len()).zip(outputs) {
+            *out = line == selected;
         }
     }
 

@@ -65,8 +65,10 @@ pub enum CellKind {
         threshold: f64,
     },
     /// Weighted one-hot selection source: each cycle exactly one of the
-    /// `weights.len()` outputs is high, output `i` with probability
-    /// `weights[i]` (cumulative-threshold comparison network).
+    /// `k = weights.len()` select lines is high, line `i` with probability
+    /// `weights[i]` (cumulative-threshold comparison network). The cell
+    /// drives only the lines its mux chain reads: lines `1..k` (line 0 is
+    /// the chain's default), or the one line of a degenerate 1-way tree.
     SelectOneHot {
         /// The generator.
         spec: SourceSpec,
@@ -110,6 +112,13 @@ pub enum CellKind {
         /// Accumulator read-bus width.
         bits: u32,
     },
+}
+
+/// The select lines a `k`-way weighted mux chain reads, which are the
+/// lines its [`CellKind::SelectOneHot`] cell drives: `1..k` when `k > 1`,
+/// else the one line `0..1`.
+pub(crate) fn select_lines(k: usize) -> std::ops::Range<usize> {
+    usize::from(k > 1)..k
 }
 
 impl CellKind {
@@ -167,7 +176,7 @@ impl CellKind {
         match self {
             CellKind::FullAdder | CellKind::Fsm { .. } => 2,
             CellKind::Counter { bits } | CellKind::Apc { bits, .. } => *bits as usize,
-            CellKind::SelectOneHot { weights, .. } => weights.len(),
+            CellKind::SelectOneHot { weights, .. } => select_lines(weights.len()).len(),
             _ => 1,
         }
     }

@@ -8,7 +8,7 @@ use crate::components::{
 use crate::design::{Cell, CellKind, Design, NetRef, SinkPlan};
 use sc_bitstream::Bitstream;
 use sc_core::sim_adapter::ManipulatorComponent;
-use sc_graph::{BatchInput, BinaryOp, CompiledGraph, ManipulatorKind, Step};
+use sc_graph::{BatchInput, BinaryOp, CompiledGraph, ManipulatorKind, NodeOp};
 use sc_sim::components::{
     AndGate, DFlipFlop, FullAdder, Mux2, NotGate, OrGate, UpCounter, XnorGate, XorGate,
 };
@@ -28,7 +28,7 @@ pub enum RtlError {
         /// Values provided.
         provided: usize,
     },
-    /// An `Input` step reads a stream slot the batch item does not provide.
+    /// An `InputStream` step reads a stream slot the batch item does not provide.
     StreamSlotOutOfRange {
         /// Requested slot.
         slot: usize,
@@ -123,19 +123,20 @@ pub fn elaborate(
     let sink_counter_bits = counter_bits(stream_length as u64);
 
     for step in plan.steps() {
-        match step {
-            Step::Input { slot: s, dst } => {
+        let srcs = plan.srcs(step);
+        let dst = step.dst;
+        match &step.op {
+            NodeOp::InputStream { slot: s } => {
                 // Stream slots stay dynamic: they become primary inputs and
                 // are only resolved (and validated) at co-simulation time.
                 let net = design.add_net();
                 design.inputs.push((format!("in{s}"), net, *s));
-                slots[*dst] = Some(net);
+                slots[dst] = Some(net);
             }
-            Step::Generate {
+            NodeOp::Generate {
                 slot: s,
                 source,
                 skip,
-                dst,
             } => {
                 let value = *input.values.get(*s).ok_or(RtlError::ValueSlotOutOfRange {
                     slot: *s,
@@ -149,13 +150,12 @@ pub fn elaborate(
                     },
                     &[],
                 );
-                slots[*dst] = Some(out[0]);
+                slots[dst] = Some(out[0]);
             }
-            Step::Constant {
+            NodeOp::ConstStream {
                 probability,
                 source,
                 skip,
-                dst,
             } => {
                 let out = design.cell(
                     CellKind::Source {
@@ -165,16 +165,10 @@ pub fn elaborate(
                     },
                     &[],
                 );
-                slots[*dst] = Some(out[0]);
+                slots[dst] = Some(out[0]);
             }
-            Step::Manipulate {
-                kind,
-                x,
-                y,
-                dst_x,
-                dst_y,
-            } => {
-                let (mut nx, mut ny) = (slot(&slots, *x), slot(&slots, *y));
+            NodeOp::Manipulate(kind) => {
+                let (mut nx, mut ny) = (slot(&slots, srcs[0]), slot(&slots, srcs[1]));
                 match kind {
                     ManipulatorKind::Identity => {}
                     ManipulatorKind::Isolator { delay } => {
@@ -190,21 +184,21 @@ pub fn elaborate(
                         ny = outs[1];
                     }
                 }
-                slots[*dst_x] = Some(nx);
-                slots[*dst_y] = Some(ny);
+                slots[dst] = Some(nx);
+                slots[dst + 1] = Some(ny);
             }
-            Step::Regenerate { source, .. } => {
+            NodeOp::Regenerate { source, .. } => {
                 return Err(RtlError::Unsupported(format!(
                     "regenerate({source}): S/D → D/S regeneration needs a full extra stream \
                      period of latency and has no single-pass cycle-level equivalent"
                 )));
             }
-            Step::Not { src, dst } => {
-                let out = design.cell(CellKind::Inv, &[slot(&slots, *src)]);
-                slots[*dst] = Some(out[0]);
+            NodeOp::Not => {
+                let out = design.cell(CellKind::Inv, &[slot(&slots, srcs[0])]);
+                slots[dst] = Some(out[0]);
             }
-            Step::Binary { op, x, y, dst } => {
-                let (nx, ny) = (slot(&slots, *x), slot(&slots, *y));
+            NodeOp::Binary(op) => {
+                let (nx, ny) = (slot(&slots, srcs[0]), slot(&slots, srcs[1]));
                 let out = match op {
                     BinaryOp::AndMultiply | BinaryOp::AndMin => {
                         design.cell(CellKind::And2, &[nx, ny])
@@ -219,21 +213,18 @@ pub fn elaborate(
                     BinaryOp::CaMin => design.cell(CellKind::CaMin, &[nx, ny]),
                     other => return Err(RtlError::Unsupported(format!("binary operator {other}"))),
                 };
-                slots[*dst] = Some(out[0]);
+                slots[dst] = Some(out[0]);
             }
-            Step::UnaryFsm { op, src, dst } => {
-                let out = design.cell(CellKind::UnaryFsm { op: *op }, &[slot(&slots, *src)]);
-                slots[*dst] = Some(out[0]);
+            NodeOp::UnaryFsm(op) => {
+                let out = design.cell(CellKind::UnaryFsm { op: *op }, &[slot(&slots, srcs[0])]);
+                slots[dst] = Some(out[0]);
             }
-            Step::Divide {
+            NodeOp::Divide {
                 source,
                 skip,
                 counter_bits: cb,
-                x,
-                y,
-                dst,
             } => {
-                let (nx, ny) = (slot(&slots, *x), slot(&slots, *y));
+                let (nx, ny) = (slot(&slots, srcs[0]), slot(&slots, srcs[1]));
                 let out = design.cell(
                     CellKind::Divider {
                         spec: input.resolve(source).clone(),
@@ -242,15 +233,18 @@ pub fn elaborate(
                     },
                     &[nx, ny],
                 );
-                slots[*dst] = Some(out[0]);
+                slots[dst] = Some(out[0]);
             }
-            Step::WeightedMux {
+            NodeOp::WeightedMux {
                 weights,
                 select,
                 skip,
-                srcs,
-                dst,
             } => {
+                // A priority chain of k − 1 two-way muxes: mux i passes input
+                // i when select line i is high, so the select cell drives
+                // lines 1..k only (line 0 is the chain's default). A
+                // degenerate 1-way tree still instantiates one mux, matching
+                // the cost model's floor, over the one line it has.
                 let sels = design.cell(
                     CellKind::SelectOneHot {
                         spec: input.resolve(select).clone(),
@@ -259,29 +253,26 @@ pub fn elaborate(
                     },
                     &[],
                 );
-                // A priority chain of k − 1 two-way muxes over the one-hot
-                // select lines (a degenerate 1-way tree still instantiates
-                // one mux, matching the cost model's floor).
                 let first = slot(&slots, srcs[0]);
                 let mut acc = first;
                 if srcs.len() == 1 {
                     acc = design.cell(CellKind::Mux2, &[first, first, sels[0]])[0];
                 } else {
-                    for (i, s) in srcs.iter().enumerate().skip(1) {
-                        let input = slot(&slots, *s);
-                        acc = design.cell(CellKind::Mux2, &[acc, input, sels[i]])[0];
+                    for (&s, &line) in srcs[1..].iter().zip(&sels) {
+                        let input = slot(&slots, s);
+                        acc = design.cell(CellKind::Mux2, &[acc, input, line])[0];
                     }
                 }
-                slots[*dst] = Some(acc);
+                slots[dst] = Some(acc);
             }
-            Step::SinkStream { name, src } => {
+            NodeOp::SinkStream { name } => {
                 design.sinks.push(SinkPlan::Stream {
                     name: name.to_string(),
-                    net: slot(&slots, *src),
+                    net: slot(&slots, srcs[0]),
                 });
             }
-            Step::SinkValue { name, src } => {
-                let net = slot(&slots, *src);
+            NodeOp::SinkValue { name } => {
+                let net = slot(&slots, srcs[0]);
                 let bus = design.cell(
                     CellKind::Counter {
                         bits: sink_counter_bits,
@@ -294,8 +285,8 @@ pub fn elaborate(
                     count_bus: bus,
                 });
             }
-            Step::SinkCount { name, src } => {
-                let net = slot(&slots, *src);
+            NodeOp::SinkCount { name } => {
+                let net = slot(&slots, srcs[0]);
                 let bus = design.cell(
                     CellKind::Counter {
                         bits: sink_counter_bits,
@@ -308,7 +299,7 @@ pub fn elaborate(
                     count_bus: bus,
                 });
             }
-            Step::SinkSum { name, srcs } => {
+            NodeOp::SinkSum { name } => {
                 let lanes: Vec<NetRef> = srcs.iter().map(|s| slot(&slots, *s)).collect();
                 let bits = counter_bits(stream_length as u64 * srcs.len() as u64);
                 let bus = design.cell(
@@ -323,8 +314,8 @@ pub fn elaborate(
                     total_bus: bus,
                 });
             }
-            Step::SccProbe { name, x, y } => {
-                let (nx, ny) = (slot(&slots, *x), slot(&slots, *y));
+            NodeOp::SccProbe { name } => {
+                let (nx, ny) = (slot(&slots, srcs[0]), slot(&slots, srcs[1]));
                 let joint = design.cell(CellKind::And2, &[nx, ny])[0];
                 let bits = sink_counter_bits;
                 let a_bus = design.cell(CellKind::Counter { bits }, &[joint]);

@@ -189,7 +189,7 @@ const MODULES: &[(&str, &str)] = &[
     ),
     (
         "sc_wsel",
-        "// Weighted one-hot selection network: one fresh sample against the\n// packed cumulative thresholds; leftover mass falls to the last output.\nmodule sc_wsel #(parameter FAMILY = 0,\n                 parameter WIDTH = 16,\n                 parameter [63:0] INIT = 64'd1,\n                 parameter [63:0] TAPS = 64'hB400,\n                 parameter K = 2,\n                 parameter [16*K-1:0] CDF = {16*K{1'b0}})\n                (input clk, input rst, output reg [K-1:0] onehot);\n  wire [15:0] q16;\n  sc_sample #(.FAMILY(FAMILY), .WIDTH(WIDTH), .INIT(INIT), .TAPS(TAPS))\n    gen (.clk(clk), .rst(rst), .q16(q16));\n  reg found;\n  integer i;\n  always @(*) begin\n    onehot = {K{1'b0}};\n    found = 1'b0;\n    for (i = 0; i < K; i = i + 1)\n      if (!found && q16 < CDF[16*i +: 16]) begin\n        onehot[i] = 1'b1;\n        found = 1'b1;\n      end\n    if (!found) onehot[K-1] = 1'b1;\n  end\nendmodule\n",
+        "// Weighted one-hot selection network: one fresh sample against the\n// packed cumulative thresholds; leftover mass falls to the last line.\n// The mux chain reads lines 1..K-1 (line 0 is its default), so only\n// those leave the module; a 1-way tree reads its one line 0.\nmodule sc_wsel #(parameter FAMILY = 0,\n                 parameter WIDTH = 16,\n                 parameter [63:0] INIT = 64'd1,\n                 parameter [63:0] TAPS = 64'hB400,\n                 parameter K = 2,\n                 parameter [16*K-1:0] CDF = {16*K{1'b0}})\n                (input clk, input rst, output [(K > 1 ? K - 2 : 0):0] sel);\n  wire [15:0] q16;\n  sc_sample #(.FAMILY(FAMILY), .WIDTH(WIDTH), .INIT(INIT), .TAPS(TAPS))\n    gen (.clk(clk), .rst(rst), .q16(q16));\n  reg [K-1:0] onehot;\n  reg found;\n  integer i;\n  always @(*) begin\n    onehot = {K{1'b0}};\n    found = 1'b0;\n    for (i = 0; i < K; i = i + 1)\n      if (!found && q16 < CDF[16*i +: 16]) begin\n        onehot[i] = 1'b1;\n        found = 1'b1;\n      end\n    if (!found) onehot[K-1] = 1'b1;\n  end\n  assign sel = onehot >> (K > 1);\nendmodule\n",
     ),
     (
         "sc_synchronizer",
@@ -400,7 +400,7 @@ fn emit_instance(cell: &crate::design::Cell, inst: &str) -> String {
             }
             packed.reverse(); // Verilog concatenation is MSB first.
             format!(
-                "sc_wsel #({}, .K({}), .CDF({{{}}})) {inst} (.clk(clk), .rst(rst), .onehot({}));",
+                "sc_wsel #({}, .K({}), .CDF({{{}}})) {inst} (.clk(clk), .rst(rst), .sel({}));",
                 sample_param_text(spec, *skip),
                 weights.len(),
                 packed.join(", "),

@@ -1,10 +1,11 @@
 //! Deterministic cost gates of a plan-cache miss: the tile's graph build
 //! and its compile.
 //!
-//! `Graph::compile` of a full-size 10×10 tile makes fewer heap allocations
-//! than the steps it emits, for every variant. A compiler that cloned every
-//! node or kept a consumer list per node would allocate at least once per
-//! node and fail here. `tile_graph` of the same tile makes fewer than one
+//! `Graph::compile` of a full-size 10×10 tile makes fewer than one heap
+//! allocation per sixteen steps it emits, for every variant (38 / 31 / 46
+//! for 690 / 811 / 890 steps). A compiler that cloned every node, kept a
+//! consumer list per node, or gave a step its own input list or sink name
+//! would allocate at least once per such node and fail here. `tile_graph` of the same tile makes fewer than one
 //! per node plus one per sink (each sink owns its name), so a per-kernel
 //! copy of the blur weights fails it. This is a test binary of its own
 //! because it installs a counting global allocator.
@@ -54,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
-fn compiling_a_full_tile_allocates_less_than_once_per_step() {
+fn compiling_a_full_tile_allocates_less_than_once_per_sixteen_steps() {
     let config = PipelineConfig::default();
     assert_eq!(
         config.tile_size, 10,
@@ -75,7 +76,7 @@ fn compiling_a_full_tile_allocates_less_than_once_per_step() {
     }
     for (variant, allocations, steps) in counts {
         assert!(
-            allocations < steps,
+            16 * allocations < steps,
             "{variant:?}: compile made {allocations} allocations for {steps} steps"
         );
     }

@@ -1,5 +1,5 @@
 // Generated by sc_rtl from a compiled sc_graph plan.
-// cells: 7, nets: 17, stream length: 256 cycles.
+// cells: 7, nets: 16, stream length: 256 cycles.
 // Leaf modules are emitted once per cell kind; instances are
 // parameterised. Do not edit by hand.
 
@@ -70,17 +70,20 @@ module sc_source #(parameter FAMILY = 0,
 endmodule
 
 // Weighted one-hot selection network: one fresh sample against the
-// packed cumulative thresholds; leftover mass falls to the last output.
+// packed cumulative thresholds; leftover mass falls to the last line.
+// The mux chain reads lines 1..K-1 (line 0 is its default), so only
+// those leave the module; a 1-way tree reads its one line 0.
 module sc_wsel #(parameter FAMILY = 0,
                  parameter WIDTH = 16,
                  parameter [63:0] INIT = 64'd1,
                  parameter [63:0] TAPS = 64'hB400,
                  parameter K = 2,
                  parameter [16*K-1:0] CDF = {16*K{1'b0}})
-                (input clk, input rst, output reg [K-1:0] onehot);
+                (input clk, input rst, output [(K > 1 ? K - 2 : 0):0] sel);
   wire [15:0] q16;
   sc_sample #(.FAMILY(FAMILY), .WIDTH(WIDTH), .INIT(INIT), .TAPS(TAPS))
     gen (.clk(clk), .rst(rst), .q16(q16));
+  reg [K-1:0] onehot;
   reg found;
   integer i;
   always @(*) begin
@@ -93,6 +96,7 @@ module sc_wsel #(parameter FAMILY = 0,
       end
     if (!found) onehot[K-1] = 1'b1;
   end
+  assign sel = onehot >> (K > 1);
 endmodule
 
 // Synchronizer FSM (Fig. 3a), save depth D: a signed saved-bit credit
@@ -142,14 +146,13 @@ module repaired_graph (
   wire n13;
   wire n14;
   wire n15;
-  wire n16;
   sc_source #(.FAMILY(1), .WIDTH(16), .INIT(64'd0), .TAPS(64'd0), .THRESH(16'd49152)) u0 (.clk(clk), .rst(rst), .y(n0));
   sc_source #(.FAMILY(0), .WIDTH(16), .INIT(64'd44257), .TAPS(64'd46080), .THRESH(16'd16384)) u1 (.clk(clk), .rst(rst), .y(n1));
   sc_synchronizer #(.DEPTH(1)) u2 (.clk(clk), .rst(rst), .x(n0), .y(n1), .ox(n2), .oy(n3));
   sc_xor2 u3 (.a(n2), .b(n3), .y(n4));
-  sc_wsel #(.FAMILY(0), .WIDTH(16), .INIT(64'd29489), .TAPS(64'd46080), .K(2), .CDF({16'd65535, 16'd32768})) u4 (.clk(clk), .rst(rst), .onehot({n6, n5}));
-  sc_mux2 u5 (.d0(n4), .d1(n0), .sel(n6), .y(n7));
-  sc_counter #(.WIDTH(9)) u6 (.clk(clk), .rst(rst), .en(n7), .q({n16, n15, n14, n13, n12, n11, n10, n9, n8}));
-  assign edge_bit = n7;
-  assign edge_count = {n16, n15, n14, n13, n12, n11, n10, n9, n8};
+  sc_wsel #(.FAMILY(0), .WIDTH(16), .INIT(64'd29489), .TAPS(64'd46080), .K(2), .CDF({16'd65535, 16'd32768})) u4 (.clk(clk), .rst(rst), .sel({n5}));
+  sc_mux2 u5 (.d0(n4), .d1(n0), .sel(n5), .y(n6));
+  sc_counter #(.WIDTH(9)) u6 (.clk(clk), .rst(rst), .en(n6), .q({n15, n14, n13, n12, n11, n10, n9, n8, n7}));
+  assign edge_bit = n6;
+  assign edge_count = {n15, n14, n13, n12, n11, n10, n9, n8, n7};
 endmodule
