@@ -78,7 +78,6 @@ pub mod shuffle_buffer;
 pub mod sim_adapter;
 pub mod synchronizer;
 pub mod tfm;
-pub mod tracker;
 
 pub use compose::ManipulatorChain;
 pub use decorrelator::Decorrelator;
@@ -92,4 +91,3 @@ pub use manipulator::{CorrelationManipulator, Identity, DEPTH_RANGE};
 pub use shuffle_buffer::ShuffleBuffer;
 pub use synchronizer::Synchronizer;
 pub use tfm::TrackingForecastMemory;
-pub use tracker::{AdaptiveManipulator, SccTracker};

@@ -3,10 +3,9 @@
 //!
 //! Compilation runs the stages in `crate::passes`:
 //!
-//! 1. **validate** — wires must reference existing nodes/ports, arities
-//!    must match, sink names must be unique, and the graph must be acyclic
-//!    (only [`crate::Graph::rewire`] can introduce a cycle, so only a graph
-//!    with a rewired forward edge is topologically sorted here).
+//! 1. **validate** — sink names must be unique and manipulator depths in
+//!    range. Wires, ports and arities are checked as each node is added,
+//!    and the graph is append-only, so it is acyclic as built.
 //! 2. **scc-infer** — every binary operator declares the SCC class its
 //!    inputs must have (paper Fig. 2). The stage derives the class of each
 //!    input pair *structurally*: streams from equal source specs are
@@ -20,9 +19,9 @@
 //!    establishes the required class is inserted in front of the operator
 //!    (the paper's core insight, applied automatically); every miss is a
 //!    [`RepairRecord`] in the report.
-//! 4. **emit** — nodes are laid out in the compile's one topological order
-//!    as a flat step list over dense stream slots, ready for the batch
-//!    executor. A [`Step`] is the node's own [`NodeOp`] plus its slots: its
+//! 4. **emit** — nodes are laid out in index order, each inserted
+//!    manipulator directly before its operator, as a flat step list over
+//!    dense stream slots, ready for the batch executor. A [`Step`] is the node's own [`NodeOp`] plus its slots: its
 //!    input slots live in one flat per-plan list ([`CompiledGraph::srcs`]),
 //!    and its outputs are consecutive slots from the step's `dst`.
 
@@ -235,7 +234,7 @@ impl CompiledGraph {
         self.steps.len()
     }
 
-    /// The executable steps, in scheduled order — the exact structure the
+    /// The executable steps, in emit order — the exact structure the
     /// executor runs and lowering backends elaborate.
     #[must_use]
     pub fn steps(&self) -> &[Step] {
@@ -293,10 +292,7 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::EmptyGraph`], [`GraphError::Cycle`],
-    /// [`GraphError::BadArity`] (a `WeightedMux` whose weight count drifted
-    /// from its input count via [`Graph::rewire`] misuse cannot occur, but
-    /// the check is kept for defence), [`GraphError::DuplicateSink`], or
+    /// Returns [`GraphError::EmptyGraph`], [`GraphError::DuplicateSink`], or
     /// [`GraphError::ManipulatorOutOfRange`] for a `Manipulate` node, or an
     /// auto-repair depth in `options`, outside [`sc_core::DEPTH_RANGE`].
     pub fn compile(&self, options: &PlannerOptions) -> Result<CompiledGraph, GraphError> {
@@ -372,61 +368,6 @@ mod tests {
         assert!(matches!(
             g.compile(&PlannerOptions::default()),
             Err(GraphError::DuplicateSink { .. })
-        ));
-    }
-
-    #[test]
-    fn rewired_cycle_detected() {
-        let mut g = Graph::new();
-        let x = g.input_stream(0);
-        let y = g.input_stream(1);
-        let a = g.binary(BinaryOp::CaAdd, x, y);
-        let b = g.not(a);
-        // Make a depend on b: a → b → a.
-        g.rewire(a.node(), 0, b).unwrap();
-        assert!(matches!(
-            g.compile(&PlannerOptions::default()),
-            Err(GraphError::Cycle { .. })
-        ));
-    }
-
-    #[test]
-    fn cycle_error_names_a_node_on_the_cycle() {
-        let mut g = Graph::new();
-        let n0 = g.generate(0, sobol(1));
-        let n1 = g.not(n0);
-        let n2 = g.not(n0);
-        let n3 = g.not(n2);
-        g.sink_value("z", n1);
-        // n1 and n2 now read n3, which reads n2: the cycle is n2 ↔ n3, and
-        // n1 hangs off it.
-        g.rewire(n1.node(), 0, n3).unwrap();
-        g.rewire(n2.node(), 0, n3).unwrap();
-        match g.compile(&PlannerOptions::default()) {
-            Err(GraphError::Cycle { node }) => assert!(
-                node == n2.node().index() || node == n3.node().index(),
-                "n{node} is not on the cycle n2 <-> n3"
-            ),
-            other => panic!("expected a cycle error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn identity_cycle_is_rejected_not_overflowed() {
-        // Regression: pair_class recurses through identity manipulators, so a
-        // rewired identity self-loop must be caught by the up-front cycle
-        // check instead of overflowing the stack inside the planner.
-        let mut g = Graph::new();
-        let x = g.generate(0, sobol(1));
-        let y = g.generate(1, sobol(2));
-        let (i0, i1) = g.manipulate(ManipulatorKind::Identity, x, y);
-        let z = g.binary(BinaryOp::AndMultiply, i0, i1);
-        g.sink_value("z", z);
-        // Make the identity node consume its own output.
-        g.rewire(i0.node(), 0, i0).unwrap();
-        assert!(matches!(
-            g.compile(&PlannerOptions::default()),
-            Err(GraphError::Cycle { .. })
         ));
     }
 

@@ -10,32 +10,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum GraphError {
-    /// The graph contains a dependency cycle through the given node.
-    Cycle {
-        /// A node on the cycle.
-        node: usize,
-    },
-    /// A wire references a node that does not exist in this graph.
-    UnknownNode {
-        /// The referenced node index.
-        node: usize,
-    },
-    /// A wire references an output port the producing node does not have.
-    BadPort {
-        /// The producing node.
-        node: usize,
-        /// The invalid port.
-        port: u8,
-    },
-    /// A node has the wrong number of input wires.
-    BadArity {
-        /// The node.
-        node: usize,
-        /// Inputs its operation requires.
-        expected: usize,
-        /// Inputs it actually has.
-        got: usize,
-    },
     /// Two sinks share the same output name.
     DuplicateSink {
         /// The duplicated name.
@@ -74,16 +48,6 @@ pub enum GraphError {
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GraphError::Cycle { node } => write!(f, "dependency cycle through node n{node}"),
-            GraphError::UnknownNode { node } => write!(f, "wire references unknown node n{node}"),
-            GraphError::BadPort { node, port } => {
-                write!(f, "wire references missing port {port} of node n{node}")
-            }
-            GraphError::BadArity {
-                node,
-                expected,
-                got,
-            } => write!(f, "node n{node} expects {expected} inputs, has {got}"),
             GraphError::DuplicateSink { name } => write!(f, "duplicate sink name {name:?}"),
             GraphError::EmptyGraph => write!(f, "graph has no nodes"),
             GraphError::ValueSlotOutOfRange { slot, provided } => write!(
@@ -116,9 +80,9 @@ impl From<sc_bitstream::Error> for GraphError {
 ///
 /// Nodes are added through builder methods that return the [`Wire`]s carrying
 /// the node's output streams; wires are then fed to downstream builders.
-/// Because wires can only name already-inserted nodes, builder-constructed
-/// graphs are acyclic by construction — [`Graph::rewire`] is the only way to
-/// create a cycle, and [`Graph::compile`] rejects it.
+/// The graph is append-only: a wire can only name an already-inserted node,
+/// and a node's inputs never change after it is added, so every graph is
+/// acyclic by construction and its insertion order is a topological order.
 ///
 /// # Example
 ///
@@ -140,6 +104,8 @@ impl From<sc_bitstream::Error> for GraphError {
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
+    /// Every node's input wires, back to back in node order.
+    wires: Vec<Wire>,
 }
 
 impl Graph {
@@ -170,6 +136,16 @@ impl Graph {
         self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i), n))
     }
 
+    /// The wires feeding a node's inputs, in port order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not from this graph.
+    #[must_use]
+    pub fn inputs(&self, id: NodeId) -> &[Wire] {
+        &self.wires[self.nodes[id.0].inputs.clone()]
+    }
+
     /// Low-level node insertion shared by the typed builders.
     ///
     /// # Panics
@@ -177,8 +153,8 @@ impl Graph {
     /// Panics if an input wire does not belong to this graph or the input
     /// count does not match the operation's arity — a structural programming
     /// error, not a data error.
-    fn add(&mut self, op: NodeOp, inputs: Vec<Wire>) -> NodeId {
-        for wire in &inputs {
+    fn add(&mut self, op: NodeOp, inputs: &[Wire]) -> NodeId {
+        for wire in inputs {
             assert!(
                 wire.node.0 < self.nodes.len(),
                 "wire {wire} does not belong to this graph"
@@ -205,7 +181,12 @@ impl Graph {
             );
         }
         let id = NodeId(self.nodes.len());
-        self.nodes.push(Node { op, inputs });
+        let start = self.wires.len();
+        self.wires.extend_from_slice(inputs);
+        self.nodes.push(Node {
+            op,
+            inputs: start..self.wires.len(),
+        });
         id
     }
 
@@ -215,7 +196,7 @@ impl Graph {
 
     /// Adds a stream input fed from `BatchInput::streams[slot]`.
     pub fn input_stream(&mut self, slot: usize) -> Wire {
-        let id = self.add(NodeOp::InputStream { slot }, Vec::new());
+        let id = self.add(NodeOp::InputStream { slot }, &[]);
         self.out(id, 0)
     }
 
@@ -227,7 +208,7 @@ impl Graph {
     /// Like [`Graph::generate`], with the source advanced by `skip` samples
     /// first (for sources logically shared with earlier consumers).
     pub fn generate_skipped(&mut self, slot: usize, source: SourceSpec, skip: u64) -> Wire {
-        let id = self.add(NodeOp::Generate { slot, source, skip }, Vec::new());
+        let id = self.add(NodeOp::Generate { slot, source, skip }, &[]);
         self.out(id, 0)
     }
 
@@ -239,7 +220,7 @@ impl Graph {
                 source,
                 skip: 0,
             },
-            Vec::new(),
+            &[],
         );
         self.out(id, 0)
     }
@@ -247,7 +228,7 @@ impl Graph {
     /// Adds a correlation manipulator over a stream pair; returns the
     /// manipulated `(x, y)` pair.
     pub fn manipulate(&mut self, kind: ManipulatorKind, x: Wire, y: Wire) -> (Wire, Wire) {
-        let id = self.add(NodeOp::Manipulate(kind), vec![x, y]);
+        let id = self.add(NodeOp::Manipulate(kind), &[x, y]);
         (self.out(id, 0), self.out(id, 1))
     }
 
@@ -258,19 +239,19 @@ impl Graph {
 
     /// Like [`Graph::regenerate`], with the source advanced by `skip` samples.
     pub fn regenerate_skipped(&mut self, source: SourceSpec, skip: u64, x: Wire) -> Wire {
-        let id = self.add(NodeOp::Regenerate { source, skip }, vec![x]);
+        let id = self.add(NodeOp::Regenerate { source, skip }, &[x]);
         self.out(id, 0)
     }
 
     /// Adds a NOT gate (`1 − pX`).
     pub fn not(&mut self, x: Wire) -> Wire {
-        let id = self.add(NodeOp::Not, vec![x]);
+        let id = self.add(NodeOp::Not, &[x]);
         self.out(id, 0)
     }
 
     /// Adds a binary arithmetic operator.
     pub fn binary(&mut self, op: BinaryOp, x: Wire, y: Wire) -> Wire {
-        let id = self.add(NodeOp::Binary(op), vec![x, y]);
+        let id = self.add(NodeOp::Binary(op), &[x, y]);
         self.out(id, 0)
     }
 
@@ -293,7 +274,7 @@ impl Graph {
                 "slinear state count {states} outside supported range 2..=4096"
             ),
         }
-        let id = self.add(NodeOp::UnaryFsm(op), vec![x]);
+        let id = self.add(NodeOp::UnaryFsm(op), &[x]);
         self.out(id, 0)
     }
 
@@ -347,7 +328,7 @@ impl Graph {
                 skip,
                 counter_bits,
             },
-            vec![x, y],
+            &[x, y],
         );
         self.out(id, 0)
     }
@@ -409,24 +390,24 @@ impl Graph {
                 select,
                 skip,
             },
-            inputs.to_vec(),
+            inputs,
         );
         self.out(id, 0)
     }
 
     /// Adds a sink exposing the raw stream under `name`.
     pub fn sink_stream(&mut self, name: impl Into<Arc<str>>, x: Wire) -> NodeId {
-        self.add(NodeOp::SinkStream { name: name.into() }, vec![x])
+        self.add(NodeOp::SinkStream { name: name.into() }, &[x])
     }
 
     /// Adds an S/D sink exposing the stream's unipolar value under `name`.
     pub fn sink_value(&mut self, name: impl Into<Arc<str>>, x: Wire) -> NodeId {
-        self.add(NodeOp::SinkValue { name: name.into() }, vec![x])
+        self.add(NodeOp::SinkValue { name: name.into() }, &[x])
     }
 
     /// Adds an S/D sink exposing the stream's 1s count under `name`.
     pub fn sink_count(&mut self, name: impl Into<Arc<str>>, x: Wire) -> NodeId {
-        self.add(NodeOp::SinkCount { name: name.into() }, vec![x])
+        self.add(NodeOp::SinkCount { name: name.into() }, &[x])
     }
 
     /// Adds an APC sink exposing the unscaled sum of the inputs' values.
@@ -435,46 +416,12 @@ impl Graph {
     ///
     /// Panics if `inputs` is empty.
     pub fn sink_sum(&mut self, name: impl Into<Arc<str>>, inputs: &[Wire]) -> NodeId {
-        self.add(NodeOp::SinkSum { name: name.into() }, inputs.to_vec())
+        self.add(NodeOp::SinkSum { name: name.into() }, inputs)
     }
 
     /// Adds an SCC probe over a stream pair.
     pub fn scc_probe(&mut self, name: impl Into<Arc<str>>, x: Wire, y: Wire) -> NodeId {
-        self.add(NodeOp::SccProbe { name: name.into() }, vec![x, y])
-    }
-
-    /// Replaces input `input` of `node` with `wire`.
-    ///
-    /// This is the only builder operation that can produce a forward
-    /// reference, and therefore a cycle; [`Graph::compile`] checks for cycles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownNode`], [`GraphError::BadPort`] or
-    /// [`GraphError::BadArity`] for out-of-range arguments.
-    pub fn rewire(&mut self, node: NodeId, input: usize, wire: Wire) -> Result<(), GraphError> {
-        if node.0 >= self.nodes.len() {
-            return Err(GraphError::UnknownNode { node: node.0 });
-        }
-        if wire.node.0 >= self.nodes.len() {
-            return Err(GraphError::UnknownNode { node: wire.node.0 });
-        }
-        if (wire.port as usize) >= self.nodes[wire.node.0].op.output_ports() {
-            return Err(GraphError::BadPort {
-                node: wire.node.0,
-                port: wire.port,
-            });
-        }
-        let arity = self.nodes[node.0].inputs.len();
-        if input >= arity {
-            return Err(GraphError::BadArity {
-                node: node.0,
-                expected: arity,
-                got: input + 1,
-            });
-        }
-        self.nodes[node.0].inputs[input] = wire;
-        Ok(())
+        self.add(NodeOp::SccProbe { name: name.into() }, &[x, y])
     }
 }
 
@@ -491,8 +438,9 @@ mod tests {
         let z = g.binary(BinaryOp::OrMax, mx, my);
         let s = g.sink_value("z", z);
         assert_eq!(g.node_count(), 5);
-        assert_eq!(g.node(s).inputs, vec![z]);
-        assert_eq!(g.node(z.node()).inputs, vec![mx, my]);
+        assert_eq!(g.inputs(s), [z]);
+        assert_eq!(g.inputs(z.node()), [mx, my]);
+        assert!(g.inputs(x.node()).is_empty());
         assert_eq!(g.nodes().count(), 5);
     }
 
@@ -534,42 +482,8 @@ mod tests {
     }
 
     #[test]
-    fn rewire_validates() {
-        let mut g = Graph::new();
-        let x = g.input_stream(0);
-        let y = g.input_stream(1);
-        let z = g.binary(BinaryOp::CaAdd, x, y);
-        assert!(g.rewire(z.node(), 1, x).is_ok());
-        assert_eq!(g.node(z.node()).inputs, vec![x, x]);
-        assert!(matches!(
-            g.rewire(NodeId(99), 0, x),
-            Err(GraphError::UnknownNode { .. })
-        ));
-        assert!(matches!(
-            g.rewire(z.node(), 5, x),
-            Err(GraphError::BadArity { .. })
-        ));
-        let bad = Wire {
-            node: z.node(),
-            port: 3,
-        };
-        assert!(matches!(
-            g.rewire(z.node(), 0, bad),
-            Err(GraphError::BadPort { .. })
-        ));
-    }
-
-    #[test]
     fn error_display() {
         let errors: Vec<GraphError> = vec![
-            GraphError::Cycle { node: 1 },
-            GraphError::UnknownNode { node: 2 },
-            GraphError::BadPort { node: 3, port: 1 },
-            GraphError::BadArity {
-                node: 4,
-                expected: 2,
-                got: 1,
-            },
             GraphError::DuplicateSink {
                 name: "z".to_string(),
             },

@@ -7,6 +7,7 @@ use sc_core::{
 };
 use sc_rng::SourceSpec;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Identifier of a node inside one [`crate::Graph`].
@@ -579,13 +580,14 @@ impl NodeOp {
     }
 }
 
-/// A node: its operation plus the wires feeding each input, in port order.
+/// A node: its operation plus the wires feeding each input, in port order,
+/// which [`crate::Graph::inputs`] reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The operation.
     pub op: NodeOp,
-    /// Input wires, one per input port.
-    pub inputs: Vec<Wire>,
+    /// The node's range of its graph's one flat wire list.
+    pub(crate) inputs: Range<usize>,
 }
 
 #[cfg(test)]

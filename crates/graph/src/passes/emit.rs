@@ -1,5 +1,5 @@
-//! The **emit** stage: dense slot assignment and step emission in
-//! topological order, one step per node.
+//! The **emit** stage: dense slot assignment and step emission in the
+//! repaired graph's node order, one step per node.
 
 use super::repair::Repaired;
 use crate::compile::{CompileReport, CompiledGraph, PassDelta, Step};
@@ -7,14 +7,10 @@ use crate::node::NodeOp;
 use sc_rng::SourceSpec;
 use std::collections::HashSet;
 
-/// Walks the topological order and emits one step per node of the repaired
+/// Walks [`Repaired::order`] and emits one step per node of the repaired
 /// graph: the node's op over its input slots, looked up, and its output
 /// ports, each given the next fresh slot.
-pub(crate) fn emit_steps(
-    repaired: &Repaired<'_>,
-    order: &[usize],
-    mut report: CompileReport,
-) -> CompiledGraph {
+pub(crate) fn emit_steps(repaired: &Repaired<'_>, mut report: CompileReport) -> CompiledGraph {
     // Slot of each `(node, port)` output, at `2 · node + port` (a node has
     // at most two outputs). A producer is emitted before its consumers, so
     // slots are numbered in order of first use and a node's output slots
@@ -23,13 +19,13 @@ pub(crate) fn emit_steps(
     let mut slots = vec![UNASSIGNED; 2 * repaired.len()];
     let mut slot_count = 0usize;
 
-    let mut steps = Vec::with_capacity(order.len());
-    let wires = order.iter().map(|&i| repaired.inputs(i).len()).sum();
+    let mut steps = Vec::with_capacity(repaired.len());
+    let wires = (0..repaired.len()).map(|i| repaired.inputs(i).len()).sum();
     let mut srcs = Vec::with_capacity(wires);
     let mut value_slots = 0usize;
     let mut stream_slots = 0usize;
 
-    for &i in order {
+    for i in repaired.order() {
         let start = srcs.len();
         srcs.extend(repaired.inputs(i).iter().map(|w| {
             let slot = slots[2 * w.node().index() + w.port() as usize];

@@ -1,24 +1,27 @@
 //! The **scc-infer** stage: structural SCC class derivation.
 
 use crate::compile::{CompileReport, PassDelta};
-use crate::node::{ManipulatorKind, Node, NodeOp, SccClass, Wire};
+use crate::graph::Graph;
+use crate::node::{ManipulatorKind, NodeOp, SccClass, Wire};
 
 /// Derives every correlation-tracked operator's input-pair SCC class for
 /// the repair stage, from structure alone, as a dense per-node table
-/// (`None` for untracked nodes): a pair the rules of [`pair_class`] cannot
-/// place is [`SccClass::Unknown`], which only an agnostic operator accepts.
+/// (`None` for untracked nodes), and counts the tracked operators: a pair
+/// the rules of [`pair_class`] cannot place is [`SccClass::Unknown`], which
+/// only an agnostic operator accepts.
 ///
-/// Classes are derived on the pre-repair graph; repair later only rewires
+/// Classes are derived on the pre-repair graph; repair later only redirects
 /// the failing operator's own inputs, which cannot change any other pair's
 /// structural class, so inferring everything up front matches an
 /// interleaved derivation exactly.
-pub(crate) fn infer(nodes: &[Node], report: &mut CompileReport) -> Vec<Option<SccClass>> {
-    let classes: Vec<Option<SccClass>> = nodes
-        .iter()
-        .map(|node| {
-            node.op
-                .correlation_requirement()
-                .map(|_| pair_class(nodes, node.inputs[0], node.inputs[1]))
+pub(crate) fn infer(graph: &Graph, report: &mut CompileReport) -> (Vec<Option<SccClass>>, usize) {
+    let classes: Vec<Option<SccClass>> = graph
+        .nodes()
+        .map(|(id, node)| {
+            node.op.correlation_requirement().map(|_| {
+                let inputs = graph.inputs(id);
+                pair_class(graph, inputs[0], inputs[1])
+            })
         })
         .collect();
     let classified = classes.iter().flatten().count();
@@ -27,22 +30,22 @@ pub(crate) fn infer(nodes: &[Node], report: &mut CompileReport) -> Vec<Option<Sc
         nodes_added: 0,
         detail: format!("{classified} pairs classified"),
     });
-    classes
+    (classes, classified)
 }
 
 /// Structural SCC class of a pair of wires (see the crate docs for rules).
-pub(crate) fn pair_class(nodes: &[Node], a: Wire, b: Wire) -> SccClass {
+fn pair_class(graph: &Graph, a: Wire, b: Wire) -> SccClass {
     if a == b {
         return SccClass::Positive;
     }
-    let na = &nodes[a.node().index()];
-    let nb = &nodes[b.node().index()];
+    let na = graph.node(a.node());
+    let nb = graph.node(b.node());
     // Unwrap identity manipulators: they preserve their input pair's class.
     if let NodeOp::Manipulate(ManipulatorKind::Identity) = na.op {
-        return pair_class(nodes, na.inputs[a.port() as usize], b);
+        return pair_class(graph, graph.inputs(a.node())[a.port() as usize], b);
     }
     if let NodeOp::Manipulate(ManipulatorKind::Identity) = nb.op {
-        return pair_class(nodes, a, nb.inputs[b.port() as usize]);
+        return pair_class(graph, a, graph.inputs(b.node())[b.port() as usize]);
     }
     // The two output ports of one manipulator carry the class it establishes.
     if a.node() == b.node() {

@@ -1,14 +1,15 @@
 //! The **repair** stage: insertion of correlation-establishing manipulators.
 
 use crate::compile::{CompileReport, PassDelta, PlannerOptions, RepairRecord};
-use crate::node::{Node, NodeId, NodeOp, SccClass, Wire};
+use crate::graph::Graph;
+use crate::node::{NodeId, NodeOp, SccClass, Wire};
 
 /// The repaired graph, read in place: the source graph's `n` nodes, plus
 /// one appended manipulator per splice. Splice `k` is node `n + k`; it reads
 /// the inputs its operator had, and the operator reads its two outputs
 /// instead. No source node is copied.
 pub(crate) struct Repaired<'a> {
-    nodes: &'a [Node],
+    graph: &'a Graph,
     splices: Vec<Splice>,
     /// Per source node: `k + 1` for the operator splice `k` feeds, else 0.
     spliced: Vec<u32>,
@@ -27,32 +28,43 @@ struct Splice {
 impl Repaired<'_> {
     /// Nodes of the repaired graph: source nodes plus splices.
     pub(crate) fn len(&self) -> usize {
-        self.nodes.len() + self.splices.len()
+        self.graph.node_count() + self.splices.len()
     }
 
-    fn splice_feeding(&self, i: usize) -> Option<&Splice> {
+    /// The splice feeding source node `i`, if any.
+    fn splice_feeding(&self, i: usize) -> Option<usize> {
         match self.spliced.get(i).copied().unwrap_or(0) {
             0 => None,
-            k => Some(&self.splices[k as usize - 1]),
+            k => Some(k as usize - 1),
         }
+    }
+
+    /// The repaired graph's nodes in a topological order: the source nodes
+    /// in index order, each splice directly before the operator it feeds. A
+    /// splice reads its operator's original inputs, which all precede the
+    /// operator.
+    pub(crate) fn order(&self) -> impl Iterator<Item = usize> + '_ {
+        let n = self.graph.node_count();
+        (0..n).flat_map(move |i| self.splice_feeding(i).map(|k| n + k).into_iter().chain([i]))
     }
 
     /// The operation of node `i`.
     pub(crate) fn op(&self, i: usize) -> &NodeOp {
-        match self.nodes.get(i) {
+        match self.graph.nodes.get(i) {
             Some(node) => &node.op,
-            None => &self.splices[i - self.nodes.len()].op,
+            None => &self.splices[i - self.graph.node_count()].op,
         }
     }
 
     /// The input wires of node `i` in the repaired graph.
     pub(crate) fn inputs(&self, i: usize) -> &[Wire] {
-        match self.nodes.get(i) {
-            Some(node) => match self.splice_feeding(i) {
-                Some(splice) => &splice.outputs,
-                None => &node.inputs,
-            },
-            None => &self.nodes[self.splices[i - self.nodes.len()].before].inputs,
+        let n = self.graph.node_count();
+        if i >= n {
+            return self.graph.inputs(NodeId(self.splices[i - n].before));
+        }
+        match self.splice_feeding(i) {
+            Some(k) => &self.splices[k].outputs,
+            None => self.graph.inputs(NodeId(i)),
         }
     }
 }
@@ -62,19 +74,26 @@ impl Repaired<'_> {
 /// required class ([`crate::CorrRequirement::establishing_manipulator`]) in
 /// front of the operator, and records it in [`CompileReport::inserted`].
 /// With [`PlannerOptions::auto_repair`] off the miss is only recorded in
-/// [`CompileReport::unsatisfied`].
+/// [`CompileReport::unsatisfied`]. The lists are sized once, at the first
+/// miss, for all `tracked` operators.
 pub(crate) fn repair<'a>(
-    nodes: &'a [Node],
+    graph: &'a Graph,
     classes: &[Option<SccClass>],
+    tracked: usize,
     options: &PlannerOptions,
     report: &mut CompileReport,
 ) -> Repaired<'a> {
     let mut repaired = Repaired {
-        nodes,
+        graph,
         splices: Vec::new(),
         spliced: Vec::new(),
     };
-    for (i, node) in nodes.iter().enumerate() {
+    let misses = if options.auto_repair {
+        &mut report.inserted
+    } else {
+        &mut report.unsatisfied
+    };
+    for (i, node) in graph.nodes.iter().enumerate() {
         let Some((operator, requirement)) = node.op.correlation_requirement() else {
             continue;
         };
@@ -85,6 +104,9 @@ pub(crate) fn repair<'a>(
         let Some(kind) = requirement.establishing_manipulator(options) else {
             continue;
         };
+        if misses.is_empty() {
+            misses.reserve_exact(tracked);
+        }
         let mut record = RepairRecord {
             operator,
             node: i,
@@ -92,22 +114,21 @@ pub(crate) fn repair<'a>(
             requirement,
             inserted: None,
         };
-        if !options.auto_repair {
-            report.unsatisfied.push(record);
-            continue;
+        if options.auto_repair {
+            let id = NodeId(repaired.len());
+            if repaired.spliced.is_empty() {
+                repaired.spliced = vec![0; graph.node_count()];
+                repaired.splices.reserve_exact(tracked);
+            }
+            repaired.splices.push(Splice {
+                op: NodeOp::Manipulate(kind),
+                before: i,
+                outputs: [Wire { node: id, port: 0 }, Wire { node: id, port: 1 }],
+            });
+            repaired.spliced[i] = u32::try_from(repaired.splices.len()).expect("splices fit u32");
+            record.inserted = Some(kind);
         }
-        let id = NodeId(repaired.len());
-        if repaired.spliced.is_empty() {
-            repaired.spliced = vec![0; nodes.len()];
-        }
-        repaired.splices.push(Splice {
-            op: NodeOp::Manipulate(kind),
-            before: i,
-            outputs: [Wire { node: id, port: 0 }, Wire { node: id, port: 1 }],
-        });
-        repaired.spliced[i] = u32::try_from(repaired.splices.len()).expect("splices fit u32");
-        record.inserted = Some(kind);
-        report.inserted.push(record);
+        misses.push(record);
     }
     let added = repaired.splices.len();
     report.pass_deltas.push(PassDelta {

@@ -1,15 +1,14 @@
 //! The **validate** stage: structural checks before any transformation.
 
-use super::schedule;
 use crate::compile::{CompileReport, PassDelta, PlannerOptions};
 use crate::graph::GraphError;
 use crate::node::{CorrRequirement, Node, NodeOp};
 use std::collections::HashSet;
 
-/// Arity, sink-uniqueness, manipulator-range, and cycle checks (wires are
-/// builder-validated; arity and sink uniqueness are re-checked here to cover
-/// future mutation APIs). With auto-repair on, the depths repair would
-/// insert are range-checked too.
+/// Sink-uniqueness and manipulator-range checks. Wires, ports and arities
+/// need none here: the builder checks them as each node is added, and a
+/// node never changes after that. With auto-repair on, the depths repair
+/// would insert are range-checked too.
 pub(crate) fn validate(
     nodes: &[Node],
     options: &PlannerOptions,
@@ -29,20 +28,10 @@ pub(crate) fn validate(
         }
     }
     let mut sink_names: HashSet<&str> = HashSet::new();
-    let mut forward_edge = false;
-    for (i, node) in nodes.iter().enumerate() {
+    for node in nodes {
         if let NodeOp::Manipulate(kind) = node.op {
             if !kind.in_range() {
                 return Err(GraphError::ManipulatorOutOfRange { kind });
-            }
-        }
-        if let Some(expected) = node.op.input_arity() {
-            if node.inputs.len() != expected {
-                return Err(GraphError::BadArity {
-                    node: i,
-                    expected,
-                    got: node.inputs.len(),
-                });
             }
         }
         if let Some(name) = node.op.sink_name() {
@@ -52,14 +41,6 @@ pub(crate) fn validate(
                 });
             }
         }
-        forward_edge |= node.inputs.iter().any(|wire| wire.node().index() >= i);
-    }
-    // Cycle check up front: scc-infer's class derivation recurses through
-    // identity manipulators and must only ever see a DAG. A graph whose
-    // every wire points to a lower index is one; only a rewired forward
-    // edge can close a cycle, and only then is the full order needed.
-    if forward_edge {
-        schedule(nodes.len(), |i| &nodes[i].inputs)?;
     }
     report.pass_deltas.push(PassDelta {
         pass: "validate",

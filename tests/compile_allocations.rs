@@ -2,13 +2,20 @@
 //! and its compile.
 //!
 //! `Graph::compile` of a full-size 10×10 tile makes fewer than one heap
-//! allocation per sixteen steps it emits, for every variant (38 / 31 / 46
+//! allocation per sixteen steps it emits, for every variant (27 / 26 / 29
 //! for 690 / 811 / 890 steps). A compiler that cloned every node, kept a
 //! consumer list per node, or gave a step its own input list or sink name
-//! would allocate at least once per such node and fail here. `tile_graph` of the same tile makes fewer than one
-//! per node plus one per sink (each sink owns its name), so a per-kernel
-//! copy of the blur weights fails it. This is a test binary of its own
-//! because it installs a counting global allocator.
+//! would allocate at least once per such node and fail here.
+//!
+//! `tile_graph` of the same tile makes at most two allocations per sink
+//! plus a constant (225 for its 100 sinks and 690 nodes, every variant):
+//! each sink's name is held twice, once by the graph and once by the
+//! tile's sink list, and the graph's node and wire lists grow by doubling.
+//! A node that owned its input list, or a per-kernel copy of the blur
+//! weights, would allocate once per node or kernel and fail here.
+//!
+//! This is a test binary of its own because it installs a counting global
+//! allocator.
 
 use sc_image::{planner_options, tile_graph, GrayImage, PipelineConfig, PipelineVariant};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -82,8 +89,13 @@ fn compiling_a_full_tile_allocates_less_than_once_per_sixteen_steps() {
     }
 }
 
+/// Allocations a tile graph build may make beyond two per sink: 25 are
+/// made on every variant, so this leaves room for a few more, and none
+/// per node.
+const TILE_BUILD_OVERHEAD: u64 = 32;
+
 #[test]
-fn building_a_full_tile_graph_allocates_less_than_once_per_node_and_sink() {
+fn building_a_full_tile_graph_allocates_twice_per_sink_plus_a_constant() {
     let config = PipelineConfig::default();
     assert_eq!(
         config.tile_size, 10,
@@ -95,7 +107,7 @@ fn building_a_full_tile_graph_allocates_less_than_once_per_node_and_sink() {
         let before = ALLOCATIONS.with(Cell::get);
         let tile = tile_graph(&image, 0, 0, variant, &config, 0);
         let allocations = ALLOCATIONS.with(Cell::get) - before;
-        let limit = (tile.graph.node_count() + tile.sinks.len()) as u64;
+        let limit = 2 * tile.sinks.len() as u64 + TILE_BUILD_OVERHEAD;
         counts.push((variant, allocations, limit));
     }
     for &(variant, allocations, limit) in &counts {
@@ -103,7 +115,7 @@ fn building_a_full_tile_graph_allocates_less_than_once_per_node_and_sink() {
     }
     for (variant, allocations, limit) in counts {
         assert!(
-            allocations < limit,
+            allocations <= limit,
             "{variant:?}: tile_graph made {allocations} allocations, limit {limit}"
         );
     }

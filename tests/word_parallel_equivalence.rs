@@ -171,9 +171,6 @@ fn manipulators_match_bit_serial_reference() {
         assert_manipulator_equivalence(&format!("decorrelator-d{d}"), move || Decorrelator::new(d));
     }
     assert_manipulator_equivalence("tfm", || TrackingForecastMemory::new(3));
-    assert_manipulator_equivalence("adaptive-sync", || {
-        sc_core::AdaptiveManipulator::new(Synchronizer::new(1), true, 0.9)
-    });
     assert_manipulator_equivalence("chain", || {
         let mut chain = ManipulatorChain::new();
         chain.push(Synchronizer::new(1));
