@@ -38,7 +38,6 @@
 
 pub mod add;
 pub mod divide;
-pub mod fsm_ops;
 pub mod maxmin;
 pub mod multiply;
 pub mod reference;
@@ -46,7 +45,6 @@ pub mod subtract;
 
 pub use add::{ca_add, mux_add, saturating_add, MuxAdder};
 pub use divide::Divider;
-pub use fsm_ops::{slinear, stanh};
 pub use maxmin::{and_min, ca_max, ca_min, or_max};
 pub use multiply::{and_multiply, xnor_multiply};
 pub use subtract::xor_subtract;

@@ -83,58 +83,6 @@ pub fn ca_min(x: &Bitstream, y: &Bitstream) -> Result<Bitstream> {
     Ok(out)
 }
 
-/// Bit-serial `stanh` (the original saturating-counter formulation).
-///
-/// # Panics
-///
-/// Panics if `half_states` is 0 or greater than 2048.
-#[must_use]
-pub fn stanh(input: &Bitstream, half_states: u32) -> Bitstream {
-    assert!(
-        (1..=2048).contains(&half_states),
-        "stanh state count {half_states} outside supported range 1..=2048"
-    );
-    let max = i64::from(2 * half_states - 1);
-    let mut state = i64::from(half_states);
-    Bitstream::from_fn(input.len(), |i| {
-        let out = state >= i64::from(half_states);
-        state += if input.bit(i) { 1 } else { -1 };
-        state = state.clamp(0, max);
-        out
-    })
-}
-
-/// Bit-serial `slinear` (the original saturating-counter formulation).
-///
-/// # Panics
-///
-/// Panics if `states` is smaller than 2 or greater than 4096.
-#[must_use]
-pub fn slinear(input: &Bitstream, states: u32) -> Bitstream {
-    assert!(
-        (2..=4096).contains(&states),
-        "slinear state count {states} outside supported range 2..=4096"
-    );
-    let max = i64::from(states - 1);
-    let mut state = max / 2;
-    let mut toggle = false;
-    Bitstream::from_fn(input.len(), |i| {
-        let mid_low = max / 2;
-        let mid_high = mid_low + 1;
-        let out = if state > mid_high {
-            true
-        } else if state < mid_low {
-            false
-        } else {
-            toggle = !toggle;
-            toggle
-        };
-        state += if input.bit(i) { 1 } else { -1 };
-        state = state.clamp(0, max);
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,20 +107,6 @@ mod tests {
                 ca_min(&x, &y).unwrap(),
                 "ca_min n={n}"
             );
-            for s in [1u32, 3, 4] {
-                assert_eq!(
-                    crate::fsm_ops::stanh(&x, s),
-                    stanh(&x, s),
-                    "stanh n={n} s={s}"
-                );
-            }
-            for s in [2u32, 7, 8] {
-                assert_eq!(
-                    crate::fsm_ops::slinear(&x, s),
-                    slinear(&x, s),
-                    "slinear n={n} s={s}"
-                );
-            }
         }
     }
 }

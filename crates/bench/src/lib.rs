@@ -26,8 +26,6 @@
 //! measured by the separate `perfbench` package (`BENCHMARK.json` at the
 //! repository root), not here.
 //!
-//! Criterion throughput benchmarks live in `benches/`.
-//!
 //! This library crate only holds the small shared reporting helpers used by
 //! those binaries.
 

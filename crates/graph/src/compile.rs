@@ -97,7 +97,7 @@ pub struct PassDelta {
 /// for a miss left standing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairRecord {
-    /// The operator's label (`xor_subtract`, `divide`, ...).
+    /// The operator's label (`xor_subtract`, `or_max`, ...).
     pub operator: &'static str,
     /// The operator's node index in the source graph.
     pub node: usize,
@@ -264,8 +264,8 @@ impl CompiledGraph {
         self.class
     }
 
-    /// The position of the named value-producing sink (`SinkValue`,
-    /// `SinkCount`, `SinkSum` or `SccProbe`) among the plan's value sinks:
+    /// The position of the named value-producing sink (`SinkValue` or
+    /// `SccProbe`) among the plan's value sinks:
     /// the index its result takes in every execution's
     /// [`ExecOutput::sink_values`](crate::ExecOutput::sink_values).
     #[must_use]
@@ -364,7 +364,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.generate(0, sobol(1));
         g.sink_value("z", x);
-        g.sink_count("z", x);
+        g.sink_value("z", x);
         assert!(matches!(
             g.compile(&PlannerOptions::default()),
             Err(GraphError::DuplicateSink { .. })

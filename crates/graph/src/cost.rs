@@ -17,7 +17,7 @@
 //! Table III / Table IV columns.
 
 use crate::compile::CompiledGraph;
-use crate::node::{BinaryOp, ManipulatorKind, NodeOp, UnaryFsmOp};
+use crate::node::{BinaryOp, ManipulatorKind, NodeOp};
 use sc_hwcost::{characterize, Netlist, Primitive};
 use sc_rng::SourceSpec;
 
@@ -36,9 +36,6 @@ pub fn source_netlist(spec: &SourceSpec, converter_bits: u32) -> Netlist {
         SourceSpec::Counter { .. } => {
             Netlist::new("counter-src").with(Primitive::Counter(converter_bits), 1)
         }
-        // SourceSpec is non_exhaustive: cost any future family like the
-        // low-discrepancy generators until a dedicated model exists.
-        _ => characterize::low_discrepancy_rng(converter_bits),
     }
 }
 
@@ -52,39 +49,6 @@ pub fn manipulator_netlist(kind: &ManipulatorKind) -> Netlist {
         ManipulatorKind::Desynchronizer { depth } => characterize::desynchronizer(depth),
         ManipulatorKind::Decorrelator { depth } => characterize::decorrelator(depth as u32),
     }
-}
-
-/// Netlist of one saturating-counter FSM activation.
-#[must_use]
-pub fn unary_fsm_netlist(op: UnaryFsmOp) -> Netlist {
-    let state_bits = |states: u32| 32 - states.saturating_sub(1).leading_zeros();
-    match op {
-        // Saturating up/down counter plus the upper-half output comparison.
-        UnaryFsmOp::Stanh { half_states } => {
-            let bits = state_bits(2 * half_states).max(1);
-            Netlist::new(format!("stanh-{}s", 2 * half_states))
-                .with(Primitive::Counter(bits), 1)
-                .with(Primitive::Comparator(bits), 1)
-        }
-        // As stanh, plus the mid-state toggle flip-flop.
-        UnaryFsmOp::Slinear { states } => {
-            let bits = state_bits(states).max(1);
-            Netlist::new(format!("slinear-{states}s"))
-                .with(Primitive::Counter(bits), 1)
-                .with(Primitive::Comparator(bits), 1)
-                .with(Primitive::DFlipFlop, 1)
-        }
-    }
-}
-
-/// Netlist of the feedback SC divider (excluding its comparison source):
-/// integration counter, output comparator, and the feedback AND gate.
-#[must_use]
-pub fn divider_netlist(counter_bits: u32) -> Netlist {
-    Netlist::new(format!("divider-{counter_bits}b"))
-        .with(Primitive::Counter(counter_bits), 1)
-        .with(Primitive::Comparator(counter_bits), 1)
-        .with(Primitive::And2, 1)
 }
 
 /// Netlist of one binary arithmetic operator.
@@ -105,31 +69,21 @@ pub fn binary_netlist(op: BinaryOp) -> Netlist {
 }
 
 /// Netlist of one step's *logic* — everything except its sample source
-/// ([`NodeOp::source`]). `inputs` is the step's input count, which sizes an
-/// APC sum sink's reduction tree.
+/// ([`NodeOp::source`]).
 #[must_use]
-pub fn step_logic_netlist(op: &NodeOp, inputs: usize, converter_bits: u32) -> Netlist {
+pub fn step_logic_netlist(op: &NodeOp, converter_bits: u32) -> Netlist {
     match op {
         NodeOp::InputStream { .. } | NodeOp::SinkStream { .. } => Netlist::new("wire"),
-        NodeOp::Generate { .. } | NodeOp::ConstStream { .. } => {
-            characterize::ds_converter(converter_bits)
-        }
+        NodeOp::Generate { .. } => characterize::ds_converter(converter_bits),
         NodeOp::Manipulate(kind) => manipulator_netlist(kind),
         NodeOp::Regenerate { .. } => characterize::regeneration_unit(converter_bits),
         NodeOp::Not => Netlist::new("not").with(Primitive::Inverter, 1),
         NodeOp::Binary(op) => binary_netlist(*op),
-        NodeOp::UnaryFsm(op) => unary_fsm_netlist(*op),
-        NodeOp::Divide { counter_bits, .. } => divider_netlist(*counter_bits),
         NodeOp::WeightedMux { weights, .. } => Netlist::new("weighted-mux").with(
             Primitive::Mux2,
             weights.len().saturating_sub(1).max(1) as u64,
         ),
-        NodeOp::SinkValue { .. } | NodeOp::SinkCount { .. } => {
-            characterize::sd_converter(converter_bits)
-        }
-        // A k-lane APC: full-adder reduction tree into one wider accumulator.
-        NodeOp::SinkSum { .. } => characterize::sd_converter(converter_bits + 2)
-            .with(Primitive::FullAdder, inputs.saturating_sub(1) as u64),
+        NodeOp::SinkValue { .. } => characterize::sd_converter(converter_bits),
         NodeOp::SccProbe { .. } => characterize::sd_converter(converter_bits)
             .scaled("scc-probe", 3)
             .with(Primitive::And2, 1),
@@ -137,11 +91,10 @@ pub fn step_logic_netlist(op: &NodeOp, inputs: usize, converter_bits: u32) -> Ne
 }
 
 /// Netlist of one *scheduled step* of a compiled plan: its logic plus its
-/// own sample source. An APC sum sink over `k` lanes includes its
-/// `k − 1`-adder reduction tree.
+/// own sample source.
 #[must_use]
-pub fn step_netlist(op: &NodeOp, inputs: usize, converter_bits: u32) -> Netlist {
-    let mut n = step_logic_netlist(op, inputs, converter_bits);
+pub fn step_netlist(op: &NodeOp, converter_bits: u32) -> Netlist {
+    let mut n = step_logic_netlist(op, converter_bits);
     if let Some((spec, _)) = op.source() {
         n.merge(&source_netlist(spec, converter_bits));
     }
@@ -156,11 +109,7 @@ pub fn step_netlist(op: &NodeOp, inputs: usize, converter_bits: u32) -> Netlist 
 pub fn compiled_netlist(plan: &CompiledGraph, name: &str, converter_bits: u32) -> Netlist {
     let mut total = Netlist::new(name);
     for step in plan.steps() {
-        total.merge(&step_netlist(
-            &step.op,
-            plan.srcs(step).len(),
-            converter_bits,
-        ));
+        total.merge(&step_netlist(&step.op, converter_bits));
     }
     total
 }
@@ -174,11 +123,7 @@ pub fn compiled_netlist_shared(plan: &CompiledGraph, name: &str, converter_bits:
     let mut total = Netlist::new(name);
     let mut seen = std::collections::HashSet::new();
     for step in plan.steps() {
-        total.merge(&step_logic_netlist(
-            &step.op,
-            plan.srcs(step).len(),
-            converter_bits,
-        ));
+        total.merge(&step_logic_netlist(&step.op, converter_bits));
         if let Some((spec, _)) = step.op.source() {
             if seen.insert(spec) {
                 total.merge(&source_netlist(spec, converter_bits));
@@ -339,9 +284,9 @@ mod tests {
             manipulator_netlist(&ManipulatorKind::Identity).cell_count(),
             0
         );
-        assert_eq!(step_netlist(&NodeOp::Not, 1, 8).cell_count(), 1);
+        assert_eq!(step_netlist(&NodeOp::Not, 8).cell_count(), 1);
         assert_eq!(
-            step_netlist(&NodeOp::SinkStream { name: "s".into() }, 1, 8).cell_count(),
+            step_netlist(&NodeOp::SinkStream { name: "s".into() }, 8).cell_count(),
             0
         );
     }

@@ -4,10 +4,9 @@
 
 use crate::compile::{CompiledGraph, Step};
 use crate::graph::GraphError;
-use crate::node::{NodeOp, UnaryFsmOp};
+use crate::node::NodeOp;
 use crate::planes::{self, JobPlanes, PlaneStore};
 use sc_bitstream::{scc, Bitstream, Probability, WORD_BITS};
-use sc_convert::AccumulativeParallelCounter;
 use sc_core::LANES;
 use sc_rng::SourceSpec;
 use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
@@ -25,14 +24,14 @@ pub struct BatchInput {
     /// Ready streams, indexed by the `InputStream` nodes' slots.
     pub streams: Vec<Bitstream>,
     /// `(template spec, this job's spec)` pairs. Every source-drawing step
-    /// (`Generate`, `ConstStream`, `Regenerate`, `Divide` and the select of
-    /// `WeightedMux`, the one select step, MUX adders included) draws from
-    /// its spec's binding, or from its own spec when the table has none
-    /// ([`BatchInput::resolve`]). This is how one compiled template serves a
-    /// family of jobs that differ only in source seeding, such as the
-    /// per-tile select-LFSR seeds of the tiled image pipeline. A binding must
-    /// keep the spec equality structure the compiler reasoned about: equal
-    /// specs stay equal, distinct specs stay distinct.
+    /// (`Generate`, `Regenerate` and the select of `WeightedMux`, the one
+    /// select step, MUX adders included) draws from its spec's binding, or
+    /// from its own spec when the table has none ([`BatchInput::resolve`]).
+    /// This is how one compiled template serves a family of jobs that differ
+    /// only in source seeding, such as the per-tile select-LFSR seeds of the
+    /// tiled image pipeline. A binding must keep the spec equality structure
+    /// the compiler reasoned about: equal specs stay equal, distinct specs
+    /// stay distinct.
     pub bindings: Vec<(SourceSpec, SourceSpec)>,
 }
 
@@ -115,10 +114,9 @@ impl SinkNames {
         for step in steps {
             match &step.op {
                 NodeOp::SinkStream { name } => streams.push(Arc::clone(name)),
-                NodeOp::SinkValue { name }
-                | NodeOp::SinkCount { name }
-                | NodeOp::SinkSum { name }
-                | NodeOp::SccProbe { name } => values.push(Arc::clone(name)),
+                NodeOp::SinkValue { name } | NodeOp::SccProbe { name } => {
+                    values.push(Arc::clone(name));
+                }
                 _ => {}
             }
         }
@@ -163,7 +161,7 @@ impl ExecOutput {
     }
 
     /// The value captured by the value-producing sink of that name
-    /// (`SinkValue`, `SinkCount`, `SinkSum`, or `SccProbe`).
+    /// (`SinkValue` or `SccProbe`).
     #[must_use]
     pub fn value(&self, name: &str) -> Option<f64> {
         self.names
@@ -641,8 +639,8 @@ fn execute_plan(
 /// Executes one plan step against one job's arena — the unit
 /// [`execute_plan`] is built from. Gates, multiplexers, manipulators and
 /// conversions run as word loops on the arena's rows; the rare kernels
-/// (counter-based operators, activation FSMs, the divider and the APC and
-/// SCC sinks) run on [`Bitstream`] copies.
+/// (the counter-based operators and the SCC probe) run on [`Bitstream`]
+/// copies.
 fn execute_step(
     n: usize,
     step: &Step,
@@ -673,16 +671,6 @@ fn execute_step(
                     provided: input.values.len(),
                 })?;
             let p = Probability::saturating(value).get();
-            draws
-                .comparator(source, *skip, n)
-                .convert(p, n, arena.row(dst, n).1);
-        }
-        NodeOp::ConstStream {
-            probability,
-            source,
-            skip,
-        } => {
-            let p = Probability::saturating(*probability).get();
             draws
                 .comparator(source, *skip, n)
                 .convert(p, n, arena.row(dst, n).1);
@@ -729,29 +717,6 @@ fn execute_step(
             let z = counter(&slots.stream(x), &slots.stream(y))?;
             arena.put(dst, &z);
         }
-        NodeOp::UnaryFsm(op) => {
-            let stream = arena.slots().stream(srcs[0]);
-            let z = match op {
-                UnaryFsmOp::Stanh { half_states } => {
-                    sc_arith::fsm_ops::stanh(&stream, *half_states)
-                }
-                UnaryFsmOp::Slinear { states } => sc_arith::fsm_ops::slinear(&stream, *states),
-            };
-            arena.put(dst, &z);
-        }
-        NodeOp::Divide {
-            source,
-            skip,
-            counter_bits,
-        } => {
-            let mut divider = sc_arith::divide::Divider::with_counter_bits(
-                input.resolve(source).build_skipped(*skip),
-                *counter_bits,
-            );
-            let slots = arena.slots();
-            let z = divider.divide(&slots.stream(srcs[0]), &slots.stream(srcs[1]))?;
-            arena.put(dst, &z);
-        }
         NodeOp::WeightedMux {
             weights,
             select,
@@ -779,16 +744,6 @@ fn execute_step(
                 len => slots.count_ones(srcs[0]) as f64 / len as f64,
             };
             out.values.push(Probability::saturating(value).get());
-        }
-        NodeOp::SinkCount { .. } => {
-            out.values.push(arena.slots().count_ones(srcs[0]) as f64);
-        }
-        NodeOp::SinkSum { .. } => {
-            let slots = arena.slots();
-            let inputs: Vec<Bitstream> = srcs.iter().map(|s| slots.stream(*s)).collect();
-            let mut apc = AccumulativeParallelCounter::new(inputs.len());
-            apc.accumulate_streams(&inputs)?;
-            out.values.push(apc.sum_of_values());
         }
         NodeOp::SccProbe { .. } => {
             let slots = arena.slots();
@@ -1065,14 +1020,14 @@ mod tests {
         let mut g = Graph::new();
         let x = g.generate(0, SourceSpec::VanDerCorput { offset: 0 });
         g.sink_value("v", x);
-        g.sink_count("c", x);
+        g.sink_value("c", x);
         g.sink_stream("s", x);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         let out = Executor::new(256)
             .run(&plan, &BatchInput::with_values(vec![0.25]))
             .unwrap();
         assert!((out.value("v").unwrap() - 0.25).abs() < 1e-12);
-        assert_eq!(out.value("c").unwrap(), 64.0);
+        assert_eq!(out.value("c").unwrap() * 256.0, 64.0, "64 ones in 256 bits");
         assert_eq!(out.stream("s").unwrap().len(), 256);
         assert_eq!(out.streams().count(), 1);
         assert_eq!(out.values().count(), 2);
@@ -1147,18 +1102,16 @@ mod tests {
     }
 
     #[test]
-    fn scc_probe_and_sum_sinks() {
+    fn scc_probe_sink() {
         let mut g = Graph::new();
         let x = g.generate(0, sobol(1));
         let y = g.generate(1, sobol(1)); // shared spec: positively correlated
         g.scc_probe("scc", x, y);
-        g.sink_sum("sum", &[x, y]);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         let out = Executor::new(256)
             .run(&plan, &BatchInput::with_values(vec![0.5, 0.5]))
             .unwrap();
         assert!(out.value("scc").unwrap() > 0.99);
-        assert!((out.value("sum").unwrap() - 1.0).abs() < 0.02);
     }
 
     #[test]
@@ -1207,67 +1160,6 @@ mod tests {
         let (ex, ey) = sc_core::Desynchronizer::new(1).process(&ix, &iy).unwrap();
         assert_eq!(out.stream("x").unwrap(), &ex);
         assert_eq!(out.stream("y").unwrap(), &ey);
-    }
-
-    #[test]
-    fn divide_and_unary_fsm_nodes_execute() {
-        let mut g = Graph::new();
-        // Positively correlated pair (shared spec): divide needs no repair.
-        let x = g.generate(0, SourceSpec::VanDerCorput { offset: 0 });
-        let y = g.generate(1, SourceSpec::VanDerCorput { offset: 0 });
-        let q = g.divide(
-            x,
-            y,
-            SourceSpec::Lfsr {
-                width: 16,
-                seed: 0x5A5A,
-            },
-        );
-        g.sink_value("q", q);
-        // Bipolar stanh/slinear over an LFSR-generated stream.
-        let a = g.generate(
-            2,
-            SourceSpec::Lfsr {
-                width: 16,
-                seed: 0xACE1,
-            },
-        );
-        let t = g.stanh(4, a);
-        let l = g.slinear(8, a);
-        g.sink_value("t", t);
-        g.sink_value("l", l);
-        let plan = g.compile(&PlannerOptions::default()).unwrap();
-        assert!(plan.report().inserted.is_empty(), "{:?}", plan.report());
-        let out = Executor::new(2048)
-            .run(&plan, &BatchInput::with_values(vec![0.3, 0.6, 0.9]))
-            .unwrap();
-        assert!(
-            (out.value("q").unwrap() - 0.5).abs() < 0.1,
-            "0.3 / 0.6 = 0.5, got {}",
-            out.value("q").unwrap()
-        );
-        // Bipolar input value 2·0.9 − 1 = 0.8 saturates stanh high.
-        assert!(out.value("t").unwrap() > 0.8);
-        assert!(out.value("l").unwrap() > 0.7);
-    }
-
-    #[test]
-    fn divider_precondition_is_planned() {
-        let mut g = Graph::new();
-        let x = g.generate(0, sobol(1));
-        let y = g.generate(1, sobol(2)); // independent ⇒ uncorrelated
-        let q = g.divide(
-            x,
-            y,
-            SourceSpec::Lfsr {
-                width: 16,
-                seed: 0x5A5A,
-            },
-        );
-        g.sink_value("q", q);
-        let plan = g.compile(&PlannerOptions::default()).unwrap();
-        assert_eq!(plan.report().inserted.len(), 1);
-        assert!(plan.report().inserted[0].to_string().contains("divide"));
     }
 
     #[test]
@@ -1325,7 +1217,7 @@ mod tests {
                 let mut g = Graph::new();
                 let x = g.generate(0, pixel.clone());
                 let y = g.generate(1, sobol(2));
-                let c = g.constant(0.375, pixel.clone());
+                let c = g.generate(2, pixel.clone());
                 let w = g.weighted_mux(&[x, y, c], [0.25, 0.5, 0.25], blur.clone());
                 let r = g.regenerate(regen.clone(), w);
                 let z = g.mux_add(r, y, edge.clone());
@@ -1348,7 +1240,7 @@ mod tests {
         ];
         let [a, b, c, d] = &template_specs;
         let template = build(a, b, c, d);
-        let values = vec![0.3, 0.8];
+        let values = vec![0.3, 0.8, 0.375];
         let unbound = BatchInput::with_values(values.clone());
         let bound = BatchInput {
             bindings: template_specs
@@ -1391,7 +1283,7 @@ mod tests {
         let w = g.weighted_mux(&[a, b, r], [0.25, 0.5, 0.25], halton);
         for (name, wire) in [("r", r), ("z", z), ("w", w)] {
             g.sink_stream(name, wire);
-            g.sink_count(format!("{name} ones"), wire);
+            g.sink_value(format!("{name} value"), wire);
         }
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         for (n, len) in [(64, 63), (250, 255), (64, 63)] {
@@ -1629,7 +1521,7 @@ mod tests {
         let s = g.input_stream(0);
         let t = g.input_stream(1);
         let z = g.binary(BinaryOp::CaAdd, s, t);
-        g.sink_count("ones", z);
+        g.sink_value("ones", z);
         let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
         let n = 96usize;
         let item = |ones: usize| {
@@ -1749,7 +1641,7 @@ mod tests {
     }
 
     /// Streaming edge case: zero-length streams execute (every op yields an
-    /// empty stream; counts are 0) rather than panicking in the word kernels.
+    /// empty stream; values are 0) rather than panicking in the word kernels.
     #[test]
     fn run_stream_zero_length_streams() {
         let mut g = Graph::new();
@@ -1757,7 +1649,7 @@ mod tests {
         let b = g.input_stream(1);
         let z = g.binary(BinaryOp::CaAdd, a, b);
         g.sink_stream("s", z);
-        g.sink_count("c", z);
+        g.sink_value("c", z);
         let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
         for threads in [1usize, 3] {
             let exec = Executor::new(0).with_threads(threads);
@@ -1798,8 +1690,9 @@ mod tests {
         assert_eq!(narrow_stats.peak_in_flight, 1);
     }
 
-    /// A family of same-class FSM-heavy jobs (one shared plan with
-    /// synchronizer, depth-4 decorrelator, counter-max and activation steps)
+    /// A family of same-class FSM-heavy jobs (one shared plan with a
+    /// synchronizer, a depth-4 decorrelator, a counter-max and a second
+    /// synchronizer over its output)
     /// streams bit-identically to solo execution at 1 and N threads, at a
     /// bounded, an unbounded and a unit window.
     #[test]
@@ -1810,7 +1703,7 @@ mod tests {
         let (sx, sy) = g.manipulate(ManipulatorKind::Synchronizer { depth: 1 }, x, y);
         let (dx, dy) = g.manipulate(ManipulatorKind::Decorrelator { depth: 4 }, sx, sy);
         let z = g.binary(BinaryOp::CaMax, dx, dy);
-        let t = g.stanh(2, z);
+        let (t, _) = g.manipulate(ManipulatorKind::Synchronizer { depth: 2 }, z, dx);
         g.sink_stream("z", z);
         g.sink_stream("t", t);
         let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());

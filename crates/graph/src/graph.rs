@@ -1,6 +1,6 @@
 //! The dataflow-graph builder.
 
-use crate::node::{BinaryOp, ManipulatorKind, Node, NodeId, NodeOp, UnaryFsmOp, Wire};
+use crate::node::{BinaryOp, ManipulatorKind, Node, NodeId, NodeOp, Wire};
 use crate::planes::half_select_weights;
 use sc_rng::SourceSpec;
 use std::fmt;
@@ -165,21 +165,14 @@ impl Graph {
                 "wire {wire} names a missing output port (node has {ports})"
             );
         }
-        if let Some(expected) = op.input_arity() {
-            assert_eq!(
-                inputs.len(),
-                expected,
-                "{} expects {expected} inputs, got {}",
-                op.label(),
-                inputs.len()
-            );
-        } else {
-            assert!(
-                !inputs.is_empty(),
-                "{} needs at least one input",
-                op.label()
-            );
-        }
+        let expected = op.input_arity();
+        assert_eq!(
+            inputs.len(),
+            expected,
+            "{} expects {expected} inputs, got {}",
+            op.label(),
+            inputs.len()
+        );
         let id = NodeId(self.nodes.len());
         let start = self.wires.len();
         self.wires.extend_from_slice(inputs);
@@ -212,19 +205,6 @@ impl Graph {
         self.out(id, 0)
     }
 
-    /// Adds a D/S converter generating a constant-probability stream.
-    pub fn constant(&mut self, probability: f64, source: SourceSpec) -> Wire {
-        let id = self.add(
-            NodeOp::ConstStream {
-                probability,
-                source,
-                skip: 0,
-            },
-            &[],
-        );
-        self.out(id, 0)
-    }
-
     /// Adds a correlation manipulator over a stream pair; returns the
     /// manipulated `(x, y)` pair.
     pub fn manipulate(&mut self, kind: ManipulatorKind, x: Wire, y: Wire) -> (Wire, Wire) {
@@ -252,84 +232,6 @@ impl Graph {
     /// Adds a binary arithmetic operator.
     pub fn binary(&mut self, op: BinaryOp, x: Wire, y: Wire) -> Wire {
         let id = self.add(NodeOp::Binary(op), &[x, y]);
-        self.out(id, 0)
-    }
-
-    /// Adds a saturating-counter FSM activation over a (bipolar) stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the FSM state count is outside the ranges the `sc_arith`
-    /// implementations support (`stanh` half-states `1..=2048`, `slinear`
-    /// states `2..=4096`) — a structural programming error caught at build
-    /// time instead of mid-execution.
-    pub fn unary_fsm(&mut self, op: UnaryFsmOp, x: Wire) -> Wire {
-        match op {
-            UnaryFsmOp::Stanh { half_states } => assert!(
-                (1..=2048).contains(&half_states),
-                "stanh state count {half_states} outside supported range 1..=2048"
-            ),
-            UnaryFsmOp::Slinear { states } => assert!(
-                (2..=4096).contains(&states),
-                "slinear state count {states} outside supported range 2..=4096"
-            ),
-        }
-        let id = self.add(NodeOp::UnaryFsm(op), &[x]);
-        self.out(id, 0)
-    }
-
-    /// Adds a stochastic `tanh`-like activation (`2·half_states`-state FSM).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `half_states` is outside `1..=2048` (see
-    /// [`Graph::unary_fsm`]).
-    pub fn stanh(&mut self, half_states: u32, x: Wire) -> Wire {
-        self.unary_fsm(UnaryFsmOp::Stanh { half_states }, x)
-    }
-
-    /// Adds a stochastic clamped linear gain (`states`-state FSM).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` is outside `2..=4096` (see [`Graph::unary_fsm`]).
-    pub fn slinear(&mut self, states: u32, x: Wire) -> Wire {
-        self.unary_fsm(UnaryFsmOp::Slinear { states }, x)
-    }
-
-    /// Adds a feedback SC divider (`pZ = min(1, pX / pY)`) with the default
-    /// 6-bit integration counter.
-    pub fn divide(&mut self, x: Wire, y: Wire, source: SourceSpec) -> Wire {
-        self.divide_skipped(x, y, source, 0, 6)
-    }
-
-    /// Like [`Graph::divide`], with the comparison source advanced by `skip`
-    /// samples first and an explicit integration-counter width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counter_bits` is outside the `1..=20` range the
-    /// `sc_arith` divider supports.
-    pub fn divide_skipped(
-        &mut self,
-        x: Wire,
-        y: Wire,
-        source: SourceSpec,
-        skip: u64,
-        counter_bits: u32,
-    ) -> Wire {
-        assert!(
-            (1..=20).contains(&counter_bits),
-            "divider counter width {counter_bits} outside supported range 1..=20"
-        );
-        let id = self.add(
-            NodeOp::Divide {
-                source,
-                skip,
-                counter_bits,
-            },
-            &[x, y],
-        );
         self.out(id, 0)
     }
 
@@ -405,20 +307,6 @@ impl Graph {
         self.add(NodeOp::SinkValue { name: name.into() }, &[x])
     }
 
-    /// Adds an S/D sink exposing the stream's 1s count under `name`.
-    pub fn sink_count(&mut self, name: impl Into<Arc<str>>, x: Wire) -> NodeId {
-        self.add(NodeOp::SinkCount { name: name.into() }, &[x])
-    }
-
-    /// Adds an APC sink exposing the unscaled sum of the inputs' values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty.
-    pub fn sink_sum(&mut self, name: impl Into<Arc<str>>, inputs: &[Wire]) -> NodeId {
-        self.add(NodeOp::SinkSum { name: name.into() }, inputs)
-    }
-
     /// Adds an SCC probe over a stream pair.
     pub fn scc_probe(&mut self, name: impl Into<Arc<str>>, x: Wire, y: Wire) -> NodeId {
         self.add(NodeOp::SccProbe { name: name.into() }, &[x, y])
@@ -454,31 +342,6 @@ mod tests {
             port: 1,
         };
         let _ = g.not(bad);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside supported range")]
-    fn zero_counter_divider_panics_at_build_time() {
-        let mut g = Graph::new();
-        let x = g.input_stream(0);
-        let y = g.input_stream(1);
-        let _ = g.divide_skipped(x, y, SourceSpec::Sobol { dimension: 1 }, 0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside supported range")]
-    fn zero_state_stanh_panics_at_build_time() {
-        let mut g = Graph::new();
-        let x = g.input_stream(0);
-        let _ = g.stanh(0, x);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside supported range")]
-    fn one_state_slinear_panics_at_build_time() {
-        let mut g = Graph::new();
-        let x = g.input_stream(0);
-        let _ = g.slinear(1, x);
     }
 
     #[test]

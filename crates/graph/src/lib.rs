@@ -10,8 +10,8 @@
 //! [`Graph::input_stream`]), correlation manipulators
 //! ([`Graph::manipulate`]), arithmetic operators ([`Graph::binary`], the
 //! weighted multiplexer [`Graph::weighted_mux`] and its two-input half-weight
-//! case [`Graph::mux_add`]), and sinks (S/D value and count converters, APC
-//! sums, SCC probes) — connected by stream-valued [`Wire`]s.
+//! case [`Graph::mux_add`]), and sinks (S/D value converters, stream taps,
+//! SCC probes) — connected by stream-valued [`Wire`]s.
 //!
 //! [`Graph::compile`] runs four stages: validate → scc-infer → repair →
 //! emit (see `passes` internals and the README's compiler section). Every
@@ -111,9 +111,7 @@ pub use exec::{
     BatchInput, ExecOutput, Executor, StreamJob, StreamStats, WorkerPool, DEFAULT_WINDOW_FACTOR,
 };
 pub use graph::{Graph, GraphError};
-pub use node::{
-    BinaryOp, CorrRequirement, ManipulatorKind, Node, NodeId, NodeOp, SccClass, UnaryFsmOp, Wire,
-};
+pub use node::{BinaryOp, CorrRequirement, ManipulatorKind, Node, NodeId, NodeOp, SccClass, Wire};
 pub use sc_telemetry::{TelemetryReport, TelemetrySink};
 pub use serve::{
     Request, RequestAttribution, RequestError, RequestHandle, RequestReport, Service,

@@ -65,7 +65,6 @@ impl fmt::Display for Wire {
 /// so batch items never share FSM state and sharded execution is
 /// deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum ManipulatorKind {
     /// Pass-through (no manipulation).
     Identity,
@@ -260,7 +259,6 @@ impl CorrRequirement {
 /// OR used as saturating add), because the intent determines the correlation
 /// precondition the planner must establish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum BinaryOp {
     /// AND-gate unipolar multiply (`pX·pY`, needs SCC 0).
     AndMultiply,
@@ -295,33 +293,6 @@ impl BinaryOp {
     }
 }
 
-/// A one-input, one-output saturating-counter FSM operator drawn from
-/// `sc_arith::fsm_ops` (Brown & Card activation designs; bipolar streams).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UnaryFsmOp {
-    /// Stochastic `tanh`-like activation: a saturating counter with
-    /// `2·half_states` states whose output is 1 in the upper half.
-    Stanh {
-        /// Half the FSM state count (`1..=2048`).
-        half_states: u32,
-    },
-    /// Stochastic clamped linear gain: a saturating counter with mid-state
-    /// toggling.
-    Slinear {
-        /// Total FSM state count (`2..=4096`).
-        states: u32,
-    },
-}
-
-impl fmt::Display for UnaryFsmOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            UnaryFsmOp::Stanh { half_states } => write!(f, "stanh(S={})", 2 * half_states),
-            UnaryFsmOp::Slinear { states } => write!(f, "slinear(S={states})"),
-        }
-    }
-}
-
 impl BinaryOp {
     /// The operator's name, as its `Display` prints it.
     pub(crate) fn name(self) -> &'static str {
@@ -347,7 +318,6 @@ impl fmt::Display for BinaryOp {
 
 /// The operation a graph node performs.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum NodeOp {
     /// A ready stochastic stream supplied by the batch item
     /// (`BatchInput::streams[slot]`). 0 inputs, 1 output.
@@ -360,15 +330,6 @@ pub enum NodeOp {
     Generate {
         /// Index into the batch item's value list.
         slot: usize,
-        /// Comparator sample source.
-        source: SourceSpec,
-        /// Samples the source has already served to earlier consumers.
-        skip: u64,
-    },
-    /// D/S conversion of a constant probability. 0 inputs, 1 output.
-    ConstStream {
-        /// The encoded probability, clamped to `[0, 1]`.
-        probability: f64,
         /// Comparator sample source.
         source: SourceSpec,
         /// Samples the source has already served to earlier consumers.
@@ -395,23 +356,6 @@ pub enum NodeOp {
         /// The operator.
         BinaryOp,
     ),
-    /// A saturating-counter FSM activation. 1 input, 1 output.
-    UnaryFsm(
-        /// The FSM design.
-        UnaryFsmOp,
-    ),
-    /// The feedback SC divider `pZ = min(1, pX / pY)` (Fig. 2e), with its
-    /// dedicated comparison sample source. Prefers *positively correlated*
-    /// inputs, which the planner establishes like any other precondition.
-    /// 2 inputs, 1 output.
-    Divide {
-        /// Comparison sample source for the output bit decision.
-        source: SourceSpec,
-        /// Samples the source has already served to earlier consumers.
-        skip: u64,
-        /// Width of the saturating integration counter (`1..=20`).
-        counter_bits: u32,
-    },
     /// Weighted multiplexer tree: each cycle one input stream is sampled with
     /// probability equal to its weight, so the output value is the weighted
     /// average of the inputs (the Gaussian-blur kernel shape of §IV). The
@@ -440,19 +384,6 @@ pub enum NodeOp {
         /// execution's output.
         name: Arc<str>,
     },
-    /// Sink: S/D conversion to the raw 1s count. 1 input, 0 outputs.
-    SinkCount {
-        /// Output name in [`crate::ExecOutput`], shared with every
-        /// execution's output.
-        name: Arc<str>,
-    },
-    /// Sink: accumulative parallel counter over all inputs, exposing the
-    /// unscaled sum of values (Ting & Hayes APC). ≥1 inputs, 0 outputs.
-    SinkSum {
-        /// Output name in [`crate::ExecOutput`], shared with every
-        /// execution's output.
-        name: Arc<str>,
-    },
     /// Sink: SCC probe over a pair of streams. 2 inputs, 0 outputs.
     SccProbe {
         /// Output name in [`crate::ExecOutput`], shared with every
@@ -467,64 +398,45 @@ impl NodeOp {
     pub fn output_ports(&self) -> usize {
         match self {
             NodeOp::Manipulate(_) => 2,
-            NodeOp::SinkStream { .. }
-            | NodeOp::SinkValue { .. }
-            | NodeOp::SinkCount { .. }
-            | NodeOp::SinkSum { .. }
-            | NodeOp::SccProbe { .. } => 0,
+            NodeOp::SinkStream { .. } | NodeOp::SinkValue { .. } | NodeOp::SccProbe { .. } => 0,
             _ => 1,
         }
     }
 
-    /// Number of input streams, or `None` for variadic ops
-    /// ([`NodeOp::SinkSum`]).
+    /// Number of input streams.
     #[must_use]
-    pub fn input_arity(&self) -> Option<usize> {
+    pub fn input_arity(&self) -> usize {
         match self {
-            NodeOp::InputStream { .. } | NodeOp::Generate { .. } | NodeOp::ConstStream { .. } => {
-                Some(0)
-            }
+            NodeOp::InputStream { .. } | NodeOp::Generate { .. } => 0,
             NodeOp::Regenerate { .. }
             | NodeOp::Not
-            | NodeOp::UnaryFsm(_)
             | NodeOp::SinkStream { .. }
-            | NodeOp::SinkValue { .. }
-            | NodeOp::SinkCount { .. } => Some(1),
-            NodeOp::Manipulate(_)
-            | NodeOp::Binary(_)
-            | NodeOp::Divide { .. }
-            | NodeOp::SccProbe { .. } => Some(2),
-            NodeOp::WeightedMux { weights, .. } => Some(weights.len()),
-            NodeOp::SinkSum { .. } => None,
+            | NodeOp::SinkValue { .. } => 1,
+            NodeOp::Manipulate(_) | NodeOp::Binary(_) | NodeOp::SccProbe { .. } => 2,
+            NodeOp::WeightedMux { weights, .. } => weights.len(),
         }
     }
 
     /// The correlation precondition this operation imposes on its two data
-    /// inputs, with a display label, if it is a two-input arithmetic operator
-    /// the planner tracks (binary ops and the feedback divider).
+    /// inputs, with a display label, if it is a binary operator the planner
+    /// tracks.
     #[must_use]
     pub fn correlation_requirement(&self) -> Option<(&'static str, CorrRequirement)> {
         match self {
             NodeOp::Binary(op) => Some((op.name(), op.requirement())),
-            // Fig. 2e: the feedback divider wants positively correlated
-            // inputs; uncorrelated inputs increase convergence noise.
-            NodeOp::Divide { .. } => Some(("divide", CorrRequirement::Positive)),
             _ => None,
         }
     }
 
     /// The sample source the node's hardware draws from, and the samples
     /// that source has already served to earlier consumers: the comparator
-    /// source of a D/S conversion (`Generate`, `ConstStream`,
-    /// `Regenerate`), the divider's comparison source, or the select source
-    /// of a `WeightedMux`.
+    /// source of a D/S conversion (`Generate`, `Regenerate`) or the select
+    /// source of a `WeightedMux`.
     #[must_use]
     pub fn source(&self) -> Option<(&SourceSpec, u64)> {
         match self {
             NodeOp::Generate { source, skip, .. }
-            | NodeOp::ConstStream { source, skip, .. }
             | NodeOp::Regenerate { source, skip }
-            | NodeOp::Divide { source, skip, .. }
             | NodeOp::WeightedMux {
                 select: source,
                 skip,
@@ -546,8 +458,6 @@ impl NodeOp {
         match self {
             NodeOp::SinkStream { name }
             | NodeOp::SinkValue { name }
-            | NodeOp::SinkCount { name }
-            | NodeOp::SinkSum { name }
             | NodeOp::SccProbe { name } => Some(name),
             _ => None,
         }
@@ -559,22 +469,13 @@ impl NodeOp {
         match self {
             NodeOp::InputStream { slot } => format!("input[{slot}]"),
             NodeOp::Generate { slot, source, .. } => format!("d2s[{slot}]({source})"),
-            NodeOp::ConstStream {
-                probability,
-                source,
-                ..
-            } => format!("const({probability})({source})"),
             NodeOp::Manipulate(kind) => kind.to_string(),
             NodeOp::Regenerate { source, .. } => format!("regenerate({source})"),
             NodeOp::Not => "not".to_string(),
             NodeOp::Binary(op) => op.to_string(),
-            NodeOp::UnaryFsm(op) => op.to_string(),
-            NodeOp::Divide { source, .. } => format!("divide({source})"),
             NodeOp::WeightedMux { weights, .. } => format!("weighted_mux[{}]", weights.len()),
             NodeOp::SinkStream { name } => format!("sink_stream({name})"),
             NodeOp::SinkValue { name } => format!("sink_value({name})"),
-            NodeOp::SinkCount { name } => format!("sink_count({name})"),
-            NodeOp::SinkSum { name } => format!("sink_sum({name})"),
             NodeOp::SccProbe { name } => format!("scc_probe({name})"),
         }
     }
@@ -597,13 +498,13 @@ mod tests {
 
     #[test]
     fn arities_and_ports() {
-        assert_eq!(NodeOp::Not.input_arity(), Some(1));
-        assert_eq!(NodeOp::Binary(BinaryOp::CaAdd).input_arity(), Some(2));
+        assert_eq!(NodeOp::Not.input_arity(), 1);
+        assert_eq!(NodeOp::Binary(BinaryOp::CaAdd).input_arity(), 2);
         assert_eq!(
             NodeOp::Manipulate(ManipulatorKind::Identity).output_ports(),
             2
         );
-        assert_eq!(NodeOp::SinkSum { name: "s".into() }.input_arity(), None);
+        assert_eq!(NodeOp::SccProbe { name: "p".into() }.input_arity(), 2);
         assert!(NodeOp::SinkValue { name: "v".into() }.is_sink());
         assert_eq!(NodeOp::SccProbe { name: "p".into() }.sink_name(), Some("p"));
     }

@@ -54,16 +54,11 @@ fn pair_class(graph: &Graph, a: Wire, b: Wire) -> SccClass {
         }
         return SccClass::Unknown;
     }
-    // Two D/S-converted streams (generated, constant or regenerated): equal
+    // Two D/S-converted streams (generated or regenerated): equal
     // spec + position ⇒ every comparator sample is shared ⇒ maximal positive
     // correlation (§II.B); otherwise the sample sequences are independent ⇒
     // (close to) uncorrelated.
-    let converted = |op: &NodeOp| {
-        matches!(
-            op,
-            NodeOp::Generate { .. } | NodeOp::ConstStream { .. } | NodeOp::Regenerate { .. }
-        )
-    };
+    let converted = |op: &NodeOp| matches!(op, NodeOp::Generate { .. } | NodeOp::Regenerate { .. });
     if converted(&na.op) && converted(&nb.op) {
         return if na.op.source() == nb.op.source() {
             SccClass::Positive

@@ -11,10 +11,10 @@
 //! * **Sample planes** hold the `n` values `spec.build_skipped(skip)` returns,
 //!   keyed by `(spec, skip, n)`. A MUX select whose source has no cycle
 //!   table reads one.
-//! * **Prefix planes** serve `Generate`, `ConstStream` and `Regenerate`. The
-//!   paper's D/S converter (§II.B) compares `p` against a shared sample
-//!   sequence, so bit `i` of its stream is set exactly when sample `i` is
-//!   among the `k` samples below `p`. A prefix plane sorts a sample plane
+//! * **Prefix planes** serve `Generate` and `Regenerate`. The paper's D/S
+//!   converter (§II.B) compares `p` against a shared sample sequence, so
+//!   bit `i` of its stream is set exactly when sample `i` is among the `k`
+//!   samples below `p`. A prefix plane sorts a sample plane
 //!   once and keeps its `n + 1` prefix masks, mask `k` holding the bits of
 //!   the `k` smallest samples, plus the number of samples below each of
 //!   `B + 1` bucket edges `b / B` (`B` the power of two at or above `n`, so
@@ -364,7 +364,7 @@ impl PrefixPlane {
     }
 }
 
-/// The planes of one D/S comparator (`Generate`, `ConstStream`, `Regenerate`).
+/// The planes of one D/S comparator (`Generate` or `Regenerate`).
 pub(crate) enum Comparator {
     /// Prefix masks: one bucket lookup, a search of one bucket and one copy
     /// per conversion.
@@ -610,11 +610,11 @@ enum Draw {
     PerUse,
 }
 
-/// A plan's source-drawing steps — the comparators of `Generate`,
-/// `ConstStream` and `Regenerate`, and the selects of `WeightedMux`, the one
-/// select step — resolved against the store for one stream length `n`: one
-/// handle per step, in step order, plus each step's index into the plan's
-/// distinct specs, which a job's bindings are matched against once per job.
+/// A plan's source-drawing steps — the comparators of `Generate` and
+/// `Regenerate`, and the selects of `WeightedMux`, the one select step —
+/// resolved against the store for one stream length `n`: one handle per
+/// step, in step order, plus each step's index into the plan's distinct
+/// specs, which a job's bindings are matched against once per job.
 pub(crate) struct PlanPlanes {
     n: usize,
     draws: Box<[(Draw, usize)]>,
@@ -634,8 +634,6 @@ impl PlanPlanes {
                     let (select_planes, kept) = store.select(spec, skip, weights, n);
                     kept.then_some(Draw::Select(select_planes))
                 }
-                // The divider draws its comparison samples itself.
-                NodeOp::Divide { .. } => continue,
                 _ => {
                     let (comparator, kept) = store.comparator(spec, skip, n);
                     kept.then_some(Draw::Comparator(comparator))
@@ -704,10 +702,10 @@ impl<'a> JobPlanes<'a> {
         (draw, self.bound.get_mut(*spec).and_then(Option::as_mut))
     }
 
-    /// The comparator the next step (a `Generate`, `ConstStream` or
-    /// `Regenerate` of `spec`) converts against at length `n`. The plan's
-    /// handle serves it unless the spec is bound, the plane was not
-    /// retained, or `n` is not the length the plan was resolved for.
+    /// The comparator the next step (a `Generate` or `Regenerate` of
+    /// `spec`) converts against at length `n`. The plan's handle serves it
+    /// unless the spec is bound, the plane was not retained, or `n` is not
+    /// the length the plan was resolved for.
     pub(crate) fn comparator(&mut self, spec: &SourceSpec, skip: u64, n: usize) -> &Comparator {
         let planned = self.plan.n == n;
         match self.take() {
@@ -1003,8 +1001,8 @@ mod tests {
         assert_eq!(store.retained_bytes().cycles, 0);
     }
 
-    /// `Generate`/`ConstStream` and `Regenerate` against `DigitalToStochastic`
-    /// and `Regenerator` over the positioned source, for every family:
+    /// `Generate` and `Regenerate` against `DigitalToStochastic` and
+    /// `Regenerator` over the positioned source, for every family:
     /// through prefix planes up to `n` = 512 and by per-bit compares past
     /// the prefix budget, at `p` = 0, 1 and exactly a drawn sample (the
     /// converter's strict `>` leaves that sample's bit 0). At the lengths

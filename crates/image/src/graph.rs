@@ -39,7 +39,7 @@
 use crate::gaussian::GAUSSIAN_WEIGHTS;
 use crate::image::{GrayImage, ImageError};
 use crate::pipeline::{PipelineConfig, PipelineVariant};
-use sc_graph::{BatchInput, BinaryOp, Graph, NodeId, PlannerOptions, Wire};
+use sc_graph::{BatchInput, BinaryOp, Graph, NodeId, NodeOp, PlannerOptions, Wire};
 use sc_hwcost::Netlist;
 use sc_rng::SourceSpec;
 use std::fmt::Write as _;
@@ -144,7 +144,7 @@ pub fn planner_options(variant: PipelineVariant, config: &PipelineConfig) -> Pla
 
 /// A built tile graph: the graph itself, the batch item carrying the tile's
 /// input pixel values, and the `(x, y, sink name)` triple of every output
-/// pixel.
+/// pixel, whose name is shared with the graph's sink node.
 #[derive(Debug, Clone)]
 pub struct TileGraph {
     /// The dataflow graph of the tile.
@@ -152,7 +152,7 @@ pub struct TileGraph {
     /// The input values feeding the tile's `Generate` nodes.
     pub input: BatchInput,
     /// Output pixel coordinates and their sink names.
-    pub sinks: Vec<(usize, usize, String)>,
+    pub sinks: Vec<(usize, usize, Arc<str>)>,
 }
 
 /// Builds the dataflow graph of one tile whose top-left corner is `(x0, y0)`.
@@ -169,7 +169,7 @@ pub fn tile_graph(
     let TileCircuit { graph, sinks } = tile_circuit(&region, variant, config, tile_index);
     let sinks = sinks
         .into_iter()
-        .map(|(x, y, sink)| (x, y, sink_name(&graph, sink).to_string()))
+        .map(|(x, y, sink)| (x, y, Arc::clone(sink_name(&graph, sink))))
         .collect();
     TileGraph {
         graph,
@@ -188,12 +188,11 @@ pub(crate) struct TileCircuit {
 }
 
 /// The name of a tile circuit's sink node.
-pub(crate) fn sink_name(graph: &Graph, sink: NodeId) -> &str {
-    graph
-        .node(sink)
-        .op
-        .sink_name()
-        .expect("tile circuits record sink nodes")
+pub(crate) fn sink_name(graph: &Graph, sink: NodeId) -> &Arc<str> {
+    match &graph.node(sink).op {
+        NodeOp::SinkValue { name } => name,
+        _ => unreachable!("tile circuits record value sink nodes"),
+    }
 }
 
 /// Builds the circuit of the tile over `region`. Wires are kept in dense

@@ -9,16 +9,6 @@
 
 use crate::source::{RandomSource, RngKind};
 
-/// Feedback structure of the LFSR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LfsrStructure {
-    /// Fibonacci (external XOR) feedback: the new bit is the XOR of the tap bits.
-    #[default]
-    Fibonacci,
-    /// Galois (internal XOR) feedback: the output bit is XORed into the tap positions.
-    Galois,
-}
-
 /// Maximal-length tap masks (primitive polynomials) for register widths 3–24.
 ///
 /// Entry `i` holds the tap mask for width `i + 3`; bit `k` of the mask selects
@@ -49,7 +39,9 @@ const TAPS: [u64; 22] = [
     0b111000010000000000000000, // 24: x^24 + x^23 + x^22 + x^17 + 1
 ];
 
-/// A maximal-length linear feedback shift register source.
+/// A maximal-length Fibonacci (external XOR) linear feedback shift register
+/// source: each step shifts the register left and feeds in the XOR of the
+/// tap bits.
 ///
 /// # Example
 ///
@@ -68,7 +60,6 @@ pub struct Lfsr {
     taps: u64,
     seed: u64,
     state: u64,
-    structure: LfsrStructure,
 }
 
 impl Lfsr {
@@ -82,16 +73,6 @@ impl Lfsr {
     /// Panics if `width` is outside `3..=24`.
     #[must_use]
     pub fn new(width: u32, seed: u64) -> Self {
-        Self::with_structure(width, seed, LfsrStructure::Fibonacci)
-    }
-
-    /// Creates an LFSR with an explicit feedback structure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is outside `3..=24`.
-    #[must_use]
-    pub fn with_structure(width: u32, seed: u64, structure: LfsrStructure) -> Self {
         assert!(
             (3..=24).contains(&width),
             "LFSR width {width} outside supported range 3..=24"
@@ -107,7 +88,6 @@ impl Lfsr {
             taps,
             seed,
             state: seed,
-            structure,
         }
     }
 
@@ -136,56 +116,20 @@ impl Lfsr {
         self.taps
     }
 
-    /// The feedback structure of this register.
-    #[must_use]
-    pub fn structure(&self) -> LfsrStructure {
-        self.structure
-    }
-
-    /// Overwrites the register state, e.g. to restore state that a batched
-    /// execution path staged in registers outside the `Lfsr` itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is zero (the all-zeros dead state) or wider than the
-    /// register.
-    pub fn set_state(&mut self, state: u64) {
-        let mask = (1u64 << self.width) - 1;
-        assert!(
-            state != 0 && state <= mask,
-            "LFSR state {state:#x} invalid for width {}",
-            self.width
-        );
-        self.state = state;
-    }
-
     /// Advances the register one step and returns the new state.
     pub fn step(&mut self) -> u64 {
         self.state = self.transition(self.state);
         self.state
     }
 
-    /// The one-step state transition, as a pure function. Both feedback
-    /// structures are *linear* over GF(2): the next state is an XOR of shifted
-    /// state bits, which is what makes the companion-matrix jump of
-    /// [`Lfsr::jump`] possible.
+    /// The one-step state transition, as a pure function. It is *linear*
+    /// over GF(2): the next state is an XOR of shifted state bits, which is
+    /// what makes the companion-matrix jump of [`Lfsr::jump`] possible.
     fn transition(&self, state: u64) -> u64 {
         let mask = (1u64 << self.width) - 1;
-        match self.structure {
-            LfsrStructure::Fibonacci => {
-                let feedback = (state & self.taps).count_ones() as u64 & 1;
-                // Bit 0 of the shifted state is 0, so OR equals XOR: linear.
-                ((state << 1) | feedback) & mask
-            }
-            LfsrStructure::Galois => {
-                let shifted = state >> 1;
-                if state & 1 == 1 {
-                    (shifted ^ self.taps) & mask
-                } else {
-                    shifted
-                }
-            }
-        }
+        let feedback = (state & self.taps).count_ones() as u64 & 1;
+        // Bit 0 of the shifted state is 0, so OR equals XOR: linear.
+        ((state << 1) | feedback) & mask
     }
 
     /// Applies a linear map (columns = images of the basis vectors) to a state.
@@ -277,22 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn galois_lfsr_has_maximal_period_small_widths() {
-        for width in 3..=10u32 {
-            let mut lfsr = Lfsr::with_structure(width, 1, LfsrStructure::Galois);
-            let period = lfsr.period();
-            let mut seen = HashSet::new();
-            for _ in 0..period {
-                assert!(
-                    seen.insert(lfsr.step()),
-                    "state repeated early at width {width}"
-                );
-            }
-            assert_eq!(seen.len() as u64, period);
-        }
-    }
-
-    #[test]
     fn zero_seed_is_coerced() {
         let lfsr = Lfsr::new(8, 0);
         assert_ne!(lfsr.state(), 0);
@@ -340,21 +268,19 @@ mod tests {
 
     #[test]
     fn jump_matches_sequential_stepping() {
-        for structure in [LfsrStructure::Fibonacci, LfsrStructure::Galois] {
-            for width in [3u32, 8, 16, 24] {
-                for count in [0u64, 1, 2, 63, 64, 65, 1000, 1_000_003] {
-                    let mut stepped = Lfsr::with_structure(width, 0xACE1, structure);
-                    for _ in 0..count {
-                        stepped.step();
-                    }
-                    let mut jumped = Lfsr::with_structure(width, 0xACE1, structure);
-                    jumped.jump(count);
-                    assert_eq!(
-                        stepped.state(),
-                        jumped.state(),
-                        "width {width} count {count} {structure:?}"
-                    );
+        for width in [3u32, 8, 16, 24] {
+            for count in [0u64, 1, 2, 63, 64, 65, 1000, 1_000_003] {
+                let mut stepped = Lfsr::new(width, 0xACE1);
+                for _ in 0..count {
+                    stepped.step();
                 }
+                let mut jumped = Lfsr::new(width, 0xACE1);
+                jumped.jump(count);
+                assert_eq!(
+                    stepped.state(),
+                    jumped.state(),
+                    "width {width} count {count}"
+                );
             }
         }
     }

@@ -46,7 +46,7 @@ pub mod vandercorput;
 
 pub use counter::CounterSource;
 pub use halton::Halton;
-pub use lfsr::{Lfsr, LfsrStructure};
+pub use lfsr::Lfsr;
 pub use replay::{Draws, Replay};
 pub use sobol::Sobol;
 pub use source::{RandomSource, RngKind, SourceExt};

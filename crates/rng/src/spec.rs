@@ -33,7 +33,6 @@ use std::fmt;
 /// assert_eq!(a.next_unit(), b.next_unit());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum SourceSpec {
     /// A Fibonacci LFSR of the given register width and seed.
     Lfsr {
@@ -191,7 +190,7 @@ impl SourceSpec {
                 }
                 .build()
             }
-            _ => {}
+            SourceSpec::Lfsr { .. } | SourceSpec::Sobol { .. } => {}
         }
         let mut source = self.build();
         source.skip_ahead(skip);

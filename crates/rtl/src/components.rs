@@ -212,185 +212,3 @@ impl Component for CaMaxMinCell {
         self.count_out = 0;
     }
 }
-
-/// Saturating-counter FSM activations (`stanh` / `slinear`), bit-stepped with
-/// exactly the state rules of `sc_arith::fsm_ops`.
-#[derive(Debug, Clone, Copy)]
-pub struct UnaryFsmCell {
-    op: sc_graph::UnaryFsmOp,
-    state: i64,
-    toggle: bool,
-}
-
-impl UnaryFsmCell {
-    /// Creates the FSM in its power-on state.
-    #[must_use]
-    pub fn new(op: sc_graph::UnaryFsmOp) -> Self {
-        let mut cell = UnaryFsmCell {
-            op,
-            state: 0,
-            toggle: false,
-        };
-        cell.reset();
-        cell
-    }
-}
-
-impl Component for UnaryFsmCell {
-    fn name(&self) -> &str {
-        match self.op {
-            sc_graph::UnaryFsmOp::Stanh { .. } => "stanh",
-            sc_graph::UnaryFsmOp::Slinear { .. } => "slinear",
-        }
-    }
-
-    fn num_inputs(&self) -> usize {
-        1
-    }
-
-    fn num_outputs(&self) -> usize {
-        1
-    }
-
-    fn evaluate(&mut self, inputs: &[bool], outputs: &mut [bool]) {
-        match self.op {
-            sc_graph::UnaryFsmOp::Stanh { half_states } => {
-                let max = i64::from(2 * half_states - 1);
-                outputs[0] = self.state >= i64::from(half_states);
-                self.state += if inputs[0] { 1 } else { -1 };
-                self.state = self.state.clamp(0, max);
-            }
-            sc_graph::UnaryFsmOp::Slinear { states } => {
-                let max = i64::from(states - 1);
-                let mid_low = max / 2;
-                let mid_high = mid_low + 1;
-                outputs[0] = if self.state > mid_high {
-                    true
-                } else if self.state < mid_low {
-                    false
-                } else {
-                    self.toggle = !self.toggle;
-                    self.toggle
-                };
-                self.state += if inputs[0] { 1 } else { -1 };
-                self.state = self.state.clamp(0, max);
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        match self.op {
-            sc_graph::UnaryFsmOp::Stanh { half_states } => {
-                self.state = i64::from(half_states);
-            }
-            sc_graph::UnaryFsmOp::Slinear { states } => {
-                self.state = i64::from(states - 1) / 2;
-            }
-        }
-        self.toggle = false;
-    }
-}
-
-/// The feedback SC divider: integration counter + threshold comparison
-/// against a fresh sample each cycle (`sc_arith::divide::Divider` semantics).
-pub struct DividerCell {
-    source: Box<dyn RandomSource>,
-    spec: SourceSpec,
-    skip: u64,
-    counter_bits: u32,
-    state: i64,
-}
-
-impl DividerCell {
-    /// Builds the divider with its comparison source positioned `skip`
-    /// samples in.
-    #[must_use]
-    pub fn new(spec: &SourceSpec, skip: u64, counter_bits: u32) -> Self {
-        DividerCell {
-            source: spec.build_skipped(skip),
-            spec: spec.clone(),
-            skip,
-            counter_bits,
-            state: 0,
-        }
-    }
-}
-
-impl Component for DividerCell {
-    fn name(&self) -> &str {
-        "divider"
-    }
-
-    fn num_inputs(&self) -> usize {
-        2
-    }
-
-    fn num_outputs(&self) -> usize {
-        1
-    }
-
-    fn evaluate(&mut self, inputs: &[bool], outputs: &mut [bool]) {
-        let max = (1i64 << self.counter_bits) - 1;
-        let threshold = self.source.next_unit();
-        let z = (self.state as f64 / max as f64) > threshold;
-        outputs[0] = z;
-        let delta = i64::from(inputs[0]) - i64::from(z && inputs[1]);
-        self.state = (self.state + delta).clamp(0, max);
-    }
-
-    fn reset(&mut self) {
-        self.state = 0;
-        self.source = self.spec.build_skipped(self.skip);
-    }
-}
-
-/// Accumulative parallel counter: the output bus carries the running total of
-/// 1s across all lanes *including* the current cycle, so the final-cycle bus
-/// value is the APC total.
-#[derive(Debug, Clone)]
-pub struct ApcCell {
-    lanes: usize,
-    bits: u32,
-    total: u64,
-}
-
-impl ApcCell {
-    /// Creates a zeroed APC over `lanes` inputs with a `bits`-wide read bus.
-    #[must_use]
-    pub fn new(lanes: usize, bits: u32) -> Self {
-        ApcCell {
-            lanes,
-            bits,
-            total: 0,
-        }
-    }
-}
-
-impl Component for ApcCell {
-    fn name(&self) -> &str {
-        "apc"
-    }
-
-    fn num_inputs(&self) -> usize {
-        self.lanes
-    }
-
-    fn num_outputs(&self) -> usize {
-        self.bits as usize
-    }
-
-    fn evaluate(&mut self, inputs: &[bool], outputs: &mut [bool]) {
-        let value = self.total + inputs.iter().filter(|&&b| b).count() as u64;
-        for (i, out) in outputs.iter_mut().enumerate() {
-            *out = (value >> i) & 1 == 1;
-        }
-    }
-
-    fn commit(&mut self, inputs: &[bool]) {
-        self.total += inputs.iter().filter(|&&b| b).count() as u64;
-    }
-
-    fn reset(&mut self) {
-        self.total = 0;
-    }
-}

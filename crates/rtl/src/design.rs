@@ -5,12 +5,12 @@
 //! flip-flops, full adders, multiplexers, counters) plus a handful of
 //! *behavioural* cells for blocks whose cycle-level semantics are
 //! data-dependent state machines (source comparators, manipulator FSMs,
-//! correlation-agnostic counters, the feedback divider). Every cell knows its
+//! correlation-agnostic counters). Every cell knows its
 //! `sc_hwcost` primitive content, so [`Design::netlist`] derives the plan's
 //! hardware cost by counting the *actually elaborated* structure instead of a
 //! per-op lookup table.
 
-use sc_graph::{cost as graph_cost, ManipulatorKind, UnaryFsmOp};
+use sc_graph::{cost as graph_cost, ManipulatorKind};
 use sc_hwcost::{Netlist, Primitive};
 use sc_rng::SourceSpec;
 use std::collections::BTreeMap;
@@ -30,7 +30,6 @@ impl NetRef {
 
 /// The hardware block a [`Cell`] instantiates.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum CellKind {
     /// Two-input AND gate.
     And2,
@@ -90,28 +89,6 @@ pub enum CellKind {
     CaMax,
     /// Correlation-agnostic minimum.
     CaMin,
-    /// Saturating-counter FSM activation.
-    UnaryFsm {
-        /// The FSM design.
-        op: UnaryFsmOp,
-    },
-    /// Feedback SC divider with its comparison source.
-    Divider {
-        /// Comparison sample source.
-        spec: SourceSpec,
-        /// Samples already served to earlier consumers.
-        skip: u64,
-        /// Integration counter width.
-        counter_bits: u32,
-    },
-    /// Accumulative parallel counter: `lanes` inputs, `bits` output bits
-    /// carrying the running total (including the current cycle).
-    Apc {
-        /// Number of parallel input lanes.
-        lanes: usize,
-        /// Accumulator read-bus width.
-        bits: u32,
-    },
 }
 
 /// The select lines a `k`-way weighted mux chain reads, which are the
@@ -141,9 +118,6 @@ impl CellKind {
             CellKind::CaAdd => "caadd",
             CellKind::CaMax => "camax",
             CellKind::CaMin => "camin",
-            CellKind::UnaryFsm { .. } => "ufsm",
-            CellKind::Divider { .. } => "divider",
-            CellKind::Apc { .. } => "apc",
         }
     }
 
@@ -152,10 +126,7 @@ impl CellKind {
     pub fn num_inputs(&self) -> usize {
         match self {
             CellKind::Source { .. } | CellKind::SelectOneHot { .. } => 0,
-            CellKind::Inv
-            | CellKind::Dff
-            | CellKind::Counter { .. }
-            | CellKind::UnaryFsm { .. } => 1,
+            CellKind::Inv | CellKind::Dff | CellKind::Counter { .. } => 1,
             CellKind::And2
             | CellKind::Or2
             | CellKind::Xor2
@@ -163,10 +134,8 @@ impl CellKind {
             | CellKind::Fsm { .. }
             | CellKind::CaAdd
             | CellKind::CaMax
-            | CellKind::CaMin
-            | CellKind::Divider { .. } => 2,
+            | CellKind::CaMin => 2,
             CellKind::Mux2 | CellKind::FullAdder => 3,
-            CellKind::Apc { lanes, .. } => *lanes,
         }
     }
 
@@ -175,7 +144,7 @@ impl CellKind {
     pub fn num_outputs(&self) -> usize {
         match self {
             CellKind::FullAdder | CellKind::Fsm { .. } => 2,
-            CellKind::Counter { bits } | CellKind::Apc { bits, .. } => *bits as usize,
+            CellKind::Counter { bits } => *bits as usize,
             CellKind::SelectOneHot { weights, .. } => select_lines(weights.len()).len(),
             _ => 1,
         }
@@ -218,19 +187,6 @@ impl CellKind {
             CellKind::CaMax | CellKind::CaMin => {
                 sc_hwcost::characterize::correlation_agnostic_max_netlist()
             }
-            CellKind::UnaryFsm { op } => graph_cost::unary_fsm_netlist(*op),
-            CellKind::Divider {
-                spec, counter_bits, ..
-            } => {
-                let mut n = graph_cost::divider_netlist(*counter_bits);
-                n.merge(&graph_cost::source_netlist(spec, converter_bits));
-                n
-            }
-            // A k-lane APC: full-adder reduction tree into a wider
-            // accumulator, costed at the table's converter-relative width.
-            CellKind::Apc { lanes, .. } => Netlist::new("apc")
-                .with(Primitive::Counter(converter_bits + 2), 1)
-                .with(Primitive::FullAdder, lanes.saturating_sub(1) as u64),
         }
     }
 }
@@ -248,7 +204,6 @@ pub struct Cell {
 
 /// How a plan sink is read back out of the lowered circuit.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum SinkPlan {
     /// `SinkStream`: the stream on `net` is the named result.
     Stream {
@@ -266,22 +221,6 @@ pub enum SinkPlan {
         net: NetRef,
         /// Counter read bus.
         count_bus: Vec<NetRef>,
-    },
-    /// `SinkCount`: like `Value` but exposing the raw count.
-    Count {
-        /// Sink name.
-        name: String,
-        /// The counted net.
-        net: NetRef,
-        /// Counter read bus.
-        count_bus: Vec<NetRef>,
-    },
-    /// `SinkSum`: APC accumulator bus over the input lanes.
-    Sum {
-        /// Sink name.
-        name: String,
-        /// Accumulator read bus (running total, LSB first).
-        total_bus: Vec<NetRef>,
     },
     /// `SccProbe`: joint counters over the pair `(x, y)`.
     Scc {

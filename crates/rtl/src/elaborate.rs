@@ -2,9 +2,7 @@
 //! cycle-level co-simulation harness that runs the lowered circuit against
 //! the same batch input the word-parallel executor consumes.
 
-use crate::components::{
-    ApcCell, CaAddCell, CaMaxMinCell, DividerCell, SelectOneHot, SourceBit, UnaryFsmCell,
-};
+use crate::components::{CaAddCell, CaMaxMinCell, SelectOneHot, SourceBit};
 use crate::design::{Cell, CellKind, Design, NetRef, SinkPlan};
 use sc_bitstream::Bitstream;
 use sc_core::sim_adapter::ManipulatorComponent;
@@ -152,21 +150,6 @@ pub fn elaborate(
                 );
                 slots[dst] = Some(out[0]);
             }
-            NodeOp::ConstStream {
-                probability,
-                source,
-                skip,
-            } => {
-                let out = design.cell(
-                    CellKind::Source {
-                        spec: input.resolve(source).clone(),
-                        skip: *skip,
-                        threshold: *probability,
-                    },
-                    &[],
-                );
-                slots[dst] = Some(out[0]);
-            }
             NodeOp::Manipulate(kind) => {
                 let (mut nx, mut ny) = (slot(&slots, srcs[0]), slot(&slots, srcs[1]));
                 match kind {
@@ -178,7 +161,9 @@ pub fn elaborate(
                             nx = design.cell(CellKind::Dff, &[nx])[0];
                         }
                     }
-                    _ => {
+                    ManipulatorKind::Synchronizer { .. }
+                    | ManipulatorKind::Desynchronizer { .. }
+                    | ManipulatorKind::Decorrelator { .. } => {
                         let outs = design.cell(CellKind::Fsm { kind: *kind }, &[nx, ny]);
                         nx = outs[0];
                         ny = outs[1];
@@ -211,28 +196,7 @@ pub fn elaborate(
                     BinaryOp::CaAdd => design.cell(CellKind::CaAdd, &[nx, ny]),
                     BinaryOp::CaMax => design.cell(CellKind::CaMax, &[nx, ny]),
                     BinaryOp::CaMin => design.cell(CellKind::CaMin, &[nx, ny]),
-                    other => return Err(RtlError::Unsupported(format!("binary operator {other}"))),
                 };
-                slots[dst] = Some(out[0]);
-            }
-            NodeOp::UnaryFsm(op) => {
-                let out = design.cell(CellKind::UnaryFsm { op: *op }, &[slot(&slots, srcs[0])]);
-                slots[dst] = Some(out[0]);
-            }
-            NodeOp::Divide {
-                source,
-                skip,
-                counter_bits: cb,
-            } => {
-                let (nx, ny) = (slot(&slots, srcs[0]), slot(&slots, srcs[1]));
-                let out = design.cell(
-                    CellKind::Divider {
-                        spec: input.resolve(source).clone(),
-                        skip: *skip,
-                        counter_bits: *cb,
-                    },
-                    &[nx, ny],
-                );
                 slots[dst] = Some(out[0]);
             }
             NodeOp::WeightedMux {
@@ -285,35 +249,6 @@ pub fn elaborate(
                     count_bus: bus,
                 });
             }
-            NodeOp::SinkCount { name } => {
-                let net = slot(&slots, srcs[0]);
-                let bus = design.cell(
-                    CellKind::Counter {
-                        bits: sink_counter_bits,
-                    },
-                    &[net],
-                );
-                design.sinks.push(SinkPlan::Count {
-                    name: name.to_string(),
-                    net,
-                    count_bus: bus,
-                });
-            }
-            NodeOp::SinkSum { name } => {
-                let lanes: Vec<NetRef> = srcs.iter().map(|s| slot(&slots, *s)).collect();
-                let bits = counter_bits(stream_length as u64 * srcs.len() as u64);
-                let bus = design.cell(
-                    CellKind::Apc {
-                        lanes: lanes.len(),
-                        bits,
-                    },
-                    &lanes,
-                );
-                design.sinks.push(SinkPlan::Sum {
-                    name: name.to_string(),
-                    total_bus: bus,
-                });
-            }
             NodeOp::SccProbe { name } => {
                 let (nx, ny) = (slot(&slots, srcs[0]), slot(&slots, srcs[1]));
                 let joint = design.cell(CellKind::And2, &[nx, ny])[0];
@@ -329,9 +264,6 @@ pub fn elaborate(
                     x_bus,
                     y_bus,
                 });
-            }
-            other => {
-                return Err(RtlError::Unsupported(format!("plan step {other:?}")));
             }
         }
     }
@@ -437,17 +369,9 @@ impl Design {
                     name,
                     net,
                     count_bus,
-                }
-                | SinkPlan::Count {
-                    name,
-                    net,
-                    count_bus,
                 } => {
                     circuit.mark_output(format!("{name}#s"), map[net.index()].expect("driven"));
                     mark_bus(&mut circuit, &map, &format!("{name}#cnt"), count_bus);
-                }
-                SinkPlan::Sum { name, total_bus } => {
-                    mark_bus(&mut circuit, &map, &format!("{name}#sum"), total_bus);
                 }
                 SinkPlan::Scc {
                     name,
@@ -519,17 +443,6 @@ impl Design {
                     let value = sc_convert::StochasticToDigital::convert(stream).get();
                     result.values.insert(name.clone(), value);
                 }
-                SinkPlan::Count { name, .. } => {
-                    let stream = &outputs[&format!("{name}#s")];
-                    let count = bus_final_value(&outputs, &format!("{name}#cnt"), n);
-                    check(stream, count, name)?;
-                    result.values.insert(name.clone(), count as f64);
-                }
-                SinkPlan::Sum { name, .. } => {
-                    let total = bus_final_value(&outputs, &format!("{name}#sum"), n);
-                    let sum = if n == 0 { 0.0 } else { total as f64 / n as f64 };
-                    result.values.insert(name.clone(), sum);
-                }
                 SinkPlan::Scc { name, .. } => {
                     let x = &outputs[&format!("{name}#x")];
                     let y = &outputs[&format!("{name}#y")];
@@ -546,7 +459,6 @@ impl Design {
 }
 
 /// Instantiates one IR cell as a simulator component.
-#[allow(clippy::too_many_lines)]
 fn instantiate(circuit: &mut Circuit, cell: &Cell, inputs: &[NetId]) -> Vec<NetId> {
     match &cell.kind {
         CellKind::And2 => circuit.add_component(AndGate::new(), inputs),
@@ -574,13 +486,6 @@ fn instantiate(circuit: &mut Circuit, cell: &Cell, inputs: &[NetId]) -> Vec<NetI
         CellKind::CaAdd => circuit.add_component(CaAddCell::new(), inputs),
         CellKind::CaMax => circuit.add_component(CaMaxMinCell::new(true), inputs),
         CellKind::CaMin => circuit.add_component(CaMaxMinCell::new(false), inputs),
-        CellKind::UnaryFsm { op } => circuit.add_component(UnaryFsmCell::new(*op), inputs),
-        CellKind::Divider {
-            spec,
-            skip,
-            counter_bits,
-        } => circuit.add_component(DividerCell::new(spec, *skip, *counter_bits), inputs),
-        CellKind::Apc { lanes, bits } => circuit.add_component(ApcCell::new(*lanes, *bits), inputs),
     }
 }
 

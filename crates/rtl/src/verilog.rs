@@ -4,15 +4,16 @@
 //! The emitted RTL is *structural where the design is structural* (gates,
 //! flip-flops, multiplexer trees, counters, full adders) and *behavioural
 //! where the design is behavioural* (manipulator FSMs, sample generators,
-//! the feedback divider) — mirroring what a hardware engineer would hand to
-//! synthesis. Sample generators deserve a caveat: the LFSR and the base-2
-//! Van der Corput generator (a bit-reversed counter) are faithful; Halton /
-//! Sobol generators are emitted as bit-reversed-counter stand-ins with a
-//! comment, since their true hardware (digit-reversal in radix `b`,
-//! direction-vector XOR banks) is out of scope here. Emission is fully
-//! deterministic, so the output is snapshot-testable.
+//! correlation-agnostic counters) — mirroring what a hardware engineer
+//! would hand to synthesis. Sample generators deserve a caveat: the LFSR
+//! and the base-2 Van der Corput generator (a bit-reversed counter) are
+//! faithful; Halton / Sobol generators are emitted as bit-reversed-counter
+//! stand-ins with a comment, since their true hardware (digit-reversal in
+//! radix `b`, direction-vector XOR banks) is out of scope here. Emission is
+//! fully deterministic, so the output is snapshot-testable.
 
 use crate::design::{CellKind, Design, NetRef, SinkPlan};
+use sc_graph::ManipulatorKind;
 use sc_rng::{Lfsr, SourceSpec};
 use std::fmt::Write as _;
 
@@ -37,8 +38,6 @@ fn sample_params(spec: &SourceSpec, skip: u64) -> (u32, u32, u64, u64) {
             let width = spec.gate_model().state_bits.clamp(1, 32);
             (1, width, (phase + (skip % modulus)) % modulus, 0)
         }
-        // Future families: behavioural stand-in.
-        _ => (1, 16, skip, 0),
     }
 }
 
@@ -117,22 +116,9 @@ fn used_modules(design: &Design) -> Vec<&'static str> {
                 mark("sc_sample");
                 mark("sc_wsel");
             }
-            CellKind::Fsm { kind } => match kind {
-                sc_graph::ManipulatorKind::Synchronizer { .. } => mark("sc_synchronizer"),
-                sc_graph::ManipulatorKind::Desynchronizer { .. } => mark("sc_desynchronizer"),
-                _ => mark("sc_decorrelator"),
-            },
+            CellKind::Fsm { kind } => mark(fsm_module(kind).0),
             CellKind::CaAdd => mark("sc_caadd"),
             CellKind::CaMax | CellKind::CaMin => mark("sc_camaxmin"),
-            CellKind::UnaryFsm { op } => match op {
-                sc_graph::UnaryFsmOp::Stanh { .. } => mark("sc_stanh"),
-                sc_graph::UnaryFsmOp::Slinear { .. } => mark("sc_slinear"),
-            },
-            CellKind::Divider { .. } => {
-                mark("sc_sample");
-                mark("sc_divider");
-            }
-            CellKind::Apc { .. } => mark("sc_apc"),
         }
     }
     MODULES
@@ -211,22 +197,6 @@ const MODULES: &[(&str, &str)] = &[
         "sc_camaxmin",
         "// Correlation-agnostic max/min (SC-DCNN): activity counters and a\n// pulse whenever the running max (MAXSEL=1) or min advances.\nmodule sc_camaxmin #(parameter MAXSEL = 1, parameter WIDTH = 16)\n                    (input clk, input rst, input x, input y, output z);\n  reg [WIDTH-1:0] cx, cy, co;\n  wire [WIDTH-1:0] nx = cx + x;\n  wire [WIDTH-1:0] ny = cy + y;\n  wire [WIDTH-1:0] target = MAXSEL ? (nx > ny ? nx : ny) : (nx < ny ? nx : ny);\n  assign z = target > co;\n  always @(posedge clk or posedge rst)\n    if (rst) begin cx <= 0; cy <= 0; co <= 0; end\n    else begin cx <= nx; cy <= ny; co <= target; end\nendmodule\n",
     ),
-    (
-        "sc_stanh",
-        "// Brown & Card stanh: saturating up/down counter, output high in the\n// upper half of the state space.\nmodule sc_stanh #(parameter HALF = 4, parameter WIDTH = 13)\n                 (input clk, input rst, input x, output z);\n  reg [WIDTH-1:0] state;\n  localparam [WIDTH-1:0] MAX = 2 * HALF - 1;\n  assign z = state >= HALF;\n  always @(posedge clk or posedge rst)\n    if (rst) state <= HALF;\n    else if (x && state < MAX) state <= state + 1'b1;\n    else if (!x && state > 0) state <= state - 1'b1;\nendmodule\n",
-    ),
-    (
-        "sc_slinear",
-        "// Brown & Card slinear-style clamped gain: saturating counter with a\n// toggling mid-band output.\nmodule sc_slinear #(parameter STATES = 8, parameter WIDTH = 13)\n                   (input clk, input rst, input x, output z);\n  reg [WIDTH-1:0] state;\n  reg toggle;\n  localparam [WIDTH-1:0] MAX = STATES - 1;\n  localparam [WIDTH-1:0] MIDLO = MAX / 2;\n  localparam [WIDTH-1:0] MIDHI = MAX / 2 + 1;\n  assign z = (state > MIDHI) ? 1'b1 : (state < MIDLO) ? 1'b0 : ~toggle;\n  always @(posedge clk or posedge rst)\n    if (rst) begin state <= MAX / 2; toggle <= 1'b0; end\n    else begin\n      if (state >= MIDLO && state <= MIDHI) toggle <= ~toggle;\n      if (x && state < MAX) state <= state + 1'b1;\n      else if (!x && state > 0) state <= state - 1'b1;\n    end\nendmodule\n",
-    ),
-    (
-        "sc_divider",
-        "// Feedback SC divider (Gaines / Chen & Hayes): the counter integrates\n// x - z*y and the output compares the scaled counter with a fresh sample.\nmodule sc_divider #(parameter CBITS = 6,\n                    parameter FAMILY = 0,\n                    parameter WIDTH = 16,\n                    parameter [63:0] INIT = 64'd1,\n                    parameter [63:0] TAPS = 64'hB400)\n                   (input clk, input rst, input x, input y, output z);\n  localparam [CBITS-1:0] MAX = {CBITS{1'b1}};\n  reg [CBITS-1:0] state;\n  wire [15:0] q16;\n  sc_sample #(.FAMILY(FAMILY), .WIDTH(WIDTH), .INIT(INIT), .TAPS(TAPS))\n    gen (.clk(clk), .rst(rst), .q16(q16));\n  wire [31:0] scaled = ({16'b0, state} << 16) / MAX;\n  assign z = scaled[15:0] > q16;\n  always @(posedge clk or posedge rst)\n    if (rst) state <= {CBITS{1'b0}};\n    else if (x && !(z && y) && state < MAX) state <= state + 1'b1;\n    else if (!x && (z && y) && state > 0) state <= state - 1'b1;\nendmodule\n",
-    ),
-    (
-        "sc_apc",
-        "// Accumulative parallel counter (Ting & Hayes): per-cycle popcount of\n// the K lanes into a wide accumulator; q includes the current cycle.\nmodule sc_apc #(parameter K = 2, parameter WIDTH = 16)\n               (input clk, input rst, input [K-1:0] lanes,\n                output [WIDTH-1:0] q);\n  reg [WIDTH-1:0] total;\n  integer i;\n  reg [WIDTH-1:0] pop;\n  always @(*) begin\n    pop = {WIDTH{1'b0}};\n    for (i = 0; i < K; i = i + 1)\n      pop = pop + lanes[i];\n  end\n  assign q = total + pop;\n  always @(posedge clk or posedge rst)\n    if (rst) total <= {WIDTH{1'b0}};\n    else total <= total + pop;\nendmodule\n",
-    ),
 ];
 
 fn emit_top(v: &mut String, design: &Design, top_name: &str) {
@@ -243,22 +213,11 @@ fn emit_top(v: &mut String, design: &Design, top_name: &str) {
                 name,
                 net,
                 count_bus,
-            }
-            | SinkPlan::Count {
-                name,
-                net,
-                count_bus,
             } => {
                 ports.push(Port::Bit(format!("{}_bit", sanitize(name)), *net));
                 ports.push(Port::Bus(
                     format!("{}_count", sanitize(name)),
                     count_bus.clone(),
-                ));
-            }
-            SinkPlan::Sum { name, total_bus } => {
-                ports.push(Port::Bus(
-                    format!("{}_sum", sanitize(name)),
-                    total_bus.clone(),
                 ));
             }
             SinkPlan::Scc {
@@ -325,6 +284,19 @@ fn emit_top(v: &mut String, design: &Design, top_name: &str) {
         }
     }
     let _ = writeln!(v, "endmodule");
+}
+
+/// The leaf module and `DEPTH` parameter of a manipulator FSM cell.
+fn fsm_module(kind: &ManipulatorKind) -> (&'static str, u64) {
+    match *kind {
+        ManipulatorKind::Synchronizer { depth } => ("sc_synchronizer", u64::from(depth)),
+        ManipulatorKind::Desynchronizer { depth } => ("sc_desynchronizer", u64::from(depth)),
+        ManipulatorKind::Decorrelator { depth } => ("sc_decorrelator", depth as u64),
+        // `elaborate` lowers these to wires and flip-flops, never to an FSM.
+        ManipulatorKind::Identity | ManipulatorKind::Isolator { .. } => {
+            unreachable!("{kind} has no FSM cell")
+        }
+    }
 }
 
 fn sample_param_text(spec: &SourceSpec, skip: u64) -> String {
@@ -408,21 +380,7 @@ fn emit_instance(cell: &crate::design::Cell, inst: &str) -> String {
             )
         }
         CellKind::Fsm { kind } => {
-            let (module, depth) = match kind {
-                sc_graph::ManipulatorKind::Synchronizer { depth } => {
-                    ("sc_synchronizer", u64::from(*depth))
-                }
-                sc_graph::ManipulatorKind::Desynchronizer { depth } => {
-                    ("sc_desynchronizer", u64::from(*depth))
-                }
-                sc_graph::ManipulatorKind::Decorrelator { depth } => {
-                    ("sc_decorrelator", *depth as u64)
-                }
-                other => ("sc_decorrelator", {
-                    debug_assert!(false, "unexpected FSM cell kind {other}");
-                    1
-                }),
-            };
+            let (module, depth) = fsm_module(kind);
             format!(
                 "{module} #(.DEPTH({depth})) {inst} (.clk(clk), .rst(rst), .x({}), .y({}), .ox({}), .oy({}));",
                 net(i[0]),
@@ -443,34 +401,6 @@ fn emit_instance(cell: &crate::design::Cell, inst: &str) -> String {
             net(i[0]),
             net(i[1]),
             net(o[0])
-        ),
-        CellKind::UnaryFsm { op } => match op {
-            sc_graph::UnaryFsmOp::Stanh { half_states } => format!(
-                "sc_stanh #(.HALF({half_states})) {inst} (.clk(clk), .rst(rst), .x({}), .z({}));",
-                net(i[0]),
-                net(o[0])
-            ),
-            sc_graph::UnaryFsmOp::Slinear { states } => format!(
-                "sc_slinear #(.STATES({states})) {inst} (.clk(clk), .rst(rst), .x({}), .z({}));",
-                net(i[0]),
-                net(o[0])
-            ),
-        },
-        CellKind::Divider {
-            spec,
-            skip,
-            counter_bits,
-        } => format!(
-            "sc_divider #(.CBITS({counter_bits}), {}) {inst} (.clk(clk), .rst(rst), .x({}), .y({}), .z({}));",
-            sample_param_text(spec, *skip),
-            net(i[0]),
-            net(i[1]),
-            net(o[0])
-        ),
-        CellKind::Apc { lanes, bits } => format!(
-            "sc_apc #(.K({lanes}), .WIDTH({bits})) {inst} (.clk(clk), .rst(rst), .lanes({}), .q({}));",
-            bus_concat(i),
-            bus_concat(o)
         ),
     }
 }

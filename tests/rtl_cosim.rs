@@ -1,7 +1,8 @@
 //! The `sc_rtl` acceptance suite: gate-level co-simulation of lowered plans
 //! pinned *bit for bit* against the word-parallel [`sc_graph::Executor`], at
 //! stream lengths crossing every word boundary (1 / 63 / 64 / 65 / 1000),
-//! for every supported node kind; Verilog snapshot stability for a
+//! for every supported node kind and for random graphs built from all of
+//! them; Verilog snapshot stability for a
 //! planner-repaired graph; and the structural-vs-table cost cross-check —
 //! including the full Gaussian-blur → edge-detect tile pipeline.
 
@@ -9,7 +10,7 @@ use proptest::prelude::*;
 use sc_bitstream::Bitstream;
 use sc_graph::{
     cost::compiled_netlist, BatchInput, BinaryOp, CompiledGraph, Executor, Graph, ManipulatorKind,
-    PlannerOptions,
+    PlannerOptions, Wire,
 };
 use sc_hwcost::{Netlist, Primitive};
 use sc_image::{
@@ -58,8 +59,9 @@ fn check_all_lengths(graph: &Graph, options: &PlannerOptions, input: &BatchInput
 
 #[test]
 fn cosim_source_families_and_sd_sinks() {
-    // Every source family through value / count / stream sinks, plus a
-    // constant stream: the D/S and S/D converter lowering.
+    // Every source family through value and stream sinks, plus a second
+    // D/S converter on the same source at skip 0: the D/S and S/D converter
+    // lowering.
     let specs = [
         lfsr(0xACE1),
         sobol(3),
@@ -73,15 +75,15 @@ fn cosim_source_families_and_sd_sinks() {
     for (i, spec) in specs.iter().enumerate() {
         let mut g = Graph::new();
         let x = g.generate_skipped(0, spec.clone(), 11);
-        let c = g.constant(0.3, spec.clone());
+        let c = g.generate(1, spec.clone());
         g.sink_value("v", x);
-        g.sink_count("c", x);
+        g.sink_value("c", x);
         g.sink_stream("s", x);
         g.sink_value("cv", c);
         check_all_lengths(
             &g,
             &PlannerOptions::default(),
-            &BatchInput::with_values(vec![0.62]),
+            &BatchInput::with_values(vec![0.62, 0.3]),
             &format!("source family #{i} ({spec})"),
         );
     }
@@ -213,39 +215,20 @@ fn cosim_mux_adders_and_weighted_trees() {
 }
 
 #[test]
-fn cosim_unary_fsms_and_divider() {
-    let mut g = Graph::new();
-    let x = g.generate(0, lfsr(0xACE1));
-    let y = g.generate(1, lfsr(0xACE1)); // shared spec: divide precondition met
-    let t = g.stanh(4, x);
-    let l = g.slinear(8, x);
-    let q = g.divide(x, y, lfsr(0x5A5A));
-    g.sink_value("t", t);
-    g.sink_value("l", l);
-    g.sink_value("q", q);
-    check_all_lengths(
-        &g,
-        &PlannerOptions::default(),
-        &BatchInput::with_values(vec![0.7, 0.9]),
-        "unary fsms + divider",
-    );
-}
-
-#[test]
-fn cosim_apc_and_scc_sinks() {
+fn cosim_scc_probe_sinks() {
     let mut g = Graph::new();
     let a = g.generate(0, sobol(1));
     let b = g.generate(1, sobol(2));
     let c = g.generate(2, sobol(3));
     let d = g.generate(3, sobol(1));
-    g.sink_sum("sum", &[a, b, c, d]);
     g.scc_probe("ab", a, b);
     g.scc_probe("ad", a, d);
+    g.scc_probe("bc", b, c);
     check_all_lengths(
         &g,
         &PlannerOptions::default(),
         &BatchInput::with_values(vec![0.1, 0.5, 0.9, 0.4]),
-        "apc + scc sinks",
+        "scc sinks",
     );
 }
 
@@ -271,8 +254,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomised end-to-end pin: a mixed graph (sources, planner repair,
-    /// arithmetic, mux add, value sinks) over random input values at every
-    /// boundary length.
+    /// arithmetic, mux add, a synchronizer after it, value sinks) over
+    /// random input values at every boundary length.
     #[test]
     fn prop_cosim_mixed_graph_matches_executor(
         va in 0.0f64..=1.0,
@@ -286,16 +269,156 @@ proptest! {
         let c = g.generate(2, lfsr(seed));
         let diff = g.binary(BinaryOp::XorSubtract, a, b); // repair inserted
         let sum = g.mux_add(diff, c, lfsr(seed ^ 0x55AA));
-        let act = g.stanh(2, sum);
+        let (act, _) = g.manipulate(ManipulatorKind::Synchronizer { depth: 2 }, sum, c);
         g.sink_value("sum", sum);
         g.sink_value("act", act);
-        g.sink_count("cnt", diff);
+        g.sink_value("diff", diff);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         let input = BatchInput::with_values(vec![va, vb, vc]);
         for n in LENGTHS {
             assert_cosim_identical(&plan, &input, n, "proptest mixed graph");
         }
     }
+}
+
+/// Every manipulator kind, at depths inside `sc_core::DEPTH_RANGE`.
+const MANIPULATORS: [ManipulatorKind; 6] = [
+    ManipulatorKind::Identity,
+    ManipulatorKind::Isolator { delay: 2 },
+    ManipulatorKind::Synchronizer { depth: 1 },
+    ManipulatorKind::Synchronizer { depth: 3 },
+    ManipulatorKind::Desynchronizer { depth: 2 },
+    ManipulatorKind::Decorrelator { depth: 4 },
+];
+
+/// All nine binary operators.
+const BINARY_OPS: [BinaryOp; 9] = [
+    BinaryOp::AndMultiply,
+    BinaryOp::XnorMultiply,
+    BinaryOp::OrMax,
+    BinaryOp::AndMin,
+    BinaryOp::SaturatingAdd,
+    BinaryOp::XorSubtract,
+    BinaryOp::CaAdd,
+    BinaryOp::CaMax,
+    BinaryOp::CaMin,
+];
+
+/// A random builder-made graph of `len` nodes past its sources, drawn from
+/// every kind `elaborate` lowers: D/S converters (over value slots 0..4,
+/// with specs that repeat, so some pairs are positive and some
+/// uncorrelated), input streams 0 and 1, NOT gates, every manipulator kind,
+/// all nine binary operators and weighted muxes of one to four inputs,
+/// drained by value, stream and SCC-probe sinks. Regeneration is left out:
+/// `elaborate` rejects it by design.
+fn random_cosim_graph(seed: u64, len: usize) -> Graph {
+    let mut state = seed;
+    let mut next = move |bound: usize| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    };
+    let specs = [sobol(1), sobol(2), lfsr(0xACE1), lfsr(0x7331)];
+    let mut g = Graph::new();
+    let mut wires: Vec<Wire> = vec![
+        g.generate(0, sobol(1)),
+        g.generate(1, sobol(2)),
+        g.input_stream(0),
+        g.input_stream(1),
+    ];
+    for _ in 0..len {
+        let x = wires[next(wires.len())];
+        let y = wires[next(wires.len())];
+        match next(6) {
+            0 => wires.push(g.not(x)),
+            1 => {
+                let spec = specs[next(specs.len())].clone();
+                wires.push(g.generate_skipped(next(4), spec, next(3) as u64 * 17));
+            }
+            2 => {
+                let (mx, my) = g.manipulate(MANIPULATORS[next(MANIPULATORS.len())], x, y);
+                wires.extend([mx, my]);
+            }
+            3 => {
+                let inputs: Vec<Wire> = (0..=next(4)).map(|_| wires[next(wires.len())]).collect();
+                // Random shares of at most the whole mass: what is missing
+                // from 1 falls to the last input.
+                let weights: Vec<f64> =
+                    inputs.iter().map(|_| (1 + next(4)) as f64 / 16.0).collect();
+                let select = lfsr(1 + next(0xFFFE) as u64);
+                wires.push(g.weighted_mux_skipped(&inputs, weights, select, next(3) as u64 * 64));
+            }
+            _ => wires.push(g.binary(BINARY_OPS[next(BINARY_OPS.len())], x, y)),
+        }
+    }
+    for (k, &wire) in wires.iter().enumerate().skip(4) {
+        match k % 3 {
+            0 => g.sink_value(format!("v{k}"), wire),
+            1 => g.sink_stream(format!("s{k}"), wire),
+            _ => g.scc_probe(format!("p{k}"), wire, wires[k - 1]),
+        };
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random graph structures, compiled with repair on and off, co-simulate
+    /// bit-identically to the executor at every word-boundary length.
+    #[test]
+    fn prop_cosim_random_graph_structures_match_executor(
+        seed in any::<u64>(),
+        len in 1usize..24,
+        values in proptest::collection::vec(0.0f64..=1.0, 4..=4),
+    ) {
+        let g = random_cosim_graph(seed, len);
+        let phase = (seed % 12) as usize;
+        for options in [PlannerOptions::default(), PlannerOptions::no_repair()] {
+            let plan = g.compile(&options).expect("random graphs compile");
+            for n in [1, 63, 64, 65] {
+                let input = BatchInput {
+                    values: values.clone(),
+                    streams: vec![
+                        Bitstream::from_fn(n, |i| (i * 7 + phase).is_multiple_of(3)),
+                        Bitstream::from_fn(n, |i| (i * 5 + phase) % 4 < 2),
+                    ],
+                    ..BatchInput::default()
+                };
+                assert_cosim_identical(&plan, &input, n, &format!("random graph {seed:#x}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn random_cosim_graphs_draw_every_kind_and_exercise_repair() {
+    use sc_graph::NodeOp;
+    let mut kinds = std::collections::BTreeSet::new();
+    let mut repaired = 0;
+    for seed in 0..48 {
+        let g = random_cosim_graph(seed, 23);
+        for (_, node) in g.nodes() {
+            let kind = match &node.op {
+                NodeOp::Manipulate(kind) => kind.to_string(),
+                NodeOp::Binary(op) => op.to_string(),
+                NodeOp::WeightedMux { weights, .. } => format!("mux{}", weights.len()),
+                other => other.label().split(['(', '[']).next().unwrap().to_string(),
+            };
+            kinds.insert(kind);
+        }
+        let plan = g.compile(&PlannerOptions::default()).unwrap();
+        repaired += usize::from(!plan.report().inserted.is_empty());
+    }
+    assert!(
+        repaired > 24,
+        "only {repaired} of 48 graphs needed a repair"
+    );
+    // Generate and input; NOT; the six manipulators; the nine operators;
+    // muxes of one to four inputs; value, stream and probe sinks.
+    assert_eq!(kinds.len(), 2 + 1 + 6 + 9 + 4 + 3, "{kinds:?}");
 }
 
 /// Collects a netlist's `(primitive, count)` multiset, ignoring the design
@@ -349,19 +472,15 @@ fn structural_netlist_matches_table_bridge_per_kind() {
     let y = g.generate(1, sobol(2));
     let w = g.weighted_mux(&[x, y, x], [0.5, 0.3, 0.2], lfsr(7));
     let m = g.mux_add(w, y, lfsr(9));
-    g.sink_sum("s", &[m, w]);
+    g.sink_value("s", m);
     g.scc_probe("p", m, w);
-    build_and_compare(&g, vec![0.5, 0.5], "mux trees + apc + probe");
+    build_and_compare(&g, vec![0.5, 0.5], "mux trees + probe");
 
     let mut g = Graph::new();
-    let x = g.generate(0, lfsr(1));
-    let y = g.generate(1, lfsr(1));
-    let q = g.divide(x, y, lfsr(3));
-    let t = g.stanh(4, x);
-    let nq = g.not(q);
-    g.sink_value("q", nq);
-    g.sink_value("t", t);
-    build_and_compare(&g, vec![0.5, 0.5], "divider + stanh + not");
+    let x = g.input_stream(0);
+    let nx = g.not(x);
+    g.sink_value("q", nx);
+    build_and_compare(&g, vec![], "input + not");
 }
 
 #[test]
@@ -466,7 +585,7 @@ fn cosim_gb_ed_tile_matches_executor_at_one_and_four_threads() {
         let pixels = |value: &dyn Fn(&str) -> Option<f64>| -> Vec<(String, u64)> {
             tile.sinks
                 .iter()
-                .map(|(_, _, name)| (name.clone(), value(name).expect("pixel").to_bits()))
+                .map(|(_, _, name)| (name.to_string(), value(name).expect("pixel").to_bits()))
                 .collect()
         };
         let run = |threads: usize| {

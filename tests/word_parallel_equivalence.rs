@@ -94,16 +94,6 @@ fn counter_operators_match_bit_serial_reference() {
             sc_arith::reference::ca_min(&x, &y).unwrap(),
             "ca_min n={n}"
         );
-        assert_eq!(
-            sc_arith::fsm_ops::stanh(&x, 4),
-            sc_arith::reference::stanh(&x, 4),
-            "stanh n={n}"
-        );
-        assert_eq!(
-            sc_arith::fsm_ops::slinear(&x, 8),
-            sc_arith::reference::slinear(&x, 8),
-            "slinear n={n}"
-        );
     }
 }
 
