@@ -149,20 +149,6 @@ impl<S: RandomSource> DigitalToStochastic<S> {
         Bitstream::from_words(words, n)
     }
 
-    /// Generates a length-`n` stream for the binary value `x` out of `max`
-    /// (i.e. the probability `x / max`), mirroring the hardware comparator
-    /// interface of Fig. 2g.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max == 0` or `x > max`.
-    #[must_use]
-    pub fn generate_binary(&mut self, x: u64, max: u64, n: usize) -> Bitstream {
-        assert!(max > 0, "binary range must be non-zero");
-        assert!(x <= max, "binary value {x} exceeds range {max}");
-        self.generate(Probability::from_ratio(x, max), n)
-    }
-
     /// Generates two streams from the *same* source samples, producing a
     /// maximally positively correlated pair — the "shared RNG" technique of
     /// §II.B. Both streams are assembled in one pass over the samples.
@@ -207,13 +193,8 @@ impl StreamGenerator {
         }
     }
 
-    /// Creates a generator for a source family with the default configuration.
-    #[must_use]
-    pub fn of_kind(kind: RngKind) -> Self {
-        Self::new(sc_rng::build_source(kind))
-    }
-
-    /// Creates a generator for the `variant`-th member of a source family.
+    /// Creates a generator for the `variant`-th member of a source family;
+    /// variant 0 is the family's default configuration.
     #[must_use]
     pub fn of_kind_variant(kind: RngKind, variant: usize) -> Self {
         Self::new(sc_rng::build_source_variant(kind, variant))
@@ -317,21 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn generate_binary_matches_probability() {
-        let mut g = DigitalToStochastic::new(VanDerCorput::new());
-        let s = g.generate_binary(64, 256, 256);
-        assert!((s.value() - 0.25).abs() < 1e-12);
-        assert_eq!(g.kind(), sc_rng::RngKind::VanDerCorput);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds range")]
-    fn generate_binary_rejects_overflow() {
-        let mut g = DigitalToStochastic::new(VanDerCorput::new());
-        let _ = g.generate_binary(300, 256, 256);
-    }
-
-    #[test]
     fn stream_generator_by_kind() {
         use sc_rng::RngKind;
         for kind in [
@@ -341,7 +307,7 @@ mod tests {
             RngKind::Sobol,
             RngKind::Counter,
         ] {
-            let mut g = StreamGenerator::of_kind(kind);
+            let mut g = StreamGenerator::of_kind_variant(kind, 0);
             let s = g.generate(Probability::new(0.5).unwrap(), 256);
             assert!((s.value() - 0.5).abs() < 0.1, "{kind:?}");
             assert!(!g.label().is_empty());
@@ -417,8 +383,8 @@ mod tests {
     /// generator of every kind and through the reference on a fresh source.
     fn check_calls(calls: &[(usize, bool, bool)], seed: u64) {
         for kind in KINDS {
-            let mut generator = StreamGenerator::of_kind(kind);
-            let mut reference = sc_rng::build_source(kind);
+            let mut generator = StreamGenerator::of_kind_variant(kind, 0);
+            let mut reference = sc_rng::build_source_variant(kind, 0);
             let mut state = seed | 1;
             let mut value = || {
                 state ^= state << 13;

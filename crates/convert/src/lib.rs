@@ -8,8 +8,6 @@
 //!   cycle to emit a bit.
 //! * [`StochasticToDigital`] — the S/D converter of Fig. 2f: a counter that
 //!   sums the 1s of a stream back into a binary value.
-//! * [`AccumulativeParallelCounter`] — the APC of Ting & Hayes used to avoid
-//!   precision loss when summing many streams (§II.A).
 //! * [`Regenerator`] — the *regeneration* correlation-reset technique
 //!   (S/D followed by D/S with a fresh source, §II.B), the expensive baseline
 //!   our synchronizer competes against in Table IV.
@@ -30,12 +28,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod apc;
 pub mod d2s;
 pub mod regen;
 pub mod s2d;
 
-pub use apc::AccumulativeParallelCounter;
 pub use d2s::{DigitalToStochastic, StreamGenerator};
 pub use regen::Regenerator;
 pub use s2d::StochasticToDigital;

@@ -75,24 +75,6 @@ impl<S: RandomSource> Regenerator<S> {
     }
 }
 
-/// Regenerates a whole set of streams with *mutually independent* sources so
-/// that the outputs are pairwise uncorrelated, as a hardware regeneration
-/// stage with per-stream RNGs would.
-///
-/// The `make_source` closure must return a distinct source for each index.
-#[must_use]
-pub fn regenerate_all<S, F>(streams: &[Bitstream], mut make_source: F) -> Vec<Bitstream>
-where
-    S: RandomSource,
-    F: FnMut(usize) -> S,
-{
-    streams
-        .iter()
-        .enumerate()
-        .map(|(i, s)| Regenerator::new(make_source(i)).regenerate(s))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,23 +101,6 @@ mod tests {
         assert!(scc(&s, &r).abs() < 0.3, "scc after regen = {}", scc(&s, &r));
         // Halton (base 3) re-encoding over 256 cycles is exact to within a few bits.
         assert!((r.count_ones() as i64 - s.count_ones() as i64).abs() <= 3);
-    }
-
-    #[test]
-    fn regenerate_all_produces_uncorrelated_set() {
-        let base = Bitstream::from_fn(256, |i| i < 128);
-        let streams = vec![base.clone(), base.clone(), base.clone()];
-        let out = regenerate_all(&streams, |i| Halton::new([3u32, 5, 7][i]));
-        for i in 0..out.len() {
-            assert!((out[i].count_ones() as i64 - 128).abs() <= 3);
-            for j in (i + 1)..out.len() {
-                assert!(
-                    scc(&out[i], &out[j]).abs() < 0.3,
-                    "pair ({i},{j}) scc = {}",
-                    scc(&out[i], &out[j])
-                );
-            }
-        }
     }
 
     #[test]

@@ -161,7 +161,7 @@ where
 {
     let n = config.stream_length;
     let steps = config.value_steps;
-    let mut gen = StreamGenerator::of_kind(source);
+    let mut gen = StreamGenerator::of_kind_variant(source, 0);
     let mut stats = StreamPairStats::new();
     for i in 1..steps {
         for j in 1..steps {

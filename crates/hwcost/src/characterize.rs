@@ -8,8 +8,8 @@ use crate::gates::Primitive;
 use crate::netlist::Netlist;
 use crate::report::CostReport;
 
-/// Stream length used for the per-operation energy numbers of Table III.
-pub const TABLE3_CYCLES: u64 = 256;
+/// Stream length of the per-operation energy numbers of Table III.
+const OPERATION_CYCLES: u64 = 256;
 
 /// Number of FSM state bits needed to hold `2·depth + 1` synchronizer states.
 fn fsm_state_bits(depth: u32) -> u32 {
@@ -62,15 +62,6 @@ pub fn decorrelator(depth: u32) -> Netlist {
 #[must_use]
 pub fn isolator(stages: u32) -> Netlist {
     Netlist::new(format!("isolator-k{stages}")).with(Primitive::DFlipFlop, u64::from(stages))
-}
-
-/// Netlist of a tracking forecast memory (per operand).
-#[must_use]
-pub fn tracking_forecast_memory() -> Netlist {
-    Netlist::new("tfm")
-        .with(Primitive::Register(8), 1)
-        .with(Primitive::FullAdder, 4)
-        .with(Primitive::Comparator(8), 1)
 }
 
 /// Netlist of the OR-gate maximum (Table III "OR Max.").
@@ -186,43 +177,43 @@ pub fn regeneration_unit(bits: u32) -> Netlist {
 /// Cost report of the OR maximum (Table III row 1).
 #[must_use]
 pub fn or_max() -> CostReport {
-    or_max_netlist().report(TABLE3_CYCLES)
+    or_max_netlist().report(OPERATION_CYCLES)
 }
 
 /// Cost report of the correlation-agnostic maximum (Table III row 2).
 #[must_use]
 pub fn correlation_agnostic_max() -> CostReport {
-    correlation_agnostic_max_netlist().report(TABLE3_CYCLES)
+    correlation_agnostic_max_netlist().report(OPERATION_CYCLES)
 }
 
 /// Cost report of the synchronizer-based maximum (Table III row 3).
 #[must_use]
 pub fn synchronizer_max(depth: u32) -> CostReport {
-    synchronizer_max_netlist(depth).report(TABLE3_CYCLES)
+    synchronizer_max_netlist(depth).report(OPERATION_CYCLES)
 }
 
 /// Cost report of the AND minimum (Table III row 4).
 #[must_use]
 pub fn and_min() -> CostReport {
-    and_min_netlist().report(TABLE3_CYCLES)
+    and_min_netlist().report(OPERATION_CYCLES)
 }
 
 /// Cost report of the synchronizer-based minimum (Table III row 5).
 #[must_use]
 pub fn synchronizer_min(depth: u32) -> CostReport {
-    synchronizer_min_netlist(depth).report(TABLE3_CYCLES)
+    synchronizer_min_netlist(depth).report(OPERATION_CYCLES)
 }
 
 /// Cost report of the MUX adder (for the §II.B adder-overhead comparison).
 #[must_use]
 pub fn mux_adder() -> CostReport {
-    mux_adder_netlist().report(TABLE3_CYCLES)
+    mux_adder_netlist().report(OPERATION_CYCLES)
 }
 
 /// Cost report of the correlation-agnostic adder of reference \[9\].
 #[must_use]
 pub fn correlation_agnostic_adder() -> CostReport {
-    correlation_agnostic_adder_netlist().report(TABLE3_CYCLES)
+    correlation_agnostic_adder_netlist().report(OPERATION_CYCLES)
 }
 
 /// All five Table III hardware rows, in the paper's order.
@@ -352,12 +343,7 @@ mod tests {
     fn decorrelator_and_baselines() {
         let deco = decorrelator(4);
         let iso = isolator(1);
-        let tfm = tracking_forecast_memory();
         assert!(deco.area_um2() > iso.area_um2());
-        assert!(
-            tfm.area_um2() > deco.area_um2(),
-            "TFMs are larger (partly binary)"
-        );
         assert!(shuffle_buffer(8).area_um2() > shuffle_buffer(2).area_um2());
     }
 

@@ -4,10 +4,10 @@ use std::fmt;
 
 /// A primitive cell or small macro with fixed area and power characteristics.
 ///
-/// Areas are in µm² and power coefficients in µW at the reference switching
-/// activity ([`crate::DEFAULT_ACTIVITY`]); both are calibrated to a 65 nm-class
-/// library so that the paper's Table III baselines reproduce (a 2-input gate
-/// is 2.16 µm² / ~0.26 µW).
+/// Areas are in µm² and powers in µW at the one switching activity the
+/// library is characterised at; both are calibrated to a 65 nm-class library
+/// so that the paper's Table III baselines reproduce (a 2-input gate is
+/// 2.16 µm² / ~0.26 µW).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Primitive {
@@ -66,7 +66,7 @@ impl Primitive {
         }
     }
 
-    /// Dynamic power in µW at the reference switching activity.
+    /// Dynamic power in µW.
     #[must_use]
     pub fn power_uw(&self) -> f64 {
         match *self {
@@ -85,36 +85,6 @@ impl Primitive {
             Primitive::LowDiscrepancyGenerator(bits) => 1.30 * f64::from(bits),
             Primitive::BitMemory(bits) => 0.20 * f64::from(bits),
         }
-    }
-
-    /// Power scaled to an explicit switching activity in `[0, 1]`.
-    ///
-    /// Sequential cells (flip-flops, registers, counters, generators) burn
-    /// clock power regardless of data activity, so only half of their power is
-    /// scaled by the activity factor.
-    #[must_use]
-    pub fn power_uw_at(&self, activity: f64) -> f64 {
-        let activity = activity.clamp(0.0, 1.0);
-        let ratio = activity / crate::DEFAULT_ACTIVITY;
-        if self.is_sequential() {
-            self.power_uw() * (0.5 + 0.5 * ratio)
-        } else {
-            self.power_uw() * ratio
-        }
-    }
-
-    /// Whether the primitive contains storage (and therefore a clock load).
-    #[must_use]
-    pub fn is_sequential(&self) -> bool {
-        matches!(
-            self,
-            Primitive::DFlipFlop
-                | Primitive::Counter(_)
-                | Primitive::Register(_)
-                | Primitive::Lfsr(_)
-                | Primitive::LowDiscrepancyGenerator(_)
-                | Primitive::BitMemory(_)
-        )
     }
 }
 
@@ -186,29 +156,6 @@ mod tests {
             Primitive::Register(8).area_um2(),
             8.0 * Primitive::DFlipFlop.area_um2()
         );
-    }
-
-    #[test]
-    fn activity_scaling() {
-        // Combinational power scales linearly with activity.
-        let or = Primitive::Or2;
-        assert!((or.power_uw_at(0.5) - or.power_uw()).abs() < 1e-12);
-        assert!((or.power_uw_at(0.25) - or.power_uw() * 0.5).abs() < 1e-12);
-        assert_eq!(or.power_uw_at(0.0), 0.0);
-        // Sequential cells keep burning clock power at zero activity.
-        let dff = Primitive::DFlipFlop;
-        assert!(dff.power_uw_at(0.0) > 0.0);
-        assert!(dff.power_uw_at(1.0) > dff.power_uw_at(0.0));
-        // Out-of-range activities are clamped.
-        assert_eq!(or.power_uw_at(2.0), or.power_uw_at(1.0));
-    }
-
-    #[test]
-    fn sequential_classification() {
-        assert!(Primitive::DFlipFlop.is_sequential());
-        assert!(Primitive::Counter(4).is_sequential());
-        assert!(!Primitive::Or2.is_sequential());
-        assert!(!Primitive::FullAdder.is_sequential());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! reproducible in a pure-software environment, so this crate substitutes an
 //! abstract standard-cell library: every design is described as a
 //! [`Netlist`] of [`Primitive`]s, each with a fixed area (µm²) and a dynamic
-//! power coefficient (µW at a reference switching activity), calibrated so the
+//! power (µW at one reference switching activity), calibrated so the
 //! *relative* costs reported in Table III / Table IV are preserved — e.g. a
 //! 2-input OR gate occupies 2.16 µm² and burns 0.26 µW, exactly the paper's
 //! "OR Max." row, and energy is integrated over `N` cycles of the calibrated
@@ -54,7 +54,3 @@ pub use report::{CostReport, RelativeCost};
 /// keeps our energy column on the paper's scale while leaving every ratio —
 /// which is what the conclusions rest on — independent of this constant.
 pub const CYCLE_TIME_NS: f64 = 2480.0;
-
-/// The default switching-activity factor assumed when a design is
-/// characterised without a simulation-derived activity estimate.
-pub const DEFAULT_ACTIVITY: f64 = 0.5;

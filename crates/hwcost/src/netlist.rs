@@ -96,33 +96,21 @@ impl Netlist {
             .sum()
     }
 
-    /// Total power in µW at the reference switching activity.
+    /// Total power in µW.
     #[must_use]
     pub fn power_uw(&self) -> f64 {
-        self.power_uw_at(crate::DEFAULT_ACTIVITY)
-    }
-
-    /// Total power in µW at an explicit switching activity.
-    #[must_use]
-    pub fn power_uw_at(&self, activity: f64) -> f64 {
         self.cells
             .values()
-            .map(|&(p, c)| p.power_uw_at(activity) * c as f64)
+            .map(|&(p, c)| p.power_uw() * c as f64)
             .sum()
     }
 
-    /// Energy in pJ for an operation lasting `cycles` clock cycles at the
-    /// reference activity and effective cycle time ([`crate::CYCLE_TIME_NS`]).
+    /// Energy in pJ for an operation lasting `cycles` clock cycles of the
+    /// effective cycle time ([`crate::CYCLE_TIME_NS`]).
     #[must_use]
     pub fn energy_pj(&self, cycles: u64) -> f64 {
-        self.energy_pj_at(cycles, crate::DEFAULT_ACTIVITY)
-    }
-
-    /// Energy in pJ for `cycles` clock cycles at an explicit activity.
-    #[must_use]
-    pub fn energy_pj_at(&self, cycles: u64, activity: f64) -> f64 {
         // µW × ns = femtojoules; divide by 1000 for picojoules.
-        self.power_uw_at(activity) * cycles as f64 * crate::CYCLE_TIME_NS / 1000.0
+        self.power_uw() * cycles as f64 * crate::CYCLE_TIME_NS / 1000.0
     }
 
     /// Summarises the netlist as a [`CostReport`] for an operation of
@@ -207,16 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn power_scales_with_activity() {
-        let n = Netlist::new("n")
-            .with(Primitive::Or2, 4)
-            .with(Primitive::DFlipFlop, 2);
-        assert!(n.power_uw_at(1.0) > n.power_uw_at(0.5));
-        assert!(n.power_uw_at(0.1) < n.power_uw());
-        assert!(n.energy_pj_at(256, 1.0) > n.energy_pj(256));
-    }
-
-    #[test]
     fn display_lists_cells() {
         let n = Netlist::new("demo")
             .with(Primitive::Or2, 2)
@@ -236,6 +214,7 @@ mod tests {
             m.merge(&b);
             prop_assert!((m.area_um2() - (a.area_um2() + b.area_um2())).abs() < 1e-9);
             prop_assert!((m.power_uw() - (a.power_uw() + b.power_uw())).abs() < 1e-9);
+            prop_assert!((m.energy_pj(256) - (a.energy_pj(256) + b.energy_pj(256))).abs() < 1e-6);
         }
 
         #[test]

@@ -14,7 +14,9 @@
 //!
 //! All sources implement [`RandomSource`], which yields values in `[0, 1)`.
 //! A digital-to-stochastic converter compares the target value against these
-//! samples to emit bits (see the `sc-convert` crate). [`Replay`] wraps a
+//! samples to emit bits (see the `sc-convert` crate). A family's sources are
+//! built at run time by [`build_source_variant`] (variant 0 is the Table II
+//! default) or from a plain-data [`SourceSpec`]. [`Replay`] wraps a
 //! source so that the draws made after a reset are logged and read back
 //! after the next one, instead of stepping the source again.
 //!
@@ -53,8 +55,13 @@ pub use source::{RandomSource, RngKind, SourceExt};
 pub use spec::{SourceGateModel, SourceSpec};
 pub use vandercorput::VanDerCorput;
 
-/// Constructs a boxed source of the requested kind with sensible defaults,
-/// matching the configurations used in the paper's Table II.
+/// Constructs a boxed source of the requested kind with a variant index, so
+/// that several *mutually uncorrelated* sources of the same family can be
+/// instantiated (different LFSR seeds, phase-shifted Van der Corput sequences,
+/// different Halton bases, different Sobol dimensions, phase-shifted counters).
+///
+/// Variant 0 is the family's default, the configuration of the paper's
+/// Table II:
 ///
 /// * [`RngKind::Lfsr`] — 16-bit Fibonacci LFSR, seed `0xACE1`,
 /// * [`RngKind::VanDerCorput`] — base-2 Van der Corput,
@@ -65,28 +72,11 @@ pub use vandercorput::VanDerCorput;
 /// # Example
 ///
 /// ```
-/// use sc_rng::{build_source, RngKind};
+/// use sc_rng::{build_source_variant, RngKind};
 ///
-/// let mut src = build_source(RngKind::Halton);
+/// let mut src = build_source_variant(RngKind::Halton, 0);
 /// assert!(src.next_unit() < 1.0);
 /// ```
-#[must_use]
-pub fn build_source(kind: RngKind) -> Box<dyn RandomSource> {
-    match kind {
-        RngKind::Lfsr => Box::new(Lfsr::new(16, 0xACE1)),
-        RngKind::VanDerCorput => Box::new(VanDerCorput::new()),
-        RngKind::Halton => Box::new(Halton::new(3)),
-        RngKind::Sobol => Box::new(Sobol::new(1)),
-        RngKind::Counter => Box::new(CounterSource::new(256)),
-    }
-}
-
-/// Constructs a boxed source of the requested kind with a variant index, so
-/// that several *mutually uncorrelated* sources of the same family can be
-/// instantiated (different LFSR seeds, phase-shifted Van der Corput sequences,
-/// different Halton bases, different Sobol dimensions, phase-shifted counters).
-///
-/// Variant 0 is identical to [`build_source`].
 #[must_use]
 pub fn build_source_variant(kind: RngKind, variant: usize) -> Box<dyn RandomSource> {
     match kind {
@@ -121,7 +111,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn build_source_covers_all_kinds() {
+    fn build_source_variant_covers_all_kinds() {
         for kind in [
             RngKind::Lfsr,
             RngKind::VanDerCorput,
@@ -129,7 +119,7 @@ mod tests {
             RngKind::Sobol,
             RngKind::Counter,
         ] {
-            let mut src = build_source(kind);
+            let mut src = build_source_variant(kind, 0);
             for _ in 0..100 {
                 let v = src.next_unit();
                 assert!((0.0..1.0).contains(&v), "{kind:?} produced {v}");
@@ -151,23 +141,6 @@ mod tests {
             let seq_a: Vec<f64> = (0..32).map(|_| a.next_unit()).collect();
             let seq_b: Vec<f64> = (0..32).map(|_| b.next_unit()).collect();
             assert_ne!(seq_a, seq_b, "{kind:?} variants should differ");
-        }
-    }
-
-    #[test]
-    fn variant_zero_matches_default() {
-        for kind in [
-            RngKind::Lfsr,
-            RngKind::VanDerCorput,
-            RngKind::Halton,
-            RngKind::Sobol,
-            RngKind::Counter,
-        ] {
-            let mut a = build_source(kind);
-            let mut b = build_source_variant(kind, 0);
-            let seq_a: Vec<f64> = (0..32).map(|_| a.next_unit()).collect();
-            let seq_b: Vec<f64> = (0..32).map(|_| b.next_unit()).collect();
-            assert_eq!(seq_a, seq_b, "{kind:?} variant 0 should match default");
         }
     }
 }

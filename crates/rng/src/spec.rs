@@ -68,25 +68,6 @@ pub enum SourceSpec {
 }
 
 impl SourceSpec {
-    /// The spec of the default source of a family, mirroring
-    /// [`crate::build_source`].
-    #[must_use]
-    pub fn default_of(kind: RngKind) -> Self {
-        match kind {
-            RngKind::Lfsr => SourceSpec::Lfsr {
-                width: 16,
-                seed: 0xACE1,
-            },
-            RngKind::VanDerCorput => SourceSpec::VanDerCorput { offset: 0 },
-            RngKind::Halton => SourceSpec::Halton { base: 3, offset: 0 },
-            RngKind::Sobol => SourceSpec::Sobol { dimension: 1 },
-            RngKind::Counter => SourceSpec::Counter {
-                modulus: 256,
-                phase: 0,
-            },
-        }
-    }
-
     /// The family this spec describes.
     #[must_use]
     pub fn kind(&self) -> RngKind {
@@ -244,26 +225,7 @@ mod tests {
             let a: Vec<f64> = spec.build().take_units(32);
             let b: Vec<f64> = spec.build().take_units(32);
             assert_eq!(a, b, "{spec}");
-        }
-    }
-
-    #[test]
-    fn default_of_matches_build_source() {
-        for kind in [
-            RngKind::Lfsr,
-            RngKind::VanDerCorput,
-            RngKind::Halton,
-            RngKind::Sobol,
-            RngKind::Counter,
-        ] {
-            let mut from_spec = SourceSpec::default_of(kind).build();
-            let mut from_builder = crate::build_source(kind);
-            assert_eq!(
-                from_spec.take_units(16),
-                from_builder.take_units(16),
-                "{kind:?}"
-            );
-            assert_eq!(SourceSpec::default_of(kind).kind(), kind);
+            assert_eq!(spec.kind(), spec.build().kind(), "{spec}");
         }
     }
 

@@ -80,7 +80,7 @@ pub enum CellKind {
     /// decorrelator), kept as one sequential block. Two inputs, two outputs.
     Fsm {
         /// The circuit family and depth.
-        kind: ManipulatorKind,
+        kind: FsmKind,
     },
     /// The correlation-agnostic adder: a full adder whose sum feeds the
     /// residue flip-flop and whose carry (majority) is the output.
@@ -89,6 +89,40 @@ pub enum CellKind {
     CaMax,
     /// Correlation-agnostic minimum.
     CaMin,
+}
+
+/// The manipulators that lower to one [`CellKind::Fsm`] block. The identity
+/// and the isolator are not among them: they lower to a wire and to a
+/// flip-flop chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FsmKind {
+    /// Synchronizer FSM with save depth `depth`.
+    Synchronizer {
+        /// Save depth `D ≥ 1`.
+        depth: u32,
+    },
+    /// Desynchronizer FSM with save depth `depth`.
+    Desynchronizer {
+        /// Save depth `D ≥ 1`.
+        depth: u32,
+    },
+    /// Decorrelator of two shuffle buffers of `depth` entries.
+    Decorrelator {
+        /// Shuffle-buffer depth.
+        depth: usize,
+    },
+}
+
+impl FsmKind {
+    /// The graph-level manipulator this FSM implements.
+    #[must_use]
+    pub fn manipulator(self) -> ManipulatorKind {
+        match self {
+            FsmKind::Synchronizer { depth } => ManipulatorKind::Synchronizer { depth },
+            FsmKind::Desynchronizer { depth } => ManipulatorKind::Desynchronizer { depth },
+            FsmKind::Decorrelator { depth } => ManipulatorKind::Decorrelator { depth },
+        }
+    }
 }
 
 /// The select lines a `k`-way weighted mux chain reads, which are the
@@ -178,7 +212,7 @@ impl CellKind {
                 n
             }
             CellKind::SelectOneHot { spec, .. } => graph_cost::source_netlist(spec, converter_bits),
-            CellKind::Fsm { kind } => graph_cost::manipulator_netlist(kind),
+            CellKind::Fsm { kind } => graph_cost::manipulator_netlist(&kind.manipulator()),
             // The structural CA adder refines the table model: the majority /
             // sum pair is literally one full adder plus the residue flip-flop.
             CellKind::CaAdd => Netlist::new("ca-add")

@@ -3,7 +3,7 @@
 //! the same batch input the word-parallel executor consumes.
 
 use crate::components::{CaAddCell, CaMaxMinCell, SelectOneHot, SourceBit};
-use crate::design::{Cell, CellKind, Design, NetRef, SinkPlan};
+use crate::design::{Cell, CellKind, Design, FsmKind, NetRef, SinkPlan};
 use sc_bitstream::Bitstream;
 use sc_core::sim_adapter::ManipulatorComponent;
 use sc_graph::{BatchInput, BinaryOp, CompiledGraph, ManipulatorKind, NodeOp};
@@ -152,22 +152,30 @@ pub fn elaborate(
             }
             NodeOp::Manipulate(kind) => {
                 let (mut nx, mut ny) = (slot(&slots, srcs[0]), slot(&slots, srcs[1]));
-                match kind {
-                    ManipulatorKind::Identity => {}
+                let fsm = match *kind {
+                    ManipulatorKind::Identity => None,
                     ManipulatorKind::Isolator { delay } => {
                         // A k-stage isolator is literally k flip-flops in the
                         // X path; Y passes through untouched.
-                        for _ in 0..*delay {
+                        for _ in 0..delay {
                             nx = design.cell(CellKind::Dff, &[nx])[0];
                         }
+                        None
                     }
-                    ManipulatorKind::Synchronizer { .. }
-                    | ManipulatorKind::Desynchronizer { .. }
-                    | ManipulatorKind::Decorrelator { .. } => {
-                        let outs = design.cell(CellKind::Fsm { kind: *kind }, &[nx, ny]);
-                        nx = outs[0];
-                        ny = outs[1];
+                    ManipulatorKind::Synchronizer { depth } => {
+                        Some(FsmKind::Synchronizer { depth })
                     }
+                    ManipulatorKind::Desynchronizer { depth } => {
+                        Some(FsmKind::Desynchronizer { depth })
+                    }
+                    ManipulatorKind::Decorrelator { depth } => {
+                        Some(FsmKind::Decorrelator { depth })
+                    }
+                };
+                if let Some(kind) = fsm {
+                    let outs = design.cell(CellKind::Fsm { kind }, &[nx, ny]);
+                    nx = outs[0];
+                    ny = outs[1];
                 }
                 slots[dst] = Some(nx);
                 slots[dst + 1] = Some(ny);
@@ -480,9 +488,10 @@ fn instantiate(circuit: &mut Circuit, cell: &Cell, inputs: &[NetId]) -> Vec<NetI
             skip,
             weights,
         } => circuit.add_component(SelectOneHot::new(spec, *skip, weights), inputs),
-        CellKind::Fsm { kind } => {
-            circuit.add_component(ManipulatorComponent::new(kind.build()), inputs)
-        }
+        CellKind::Fsm { kind } => circuit.add_component(
+            ManipulatorComponent::new(kind.manipulator().build()),
+            inputs,
+        ),
         CellKind::CaAdd => circuit.add_component(CaAddCell::new(), inputs),
         CellKind::CaMax => circuit.add_component(CaMaxMinCell::new(true), inputs),
         CellKind::CaMin => circuit.add_component(CaMaxMinCell::new(false), inputs),

@@ -65,6 +65,6 @@ pub mod design;
 pub mod elaborate;
 pub mod verilog;
 
-pub use design::{Cell, CellKind, Design, NetRef, SinkPlan};
+pub use design::{Cell, CellKind, Design, FsmKind, NetRef, SinkPlan};
 pub use elaborate::{elaborate, sink_counter_bits, RtlError, RtlOutput};
 pub use verilog::to_verilog;

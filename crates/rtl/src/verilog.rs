@@ -12,8 +12,7 @@
 //! radix `b`, direction-vector XOR banks) is out of scope here. Emission is
 //! fully deterministic, so the output is snapshot-testable.
 
-use crate::design::{CellKind, Design, NetRef, SinkPlan};
-use sc_graph::ManipulatorKind;
+use crate::design::{CellKind, Design, FsmKind, NetRef, SinkPlan};
 use sc_rng::{Lfsr, SourceSpec};
 use std::fmt::Write as _;
 
@@ -116,7 +115,7 @@ fn used_modules(design: &Design) -> Vec<&'static str> {
                 mark("sc_sample");
                 mark("sc_wsel");
             }
-            CellKind::Fsm { kind } => mark(fsm_module(kind).0),
+            CellKind::Fsm { kind } => mark(fsm_module(*kind).0),
             CellKind::CaAdd => mark("sc_caadd"),
             CellKind::CaMax | CellKind::CaMin => mark("sc_camaxmin"),
         }
@@ -287,15 +286,11 @@ fn emit_top(v: &mut String, design: &Design, top_name: &str) {
 }
 
 /// The leaf module and `DEPTH` parameter of a manipulator FSM cell.
-fn fsm_module(kind: &ManipulatorKind) -> (&'static str, u64) {
-    match *kind {
-        ManipulatorKind::Synchronizer { depth } => ("sc_synchronizer", u64::from(depth)),
-        ManipulatorKind::Desynchronizer { depth } => ("sc_desynchronizer", u64::from(depth)),
-        ManipulatorKind::Decorrelator { depth } => ("sc_decorrelator", depth as u64),
-        // `elaborate` lowers these to wires and flip-flops, never to an FSM.
-        ManipulatorKind::Identity | ManipulatorKind::Isolator { .. } => {
-            unreachable!("{kind} has no FSM cell")
-        }
+fn fsm_module(kind: FsmKind) -> (&'static str, u64) {
+    match kind {
+        FsmKind::Synchronizer { depth } => ("sc_synchronizer", u64::from(depth)),
+        FsmKind::Desynchronizer { depth } => ("sc_desynchronizer", u64::from(depth)),
+        FsmKind::Decorrelator { depth } => ("sc_decorrelator", depth as u64),
     }
 }
 
@@ -380,7 +375,7 @@ fn emit_instance(cell: &crate::design::Cell, inst: &str) -> String {
             )
         }
         CellKind::Fsm { kind } => {
-            let (module, depth) = fsm_module(kind);
+            let (module, depth) = fsm_module(*kind);
             format!(
                 "{module} #(.DEPTH({depth})) {inst} (.clk(clk), .rst(rst), .x({}), .y({}), .ox({}), .oy({}));",
                 net(i[0]),

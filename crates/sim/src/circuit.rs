@@ -1,7 +1,6 @@
 //! Netlist construction and cycle-by-cycle evaluation.
 
 use crate::component::Component;
-use crate::trace::Trace;
 use sc_bitstream::Bitstream;
 use std::collections::HashMap;
 use std::fmt;
@@ -85,11 +84,6 @@ pub struct Circuit {
     primary_outputs: Vec<(String, NetId)>,
     /// Transparent-component evaluation order (computed lazily).
     order: Option<Vec<usize>>,
-    /// Total number of net value toggles observed across all runs (for
-    /// activity-based power estimation).
-    toggle_count: u64,
-    /// Total number of simulated cycles across all runs.
-    cycle_count: u64,
 }
 
 impl fmt::Debug for Circuit {
@@ -194,35 +188,11 @@ impl Circuit {
         self.net_count
     }
 
-    /// Total net toggles observed so far (switching activity).
-    #[must_use]
-    pub fn toggle_count(&self) -> u64 {
-        self.toggle_count
-    }
-
-    /// Total cycles simulated so far.
-    #[must_use]
-    pub fn cycle_count(&self) -> u64 {
-        self.cycle_count
-    }
-
-    /// Average switching activity per net per cycle, in `[0, 1]`.
-    #[must_use]
-    pub fn activity_factor(&self) -> f64 {
-        if self.cycle_count == 0 || self.net_count == 0 {
-            0.0
-        } else {
-            self.toggle_count as f64 / (self.cycle_count as f64 * self.net_count as f64)
-        }
-    }
-
-    /// Resets every component to its power-on state and clears activity counters.
+    /// Resets every component to its power-on state.
     pub fn reset(&mut self) {
         for inst in &mut self.instances {
             inst.component.reset();
         }
-        self.toggle_count = 0;
-        self.cycle_count = 0;
     }
 
     /// Runs the circuit with the given named input stimuli and returns the
@@ -240,8 +210,8 @@ impl Circuit {
         &mut self,
         stimuli: &[(&str, Bitstream)],
     ) -> Result<HashMap<String, Bitstream>, SimError> {
-        let (outputs, _) = self.run_traced(stimuli, false)?;
-        Ok(outputs)
+        let cycles = stimuli.first().map_or(0, |(_, stream)| stream.len());
+        self.run_cycles(stimuli, cycles)
     }
 
     /// Like [`Circuit::run`] but with an explicit cycle count, so circuits
@@ -258,51 +228,17 @@ impl Circuit {
         stimuli: &[(&str, Bitstream)],
         cycles: usize,
     ) -> Result<HashMap<String, Bitstream>, SimError> {
-        let (outputs, _) = self.run_traced_cycles(stimuli, Some(cycles), false)?;
-        Ok(outputs)
-    }
-
-    /// Like [`Circuit::run`] but optionally records a full per-net [`Trace`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Circuit::run`].
-    pub fn run_traced(
-        &mut self,
-        stimuli: &[(&str, Bitstream)],
-        capture_trace: bool,
-    ) -> Result<(HashMap<String, Bitstream>, Option<Trace>), SimError> {
-        self.run_traced_cycles(stimuli, None, capture_trace)
-    }
-
-    /// The most general run entry point: optional explicit cycle count plus
-    /// optional trace capture.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Circuit::run_cycles`].
-    pub fn run_traced_cycles(
-        &mut self,
-        stimuli: &[(&str, Bitstream)],
-        explicit_cycles: Option<usize>,
-        capture_trace: bool,
-    ) -> Result<(HashMap<String, Bitstream>, Option<Trace>), SimError> {
         // Validate stimuli.
         let mut by_name: HashMap<&str, &Bitstream> = HashMap::new();
-        let mut cycles: Option<usize> = explicit_cycles;
         for (name, stream) in stimuli {
             if !self.primary_inputs.iter().any(|(n, _)| n == name) {
                 return Err(SimError::UnknownInput((*name).to_string()));
             }
-            match cycles {
-                None => cycles = Some(stream.len()),
-                Some(c) if c != stream.len() => {
-                    return Err(SimError::StimulusLengthMismatch {
-                        expected: c,
-                        found: stream.len(),
-                    })
-                }
-                _ => {}
+            if stream.len() != cycles {
+                return Err(SimError::StimulusLengthMismatch {
+                    expected: cycles,
+                    found: stream.len(),
+                });
             }
             by_name.insert(name, stream);
         }
@@ -311,17 +247,14 @@ impl Circuit {
                 return Err(SimError::MissingInput(name.clone()));
             }
         }
-        let cycles = cycles.unwrap_or(0);
 
         let order = self.evaluation_order()?;
         let mut nets = vec![false; self.net_count];
-        let mut prev_nets = vec![false; self.net_count];
         let mut outputs: HashMap<String, Bitstream> = self
             .primary_outputs
             .iter()
             .map(|(n, _)| (n.clone(), Bitstream::zeros(cycles)))
             .collect();
-        let mut trace = capture_trace.then(|| Trace::new(self.net_count));
 
         let mut scratch_in = Vec::new();
         let mut scratch_out = Vec::new();
@@ -362,7 +295,7 @@ impl Circuit {
                 scratch_in.extend(inst.inputs.iter().map(|n| nets[n.index()]));
                 inst.component.commit(&scratch_in);
             }
-            // Record outputs, activity, and trace.
+            // Record outputs.
             for (name, net) in &self.primary_outputs {
                 if nets[net.index()] {
                     outputs
@@ -371,21 +304,9 @@ impl Circuit {
                         .set(cycle, true);
                 }
             }
-            if cycle > 0 {
-                self.toggle_count += nets
-                    .iter()
-                    .zip(prev_nets.iter())
-                    .filter(|(a, b)| a != b)
-                    .count() as u64;
-            }
-            prev_nets.copy_from_slice(&nets);
-            if let Some(t) = trace.as_mut() {
-                t.record_cycle(&nets);
-            }
-            self.cycle_count += 1;
         }
 
-        Ok((outputs, trace))
+        Ok(outputs)
     }
 
     /// Computes (and caches) a topological evaluation order over the
@@ -594,21 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn activity_counters_accumulate() {
-        let mut c = Circuit::new();
-        let x = c.add_input("x");
-        let z = c.add_component(NotGate::new(), &[x])[0];
-        c.mark_output("z", z);
-        let _ = c.run(&[("x", bs("01010101"))]).unwrap();
-        assert_eq!(c.cycle_count(), 8);
-        assert!(c.toggle_count() > 0);
-        assert!(c.activity_factor() > 0.5); // alternating input toggles every net every cycle
-        c.reset();
-        assert_eq!(c.cycle_count(), 0);
-        assert_eq!(c.toggle_count(), 0);
-    }
-
-    #[test]
     fn constants_and_xor() {
         let mut c = Circuit::new();
         let x = c.add_input("x");
@@ -646,18 +552,5 @@ mod tests {
             c.run_cycles(&[("x", bs("0101"))], 4).unwrap()["z"],
             bs("1010")
         );
-    }
-
-    #[test]
-    fn traced_run_captures_all_nets() {
-        let mut c = Circuit::new();
-        let x = c.add_input("x");
-        let z = c.add_component(NotGate::new(), &[x])[0];
-        c.mark_output("z", z);
-        let (_, trace) = c.run_traced(&[("x", bs("0101"))], true).unwrap();
-        let trace = trace.unwrap();
-        assert_eq!(trace.cycles(), 4);
-        assert_eq!(trace.net_count(), c.net_count());
-        assert_eq!(trace.net_stream(z.index()).unwrap().to_bit_string(), "1010");
     }
 }

@@ -16,7 +16,7 @@
 /// topological order) and then [`Component::commit`] for every component with
 /// the final input values of the cycle so sequential state can advance.
 pub trait Component: Send {
-    /// Short human-readable name used in traces and error messages.
+    /// Short human-readable name used in error messages.
     fn name(&self) -> &str;
 
     /// Number of input ports.

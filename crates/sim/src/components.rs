@@ -1,5 +1,5 @@
-//! Primitive component library: logic gates, multiplexers, flip-flops, and a
-//! closure adapter for arbitrary streaming state machines.
+//! Primitive component library: logic gates, multiplexers, flip-flops, a full
+//! adder, an up-counter and constant drivers.
 
 use crate::component::Component;
 
@@ -163,74 +163,8 @@ impl Component for DFlipFlop {
     }
 }
 
-/// Adapter that turns a closure `FnMut(&[bool]) -> Vec<bool>` into a
-/// transparent (Mealy) component, so bitstream-level models such as the
-/// synchronizer can be dropped into gate-level netlists for cross-checking.
-pub struct StreamFn<F> {
-    name: String,
-    inputs: usize,
-    outputs: usize,
-    f: F,
-}
-
-impl<F> std::fmt::Debug for StreamFn<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamFn")
-            .field("name", &self.name)
-            .field("inputs", &self.inputs)
-            .field("outputs", &self.outputs)
-            .finish()
-    }
-}
-
-impl<F: FnMut(&[bool]) -> Vec<bool> + Send> StreamFn<F> {
-    /// Wraps a closure as a component with the given port counts.
-    ///
-    /// # Panics
-    ///
-    /// The simulator will panic later if the closure returns a vector whose
-    /// length differs from `outputs`.
-    #[must_use]
-    pub fn new(name: impl Into<String>, inputs: usize, outputs: usize, f: F) -> Self {
-        StreamFn {
-            name: name.into(),
-            inputs,
-            outputs,
-            f,
-        }
-    }
-}
-
-impl<F: FnMut(&[bool]) -> Vec<bool> + Send> Component for StreamFn<F> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn num_inputs(&self) -> usize {
-        self.inputs
-    }
-
-    fn num_outputs(&self) -> usize {
-        self.outputs
-    }
-
-    fn evaluate(&mut self, inputs: &[bool], outputs: &mut [bool]) {
-        let produced = (self.f)(inputs);
-        assert_eq!(
-            produced.len(),
-            outputs.len(),
-            "component '{}' produced {} outputs, expected {}",
-            self.name,
-            produced.len(),
-            outputs.len()
-        );
-        outputs.copy_from_slice(&produced);
-    }
-}
-
 /// A one-bit full adder: ports are `(a, b, carry_in)`, outputs are
-/// `(sum, carry_out)`. The building block of parallel-counter (APC) adder
-/// trees and of the correlation-agnostic adder's majority/sum pair.
+/// `(sum, carry_out)`: the correlation-agnostic adder's majority/sum pair.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct FullAdder;
 
@@ -408,27 +342,6 @@ mod tests {
         assert!(!d.state());
         let d1 = DFlipFlop::with_initial(true);
         assert!(d1.state());
-    }
-
-    #[test]
-    fn stream_fn_wraps_closure_with_state() {
-        let mut parity = false;
-        let mut c = StreamFn::new("parity", 1, 1, move |i: &[bool]| {
-            parity ^= i[0];
-            vec![parity]
-        });
-        assert_eq!(c.name(), "parity");
-        assert!(eval1(&mut c, &[true]));
-        assert!(!eval1(&mut c, &[true]));
-        assert!(!eval1(&mut c, &[false]));
-    }
-
-    #[test]
-    #[should_panic(expected = "produced")]
-    fn stream_fn_panics_on_wrong_arity() {
-        let mut c = StreamFn::new("bad", 1, 2, |_: &[bool]| vec![true]);
-        let mut out = [false, false];
-        c.evaluate(&[true], &mut out);
     }
 
     #[test]

@@ -9,16 +9,15 @@
 //! nets, evaluated one clock cycle at a time with proper sequential /
 //! combinational ordering.
 //!
-//! The higher-level crates use it three ways:
+//! The higher-level crates use it two ways:
 //!
 //! * to cross-check the bitstream-level functional models of the correlation
-//!   manipulating circuits against gate/FSM-level implementations,
+//!   manipulating circuits against gate/FSM-level implementations, and
 //! * to cross-check **compiled `sc_graph` dataflow plans** — not only
 //!   hand-built circuits — against gate-level netlists of the same design
 //!   (see the workspace `graph_equivalence` suite, which runs a compiled
 //!   graph node and a simulated gate over the same streams and demands
-//!   bit-identical output), and
-//! * to count switching activity for the `sc-hwcost` power model.
+//!   bit-identical output).
 //!
 //! # Example
 //!
@@ -46,8 +45,6 @@
 pub mod circuit;
 pub mod component;
 pub mod components;
-pub mod trace;
 
 pub use circuit::{Circuit, NetId, SimError};
 pub use component::Component;
-pub use trace::Trace;

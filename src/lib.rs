@@ -9,7 +9,7 @@
 //!
 //! * [`sc_bitstream`] — stochastic numbers, encodings, and the SCC metric,
 //! * [`sc_rng`] — LFSR, Van der Corput, Halton, and Sobol sources,
-//! * [`sc_convert`] — D/S, S/D, APC, and regeneration converters,
+//! * [`sc_convert`] — D/S and S/D converters and the regeneration baseline,
 //! * [`sc_sim`] — cycle-level circuit simulation,
 //! * [`sc_arith`] — SC arithmetic and correlation-agnostic baselines,
 //! * [`sc_core`] — the synchronizer, desynchronizer, decorrelator, and the
@@ -73,8 +73,8 @@ pub mod prelude {
         run_float_pipeline, run_sc_pipeline, GrayImage, PipelineConfig, PipelineVariant,
     };
     pub use sc_rng::{
-        build_source, build_source_variant, CounterSource, Halton, Lfsr, RandomSource, RngKind,
-        Sobol, SourceSpec, VanDerCorput,
+        build_source_variant, CounterSource, Halton, Lfsr, RandomSource, RngKind, Sobol,
+        SourceSpec, VanDerCorput,
     };
 }
 
@@ -84,7 +84,7 @@ mod tests {
 
     #[test]
     fn prelude_items_are_usable_together() {
-        let mut g = StreamGenerator::of_kind(RngKind::VanDerCorput);
+        let mut g = StreamGenerator::of_kind_variant(RngKind::VanDerCorput, 0);
         let x = g.generate(Probability::new(0.5).unwrap(), 128);
         assert_eq!(StochasticToDigital::convert(&x).get(), x.value());
         let report = characterize::or_max();

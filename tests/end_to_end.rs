@@ -139,17 +139,3 @@ fn cost_model_tracks_every_design_used_in_the_flow() {
     let two_syncs = characterize::synchronizer(1).scaled("2x", 2);
     assert!(two_syncs.power_uw() < regen.power_uw());
 }
-
-#[test]
-fn apc_preserves_precision_where_mux_adder_quantizes() {
-    let (x, y) = uncorrelated_pair(1.0 / 8.0, 2.0 / 8.0);
-    let mut apc = sc_convert::AccumulativeParallelCounter::new(2);
-    apc.accumulate_streams(&[x.clone(), y.clone()])
-        .expect("equal lengths");
-    assert!((apc.sum_of_values() - 0.375).abs() < 0.02);
-
-    let mut adder = sc_arith::add::MuxAdder::new(Lfsr::new(16, 0x7331));
-    let scaled = adder.add(&x, &y).expect("equal lengths");
-    // The scaled adder returns (px + py) / 2 with SC sampling noise on top.
-    assert!((scaled.value() - 0.1875).abs() < 0.05);
-}
