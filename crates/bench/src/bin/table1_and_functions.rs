@@ -13,7 +13,19 @@ use sc_convert::DigitalToStochastic;
 use sc_core::{CorrelationManipulator, Desynchronizer, Synchronizer};
 use sc_rng::{Halton, VanDerCorput};
 
-fn literal_examples() -> Result<(), Box<dyn std::error::Error>> {
+/// One literal 8-bit Table I row: the correlation, the function the AND
+/// gate realises and its value, and what `X & Y` measured.
+struct LiteralRow {
+    label: &'static str,
+    function: &'static str,
+    expected: f64,
+    scc: f64,
+    and: Bitstream,
+}
+
+/// The paper's three literal rows: X = 10101010 (0.5) against a positively
+/// correlated, a negatively correlated and an uncorrelated Y of value 0.75.
+fn literal_rows() -> Result<Vec<LiteralRow>, sc_bitstream::Error> {
     let x = Bitstream::parse("10101010")?;
     let cases = [
         ("positively correlated", "10111011", "min(pX, pY)", 0.5),
@@ -25,36 +37,25 @@ fn literal_examples() -> Result<(), Box<dyn std::error::Error>> {
         ),
         ("uncorrelated", "11111100", "pX * pY", 0.375),
     ];
-    let mut rows = Vec::new();
-    for (label, y_bits, function, expected) in cases {
-        let y = Bitstream::parse(y_bits)?;
-        let z = x.and(&y);
-        rows.push(vec![
-            label.to_string(),
-            format!("{:+.2}", scc(&x, &y)),
-            z.to_bit_string(),
-            function.to_string(),
-            cell(expected),
-            cell(z.value()),
-        ]);
-    }
-    print_table(
-        "Table I — literal 8-bit examples (X = 10101010, pX = 0.5, pY = 0.75)",
-        &[
-            "correlation",
-            "SCC",
-            "X & Y",
-            "function",
-            "expected",
-            "measured",
-        ],
-        &rows,
-    );
-    Ok(())
+    cases
+        .into_iter()
+        .map(|(label, y_bits, function, expected)| {
+            let y = Bitstream::parse(y_bits)?;
+            Ok(LiteralRow {
+                label,
+                function,
+                expected,
+                scc: scc(&x, &y),
+                and: x.and(&y),
+            })
+        })
+        .collect()
 }
 
-fn swept_examples() {
-    let n = PAPER_STREAM_LENGTH;
+/// The swept rows at stream length `n` over a 15×15 value grid: the error of
+/// AND as min on synchronized inputs, as saturating subtract on
+/// desynchronized inputs, and as multiply on uncorrelated inputs.
+fn swept_errors(n: usize) -> [ErrorStats; 3] {
     let steps = 16u64;
     let mut min_stats = ErrorStats::new();
     let mut sat_stats = ErrorStats::new();
@@ -82,6 +83,38 @@ fn swept_examples() {
             mul_stats.record(x.and(&y).value(), px * py);
         }
     }
+    [min_stats, sat_stats, mul_stats]
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    println!("Table I — SC functions implemented by a two-input AND gate");
+    let rows: Vec<Vec<String>> = literal_rows()?
+        .iter()
+        .map(|row| {
+            vec![
+                row.label.to_string(),
+                format!("{:+.2}", row.scc),
+                row.and.to_bit_string(),
+                row.function.to_string(),
+                cell(row.expected),
+                cell(row.and.value()),
+            ]
+        })
+        .collect();
+    print_table(
+        "Table I — literal 8-bit examples (X = 10101010, pX = 0.5, pY = 0.75)",
+        &[
+            "correlation",
+            "SCC",
+            "X & Y",
+            "function",
+            "expected",
+            "measured",
+        ],
+        &rows,
+    );
+
+    let [min_stats, sat_stats, mul_stats] = swept_errors(PAPER_STREAM_LENGTH);
     print_comparisons(
         "Table I — swept at N = 256 (mean absolute error of each realised function)",
         &[
@@ -102,11 +135,39 @@ fn swept_examples() {
             ),
         ],
     );
+    Ok(())
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("Table I — SC functions implemented by a two-input AND gate");
-    literal_examples()?;
-    swept_examples();
-    Ok(())
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The literal rows are exact: each 8-bit pair sits at its correlation
+    /// extreme (or, for the third, at SCC 0 with the product representable
+    /// in 8 bits), so the AND gate realises its function with no rounding.
+    #[test]
+    fn literal_rows_are_exact() {
+        let rows = literal_rows().unwrap();
+        let values: Vec<f64> = rows.iter().map(|row| row.and.value()).collect();
+        assert_eq!(values, [0.5, 0.25, 0.375]);
+        for row in &rows {
+            assert_eq!(row.and.value(), row.expected, "{}", row.label);
+        }
+        assert_eq!(rows[0].scc, 1.0, "positively correlated pair");
+        assert_eq!(rows[1].scc, -1.0, "negatively correlated pair");
+    }
+
+    /// Swept at N = 256, each function's mean absolute error is at most
+    /// 0.01: measured 0.0023 (min), 0.0035 (saturating subtract) and 0.0026
+    /// (multiply). The band is about 3x the largest, so rounding at N = 256
+    /// stays inside it, while a row whose inputs lose the correlation its
+    /// function needs lands far outside.
+    #[test]
+    fn swept_functions_track_their_targets() {
+        let names = ["min", "saturating subtract", "multiply"];
+        for (name, stats) in names.iter().zip(swept_errors(PAPER_STREAM_LENGTH)) {
+            let error = stats.mean_abs_error();
+            assert!(error <= 0.01, "AND as {name}: mean abs error {error}");
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! The bit-packed stochastic number type.
 
 use crate::error::{Error, Result};
-use crate::value::{BipolarValue, Probability};
+use crate::value::Probability;
 use std::fmt;
 
 /// Number of stream bits packed into one storage word.
@@ -104,20 +104,22 @@ impl Bitstream {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::EmptyStream`] if the string contains no `0`/`1`
-    /// characters, and [`Error::ProbabilityOutOfRange`] is never returned; any
-    /// other character yields [`Error::EmptyStream`]? No — invalid characters
-    /// are reported via [`Error::IndexOutOfBounds`]. To keep the error surface
-    /// small, invalid characters are rejected as [`Error::EmptyStream`] only
-    /// when nothing was parsed; otherwise they are skipped.
+    /// Returns [`Error::InvalidCharacter`] for the first character that is
+    /// not `0`, `1`, whitespace or `_`, and [`Error::EmptyStream`] if the
+    /// string holds no bits.
     pub fn parse(s: &str) -> Result<Self> {
         let mut out = Bitstream::new();
-        for c in s.chars() {
+        for (position, c) in s.chars().enumerate() {
             match c {
                 '0' => out.push(false),
                 '1' => out.push(true),
                 c if c.is_whitespace() || c == '_' => {}
-                _ => {}
+                character => {
+                    return Err(Error::InvalidCharacter {
+                        character,
+                        position,
+                    })
+                }
             }
         }
         if out.is_empty() {
@@ -207,25 +209,6 @@ impl Bitstream {
     #[must_use]
     pub fn as_words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Mutable access to the packed storage words.
-    ///
-    /// Callers writing the final word must keep the invariant that bits at
-    /// positions `>= len()` stay 0 — AND it with [`Bitstream::tail_mask`]
-    /// after writing, or the 1s-count and value become wrong.
-    #[must_use]
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
-    /// Mask selecting the valid bits of the *final* storage word:
-    /// `u64::MAX` when the length is a positive multiple of 64, the low
-    /// `len % 64` bits for a partial final word, and `0` for an empty
-    /// stream (which has no valid bits).
-    #[must_use]
-    pub fn tail_mask(&self) -> u64 {
-        tail_mask_for(self.len)
     }
 
     /// Number of valid stream bits in storage word `word_index` (64 for every
@@ -349,12 +332,6 @@ impl Bitstream {
         Ok(out)
     }
 
-    /// Number of 0s in the stream.
-    #[must_use]
-    pub fn count_zeros(&self) -> usize {
-        self.len - self.count_ones()
-    }
-
     /// Unipolar value of the stream (fraction of 1s). Returns 0 for an empty stream.
     #[must_use]
     pub fn value(&self) -> f64 {
@@ -377,24 +354,12 @@ impl Bitstream {
         2.0 * self.value() - 1.0
     }
 
-    /// Bipolar value as a validated [`BipolarValue`].
-    #[must_use]
-    pub fn bipolar(&self) -> BipolarValue {
-        BipolarValue::saturating(self.bipolar_value())
-    }
-
     /// Iterates over the bits in stream order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
             stream: self,
             index: 0,
         }
-    }
-
-    /// Collects the bits into a `Vec<bool>`.
-    #[must_use]
-    pub fn to_bools(&self) -> Vec<bool> {
-        self.iter().collect()
     }
 
     /// Renders the stream as a string of `0`/`1` characters in stream order.
@@ -574,59 +539,6 @@ impl Bitstream {
         out
     }
 
-    /// Returns a rotated copy: bit `i` of the output is bit `(i + k) % len` of the input.
-    #[must_use]
-    pub fn rotated(&self, k: usize) -> Bitstream {
-        if self.len == 0 {
-            return self.clone();
-        }
-        let k = k % self.len;
-        if k == 0 {
-            return self.clone();
-        }
-        let head = self
-            .slice(k, self.len - k)
-            .expect("rotation split is in bounds");
-        let tail = self.slice(0, k).expect("rotation split is in bounds");
-        head.concat(&tail)
-    }
-
-    /// Concatenates two streams.
-    #[must_use]
-    pub fn concat(&self, other: &Bitstream) -> Bitstream {
-        let mut out = self.clone();
-        for (w, &word) in other.words.iter().enumerate() {
-            out.push_word(word, other.word_len(w));
-        }
-        out
-    }
-
-    /// Returns the sub-stream `[start, start + len)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::IndexOutOfBounds`] if the range extends past the end.
-    pub fn slice(&self, start: usize, len: usize) -> Result<Bitstream> {
-        if start + len > self.len {
-            return Err(Error::IndexOutOfBounds {
-                index: start + len,
-                len: self.len,
-            });
-        }
-        let word_shift = start / WORD_BITS;
-        let bit_shift = (start % WORD_BITS) as u32;
-        let out = Bitstream::from_word_fn(len, |w| {
-            let lo = self.words[word_shift + w] >> bit_shift;
-            if bit_shift == 0 {
-                lo
-            } else {
-                let hi = self.words.get(word_shift + w + 1).copied().unwrap_or(0);
-                lo | (hi << (64 - bit_shift))
-            }
-        });
-        Ok(out)
-    }
-
     /// Clears any set bits beyond `len` in the last storage word.
     fn mask_tail(&mut self) {
         if let Some(last) = self.words.last_mut() {
@@ -640,10 +552,7 @@ impl Bitstream {
 
 /// Mask selecting the low `len % 64` bits: all 64 when `len` is a *positive*
 /// multiple of 64, and `0` for a zero-length stream, which has no valid bits
-/// at all. (The `0 % 64 == 0` case used to fall into the full-word branch
-/// and return `u64::MAX` — harmless internally, since an empty stream stores
-/// no words for the mask to touch, but wrong for any caller combining
-/// [`Bitstream::tail_mask`] with its own word buffers.)
+/// at all (`0 % 64 == 0` must not select the full word).
 fn tail_mask_for(len: usize) -> u64 {
     let rem = len % WORD_BITS;
     if len == 0 {
@@ -769,7 +678,7 @@ mod tests {
         assert_eq!(o.count_ones(), 100);
         assert_eq!(z.value(), 0.0);
         assert_eq!(o.value(), 1.0);
-        assert_eq!(o.count_zeros(), 0);
+        assert_eq!(o.len() - o.count_ones(), 0);
     }
 
     #[test]
@@ -815,6 +724,24 @@ mod tests {
         let s = Bitstream::parse("1010_1010 11").unwrap();
         assert_eq!(s.len(), 10);
         assert_eq!(s.count_ones(), 6);
+    }
+
+    #[test]
+    fn parse_rejects_unknown_characters() {
+        assert_eq!(
+            Bitstream::parse("10x1"),
+            Err(Error::InvalidCharacter {
+                character: 'x',
+                position: 2
+            })
+        );
+        assert_eq!(
+            Bitstream::parse("0b101"),
+            Err(Error::InvalidCharacter {
+                character: 'b',
+                position: 1
+            })
+        );
     }
 
     #[test]
@@ -881,31 +808,12 @@ mod tests {
     }
 
     #[test]
-    fn rotated_preserves_value() {
-        let x = Bitstream::parse("10110010").unwrap();
-        let r = x.rotated(3);
-        assert_eq!(r.count_ones(), x.count_ones());
-        assert_eq!(x.rotated(0), x);
-        assert_eq!(x.rotated(8), x);
-    }
-
-    #[test]
-    fn slice_and_concat() {
-        let x = Bitstream::parse("1011").unwrap();
-        let y = Bitstream::parse("0001").unwrap();
-        let c = x.concat(&y);
-        assert_eq!(c.to_bit_string(), "10110001");
-        assert_eq!(c.slice(4, 4).unwrap(), y);
-        assert!(c.slice(6, 4).is_err());
-    }
-
-    #[test]
     fn iterator_round_trip() {
         let x = Bitstream::parse("1001110").unwrap();
         let collected: Bitstream = x.iter().collect();
         assert_eq!(collected, x);
         assert_eq!(x.iter().len(), 7);
-        let bools = x.to_bools();
+        let bools: Vec<bool> = x.iter().collect();
         assert_eq!(bools.len(), 7);
         assert_eq!(Bitstream::from_bools(bools), x);
     }
@@ -938,40 +846,27 @@ mod tests {
         assert_eq!(x.word_len(0), 64);
         assert_eq!(x.word_len(2), 2);
         assert_eq!(x.word_len(3), 0);
-        assert_eq!(x.tail_mask(), 0b11);
+        assert_eq!(tail_mask_for(x.len()), 0b11);
         let rebuilt = Bitstream::from_words(x.as_words().to_vec(), x.len());
         assert_eq!(rebuilt, x);
         let by_fn = Bitstream::from_word_fn(x.len(), |w| x.as_words()[w]);
         assert_eq!(by_fn, x);
     }
 
-    #[test]
-    fn words_mut_with_tail_mask() {
-        let mut x = Bitstream::zeros(70);
-        let mask = x.tail_mask();
-        let last = x.as_words().len() - 1;
-        x.words_mut()[last] = mask;
-        assert_eq!(x.count_ones(), 6);
-    }
-
     /// Regression: a zero-length stream has **no** valid bits, so its tail
     /// mask is `0` — the `0 % 64 == 0` case used to fall into the full-word
-    /// branch and claim all 64 bits were valid. A caller AND-ing that mask
-    /// into its own word buffer would keep 64 garbage bits alive.
+    /// branch and claim all 64 bits were valid.
     #[test]
     fn empty_stream_tail_mask_is_zero() {
-        assert_eq!(Bitstream::new().tail_mask(), 0);
-        assert_eq!(Bitstream::zeros(0).tail_mask(), 0);
-        assert_eq!(Bitstream::ones(0).tail_mask(), 0);
+        assert_eq!(tail_mask_for(0), 0);
         // Positive multiples of 64 still claim the full word; partial words
         // still mask exactly their valid bits.
-        assert_eq!(Bitstream::zeros(64).tail_mask(), u64::MAX);
-        assert_eq!(Bitstream::zeros(128).tail_mask(), u64::MAX);
-        assert_eq!(Bitstream::zeros(1).tail_mask(), 1);
-        assert_eq!(Bitstream::zeros(65).tail_mask(), 1);
-        // The zero mask composes correctly with caller-side word buffers:
-        // masking an arbitrary word selects nothing for an empty stream.
-        assert_eq!(0xDEAD_BEEF_u64 & Bitstream::new().tail_mask(), 0);
+        assert_eq!(tail_mask_for(64), u64::MAX);
+        assert_eq!(tail_mask_for(128), u64::MAX);
+        assert_eq!(tail_mask_for(1), 1);
+        assert_eq!(tail_mask_for(65), 1);
+        // Masking an arbitrary word selects nothing for an empty stream.
+        assert_eq!(0xDEAD_BEEF_u64 & tail_mask_for(0), 0);
     }
 
     /// Regression companion: word iteration over zero-length streams is
@@ -1049,11 +944,6 @@ mod tests {
                     reference::delayed(&x, k, true),
                     "delay-fill n={n} k={k}"
                 );
-                assert_eq!(
-                    x.rotated(k),
-                    reference::rotated(&x, k),
-                    "rotate n={n} k={k}"
-                );
             }
         }
     }
@@ -1105,10 +995,54 @@ mod tests {
             prop_assert_eq!(Bitstream::parse(&s).unwrap(), a);
         }
 
+        /// Every constructor and combinator holds exactly `len.div_ceil(64)`
+        /// words with every bit past `len` zero; the word kernels
+        /// (`count_ones`, `scc`, equality) count those bits as stream bits.
         #[test]
-        fn prop_rotation_preserves_ones(bits in proptest::collection::vec(any::<bool>(), 1..300), k in 0usize..600) {
-            let a = Bitstream::from_bools(bits);
-            prop_assert_eq!(a.rotated(k).count_ones(), a.count_ones());
+        fn prop_every_constructor_keeps_a_zero_tail(len in 0usize..=300, multiple in 0usize..=4) {
+            for n in [len, multiple * WORD_BITS] {
+                let ones = Bitstream::ones(n);
+                let zeros = Bitstream::zeros(n);
+                let mut pushed = Bitstream::new();
+                for _ in 0..n {
+                    pushed.push(true);
+                }
+                let mut pushed_words = Bitstream::new();
+                while pushed_words.len() < n {
+                    pushed_words.push_word(u64::MAX, (n - pushed_words.len()).min(37));
+                }
+                let mut built = vec![
+                    ("zeros", zeros.clone()),
+                    ("ones", ones.clone()),
+                    ("from_bools", Bitstream::from_bools(std::iter::repeat_n(true, n))),
+                    ("from_fn", Bitstream::from_fn(n, |_| true)),
+                    ("from_word_fn", Bitstream::from_word_fn(n, |_| u64::MAX)),
+                    ("from_words", Bitstream::from_words(vec![u64::MAX; n.div_ceil(WORD_BITS)], n)),
+                    ("push", pushed),
+                    ("push_word", pushed_words),
+                    ("map_words", zeros.map_words(|w| !w)),
+                    ("not", zeros.not()),
+                    ("and", ones.and(&ones)),
+                    ("or", ones.or(&zeros)),
+                    ("xor", ones.xor(&zeros)),
+                    ("xnor", zeros.xnor(&zeros)),
+                    ("mux", Bitstream::mux(&ones, &ones, &zeros).unwrap()),
+                    ("zip_with_words", zeros.zip_with_words(&zeros, |a, b| !(a | b)).unwrap()),
+                ];
+                if n > 0 {
+                    built.push(("parse", Bitstream::parse(&"1".repeat(n)).unwrap()));
+                }
+                for k in [0, 1, 63, 64, 65, n / 2, n + 1] {
+                    built.push(("delayed", zeros.delayed(k, true)));
+                }
+                for (name, s) in built {
+                    prop_assert_eq!(s.len(), n, "{} len", name);
+                    prop_assert_eq!(s.as_words().len(), n.div_ceil(WORD_BITS), "{} words at n={}", name, n);
+                    if let (Some(&last), rem @ 1..) = (s.as_words().last(), n % WORD_BITS) {
+                        prop_assert_eq!(last >> rem, 0, "{} dirty tail at n={}", name, n);
+                    }
+                }
+            }
         }
     }
 }

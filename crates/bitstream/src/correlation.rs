@@ -88,18 +88,6 @@ impl JointCounts {
         self.a + self.b + self.c + self.d
     }
 
-    /// Number of 1s in the first stream (`a + b`).
-    #[must_use]
-    pub fn ones_x(&self) -> u64 {
-        self.a + self.b
-    }
-
-    /// Number of 1s in the second stream (`a + c`).
-    #[must_use]
-    pub fn ones_y(&self) -> u64 {
-        self.a + self.c
-    }
-
     /// SC correlation of the counted pair; see the module documentation.
     ///
     /// Returns `0.0` when the denominator is zero (either stream is constant),
@@ -158,40 +146,6 @@ pub fn scc(x: &Bitstream, y: &Bitstream) -> f64 {
 /// Returns [`Error::LengthMismatch`] or [`Error::EmptyStream`] as appropriate.
 pub fn try_scc(x: &Bitstream, y: &Bitstream) -> Result<f64> {
     Ok(JointCounts::from_streams(x, y)?.scc())
-}
-
-/// SC correlation computed directly from joint counts.
-///
-/// Convenience free function mirroring [`JointCounts::scc`].
-#[must_use]
-pub fn scc_from_counts(counts: JointCounts) -> f64 {
-    counts.scc()
-}
-
-/// Pairwise SCC matrix for a slice of equal-length streams.
-///
-/// Entry `(i, j)` is `scc(streams[i], streams[j])`; the diagonal is 1 for
-/// non-constant streams and 0 for constant streams (by the zero-denominator
-/// convention).
-///
-/// # Errors
-///
-/// Returns an error if any pair has mismatched lengths or the streams are empty.
-pub fn scc_matrix(streams: &[Bitstream]) -> Result<Vec<Vec<f64>>> {
-    let n = streams.len();
-    let mut m = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        for j in 0..n {
-            m[i][j] = if i == j {
-                try_scc(&streams[i], &streams[j])?
-            } else if j < i {
-                m[j][i]
-            } else {
-                try_scc(&streams[i], &streams[j])?
-            };
-        }
-    }
-    Ok(m)
 }
 
 #[cfg(test)]
@@ -274,9 +228,6 @@ mod tests {
         assert_eq!(j.c, 1); // position 2
         assert_eq!(j.d, 2); // positions 3 and 5
         assert_eq!(j.total(), 6);
-        assert_eq!(j.ones_x(), 3);
-        assert_eq!(j.ones_y(), 3);
-        assert_eq!(scc_from_counts(j), j.scc());
     }
 
     #[test]
@@ -286,18 +237,6 @@ mod tests {
         assert!(try_scc(&x, &y).is_err());
         let e = Bitstream::new();
         assert!(JointCounts::from_streams(&e, &e).is_err());
-    }
-
-    #[test]
-    fn scc_matrix_is_symmetric() {
-        let streams = vec![bs("10101010"), bs("10111011"), bs("11111100")];
-        let m = scc_matrix(&streams).unwrap();
-        for (i, row) in m.iter().enumerate() {
-            assert_eq!(row[i], 1.0);
-            for (j, value) in row.iter().enumerate() {
-                assert!((value - m[j][i]).abs() < 1e-12);
-            }
-        }
     }
 
     /// Builds the maximally positively correlated pair of values (px, py):

@@ -11,8 +11,6 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub enum Error {
     /// A probability outside `[0, 1]` was supplied.
     ProbabilityOutOfRange(f64),
-    /// A bipolar value outside `[-1, 1]` was supplied.
-    BipolarOutOfRange(f64),
     /// Two streams of different lengths were combined where equal lengths are required.
     LengthMismatch {
         /// Length of the left-hand stream.
@@ -22,12 +20,13 @@ pub enum Error {
     },
     /// An empty bitstream was supplied where a non-empty one is required.
     EmptyStream,
-    /// A bit index beyond the end of the stream was addressed.
-    IndexOutOfBounds {
-        /// Requested index.
-        index: usize,
-        /// Stream length.
-        len: usize,
+    /// A string parsed as a bitstream held a character other than `0`,
+    /// `1`, whitespace or `_`.
+    InvalidCharacter {
+        /// The rejected character.
+        character: char,
+        /// Its index among the string's characters.
+        position: usize,
     },
 }
 
@@ -37,17 +36,17 @@ impl fmt::Display for Error {
             Error::ProbabilityOutOfRange(v) => {
                 write!(f, "probability {v} is outside the unipolar range [0, 1]")
             }
-            Error::BipolarOutOfRange(v) => {
-                write!(f, "value {v} is outside the bipolar range [-1, 1]")
-            }
             Error::LengthMismatch { left, right } => {
                 write!(f, "bitstream length mismatch: {left} vs {right}")
             }
             Error::EmptyStream => write!(f, "bitstream is empty"),
-            Error::IndexOutOfBounds { index, len } => {
+            Error::InvalidCharacter {
+                character,
+                position,
+            } => {
                 write!(
                     f,
-                    "bit index {index} out of bounds for stream of length {len}"
+                    "invalid bitstream character {character:?} at position {position}"
                 )
             }
         }
@@ -64,10 +63,12 @@ mod tests {
     fn display_is_nonempty_and_lowercase() {
         let errors = [
             Error::ProbabilityOutOfRange(1.5),
-            Error::BipolarOutOfRange(-2.0),
             Error::LengthMismatch { left: 8, right: 16 },
             Error::EmptyStream,
-            Error::IndexOutOfBounds { index: 9, len: 8 },
+            Error::InvalidCharacter {
+                character: 'x',
+                position: 2,
+            },
         ];
         for e in errors {
             let s = e.to_string();

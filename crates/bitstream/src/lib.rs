@@ -17,10 +17,10 @@
 //!   an executable specification,
 //! * [`BitQueue`] — a packed bit FIFO used as the word-parallel delay-line
 //!   primitive by the manipulator kernels in `sc-core`,
-//! * [`Probability`] and [`BipolarValue`] — validated value newtypes,
+//! * [`Probability`] — the validated unipolar value newtype,
 //! * [`JointCounts`] and [`scc`] — the SC correlation (SCC) metric of
 //!   Alaghi & Hayes used throughout the paper (§II.B),
-//! * [`metrics`] — bias / absolute-error / RMSE accumulators used by every
+//! * [`metrics`] — bias / absolute-error accumulators used by every
 //!   experiment harness.
 //!
 //! # Example
@@ -55,7 +55,7 @@ pub mod value;
 
 pub use bitqueue::BitQueue;
 pub use bitstream::{Bitstream, WORD_BITS};
-pub use correlation::{scc, scc_from_counts, JointCounts};
+pub use correlation::{scc, JointCounts};
 pub use error::{Error, Result};
 pub use metrics::{ErrorStats, StreamPairStats};
-pub use value::{BipolarValue, Probability};
+pub use value::Probability;

@@ -29,7 +29,6 @@ pub struct ErrorStats {
     count: u64,
     sum_error: f64,
     sum_abs_error: f64,
-    sum_sq_error: f64,
     max_abs_error: f64,
 }
 
@@ -46,15 +45,9 @@ impl ErrorStats {
         self.count += 1;
         self.sum_error += e;
         self.sum_abs_error += e.abs();
-        self.sum_sq_error += e * e;
         if e.abs() > self.max_abs_error {
             self.max_abs_error = e.abs();
         }
-    }
-
-    /// Records a raw signed error directly.
-    pub fn record_error(&mut self, error: f64) {
-        self.record(error, 0.0);
     }
 
     /// Merges another accumulator into this one.
@@ -62,7 +55,6 @@ impl ErrorStats {
         self.count += other.count;
         self.sum_error += other.sum_error;
         self.sum_abs_error += other.sum_abs_error;
-        self.sum_sq_error += other.sum_sq_error;
         self.max_abs_error = self.max_abs_error.max(other.max_abs_error);
     }
 
@@ -92,16 +84,6 @@ impl ErrorStats {
         }
     }
 
-    /// Root-mean-square error. Returns 0 when empty.
-    #[must_use]
-    pub fn rmse(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.sum_sq_error / self.count as f64).sqrt()
-        }
-    }
-
     /// Largest absolute error observed.
     #[must_use]
     pub fn max_abs_error(&self) -> f64 {
@@ -128,8 +110,6 @@ pub struct StreamPairStats {
     sum_output_scc: f64,
     sum_bias_x: f64,
     sum_bias_y: f64,
-    sum_abs_bias_x: f64,
-    sum_abs_bias_y: f64,
 }
 
 impl StreamPairStats {
@@ -160,8 +140,6 @@ impl StreamPairStats {
         let by = output_y.value() - input_y.value();
         self.sum_bias_x += bx;
         self.sum_bias_y += by;
-        self.sum_abs_bias_x += bx.abs();
-        self.sum_abs_bias_y += by.abs();
         Ok(())
     }
 
@@ -172,8 +150,6 @@ impl StreamPairStats {
         self.sum_output_scc += other.sum_output_scc;
         self.sum_bias_x += other.sum_bias_x;
         self.sum_bias_y += other.sum_bias_y;
-        self.sum_abs_bias_x += other.sum_abs_bias_x;
-        self.sum_abs_bias_y += other.sum_abs_bias_y;
     }
 
     /// Number of pairs recorded.
@@ -206,18 +182,6 @@ impl StreamPairStats {
         self.mean(self.sum_bias_y)
     }
 
-    /// Mean absolute value change of the first stream.
-    #[must_use]
-    pub fn mean_abs_bias_x(&self) -> f64 {
-        self.mean(self.sum_abs_bias_x)
-    }
-
-    /// Mean absolute value change of the second stream.
-    #[must_use]
-    pub fn mean_abs_bias_y(&self) -> f64 {
-        self.mean(self.sum_abs_bias_y)
-    }
-
     fn mean(&self, sum: f64) -> f64 {
         if self.count == 0 {
             0.0
@@ -239,7 +203,6 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean_bias(), 0.0);
         assert_eq!(s.mean_abs_error(), 0.0);
-        assert_eq!(s.rmse(), 0.0);
         assert_eq!(s.max_abs_error(), 0.0);
     }
 
@@ -251,7 +214,6 @@ mod tests {
         assert_eq!(s.count(), 2);
         assert_eq!(s.mean_bias(), 0.0);
         assert_eq!(s.mean_abs_error(), 0.5);
-        assert_eq!(s.rmse(), 0.5);
         assert_eq!(s.max_abs_error(), 0.5);
     }
 
@@ -269,14 +231,6 @@ mod tests {
         assert_eq!(merged.count(), seq.count());
         assert!((merged.mean_abs_error() - seq.mean_abs_error()).abs() < 1e-12);
         assert!((merged.mean_bias() - seq.mean_bias()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn record_error_is_shorthand() {
-        let mut a = ErrorStats::new();
-        a.record_error(-0.25);
-        assert_eq!(a.mean_bias(), -0.25);
-        assert_eq!(a.mean_abs_error(), 0.25);
     }
 
     #[test]
@@ -303,8 +257,6 @@ mod tests {
         assert!(s.mean_bias_x() < 0.0);
         assert!(s.mean_bias_y() < 0.0);
         assert_eq!(s.mean_output_scc(), 1.0);
-        assert!(s.mean_abs_bias_x() > 0.0);
-        assert!(s.mean_abs_bias_y() > 0.0);
     }
 
     #[test]
@@ -332,13 +284,6 @@ mod tests {
         fn prop_mean_abs_error_at_least_abs_bias(pairs in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..50)) {
             let stats: ErrorStats = pairs.into_iter().collect();
             prop_assert!(stats.mean_abs_error() + 1e-12 >= stats.mean_bias().abs());
-        }
-
-        #[test]
-        fn prop_rmse_at_least_mean_abs_never_less_than_zero(pairs in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..50)) {
-            let stats: ErrorStats = pairs.into_iter().collect();
-            // RMSE >= MAE by Jensen's inequality.
-            prop_assert!(stats.rmse() + 1e-12 >= stats.mean_abs_error());
             prop_assert!(stats.max_abs_error() + 1e-12 >= stats.mean_abs_error());
         }
     }

@@ -114,16 +114,6 @@ pub fn delayed(x: &Bitstream, k: usize, fill: bool) -> Bitstream {
     out
 }
 
-/// Bit-serial rotation: bit `i` of the output is bit `(i + k) % len`.
-#[must_use]
-pub fn rotated(x: &Bitstream, k: usize) -> Bitstream {
-    if x.is_empty() {
-        return x.clone();
-    }
-    let k = k % x.len();
-    Bitstream::from_fn(x.len(), |i| x.bit((i + k) % x.len()))
-}
-
 /// Bit-serial 1s count.
 #[must_use]
 pub fn count_ones(x: &Bitstream) -> usize {

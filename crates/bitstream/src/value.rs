@@ -1,8 +1,8 @@
-//! Validated value newtypes for unipolar and bipolar stochastic encodings.
+//! The validated value newtype of the unipolar stochastic encoding.
 //!
 //! Unipolar stochastic numbers encode values in `[0, 1]` (each 1 weighs `+1`,
-//! each 0 weighs `0`); bipolar stochastic numbers encode values in `[-1, 1]`
-//! (each 1 weighs `+1`, each 0 weighs `-1`). See §II.A of the paper.
+//! each 0 weighs `0`); see §II.A of the paper. The bipolar reading `2p − 1`
+//! of a stream is [`Bitstream::bipolar_value`](crate::Bitstream::bipolar_value).
 
 use crate::error::{Error, Result};
 use std::fmt;
@@ -19,7 +19,6 @@ use std::fmt;
 ///
 /// let p = Probability::new(0.25)?;
 /// assert_eq!(p.get(), 0.25);
-/// assert_eq!(p.to_bipolar().get(), -0.5);
 /// # Ok::<(), sc_bitstream::Error>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
@@ -73,37 +72,6 @@ impl Probability {
     pub fn get(self) -> f64 {
         self.0
     }
-
-    /// Converts to the equivalent bipolar value `2p - 1`.
-    #[must_use]
-    pub fn to_bipolar(self) -> BipolarValue {
-        BipolarValue(2.0 * self.0 - 1.0)
-    }
-
-    /// Quantizes this probability to the nearest representable value with a
-    /// stream of length `n`, i.e. to the grid `{0/n, 1/n, ..., n/n}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn quantize(self, n: usize) -> Self {
-        assert!(n > 0, "stream length must be non-zero");
-        let k = (self.0 * n as f64).round();
-        Probability(k / n as f64)
-    }
-
-    /// The number of 1s a length-`n` stream must carry to encode the nearest
-    /// representable value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn to_count(self, n: usize) -> usize {
-        assert!(n > 0, "stream length must be non-zero");
-        ((self.0 * n as f64).round() as usize).min(n)
-    }
 }
 
 impl fmt::Display for Probability {
@@ -126,91 +94,9 @@ impl TryFrom<f64> for Probability {
     }
 }
 
-/// A bipolar stochastic value in `[-1, 1]`.
-///
-/// Under the bipolar encoding a bitstream with one-fraction `p` encodes
-/// `2p − 1`, allowing negative values at the cost of doubled quantization step.
-///
-/// # Example
-///
-/// ```
-/// use sc_bitstream::BipolarValue;
-///
-/// let v = BipolarValue::new(-0.25)?;
-/// assert_eq!(v.to_probability().get(), 0.375);
-/// # Ok::<(), sc_bitstream::Error>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct BipolarValue(f64);
-
-impl BipolarValue {
-    /// The bipolar value `-1.0`.
-    pub const NEG_ONE: BipolarValue = BipolarValue(-1.0);
-    /// The bipolar value `0.0`.
-    pub const ZERO: BipolarValue = BipolarValue(0.0);
-    /// The bipolar value `1.0`.
-    pub const ONE: BipolarValue = BipolarValue(1.0);
-
-    /// Creates a bipolar value, validating the range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::BipolarOutOfRange`] if `value` is NaN or outside `[-1, 1]`.
-    pub fn new(value: f64) -> Result<Self> {
-        if value.is_nan() || !(-1.0..=1.0).contains(&value) {
-            Err(Error::BipolarOutOfRange(value))
-        } else {
-            Ok(BipolarValue(value))
-        }
-    }
-
-    /// Creates a bipolar value, clamping into `[-1, 1]` (NaN becomes 0).
-    #[must_use]
-    pub fn saturating(value: f64) -> Self {
-        if value.is_nan() {
-            BipolarValue(0.0)
-        } else {
-            BipolarValue(value.clamp(-1.0, 1.0))
-        }
-    }
-
-    /// Returns the inner `f64`.
-    #[must_use]
-    pub fn get(self) -> f64 {
-        self.0
-    }
-
-    /// Converts to the equivalent unipolar probability `(v + 1) / 2`.
-    #[must_use]
-    pub fn to_probability(self) -> Probability {
-        Probability((self.0 + 1.0) / 2.0)
-    }
-}
-
-impl fmt::Display for BipolarValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl From<BipolarValue> for f64 {
-    fn from(v: BipolarValue) -> f64 {
-        v.0
-    }
-}
-
-impl TryFrom<f64> for BipolarValue {
-    type Error = Error;
-
-    fn try_from(value: f64) -> Result<Self> {
-        BipolarValue::new(value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn probability_validates_range() {
@@ -223,38 +109,10 @@ mod tests {
     }
 
     #[test]
-    fn bipolar_validates_range() {
-        assert!(BipolarValue::new(-1.0).is_ok());
-        assert!(BipolarValue::new(1.0).is_ok());
-        assert!(BipolarValue::new(0.0).is_ok());
-        assert!(BipolarValue::new(-1.001).is_err());
-        assert!(BipolarValue::new(1.001).is_err());
-        assert!(BipolarValue::new(f64::NAN).is_err());
-    }
-
-    #[test]
     fn saturating_clamps() {
         assert_eq!(Probability::saturating(2.0).get(), 1.0);
         assert_eq!(Probability::saturating(-2.0).get(), 0.0);
         assert_eq!(Probability::saturating(f64::NAN).get(), 0.0);
-        assert_eq!(BipolarValue::saturating(2.0).get(), 1.0);
-        assert_eq!(BipolarValue::saturating(-2.0).get(), -1.0);
-    }
-
-    #[test]
-    fn unipolar_bipolar_round_trip() {
-        let p = Probability::new(0.375).unwrap();
-        assert!((p.to_bipolar().get() - (-0.25)).abs() < 1e-12);
-        assert!((p.to_bipolar().to_probability().get() - 0.375).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantize_snaps_to_grid() {
-        let p = Probability::new(0.3).unwrap();
-        let q = p.quantize(8);
-        // 0.3 * 8 = 2.4 -> rounds to 2 -> 0.25
-        assert!((q.get() - 0.25).abs() < 1e-12);
-        assert_eq!(p.to_count(8), 2);
     }
 
     #[test]
@@ -278,26 +136,5 @@ mod tests {
         assert_eq!(f, 0.5);
         let back = Probability::try_from(0.5).unwrap();
         assert_eq!(back, p);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_round_trip_unipolar_bipolar(v in 0.0f64..=1.0) {
-            let p = Probability::new(v).unwrap();
-            let rt = p.to_bipolar().to_probability().get();
-            prop_assert!((rt - v).abs() < 1e-12);
-        }
-
-        #[test]
-        fn prop_quantize_error_bounded(v in 0.0f64..=1.0, n in 1usize..2048) {
-            let q = Probability::new(v).unwrap().quantize(n);
-            prop_assert!((q.get() - v).abs() <= 0.5 / n as f64 + 1e-12);
-        }
-
-        #[test]
-        fn prop_to_count_in_range(v in 0.0f64..=1.0, n in 1usize..2048) {
-            let k = Probability::new(v).unwrap().to_count(n);
-            prop_assert!(k <= n);
-        }
     }
 }

@@ -189,12 +189,6 @@ impl Desynchronizer {
     pub fn banked_bits(&self) -> i32 {
         self.saved_x as i32 - self.saved_y as i32
     }
-
-    /// Total number of bits currently banked across both streams.
-    #[must_use]
-    pub fn total_banked(&self) -> u32 {
-        self.saved_x + self.saved_y
-    }
 }
 
 impl CorrelationManipulator for Desynchronizer {

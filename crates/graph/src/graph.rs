@@ -214,12 +214,7 @@ impl Graph {
 
     /// Adds a regeneration unit (S/D + D/S from `source`) over a stream.
     pub fn regenerate(&mut self, source: SourceSpec, x: Wire) -> Wire {
-        self.regenerate_skipped(source, 0, x)
-    }
-
-    /// Like [`Graph::regenerate`], with the source advanced by `skip` samples.
-    pub fn regenerate_skipped(&mut self, source: SourceSpec, skip: u64, x: Wire) -> Wire {
-        let id = self.add(NodeOp::Regenerate { source, skip }, &[x]);
+        let id = self.add(NodeOp::Regenerate { source, skip: 0 }, &[x]);
         self.out(id, 0)
     }
 

@@ -446,12 +446,6 @@ impl NodeOp {
         }
     }
 
-    /// Whether the node is a sink (has a named result and no outputs).
-    #[must_use]
-    pub fn is_sink(&self) -> bool {
-        self.output_ports() == 0
-    }
-
     /// The sink's output name, if this is a sink.
     #[must_use]
     pub fn sink_name(&self) -> Option<&str> {
@@ -505,7 +499,6 @@ mod tests {
             2
         );
         assert_eq!(NodeOp::SccProbe { name: "p".into() }.input_arity(), 2);
-        assert!(NodeOp::SinkValue { name: "v".into() }.is_sink());
         assert_eq!(NodeOp::SccProbe { name: "p".into() }.sink_name(), Some("p"));
     }
 

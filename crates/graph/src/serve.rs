@@ -55,7 +55,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Default intake capacity per worker thread: the intake queue admits
 /// `threads × DEFAULT_INTAKE_FACTOR` queued jobs, enough to keep every
@@ -141,13 +141,6 @@ impl Request {
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Sets a deadline `timeout` from now.
-    #[must_use]
-    pub fn with_timeout(self, timeout: Duration) -> Self {
-        let deadline = Instant::now() + timeout;
-        self.with_deadline(deadline)
     }
 }
 
@@ -891,6 +884,7 @@ mod tests {
     use proptest::prelude::*;
     use sc_rng::SourceSpec;
     use std::collections::{BTreeMap, HashSet};
+    use std::time::Duration;
 
     const N: usize = 33;
 

@@ -28,14 +28,6 @@ pub fn roberts_cross_float(image: &GrayImage) -> GrayImage {
     })
 }
 
-/// Floating-point Roberts cross of a single 2×2 neighbourhood `[a, b, c, d]`
-/// laid out as `[(x,y), (x+1,y), (x,y+1), (x+1,y+1)]`.
-#[must_use]
-pub fn roberts_cross_float_pixel(neighbourhood: &[f64; 4]) -> f64 {
-    let [a, b, c, d] = *neighbourhood;
-    0.5 * ((a - d).abs() + (b - c).abs())
-}
-
 /// Stochastic Roberts-cross kernel for one output pixel: two XOR subtractors
 /// and a MUX scaled adder whose select bits come from `select_source`.
 ///
@@ -86,20 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn pixel_helper_matches_image_version() {
-        let img = GrayImage::gradient(8, 8);
-        let (x, y) = (3usize, 4usize);
-        let nb = [
-            img.get_clamped(x as isize, y as isize),
-            img.get_clamped(x as isize + 1, y as isize),
-            img.get_clamped(x as isize, y as isize + 1),
-            img.get_clamped(x as isize + 1, y as isize + 1),
-        ];
-        let full = roberts_cross_float(&img);
-        assert!((roberts_cross_float_pixel(&nb) - full.get(x, y)).abs() < 1e-12);
-    }
-
-    #[test]
     fn sc_edge_detector_accurate_with_correlated_inputs() {
         let n = 2048;
         let values = [0.8, 0.35, 0.55, 0.2];
@@ -120,7 +98,8 @@ mod tests {
         let mut sel = Lfsr::new(16, 0x1D0D);
         let z =
             sc_edge_detector(&streams[0], &streams[1], &streams[2], &streams[3], &mut sel).unwrap();
-        let expected = roberts_cross_float_pixel(&values);
+        let [a, b, c, d] = values;
+        let expected = 0.5 * ((a - d).abs() + (b - c).abs());
         assert!(
             (z.value() - expected).abs() < 0.05,
             "sc {} vs float {expected}",

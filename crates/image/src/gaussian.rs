@@ -41,17 +41,6 @@ pub fn gaussian_blur_float(image: &GrayImage) -> GrayImage {
     })
 }
 
-/// Floating-point Gaussian blur of a single pixel neighbourhood given as nine
-/// values in row-major order.
-#[must_use]
-pub fn gaussian_blur_float_pixel(neighbourhood: &[f64; 9]) -> f64 {
-    neighbourhood
-        .iter()
-        .zip(GAUSSIAN_WEIGHTS.iter())
-        .map(|(v, w)| v * w)
-        .sum()
-}
-
 /// Stochastic 3×3 Gaussian blur kernel: a weighted multiplexer tree.
 ///
 /// # Example
@@ -166,22 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn float_pixel_helper_matches_image_version() {
-        let img = GrayImage::gradient(6, 6);
-        let mut nb = [0.0; 9];
-        let (x, y) = (3usize, 2usize);
-        let mut w = 0;
-        for dy in -1..=1isize {
-            for dx in -1..=1isize {
-                nb[w] = img.get_clamped(x as isize + dx, y as isize + dy);
-                w += 1;
-            }
-        }
-        let full = gaussian_blur_float(&img);
-        assert!((gaussian_blur_float_pixel(&nb) - full.get(x, y)).abs() < 1e-12);
-    }
-
-    #[test]
     fn sc_blur_matches_float_blur_on_uncorrelated_streams() {
         let n = 2048;
         // Nine neighbour values.
@@ -197,7 +170,11 @@ mod tests {
         let refs: Vec<&Bitstream> = streams.iter().collect();
         let mut blur = ScGaussianBlur::new(Lfsr::new(16, 0x1D0D));
         let out = blur.apply(&refs);
-        let expected = gaussian_blur_float_pixel(&values);
+        let expected: f64 = values
+            .iter()
+            .zip(GAUSSIAN_WEIGHTS)
+            .map(|(v, w)| v * w)
+            .sum();
         assert!(
             (out.value() - expected).abs() < 0.04,
             "sc {} vs float {expected}",

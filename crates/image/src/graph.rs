@@ -45,18 +45,17 @@ use sc_rng::SourceSpec;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// The largest source bank [`pixel_bank_index`] can use: its pattern has
-/// periods 4 (x) and 2 (y), so it addresses at most 8 distinct sources.
-/// Larger [`PipelineConfig::rng_bank_size`]s are configuration errors.
-pub const MAX_RNG_BANK_SIZE: usize = 8;
+/// The number of independent sources in the input D/S converter bank:
+/// [`pixel_bank_index`]'s pattern has periods 4 (x) and 2 (y), so it
+/// addresses exactly 8 distinct sources.
+pub const RNG_BANK_SIZE: usize = 8;
 
 /// Assigns a source-bank entry to an input pixel so that horizontally and
 /// vertically adjacent pixels draw from different (mutually uncorrelated)
 /// Sobol dimensions.
 #[must_use]
-pub fn pixel_bank_index(px: isize, py: isize, config: &PipelineConfig) -> u32 {
-    let bank = config.rng_bank_size.clamp(1, MAX_RNG_BANK_SIZE);
-    (((px.rem_euclid(4) as usize) + 4 * (py.rem_euclid(2) as usize)) % bank) as u32
+pub fn pixel_bank_index(px: isize, py: isize) -> u32 {
+    ((px.rem_euclid(4) as usize) + 4 * (py.rem_euclid(2) as usize)) as u32
 }
 
 /// The select LFSR shared by a tile's Gaussian-blur kernels, seeded per
@@ -214,7 +213,7 @@ pub(crate) fn tile_circuit(
     let halo_width = width + 3;
     let mut inputs: Vec<Wire> = Vec::with_capacity(halo_width * (height + 3));
     for (slot, (px, py)) in region.halo().enumerate() {
-        let dimension = pixel_bank_index(px, py, config) + 1;
+        let dimension = pixel_bank_index(px, py) + 1;
         inputs.push(g.generate(slot, SourceSpec::Sobol { dimension }));
     }
 
@@ -381,8 +380,7 @@ mod tests {
             py: isize,
             config: &PipelineConfig,
         ) -> Bitstream {
-            let bank = config.rng_bank_size.clamp(1, 8);
-            let idx = ((px.rem_euclid(4) as usize) + 4 * (py.rem_euclid(2) as usize)) % bank;
+            let idx = (px.rem_euclid(4) as usize) + 4 * (py.rem_euclid(2) as usize);
             let mut generator = DigitalToStochastic::new(Sobol::new(idx as u32 + 1));
             generator.generate(Probability::saturating(value), config.stream_length)
         }
@@ -501,7 +499,6 @@ mod tests {
         let config = PipelineConfig {
             stream_length: 96, // a partial final word, on purpose
             tile_size: 6,      // 8x8 image → 4 tiles, 3 of them truncated
-            rng_bank_size: 8,
             synchronizer_depth: 2,
             ..PipelineConfig::quick()
         };
@@ -541,14 +538,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The differential harness over the configuration space: for a
-        /// drawn tile size, source bank, stream length, save depth, image
-        /// shape and variant, the tiled pipeline (plan cache, bindings and
-        /// executor) equals the reference loop, and an `ImageServer`
-        /// equals the one-shot pipeline.
+        /// drawn tile size, stream length, save depth, image shape and
+        /// variant, the tiled pipeline (plan cache, bindings and executor)
+        /// equals the reference loop, and an `ImageServer` equals the
+        /// one-shot pipeline.
         #[test]
         fn tiled_pipeline_matches_the_reference_loop_across_configurations(
             tile_size in 1usize..=12,
-            rng_bank_size in 1usize..=8,
             length in 0usize..STREAM_LENGTHS.len(),
             synchronizer_depth in 1u32..=8,
             width in 1usize..=30,
@@ -558,7 +554,6 @@ mod tests {
             let config = PipelineConfig {
                 stream_length: STREAM_LENGTHS[length],
                 tile_size,
-                rng_bank_size,
                 synchronizer_depth,
                 ..PipelineConfig::default()
             };

@@ -77,7 +77,7 @@ pub mod serve;
 pub use assemble::{scatter_sinks, TileSinks};
 pub use edge::{roberts_cross_float, sc_edge_detector};
 pub use gaussian::{gaussian_blur_float, ScGaussianBlur, GAUSSIAN_WEIGHTS};
-pub use graph::{planner_options, tile_graph, tile_netlist, TileGraph, MAX_RNG_BANK_SIZE};
+pub use graph::{planner_options, tile_graph, tile_netlist, TileGraph, RNG_BANK_SIZE};
 pub use image::{GrayImage, ImageError};
 pub use pipeline::{
     run_float_pipeline, run_sc_pipeline, run_sc_pipeline_with_stats, run_sc_pipeline_with_threads,

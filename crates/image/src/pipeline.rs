@@ -20,7 +20,6 @@
 use crate::assemble::{scatter_sinks, TileSinks};
 use crate::edge::roberts_cross_float;
 use crate::gaussian::gaussian_blur_float;
-use crate::graph::MAX_RNG_BANK_SIZE;
 use crate::image::{GrayImage, ImageError};
 use crate::planner::TilePlanner;
 use sc_graph::{Executor, StreamJob};
@@ -63,7 +62,8 @@ impl PipelineVariant {
     }
 }
 
-/// Configuration of the stochastic accelerator.
+/// Configuration of the stochastic accelerator. Its input D/S converter
+/// bank is fixed at [`crate::RNG_BANK_SIZE`] sources.
 ///
 /// Equality and hashing cover only the *configuration* fields: the attached
 /// [`telemetry`](PipelineConfig::telemetry) sink is an observer, not part of
@@ -76,9 +76,6 @@ pub struct PipelineConfig {
     pub stream_length: usize,
     /// Square tile size processed in parallel (the paper uses 10×10).
     pub tile_size: usize,
-    /// Number of independent sources in the input D/S converter bank, at
-    /// most [`crate::MAX_RNG_BANK_SIZE`].
-    pub rng_bank_size: usize,
     /// Save depth of the synchronizers in the synchronizer variant.
     pub synchronizer_depth: u32,
     /// Telemetry sink the whole pipeline records into: plan-cache hits and
@@ -100,7 +97,6 @@ impl PartialEq for PipelineConfig {
     fn eq(&self, other: &Self) -> bool {
         self.stream_length == other.stream_length
             && self.tile_size == other.tile_size
-            && self.rng_bank_size == other.rng_bank_size
             && self.synchronizer_depth == other.synchronizer_depth
     }
 }
@@ -111,7 +107,6 @@ impl Hash for PipelineConfig {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.stream_length.hash(state);
         self.tile_size.hash(state);
-        self.rng_bank_size.hash(state);
         self.synchronizer_depth.hash(state);
     }
 }
@@ -121,7 +116,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             stream_length: 256,
             tile_size: 10,
-            rng_bank_size: 8,
             // The Gaussian-blur outputs carry longer runs of identical bits
             // than raw generator streams, so a save depth of 2 roughly halves
             // the synchronizer variant's error against the minimal 1. It does
@@ -166,18 +160,11 @@ impl PipelineConfig {
     /// # Errors
     ///
     /// [`ImageError::EmptyImage`] for degenerate configurations (zero tile
-    /// size, stream length, or source-bank size),
-    /// [`ImageError::BankSizeOutOfRange`] for a source bank larger than
-    /// [`crate::MAX_RNG_BANK_SIZE`], and [`ImageError::DepthOutOfRange`] for
-    /// a synchronizer depth outside [`sc_core::DEPTH_RANGE`].
+    /// size or stream length), and [`ImageError::DepthOutOfRange`] for a
+    /// synchronizer depth outside [`sc_core::DEPTH_RANGE`].
     pub(crate) fn validate(&self) -> Result<(), ImageError> {
-        if self.tile_size == 0 || self.stream_length == 0 || self.rng_bank_size == 0 {
+        if self.tile_size == 0 || self.stream_length == 0 {
             return Err(ImageError::EmptyImage);
-        }
-        if self.rng_bank_size > MAX_RNG_BANK_SIZE {
-            return Err(ImageError::BankSizeOutOfRange {
-                size: self.rng_bank_size,
-            });
         }
         if !sc_core::DEPTH_RANGE.contains(&(self.synchronizer_depth as usize)) {
             return Err(ImageError::DepthOutOfRange {
@@ -231,10 +218,8 @@ pub struct PipelineStats {
 /// # Errors
 ///
 /// Returns an [`ImageError`] only for degenerate configurations (zero-sized
-/// tiles or streams are rejected as [`ImageError::EmptyImage`], a source
-/// bank over [`crate::MAX_RNG_BANK_SIZE`] as
-/// [`ImageError::BankSizeOutOfRange`], an unsupported synchronizer depth as
-/// [`ImageError::DepthOutOfRange`]).
+/// tiles or streams are rejected as [`ImageError::EmptyImage`], an
+/// unsupported synchronizer depth as [`ImageError::DepthOutOfRange`]).
 pub fn run_sc_pipeline(
     image: &GrayImage,
     variant: PipelineVariant,
@@ -286,10 +271,8 @@ pub fn run_sc_pipeline_with_threads(
 /// # Errors
 ///
 /// Returns an [`ImageError`] only for degenerate configurations (zero-sized
-/// tiles or streams are rejected as [`ImageError::EmptyImage`], a source
-/// bank over [`crate::MAX_RNG_BANK_SIZE`] as
-/// [`ImageError::BankSizeOutOfRange`], an unsupported synchronizer depth as
-/// [`ImageError::DepthOutOfRange`]).
+/// tiles or streams are rejected as [`ImageError::EmptyImage`], an
+/// unsupported synchronizer depth as [`ImageError::DepthOutOfRange`]).
 pub fn run_sc_pipeline_with_stats(
     image: &GrayImage,
     variant: PipelineVariant,

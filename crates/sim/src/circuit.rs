@@ -188,13 +188,6 @@ impl Circuit {
         self.net_count
     }
 
-    /// Resets every component to its power-on state.
-    pub fn reset(&mut self) {
-        for inst in &mut self.instances {
-            inst.component.reset();
-        }
-    }
-
     /// Runs the circuit with the given named input stimuli and returns the
     /// streams observed on every marked output.
     ///

@@ -125,15 +125,6 @@ impl Json {
         }
     }
 
-    /// The boolean value, when this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Serialises with two-space indentation and a trailing newline — the
     /// format the `BENCH_*.json` evidence files are committed in.
     #[must_use]
@@ -555,7 +546,6 @@ mod tests {
         let doc = parse(r#"{"a": 4096, "b": -1.5, "c": true, "d": [1]}"#).unwrap();
         assert_eq!(doc.get("a").and_then(Json::as_u64), Some(4096));
         assert_eq!(doc.get("b").and_then(Json::as_f64), Some(-1.5));
-        assert_eq!(doc.get("c").and_then(Json::as_bool), Some(true));
         assert_eq!(
             doc.get("d").and_then(Json::as_array).map(<[Json]>::len),
             Some(1)

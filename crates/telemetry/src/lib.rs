@@ -15,11 +15,11 @@
 //! * **Metrics** — atomic [`Counter`]s, [`Gauge`]s (current value + peak),
 //!   fixed-bucket log2 [`Hist`]ograms (job latency, queue depth, window
 //!   occupancy, per-worker busy/idle time).
-//! * **Export** — a drained [`TelemetryReport`] renders as JSON lines
-//!   ([`TelemetryReport::to_json_lines`]) and chrome://tracing trace-event
-//!   JSON ([`TelemetryReport::to_chrome_trace`]) for flamegraph-style
-//!   inspection; [`TelemetryReport::to_json`] is the machine-readable
-//!   summary the bench binaries embed in their `BENCH_*.json` evidence.
+//! * **Export** — a drained [`TelemetryReport`] renders as chrome://tracing
+//!   trace-event JSON ([`TelemetryReport::to_chrome_trace`]) for
+//!   flamegraph-style inspection; [`TelemetryReport::to_json`] is the
+//!   machine-readable summary the bench binaries embed in their
+//!   `BENCH_*.json` evidence.
 //! * **Live observation** — [`TelemetrySink::snapshot`] reads the current
 //!   state without consuming anything, [`TelemetrySink::snapshot_delta`]
 //!   returns the change since the previous delta (counters and histograms
@@ -690,17 +690,11 @@ impl TelemetrySink {
     /// returned guard drops (or [`SpanGuard::finish`] is called). Disabled
     /// sinks return an inert guard without reading the clock.
     pub fn span(&self, stage: Stage) -> SpanGuard<'_> {
-        self.span_with(stage, 0)
-    }
-
-    /// Like [`TelemetrySink::span`] with a stage-specific argument (e.g. the
-    /// jobs taken by one [`Stage::ServeCoalesce`] pick).
-    pub fn span_with(&self, stage: Stage, arg: u64) -> SpanGuard<'_> {
         SpanGuard {
             state: self.inner.as_ref().map(|inner| GuardState {
                 inner,
                 stage,
-                arg,
+                arg: 0,
                 start: Instant::now(),
             }),
         }
@@ -1186,8 +1180,8 @@ impl TelemetryReport {
 
     /// The machine-readable summary as a [`Json`] value: per-stage totals,
     /// counters, gauges, histograms, and plan classes (spans
-    /// are summarised, not listed — use [`TelemetryReport::to_json_lines`]
-    /// or [`TelemetryReport::to_chrome_trace`] for the full event stream).
+    /// are summarised, not listed — use [`TelemetryReport::to_chrome_trace`]
+    /// for the full event stream).
     #[must_use]
     pub fn to_json(&self) -> Json {
         let stages = Stage::ALL
@@ -1281,33 +1275,6 @@ impl TelemetryReport {
         ])
     }
 
-    /// One JSON object per line: first a `summary` line (the
-    /// [`TelemetryReport::to_json`] document minus the spans), then one
-    /// `span` line per event in time order.
-    #[must_use]
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        let summary = Json::obj(vec![
-            ("type", Json::str("summary")),
-            ("report", self.to_json()),
-        ]);
-        out.push_str(&summary.to_string_compact());
-        out.push('\n');
-        for span in &self.spans {
-            let line = Json::obj(vec![
-                ("type", Json::str("span")),
-                ("stage", Json::str(span.stage.name())),
-                ("thread", Json::u64(u64::from(span.thread))),
-                ("start_ns", Json::u64(span.start_ns)),
-                ("dur_ns", Json::u64(span.dur_ns)),
-                ("arg", Json::u64(span.arg)),
-            ]);
-            out.push_str(&line.to_string_compact());
-            out.push('\n');
-        }
-        out
-    }
-
     /// A chrome://tracing / Perfetto compatible trace-event document: every
     /// span becomes one complete (`"ph": "X"`) event with microsecond
     /// timestamps, the recording thread as `tid`, and the stage argument
@@ -1383,7 +1350,8 @@ mod tests {
     fn spans_record_and_aggregate_by_stage() {
         let sink = TelemetrySink::new();
         for i in 0..3 {
-            let _span = sink.span_with(Stage::ServeCoalesce, i + 2);
+            let mut span = sink.span(Stage::ServeCoalesce);
+            span.set_arg(i + 2);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         {
@@ -1511,7 +1479,8 @@ mod tests {
         sink.observe(Hist::JobLatencyNs, 1500);
         sink.class_add_jobs(5, 3);
         {
-            let _span = sink.span_with(Stage::ServeCoalesce, 3);
+            let mut span = sink.span(Stage::ServeCoalesce);
+            span.set_arg(3);
         }
         {
             let _span = sink.span(Stage::Dispatch);
@@ -1526,14 +1495,6 @@ mod tests {
             Some(2)
         );
         assert_eq!(doc.get("span_count").and_then(Json::as_u64), Some(2));
-
-        let jsonl = report.to_json_lines();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3, "summary + 2 spans");
-        for line in &lines {
-            json::parse(line).unwrap();
-        }
-        assert!(lines[0].contains("\"type\":\"summary\""));
 
         let trace = json::parse(&report.to_chrome_trace()).unwrap();
         let events = trace.get("traceEvents").and_then(Json::as_array).unwrap();

@@ -3,7 +3,7 @@
 //! §IV.B energy-overhead claim, at reduced scale so the suite stays fast.
 
 use sc_image::pipeline::compare_variants;
-use sc_image::{tile_netlist, ImageError, ImageServer};
+use sc_image::{tile_netlist, ImageServer};
 use sc_repro::prelude::*;
 
 fn scene() -> GrayImage {
@@ -203,25 +203,4 @@ fn out_of_range_synchronizer_depth_is_an_error_not_a_panic() {
         let server = ImageServer::start(PipelineVariant::Synchronizer, config);
         assert!(server.is_err(), "server must refuse depth {depth}");
     }
-}
-
-#[test]
-fn source_bank_above_eight_is_an_error_not_a_clamp() {
-    for size in [9, 16] {
-        let config = PipelineConfig {
-            rng_bank_size: size,
-            ..quick_config()
-        };
-        let err = run_sc_pipeline(&scene(), PipelineVariant::Synchronizer, &config)
-            .expect_err("an oversized source bank must be rejected");
-        assert_eq!(err, ImageError::BankSizeOutOfRange { size });
-        let server = ImageServer::start(PipelineVariant::Synchronizer, config.clone());
-        assert!(server.is_err(), "server must refuse bank size {size}");
-        assert!(tile_netlist(PipelineVariant::Synchronizer, &config).is_err());
-    }
-    let largest = PipelineConfig {
-        rng_bank_size: sc_image::MAX_RNG_BANK_SIZE,
-        ..quick_config()
-    };
-    assert!(run_sc_pipeline(&scene(), PipelineVariant::Synchronizer, &largest).is_ok());
 }

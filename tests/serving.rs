@@ -326,7 +326,10 @@ fn in_flight_deadline_fires_while_jobs_still_run() {
     let timeout = Duration::from_millis(20);
     let started = Instant::now();
     let handle = service
-        .submit(Request::new((0..16).map(|_| ok_job(&plan)).collect()).with_timeout(timeout))
+        .submit(
+            Request::new((0..16).map(|_| ok_job(&plan)).collect())
+                .with_deadline(Instant::now() + timeout),
+        )
         .expect("submit succeeds");
     assert!(matches!(handle.wait(), Err(RequestError::DeadlineExceeded)));
     let elapsed = started.elapsed();
@@ -443,7 +446,7 @@ fn every_request_resolves_exactly_once_under_random_faults() {
             })
             .collect();
         let request = match (r >> 40) % 6 {
-            0 => Request::new(jobs).with_timeout(Duration::from_micros(r % 400)),
+            0 => Request::new(jobs).with_deadline(Instant::now() + Duration::from_micros(r % 400)),
             1 => Request::new(jobs).with_deadline(Instant::now() - Duration::from_millis(1)),
             _ => Request::new(jobs),
         };

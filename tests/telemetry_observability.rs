@@ -217,24 +217,15 @@ fn chrome_trace_export_is_structurally_valid() {
         "metadata events precede span events"
     );
 
-    // The JSON-lines export round-trips too: a summary line plus one line
-    // per span, every line independently parseable.
-    let jsonl = report.to_json_lines();
-    let mut lines = jsonl.lines();
-    let summary = json::parse(lines.next().expect("summary line")).expect("summary parses");
+    // The machine-readable summary carries the same counters as the report.
     assert_eq!(
-        summary.get("type").and_then(json::Json::as_str),
-        Some("summary")
-    );
-    assert_eq!(
-        summary
-            .get("report")
-            .and_then(|r| r.get("counters"))
+        report
+            .to_json()
+            .get("counters")
             .and_then(|c| c.get(Counter::JobsPulled.name()))
             .and_then(json::Json::as_u64),
         Some(report.counter(Counter::JobsPulled))
     );
-    assert_eq!(lines.count(), span_count);
 }
 
 /// Tentpole acceptance: interval deltas sampled *while the pipeline
