@@ -79,10 +79,6 @@ impl<M: CorrelationManipulator> Component for ManipulatorComponent<M> {
         outputs[0] = ox;
         outputs[1] = oy;
     }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
 }
 
 #[cfg(test)]
@@ -186,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn adapter_reset_and_accessors() {
+    fn adapter_accessors() {
         let mut adapter = ManipulatorComponent::new(Synchronizer::new(1));
         assert_eq!(adapter.num_inputs(), 2);
         assert_eq!(adapter.num_outputs(), 2);
@@ -194,9 +190,8 @@ mod tests {
         let mut out = [false, false];
         adapter.evaluate(&[true, false], &mut out);
         assert_eq!(out, [false, false], "lone 1 is saved by the FSM");
-        adapter.reset();
         let inner = adapter.into_inner();
-        assert_eq!(inner.saved_bits(), 0);
+        assert_eq!(inner.saved_bits(), 1, "into_inner keeps the FSM's state");
         assert!(format!("{:?}", ManipulatorComponent::new(Synchronizer::new(1))).contains("sync"));
     }
 }

@@ -1,6 +1,6 @@
 //! The batch executor: runs a [`CompiledGraph`] word-parallel over streams
-//! of independent input sets, optionally sharded across a persistent worker
-//! pool.
+//! of independent input sets, inline or sharded across worker threads that
+//! live for one call.
 
 use crate::compile::{CompiledGraph, Step};
 use crate::graph::GraphError;
@@ -10,9 +10,8 @@ use sc_bitstream::{scc, Bitstream, Probability, WORD_BITS};
 use sc_core::LANES;
 use sc_rng::SourceSpec;
 use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// One independent input set of a batch: the digital values consumed by
 /// `Generate` nodes, the ready streams consumed by `InputStream` nodes, and
@@ -195,162 +194,31 @@ impl ExecOutput {
     }
 }
 
-/// A persistent pool of executor worker threads with a shared job queue.
-///
-/// Unlike the `std::thread::scope` sharding the executor used before, the
-/// pool's threads are **long-lived**: they are spawned once (lazily, on the
-/// first parallel dispatch) and stay parked on a condition variable between
-/// calls, so a service processing a continuous stream of jobs pays the
-/// thread-spawn cost once instead of per dispatch. Tasks are boxed
-/// `'static` closures submitted internally — by `run_stream` (one task per
-/// pulled job) and by [`crate::Service`] (one task per submitted job, which
-/// takes the next intake job round-robin) — and each wraps its job in one
-/// `catch_unwind` and routes the payload to the job's caller or request;
-/// the pool itself runs tasks bare and relies on that wrapping, which is why
-/// submission is not public API. The pool shuts its workers down on drop:
-/// it runs every task still queued, then joins them.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
+/// The span stage and histogram of a worker thread running one job.
+pub(crate) const WORKER_RUN: (Stage, Hist) = (Stage::WorkerRun, Hist::WorkerBusyNs);
 
-/// A unit of pool work.
-pub(crate) type PoolTask = Box<dyn FnOnce() + Send + 'static>;
+/// The span stage and histogram of a worker thread parked waiting for work.
+pub(crate) const WORKER_PARK: (Stage, Hist) = (Stage::WorkerPark, Hist::WorkerIdleNs);
 
-struct PoolShared {
-    queue: Mutex<PoolQueue>,
-    ready: Condvar,
-    telemetry: TelemetrySink,
-}
-
-#[derive(Default)]
-struct PoolQueue {
-    tasks: VecDeque<PoolTask>,
-    shutdown: bool,
-}
-
-impl WorkerPool {
-    /// Spawns a pool of `workers` long-lived threads (at least one).
-    #[must_use]
-    pub fn new(workers: usize) -> Self {
-        WorkerPool::with_telemetry(workers, TelemetrySink::default())
-    }
-
-    /// Spawns a pool whose workers record [`Stage::WorkerRun`] /
-    /// [`Stage::WorkerPark`] spans (with matching busy/idle histograms) and
-    /// queue-depth gauges into `telemetry`.
-    #[must_use]
-    pub fn with_telemetry(workers: usize, telemetry: TelemetrySink) -> Self {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(PoolQueue::default()),
-            ready: Condvar::new(),
-            telemetry,
-        });
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("sc-graph-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("worker threads spawn")
-            })
-            .collect();
-        WorkerPool { shared, workers }
-    }
-
-    /// Number of worker threads.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Enqueues one task for the next free worker.
-    pub(crate) fn submit(&self, task: PoolTask) {
-        let depth = {
-            let mut queue = self
-                .shared
-                .queue
-                .lock()
-                .expect("pool queue lock is never poisoned: tasks run outside it");
-            queue.tasks.push_back(task);
-            queue.tasks.len()
-        };
-        self.shared
-            .telemetry
-            .gauge_set(Gauge::QueueDepth, depth as u64);
-        self.shared
-            .telemetry
-            .observe(Hist::QueueDepth, depth as u64);
-        self.shared.ready.notify_one();
-    }
-}
-
-fn worker_loop(shared: &PoolShared) {
-    let telemetry = &shared.telemetry;
-    loop {
-        let task = {
-            let mut queue = shared
-                .queue
-                .lock()
-                .expect("pool queue lock is never poisoned: tasks run outside it");
-            loop {
-                if let Some(task) = queue.tasks.pop_front() {
-                    telemetry.gauge_set(Gauge::QueueDepth, queue.tasks.len() as u64);
-                    break Some(task);
-                }
-                if queue.shutdown {
-                    break None;
-                }
-                // One park span per condvar sleep (spurious wakeups included);
-                // `wait` releases the queue lock, so parked time is genuinely
-                // idle time, not lock-held time.
-                let park = telemetry.span(Stage::WorkerPark);
-                queue = shared
-                    .ready
-                    .wait(queue)
-                    .expect("pool queue lock is never poisoned: tasks run outside it");
-                telemetry.observe(Hist::WorkerIdleNs, park.finish());
-            }
-        };
-        match task {
-            Some(task) => {
-                let run = telemetry.span(Stage::WorkerRun);
-                task();
-                telemetry.observe(Hist::WorkerBusyNs, run.finish());
-            }
-            None => return,
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Never panic in drop: on the (impossible) poisoned path, take the
-        // inner queue anyway so the workers still observe the shutdown flag.
-        match self.shared.queue.lock() {
-            Ok(mut queue) => queue.shutdown = true,
-            Err(poisoned) => poisoned.into_inner().shutdown = true,
-        }
-        self.shared.ready.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.workers.len())
-            .finish_non_exhaustive()
-    }
+/// Times one phase of a worker thread ([`WORKER_RUN`] or [`WORKER_PARK`]) as
+/// a span and one histogram observation. The executor's scoped workers and
+/// the [`crate::Service`] workers both record through it.
+pub(crate) fn worker_phase<T>(
+    telemetry: &TelemetrySink,
+    (stage, hist): (Stage, Hist),
+    phase: impl FnOnce() -> T,
+) -> T {
+    let span = telemetry.span(stage);
+    let out = phase();
+    telemetry.observe(hist, span.finish());
+    out
 }
 
 /// One owned job of a streaming [`Executor::run_stream`] dispatch: a shared
 /// handle to the compiled plan plus the input set to feed it.
 ///
-/// Jobs are owned because the streaming engine hands them to long-lived
-/// pool threads: the job — and with it the plan handle — is dropped on the
+/// Jobs are owned because the streaming engine hands them to worker
+/// threads: the job — and with it the plan handle — is dropped on the
 /// worker *before* its result is reported, so a bounded submission window
 /// really does bound the number of simultaneously-live plans.
 #[derive(Debug, Clone)]
@@ -398,29 +266,18 @@ pub struct StreamStats {
 /// that hold exactly what the plan's specs would draw (through the plan's
 /// handles, resolved on its first job at each stream length), so results
 /// are deterministic and identical whether the jobs run on one thread or
-/// many. Parallel dispatch
-/// runs on a lazily-spawned persistent [`WorkerPool`] (no external
-/// dependencies) that lives as long as the executor, so back-to-back calls
-/// reuse warm threads. [`Executor::run`] executes one job in place;
+/// many. A parallel dispatch spawns its worker threads for the call
+/// (`std::thread::scope`, no external dependencies) and joins them before it
+/// returns; the warm tier that keeps threads across requests is
+/// [`crate::Service`]. [`Executor::run`] executes one job in place;
 /// everything else goes through [`Executor::run_stream`] — a batch is a
 /// materialised job list streamed with an unbounded window.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Executor {
     stream_length: usize,
     threads: usize,
     telemetry: TelemetrySink,
-    pool: OnceLock<Arc<WorkerPool>>,
 }
-
-impl PartialEq for Executor {
-    fn eq(&self, other: &Self) -> bool {
-        self.stream_length == other.stream_length
-            && self.threads == other.threads
-            && self.telemetry == other.telemetry
-    }
-}
-
-impl Eq for Executor {}
 
 /// Default streaming-window factor: [`Executor::default_window`] admits
 /// `threads × DEFAULT_WINDOW_FACTOR` planned-but-unfinished jobs, enough to
@@ -436,30 +293,25 @@ impl Executor {
             stream_length,
             threads: 1,
             telemetry: TelemetrySink::default(),
-            pool: OnceLock::new(),
         }
     }
 
-    /// Sets the number of worker threads used by the parallel dispatch paths
-    /// (clamped to at least 1). Resets any already-spawned pool so the next
-    /// dispatch spawns one of the new size.
+    /// Sets the number of worker threads a dispatch runs its jobs on
+    /// (clamped to at least 1; 1 runs them inline on the caller's thread).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self.pool = OnceLock::new();
         self
     }
 
     /// Attaches a [`TelemetrySink`]: subsequent dispatches record per-stage
-    /// spans (dispatch, per-job execute, worker park/run), counters, window-occupancy and queue-depth gauges, and
-    /// job-latency histograms into it. The default sink is a no-op;
-    /// instrumentation sits at step/job granularity, never inside the word
-    /// kernels. Resets any already-spawned pool so its workers record into
-    /// the new sink.
+    /// spans (dispatch, per-job execute, worker park/run), counters, the
+    /// window-occupancy gauge, and job-latency histograms into it. The
+    /// default sink is a no-op; instrumentation sits at step/job
+    /// granularity, never inside the word kernels.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: TelemetrySink) -> Self {
         self.telemetry = telemetry;
-        self.pool = OnceLock::new();
         self
     }
 
@@ -616,8 +468,8 @@ fn mask_tail(words: &mut [u64], len: usize) {
 }
 
 /// Executes one plan over one input set at stream length `n`, reading
-/// samples from `planes` through the plan's handles. Free-standing so pool
-/// workers can run jobs without capturing an [`Executor`].
+/// samples from `planes` through the plan's handles. Free-standing so tests
+/// can run it against a plane store of their own.
 fn execute_plan(
     planes: &PlaneStore,
     n: usize,
@@ -782,17 +634,6 @@ impl Executor {
         (self.threads * DEFAULT_WINDOW_FACTOR).max(1)
     }
 
-    /// The executor's persistent worker pool, spawned on first use with the
-    /// executor's telemetry sink.
-    fn pool(&self) -> Arc<WorkerPool> {
-        Arc::clone(self.pool.get_or_init(|| {
-            Arc::new(WorkerPool::with_telemetry(
-                self.threads,
-                self.telemetry.clone(),
-            ))
-        }))
-    }
-
     /// Streaming dispatch: pulls jobs from the iterator lazily, keeping at
     /// most `window` planned-but-unfinished jobs alive at any moment, and
     /// returns the results in job order.
@@ -825,7 +666,9 @@ impl Executor {
     ///
     /// With one configured thread the jobs run inline on the caller's
     /// thread, one at a time, which is also the sequential reference the
-    /// parallel path is tested against.
+    /// parallel path is tested against. With more, the call spawns that many
+    /// scoped worker threads, hands them `(index, job)` pairs over one
+    /// channel, and joins them before it returns.
     ///
     /// The window count, the [`Gauge::WindowOccupancy`] gauge and histogram
     /// and the tally live here alone: every job runs solo through the one
@@ -841,7 +684,8 @@ impl Executor {
     /// # Panics
     ///
     /// If a job panics on a worker thread, the original panic payload is
-    /// resumed on the caller's thread; the pool's workers survive.
+    /// resumed on the caller's thread once the call's workers have finished
+    /// the jobs already handed to them.
     pub fn run_stream_with_stats<I>(
         &self,
         jobs: I,
@@ -850,14 +694,41 @@ impl Executor {
     where
         I: IntoIterator<Item = StreamJob>,
     {
+        let _dispatch = self.telemetry.span(Stage::Dispatch);
+        let jobs = jobs.into_iter();
+        if self.threads == 1 {
+            return self.pull(jobs, window, None);
+        }
+        let (job_tx, job_rx) = mpsc::channel();
+        let (report_tx, report_rx) = mpsc::channel();
+        let job_rx = Mutex::new(job_rx);
+        std::thread::scope(|scope| {
+            for i in 0..self.threads {
+                let (job_rx, report_tx) = (&job_rx, report_tx.clone());
+                std::thread::Builder::new()
+                    .name(format!("sc-graph-worker-{i}"))
+                    .spawn_scoped(scope, move || self.work(job_rx, &report_tx))
+                    .expect("worker threads spawn");
+            }
+            drop(report_tx);
+            // `pull` drops the job sender when it returns or unwinds, which
+            // lets the workers run out of jobs and the scope join them.
+            self.pull(jobs, window, Some((job_tx, &report_rx)))
+        })
+    }
+
+    /// The pull loop of [`Executor::run_stream_with_stats`]: runs each pulled
+    /// job inline, or sends it to the call's workers and waits for their
+    /// reports while the window is full.
+    fn pull(
+        &self,
+        mut jobs: impl Iterator<Item = StreamJob>,
+        window: usize,
+        workers: Option<(mpsc::Sender<IndexedJob>, &mpsc::Receiver<JobReport>)>,
+    ) -> Result<(Vec<ExecOutput>, StreamStats), GraphError> {
         let n = self.stream_length;
         let telemetry = &self.telemetry;
-        let _dispatch = telemetry.span(Stage::Dispatch);
         let window = window.max(1);
-        let mut jobs = jobs.into_iter();
-        let pool = (self.threads > 1).then(|| self.pool());
-        // Pool jobs report here; inline jobs finish on the spot.
-        let (tx, rx) = mpsc::channel::<JobReport>();
         let mut slots: Vec<Slot> = Vec::with_capacity(jobs.size_hint().0);
         let mut stats = StreamStats::default();
         // Pulled but not yet finished: the window count.
@@ -879,8 +750,10 @@ impl Executor {
                 telemetry.observe(Hist::WindowOccupancy, in_flight as u64);
                 let index = slots.len();
                 slots.push(None);
-                match &pool {
-                    Some(pool) => spawn_job(pool, &tx, n, index, job, telemetry),
+                match &workers {
+                    Some((job_tx, _)) => job_tx
+                        .send((index, job))
+                        .expect("the workers' job receiver outlives the pull loop"),
                     None => {
                         let result = execute_job(n, &job, telemetry);
                         failed |= finish(&mut slots[index], result, &mut in_flight, telemetry);
@@ -892,12 +765,14 @@ impl Executor {
             if in_flight == 0 {
                 break;
             }
-            let report = rx
+            let (_, reports) = workers
+                .as_ref()
+                .expect("inline jobs finish as they are pulled");
+            let report = reports
                 .recv()
-                .expect("running jobs hold a live sender, so recv cannot disconnect");
+                .expect("the workers hold a report sender until the pull loop ends");
             // A worker panic is resumed on the caller with its original
-            // payload; still-queued jobs finish against a dropped receiver,
-            // and the pool itself stays healthy.
+            // payload; the workers finish the jobs already sent and exit.
             let result = report
                 .outcome
                 .unwrap_or_else(|payload| resume_unwind(payload));
@@ -908,6 +783,32 @@ impl Executor {
             .map(|slot| slot.expect("every pulled job reported"))
             .collect::<Result<_, _>>()?;
         Ok((outputs, stats))
+    }
+
+    /// One scoped worker of a parallel dispatch: takes `(index, job)` pairs
+    /// until the pull loop drops the sender, runs each under one
+    /// `catch_unwind`, and sends exactly one [`JobReport`] per job.
+    fn work(&self, jobs: &Mutex<mpsc::Receiver<IndexedJob>>, reports: &mpsc::Sender<JobReport>) {
+        let telemetry = &self.telemetry;
+        loop {
+            let next = worker_phase(telemetry, WORKER_PARK, || {
+                jobs.lock()
+                    .expect("the job receiver lock is never poisoned: jobs run outside it")
+                    .recv()
+            });
+            let Ok((index, job)) = next else {
+                return;
+            };
+            let outcome = worker_phase(telemetry, WORKER_RUN, || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    execute_job(self.stream_length, &job, telemetry)
+                }))
+            });
+            // Free the job — and its plan handle — *before* the report
+            // becomes visible, so the window bounds live-plan memory.
+            drop(job);
+            let _ = reports.send(JobReport { index, outcome });
+        }
     }
 }
 
@@ -932,34 +833,15 @@ fn finish(
 /// One job's result slot in a `run_stream` call's result list.
 type Slot = Option<Result<ExecOutput, GraphError>>;
 
-/// A pool-executed job's report back to its `run_stream` call: the job's
-/// index, plus either its result or the panic payload that took it down —
-/// so a panic still reports, and the call never waits on a report that
-/// never comes.
+/// A pulled job and its index in the call's result list.
+type IndexedJob = (usize, StreamJob);
+
+/// A worker's report back to its `run_stream` call: the job's index, plus
+/// either its result or the panic payload that took it down — so a panic
+/// still reports, and the call never waits on a report that never comes.
 struct JobReport {
     index: usize,
     outcome: std::thread::Result<Result<ExecOutput, GraphError>>,
-}
-
-/// Submits one pulled job to the pool as a single task, which executes it
-/// under one `catch_unwind` and sends exactly one [`JobReport`].
-fn spawn_job(
-    pool: &WorkerPool,
-    tx: &mpsc::Sender<JobReport>,
-    n: usize,
-    index: usize,
-    job: StreamJob,
-    telemetry: &TelemetrySink,
-) {
-    let tx = tx.clone();
-    let telemetry = telemetry.clone();
-    pool.submit(Box::new(move || {
-        let outcome = catch_unwind(AssertUnwindSafe(|| execute_job(n, &job, &telemetry)));
-        // Free the job — and its plan handle — *before* the report becomes
-        // visible, so the window bounds live-plan memory.
-        drop(job);
-        let _ = tx.send(JobReport { index, outcome });
-    }));
 }
 
 /// A two-input gate as a word loop from rows `x` and `y` into row `dst`.
@@ -1629,7 +1511,7 @@ mod tests {
     }
 
     /// Streaming edge case: an empty job iterator completes immediately with
-    /// no results — on the inline path and on the pool path alike.
+    /// no results — on the inline path and on the worker path alike.
     #[test]
     fn run_stream_empty_job_list() {
         for threads in [1usize, 4] {
@@ -1952,10 +1834,10 @@ mod tests {
         assert_eq!(executed_jobs(&report), total_jobs);
     }
 
-    /// The pool is persistent: repeated dispatches on one executor reuse its
-    /// warm workers and stay bit-identical call after call.
+    /// Repeated parallel dispatches on one executor, each on its own scoped
+    /// workers, stay bit-identical call after call.
     #[test]
-    fn worker_pool_persists_across_dispatches() {
+    fn repeated_dispatches_on_one_executor_are_bit_identical() {
         let n = 129usize;
         let (plans, inputs) = stream_fixture(9);
         let exec = Executor::new(n).with_threads(4);
@@ -1969,15 +1851,10 @@ mod tests {
                 first
             );
         }
-        // A standalone pool drains and joins cleanly on drop.
-        let pool = WorkerPool::new(3);
-        assert_eq!(pool.workers(), 3);
-        drop(pool);
     }
 
     /// An injected panic in a job surfaces on the caller with its payload —
-    /// inline and from the pool — and the executor keeps serving afterwards
-    /// (the pool's workers survive).
+    /// inline and from a worker — and the executor keeps serving afterwards.
     #[test]
     fn injected_job_panic_resumes_on_the_caller() {
         let faulty = synchronizer_plan();

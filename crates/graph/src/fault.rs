@@ -1,6 +1,6 @@
 //! Test-only fault injection: makes every dispatched job of a marked plan
 //! class panic when it executes, on whichever path runs it —
-//! [`Executor::run_stream`](crate::Executor::run_stream)'s inline or pool
+//! [`Executor::run_stream`](crate::Executor::run_stream)'s inline or worker
 //! path, or a [`Service`](crate::Service) worker's intake pick — so the
 //! failure contracts (a panicked job still reports, every request resolves
 //! exactly once, `Drop` returns) are pinned deterministically.

@@ -29,15 +29,17 @@
 //! one op vocabulary.
 //!
 //! The [`Executor`] then runs the compiled plan word-parallel over **streams**
-//! of independent input sets, dispatched across a persistent [`WorkerPool`]
-//! of long-lived threads (no external dependencies). The engine is
+//! of independent input sets, inline or on worker threads it spawns for the
+//! call (`std::thread::scope`, no external dependencies). The engine is
 //! **bounded-window streaming** ([`Executor::run_stream`]): jobs are pulled
 //! lazily from an iterator with at most `window` planned-but-unfinished jobs
 //! alive at once, so arbitrarily long job streams run in O(window) plan
 //! memory; a batch is a materialised job list streamed with an unbounded
 //! window. The warm serving tier ([`Service`]) multiplexes many requests
-//! over one pool with no dispatcher thread: each submitted job becomes one
-//! pool task, which takes the next job from the bounded intake round-robin.
+//! over one set of long-lived workers with no dispatcher thread: each worker
+//! takes the next job from the bounded intake round-robin, and parks on the
+//! intake while it is empty. Each dispatcher has one queue: the window or
+//! the intake.
 //! Every job runs solo through the one per-job engine. Plans are
 //! `Send + Sync` plain data: every execution runs fresh FSMs over one word
 //! arena per job, and reads the samples its [`sc_rng::SourceSpec`]s would
@@ -107,9 +109,7 @@ mod planes;
 pub mod serve;
 
 pub use compile::{CompileReport, CompiledGraph, PassDelta, PlannerOptions, RepairRecord, Step};
-pub use exec::{
-    BatchInput, ExecOutput, Executor, StreamJob, StreamStats, WorkerPool, DEFAULT_WINDOW_FACTOR,
-};
+pub use exec::{BatchInput, ExecOutput, Executor, StreamJob, StreamStats, DEFAULT_WINDOW_FACTOR};
 pub use graph::{Graph, GraphError};
 pub use node::{BinaryOp, CorrRequirement, ManipulatorKind, Node, NodeId, NodeOp, SccClass, Wire};
 pub use sc_telemetry::{TelemetryReport, TelemetrySink};

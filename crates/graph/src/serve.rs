@@ -1,18 +1,16 @@
-//! The serving tier: one warm worker pool shared by many concurrent request
-//! streams.
+//! The serving tier: one set of warm worker threads shared by many
+//! concurrent request streams.
 //!
-//! `run_stream` is a *call*: it owns the dispatch loop until its job
-//! iterator drains, so two concurrent images either serialise behind one
-//! call or split across two executors (and two worker pools). [`Service`]
-//! inverts that shape into a long-lived tier:
+//! `run_stream` is a *call*: it owns the dispatch loop, and its workers,
+//! until its job iterator drains. [`Service`] inverts that shape into a
+//! long-lived tier:
 //!
-//! * **One warm pool, nothing else.** [`Service::start`] spawns the pool's
-//!   `threads` workers and no other thread. [`Service::submit`] queues the
-//!   request on the intake and hands the [`WorkerPool`] one task per job;
-//!   each task takes the next intake job, runs it solo, and files its result
-//!   straight into the request's state. Every request multiplexes over the
-//!   same threads, so back-to-back images reuse warm workers instead of
-//!   respawning them.
+//! * **One queue, warm workers.** [`Service::start`] spawns `threads`
+//!   workers and no other thread. [`Service::submit`] queues the request's
+//!   jobs on the intake and wakes the workers; each takes the next job under
+//!   the intake lock, runs it solo, files its result straight into the
+//!   request's state, and parks on the intake while it is empty. Back-to-back
+//!   images reuse the same warm threads.
 //! * **Bounded intake with backpressure.** [`Service::submit`] blocks until
 //!   the intake queue has room; [`Service::try_submit`] fails fast and
 //!   returns the request, so open-loop producers slow down instead of
@@ -34,8 +32,8 @@
 //!   completed, panicked, cancelled, expired, or shut down — and counts
 //!   into exactly one of the matching `Requests*` counters. A panic inside
 //!   a job resolves exactly that job's request, and `Drop` always returns:
-//!   each pool task runs at most one job under one `catch_unwind`, and
-//!   delivers its result or panic payload, panic or not.
+//!   a worker runs each job under one `catch_unwind` and delivers its result
+//!   or panic payload, panic or not.
 //! * **Attribution.** Every request's life is cut into consecutive
 //!   segments — submit, queue-wait, execute, assemble — whose sum is the
 //!   request's wall clock *by construction* ([`RequestAttribution`]), with
@@ -47,7 +45,7 @@
 //! Results are bit-identical to solo execution: the workers run every job
 //! through the executor's own per-job engine.
 
-use crate::exec::{execute_job, StreamJob, WorkerPool};
+use crate::exec::{execute_job, worker_phase, StreamJob, WORKER_PARK, WORKER_RUN};
 use crate::graph::GraphError;
 use crate::ExecOutput;
 use sc_telemetry::{Counter, Gauge, Hist, Stage, TelemetrySink};
@@ -55,6 +53,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Default intake capacity per worker thread: the intake queue admits
@@ -68,8 +67,8 @@ pub const DEFAULT_INTAKE_FACTOR: usize = 16;
 pub struct ServiceConfig {
     /// Stream length `N` every job executes at.
     pub stream_length: usize,
-    /// Worker threads in the shared pool (clamped to ≥ 1); the service
-    /// spawns no other thread.
+    /// Worker threads (clamped to ≥ 1); the service spawns no other
+    /// thread.
     pub threads: usize,
     /// Intake capacity: the maximum number of queued jobs (submitted, not
     /// yet taken by a worker) across all requests. `None` uses
@@ -504,7 +503,7 @@ struct PendingRequest {
 }
 
 /// The intake queue: a thread-free state machine that the submitters, the
-/// handles and the pool's workers drive under one lock. Lock order: the
+/// handles and the workers drive under one lock. Lock order: the
 /// intake lock before any request's completion lock.
 #[derive(Default)]
 struct Intake {
@@ -623,11 +622,14 @@ impl Intake {
     }
 }
 
-/// Everything the submitters, the handles and the pool's tasks share.
+/// Everything the submitters, the handles and the workers share.
 struct Shared {
     intake: Mutex<Intake>,
     /// Signalled when intake room frees up (blocking submit waits here).
     room: Condvar,
+    /// Signalled when jobs are queued or the service shuts down (idle
+    /// workers park here).
+    queued: Condvar,
     capacity: usize,
     stream_length: usize,
     telemetry: TelemetrySink,
@@ -656,25 +658,43 @@ impl Shared {
         self.depth_changed(&intake, before);
     }
 
-    /// One pool task: takes the next intake job, runs it under one
-    /// `catch_unwind`, and files its result — or resolves its request with
-    /// the panic payload. A task that finds the intake empty (its job was
-    /// dropped by a cancel, an expiry or shutdown) does nothing.
-    fn run_next(&self) {
+    /// One worker's loop: takes the next intake job under the intake lock
+    /// and runs it, parks while the intake is empty, and returns once the
+    /// service shuts down. Pick and shutdown are checked under the same lock
+    /// the condvar releases, so a push or a shutdown cannot slip between
+    /// them and the wait.
+    fn work(&self) {
         let telemetry = &self.telemetry;
-        let picked = {
+        let mut intake = self.intake();
+        loop {
             let mut span = telemetry.span(Stage::ServeCoalesce);
-            let mut intake = self.intake();
             let before = intake.pending_jobs;
             let picked = intake.pick(Instant::now(), telemetry);
             self.depth_changed(&intake, before);
-            drop(intake);
             span.set_arg(u64::from(picked.is_some()));
-            picked
-        };
-        let Some((state, index, job)) = picked else {
-            return;
-        };
+            drop(span);
+            match picked {
+                Some((state, index, job)) => {
+                    drop(intake);
+                    worker_phase(telemetry, WORKER_RUN, || self.run(&state, index, job));
+                    intake = self.intake();
+                }
+                None if intake.shutdown => return,
+                None => {
+                    intake = worker_phase(telemetry, WORKER_PARK, || {
+                        self.queued
+                            .wait(intake)
+                            .expect("intake lock is never poisoned")
+                    });
+                }
+            }
+        }
+    }
+
+    /// Runs one picked job under one `catch_unwind` and files its result —
+    /// or resolves its request with the panic payload.
+    fn run(&self, state: &RequestState, index: usize, job: StreamJob) {
+        let telemetry = &self.telemetry;
         telemetry.add(Counter::JobsPulled, 1);
         telemetry.class_add_jobs(job.plan.plan_class(), 1);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -688,18 +708,18 @@ impl Shared {
                 }
                 state.deliver(index, result, Instant::now(), telemetry);
             }
-            Err(payload) => self.resolve(&state, Verdict::Panicked, Some(payload)),
+            Err(payload) => self.resolve(state, Verdict::Panicked, Some(payload)),
         }
     }
 }
 
-/// The long-lived serving tier: many concurrent requests over one warm
-/// [`WorkerPool`], with bounded intake and round-robin FIFO. See the
+/// The long-lived serving tier: many concurrent requests over one set of
+/// warm worker threads, with bounded intake and round-robin FIFO. See the
 /// [module docs](self).
 pub struct Service {
     shared: Arc<Shared>,
-    /// Dropped after [`Service::drop`] has drained the intake.
-    pool: WorkerPool,
+    /// Joined by [`Service::drop`] once it has drained the intake.
+    workers: Vec<JoinHandle<()>>,
     next_id: AtomicU64,
 }
 
@@ -707,13 +727,13 @@ impl std::fmt::Debug for Service {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
             .field("capacity", &self.shared.capacity)
-            .field("workers", &self.pool.workers())
+            .field("workers", &self.workers.len())
             .finish_non_exhaustive()
     }
 }
 
 impl Service {
-    /// Starts the serving tier: spawns the pool's worker threads.
+    /// Starts the serving tier: spawns the worker threads.
     #[must_use]
     pub fn start(config: ServiceConfig) -> Self {
         let threads = config.threads.max(1);
@@ -724,13 +744,23 @@ impl Service {
         let shared = Arc::new(Shared {
             intake: Mutex::new(Intake::default()),
             room: Condvar::new(),
+            queued: Condvar::new(),
             capacity,
             stream_length: config.stream_length,
-            telemetry: config.telemetry.clone(),
+            telemetry: config.telemetry,
         });
+        let workers = (0..threads)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("sc-graph-worker-{i}"))
+                    .spawn(move || shared.work())
+                    .expect("worker threads spawn")
+            })
+            .collect();
         Service {
             shared,
-            pool: WorkerPool::with_telemetry(threads, config.telemetry),
+            workers,
             next_id: AtomicU64::new(1),
         }
     }
@@ -837,12 +867,8 @@ impl Service {
         telemetry.add(Counter::RequestsSubmitted, 1);
         if jobs == 0 {
             state.resolve(Verdict::Completed, telemetry, None);
-        }
-        // One task per queued job, so every queued job has a task to take
-        // it; a task whose job was dropped meanwhile finds nothing.
-        for _ in 0..jobs {
-            let shared = Arc::clone(shared);
-            self.pool.submit(Box::new(move || shared.run_next()));
+        } else {
+            shared.queued.notify_all();
         }
         Ok(RequestHandle {
             state,
@@ -864,15 +890,19 @@ impl Drop for Service {
         self.shared.telemetry.gauge_set(Gauge::IntakeDepth, 0);
         drop(intake);
         self.shared.room.notify_all();
-        // The pool drops next: its leftover tasks find the intake empty,
-        // running jobs deliver their results, and the workers join.
+        // Running jobs deliver their results; then every worker finds the
+        // intake empty and shut down, and returns.
+        self.shared.queued.notify_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     //! A randomized model-based harness over the thread-free intake: a model
-    //! interleaves the events the submitters, the handles and the pool's
+    //! interleaves the events the submitters, the handles and the
     //! workers drive — submit, pick, complete, panic, cancel, expire, clock
     //! ticks and shutdown — and checks the intake against it after every
     //! step.

@@ -12,9 +12,9 @@
 //! every tile of a class (shape + source-bank phase) runs the class's one
 //! compiled template, with its own select seeds bound as job inputs — and
 //! at most `window` planned-but-unfinished tiles are alive at any moment on
-//! the executor's persistent worker pool, so arbitrarily large images run
-//! in O(window) tile inputs while every core runs tiles concurrently,
-//! bit-identical to sequential raster-order processing. The pre-graph per-tile loop is retained in `crate::graph`'s
+//! the worker threads the executor spawns for the call, so arbitrarily
+//! large images run in O(window) tile inputs while every core runs tiles
+//! concurrently, bit-identical to sequential raster-order processing. The pre-graph per-tile loop is retained in `crate::graph`'s
 //! tests as the bit-identity reference.
 
 use crate::assemble::{scatter_sinks, TileSinks};
@@ -255,8 +255,8 @@ pub fn run_sc_pipeline_with_threads(
 /// whose class (tile shape plus source-bank phase) is cached gets the
 /// class's compiled template plus its own pixel values and select-LFSR seed
 /// bindings; a tile of a new class builds its dataflow graph and compiles
-/// the template. Meanwhile the executor's persistent worker pool executes
-/// planned tiles concurrently. At most `window` planned-but-unfinished
+/// the template. Meanwhile the worker threads the executor spawns for this
+/// call execute planned tiles concurrently. At most `window` planned-but-unfinished
 /// tiles are alive at any moment ([`Executor::run_stream`]), so peak memory
 /// is O(window) tile inputs plus the per-class templates, regardless of
 /// image size; the per-class cache is never evicted, so a window never

@@ -3,12 +3,12 @@
 //!
 //! [`ImageServer`] is the long-lived counterpart of the one-shot
 //! [`crate::run_sc_pipeline`] family. It keeps three things warm across
-//! requests: the service's worker pool (no per-image thread spin-up), the
+//! requests: the service's worker threads (no per-image thread spin-up), the
 //! shared [`TilePlanner`] (one per-class plan cache for *all* requests, so a
 //! request whose tile classes were already compiled plans without building
 //! a graph: a pixel gather and two seed bindings per tile),
 //! and the service's intake (the workers take tiles of concurrently
-//! submitted images round-robin and run each solo on the shared pool).
+//! submitted images round-robin and run each solo on the shared workers).
 //!
 //! [`ImageServer::submit`] decomposes the image into per-tile
 //! [`sc_graph::StreamJob`]s (raster order, so per-request select seeds — and

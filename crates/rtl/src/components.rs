@@ -15,8 +15,6 @@ use sc_sim::Component;
 /// D/S source comparator: emits `threshold > sample` each cycle (Fig. 2g).
 pub struct SourceBit {
     source: Box<dyn RandomSource>,
-    spec: SourceSpec,
-    skip: u64,
     threshold: f64,
 }
 
@@ -26,8 +24,6 @@ impl SourceBit {
     pub fn new(spec: &SourceSpec, skip: u64, threshold: f64) -> Self {
         SourceBit {
             source: spec.build_skipped(skip),
-            spec: spec.clone(),
-            skip,
             threshold: Probability::saturating(threshold).get(),
         }
     }
@@ -49,10 +45,6 @@ impl Component for SourceBit {
     fn evaluate(&mut self, _inputs: &[bool], outputs: &mut [bool]) {
         outputs[0] = self.threshold > self.source.next_unit();
     }
-
-    fn reset(&mut self) {
-        self.source = self.spec.build_skipped(self.skip);
-    }
 }
 
 /// Weighted one-hot selection: each cycle a cumulative walk over the weights
@@ -63,8 +55,6 @@ impl Component for SourceBit {
 /// chain's default, so a `k > 1`-way tree's outputs are lines `1..k`).
 pub struct SelectOneHot {
     source: Box<dyn RandomSource>,
-    spec: SourceSpec,
-    skip: u64,
     weights: Vec<f64>,
 }
 
@@ -74,8 +64,6 @@ impl SelectOneHot {
     pub fn new(spec: &SourceSpec, skip: u64, weights: &[f64]) -> Self {
         SelectOneHot {
             source: spec.build_skipped(skip),
-            spec: spec.clone(),
-            skip,
             weights: weights.to_vec(),
         }
     }
@@ -107,10 +95,6 @@ impl Component for SelectOneHot {
         for (line, out) in select_lines(self.weights.len()).zip(outputs) {
             *out = line == selected;
         }
-    }
-
-    fn reset(&mut self) {
-        self.source = self.spec.build_skipped(self.skip);
     }
 }
 
@@ -147,10 +131,6 @@ impl Component for CaAddCell {
         let ones = usize::from(x) + usize::from(y) + usize::from(self.residue);
         outputs[0] = ones >= 2; // majority = carry
         self.residue = ones & 1 == 1; // sum = next residue
-    }
-
-    fn reset(&mut self) {
-        self.residue = false;
     }
 }
 
@@ -204,11 +184,5 @@ impl Component for CaMaxMinCell {
         };
         outputs[0] = target > self.count_out;
         self.count_out = target;
-    }
-
-    fn reset(&mut self) {
-        self.count_x = 0;
-        self.count_y = 0;
-        self.count_out = 0;
     }
 }

@@ -42,9 +42,6 @@ pub trait Component: Send {
     fn commit(&mut self, inputs: &[bool]) {
         let _ = inputs;
     }
-
-    /// Restores the component to its power-on state.
-    fn reset(&mut self) {}
 }
 
 impl Component for Box<dyn Component> {
@@ -70,10 +67,6 @@ impl Component for Box<dyn Component> {
 
     fn commit(&mut self, inputs: &[bool]) {
         self.as_mut().commit(inputs);
-    }
-
-    fn reset(&mut self) {
-        self.as_mut().reset();
     }
 }
 
@@ -109,6 +102,5 @@ mod tests {
         b.evaluate(&[true], &mut out);
         assert!(out[0]);
         b.commit(&[true]);
-        b.reset();
     }
 }

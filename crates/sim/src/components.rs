@@ -107,7 +107,6 @@ impl Component for Mux2 {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct DFlipFlop {
     state: bool,
-    initial: bool,
 }
 
 impl DFlipFlop {
@@ -120,10 +119,7 @@ impl DFlipFlop {
     /// Creates a flip-flop with an explicit power-on value.
     #[must_use]
     pub fn with_initial(initial: bool) -> Self {
-        DFlipFlop {
-            state: initial,
-            initial,
-        }
+        DFlipFlop { state: initial }
     }
 
     /// Current stored value.
@@ -156,10 +152,6 @@ impl Component for DFlipFlop {
 
     fn commit(&mut self, inputs: &[bool]) {
         self.state = inputs[0];
-    }
-
-    fn reset(&mut self) {
-        self.state = self.initial;
     }
 }
 
@@ -258,10 +250,6 @@ impl Component for UpCounter {
     fn commit(&mut self, inputs: &[bool]) {
         self.state = (self.state + u64::from(inputs[0])) & ((1u64 << self.bits) - 1);
     }
-
-    fn reset(&mut self) {
-        self.state = 0;
-    }
 }
 
 /// A constant-value source component with no inputs.
@@ -338,8 +326,6 @@ mod tests {
         d.evaluate(&[], &mut out);
         assert!(out[0]);
         assert!(d.state());
-        d.reset();
-        assert!(!d.state());
         let d1 = DFlipFlop::with_initial(true);
         assert!(d1.state());
     }
@@ -376,8 +362,6 @@ mod tests {
         c.commit(&[true]);
         assert_eq!(c.count(), 0, "2-bit counter wraps at 4");
         c.commit(&[true]);
-        c.reset();
-        assert_eq!(c.count(), 0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   ring buffer (owner-thread locks are uncontended), merged and
 //!   time-sorted on [`TelemetrySink::drain`].
 //! * **Metrics** — atomic [`Counter`]s, [`Gauge`]s (current value + peak),
-//!   fixed-bucket log2 [`Hist`]ograms (job latency, queue depth, window
-//!   occupancy, per-worker busy/idle time).
+//!   fixed-bucket log2 [`Hist`]ograms (job latency, window occupancy,
+//!   per-worker busy/idle time, request latency).
 //! * **Export** — a drained [`TelemetryReport`] renders as chrome://tracing
 //!   trace-event JSON ([`TelemetryReport::to_chrome_trace`]) for
 //!   flamegraph-style inspection; [`TelemetryReport::to_json`] is the
@@ -102,9 +102,11 @@ pub enum Stage {
     LaneGroupExecute,
     /// Execution of one dispatched job (every job runs solo).
     ScalarExecute,
-    /// One task executed by a worker-pool thread.
+    /// One job run by a worker thread: a scoped worker of a parallel
+    /// `run_stream` call, or a serving-tier worker.
     WorkerRun,
-    /// A worker-pool thread parked waiting for work.
+    /// A worker thread parked waiting for its next job: on the call's job
+    /// channel, or on the serving tier's intake.
     WorkerPark,
     /// Scattering per-tile sink values into the output image.
     SinkCollect,
@@ -252,26 +254,19 @@ pub enum Gauge {
     /// Pulled-but-unfinished jobs inside one streaming dispatch window
     /// (`run_stream` only).
     WindowOccupancy,
-    /// Tasks queued on the worker pool.
-    QueueDepth,
     /// Jobs queued on the serving tier's intake, not yet taken by a worker.
     IntakeDepth,
 }
 
 impl Gauge {
     /// Every gauge, in declaration order.
-    pub const ALL: [Gauge; 3] = [
-        Gauge::WindowOccupancy,
-        Gauge::QueueDepth,
-        Gauge::IntakeDepth,
-    ];
+    pub const ALL: [Gauge; 2] = [Gauge::WindowOccupancy, Gauge::IntakeDepth];
 
     /// The gauge's stable export name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Gauge::WindowOccupancy => "window_occupancy",
-            Gauge::QueueDepth => "queue_depth",
             Gauge::IntakeDepth => "intake_depth",
         }
     }
@@ -286,11 +281,9 @@ pub enum Hist {
     JobLatencyNs,
     /// Window occupancy sampled at every job pull (`run_stream` only).
     WindowOccupancy,
-    /// Pool queue depth sampled at every submission.
-    QueueDepth,
-    /// Nanoseconds a pool worker spent running one task.
+    /// Nanoseconds a worker thread spent running one job.
     WorkerBusyNs,
-    /// Nanoseconds a pool worker spent parked between tasks.
+    /// Nanoseconds a worker thread spent parked waiting for a job.
     WorkerIdleNs,
     /// Wall-clock nanoseconds one serving-tier request took end to end
     /// (submit to response).
@@ -299,10 +292,9 @@ pub enum Hist {
 
 impl Hist {
     /// Every histogram, in declaration order.
-    pub const ALL: [Hist; 6] = [
+    pub const ALL: [Hist; 5] = [
         Hist::JobLatencyNs,
         Hist::WindowOccupancy,
-        Hist::QueueDepth,
         Hist::WorkerBusyNs,
         Hist::WorkerIdleNs,
         Hist::RequestLatencyNs,
@@ -314,7 +306,6 @@ impl Hist {
         match self {
             Hist::JobLatencyNs => "job_latency_ns",
             Hist::WindowOccupancy => "window_occupancy",
-            Hist::QueueDepth => "queue_depth",
             Hist::WorkerBusyNs => "worker_busy_ns",
             Hist::WorkerIdleNs => "worker_idle_ns",
             Hist::RequestLatencyNs => "request_latency_ns",
@@ -617,7 +608,7 @@ impl Inner {
 /// record method returns after a single branch ([`TelemetrySink::span`]
 /// does not even read the clock). An enabled sink ([`TelemetrySink::new`])
 /// shares one recorder across all its clones, so a sink threaded through an
-/// executor and its worker pool aggregates into one report.
+/// executor and its worker threads aggregates into one report.
 #[derive(Clone, Default)]
 pub struct TelemetrySink {
     inner: Option<Arc<Inner>>,
@@ -864,29 +855,32 @@ impl TelemetrySink {
 
 impl Inner {
     /// Collects every thread's spans (consuming them when `consume_spans`)
-    /// and the cumulative metric values into a report.
+    /// and the cumulative metric values into a report. A consuming report
+    /// also releases the rings of threads that have exited: once the
+    /// registry holds a ring's only handle, nothing can record into it
+    /// again, so after its events are taken it is dropped.
     fn report(&self, consume_spans: bool) -> TelemetryReport {
         let mut spans = Vec::new();
         let mut dropped = 0u64;
-        {
-            let buffers = self
-                .buffers
-                .lock()
-                .expect("telemetry buffer registry lock is never poisoned");
-            for buf in buffers.iter() {
-                let mut buf = buf
+        self.buffers
+            .lock()
+            .expect("telemetry buffer registry lock is never poisoned")
+            .retain(|handle| {
+                let mut buf = handle
                     .lock()
                     .expect("telemetry span buffer lock is never poisoned");
-                if consume_spans {
-                    spans.append(&mut buf.events);
-                    buf.next = 0;
-                    dropped += std::mem::take(&mut buf.dropped);
-                } else {
+                if !consume_spans {
                     spans.extend_from_slice(&buf.events);
                     dropped += buf.dropped;
+                    return true;
                 }
-            }
-        }
+                spans.append(&mut buf.events);
+                buf.next = 0;
+                dropped += std::mem::take(&mut buf.dropped);
+                // Checked under the ring's lock, after the take: an owner
+                // that recorded before exiting did so before this lock.
+                Arc::strong_count(handle) > 1
+            });
         spans.sort_by_key(|s| (s.start_ns, s.thread));
         TelemetryReport {
             spans,
@@ -1337,7 +1331,7 @@ mod tests {
             assert_eq!(guard.finish(), 0);
         }
         sink.add(Counter::JobsPulled, 3);
-        sink.gauge_set(Gauge::QueueDepth, 9);
+        sink.gauge_set(Gauge::IntakeDepth, 9);
         sink.observe(Hist::JobLatencyNs, 1000);
         sink.class_add_jobs(1, 1);
         let report = sink.drain();
@@ -1416,10 +1410,10 @@ mod tests {
         assert_eq!(log2_bucket(u64::MAX), HIST_BUCKETS - 1);
         let sink = TelemetrySink::new();
         for v in [0u64, 1, 2, 3, 1000] {
-            sink.observe(Hist::QueueDepth, v);
+            sink.observe(Hist::WindowOccupancy, v);
         }
         let report = sink.drain();
-        let snap = report.histogram(Hist::QueueDepth);
+        let snap = report.histogram(Hist::WindowOccupancy);
         assert_eq!(snap.count, 5);
         assert_eq!(snap.sum, 1006);
         assert!((snap.mean() - 201.2).abs() < 1e-9);
@@ -1471,11 +1465,59 @@ mod tests {
         assert_eq!(worker_threads.len(), 2, "two workers, two thread ids");
     }
 
+    /// Consuming reports release the rings of threads that have exited, so
+    /// short-lived recording threads leave nothing registered; a snapshot
+    /// releases nothing, and the spans it only copied reach the next drain.
+    #[test]
+    fn consuming_reports_release_the_rings_of_exited_threads() {
+        let sink = TelemetrySink::new();
+        let rings = || sink.inner.as_ref().unwrap().buffers.lock().unwrap().len();
+        let record_on_threads = |threads: usize| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    let sink = sink.clone();
+                    std::thread::spawn(move || {
+                        for _ in 0..100 {
+                            let _span = sink.span(Stage::WorkerRun);
+                        }
+                    })
+                })
+                .collect();
+            for handle in handles {
+                handle.join().unwrap();
+            }
+        };
+        for round in 0..4 {
+            record_on_threads(2);
+            assert_eq!(rings(), 2, "round {round}: one ring per thread");
+            let report = if round % 2 == 0 {
+                sink.drain()
+            } else {
+                sink.snapshot_delta()
+            };
+            assert_eq!(report.stage_totals(Stage::WorkerRun).0, 200);
+            assert_eq!(rings(), 0, "round {round}: no recording thread is alive");
+        }
+        // A live thread's ring stays registered across drains.
+        {
+            let _span = sink.span(Stage::Dispatch);
+        }
+        assert_eq!(sink.drain().spans.len(), 1);
+        assert_eq!(rings(), 1);
+        record_on_threads(1);
+        let seen = sink.snapshot();
+        assert_eq!(seen.stage_totals(Stage::WorkerRun).0, 100);
+        assert_eq!(rings(), 2, "a snapshot keeps an exited thread's ring");
+        let drained = sink.drain();
+        assert_eq!(drained.stage_totals(Stage::WorkerRun).0, 100);
+        assert_eq!(rings(), 1, "the drain released it");
+    }
+
     #[test]
     fn report_exports_are_structurally_valid() {
         let sink = TelemetrySink::new();
         sink.add(Counter::JobsPulled, 2);
-        sink.gauge_set(Gauge::QueueDepth, 1);
+        sink.gauge_set(Gauge::IntakeDepth, 1);
         sink.observe(Hist::JobLatencyNs, 1500);
         sink.class_add_jobs(5, 3);
         {
@@ -1530,7 +1572,7 @@ mod tests {
     fn snapshot_is_non_destructive_and_matches_final_drain() {
         let sink = TelemetrySink::new();
         sink.add(Counter::JobsPulled, 4);
-        sink.gauge_set(Gauge::QueueDepth, 3);
+        sink.gauge_set(Gauge::IntakeDepth, 3);
         sink.observe(Hist::JobLatencyNs, 900);
         sink.class_latency(7, 900);
         sink.class_add_jobs(7, 1);
@@ -1569,7 +1611,7 @@ mod tests {
         let sink = TelemetrySink::new();
         sink.add(Counter::JobsPulled, 2);
         sink.observe(Hist::JobLatencyNs, 100);
-        sink.gauge_set(Gauge::QueueDepth, 9);
+        sink.gauge_set(Gauge::IntakeDepth, 9);
         sink.class_add_jobs(3, 2);
         {
             let _span = sink.span(Stage::Dispatch);
@@ -1579,11 +1621,11 @@ mod tests {
         let first = sink.snapshot_delta();
         assert_eq!(first.counter(Counter::JobsPulled), 2);
         assert_eq!(first.spans.len(), 1);
-        assert_eq!(first.gauge(Gauge::QueueDepth).1, 9, "interval peak");
+        assert_eq!(first.gauge(Gauge::IntakeDepth).1, 9, "interval peak");
 
         sink.add(Counter::JobsPulled, 5);
         sink.observe(Hist::JobLatencyNs, 3000);
-        sink.gauge_set(Gauge::QueueDepth, 4);
+        sink.gauge_set(Gauge::IntakeDepth, 4);
         sink.class_add_jobs(3, 1);
         sink.class_add_jobs(8, 1);
         {
@@ -1595,7 +1637,7 @@ mod tests {
         assert_eq!(second.histogram(Hist::JobLatencyNs).count, 1);
         assert_eq!(second.histogram(Hist::JobLatencyNs).sum, 3000);
         assert_eq!(
-            second.gauge(Gauge::QueueDepth),
+            second.gauge(Gauge::IntakeDepth),
             (4, 9),
             "the gauge held 9 at the interval's start before dropping to 4, \
              so the carried-in level is the interval peak"
@@ -1615,10 +1657,10 @@ mod tests {
         );
         assert_eq!(
             first
-                .gauge(Gauge::QueueDepth)
+                .gauge(Gauge::IntakeDepth)
                 .1
-                .max(second.gauge(Gauge::QueueDepth).1),
-            sink.snapshot().gauge(Gauge::QueueDepth).1,
+                .max(second.gauge(Gauge::IntakeDepth).1),
+            sink.snapshot().gauge(Gauge::IntakeDepth).1,
             "max interval peak equals the all-time peak"
         );
         // An idle interval produces an all-zero delta.

@@ -336,17 +336,17 @@ mod tests {
     fn prometheus_histogram_buckets_are_cumulative() {
         let sink = TelemetrySink::new();
         for v in [1u64, 3, 3, 1000] {
-            sink.observe(Hist::QueueDepth, v);
+            sink.observe(Hist::WindowOccupancy, v);
         }
         let text = sink.snapshot().to_prometheus();
         let buckets: Vec<u64> = text
             .lines()
-            .filter(|l| l.starts_with("sc_hist_queue_depth_bucket"))
+            .filter(|l| l.starts_with("sc_hist_window_occupancy_bucket"))
             .map(|l| l.split_whitespace().last().unwrap().parse().unwrap())
             .collect();
         assert!(buckets.windows(2).all(|w| w[0] <= w[1]), "{buckets:?}");
         assert_eq!(*buckets.last().unwrap(), 4, "+Inf equals the count");
-        assert!(text.contains("sc_hist_queue_depth_count 4"));
-        assert!(text.contains("sc_hist_queue_depth_sum 1007"));
+        assert!(text.contains("sc_hist_window_occupancy_count 4"));
+        assert!(text.contains("sc_hist_window_occupancy_sum 1007"));
     }
 }

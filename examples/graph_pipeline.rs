@@ -5,7 +5,8 @@
 //! converters draw from independent sources — so the compiler inserts a
 //! synchronizer in front of the XOR automatically. The compiled plan then
 //! runs word-parallel over a batch of independent input sets, sharded across
-//! a persistent worker pool, and is costed through the `sc_hwcost` bridge.
+//! worker threads spawned for each call, and is costed through the
+//! `sc_hwcost` bridge.
 //!
 //! Run with `cargo run --release --example graph_pipeline`.
 

@@ -1,5 +1,5 @@
-//! Continuous-telemetry demo: a multi-frame accelerator workload on one
-//! **warm** executor, observed live while it runs — a sampler loop prints
+//! Continuous-telemetry demo: a multi-frame accelerator workload through one
+//! executor and one **warm** tile planner, observed live while it runs — a sampler loop prints
 //! interval deltas ([`TelemetrySink::snapshot_delta`]) and a
 //! [`TelemetryServer`] answers Prometheus/JSON scrapes over real TCP the
 //! whole time — then prints the cumulative per-plan-class attribution
@@ -34,11 +34,11 @@ fn frame_image(size: usize, frame: usize) -> GrayImage {
     })
 }
 
-/// Runs `frames` frames through one warm executor and one tile planner,
+/// Runs `frames` frames through one executor and one tile planner,
 /// returning each frame's mean edge magnitude (proof the streamed results
 /// were consumed). The planner's cache lives across frames, so every frame
-/// after the first plans from cache hits (the "warm executor" part of the
-/// demo).
+/// after the first plans from cache hits (the warm part of the demo); each
+/// frame's dispatch runs on worker threads spawned for that frame.
 fn run_frames(frames: usize, size: usize, config: &PipelineConfig) -> Vec<f64> {
     let threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -72,18 +72,18 @@ fn run_frames(frames: usize, size: usize, config: &PipelineConfig) -> Vec<f64> {
     means
 }
 
-/// One interval line of the live view: jobs, latency quantiles,
-/// queue/window pressure, per-class jobs.
+/// One interval line of the live view: jobs, latency quantiles, window
+/// pressure, per-class jobs.
 fn print_interval(tick: usize, delta: &TelemetryReport) {
     let latency = delta.histogram(Hist::JobLatencyNs);
-    let (queue_now, queue_peak) = delta.gauge(Gauge::QueueDepth);
+    let (window_now, window_peak) = delta.gauge(Gauge::WindowOccupancy);
     let classes: Vec<String> = delta
         .classes()
         .iter()
         .map(|c| format!("{}:{}", c.label(), c.jobs))
         .collect();
     println!(
-        "[t{tick:>2} {:>7.1} ms] jobs {:>3} | p50 ≤ {} ns, p99 ≤ {} ns | queue {queue_now} (peak {queue_peak}) | class jobs {{{}}}",
+        "[t{tick:>2} {:>7.1} ms] jobs {:>3} | p50 ≤ {} ns, p99 ≤ {} ns | window {window_now} (peak {window_peak}) | class jobs {{{}}}",
         delta.elapsed_ns as f64 / 1e6,
         delta.counter(Counter::JobsPulled),
         latency.quantile(0.5),
@@ -116,8 +116,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         server.local_addr(),
     );
 
-    // The workload thread streams frames through one warm executor while the
-    // main thread samples interval deltas.
+    // The workload thread streams frames through one executor and one warm
+    // planner while the main thread samples interval deltas.
     let done = Arc::new(AtomicBool::new(false));
     let finished = Arc::clone(&done);
     let worker_config = config.clone();

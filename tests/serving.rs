@@ -274,7 +274,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 
 #[test]
 fn fault_marked_class_panic_resolves_its_request_and_drop_returns() {
-    // Each pool task is one job under one `catch_unwind`: a panicking job
+    // A worker runs each job under one `catch_unwind`: a panicking job
     // resolves exactly its own request, a concurrent request of another
     // class completes with the one-shot bits, and the service still drains
     // and shuts down.
@@ -535,7 +535,7 @@ fn image_server_matches_the_one_shot_pipeline_bit_for_bit() {
 }
 
 /// Images submitted concurrently to one warm server — their tiles share the
-/// intake and the pool — each equal their one-shot image.
+/// intake and the workers — each equal their one-shot image.
 #[test]
 fn concurrent_image_requests_equal_their_one_shot_images() {
     let config = PipelineConfig::quick();
