@@ -9,10 +9,13 @@
 //! streams for both paths, plus the speedup factor. The speculative
 //! table-driven FSM word-stepping is gated at the depths the planner and the
 //! pipeline insert (`synchronizer_d2`, `desynchronizer_d1`), on fixed
-//! periodic inputs (`fsm_input_pair`). Two rows reuse one circuit and reset
-//! it before each call, as a harness does: `decorrelator_d4_reset`, whose
-//! word path replays its logged slot addresses and is gated at 3x, and
-//! `d2s_sobol_reset`, a D/S generator replaying its logged samples.
+//! periodic inputs (`fsm_input_pair`). The decorrelator's word path runs a
+//! whole stream from a reset through its depth's memoized lag network, and
+//! is gated twice: `decorrelator_d4`, a fresh circuit per call as the graph
+//! executor builds one per job, at 5x, and `decorrelator_d4_reset`, one
+//! circuit reset before each call as a harness reuses it, at 3x.
+//! `d2s_sobol_reset` reuses one D/S generator, replaying its logged
+//! samples.
 
 use sc_arith::add::ca_add;
 use sc_arith::maxmin::{ca_max, or_max};
@@ -230,7 +233,7 @@ fn main() {
         );
     }
     // One circuit reset before each call, as a harness reusing it runs it:
-    // after the first call the word path replays its logged addresses.
+    // each call starts at the reset point, so it runs the lag network too.
     {
         let (xs, ys) = (x.clone(), y.clone());
         let (xw, yw) = (x.clone(), y.clone());
@@ -351,16 +354,18 @@ fn main() {
     }
     println!("all required ops meet the 5x speedup bar");
 
-    // The replayed shuffle buffers must beat stepping the same reset
-    // circuit bit by bit at least 3x.
-    let replayed = rows
-        .iter()
-        .find(|r| r.op == "decorrelator_d4_reset")
-        .expect("replayed decorrelator measured");
-    assert!(
-        replayed.speedup() >= 3.0,
-        "decorrelator_d4_reset speedup {:.1}x is below the 3x bar",
-        replayed.speedup()
-    );
-    println!("decorrelator_d4_reset meets the 3x replay bar");
+    // The lag network must beat stepping a fresh circuit bit by bit at
+    // least 5x, and the same reset circuit at least 3x.
+    for (op, bar) in [("decorrelator_d4", 5.0), ("decorrelator_d4_reset", 3.0)] {
+        let row = rows
+            .iter()
+            .find(|r| r.op == op)
+            .expect("decorrelator measured");
+        assert!(
+            row.speedup() >= bar,
+            "{op} speedup {:.1}x is below the {bar}x bar",
+            row.speedup()
+        );
+        println!("{op} meets the {bar}x lag-network bar");
+    }
 }

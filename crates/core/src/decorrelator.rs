@@ -7,9 +7,23 @@
 //! (close to) uncorrelated — unlike isolators, which only shift one stream by
 //! a fixed offset and leave relative order intact, and unlike regeneration,
 //! which needs full S/D + D/S conversions.
+//!
+//! The default circuit ([`Decorrelator::new`]) addresses its buffers with two
+//! fixed-seed LFSRs, so from a reset its run is fixed by the depth alone:
+//! each output bit is a power-on slot bit or one input bit at a fixed lag. A
+//! whole-stream call from the reset point runs that lag structure as a
+//! word-wide shift-and-mask network, built once per process per depth and
+//! shared by every such circuit. Those calls are
+//! [`CorrelationManipulator::process`] on a fresh or just-reset circuit and
+//! [`Decorrelator::process_words`] on a fresh one, as the graph executor
+//! makes per job. Such a call leaves the circuit in the state the per-bit
+//! chain would. Circuits built [`Decorrelator::with_sources`], calls that
+//! continue a run, runs past 32,768 cycles and depths the network does not
+//! serve (see [`crate::shuffle_buffer`]) keep the chain.
 
 use crate::manipulator::CorrelationManipulator;
 use crate::shuffle_buffer::ShuffleBuffer;
+use sc_bitstream::{Bitstream, Error, Result};
 use sc_rng::{Lfsr, RandomSource};
 
 /// A decorrelator built from two independently addressed shuffle buffers.
@@ -47,7 +61,11 @@ impl Decorrelator<Lfsr> {
     /// Panics if `depth` is outside [`crate::DEPTH_RANGE`].
     #[must_use]
     pub fn new(depth: usize) -> Self {
-        Self::with_sources(depth, Lfsr::new(16, 0xACE1), Lfsr::new(16, 0x7331))
+        Decorrelator {
+            buffer_x: ShuffleBuffer::with_lag_network(depth, 0xACE1),
+            buffer_y: ShuffleBuffer::with_lag_network(depth, 0x7331),
+            depth,
+        }
     }
 }
 
@@ -72,6 +90,25 @@ impl<S: RandomSource> Decorrelator<S> {
     pub fn depth(&self) -> usize {
         self.depth
     }
+
+    /// Runs the circuit over the packed words of two `len`-bit streams,
+    /// writing the manipulated pair to `out_x` / `out_y`: bit-identical to
+    /// [`CorrelationManipulator::process`], without building streams.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any slice holds fewer than `len.div_ceil(64)` words.
+    pub fn process_words(
+        &mut self,
+        x: &[u64],
+        y: &[u64],
+        len: usize,
+        out_x: &mut [u64],
+        out_y: &mut [u64],
+    ) {
+        self.buffer_x.process_words(x, len, out_x);
+        self.buffer_y.process_words(y, len, out_y);
+    }
 }
 
 impl<S: RandomSource> CorrelationManipulator for Decorrelator<S> {
@@ -93,6 +130,19 @@ impl<S: RandomSource> CorrelationManipulator for Decorrelator<S> {
             self.buffer_x.step_word(x, valid),
             self.buffer_y.step_word(y, valid),
         )
+    }
+
+    /// Runs each buffer over its whole stream: the buffers share no state,
+    /// so this equals stepping them together, and each takes its lag network
+    /// where one serves the call.
+    fn process(&mut self, x: &Bitstream, y: &Bitstream) -> Result<(Bitstream, Bitstream)> {
+        if x.len() != y.len() {
+            return Err(Error::LengthMismatch {
+                left: x.len(),
+                right: y.len(),
+            });
+        }
+        Ok((self.buffer_x.process(x), self.buffer_y.process(y)))
     }
 }
 

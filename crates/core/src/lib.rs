@@ -26,8 +26,9 @@
 //! engine ([`kernel`]). Stateless and shift-register circuits
 //! ([`manipulator::Identity`], [`Isolator`]) override `step_word` with
 //! whole-word operations; the synchronizer and desynchronizer resolve a word
-//! by speculative table lookups; the decorrelator steps its shuffle buffers
-//! a word at a time; every other circuit keeps the default, which stages
+//! by speculative table lookups; the decorrelator runs a whole stream from a
+//! reset as a memoized shift-and-mask lag network and steps its shuffle
+//! buffers a word at a time otherwise; every other circuit keeps the default, which stages
 //! bits through machine registers instead of per-bit stream indexing.
 //! [`ManipulatorChain`] passes each word through all its stages in one walk.
 //! The original per-bit execution is retained as
@@ -72,6 +73,7 @@ pub mod decorrelator;
 pub mod desynchronizer;
 pub mod isolator;
 pub mod kernel;
+mod lag_network;
 pub mod manipulator;
 pub mod ops;
 pub mod shuffle_buffer;

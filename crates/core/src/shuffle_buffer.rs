@@ -11,28 +11,52 @@
 //! on average the bits stranded in the buffer at the end of the stream carry
 //! the same weight as the bits that seeded it (§III.C).
 //!
-//! The slots are one `u64` mask for depth ≤ 64 and a word bitset above that,
-//! so a bit costs a bit test, a bit clear and an insert. The slot addresses
-//! depend only on the source, never on the data, so the buffer draws them
-//! through a [`Replay`] log: after a reset the same addresses come again,
-//! and the buffer reads them from the log instead of stepping the source and
-//! scaling its sample. The log holds the addresses drawn since the source's
-//! last real reset, and the source stands at the end of the log. Recording
-//! starts at the first [`ShuffleBuffer::reset`], because a source may
-//! arrive mid-sequence; [`ShuffleBuffer::reset`] then restores the slots and
-//! rewinds the log without touching the source. A run of more than
+//! The slot addresses depend only on the source, never on the data, and the
+//! buffer runs on one of two paths.
+//!
+//! **The lag network.** From a reset, every output bit is a power-on slot
+//! bit or one input bit at a lag the schedule fixes, so a whole run is a
+//! word-wide shift-and-mask network (`crate::lag_network`). The buffers of
+//! [`crate::Decorrelator::new`] share one memoized network per depth. Their
+//! whole-stream calls ([`ShuffleBuffer::process`] and the decorrelator's
+//! `process` and `process_words`) take it when all of these hold:
+//!
+//! - the call starts at the reset point: the buffer is fresh or was just
+//!   reset;
+//! - the run is at most 32,768 cycles;
+//! - the depth passes the network's one-word rule (every lag below 64: D ≤ 4
+//!   with the default seeds).
+//!
+//! The call then leaves the buffer exactly where the chain would. Each slot
+//! holds the input bit of its last write, found by a backward scan of the
+//! schedule. The address position moves `n` ahead without drawing:
+//! [`Replay::skip`], which jumps the source only if a live draw follows.
+//!
+//! **The chain.** Every other call (a buffer built by [`ShuffleBuffer::new`],
+//! a call that continues a run, a deeper buffer) shuffles bit by bit. The
+//! slots are one `u64` mask for depth ≤ 64 and a word bitset above that, so
+//! a bit costs a bit test, a bit clear and an insert. The buffer draws its
+//! addresses through a [`Replay`] log: after a reset the same addresses come
+//! again, and the buffer reads them from the log instead of stepping the
+//! source and scaling its sample. The log holds the addresses drawn since the
+//! source's last real reset, and the source stands at the end of the log.
+//! Recording starts at the first [`ShuffleBuffer::reset`], because a source
+//! may arrive mid-sequence; [`ShuffleBuffer::reset`] then restores the slots
+//! and rewinds the log without touching the source. A run of more than
 //! 32,768 addresses (the log's 64 KiB bound) stops recording, and every later
 //! reset really resets the source. [`ShuffleBuffer::step`] is
 //! [`ShuffleBuffer::step_word`] on one bit, so the two can be mixed. Before
 //! the first reset, and once recording has stopped, each address is drawn
 //! from the source as its bit is shuffled.
 
+use crate::lag_network::{self, LagNetwork};
 use crate::manipulator::DEPTH_RANGE;
-use sc_bitstream::Bitstream;
-use sc_rng::{Draws, RandomSource, Replay, SourceExt};
+use sc_bitstream::{Bitstream, WORD_BITS};
+use sc_rng::{Draws, Lfsr, RandomSource, Replay, SourceExt};
+use std::sync::Arc;
 
 /// The power-on slot contents: slot `i` holds a 1 when `i` is even.
-const ALTERNATING: u64 = 0x5555_5555_5555_5555;
+pub(crate) const ALTERNATING: u64 = 0x5555_5555_5555_5555;
 
 /// The stored bits: slot `i` is bit `i % 64` of word `i / 64`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,6 +162,12 @@ pub struct ShuffleBuffer<S> {
     slots: Slots,
     depth: usize,
     addrs: Replay<S, u16>,
+    /// The seed of the decorrelator address source this buffer draws from,
+    /// whose lag network serves its whole-stream calls from a reset.
+    network: Option<u64>,
+    /// Whether the slots and the addresses stand at the reset point; only
+    /// read for a buffer with a network.
+    at_reset: bool,
 }
 
 impl<S: RandomSource> ShuffleBuffer<S> {
@@ -158,6 +188,8 @@ impl<S: RandomSource> ShuffleBuffer<S> {
             slots: Slots::initial(depth),
             depth,
             addrs: Replay::new(source),
+            network: None,
+            at_reset: false,
         }
     }
 
@@ -193,6 +225,7 @@ impl<S: RandomSource> ShuffleBuffer<S> {
     // Always inlined: `step`'s one-bit call then runs a loop of one.
     #[inline(always)]
     pub fn step_word(&mut self, input: u64, valid: u32) -> u64 {
+        self.at_reset = false;
         let address = Self::address(self.depth);
         match self.addrs.take(valid as usize, &address) {
             Draws::Logged(addrs) => self.slots.shuffle(input, addrs.iter().copied()),
@@ -206,10 +239,35 @@ impl<S: RandomSource> ShuffleBuffer<S> {
     #[must_use]
     pub fn process(&mut self, input: &Bitstream) -> Bitstream {
         let n = input.len();
-        Bitstream::from_word_fn(n, |w| {
-            let valid = input.word_len(w) as u32;
-            self.step_word(input.as_words()[w], valid)
-        })
+        let mut words = vec![0; n.div_ceil(WORD_BITS)];
+        self.process_words(input.as_words(), n, &mut words);
+        Bitstream::from_words(words, n)
+    }
+
+    /// Processes the packed words of a `len`-bit stream into `out`: through
+    /// the lag network when one serves this call, else word by word through
+    /// [`ShuffleBuffer::step_word`].
+    pub(crate) fn process_words(&mut self, input: &[u64], len: usize, out: &mut [u64]) {
+        if let Some(network) = self.network_from_reset(len) {
+            network.apply(input, len, out);
+            let power_on = Slots::initial_word(self.depth, 0);
+            self.slots = Slots::Word(network.slots_after(input, len, power_on));
+            self.addrs.skip(len, Self::address(self.depth));
+            self.at_reset = false;
+            return;
+        }
+        for (w, o) in out[..len.div_ceil(WORD_BITS)].iter_mut().enumerate() {
+            let valid = (len - w * WORD_BITS).min(WORD_BITS) as u32;
+            *o = self.step_word(input[w], valid);
+        }
+    }
+
+    /// The lag network that serves a `len`-cycle call from here, if any.
+    fn network_from_reset(&self, len: usize) -> Option<Arc<LagNetwork>> {
+        if !self.at_reset {
+            return None;
+        }
+        lag_network::lookup(self.network?, self.depth, len)
     }
 
     /// Restores the initial buffer contents and restarts the address
@@ -218,6 +276,20 @@ impl<S: RandomSource> ShuffleBuffer<S> {
     pub fn reset(&mut self) {
         self.slots.reset(self.depth);
         self.addrs.reset();
+        self.at_reset = true;
+    }
+}
+
+impl ShuffleBuffer<Lfsr> {
+    /// The buffer of [`crate::Decorrelator::new`] whose address source is
+    /// seeded `seed`: its whole-stream calls from a reset run through the
+    /// shared lag network of that source and depth, where one serves.
+    pub(crate) fn with_lag_network(depth: usize, seed: u64) -> Self {
+        ShuffleBuffer {
+            network: Some(seed),
+            at_reset: true,
+            ..Self::new(depth, lag_network::source(seed))
+        }
     }
 }
 
@@ -260,6 +332,10 @@ mod tests {
                 *slot = i % 2 == 0;
             }
             self.source.reset();
+        }
+
+        fn stored_ones(&self) -> usize {
+            self.slots.iter().filter(|&&b| b).count()
         }
     }
 
@@ -342,10 +418,7 @@ mod tests {
                 reference.process(&input),
                 "buffer depth {depth} run {run} len {len}"
             );
-            assert_eq!(
-                buf.stored_ones(),
-                reference.slots.iter().filter(|&&b| b).count()
-            );
+            assert_eq!(buf.stored_ones(), reference.stored_ones());
         }
     }
 
@@ -395,6 +468,123 @@ mod tests {
                     fresh().process_bit_serial(&x, &y).unwrap(),
                     expected,
                     "fresh circuit, depth {depth}"
+                );
+            }
+        }
+    }
+
+    /// One call of a continuation: a whole-stream `process`, a `step_word`
+    /// or a single `step`.
+    #[derive(Debug, Clone, Copy)]
+    enum Call {
+        Process,
+        StepWord,
+        Step,
+    }
+
+    /// Splits `len` cycles into calls as the mix state picks: `(start,
+    /// cycles, call)`, with a `process` of up to 200 cycles, a `step_word`
+    /// of up to 64 and a `step` of one.
+    fn call_mix(len: usize, mix: &mut u64) -> Vec<(usize, usize, Call)> {
+        let mut calls = Vec::new();
+        let mut start = 0;
+        while start < len {
+            let pick = xorshift(mix);
+            let (call, most) = match pick % 3 {
+                0 => (Call::Process, 200),
+                1 => (Call::StepWord, 64),
+                _ => (Call::Step, 1),
+            };
+            let cycles = ((pick >> 8) as usize % most + 1).min(len - start);
+            calls.push((start, cycles, call));
+            start += cycles;
+        }
+        calls
+    }
+
+    /// The `len` bits of `stream` from `start`.
+    fn part(stream: &Bitstream, start: usize, len: usize) -> Bitstream {
+        Bitstream::from_fn(len, |k| stream.bit(start + k))
+    }
+
+    /// Runs a buffer of the default decorrelator across `runs`, each a
+    /// `(first, rest)` pair: one whole-stream call of `first` cycles from
+    /// the reset point (from a fresh buffer in the first run), which takes
+    /// the lag network where one serves, then `rest` cycles of mixed calls
+    /// that continue from the state it handed off. Every call, and the
+    /// stored ones after it, must match the reference model.
+    fn check_network_buffer(depth: usize, source_seed: u64, runs: &[(usize, usize)], seed: u64) {
+        let mut buf = ShuffleBuffer::with_lag_network(depth, source_seed);
+        let mut reference = ReferenceBuffer::new(depth, lag_network::source(source_seed));
+        let (mut stimulus, mut mix) = (seed | 1, seed.rotate_left(23) | 1);
+        for (run, &(first, rest)) in runs.iter().enumerate() {
+            if run > 0 {
+                buf.reset();
+                reference.reset();
+            }
+            let input = random_stream(first + rest, &mut stimulus);
+            let calls = std::iter::once((0, first, Call::Process)).chain(
+                call_mix(rest, &mut mix)
+                    .into_iter()
+                    .map(|(start, cycles, call)| (first + start, cycles, call)),
+            );
+            for (start, cycles, call) in calls {
+                let input = part(&input, start, cycles);
+                let got = match call {
+                    Call::Process => buf.process(&input),
+                    Call::StepWord => {
+                        let word = buf.step_word(input.as_words()[0], cycles as u32);
+                        Bitstream::from_words(vec![word], cycles)
+                    }
+                    Call::Step => Bitstream::from_bools([buf.step(input.bit(0))]),
+                };
+                let context =
+                    format!("depth {depth} run {run} ({first}, {rest}) call {call:?} at {start}");
+                assert_eq!(got, reference.process(&input), "{context}");
+                assert_eq!(buf.stored_ones(), reference.stored_ones(), "{context}");
+            }
+        }
+    }
+
+    /// [`check_network_buffer`] for the default decorrelator itself, against
+    /// a second default circuit stepped only by `process_bit_serial`.
+    fn check_network_decorrelator(depth: usize, runs: &[(usize, usize)], seed: u64) {
+        let mut deco = Decorrelator::new(depth);
+        let mut reference = Decorrelator::new(depth);
+        let (mut stimulus, mut mix) = (seed | 1, seed.rotate_left(31) | 1);
+        for (run, &(first, rest)) in runs.iter().enumerate() {
+            if run > 0 {
+                deco.reset();
+                reference.reset();
+            }
+            let x = random_stream(first + rest, &mut stimulus);
+            let y = random_stream(first + rest, &mut stimulus);
+            let calls = std::iter::once((0, first, Call::Process)).chain(
+                call_mix(rest, &mut mix)
+                    .into_iter()
+                    .map(|(start, cycles, call)| (first + start, cycles, call)),
+            );
+            for (start, cycles, call) in calls {
+                let (x, y) = (part(&x, start, cycles), part(&y, start, cycles));
+                let got = match call {
+                    Call::Process => deco.process(&x, &y).unwrap(),
+                    Call::StepWord => {
+                        let (ox, oy) =
+                            deco.step_word(x.as_words()[0], y.as_words()[0], cycles as u32);
+                        (
+                            Bitstream::from_words(vec![ox], cycles),
+                            Bitstream::from_words(vec![oy], cycles),
+                        )
+                    }
+                    Call::Step => {
+                        let (ox, oy) = deco.step(x.bit(0), y.bit(0));
+                        (Bitstream::from_bools([ox]), Bitstream::from_bools([oy]))
+                    }
+                };
+                assert_eq!(
+                    got,
+                    reference.process_bit_serial(&x, &y).unwrap(),
+                    "decorrelator depth {depth} run {run} ({first}, {rest}) call {call:?} at {start}"
                 );
             }
         }
@@ -481,6 +671,29 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_network_run_hands_off_at_the_word_edges_and_past_the_log_bound() {
+        // Every length class of the network's last word, and a first run
+        // that fills the 32,768-address cap and is continued past it: the
+        // skipped positions are recorded, then the continuation outgrows
+        // the log. A first run past the cap takes the chain.
+        let runs = [
+            (1, 70),
+            (63, 70),
+            (64, 70),
+            (65, 70),
+            (32_768, 300),
+            (64, 64),
+            (33_000, 10),
+            (128, 64),
+        ];
+        for depth in [1, 3, 4, 5] {
+            check_network_buffer(depth, 0xACE1, &runs, 3);
+            check_network_buffer(depth, 0x7331, &runs, 5);
+            check_network_decorrelator(depth, &runs, 9);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -513,6 +726,23 @@ mod tests {
                     &lengths,
                     seed,
                 );
+            }
+        }
+
+        #[test]
+        fn prop_network_runs_continue_exactly(
+            edge in 0usize..4,
+            firsts in proptest::collection::vec(1usize..=1100, 3),
+            rests in proptest::collection::vec(0usize..=300, 4),
+            seed in any::<u64>(),
+        ) {
+            // The fresh run is one word-edge length, 1, 63, 64 or 65.
+            let firsts = std::iter::once([1, 63, 64, 65][edge]).chain(firsts);
+            let runs: Vec<(usize, usize)> = firsts.zip(rests).collect();
+            for depth in replay_depths() {
+                check_network_buffer(depth, 0xACE1, &runs, seed);
+                check_network_buffer(depth, 0x7331, &runs, seed);
+                check_network_decorrelator(depth, &runs, seed);
             }
         }
     }

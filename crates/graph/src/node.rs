@@ -107,7 +107,9 @@ impl ManipulatorKind {
     /// writing the manipulated pair to `out_x` / `out_y`: the circuit is
     /// built on the stack as its concrete type and driven by
     /// [`sc_core::drive_words`], bit-identical to
-    /// [`CorrelationManipulator::process`] on the built circuit.
+    /// [`CorrelationManipulator::process`] on the built circuit. A fresh
+    /// decorrelator runs its own [`Decorrelator::process_words`], which takes
+    /// the memoized lag network of its depth where one serves.
     ///
     /// # Panics
     ///
@@ -145,7 +147,7 @@ impl ManipulatorKind {
                 drive(Desynchronizer::new(depth), x, y, len, out_x, out_y);
             }
             ManipulatorKind::Decorrelator { depth } => {
-                drive(Decorrelator::new(depth), x, y, len, out_x, out_y);
+                Decorrelator::new(depth).process_words(x, y, len, out_x, out_y);
             }
         }
     }

@@ -11,9 +11,11 @@
 //!
 //! The invariant: while recording, the log holds the draws since the
 //! source's last real reset and the source stands at draw `log.len()`;
-//! otherwise the log is empty and the source stands where its draws left it.
-//! [`Replay::reset`] on a recording log rewinds the read position to 0 and
-//! leaves the source alone.
+//! otherwise the log is empty and the source stands `ahead` draws behind the
+//! logical position, which [`Replay::skip`] moves without drawing. The next
+//! live draw jumps the source those draws ahead
+//! ([`RandomSource::skip_ahead`]). [`Replay::reset`] on a recording log
+//! rewinds the read position to 0 and leaves the source alone.
 //!
 //! Recording starts at the first [`Replay::reset`], not at construction: a
 //! source may be handed over mid-sequence, and its draws before the first
@@ -24,6 +26,7 @@
 
 use crate::source::{RandomSource, RngKind};
 use std::fmt;
+use std::ops::Range;
 
 /// Whether draws are being recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,6 +81,8 @@ pub struct Replay<S, T> {
     log: Vec<T>,
     /// Draws since the last reset while recording: the read position.
     pos: usize,
+    /// Draws skipped past the source's own position while not recording.
+    ahead: u64,
     mode: Mode,
 }
 
@@ -87,6 +92,7 @@ impl<S: fmt::Debug, T> fmt::Debug for Replay<S, T> {
             .field("source", &self.source)
             .field("position", &self.pos)
             .field("logged", &self.log.len())
+            .field("ahead", &self.ahead)
             .field("mode", &self.mode)
             .finish()
     }
@@ -108,6 +114,7 @@ impl<S: RandomSource, T: Copy> Replay<S, T> {
             source,
             log: Vec::new(),
             pos: 0,
+            ahead: 0,
             mode: Mode::Untracked,
         }
     }
@@ -123,18 +130,46 @@ impl<S: RandomSource, T: Copy> Replay<S, T> {
     /// otherwise the caller gets the source to draw the `n` from itself.
     #[inline]
     pub fn take(&mut self, n: usize, map: impl FnMut(&mut S) -> T) -> Draws<'_, S, T> {
-        if self.mode == Mode::Recording {
-            let end = self.pos + n;
-            if end > self.log.len() {
-                self.record(end, map);
-            }
-            if self.mode == Mode::Recording {
-                let draws = &self.log[self.pos..end];
-                self.pos = end;
-                return Draws::Logged(draws);
+        match self.advance(n, map) {
+            Some(draws) => Draws::Logged(&self.log[draws]),
+            None => {
+                self.catch_up();
+                Draws::Live(&mut self.source)
             }
         }
-        Draws::Live(&mut self.source)
+    }
+
+    /// Moves the logical position `n` draws ahead without returning them.
+    /// A recording log records what it does not hold yet, drawing with
+    /// `map`; otherwise the source is only jumped ahead at its next live
+    /// draw, so a skip costs nothing when none follows before a reset.
+    pub fn skip(&mut self, n: usize, map: impl FnMut(&mut S) -> T) {
+        if self.advance(n, map).is_none() {
+            self.ahead += n as u64;
+        }
+    }
+
+    /// Moves a recording log's read position over the next `n` draws,
+    /// recording with `map` what it does not hold yet, and returns where
+    /// they lie in the log; `None` when nothing is logged.
+    #[inline]
+    fn advance(&mut self, n: usize, map: impl FnMut(&mut S) -> T) -> Option<Range<usize>> {
+        if self.mode != Mode::Recording {
+            return None;
+        }
+        let end = self.pos + n;
+        if end > self.log.len() {
+            self.record(end, map);
+        }
+        (self.mode == Mode::Recording).then(|| std::mem::replace(&mut self.pos, end)..end)
+    }
+
+    /// Jumps the source over the draws skipped since its last live draw.
+    fn catch_up(&mut self) {
+        if self.ahead > 0 {
+            self.source.skip_ahead(self.ahead);
+            self.ahead = 0;
+        }
     }
 
     /// Draws and records with `map` until the log holds `end` draws, or
@@ -184,12 +219,14 @@ impl<S: RandomSource, T: Copy> Replay<S, T> {
             Mode::Stopped => self.source.reset(),
         }
         self.pos = 0;
+        self.ahead = 0;
     }
 
     /// Consumes the wrapper and returns the source at its logical position.
     #[must_use]
     pub fn into_inner(mut self) -> S {
         self.settle();
+        self.catch_up();
         self.source
     }
 }
@@ -270,6 +307,32 @@ mod tests {
         }
         assert_eq!(replay.log.len(), capacity);
         assert!(replay.log.capacity() <= capacity);
+    }
+
+    #[test]
+    fn skips_move_the_position_in_every_mode() {
+        let capacity = Replay::<Lfsr, f64>::CAPACITY;
+        let mut replay: Replay<Lfsr, f64> = Replay::new(Lfsr::new(16, 0xACE1));
+        let mut reference = Lfsr::new(16, 0xACE1);
+        // Untracked, then recording past and within the log, then across
+        // the bound into stopped: each skip is followed by real draws.
+        for (run, skip) in [(0, 50), (1, 70), (2, 30), (3, capacity - 5), (4, 40)] {
+            if run > 0 {
+                replay.reset();
+                reference.reset();
+            }
+            replay.skip(skip, unit);
+            reference.skip_ahead(skip as u64);
+            assert_eq!(next(&mut replay, 10), reference.take_units(10), "run {run}");
+        }
+        assert_eq!(replay.mode, Mode::Stopped);
+        // A skip no draw follows leaves only the count behind.
+        replay.reset();
+        replay.skip(7, unit);
+        assert_eq!(replay.ahead, 7);
+        let mut reference = Lfsr::new(16, 0xACE1);
+        reference.skip_ahead(7);
+        assert_eq!(replay.into_inner().next_unit(), reference.next_unit());
     }
 
     #[test]

@@ -344,8 +344,12 @@ pub struct SpanEvent {
     pub arg: u64,
 }
 
-/// One thread's fixed-capacity span ring.
+/// One thread's fixed-capacity span ring. It carries its thread's id and
+/// name, so the name lives exactly as long as some ring or report of that
+/// thread does.
 struct SpanBuf {
+    thread: u32,
+    name: Arc<str>,
     events: Vec<SpanEvent>,
     /// Overwrite cursor once `events` reaches capacity.
     next: usize,
@@ -529,11 +533,6 @@ thread_local! {
         const { RefCell::new(Vec::new()) };
 }
 
-/// Names of threads that have recorded spans, keyed by dense thread id.
-/// Registered once per thread when its id is assigned, so chrome-trace
-/// exports can label tids with real thread names.
-static THREAD_NAMES: Mutex<Vec<(u32, String)>> = Mutex::new(Vec::new());
-
 fn current_thread_id() -> u32 {
     THREAD_ID.with(|cell| {
         let id = cell.get();
@@ -542,27 +541,17 @@ fn current_thread_id() -> u32 {
         }
         let id = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
         cell.set(id);
-        let name = std::thread::current()
-            .name()
-            .map_or_else(|| format!("thread-{id}"), str::to_owned);
-        THREAD_NAMES
-            .lock()
-            .expect("telemetry thread-name registry lock is never poisoned")
-            .push((id, name));
         id
     })
 }
 
-/// The recorded name of the thread with the given dense id ([`SpanEvent::thread`]),
-/// if that thread has recorded any span.
-#[must_use]
-pub fn thread_name(id: u32) -> Option<String> {
-    THREAD_NAMES
-        .lock()
-        .expect("telemetry thread-name registry lock is never poisoned")
-        .iter()
-        .find(|(tid, _)| *tid == id)
-        .map(|(_, name)| name.clone())
+/// The calling thread's name for chrome-trace exports, or `thread-{id}`
+/// for an unnamed thread.
+fn current_thread_name(id: u32) -> Arc<str> {
+    match std::thread::current().name() {
+        Some(name) => name.into(),
+        None => format!("thread-{id}").into(),
+    }
 }
 
 impl Inner {
@@ -581,6 +570,8 @@ impl Inner {
                     // stay bounded.
                     cache.retain(|(_, buf)| Arc::strong_count(buf) > 1);
                     let buf = Arc::new(Mutex::new(SpanBuf {
+                        thread: event.thread,
+                        name: current_thread_name(event.thread),
                         events: Vec::new(),
                         next: 0,
                         dropped: 0,
@@ -816,6 +807,7 @@ impl TelemetrySink {
         let now = inner.report(true);
         let report = TelemetryReport {
             spans: now.spans,
+            threads: now.threads,
             dropped_spans: now.dropped_spans,
             elapsed_ns: now.elapsed_ns.saturating_sub(baseline.elapsed_ns),
             counters: std::array::from_fn(|i| now.counters[i].saturating_sub(baseline.counters[i])),
@@ -858,10 +850,12 @@ impl Inner {
     /// and the cumulative metric values into a report. A consuming report
     /// also releases the rings of threads that have exited: once the
     /// registry holds a ring's only handle, nothing can record into it
-    /// again, so after its events are taken it is dropped.
+    /// again, so after its events are taken it is dropped, with the
+    /// thread's name. The report keeps the names of the threads it read.
     fn report(&self, consume_spans: bool) -> TelemetryReport {
         let mut spans = Vec::new();
         let mut dropped = 0u64;
+        let mut threads = Vec::new();
         self.buffers
             .lock()
             .expect("telemetry buffer registry lock is never poisoned")
@@ -869,6 +863,7 @@ impl Inner {
                 let mut buf = handle
                     .lock()
                     .expect("telemetry span buffer lock is never poisoned");
+                threads.push((buf.thread, Arc::clone(&buf.name)));
                 if !consume_spans {
                     spans.extend_from_slice(&buf.events);
                     dropped += buf.dropped;
@@ -882,8 +877,10 @@ impl Inner {
                 Arc::strong_count(handle) > 1
             });
         spans.sort_by_key(|s| (s.start_ns, s.thread));
+        threads.sort_unstable_by_key(|&(id, _)| id);
         TelemetryReport {
             spans,
+            threads,
             dropped_spans: dropped,
             elapsed_ns: self.epoch.elapsed().as_nanos() as u64,
             counters: std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed)),
@@ -1108,6 +1105,8 @@ impl ClassReport {
 pub struct TelemetryReport {
     /// Every drained span, sorted by start time.
     pub spans: Vec<SpanEvent>,
+    /// The id and name of each thread whose ring the report read, by id.
+    threads: Vec<(u32, Arc<str>)>,
     /// Spans lost to ring-buffer overwrites since the last drain.
     pub dropped_spans: u64,
     /// Nanoseconds between the sink's creation and this drain.
@@ -1287,7 +1286,10 @@ impl TelemetryReport {
         tids.sort_unstable();
         tids.dedup();
         for tid in tids {
-            let label = thread_name(tid).unwrap_or_else(|| format!("thread-{tid}"));
+            let label = match self.threads.binary_search_by_key(&tid, |&(id, _)| id) {
+                Ok(i) => self.threads[i].1.to_string(),
+                Err(_) => format!("thread-{tid}"),
+            };
             events.push(Json::obj(vec![
                 ("name", Json::str("thread_name")),
                 ("ph", Json::str("M")),
@@ -1511,6 +1513,52 @@ mod tests {
         let drained = sink.drain();
         assert_eq!(drained.stage_totals(Stage::WorkerRun).0, 100);
         assert_eq!(rings(), 1, "the drain released it");
+    }
+
+    /// A ring holds its thread's name, so releasing the rings of exited
+    /// threads releases their names too: recording threads that come and go
+    /// leave no name behind. A report drained before the release keeps the
+    /// names of the threads it read, and its trace still labels them.
+    #[test]
+    fn released_rings_release_their_thread_names() {
+        let sink = TelemetrySink::new();
+        let rings = || sink.inner.as_ref().unwrap().buffers.lock().unwrap().len();
+        let start = rings();
+        let handles: Vec<_> = (0..200)
+            .map(|i| {
+                let sink = sink.clone();
+                std::thread::Builder::new()
+                    .name(format!("recorder-{i}"))
+                    .spawn(move || drop(sink.span(Stage::WorkerRun)))
+                    .unwrap()
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap();
+        }
+        let names: Vec<std::sync::Weak<str>> = {
+            let buffers = sink.inner.as_ref().unwrap().buffers.lock().unwrap();
+            buffers
+                .iter()
+                .map(|b| Arc::downgrade(&b.lock().unwrap().name))
+                .collect()
+        };
+        assert_eq!(names.len(), start + 200, "one named ring per thread");
+        let report = sink.drain();
+        assert_eq!(report.spans.len(), 200);
+        assert_eq!(rings(), start, "the drain released every ring");
+        let trace = report.to_chrome_trace();
+        for i in 0..200 {
+            assert!(
+                trace.contains(&format!("\"recorder-{i}\"")),
+                "recorder-{i} is labelled"
+            );
+        }
+        drop(report);
+        assert!(
+            names.iter().all(|name| name.strong_count() == 0),
+            "no name outlives its ring and the reports that read it"
+        );
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Deterministic cost gate of the circuits' warm replay path.
 //!
-//! A generator or decorrelator reset before every call replays the samples
-//! or addresses it logged on the first call, so a warm call allocates only
-//! its output streams: one for `StreamGenerator::generate`, two for
+//! A generator reset before every call replays the samples it logged on the
+//! first call, and a default decorrelator, fresh or reset, runs the lag
+//! network its depth shares process-wide, so a warm call allocates only its
+//! output streams: one for `StreamGenerator::generate`, two for
 //! `Decorrelator::process`, one for each improved operator, which writes the
-//! gate of its circuit's two outputs straight into one stream. A log that was
-//! copied per call, or an operator that built its circuit's two output
-//! streams before gating them, would allocate more and fail here. This is a
+//! gate of its circuit's two outputs straight into one stream. A log or a
+//! network that was copied per call, or an operator that built its circuit's
+//! two output streams before gating them, would allocate more and fail here. This is a
 //! test binary of its own because it installs a counting global allocator.
 
 use sc_bitstream::{Bitstream, Probability};
@@ -117,6 +118,21 @@ fn warm_replayed_decorrelator_allocates_only_its_two_streams() {
     assert_eq!(
         made, 2,
         "a replayed decorrelator allocates its two output streams only"
+    );
+}
+
+#[test]
+fn fresh_decorrelator_with_a_warm_network_allocates_only_its_two_streams() {
+    let (_, x, y) = inputs();
+    let first = Decorrelator::new(4).process(&x, &y).unwrap();
+    let made = allocations(|| {
+        let out = Decorrelator::new(4).process(&x, &y).unwrap();
+        assert_eq!(out, first, "a fresh circuit repeats the first");
+        out
+    });
+    assert_eq!(
+        made, 2,
+        "a fresh decorrelator allocates its two output streams only"
     );
 }
 
