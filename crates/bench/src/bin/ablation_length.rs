@@ -12,6 +12,9 @@ use sc_rng::{Halton, VanDerCorput};
 
 const STEPS: u64 = 16;
 
+/// The stream lengths swept, shortest first.
+const LENGTHS: [usize; 7] = [16, 32, 64, 128, 256, 512, 1024];
+
 struct LengthResult {
     n: usize,
     multiply_error: f64,
@@ -63,10 +66,7 @@ fn sweep(n: usize) -> LengthResult {
 
 fn main() {
     println!("Ablation — stream length N vs accuracy (15x15 value grid per N)");
-    let results: Vec<LengthResult> = [16usize, 32, 64, 128, 256, 512, 1024]
-        .into_iter()
-        .map(sweep)
-        .collect();
+    let results: Vec<LengthResult> = LENGTHS.into_iter().map(sweep).collect();
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|r| {
@@ -103,4 +103,37 @@ fn main() {
         "The synchronizer's induced correlation is already > 0.9 at N = 64, so the correlation"
     );
     println!("circuits do not limit how short the streams can be; quantization does.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The two claims `main` prints under the table.
+    #[test]
+    fn precision_grows_with_n_and_the_synchronizer_needs_no_long_streams() {
+        let results: Vec<LengthResult> = LENGTHS.into_iter().map(sweep).collect();
+        // Quantization dominates the AND multiply's error, so it falls with
+        // N: 38.9x from N = 16 to 1024 (0.0281 against 0.0007). 10x keeps
+        // the claim with room for the sources' discrepancy; streams that did
+        // not encode their values would not fall at all.
+        let (first, last) = (&results[0], &results[results.len() - 1]);
+        assert!(
+            first.multiply_error >= 10.0 * last.multiply_error,
+            "multiply error {} at N = {} vs {} at N = {}",
+            first.multiply_error,
+            first.n,
+            last.multiply_error,
+            last.n
+        );
+        // The synchronizer's output correlation: above 0.9 from N = 64 on.
+        for r in results.iter().filter(|r| r.n >= 64) {
+            assert!(
+                r.sync_scc > 0.9,
+                "sync output SCC {} at N = {}",
+                r.sync_scc,
+                r.n
+            );
+        }
+    }
 }

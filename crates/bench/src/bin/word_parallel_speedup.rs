@@ -14,8 +14,9 @@
 //! is gated twice: `decorrelator_d4`, a fresh circuit per call as the graph
 //! executor builds one per job, at 5x, and `decorrelator_d4_reset`, one
 //! circuit reset before each call as a harness reuses it, at 3x.
-//! `d2s_sobol_reset` reuses one D/S generator, replaying its logged
-//! samples.
+//! `d2s_sobol_reset` reuses one D/S generator reset before each call, which
+//! converts through the prefix plane it built on the first: one rank lookup
+//! and one mask copy per 256-sample block. It is gated at 20x.
 
 use sc_arith::add::ca_add;
 use sc_arith::maxmin::{ca_max, or_max};
@@ -368,4 +369,16 @@ fn main() {
         );
         println!("{op} meets the {bar}x lag-network bar");
     }
+
+    // The prefix plane must beat the per-bit comparator loop at least 20x.
+    let row = rows
+        .iter()
+        .find(|r| r.op == "d2s_sobol_reset")
+        .expect("D/S measured");
+    assert!(
+        row.speedup() >= 20.0,
+        "d2s_sobol_reset speedup {:.1}x is below the 20x prefix-plane bar",
+        row.speedup()
+    );
+    println!("d2s_sobol_reset meets the 20x prefix-plane bar");
 }

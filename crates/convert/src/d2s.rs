@@ -10,59 +10,23 @@
 //! low-discrepancy, different-base) sources are close to uncorrelated.
 //!
 //! The comparator samples depend only on the source, never on the target, so
-//! the converter draws them through a [`Replay`] log: after a reset the same
-//! samples come again, and a replayed stream compares `p` against the logged
-//! slice, 64 samples to a word, instead of stepping the source once per bit.
-//! The log holds the samples drawn since the source's last real reset, and
-//! the source stands at the end of the log. Recording starts at the first
-//! [`DigitalToStochastic::reset`], because a source may arrive mid-sequence;
-//! `reset` then rewinds the log without touching the source.
-//! [`DigitalToStochastic::into_inner`] still hands the source back at its
-//! logical position. A run of more than 8,192 samples (the log's 64 KiB
-//! bound) stops recording, and every later reset really resets the source.
-//! Before the first reset, and once recording has stopped, the samples are
-//! drawn from the source 64 to a chunk and compared as a logged chunk is.
+//! after a reset the same samples come again. The converter keeps the
+//! [`PrefixPlane`] of the samples since the reset point, built lazily one
+//! 256-sample block at a time as runs reach them, and a stream from a
+//! block-aligned position is one rank lookup and one mask copy per block
+//! instead of a compare per bit. The plane is bounded by
+//! [`DigitalToStochastic::MAX_PLANE_SAMPLES`]. Every other run compares per
+//! bit, with the samples drawn from the source 64 to a chunk: a run before the
+//! first reset (a source may arrive mid-sequence), a run that continues from
+//! inside a block, and a run that would reach past the bound. The source
+//! itself stands wherever the last block build or per-bit run left it, and
+//! is moved to the logical position ([`RandomSource::skip_ahead`], after a
+//! real reset when it stands past it) only when a per-bit run, a new block
+//! or [`DigitalToStochastic::into_inner`] needs it there.
 
+use crate::plane::{compare, PrefixPlane, BLOCK_SAMPLES};
 use sc_bitstream::{Bitstream, Probability, WORD_BITS};
-use sc_rng::{Draws, RandomSource, Replay, RngKind};
-
-/// Bit `i` of the word is the comparator output `target > samples[i]`, for
-/// up to 64 samples. A full word is eight fixed 8-sample loops, which LLVM
-/// unrolls into branch-free compares.
-#[inline]
-fn comparator_word(target: f64, samples: &[f64]) -> u64 {
-    let bit = |(i, &r): (usize, &f64)| u64::from(target > r) << i;
-    let Ok(full) = <&[f64; WORD_BITS]>::try_from(samples) else {
-        return samples
-            .iter()
-            .enumerate()
-            .map(bit)
-            .fold(0, |word, b| word | b);
-    };
-    let mut word = 0u64;
-    for (j, eight) in full.chunks_exact(8).enumerate() {
-        let byte = eight
-            .iter()
-            .enumerate()
-            .map(bit)
-            .fold(0, |byte, b| byte | b);
-        word |= byte << (8 * j);
-    }
-    word
-}
-
-/// Appends the comparator word of each target against `samples` (up to 64)
-/// to that target's words.
-#[inline]
-fn push_comparator_words<const K: usize>(
-    words: &mut [Vec<u64>; K],
-    targets: [f64; K],
-    samples: &[f64],
-) {
-    for (words, target) in words.iter_mut().zip(targets) {
-        words.push(comparator_word(target, samples));
-    }
-}
+use sc_rng::{RandomSource, RngKind};
 
 /// A digital-to-stochastic converter wrapping a random source.
 ///
@@ -83,57 +47,120 @@ fn push_comparator_words<const K: usize>(
 /// ```
 #[derive(Debug, Clone)]
 pub struct DigitalToStochastic<S> {
-    samples: Replay<S, f64>,
+    source: S,
+    /// The plane of the samples since the reset point; empty before the
+    /// first reset.
+    plane: PrefixPlane,
+    /// Samples since the last reset, the logical position; `None` before the
+    /// first reset, while the source stands at the logical position.
+    pos: Option<usize>,
+    /// Samples the source has drawn since its last real reset.
+    drawn: u64,
 }
 
 impl<S: RandomSource> DigitalToStochastic<S> {
+    /// Most samples the plane covers: 32 blocks, 345,600 bytes
+    /// ([`PrefixPlane::bytes`]). A run that would reach past them compares
+    /// per bit.
+    pub const MAX_PLANE_SAMPLES: usize = 32 * BLOCK_SAMPLES;
+
     /// Creates a converter around the given source.
     #[must_use]
     pub fn new(source: S) -> Self {
         DigitalToStochastic {
-            samples: Replay::new(source),
+            source,
+            plane: PrefixPlane::default(),
+            pos: None,
+            drawn: 0,
         }
     }
 
     /// Consumes the converter and returns the underlying source, positioned
     /// after the samples drawn since the last reset.
     #[must_use]
-    pub fn into_inner(self) -> S {
-        self.samples.into_inner()
+    pub fn into_inner(mut self) -> S {
+        if let Some(pos) = self.pos {
+            self.seek(pos);
+        }
+        self.source
     }
 
     /// The family of the wrapped source.
     #[must_use]
     pub fn kind(&self) -> RngKind {
-        self.samples.kind()
+        self.source.kind()
     }
 
-    /// Restarts the sample sequence: from the log once it is recording,
-    /// otherwise by resetting the source.
+    /// Restarts the sample sequence. The first reset resets the source and
+    /// starts the plane; later ones only move the logical position back.
     pub fn reset(&mut self) {
-        self.samples.reset();
+        if self.pos.is_none() {
+            self.source.reset();
+            self.drawn = 0;
+        }
+        self.pos = Some(0);
+    }
+
+    /// Moves the source to `to` samples past the reset point.
+    fn seek(&mut self, to: usize) {
+        let to = to as u64;
+        if self.drawn > to {
+            self.source.reset();
+            self.drawn = 0;
+        }
+        if to > self.drawn {
+            self.source.skip_ahead(to - self.drawn);
+            self.drawn = to;
+        }
+    }
+
+    /// Extends the plane, a block at a time, until it covers `end` samples.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, end: usize) {
+        let mut samples = [0.0; BLOCK_SAMPLES];
+        while self.plane.len() < end {
+            self.seek(self.plane.len());
+            samples.fill_with(|| self.source.next_unit());
+            self.drawn += BLOCK_SAMPLES as u64;
+            self.plane.push_block(&samples);
+        }
     }
 
     /// The packed comparator words of every target against the same next
-    /// `n` samples. A replayed run reads the samples from the log as one
-    /// slice; otherwise they are drawn 64 to a chunk, and each chunk is
-    /// compared as a logged one is.
+    /// `n` samples: from the plane when the run starts on a block after a
+    /// reset and stays within the bound, otherwise by per-bit compares of
+    /// samples drawn 64 to a chunk.
     fn comparator_words<const K: usize>(&mut self, targets: [f64; K], n: usize) -> [Vec<u64>; K] {
-        let mut words = std::array::from_fn(|_| Vec::with_capacity(n.div_ceil(WORD_BITS)));
-        match self.samples.take(n, S::next_unit) {
-            Draws::Logged(samples) => {
-                for chunk in samples.chunks(WORD_BITS) {
-                    push_comparator_words(&mut words, targets, chunk);
+        let mut words = std::array::from_fn(|_| vec![0; n.div_ceil(WORD_BITS)]);
+        match self.pos {
+            Some(pos)
+                if pos.is_multiple_of(BLOCK_SAMPLES) && pos + n <= Self::MAX_PLANE_SAMPLES =>
+            {
+                if self.plane.len() < pos + n {
+                    self.grow(pos + n);
+                }
+                for (words, target) in words.iter_mut().zip(targets) {
+                    self.plane.convert(target, pos, n, words);
                 }
             }
-            Draws::Live(source) => {
+            pos => {
+                if let Some(pos) = pos {
+                    self.seek(pos);
+                    self.drawn += n as u64;
+                }
                 let mut chunk = [0.0; WORD_BITS];
-                for start in (0..n).step_by(WORD_BITS) {
+                for (w, start) in (0..n).step_by(WORD_BITS).enumerate() {
                     let chunk = &mut chunk[..(n - start).min(WORD_BITS)];
-                    chunk.fill_with(|| source.next_unit());
-                    push_comparator_words(&mut words, targets, chunk);
+                    chunk.fill_with(|| self.source.next_unit());
+                    for (words, target) in words.iter_mut().zip(targets) {
+                        compare(target, chunk, &mut words[w..=w]);
+                    }
                 }
             }
+        }
+        if let Some(pos) = &mut self.pos {
+            *pos += n;
         }
         words
     }
@@ -333,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn into_inner_after_a_partial_replay_is_at_the_logical_position() {
+    fn into_inner_after_a_partial_run_is_at_the_logical_position() {
         let p = Probability::new(0.4).unwrap();
         let mut g = DigitalToStochastic::new(Lfsr::new(16, 0xACE1));
         g.reset();
@@ -352,25 +379,6 @@ mod tests {
         assert_eq!(regen.into_inner().index(), 11);
     }
 
-    /// The per-bit D/S loop the replayed path replaced, kept as the
-    /// reference: one comparator per sample, straight from the source.
-    fn reference_generate(source: &mut dyn RandomSource, p: f64, n: usize) -> Bitstream {
-        Bitstream::from_fn(n, |_| p > source.next_unit())
-    }
-
-    fn reference_pair(
-        source: &mut dyn RandomSource,
-        px: f64,
-        py: f64,
-        n: usize,
-    ) -> (Bitstream, Bitstream) {
-        let samples: Vec<f64> = (0..n).map(|_| source.next_unit()).collect();
-        (
-            Bitstream::from_fn(n, |i| px > samples[i]),
-            Bitstream::from_fn(n, |i| py > samples[i]),
-        )
-    }
-
     const KINDS: [RngKind; 5] = [
         RngKind::Lfsr,
         RngKind::VanDerCorput,
@@ -379,79 +387,159 @@ mod tests {
         RngKind::Counter,
     ];
 
-    /// Runs a call sequence (length, pair or single, reset first) through a
-    /// generator of every kind and through the reference on a fresh source.
-    fn check_calls(calls: &[(usize, bool, bool)], seed: u64) {
+    /// The lengths the plane tests run: each side of a word edge, of the
+    /// first block edge, a few blocks, and each side of the plane bound.
+    const LENGTHS: [usize; 11] = [1, 63, 64, 65, 255, 256, 257, 1024, 4096, 8192, 8193];
+
+    /// How one call picks a target from its own samples, so that `p` can sit
+    /// exactly on a sample the comparator sees.
+    #[derive(Debug, Clone, Copy)]
+    enum Target {
+        Zero,
+        One,
+        /// Any value in `[0, 1)`.
+        Value(f64),
+        /// The sample at this fraction of the call's run: the strict `>`
+        /// leaves that sample's bit 0.
+        Sample(f64),
+        /// The next float above that sample, which sets its bit.
+        AboveSample(f64),
+    }
+
+    impl Target {
+        fn pick(self, samples: &[f64]) -> f64 {
+            let at = |fraction: f64| samples[(fraction * samples.len() as f64) as usize];
+            match self {
+                Target::Zero => 0.0,
+                Target::One => 1.0,
+                Target::Value(v) => v,
+                Target::Sample(f) => at(f),
+                Target::AboveSample(f) => at(f).next_up(),
+            }
+        }
+
+        /// The target of a drawn `(kind, fraction)` pair: kind 0 to 4 in
+        /// declaration order, the fraction the value or the sample's place.
+        fn drawn((kind, fraction): (u8, f64)) -> Target {
+            match kind {
+                0 => Target::Zero,
+                1 => Target::One,
+                2 => Target::Value(fraction),
+                3 => Target::Sample(fraction),
+                _ => Target::AboveSample(fraction),
+            }
+        }
+    }
+
+    /// One call of a run: its length, a single stream or a correlated pair,
+    /// whether a reset comes first, and its two targets.
+    #[derive(Debug, Clone, Copy)]
+    struct Call {
+        n: usize,
+        pair: bool,
+        reset: bool,
+        targets: (Target, Target),
+    }
+
+    /// Runs `calls` through a generator of every family and checks each
+    /// stream against the per-bit comparator over the same samples, drawn
+    /// from a second source that is reset with it.
+    fn check_calls(calls: &[Call]) {
         for kind in KINDS {
             let mut generator = StreamGenerator::of_kind_variant(kind, 0);
             let mut reference = sc_rng::build_source_variant(kind, 0);
-            let mut state = seed | 1;
-            let mut value = || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 11) as f64 / (1u64 << 53) as f64
-            };
-            for (call, &(n, pair, reset)) in calls.iter().enumerate() {
-                if reset {
+            for (i, call) in calls.iter().enumerate() {
+                if call.reset {
                     generator.reset();
                     reference.reset();
                 }
-                let (px, py) = (value(), value());
+                let samples: Vec<f64> = (0..call.n).map(|_| reference.next_unit()).collect();
+                let expected = |p: f64| Bitstream::from_fn(call.n, |i| p > samples[i]);
+                let (px, py) = (call.targets.0.pick(&samples), call.targets.1.pick(&samples));
                 let (p, q) = (Probability::new(px).unwrap(), Probability::new(py).unwrap());
-                if pair {
-                    let got = generator.generate_correlated_pair(p, q, n);
-                    assert_eq!(
-                        got,
-                        reference_pair(&mut *reference, px, py, n),
-                        "{kind:?} call {call}"
-                    );
+                let context = format!("{kind:?} call {i}: {call:?}, p {px} q {py}");
+                if call.pair {
+                    let got = generator.generate_correlated_pair(p, q, call.n);
+                    assert_eq!(got, (expected(px), expected(py)), "{context}");
                 } else {
-                    let got = generator.generate(p, n);
-                    assert_eq!(
-                        got,
-                        reference_generate(&mut *reference, px, n),
-                        "{kind:?} call {call}"
-                    );
+                    assert_eq!(generator.generate(p, call.n), expected(px), "{context}");
                 }
             }
         }
     }
 
+    /// Every block-aligned conversion of a plane, over every remaining
+    /// length and a short one, against the per-bit compares, word for word:
+    /// a stream that ends inside a block must clear the mask's tail bits.
+    fn check_plane_words(samples: &[f64], p: f64) {
+        let plane = PrefixPlane::from_samples(samples);
+        for start in (0..samples.len()).step_by(BLOCK_SAMPLES) {
+            let rest = samples.len() - start;
+            for n in [rest, rest.min(BLOCK_SAMPLES + 1), rest.min(65), rest.min(1)] {
+                let mut got = vec![u64::MAX; n.div_ceil(WORD_BITS)];
+                let mut expected = vec![0; n.div_ceil(WORD_BITS)];
+                plane.convert(p, start, n, &mut got);
+                compare(p, &samples[start..start + n], &mut expected);
+                assert_eq!(got, expected, "start {start} n {n} p {p}");
+            }
+        }
+    }
+
     #[test]
-    fn a_run_past_the_log_bound_replays_exactly() {
-        // 8,192 samples fill the log; the 9,000-sample run then outgrows it
-        // from the start of a replay, and later runs draw live.
-        check_calls(
-            &[
-                (300, false, false),
-                (8_192, true, true),
-                (100, false, true),
-                (9_000, false, true),
-                (5_000, true, false),
-                (64, true, true),
-            ],
-            5,
-        );
+    fn runs_around_the_plane_bound_match_the_per_bit_reference() {
+        // A plane grown to its bound from a reset; a run that would reach
+        // past it; a continuation at the bound; a run before the first
+        // reset; and a reset run continued from inside a block.
+        let target = (Target::Value(0.37), Target::Sample(0.5));
+        let call = |n, pair, reset| Call {
+            n,
+            pair,
+            reset,
+            targets: target,
+        };
+        check_calls(&[
+            call(300, false, false),
+            call(8_192, true, true),
+            call(1, false, false),
+            call(100, false, true),
+            call(9_000, false, true),
+            call(5_000, true, false),
+            call(64, true, true),
+            call(8_193, false, true),
+            call(256, true, true),
+            call(300, false, false),
+        ]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
-        fn prop_replay_matches_the_per_bit_reference(
-            lengths in proptest::collection::vec(1usize..=1100, 4..=10),
-            flags in any::<u64>(),
-            seed in any::<u64>(),
+        fn prop_planes_match_the_per_bit_reference(
+            calls in proptest::collection::vec(
+                (0..LENGTHS.len(), 0u8..4, (0u8..5, 0.0..1.0f64), (0u8..5, 0.0..1.0f64)),
+                3..=6,
+            ),
+            kind in 0..KINDS.len(),
+            length in 0..LENGTHS.len(),
+            target in (0u8..5, 0.0..1.0f64),
         ) {
-            // Bit 2i picks a pair, bit 2i + 1 a reset before call i; the first
-            // calls may run before any reset.
-            let calls: Vec<(usize, bool, bool)> = lengths
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| (n, flags >> (2 * i) & 1 == 1, flags >> (2 * i + 1) & 1 == 1))
+            // Calls may come before any reset, start a run after a reset on
+            // a block, or continue one from wherever the last call ended.
+            // Flag bit 0 picks a pair, bit 1 a reset first.
+            let calls: Vec<Call> = calls
+                .into_iter()
+                .map(|(n, flags, p, q)| Call {
+                    n: LENGTHS[n],
+                    pair: flags & 1 == 1,
+                    reset: flags & 2 == 2,
+                    targets: (Target::drawn(p), Target::drawn(q)),
+                })
                 .collect();
-            check_calls(&calls, seed);
+            check_calls(&calls);
+            let mut source = sc_rng::build_source_variant(KINDS[kind], 0);
+            let samples: Vec<f64> = (0..LENGTHS[length]).map(|_| source.next_unit()).collect();
+            check_plane_words(&samples, Target::drawn(target).pick(&samples));
         }
     }
 

@@ -11,6 +11,10 @@
 //! * [`Regenerator`] — the *regeneration* correlation-reset technique
 //!   (S/D followed by D/S with a fresh source, §II.B), the expensive baseline
 //!   our synchronizer competes against in Table IV.
+//! * [`PrefixPlane`] — D/S conversion as a memo: per 256-sample block, the
+//!   masks of the samples below each rank, so a stream is one rank lookup
+//!   and one mask copy per block. The converter above and the `sc_graph`
+//!   executor both convert through it.
 //!
 //! # Example
 //!
@@ -29,9 +33,11 @@
 #![warn(missing_docs)]
 
 pub mod d2s;
+pub mod plane;
 pub mod regen;
 pub mod s2d;
 
 pub use d2s::{DigitalToStochastic, StreamGenerator};
+pub use plane::PrefixPlane;
 pub use regen::Regenerator;
 pub use s2d::StochasticToDigital;

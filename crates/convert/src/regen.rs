@@ -8,6 +8,11 @@
 //! works well but costs far more area and energy than inserting synchronizers,
 //! because S/D and D/S converters are one to two orders of magnitude larger
 //! than SC arithmetic gates.
+//!
+//! The re-encoding is a [`DigitalToStochastic`] conversion of the counted
+//! value, so a regenerator reset before each stream re-encodes through its
+//! converter's prefix plane: one rank lookup and one mask copy per
+//! 256-sample block ([`crate::PrefixPlane`]).
 
 use crate::d2s::DigitalToStochastic;
 use crate::s2d::StochasticToDigital;

@@ -15,7 +15,7 @@
 //! The networks of the default decorrelator's two buffers
 //! ([`crate::Decorrelator::new`]) are built once per process per depth,
 //! under a lock. Each is grown to the longest run asked for, in whole words,
-//! and capped at [`MAX_BITS`], the addresses one replay log holds. A depth is
+//! and capped at [`MAX_BITS`] addresses. A depth is
 //! served only if its whole capped schedule passes the one-word rule: at
 //! most 64 slots, and every lag below 64. Each output word then reads its
 //! own input word and the one before it. Past the rule (from D = 5 with the
@@ -23,13 +23,13 @@
 //! depths keep the per-bit chain.
 
 use crate::shuffle_buffer::ALTERNATING;
-use sc_rng::{Lfsr, Replay, SourceExt};
-use std::mem::size_of;
+use sc_rng::{Lfsr, SourceExt};
 use std::sync::{Arc, RwLock};
 
-/// Most addresses a network covers: the 32,768 addresses of a full replay
-/// log.
-pub(crate) const MAX_BITS: usize = Replay::<Lfsr, u16>::MAX_LOG_BYTES / size_of::<u16>();
+/// Most addresses a network covers, 512 words: a two-byte address and at
+/// most one 16-byte term per bit bound a network at ~0.6 MiB, and the cap
+/// is above every stream length the paper evaluates.
+pub(crate) const MAX_BITS: usize = 32_768;
 
 /// Bits per stream word; the longest lag a network serves is one less.
 const WORD: usize = 64;

@@ -29,30 +29,22 @@
 //!
 //! The call then leaves the buffer exactly where the chain would. Each slot
 //! holds the input bit of its last write, found by a backward scan of the
-//! schedule. The address position moves `n` ahead without drawing:
-//! [`Replay::skip`], which jumps the source only if a live draw follows.
+//! schedule. The address position moves `n` ahead without drawing: the
+//! buffer counts the skipped addresses and jumps its source over them
+//! ([`RandomSource::skip_ahead`]) only if a live draw follows.
 //!
 //! **The chain.** Every other call (a buffer built by [`ShuffleBuffer::new`],
-//! a call that continues a run, a deeper buffer) shuffles bit by bit. The
-//! slots are one `u64` mask for depth ≤ 64 and a word bitset above that, so
-//! a bit costs a bit test, a bit clear and an insert. The buffer draws its
-//! addresses through a [`Replay`] log: after a reset the same addresses come
-//! again, and the buffer reads them from the log instead of stepping the
-//! source and scaling its sample. The log holds the addresses drawn since the
-//! source's last real reset, and the source stands at the end of the log.
-//! Recording starts at the first [`ShuffleBuffer::reset`], because a source
-//! may arrive mid-sequence; [`ShuffleBuffer::reset`] then restores the slots
-//! and rewinds the log without touching the source. A run of more than
-//! 32,768 addresses (the log's 64 KiB bound) stops recording, and every later
-//! reset really resets the source. [`ShuffleBuffer::step`] is
-//! [`ShuffleBuffer::step_word`] on one bit, so the two can be mixed. Before
-//! the first reset, and once recording has stopped, each address is drawn
-//! from the source as its bit is shuffled.
+//! a call that continues a run, a deeper buffer, a run past the network's
+//! 32,768-address cap) shuffles bit by bit. The slots are one `u64` mask for
+//! depth ≤ 64 and a word bitset above that, so a bit costs an address draw, a
+//! bit test, a bit clear and an insert. [`ShuffleBuffer::reset`] restores the
+//! slots and resets the source. [`ShuffleBuffer::step`] is
+//! [`ShuffleBuffer::step_word`] on one bit, so the two can be mixed.
 
 use crate::lag_network::{self, LagNetwork};
 use crate::manipulator::DEPTH_RANGE;
 use sc_bitstream::{Bitstream, WORD_BITS};
-use sc_rng::{Draws, Lfsr, RandomSource, Replay, SourceExt};
+use sc_rng::{Lfsr, RandomSource, SourceExt};
 use std::sync::Arc;
 
 /// The power-on slot contents: slot `i` holds a 1 when `i` is even.
@@ -161,7 +153,10 @@ impl Slots {
 pub struct ShuffleBuffer<S> {
     slots: Slots,
     depth: usize,
-    addrs: Replay<S, u16>,
+    source: S,
+    /// Addresses a network run moved past without drawing them; the source
+    /// jumps over them before its next draw.
+    ahead: u64,
     /// The seed of the decorrelator address source this buffer draws from,
     /// whose lag network serves its whole-stream calls from a reset.
     network: Option<u64>,
@@ -187,7 +182,8 @@ impl<S: RandomSource> ShuffleBuffer<S> {
         ShuffleBuffer {
             slots: Slots::initial(depth),
             depth,
-            addrs: Replay::new(source),
+            source,
+            ahead: 0,
             network: None,
             at_reset: false,
         }
@@ -207,8 +203,8 @@ impl<S: RandomSource> ShuffleBuffer<S> {
 
     /// The slot address the source maps to: its next sample scaled to the
     /// depth. Depths stay within [`DEPTH_RANGE`], so an address fits a `u16`.
-    fn address(depth: usize) -> impl Fn(&mut S) -> u16 {
-        move |source| source.next_below(depth as u64) as u16
+    fn address(source: &mut S, depth: usize) -> u16 {
+        source.next_below(depth as u64) as u16
     }
 
     /// Processes one bit: a random slot is read out and replaced by `input`.
@@ -219,20 +215,17 @@ impl<S: RandomSource> ShuffleBuffer<S> {
 
     /// Processes up to 64 bits staged through a register-resident word: bit
     /// `i` of the result is the slot read-out for input bit `(input >> i) & 1`
-    /// (`i < valid`). A replayed word reads its `valid` addresses from the
-    /// log as one slice; otherwise each address is drawn as its bit is
-    /// shuffled.
+    /// (`i < valid`). Each address is drawn as its bit is shuffled.
     // Always inlined: `step`'s one-bit call then runs a loop of one.
     #[inline(always)]
     pub fn step_word(&mut self, input: u64, valid: u32) -> u64 {
         self.at_reset = false;
-        let address = Self::address(self.depth);
-        match self.addrs.take(valid as usize, &address) {
-            Draws::Logged(addrs) => self.slots.shuffle(input, addrs.iter().copied()),
-            Draws::Live(source) => self
-                .slots
-                .shuffle(input, (0..valid).map(|_| address(source))),
+        if self.ahead > 0 {
+            self.source.skip_ahead(std::mem::take(&mut self.ahead));
         }
+        let (source, depth) = (&mut self.source, self.depth);
+        self.slots
+            .shuffle(input, (0..valid).map(|_| Self::address(source, depth)))
     }
 
     /// Processes a whole stream, preserving its length.
@@ -252,7 +245,7 @@ impl<S: RandomSource> ShuffleBuffer<S> {
             network.apply(input, len, out);
             let power_on = Slots::initial_word(self.depth, 0);
             self.slots = Slots::Word(network.slots_after(input, len, power_on));
-            self.addrs.skip(len, Self::address(self.depth));
+            self.ahead += len as u64;
             self.at_reset = false;
             return;
         }
@@ -271,11 +264,11 @@ impl<S: RandomSource> ShuffleBuffer<S> {
     }
 
     /// Restores the initial buffer contents and restarts the address
-    /// sequence: from the log once it is recording, otherwise by resetting
-    /// the source.
+    /// sequence by resetting the source.
     pub fn reset(&mut self) {
         self.slots.reset(self.depth);
-        self.addrs.reset();
+        self.source.reset();
+        self.ahead = 0;
         self.at_reset = true;
     }
 }
@@ -339,9 +332,9 @@ mod tests {
         }
     }
 
-    /// Every depth the replay proptests cover: each one-word depth, the first
-    /// bitset depth, a middling one and the deepest buffer.
-    fn replay_depths() -> impl Iterator<Item = usize> {
+    /// Every depth the proptests cover: each one-word depth, the first bitset
+    /// depth, a middling one and the deepest buffer.
+    fn depths() -> impl Iterator<Item = usize> {
         (1..=64).chain([65, 100, 4096])
     }
 
@@ -651,9 +644,9 @@ mod tests {
     }
 
     #[test]
-    fn a_run_past_the_log_bound_replays_exactly() {
-        // The first run after a reset fills the log's 32,768 addresses; the
-        // 33,000-cycle run then crosses the bound partway through a replay.
+    fn long_runs_across_resets_match_exactly() {
+        // Runs of the lag network's 32,768-address cap and past it, each
+        // after a reset, between short ones.
         for depth in [4, 100] {
             check_buffer(
                 depth,
@@ -672,11 +665,11 @@ mod tests {
     }
 
     #[test]
-    fn a_network_run_hands_off_at_the_word_edges_and_past_the_log_bound() {
+    fn a_network_run_hands_off_at_the_word_edges_and_past_the_cap() {
         // Every length class of the network's last word, and a first run
         // that fills the 32,768-address cap and is continued past it: the
-        // skipped positions are recorded, then the continuation outgrows
-        // the log. A first run past the cap takes the chain.
+        // continuation's first draw jumps the source over the skipped
+        // addresses. A first run past the cap takes the chain.
         let runs = [
             (1, 70),
             (63, 70),
@@ -698,12 +691,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         #[test]
-        fn prop_replay_matches_the_reference_across_resets(
+        fn prop_chain_matches_the_reference_across_resets(
             lengths in proptest::collection::vec(1usize..=1100, 4..=5),
             skip in 0u64..40,
             seed in any::<u64>(),
         ) {
-            for depth in replay_depths() {
+            for depth in depths() {
                 // A source handed over mid-sequence: the first run draws from
                 // there, every run after a reset from the start.
                 let mut lfsr = Lfsr::new(16, 0x42A7);
@@ -739,7 +732,7 @@ mod tests {
             // The fresh run is one word-edge length, 1, 63, 64 or 65.
             let firsts = std::iter::once([1, 63, 64, 65][edge]).chain(firsts);
             let runs: Vec<(usize, usize)> = firsts.zip(rests).collect();
-            for depth in replay_depths() {
+            for depth in depths() {
                 check_network_buffer(depth, 0xACE1, &runs, seed);
                 check_network_buffer(depth, 0x7331, &runs, seed);
                 check_network_decorrelator(depth, &runs, seed);

@@ -13,14 +13,13 @@
 //!   table reads one.
 //! * **Prefix planes** serve `Generate` and `Regenerate`. The paper's D/S
 //!   converter (§II.B) compares `p` against a shared sample sequence, so
-//!   bit `i` of its stream is set exactly when sample `i` is among the `k`
-//!   samples below `p`. A prefix plane sorts a sample plane
-//!   once and keeps its `n + 1` prefix masks, mask `k` holding the bits of
-//!   the `k` smallest samples, plus the number of samples below each of
-//!   `B + 1` bucket edges `b / B` (`B` the power of two at or above `n`, so
-//!   every edge and `p·B` are exact in `f64`). A conversion is then one
-//!   bucket lookup, a search for `k` within that bucket and one copy of
-//!   mask `k`, bit-identical to the per-bit compares.
+//!   bit `i` of its stream is set exactly when sample `i` is among the
+//!   samples below `p`. A prefix plane is `sc_convert`'s [`PrefixPlane`] of
+//!   a sample plane, the one the library converter also runs: per
+//!   256-sample block, its prefix masks, sorted samples and bucket starts.
+//!   A conversion is one bucket lookup, a search for the rank within that
+//!   bucket and one copy of its mask per block, bit-identical to the per-bit
+//!   compares. At the GB→ED default `n` = 256 a plane is one block.
 //! * **Cycle tables** serve MUX selects driven by an LFSR of width ≤ 16. Its
 //!   taps are primitive, so every seed walks the same maximal-length cycle
 //!   and every `(seed, skip)` window is an offset into it: a `u16`
@@ -48,6 +47,7 @@ use crate::compile::Step;
 use crate::exec::BatchInput;
 use crate::node::NodeOp;
 use sc_bitstream::{Probability, WORD_BITS};
+use sc_convert::plane::{compare, PrefixPlane};
 use sc_rng::{Lfsr, RandomSource, SourceSpec};
 use std::collections::HashMap;
 use std::mem::size_of;
@@ -66,14 +66,14 @@ const SAMPLE_BUDGET_BYTES: usize = 256 << 10;
 const SAMPLE_ENTRY_BYTES: usize =
     size_of::<SampleKey>() + size_of::<SampleEntry>() + 2 * size_of::<usize>();
 
-/// Byte budget of the retained prefix planes. One takes
-/// `(n + 1)·⌈n/64⌉` mask words plus its `n` sorted samples: ~10 KiB at
-/// `n` = 256, where the GB→ED accelerator needs nine (~93 KiB). A plane
-/// longer than the whole budget (`n` ≳ 1400) is never built.
+/// Byte budget of the retained prefix planes. One takes ~10.5 KiB per
+/// 256-sample block ([`PrefixPlane::bytes`]): one block at `n` = 256, where
+/// the GB→ED accelerator needs nine (~95 KiB). A plane longer than the whole
+/// budget (more than 24 blocks, `n` > 6,144) is never built.
 const PREFIX_BUDGET_BYTES: usize = 256 << 10;
 
-/// What one retained prefix plane costs beyond its masks and sorted
-/// samples: the plane's header and its `Arc` counts.
+/// What one retained prefix plane costs beyond its blocks: the plane's
+/// header and its `Arc` counts.
 const PREFIX_ENTRY_BYTES: usize = size_of::<PrefixPlane>() + 2 * size_of::<usize>();
 
 /// Byte budget of the retained cycle tables (position maps and select
@@ -306,68 +306,10 @@ impl Window<'_> {
     }
 }
 
-/// The `n + 1` prefix masks of one sample plane.
-pub(crate) struct PrefixPlane {
-    /// The plane's samples in stable ascending order.
-    sorted: Box<[f64]>,
-    /// Mask `k` (words `k·words..(k+1)·words`) has bit `i` set iff sample
-    /// `i` is among the first `k` of `sorted`.
-    masks: Box<[u64]>,
-    words: usize,
-    /// `start[b]` is the number of samples below `b / B` for the `B + 1`
-    /// bucket edges, `B = n.next_power_of_two()`, and `start[B + 1] = n`.
-    /// `B` is a power of two, so `p·B` and every edge are exact in `f64`.
-    start: Box<[u16]>,
-}
-
-impl PrefixPlane {
-    fn bytes(n: usize) -> usize {
-        let start = (n.next_power_of_two() + 2) * size_of::<u16>();
-        PREFIX_ENTRY_BYTES + ((n + 1) * n.div_ceil(WORD_BITS) + n) * size_of::<u64>() + start
-    }
-
-    /// Panics if `samples` holds more than `u16::MAX` samples; no plane
-    /// near that long fits the prefix budget.
-    fn build(samples: &[f64]) -> Self {
-        let n = samples.len();
-        let words = n.div_ceil(WORD_BITS);
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| samples[a].total_cmp(&samples[b]));
-        let mut masks = vec![0u64; (n + 1) * words];
-        for (k, &i) in order.iter().enumerate() {
-            let (done, next) = masks.split_at_mut((k + 1) * words);
-            next[..words].copy_from_slice(&done[k * words..]);
-            next[i / WORD_BITS] |= 1 << (i % WORD_BITS);
-        }
-        let sorted: Box<[f64]> = order.iter().map(|&i| samples[i]).collect();
-        let buckets = n.next_power_of_two();
-        let below = |edge: f64| sorted.partition_point(|&s| s < edge);
-        let start = (0..=buckets)
-            .map(|b| below(b as f64 / buckets as f64))
-            .chain([n])
-            .map(|k| u16::try_from(k).expect("prefix plane of at most u16::MAX samples"))
-            .collect();
-        PrefixPlane {
-            sorted,
-            masks: masks.into(),
-            words,
-            start,
-        }
-    }
-
-    /// The number of samples below the probability `p` (in [0, 1]): those
-    /// below `p`'s bucket, plus a search of that bucket alone.
-    fn rank(&self, p: f64) -> usize {
-        let b = (p * (self.start.len() - 2) as f64) as usize;
-        let (lo, hi) = (usize::from(self.start[b]), usize::from(self.start[b + 1]));
-        lo + self.sorted[lo..hi].partition_point(|&s| s < p)
-    }
-}
-
 /// The planes of one D/S comparator (`Generate` or `Regenerate`).
 pub(crate) enum Comparator {
-    /// Prefix masks: one bucket lookup, a search of one bucket and one copy
-    /// per conversion.
+    /// Prefix masks: per block, one bucket lookup, a search of one bucket
+    /// and one copy.
     Prefix(Arc<PrefixPlane>),
     /// The raw samples, compared per bit.
     Samples(Arc<[f64]>),
@@ -378,19 +320,8 @@ impl Comparator {
     /// iff `p` exceeds sample `i`.
     pub(crate) fn convert(&self, p: f64, n: usize, out: &mut [u64]) {
         match self {
-            Comparator::Prefix(plane) => {
-                // The samples below `p` are exactly a prefix of the sorted
-                // order, so the stream is the mask of that prefix.
-                let k = plane.rank(p);
-                out.copy_from_slice(&plane.masks[k * plane.words..(k + 1) * plane.words]);
-            }
-            Comparator::Samples(samples) => {
-                for (w, out) in out.iter_mut().enumerate() {
-                    *out = (0..valid_bits(n, w)).fold(0, |word, i| {
-                        word | u64::from(p > samples[w * WORD_BITS + i]) << i
-                    });
-                }
-            }
+            Comparator::Prefix(plane) => plane.convert(p, 0, n, out),
+            Comparator::Samples(samples) => compare(p, samples, out),
         }
     }
 }
@@ -505,7 +436,7 @@ impl PlaneStore {
             return (Comparator::Samples(samples), false);
         }
         let key = (spec.clone(), skip, n);
-        let bytes = PrefixPlane::bytes(n);
+        let bytes = PREFIX_ENTRY_BYTES + PrefixPlane::bytes(n);
         {
             let store = self.read();
             if let Some(prefix) = store.samples.get(&key).and_then(|e| e.prefix.as_ref()) {
@@ -516,7 +447,7 @@ impl PlaneStore {
             }
         }
         // Built outside the lock; a racing thread's plane wins the insert.
-        let built = Arc::new(PrefixPlane::build(&samples));
+        let built = Arc::new(PrefixPlane::from_samples(&samples));
         let mut guard = self.write();
         let store = &mut *guard;
         match store.samples.get_mut(&key) {
@@ -1002,13 +933,13 @@ mod tests {
     }
 
     /// `Generate` and `Regenerate` against `DigitalToStochastic` and
-    /// `Regenerator` over the positioned source, for every family:
-    /// through prefix planes up to `n` = 512 and by per-bit compares past
-    /// the prefix budget, at `p` = 0, 1 and exactly a drawn sample (the
-    /// converter's strict `>` leaves that sample's bit 0). At the lengths
-    /// of `BUCKETED`, `p` also takes every bucket edge `b / B` of the prefix
-    /// plane's search table and both its neighbours; Sobol's first 256
-    /// samples sit exactly on the edges `k / 256`.
+    /// `Regenerator` over the positioned source, for every family: through
+    /// prefix planes of one to 16 blocks and by per-bit compares past the
+    /// prefix budget, at `p` = 0, 1 and exactly a drawn sample (the
+    /// converter's strict `>` leaves that sample's bit 0). At the lengths of
+    /// `BUCKETED`, `p` also takes every bucket edge `b / 256` of a block's
+    /// search table (and, at 300, every `b / 512`) and both its neighbours;
+    /// Sobol's first 256 samples sit exactly on the edges `k / 256`.
     #[test]
     fn generate_and_regenerate_match_the_converters_for_every_family() {
         let specs = [
@@ -1028,9 +959,9 @@ mod tests {
                 phase: 11,
             },
         ];
-        // Past the budget: one plane of 2048 samples takes 2049·32 mask
-        // words, more than the whole prefix budget.
-        let past_budget = 2048;
+        // Past the budget: one plane of 8192 samples takes 32 blocks, more
+        // than the whole prefix budget.
+        let past_budget = 8192;
         assert!(PrefixPlane::bytes(past_budget) > PREFIX_BUDGET_BYTES);
         const BUCKETED: [usize; 6] = [63, 64, 65, 96, 256, 300];
         // The first 256 Sobol draws are points 1..=256 of the sequence:
@@ -1041,8 +972,21 @@ mod tests {
             .filter(|s| s.fract() == 0.0)
             .count();
         assert_eq!(on_edges, 255);
-        for n in [0usize, 1, 63, 64, 65, 96, 256, 300, 512, past_budget] {
-            let buckets = n.next_power_of_two();
+        for n in [
+            0usize,
+            1,
+            63,
+            64,
+            65,
+            96,
+            256,
+            300,
+            512,
+            2048,
+            4096,
+            past_budget,
+        ] {
+            let buckets = n.next_power_of_two().max(256);
             let edges: Vec<f64> = (0..=buckets)
                 .filter(|_| BUCKETED.contains(&n))
                 .map(|b| b as f64 / buckets as f64)
@@ -1087,7 +1031,7 @@ mod tests {
                     assert!(store.retained_bytes().prefixes <= PREFIX_BUDGET_BYTES);
                 }
             }
-            // Non-vacuity: up to 512 samples the prefix path ran, past the
+            // Non-vacuity: up to 4096 samples the prefix path ran, past the
             // budget only the compare path.
             match n {
                 0 => assert_eq!(prefixed, 0),
@@ -1096,7 +1040,7 @@ mod tests {
             }
             assert_eq!(
                 store.retained_bytes().prefixes,
-                prefixed * PrefixPlane::bytes(n),
+                prefixed * (PREFIX_ENTRY_BYTES + PrefixPlane::bytes(n)),
                 "n {n}"
             );
         }

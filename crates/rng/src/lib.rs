@@ -16,9 +16,7 @@
 //! A digital-to-stochastic converter compares the target value against these
 //! samples to emit bits (see the `sc-convert` crate). A family's sources are
 //! built at run time by [`build_source_variant`] (variant 0 is the Table II
-//! default) or from a plain-data [`SourceSpec`]. [`Replay`] wraps a
-//! source so that the draws made after a reset are logged and read back
-//! after the next one, instead of stepping the source again.
+//! default) or from a plain-data [`SourceSpec`].
 //!
 //! # Example
 //!
@@ -40,7 +38,6 @@
 pub mod counter;
 pub mod halton;
 pub mod lfsr;
-pub mod replay;
 pub mod sobol;
 pub mod source;
 pub mod spec;
@@ -49,7 +46,6 @@ pub mod vandercorput;
 pub use counter::CounterSource;
 pub use halton::Halton;
 pub use lfsr::Lfsr;
-pub use replay::{Draws, Replay};
 pub use sobol::Sobol;
 pub use source::{RandomSource, RngKind, SourceExt};
 pub use spec::{SourceGateModel, SourceSpec};

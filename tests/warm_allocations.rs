@@ -1,14 +1,15 @@
-//! Deterministic cost gate of the circuits' warm replay path.
+//! Deterministic cost gate of the circuits' warm paths from a reset.
 //!
-//! A generator reset before every call replays the samples it logged on the
-//! first call, and a default decorrelator, fresh or reset, runs the lag
-//! network its depth shares process-wide, so a warm call allocates only its
-//! output streams: one for `StreamGenerator::generate`, two for
-//! `Decorrelator::process`, one for each improved operator, which writes the
-//! gate of its circuit's two outputs straight into one stream. A log or a
-//! network that was copied per call, or an operator that built its circuit's
-//! two output streams before gating them, would allocate more and fail here. This is a
-//! test binary of its own because it installs a counting global allocator.
+//! A generator reset before every call converts through the prefix plane it
+//! built on its first calls, and a default decorrelator, fresh or reset,
+//! runs the lag network its depth shares process-wide, so a warm call
+//! allocates only its output streams: one for `StreamGenerator::generate`,
+//! two for `generate_correlated_pair` and for `Decorrelator::process`, one
+//! for each improved operator, which writes the gate of its circuit's two
+//! outputs straight into one stream. A plane or a network that was copied
+//! per call, or an operator that built its circuit's two output streams
+//! before gating them, would allocate more and fail here. This is a test
+//! binary of its own because it installs a counting global allocator.
 
 use sc_bitstream::{Bitstream, Probability};
 use sc_convert::StreamGenerator;
@@ -82,29 +83,38 @@ fn inputs() -> (StreamGenerator, Bitstream, Bitstream) {
 }
 
 #[test]
-fn warm_replayed_generate_allocates_only_its_stream() {
+fn warm_reset_generate_allocates_only_its_streams() {
     let (mut generator, _, _) = inputs();
-    let p = Probability::new(0.45).unwrap();
-    let made = allocations(|| {
-        generator.reset();
-        generator.generate(p, N)
-    });
-    assert_eq!(
-        made, 1,
-        "a replayed generate allocates its output words only"
+    let (p, q) = (
+        Probability::new(0.45).unwrap(),
+        Probability::new(0.8).unwrap(),
     );
-    let made = allocations(|| {
-        generator.reset();
-        generator.generate_correlated_pair(p, Probability::new(0.8).unwrap(), N)
-    });
-    assert_eq!(
-        made, 2,
-        "a replayed correlated pair allocates its two streams only"
-    );
+    // One block and a multi-block run: the plane is warmed to 4,096 samples
+    // first, so no call below grows it.
+    generator.reset();
+    let _ = generator.generate(p, 4096);
+    for n in [N, 4096] {
+        let made = allocations(|| {
+            generator.reset();
+            generator.generate(p, n)
+        });
+        assert_eq!(
+            made, 1,
+            "a warm generate of {n} bits allocates its words only"
+        );
+        let made = allocations(|| {
+            generator.reset();
+            generator.generate_correlated_pair(p, q, n)
+        });
+        assert_eq!(
+            made, 2,
+            "a warm correlated pair of {n} bits allocates its two streams only"
+        );
+    }
 }
 
 #[test]
-fn warm_replayed_decorrelator_allocates_only_its_two_streams() {
+fn warm_reset_decorrelator_allocates_only_its_two_streams() {
     let (_, x, y) = inputs();
     let mut deco = Decorrelator::new(4);
     deco.reset();
@@ -112,12 +122,12 @@ fn warm_replayed_decorrelator_allocates_only_its_two_streams() {
     let made = allocations(|| {
         deco.reset();
         let out = deco.process(&x, &y).unwrap();
-        assert_eq!(out, first, "a replayed run repeats the first");
+        assert_eq!(out, first, "a reset run repeats the first");
         out
     });
     assert_eq!(
         made, 2,
-        "a replayed decorrelator allocates its two output streams only"
+        "a reset decorrelator allocates its two output streams only"
     );
 }
 
