@@ -45,6 +45,6 @@ pub mod subtract;
 
 pub use add::{ca_add, mux_add, saturating_add, MuxAdder};
 pub use divide::Divider;
-pub use maxmin::{and_min, ca_max, ca_min, or_max};
+pub use maxmin::{and_min, ca_max, or_max};
 pub use multiply::{and_multiply, xnor_multiply};
 pub use subtract::xor_subtract;

@@ -4,10 +4,9 @@
 //!   are maximally positively correlated; with imperfect correlation the OR
 //!   output overshoots (`pZ ≥ max`) and the AND output undershoots
 //!   (`pZ ≤ min`). These are the cheap baselines of Table III.
-//! * **Correlation-agnostic max/min** (SC-DCNN, reference \[12\]) — running
+//! * **Correlation-agnostic max** (SC-DCNN, reference \[12\]) — running
 //!   counters track how many 1s each input has produced so far and the output
-//!   emits a 1 exactly when the running maximum (respectively minimum) of the
-//!   two counts advances. Accurate regardless of correlation but requires
+//!   emits a 1 exactly when the running maximum of the two counts advances. Accurate regardless of correlation but requires
 //!   counters and a comparator, which is why the paper measures it as two
 //!   orders of magnitude larger than a bare OR gate.
 //!
@@ -74,35 +73,6 @@ pub fn ca_max(x: &Bitstream, y: &Bitstream) -> Result<Bitstream> {
             cx += (xw >> i) & 1;
             cy += (yw >> i) & 1;
             let target = cx.max(cy);
-            out |= u64::from(target > co) << i;
-            co = target;
-        }
-        out
-    });
-    Ok(out)
-}
-
-/// Correlation-agnostic SC minimum (dual of [`ca_max`]).
-///
-/// # Errors
-///
-/// Returns a length-mismatch error if the streams differ in length.
-pub fn ca_min(x: &Bitstream, y: &Bitstream) -> Result<Bitstream> {
-    if x.len() != y.len() {
-        return Err(Error::LengthMismatch {
-            left: x.len(),
-            right: y.len(),
-        });
-    }
-    let (mut cx, mut cy, mut co) = (0u64, 0u64, 0u64);
-    let out = Bitstream::from_word_fn(x.len(), |w| {
-        let (xw, yw) = (x.as_words()[w], y.as_words()[w]);
-        let valid = x.word_len(w);
-        let mut out = 0u64;
-        for i in 0..valid {
-            cx += (xw >> i) & 1;
-            cy += (yw >> i) & 1;
-            let target = cx.min(cy);
             out |= u64::from(target > co) << i;
             co = target;
         }
@@ -193,38 +163,12 @@ mod tests {
     }
 
     #[test]
-    fn ca_min_accurate_for_any_correlation() {
-        for &(px, py) in &[(0.5, 0.75), (0.9, 0.1), (0.3, 0.3), (0.0, 0.6)] {
-            let (x, y) = uncorrelated_pair(px, py);
-            let z = ca_min(&x, &y).unwrap();
-            assert!(
-                (z.value() - px.min(py)).abs() < 0.03,
-                "px={px} py={py}: {}",
-                z.value()
-            );
-        }
-    }
-
-    #[test]
-    fn min_plus_max_equals_sum_for_ca_designs() {
-        let (x, y) = uncorrelated_pair(0.4, 0.7);
-        let mx = ca_max(&x, &y).unwrap();
-        let mn = ca_min(&x, &y).unwrap();
-        // max + min = x + y exactly, bit by bit construction guarantees the counts.
-        assert_eq!(
-            mx.count_ones() + mn.count_ones(),
-            x.count_ones() + y.count_ones()
-        );
-    }
-
-    #[test]
     fn length_mismatch_errors() {
         let a = Bitstream::zeros(8);
         let b = Bitstream::zeros(9);
         assert!(or_max(&a, &b).is_err());
         assert!(and_min(&a, &b).is_err());
         assert!(ca_max(&a, &b).is_err());
-        assert!(ca_min(&a, &b).is_err());
     }
 
     proptest! {

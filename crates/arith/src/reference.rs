@@ -59,30 +59,6 @@ pub fn ca_max(x: &Bitstream, y: &Bitstream) -> Result<Bitstream> {
     Ok(out)
 }
 
-/// Bit-serial correlation-agnostic minimum (the original `ca_min`).
-///
-/// # Errors
-///
-/// Returns a length-mismatch error if the streams differ in length.
-pub fn ca_min(x: &Bitstream, y: &Bitstream) -> Result<Bitstream> {
-    if x.len() != y.len() {
-        return Err(Error::LengthMismatch {
-            left: x.len(),
-            right: y.len(),
-        });
-    }
-    let (mut cx, mut cy, mut co) = (0u64, 0u64, 0u64);
-    let out = Bitstream::from_fn(x.len(), |i| {
-        cx += u64::from(x.bit(i));
-        cy += u64::from(y.bit(i));
-        let target = cx.min(cy);
-        let bit = target > co;
-        co = target;
-        bit
-    });
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,11 +77,6 @@ mod tests {
                 crate::maxmin::ca_max(&x, &y).unwrap(),
                 ca_max(&x, &y).unwrap(),
                 "ca_max n={n}"
-            );
-            assert_eq!(
-                crate::maxmin::ca_min(&x, &y).unwrap(),
-                ca_min(&x, &y).unwrap(),
-                "ca_min n={n}"
             );
         }
     }

@@ -416,9 +416,14 @@ mod tests {
         let (dx, dy) = g.manipulate(ManipulatorKind::Desynchronizer { depth: 1 }, x, y);
         let s = g.binary(BinaryOp::SaturatingAdd, dx, dy);
         g.sink_value("sat", s);
-        // Identity preserves the underlying Uncorrelated class.
-        let (ix, iy) = g.manipulate(ManipulatorKind::Identity, x, y);
-        let p = g.binary(BinaryOp::AndMultiply, ix, iy);
+        // Synchronizer pins the pair to Positive: or_max satisfied.
+        let (sx, sy) = g.manipulate(ManipulatorKind::Synchronizer { depth: 2 }, x, y);
+        let m = g.binary(BinaryOp::OrMax, sx, sy);
+        g.sink_value("max", m);
+        // Decorrelator pins a positive pair to Uncorrelated: and_multiply
+        // satisfied.
+        let (cx, cy) = g.manipulate(ManipulatorKind::Decorrelator { depth: 4 }, sx, sy);
+        let p = g.binary(BinaryOp::AndMultiply, cx, cy);
         g.sink_value("prod", p);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         assert!(
@@ -507,7 +512,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.generate(0, sobol(1));
         let y = g.generate(1, sobol(2));
-        let z = g.binary(BinaryOp::CaAdd, x, y);
+        let z = g.binary(BinaryOp::AndMultiply, x, y);
         g.sink_value("z", z);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         assert_eq!(plan.steps().len(), plan.step_count());
@@ -515,7 +520,7 @@ mod tests {
         assert!(plan
             .steps()
             .iter()
-            .any(|s| s.op == NodeOp::Binary(BinaryOp::CaAdd) && plan.srcs(s).len() == 2));
+            .any(|s| s.op == NodeOp::Binary(BinaryOp::AndMultiply) && plan.srcs(s).len() == 2));
     }
 
     #[test]
@@ -525,7 +530,7 @@ mod tests {
         let y = g.input_stream(1);
         let (a0, a1) = g.manipulate(ManipulatorKind::Synchronizer { depth: 1 }, x, y);
         let (b0, b1) = g.manipulate(ManipulatorKind::Synchronizer { depth: 2 }, a0, a1);
-        let (c0, c1) = g.manipulate(ManipulatorKind::Isolator { delay: 2 }, b0, b1);
+        let (c0, c1) = g.manipulate(ManipulatorKind::Decorrelator { depth: 2 }, b0, b1);
         g.sink_stream("x", c0);
         g.sink_stream("y", c1);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
@@ -544,7 +549,7 @@ mod tests {
             vec![
                 ManipulatorKind::Synchronizer { depth: 1 },
                 ManipulatorKind::Synchronizer { depth: 2 },
-                ManipulatorKind::Isolator { delay: 2 },
+                ManipulatorKind::Decorrelator { depth: 2 },
             ]
         );
         // Each manipulator writes its pair to `dst` and `dst + 1`, which the
@@ -569,7 +574,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.generate(3, sobol(1));
         let s = g.input_stream(1);
-        let z = g.binary(BinaryOp::CaAdd, x, s);
+        let z = g.binary(BinaryOp::AndMultiply, x, s);
         g.sink_value("z", z);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         assert_eq!(plan.value_slots(), 4);

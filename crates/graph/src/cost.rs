@@ -43,8 +43,6 @@ pub fn source_netlist(spec: &SourceSpec, converter_bits: u32) -> Netlist {
 #[must_use]
 pub fn manipulator_netlist(kind: &ManipulatorKind) -> Netlist {
     match *kind {
-        ManipulatorKind::Identity => Netlist::new("identity"),
-        ManipulatorKind::Isolator { delay } => characterize::isolator(delay as u32),
         ManipulatorKind::Synchronizer { depth } => characterize::synchronizer(depth),
         ManipulatorKind::Desynchronizer { depth } => characterize::desynchronizer(depth),
         ManipulatorKind::Decorrelator { depth } => characterize::decorrelator(depth as u32),
@@ -63,8 +61,6 @@ pub fn binary_netlist(op: BinaryOp) -> Netlist {
             Netlist::new(op.to_string()).with(Primitive::Or2, 1)
         }
         BinaryOp::XorSubtract => characterize::xor_subtract_netlist(),
-        BinaryOp::CaAdd => characterize::correlation_agnostic_adder_netlist(),
-        BinaryOp::CaMax | BinaryOp::CaMin => characterize::correlation_agnostic_max_netlist(),
     }
 }
 
@@ -164,25 +160,25 @@ mod tests {
         let x = g.generate(0, SourceSpec::Sobol { dimension: 1 });
         let y = g.generate(1, SourceSpec::Halton { base: 3, offset: 0 });
         let p = g.binary(BinaryOp::AndMultiply, x, y); // op 1: AND multiply
-        let q = g.binary(BinaryOp::CaAdd, p, x); // op 2: CA adder
+        let q = g.not(p); // op 2: NOT
         g.sink_value("q", q);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         // and_multiply sees (generated, generated-from-different-spec) =
-        // Uncorrelated: satisfied, nothing inserted. ca_add is agnostic.
+        // Uncorrelated: satisfied, nothing inserted.
         assert!(plan.report().inserted.is_empty());
 
         let bridged = plan.netlist("two-op");
 
         // Hand-computed from the sc_hwcost characterisation library:
         // 2 × (D/S converter + low-discrepancy source) feeding one AND gate
-        // and one CA adder, drained by one S/D converter.
+        // and one inverter, drained by one S/D converter.
         let mut expected = Netlist::new("expected");
         expected.merge(&characterize::ds_converter(8));
         expected.merge(&characterize::low_discrepancy_rng(8));
         expected.merge(&characterize::ds_converter(8));
         expected.merge(&characterize::low_discrepancy_rng(8));
         expected.merge(&Netlist::new("and").with(Primitive::And2, 1));
-        expected.merge(&characterize::correlation_agnostic_adder_netlist());
+        expected.merge(&Netlist::new("not").with(Primitive::Inverter, 1));
         expected.merge(&characterize::sd_converter(8));
 
         assert!((bridged.area_um2() - expected.area_um2()).abs() < 1e-9);
@@ -191,8 +187,8 @@ mod tests {
         // And against fully hand-expanded numbers, so a characterisation
         // regression cannot silently cancel out:
         // D/S = CMP8 (24.0) + REG8 (46.08); LD-RNG8 = 80.0; AND2 = 2.16;
-        // CA adder = FA (6.48) + REG2 (11.52) + 2×INV (1.44); S/D = CNT8 (72.0).
-        let hand = 2.0 * (24.0 + 46.08 + 80.0) + 2.16 + (6.48 + 11.52 + 1.44) + 72.0;
+        // INV = 0.72; S/D = CNT8 (72.0).
+        let hand = 2.0 * (24.0 + 46.08 + 80.0) + 2.16 + 0.72 + 72.0;
         assert!(
             (bridged.area_um2() - hand).abs() < 1e-9,
             "bridged {} vs hand {hand}",
@@ -245,13 +241,13 @@ mod tests {
                 < 1e-12
         );
         assert!(
-            (binary_netlist(BinaryOp::CaMax).area_um2()
-                - characterize::correlation_agnostic_max_netlist().area_um2())
+            (binary_netlist(BinaryOp::XorSubtract).area_um2()
+                - characterize::xor_subtract_netlist().area_um2())
             .abs()
                 < 1e-12
         );
         assert!(
-            binary_netlist(BinaryOp::CaAdd).area_um2()
+            binary_netlist(BinaryOp::XnorMultiply).area_um2()
                 > binary_netlist(BinaryOp::AndMin).area_um2()
         );
     }
@@ -279,11 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn identity_and_wires_are_free() {
-        assert_eq!(
-            manipulator_netlist(&ManipulatorKind::Identity).cell_count(),
-            0
-        );
+    fn wires_are_free() {
         assert_eq!(step_netlist(&NodeOp::Not, 8).cell_count(), 1);
         assert_eq!(
             step_netlist(&NodeOp::SinkStream { name: "s".into() }, 8).cell_count(),

@@ -490,9 +490,8 @@ fn execute_plan(
 
 /// Executes one plan step against one job's arena — the unit
 /// [`execute_plan`] is built from. Gates, multiplexers, manipulators and
-/// conversions run as word loops on the arena's rows; the rare kernels
-/// (the counter-based operators and the SCC probe) run on [`Bitstream`]
-/// copies.
+/// conversions run as word loops on the arena's rows; the SCC probe runs on
+/// [`Bitstream`] copies.
 fn execute_step(
     n: usize,
     step: &Step,
@@ -533,7 +532,7 @@ fn execute_step(
             let (slots, out_x, out_y) = arena.rows(dst, len);
             kind.process_words(slots.words(x), slots.words(y), len, out_x, out_y);
         }
-        NodeOp::Regenerate { source, skip } => {
+        NodeOp::Regenerate { source } => {
             // S/D conversion of the stream, then D/S conversion afresh.
             let slots = arena.slots();
             let len = slots.len(srcs[0]);
@@ -542,7 +541,7 @@ fn execute_step(
                 len => Probability::from_ratio(slots.count_ones(srcs[0]), len as u64).get(),
             };
             draws
-                .comparator(source, *skip, len)
+                .comparator(source, 0, len)
                 .convert(p, len, arena.row(dst, len).1);
         }
         NodeOp::Not => {
@@ -556,18 +555,12 @@ fn execute_step(
         NodeOp::Binary(op) => {
             use crate::node::BinaryOp as B;
             let (x, y) = (srcs[0], srcs[1]);
-            let counter = match op {
-                B::CaAdd => sc_arith::add::ca_add,
-                B::CaMax => sc_arith::maxmin::ca_max,
-                B::CaMin => sc_arith::maxmin::ca_min,
-                B::AndMultiply | B::AndMin => return gate(arena, x, y, dst, |a, b| a & b),
-                B::OrMax | B::SaturatingAdd => return gate(arena, x, y, dst, |a, b| a | b),
-                B::XorSubtract => return gate(arena, x, y, dst, |a, b| a ^ b),
-                B::XnorMultiply => return gate(arena, x, y, dst, |a, b| !(a ^ b)),
-            };
-            let slots = arena.slots();
-            let z = counter(&slots.stream(x), &slots.stream(y))?;
-            arena.put(dst, &z);
+            match op {
+                B::AndMultiply | B::AndMin => gate(arena, x, y, dst, |a, b| a & b),
+                B::OrMax | B::SaturatingAdd => gate(arena, x, y, dst, |a, b| a | b),
+                B::XorSubtract => gate(arena, x, y, dst, |a, b| a ^ b),
+                B::XnorMultiply => gate(arena, x, y, dst, |a, b| !(a ^ b)),
+            }?;
         }
         NodeOp::WeightedMux {
             weights,
@@ -938,23 +931,20 @@ mod tests {
 
     #[test]
     fn mismatched_input_streams_error() {
-        let mut g = Graph::new();
-        let a = g.input_stream(0);
-        let b = g.input_stream(1);
-        let z = g.binary(BinaryOp::CaAdd, a, b);
-        g.sink_value("z", z);
-        let plan = g.compile(&PlannerOptions::default()).unwrap();
+        // A gate, a manipulator step and a MUX adder report the operands'
+        // exact lengths, in input order.
         let bad = BatchInput::with_streams(vec![Bitstream::zeros(64), Bitstream::zeros(65)]);
-        assert!(matches!(
-            Executor::new(64).run(&plan, &bad),
-            Err(GraphError::Stream(_))
-        ));
-        // A manipulator step, a counter-based max and a MUX adder report the
-        // operands' exact lengths, in input order.
         let mismatch = Err(GraphError::Stream(sc_bitstream::Error::LengthMismatch {
             left: 64,
             right: 65,
         }));
+        let mut g = Graph::new();
+        let a = g.input_stream(0);
+        let b = g.input_stream(1);
+        let z = g.binary(BinaryOp::AndMultiply, a, b);
+        g.sink_value("z", z);
+        let gate = g.compile(&PlannerOptions::no_repair()).unwrap();
+        assert_eq!(Executor::new(64).run(&gate, &bad), mismatch);
         let mut g = Graph::new();
         let a = g.input_stream(0);
         let b = g.input_stream(1);
@@ -963,13 +953,6 @@ mod tests {
         g.sink_stream("b", sb);
         let manipulate = g.compile(&PlannerOptions::default()).unwrap();
         assert_eq!(Executor::new(64).run(&manipulate, &bad), mismatch);
-        let mut g = Graph::new();
-        let a = g.input_stream(0);
-        let b = g.input_stream(1);
-        let z = g.binary(BinaryOp::CaMax, a, b);
-        g.sink_stream("z", z);
-        let ca_max = g.compile(&PlannerOptions::default()).unwrap();
-        assert_eq!(Executor::new(64).run(&ca_max, &bad), mismatch);
         let mut g = Graph::new();
         let a = g.input_stream(0);
         let b = g.input_stream(1);
@@ -1291,7 +1274,7 @@ mod tests {
         let x = g.generate(0, sobol(1));
         let y = g.generate(1, SourceSpec::Halton { base: 3, offset: 0 });
         let (sx, sy) = g.manipulate(ManipulatorKind::Synchronizer { depth: 1 }, x, y);
-        let z = g.binary(BinaryOp::CaAdd, sx, sy);
+        let z = g.binary(BinaryOp::OrMax, sx, sy);
         g.sink_stream("z", z);
         g.sink_value("zv", z);
         let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
@@ -1336,7 +1319,7 @@ mod tests {
             let z = if flip {
                 g.binary(BinaryOp::AndMultiply, x, y)
             } else {
-                g.binary(BinaryOp::CaAdd, x, y)
+                g.binary(BinaryOp::XnorMultiply, x, y)
             };
             g.sink_value("z", z);
             Arc::new(g.compile(&PlannerOptions::default()).unwrap())
@@ -1360,13 +1343,13 @@ mod tests {
 
         // Jobs of one stream may carry streams of different lengths:
         // sub-word, word-straddling and multi-word inputs through a
-        // synchronizer, a depth-4 decorrelator and a counter-based max.
+        // synchronizer, a depth-4 decorrelator and an AND gate.
         let mut g = Graph::new();
         let a = g.input_stream(0);
         let b = g.input_stream(1);
         let (sa, sb) = g.manipulate(ManipulatorKind::Synchronizer { depth: 1 }, a, b);
         let (da, db) = g.manipulate(ManipulatorKind::Decorrelator { depth: 4 }, sa, sb);
-        let z = g.binary(BinaryOp::CaMax, da, db);
+        let z = g.binary(BinaryOp::AndMultiply, da, db);
         g.sink_stream("z", z);
         let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
         let inputs: Vec<BatchInput> = [1usize, 63, 64, 65, 1000, 65, 1]
@@ -1402,9 +1385,9 @@ mod tests {
         let mut g = Graph::new();
         let s = g.input_stream(0);
         let t = g.input_stream(1);
-        let z = g.binary(BinaryOp::CaAdd, s, t);
+        let z = g.binary(BinaryOp::SaturatingAdd, s, t);
         g.sink_value("ones", z);
-        let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
+        let plan = Arc::new(g.compile(&PlannerOptions::no_repair()).unwrap());
         let n = 96usize;
         let item = |ones: usize| {
             BatchInput::with_streams(vec![
@@ -1461,7 +1444,7 @@ mod tests {
             let z = if flip {
                 g.binary(BinaryOp::AndMultiply, x, y)
             } else {
-                g.binary(BinaryOp::CaAdd, x, y)
+                g.binary(BinaryOp::XnorMultiply, x, y)
             };
             g.sink_value("z", z);
             g.sink_stream("s", z);
@@ -1522,14 +1505,15 @@ mod tests {
         }
     }
 
-    /// Streaming edge case: zero-length streams execute (every op yields an
-    /// empty stream; values are 0) rather than panicking in the word kernels.
+    /// Streaming edge case: zero-length streams execute (every op, the
+    /// decorrelator repair inserts included, yields an empty stream; values
+    /// are 0) rather than panicking in the word kernels.
     #[test]
     fn run_stream_zero_length_streams() {
         let mut g = Graph::new();
         let a = g.input_stream(0);
         let b = g.input_stream(1);
-        let z = g.binary(BinaryOp::CaAdd, a, b);
+        let z = g.binary(BinaryOp::AndMultiply, a, b);
         g.sink_stream("s", z);
         g.sink_value("c", z);
         let plan = Arc::new(g.compile(&PlannerOptions::default()).unwrap());
@@ -1573,7 +1557,7 @@ mod tests {
     }
 
     /// A family of same-class FSM-heavy jobs (one shared plan with a
-    /// synchronizer, a depth-4 decorrelator, a counter-max and a second
+    /// synchronizer, a depth-4 decorrelator, an AND multiply and a second
     /// synchronizer over its output)
     /// streams bit-identically to solo execution at 1 and N threads, at a
     /// bounded, an unbounded and a unit window.
@@ -1584,7 +1568,7 @@ mod tests {
         let y = g.generate(1, SourceSpec::Halton { base: 3, offset: 0 });
         let (sx, sy) = g.manipulate(ManipulatorKind::Synchronizer { depth: 1 }, x, y);
         let (dx, dy) = g.manipulate(ManipulatorKind::Decorrelator { depth: 4 }, sx, sy);
-        let z = g.binary(BinaryOp::CaMax, dx, dy);
+        let z = g.binary(BinaryOp::AndMultiply, dx, dy);
         let (t, _) = g.manipulate(ManipulatorKind::Synchronizer { depth: 2 }, z, dx);
         g.sink_stream("z", z);
         g.sink_stream("t", t);

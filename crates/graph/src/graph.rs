@@ -93,12 +93,12 @@ impl From<sc_bitstream::Error> for GraphError {
 /// let mut g = Graph::new();
 /// let x = g.generate(0, SourceSpec::Sobol { dimension: 1 });
 /// let y = g.generate(1, SourceSpec::Halton { base: 3, offset: 0 });
-/// let z = g.binary(BinaryOp::CaAdd, x, y);
-/// g.sink_value("sum", z);
+/// let z = g.binary(BinaryOp::AndMultiply, x, y);
+/// g.sink_value("product", z);
 ///
 /// let plan = g.compile(&PlannerOptions::default())?;
 /// let out = Executor::new(256).run(&plan, &BatchInput::with_values(vec![0.5, 0.25]))?;
-/// assert!((out.value("sum").unwrap() - 0.375).abs() < 0.02);
+/// assert!((out.value("product").unwrap() - 0.125).abs() < 0.02);
 /// # Ok::<(), sc_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -214,7 +214,7 @@ impl Graph {
 
     /// Adds a regeneration unit (S/D + D/S from `source`) over a stream.
     pub fn regenerate(&mut self, source: SourceSpec, x: Wire) -> Wire {
-        let id = self.add(NodeOp::Regenerate { source, skip: 0 }, &[x]);
+        let id = self.add(NodeOp::Regenerate { source }, &[x]);
         self.out(id, 0)
     }
 

@@ -8,9 +8,10 @@
 //! crate makes that structure first-class. A [`Graph`] is built from typed
 //! nodes — stream sources ([`Graph::generate`] D/S conversion,
 //! [`Graph::input_stream`]), correlation manipulators
-//! ([`Graph::manipulate`]), arithmetic operators ([`Graph::binary`], the
-//! weighted multiplexer [`Graph::weighted_mux`] and its two-input half-weight
-//! case [`Graph::mux_add`]), and sinks (S/D value converters, stream taps,
+//! ([`Graph::manipulate`]: the synchronizer, desynchronizer and decorrelator
+//! of §III), arithmetic operators ([`Graph::binary`]: the single gates of
+//! Fig. 2; the weighted multiplexer [`Graph::weighted_mux`] and its
+//! two-input half-weight case [`Graph::mux_add`]), and sinks (S/D value converters, stream taps,
 //! SCC probes) — connected by stream-valued [`Wire`]s.
 //!
 //! [`Graph::compile`] runs four stages: validate → scc-infer → repair →
@@ -24,7 +25,10 @@
 //! repair stage **auto-inserts** the establishing circuit — synchronizer,
 //! desynchronizer, or decorrelator (§III), the paper's core insight applied
 //! automatically. A pair the rules cannot place is unknown and gets the
-//! repair too. The emit stage lays out one [`Step`] per node: the node's
+//! repair too. The vocabulary is what the workloads and the planner build:
+//! the correlation-agnostic baselines the paper compares against (CA adder,
+//! CA max, isolator) are library calls in `sc_arith` and `sc_core`, not
+//! graph nodes. The emit stage lays out one [`Step`] per node: the node's
 //! own [`NodeOp`] over dense stream slots, so the graph and the plan speak
 //! one op vocabulary.
 //!

@@ -1,10 +1,7 @@
 //! The node vocabulary of the dataflow graph: sources, correlation
 //! manipulators, arithmetic operators, and sinks.
 
-use sc_core::{
-    CorrelationManipulator, Decorrelator, Desynchronizer, Identity, Isolator, Synchronizer,
-    DEPTH_RANGE,
-};
+use sc_core::{CorrelationManipulator, Decorrelator, Desynchronizer, Synchronizer, DEPTH_RANGE};
 use sc_rng::SourceSpec;
 use std::fmt;
 use std::ops::Range;
@@ -58,7 +55,9 @@ impl fmt::Display for Wire {
     }
 }
 
-/// The correlation-manipulating circuit family a manipulator node instantiates.
+/// The correlation-manipulating circuit family a manipulator node
+/// instantiates: the three circuits of the paper (§III), which are also the
+/// three the planner's repair stage inserts.
 ///
 /// Kinds are plain data (no live FSM state): every execution of a compiled
 /// plan runs a fresh instance per step ([`ManipulatorKind::process_words`]),
@@ -66,13 +65,6 @@ impl fmt::Display for Wire {
 /// deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ManipulatorKind {
-    /// Pass-through (no manipulation).
-    Identity,
-    /// `delay` isolator flip-flops on the X stream (Ting & Hayes baseline).
-    Isolator {
-        /// Number of flip-flop stages.
-        delay: usize,
-    },
     /// Synchronizer FSM driving SCC toward +1 (Fig. 3a).
     Synchronizer {
         /// Save depth `D ≥ 1`.
@@ -95,8 +87,6 @@ impl ManipulatorKind {
     #[must_use]
     pub fn build(&self) -> Box<dyn CorrelationManipulator> {
         match *self {
-            ManipulatorKind::Identity => Box::new(Identity::new()),
-            ManipulatorKind::Isolator { delay } => Box::new(Isolator::new(delay)),
             ManipulatorKind::Synchronizer { depth } => Box::new(Synchronizer::new(depth)),
             ManipulatorKind::Desynchronizer { depth } => Box::new(Desynchronizer::new(depth)),
             ManipulatorKind::Decorrelator { depth } => Box::new(Decorrelator::new(depth)),
@@ -136,10 +126,6 @@ impl ManipulatorKind {
             });
         }
         match *self {
-            ManipulatorKind::Identity => drive(Identity::new(), x, y, len, out_x, out_y),
-            ManipulatorKind::Isolator { delay } => {
-                drive(Isolator::new(delay), x, y, len, out_x, out_y);
-            }
             ManipulatorKind::Synchronizer { depth } => {
                 drive(Synchronizer::new(depth), x, y, len, out_x, out_y);
             }
@@ -152,34 +138,27 @@ impl ManipulatorKind {
         }
     }
 
-    /// Whether the depth or delay lies in [`DEPTH_RANGE`], the range
+    /// Whether the depth lies in [`DEPTH_RANGE`], the range
     /// [`ManipulatorKind::build`] accepts. [`crate::Graph::compile`] rejects
     /// kinds outside it, so a compiled plan never panics building one.
     #[must_use]
     pub fn in_range(&self) -> bool {
-        let size = match *self {
-            ManipulatorKind::Identity => return true,
-            ManipulatorKind::Isolator { delay: size }
-            | ManipulatorKind::Decorrelator { depth: size } => size,
+        let depth = match *self {
+            ManipulatorKind::Decorrelator { depth } => depth,
             ManipulatorKind::Synchronizer { depth } | ManipulatorKind::Desynchronizer { depth } => {
                 depth as usize
             }
         };
-        DEPTH_RANGE.contains(&size)
+        DEPTH_RANGE.contains(&depth)
     }
 
-    /// The SCC class this circuit establishes between its two outputs, or
-    /// `None` for [`ManipulatorKind::Identity`], which preserves whatever
-    /// class its inputs had.
+    /// The SCC class this circuit establishes between its two outputs.
     #[must_use]
-    pub fn output_class(&self) -> Option<SccClass> {
+    pub fn output_class(&self) -> SccClass {
         match self {
-            ManipulatorKind::Identity => None,
-            ManipulatorKind::Isolator { .. } | ManipulatorKind::Decorrelator { .. } => {
-                Some(SccClass::Uncorrelated)
-            }
-            ManipulatorKind::Synchronizer { .. } => Some(SccClass::Positive),
-            ManipulatorKind::Desynchronizer { .. } => Some(SccClass::Negative),
+            ManipulatorKind::Synchronizer { .. } => SccClass::Positive,
+            ManipulatorKind::Desynchronizer { .. } => SccClass::Negative,
+            ManipulatorKind::Decorrelator { .. } => SccClass::Uncorrelated,
         }
     }
 }
@@ -187,8 +166,6 @@ impl ManipulatorKind {
 impl fmt::Display for ManipulatorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            ManipulatorKind::Identity => write!(f, "identity"),
-            ManipulatorKind::Isolator { delay } => write!(f, "isolator(k={delay})"),
             ManipulatorKind::Synchronizer { depth } => write!(f, "synchronizer(D={depth})"),
             ManipulatorKind::Desynchronizer { depth } => write!(f, "desynchronizer(D={depth})"),
             ManipulatorKind::Decorrelator { depth } => write!(f, "decorrelator(D={depth})"),
@@ -219,8 +196,6 @@ pub enum CorrRequirement {
     Negative,
     /// Inputs must be uncorrelated (SCC 0).
     Uncorrelated,
-    /// The operator is correlation-agnostic.
-    Agnostic,
 }
 
 impl CorrRequirement {
@@ -228,7 +203,6 @@ impl CorrRequirement {
     #[must_use]
     pub fn satisfied_by(&self, class: SccClass) -> bool {
         match self {
-            CorrRequirement::Agnostic => true,
             CorrRequirement::Positive => class == SccClass::Positive,
             CorrRequirement::Negative => class == SccClass::Negative,
             CorrRequirement::Uncorrelated => class == SccClass::Uncorrelated,
@@ -236,28 +210,25 @@ impl CorrRequirement {
     }
 
     /// The manipulator family that *establishes* this requirement, used by
-    /// the planner's auto-repair pass. `None` for agnostic ops. Synchronizers
-    /// take the options' save depth; desynchronizers save one bit and
-    /// decorrelators shuffle through four slots.
+    /// the planner's auto-repair pass. Synchronizers take the options' save
+    /// depth; desynchronizers save one bit and decorrelators shuffle through
+    /// four slots.
     #[must_use]
-    pub fn establishing_manipulator(
-        &self,
-        options: &crate::PlannerOptions,
-    ) -> Option<ManipulatorKind> {
+    pub fn establishing_manipulator(&self, options: &crate::PlannerOptions) -> ManipulatorKind {
         match self {
-            CorrRequirement::Agnostic => None,
-            CorrRequirement::Positive => Some(ManipulatorKind::Synchronizer {
+            CorrRequirement::Positive => ManipulatorKind::Synchronizer {
                 depth: options.synchronizer_depth,
-            }),
-            CorrRequirement::Negative => Some(ManipulatorKind::Desynchronizer { depth: 1 }),
-            CorrRequirement::Uncorrelated => Some(ManipulatorKind::Decorrelator { depth: 4 }),
+            },
+            CorrRequirement::Negative => ManipulatorKind::Desynchronizer { depth: 1 },
+            CorrRequirement::Uncorrelated => ManipulatorKind::Decorrelator { depth: 4 },
         }
     }
 }
 
-/// A two-input, one-output arithmetic operator drawn from `sc_arith`.
+/// A two-input, one-output arithmetic gate drawn from `sc_arith` (paper
+/// Fig. 2).
 ///
-/// Each operator carries the *intent* of the circuit (e.g. OR used as max vs
+/// Each operator carries the *intent* of the gate (e.g. OR used as max vs
 /// OR used as saturating add), because the intent determines the correlation
 /// precondition the planner must establish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -274,12 +245,6 @@ pub enum BinaryOp {
     SaturatingAdd,
     /// XOR-gate absolute difference (`|pX − pY|`, needs SCC +1).
     XorSubtract,
-    /// Correlation-agnostic parallel-counter scaled add (`0.5(pX + pY)`).
-    CaAdd,
-    /// Correlation-agnostic counter-based maximum (SC-DCNN baseline).
-    CaMax,
-    /// Correlation-agnostic counter-based minimum.
-    CaMin,
 }
 
 impl BinaryOp {
@@ -290,7 +255,6 @@ impl BinaryOp {
             BinaryOp::AndMultiply | BinaryOp::XnorMultiply => CorrRequirement::Uncorrelated,
             BinaryOp::OrMax | BinaryOp::AndMin | BinaryOp::XorSubtract => CorrRequirement::Positive,
             BinaryOp::SaturatingAdd => CorrRequirement::Negative,
-            BinaryOp::CaAdd | BinaryOp::CaMax | BinaryOp::CaMin => CorrRequirement::Agnostic,
         }
     }
 }
@@ -305,9 +269,6 @@ impl BinaryOp {
             BinaryOp::AndMin => "and_min",
             BinaryOp::SaturatingAdd => "saturating_add",
             BinaryOp::XorSubtract => "xor_subtract",
-            BinaryOp::CaAdd => "ca_add",
-            BinaryOp::CaMax => "ca_max",
-            BinaryOp::CaMin => "ca_min",
         }
     }
 }
@@ -343,13 +304,11 @@ pub enum NodeOp {
         /// The circuit family.
         ManipulatorKind,
     ),
-    /// S/D + D/S regeneration from a fresh source (§II.B baseline).
-    /// 1 input, 1 output.
+    /// S/D + D/S regeneration from a fresh source (§II.B baseline), which
+    /// draws the source from its start. 1 input, 1 output.
     Regenerate {
         /// Re-encoding sample source.
         source: SourceSpec,
-        /// Samples the source has already served to earlier consumers.
-        skip: u64,
     },
     /// Stream complement (`1 − pX`). 1 input, 1 output.
     Not,
@@ -433,17 +392,17 @@ impl NodeOp {
     /// The sample source the node's hardware draws from, and the samples
     /// that source has already served to earlier consumers: the comparator
     /// source of a D/S conversion (`Generate`, `Regenerate`) or the select
-    /// source of a `WeightedMux`.
+    /// source of a `WeightedMux`. A regeneration unit draws from the start.
     #[must_use]
     pub fn source(&self) -> Option<(&SourceSpec, u64)> {
         match self {
             NodeOp::Generate { source, skip, .. }
-            | NodeOp::Regenerate { source, skip }
             | NodeOp::WeightedMux {
                 select: source,
                 skip,
                 ..
             } => Some((source, *skip)),
+            NodeOp::Regenerate { source } => Some((source, 0)),
             _ => None,
         }
     }
@@ -495,9 +454,9 @@ mod tests {
     #[test]
     fn arities_and_ports() {
         assert_eq!(NodeOp::Not.input_arity(), 1);
-        assert_eq!(NodeOp::Binary(BinaryOp::CaAdd).input_arity(), 2);
+        assert_eq!(NodeOp::Binary(BinaryOp::AndMin).input_arity(), 2);
         assert_eq!(
-            NodeOp::Manipulate(ManipulatorKind::Identity).output_ports(),
+            NodeOp::Manipulate(ManipulatorKind::Decorrelator { depth: 4 }).output_ports(),
             2
         );
         assert_eq!(NodeOp::SccProbe { name: "p".into() }.input_arity(), 2);
@@ -519,35 +478,28 @@ mod tests {
             BinaryOp::XorSubtract.requirement(),
             CorrRequirement::Positive
         );
-        assert_eq!(BinaryOp::CaAdd.requirement(), CorrRequirement::Agnostic);
     }
 
     #[test]
     fn establishing_manipulators() {
         let options = PlannerOptions::default();
+        for requirement in [
+            CorrRequirement::Positive,
+            CorrRequirement::Negative,
+            CorrRequirement::Uncorrelated,
+        ] {
+            let kind = requirement.establishing_manipulator(&options);
+            assert!(requirement.satisfied_by(kind.output_class()), "{kind}");
+        }
         assert!(matches!(
             CorrRequirement::Positive.establishing_manipulator(&options),
-            Some(ManipulatorKind::Synchronizer { .. })
+            ManipulatorKind::Synchronizer { .. }
         ));
-        assert!(matches!(
-            CorrRequirement::Negative.establishing_manipulator(&options),
-            Some(ManipulatorKind::Desynchronizer { .. })
-        ));
-        assert!(matches!(
-            CorrRequirement::Uncorrelated.establishing_manipulator(&options),
-            Some(ManipulatorKind::Decorrelator { .. })
-        ));
-        assert_eq!(
-            CorrRequirement::Agnostic.establishing_manipulator(&options),
-            None
-        );
     }
 
     #[test]
     fn manipulator_kinds_build_and_classify() {
         let kinds = [
-            ManipulatorKind::Identity,
-            ManipulatorKind::Isolator { delay: 2 },
             ManipulatorKind::Synchronizer { depth: 1 },
             ManipulatorKind::Desynchronizer { depth: 1 },
             ManipulatorKind::Decorrelator { depth: 4 },
@@ -556,18 +508,17 @@ mod tests {
             let m = kind.build();
             assert!(!m.name().is_empty());
         }
-        assert_eq!(ManipulatorKind::Identity.output_class(), None);
         assert_eq!(
             ManipulatorKind::Synchronizer { depth: 2 }.output_class(),
-            Some(SccClass::Positive)
+            SccClass::Positive
         );
         assert_eq!(
             ManipulatorKind::Desynchronizer { depth: 2 }.output_class(),
-            Some(SccClass::Negative)
+            SccClass::Negative
         );
         assert_eq!(
             ManipulatorKind::Decorrelator { depth: 2 }.output_class(),
-            Some(SccClass::Uncorrelated)
+            SccClass::Uncorrelated
         );
     }
 

@@ -2,13 +2,13 @@
 
 use crate::compile::{CompileReport, PassDelta};
 use crate::graph::Graph;
-use crate::node::{ManipulatorKind, NodeOp, SccClass, Wire};
+use crate::node::{NodeOp, SccClass, Wire};
 
 /// Derives every correlation-tracked operator's input-pair SCC class for
 /// the repair stage, from structure alone, as a dense per-node table
 /// (`None` for untracked nodes), and counts the tracked operators: a pair
 /// the rules of [`pair_class`] cannot place is [`SccClass::Unknown`], which
-/// only an agnostic operator accepts.
+/// satisfies no operator's requirement, so repair always fixes it.
 ///
 /// Classes are derived on the pre-repair graph; repair later only redirects
 /// the failing operator's own inputs, which cannot change any other pair's
@@ -40,17 +40,10 @@ fn pair_class(graph: &Graph, a: Wire, b: Wire) -> SccClass {
     }
     let na = graph.node(a.node());
     let nb = graph.node(b.node());
-    // Unwrap identity manipulators: they preserve their input pair's class.
-    if let NodeOp::Manipulate(ManipulatorKind::Identity) = na.op {
-        return pair_class(graph, graph.inputs(a.node())[a.port() as usize], b);
-    }
-    if let NodeOp::Manipulate(ManipulatorKind::Identity) = nb.op {
-        return pair_class(graph, a, graph.inputs(b.node())[b.port() as usize]);
-    }
     // The two output ports of one manipulator carry the class it establishes.
     if a.node() == b.node() {
         if let NodeOp::Manipulate(kind) = &na.op {
-            return kind.output_class().unwrap_or(SccClass::Unknown);
+            return kind.output_class();
         }
         return SccClass::Unknown;
     }

@@ -11,7 +11,7 @@
 //!    and arities are checked as each node is added.
 //! 2. **scc-infer** ([`Stage::CompilePlan`]) — derives every tracked
 //!    operator's input-pair SCC class from structure alone, into a dense
-//!    per-node table, O(n) plus the identity-manipulator chains it unwraps.
+//!    per-node table, O(n).
 //! 3. **repair** ([`Stage::CompileRepair`]) — where an inferred class misses
 //!    an operator's precondition, records a splice of the one manipulator
 //!    that establishes the required class: synchronizer, desynchronizer, or
@@ -106,7 +106,7 @@ mod tests {
                 2 => wires.push(g.mux_add(x, y, sobol(3))),
                 3 => {
                     let kind = [
-                        ManipulatorKind::Identity,
+                        ManipulatorKind::Desynchronizer { depth: 1 },
                         ManipulatorKind::Synchronizer { depth: 1 },
                         ManipulatorKind::Decorrelator { depth: 2 },
                     ][next(3)];
@@ -119,7 +119,7 @@ mod tests {
                         BinaryOp::OrMax,
                         BinaryOp::SaturatingAdd,
                         BinaryOp::AndMultiply,
-                        BinaryOp::CaAdd,
+                        BinaryOp::XnorMultiply,
                     ][next(5)];
                     wires.push(g.binary(op, x, y));
                 }

@@ -101,9 +101,7 @@ pub(crate) fn repair<'a>(
         if requirement.satisfied_by(class) {
             continue;
         }
-        let Some(kind) = requirement.establishing_manipulator(options) else {
-            continue;
-        };
+        let kind = requirement.establishing_manipulator(options);
         if misses.is_empty() {
             misses.reserve_exact(tracked);
         }

@@ -20,10 +20,9 @@ pub(crate) fn validate(
             CorrRequirement::Negative,
             CorrRequirement::Uncorrelated,
         ] {
-            if let Some(kind) = requirement.establishing_manipulator(options) {
-                if !kind.in_range() {
-                    return Err(GraphError::ManipulatorOutOfRange { kind });
-                }
+            let kind = requirement.establishing_manipulator(options);
+            if !kind.in_range() {
+                return Err(GraphError::ManipulatorOutOfRange { kind });
             }
         }
     }

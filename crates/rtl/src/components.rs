@@ -97,92 +97,3 @@ impl Component for SelectOneHot {
         }
     }
 }
-
-/// The correlation-agnostic adder: full adder over `(x, y, residue)` whose
-/// carry (majority) is the output and whose sum becomes the next residue.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CaAddCell {
-    residue: bool,
-}
-
-impl CaAddCell {
-    /// Creates the adder with a zero residue.
-    #[must_use]
-    pub fn new() -> Self {
-        CaAddCell::default()
-    }
-}
-
-impl Component for CaAddCell {
-    fn name(&self) -> &str {
-        "caadd"
-    }
-
-    fn num_inputs(&self) -> usize {
-        2
-    }
-
-    fn num_outputs(&self) -> usize {
-        1
-    }
-
-    fn evaluate(&mut self, inputs: &[bool], outputs: &mut [bool]) {
-        let (x, y) = (inputs[0], inputs[1]);
-        let ones = usize::from(x) + usize::from(y) + usize::from(self.residue);
-        outputs[0] = ones >= 2; // majority = carry
-        self.residue = ones & 1 == 1; // sum = next residue
-    }
-}
-
-/// Correlation-agnostic max/min: two activity counters and an output that
-/// pulses whenever the running max (respectively min) advances.
-#[derive(Debug, Clone, Copy)]
-pub struct CaMaxMinCell {
-    max: bool,
-    count_x: u64,
-    count_y: u64,
-    count_out: u64,
-}
-
-impl CaMaxMinCell {
-    /// Creates the block; `max` selects maximum (else minimum).
-    #[must_use]
-    pub fn new(max: bool) -> Self {
-        CaMaxMinCell {
-            max,
-            count_x: 0,
-            count_y: 0,
-            count_out: 0,
-        }
-    }
-}
-
-impl Component for CaMaxMinCell {
-    fn name(&self) -> &str {
-        if self.max {
-            "camax"
-        } else {
-            "camin"
-        }
-    }
-
-    fn num_inputs(&self) -> usize {
-        2
-    }
-
-    fn num_outputs(&self) -> usize {
-        1
-    }
-
-    fn evaluate(&mut self, inputs: &[bool], outputs: &mut [bool]) {
-        self.count_x += u64::from(inputs[0]);
-        self.count_y += u64::from(inputs[1]);
-        let target = if self.max {
-            self.count_x.max(self.count_y)
-        } else {
-            self.count_x.min(self.count_y)
-        };
-        outputs[0] = target > self.count_out;
-        self.count_out = target;
-    }
-}

@@ -2,10 +2,9 @@
 //! nets, produced by [`crate::elaborate()`] from a compiled dataflow plan.
 //!
 //! The IR is deliberately small: gate-level primitives (logic gates,
-//! flip-flops, full adders, multiplexers, counters) plus a handful of
-//! *behavioural* cells for blocks whose cycle-level semantics are
-//! data-dependent state machines (source comparators, manipulator FSMs,
-//! correlation-agnostic counters). Every cell knows its
+//! multiplexers, counters) plus a handful of *behavioural* cells for blocks
+//! whose cycle-level semantics are data-dependent state machines (source
+//! comparators, manipulator FSMs). Every cell knows its
 //! `sc_hwcost` primitive content, so [`Design::netlist`] derives the plan's
 //! hardware cost by counting the *actually elaborated* structure instead of a
 //! per-op lookup table.
@@ -43,10 +42,6 @@ pub enum CellKind {
     Inv,
     /// Two-to-one multiplexer: inputs `(in0, in1, select)`.
     Mux2,
-    /// D flip-flop.
-    Dff,
-    /// One-bit full adder: inputs `(a, b, cin)`, outputs `(sum, carry)`.
-    FullAdder,
     /// Up counter with a combinational increment read path: one enable
     /// input, `bits` output bits (LSB first).
     Counter {
@@ -80,49 +75,8 @@ pub enum CellKind {
     /// decorrelator), kept as one sequential block. Two inputs, two outputs.
     Fsm {
         /// The circuit family and depth.
-        kind: FsmKind,
+        kind: ManipulatorKind,
     },
-    /// The correlation-agnostic adder: a full adder whose sum feeds the
-    /// residue flip-flop and whose carry (majority) is the output.
-    CaAdd,
-    /// Correlation-agnostic maximum (two counters + comparator).
-    CaMax,
-    /// Correlation-agnostic minimum.
-    CaMin,
-}
-
-/// The manipulators that lower to one [`CellKind::Fsm`] block. The identity
-/// and the isolator are not among them: they lower to a wire and to a
-/// flip-flop chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FsmKind {
-    /// Synchronizer FSM with save depth `depth`.
-    Synchronizer {
-        /// Save depth `D ≥ 1`.
-        depth: u32,
-    },
-    /// Desynchronizer FSM with save depth `depth`.
-    Desynchronizer {
-        /// Save depth `D ≥ 1`.
-        depth: u32,
-    },
-    /// Decorrelator of two shuffle buffers of `depth` entries.
-    Decorrelator {
-        /// Shuffle-buffer depth.
-        depth: usize,
-    },
-}
-
-impl FsmKind {
-    /// The graph-level manipulator this FSM implements.
-    #[must_use]
-    pub fn manipulator(self) -> ManipulatorKind {
-        match self {
-            FsmKind::Synchronizer { depth } => ManipulatorKind::Synchronizer { depth },
-            FsmKind::Desynchronizer { depth } => ManipulatorKind::Desynchronizer { depth },
-            FsmKind::Decorrelator { depth } => ManipulatorKind::Decorrelator { depth },
-        }
-    }
 }
 
 /// The select lines a `k`-way weighted mux chain reads, which are the
@@ -143,15 +97,10 @@ impl CellKind {
             CellKind::Xnor2 => "xnor2",
             CellKind::Inv => "inv",
             CellKind::Mux2 => "mux2",
-            CellKind::Dff => "dff",
-            CellKind::FullAdder => "fa",
             CellKind::Counter { .. } => "counter",
             CellKind::Source { .. } => "source",
             CellKind::SelectOneHot { .. } => "wsel",
             CellKind::Fsm { .. } => "fsm",
-            CellKind::CaAdd => "caadd",
-            CellKind::CaMax => "camax",
-            CellKind::CaMin => "camin",
         }
     }
 
@@ -160,16 +109,13 @@ impl CellKind {
     pub fn num_inputs(&self) -> usize {
         match self {
             CellKind::Source { .. } | CellKind::SelectOneHot { .. } => 0,
-            CellKind::Inv | CellKind::Dff | CellKind::Counter { .. } => 1,
+            CellKind::Inv | CellKind::Counter { .. } => 1,
             CellKind::And2
             | CellKind::Or2
             | CellKind::Xor2
             | CellKind::Xnor2
-            | CellKind::Fsm { .. }
-            | CellKind::CaAdd
-            | CellKind::CaMax
-            | CellKind::CaMin => 2,
-            CellKind::Mux2 | CellKind::FullAdder => 3,
+            | CellKind::Fsm { .. } => 2,
+            CellKind::Mux2 => 3,
         }
     }
 
@@ -177,7 +123,7 @@ impl CellKind {
     #[must_use]
     pub fn num_outputs(&self) -> usize {
         match self {
-            CellKind::FullAdder | CellKind::Fsm { .. } => 2,
+            CellKind::Fsm { .. } => 2,
             CellKind::Counter { bits } => *bits as usize,
             CellKind::SelectOneHot { weights, .. } => select_lines(weights.len()).len(),
             _ => 1,
@@ -197,8 +143,6 @@ impl CellKind {
             CellKind::Xnor2 => Netlist::new("xnor2").with(Primitive::Xnor2, 1),
             CellKind::Inv => Netlist::new("inv").with(Primitive::Inverter, 1),
             CellKind::Mux2 => Netlist::new("mux2").with(Primitive::Mux2, 1),
-            CellKind::Dff => Netlist::new("dff").with(Primitive::DFlipFlop, 1),
-            CellKind::FullAdder => Netlist::new("fa").with(Primitive::FullAdder, 1),
             CellKind::Counter { bits } => {
                 Netlist::new("counter").with(Primitive::Counter(*bits), 1)
             }
@@ -212,15 +156,7 @@ impl CellKind {
                 n
             }
             CellKind::SelectOneHot { spec, .. } => graph_cost::source_netlist(spec, converter_bits),
-            CellKind::Fsm { kind } => graph_cost::manipulator_netlist(&kind.manipulator()),
-            // The structural CA adder refines the table model: the majority /
-            // sum pair is literally one full adder plus the residue flip-flop.
-            CellKind::CaAdd => Netlist::new("ca-add")
-                .with(Primitive::FullAdder, 1)
-                .with(Primitive::DFlipFlop, 1),
-            CellKind::CaMax | CellKind::CaMin => {
-                sc_hwcost::characterize::correlation_agnostic_max_netlist()
-            }
+            CellKind::Fsm { kind } => graph_cost::manipulator_netlist(kind),
         }
     }
 }
@@ -377,9 +313,7 @@ impl Design {
     /// a lookup, this counts what the elaborator actually built — the two
     /// agree exactly for every block whose elaboration matches the table's
     /// model (sources, manipulators, muxes, counters, single-gate
-    /// arithmetic), and the structural count is authoritative where the
-    /// elaboration is finer (e.g. the CA adder's full-adder + flip-flop
-    /// decomposition).
+    /// arithmetic).
     #[must_use]
     pub fn netlist(&self, name: impl Into<String>, converter_bits: u32) -> Netlist {
         let mut total = Netlist::new(name);

@@ -2,14 +2,12 @@
 //! cycle-level co-simulation harness that runs the lowered circuit against
 //! the same batch input the word-parallel executor consumes.
 
-use crate::components::{CaAddCell, CaMaxMinCell, SelectOneHot, SourceBit};
-use crate::design::{Cell, CellKind, Design, FsmKind, NetRef, SinkPlan};
+use crate::components::{SelectOneHot, SourceBit};
+use crate::design::{Cell, CellKind, Design, NetRef, SinkPlan};
 use sc_bitstream::Bitstream;
 use sc_core::sim_adapter::ManipulatorComponent;
-use sc_graph::{BatchInput, BinaryOp, CompiledGraph, ManipulatorKind, NodeOp};
-use sc_sim::components::{
-    AndGate, DFlipFlop, FullAdder, Mux2, NotGate, OrGate, UpCounter, XnorGate, XorGate,
-};
+use sc_graph::{BatchInput, BinaryOp, CompiledGraph, NodeOp};
+use sc_sim::components::{AndGate, Mux2, NotGate, OrGate, UpCounter, XnorGate, XorGate};
 use sc_sim::{Circuit, NetId, SimError};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -151,36 +149,12 @@ pub fn elaborate(
                 slots[dst] = Some(out[0]);
             }
             NodeOp::Manipulate(kind) => {
-                let (mut nx, mut ny) = (slot(&slots, srcs[0]), slot(&slots, srcs[1]));
-                let fsm = match *kind {
-                    ManipulatorKind::Identity => None,
-                    ManipulatorKind::Isolator { delay } => {
-                        // A k-stage isolator is literally k flip-flops in the
-                        // X path; Y passes through untouched.
-                        for _ in 0..delay {
-                            nx = design.cell(CellKind::Dff, &[nx])[0];
-                        }
-                        None
-                    }
-                    ManipulatorKind::Synchronizer { depth } => {
-                        Some(FsmKind::Synchronizer { depth })
-                    }
-                    ManipulatorKind::Desynchronizer { depth } => {
-                        Some(FsmKind::Desynchronizer { depth })
-                    }
-                    ManipulatorKind::Decorrelator { depth } => {
-                        Some(FsmKind::Decorrelator { depth })
-                    }
-                };
-                if let Some(kind) = fsm {
-                    let outs = design.cell(CellKind::Fsm { kind }, &[nx, ny]);
-                    nx = outs[0];
-                    ny = outs[1];
-                }
-                slots[dst] = Some(nx);
-                slots[dst + 1] = Some(ny);
+                let pair = [slot(&slots, srcs[0]), slot(&slots, srcs[1])];
+                let outs = design.cell(CellKind::Fsm { kind: *kind }, &pair);
+                slots[dst] = Some(outs[0]);
+                slots[dst + 1] = Some(outs[1]);
             }
-            NodeOp::Regenerate { source, .. } => {
+            NodeOp::Regenerate { source } => {
                 return Err(RtlError::Unsupported(format!(
                     "regenerate({source}): S/D → D/S regeneration needs a full extra stream \
                      period of latency and has no single-pass cycle-level equivalent"
@@ -201,9 +175,6 @@ pub fn elaborate(
                     }
                     BinaryOp::XnorMultiply => design.cell(CellKind::Xnor2, &[nx, ny]),
                     BinaryOp::XorSubtract => design.cell(CellKind::Xor2, &[nx, ny]),
-                    BinaryOp::CaAdd => design.cell(CellKind::CaAdd, &[nx, ny]),
-                    BinaryOp::CaMax => design.cell(CellKind::CaMax, &[nx, ny]),
-                    BinaryOp::CaMin => design.cell(CellKind::CaMin, &[nx, ny]),
                 };
                 slots[dst] = Some(out[0]);
             }
@@ -475,8 +446,6 @@ fn instantiate(circuit: &mut Circuit, cell: &Cell, inputs: &[NetId]) -> Vec<NetI
         CellKind::Xnor2 => circuit.add_component(XnorGate::new(), inputs),
         CellKind::Inv => circuit.add_component(NotGate::new(), inputs),
         CellKind::Mux2 => circuit.add_component(Mux2::new(), inputs),
-        CellKind::Dff => circuit.add_component(DFlipFlop::new(), inputs),
-        CellKind::FullAdder => circuit.add_component(FullAdder::new(), inputs),
         CellKind::Counter { bits } => circuit.add_component(UpCounter::new(*bits), inputs),
         CellKind::Source {
             spec,
@@ -488,13 +457,9 @@ fn instantiate(circuit: &mut Circuit, cell: &Cell, inputs: &[NetId]) -> Vec<NetI
             skip,
             weights,
         } => circuit.add_component(SelectOneHot::new(spec, *skip, weights), inputs),
-        CellKind::Fsm { kind } => circuit.add_component(
-            ManipulatorComponent::new(kind.manipulator().build()),
-            inputs,
-        ),
-        CellKind::CaAdd => circuit.add_component(CaAddCell::new(), inputs),
-        CellKind::CaMax => circuit.add_component(CaMaxMinCell::new(true), inputs),
-        CellKind::CaMin => circuit.add_component(CaMaxMinCell::new(false), inputs),
+        CellKind::Fsm { kind } => {
+            circuit.add_component(ManipulatorComponent::new(kind.build()), inputs)
+        }
     }
 }
 
@@ -546,19 +511,19 @@ mod tests {
     }
 
     #[test]
-    fn identity_and_isolator_lower_structurally() {
+    fn each_manipulator_lowers_to_one_fsm_cell() {
+        use sc_graph::ManipulatorKind;
         let mut g = Graph::new();
         let x = g.input_stream(0);
         let y = g.input_stream(1);
-        let (i0, i1) = g.manipulate(sc_graph::ManipulatorKind::Identity, x, y);
-        let (k0, k1) = g.manipulate(sc_graph::ManipulatorKind::Isolator { delay: 3 }, i0, i1);
-        g.sink_stream("x", k0);
-        g.sink_stream("y", k1);
+        let (s0, s1) = g.manipulate(ManipulatorKind::Synchronizer { depth: 2 }, x, y);
+        let (d0, d1) = g.manipulate(ManipulatorKind::Decorrelator { depth: 3 }, s0, s1);
+        g.sink_stream("x", d0);
+        g.sink_stream("y", d1);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
         let design = elaborate(&plan, &BatchInput::new(), 64).unwrap();
-        // Identity is pure wiring; the isolator is exactly 3 flip-flops.
-        assert_eq!(design.kind_histogram().get("dff"), Some(&3));
-        assert_eq!(design.cell_count(), 3);
+        assert_eq!(design.kind_histogram().get("fsm"), Some(&2));
+        assert_eq!(design.cell_count(), 2);
         let input = BatchInput::with_streams(vec![
             Bitstream::from_fn(64, |i| i % 3 == 0),
             Bitstream::from_fn(64, |i| i % 5 == 0),

@@ -19,7 +19,9 @@
 //!    every node kind and for the full Gaussian-blur → edge-detect tile
 //!    pipeline),
 //! 2. **emitted as synthesizable Verilog** ([`to_verilog`]), one leaf module
-//!    per cell kind with a deterministic, snapshot-testable layout, and
+//!    per cell kind (gates, muxes, counters, source comparators, and one
+//!    FSM block per manipulator) with a deterministic, snapshot-testable
+//!    layout, and
 //! 3. **costed structurally** ([`Design::netlist`]): the hardware estimate
 //!    comes from the instantiated cells, cross-checked against the
 //!    table-driven [`sc_graph::cost`] bridge so per-op estimates become
@@ -65,6 +67,6 @@ pub mod design;
 pub mod elaborate;
 pub mod verilog;
 
-pub use design::{Cell, CellKind, Design, FsmKind, NetRef, SinkPlan};
+pub use design::{Cell, CellKind, Design, NetRef, SinkPlan};
 pub use elaborate::{elaborate, sink_counter_bits, RtlError, RtlOutput};
 pub use verilog::to_verilog;

@@ -2,17 +2,17 @@
 //! kind (parameterised per instance), one top module wiring the whole plan.
 //!
 //! The emitted RTL is *structural where the design is structural* (gates,
-//! flip-flops, multiplexer trees, counters, full adders) and *behavioural
-//! where the design is behavioural* (manipulator FSMs, sample generators,
-//! correlation-agnostic counters) — mirroring what a hardware engineer
-//! would hand to synthesis. Sample generators deserve a caveat: the LFSR
+//! multiplexer trees, counters) and *behavioural where the design is
+//! behavioural* (manipulator FSMs, sample generators) — mirroring what a
+//! hardware engineer would hand to synthesis. Sample generators deserve a caveat: the LFSR
 //! and the base-2 Van der Corput generator (a bit-reversed counter) are
 //! faithful; Halton / Sobol generators are emitted as bit-reversed-counter
 //! stand-ins with a comment, since their true hardware (digit-reversal in
 //! radix `b`, direction-vector XOR banks) is out of scope here. Emission is
 //! fully deterministic, so the output is snapshot-testable.
 
-use crate::design::{CellKind, Design, FsmKind, NetRef, SinkPlan};
+use crate::design::{CellKind, Design, NetRef, SinkPlan};
+use sc_graph::ManipulatorKind;
 use sc_rng::{Lfsr, SourceSpec};
 use std::fmt::Write as _;
 
@@ -104,8 +104,6 @@ fn used_modules(design: &Design) -> Vec<&'static str> {
             CellKind::Xnor2 => mark("sc_xnor2"),
             CellKind::Inv => mark("sc_inv"),
             CellKind::Mux2 => mark("sc_mux2"),
-            CellKind::Dff => mark("sc_dff"),
-            CellKind::FullAdder => mark("sc_fa"),
             CellKind::Counter { .. } => mark("sc_counter"),
             CellKind::Source { .. } => {
                 mark("sc_sample");
@@ -116,8 +114,6 @@ fn used_modules(design: &Design) -> Vec<&'static str> {
                 mark("sc_wsel");
             }
             CellKind::Fsm { kind } => mark(fsm_module(*kind).0),
-            CellKind::CaAdd => mark("sc_caadd"),
-            CellKind::CaMax | CellKind::CaMin => mark("sc_camaxmin"),
         }
     }
     MODULES
@@ -153,14 +149,6 @@ const MODULES: &[(&str, &str)] = &[
         "module sc_mux2 (input d0, input d1, input sel, output y);\n  assign y = sel ? d1 : d0;\nendmodule\n",
     ),
     (
-        "sc_dff",
-        "module sc_dff (input clk, input rst, input d, output reg q);\n  always @(posedge clk or posedge rst)\n    if (rst) q <= 1'b0;\n    else q <= d;\nendmodule\n",
-    ),
-    (
-        "sc_fa",
-        "module sc_fa (input a, input b, input cin, output sum, output cout);\n  assign sum = a ^ b ^ cin;\n  assign cout = (a & b) | (cin & (a ^ b));\nendmodule\n",
-    ),
-    (
         "sc_counter",
         "// S/D converter counter (Fig. 2f) with a combinational increment\n// read path: q carries the count including the current cycle.\nmodule sc_counter #(parameter WIDTH = 8)\n                   (input clk, input rst, input en, output [WIDTH-1:0] q);\n  reg [WIDTH-1:0] state;\n  always @(posedge clk or posedge rst)\n    if (rst) state <= {WIDTH{1'b0}};\n    else state <= state + en;\n  assign q = state + en;\nendmodule\n",
     ),
@@ -187,14 +175,6 @@ const MODULES: &[(&str, &str)] = &[
     (
         "sc_decorrelator",
         "// Decorrelator (Fig. 4a): two shuffle buffers with independent LFSR\n// write addressing, driving SCC toward 0. Address wires are 13 bits so\n// every supported depth (1..=4096) indexes without truncation.\nmodule sc_decorrelator #(parameter DEPTH = 4)\n                        (input clk, input rst, input x, input y,\n                         output ox, output oy);\n  reg [DEPTH-1:0] buf_x, buf_y;\n  reg [15:0] addr_x, addr_y;\n  wire [12:0] ax = addr_x % DEPTH;\n  wire [12:0] ay = addr_y % DEPTH;\n  assign ox = buf_x[ax];\n  assign oy = buf_y[ay];\n  always @(posedge clk or posedge rst)\n    if (rst) begin\n      buf_x <= {DEPTH{1'b0}}; buf_y <= {DEPTH{1'b0}};\n      addr_x <= 16'hACE1; addr_y <= 16'h7331;\n    end else begin\n      buf_x[ax] <= x;\n      buf_y[ay] <= y;\n      addr_x <= {addr_x[14:0], ^(addr_x & 16'hB400)};\n      addr_y <= {addr_y[14:0], ^(addr_y & 16'hB400)};\n    end\nendmodule\n",
-    ),
-    (
-        "sc_caadd",
-        "// Correlation-agnostic adder: a full adder over (x, y, residue); the\n// carry (majority) is the output, the sum is the next residue.\nmodule sc_caadd (input clk, input rst, input x, input y, output z);\n  reg residue;\n  wire sum = x ^ y ^ residue;\n  assign z = (x & y) | (residue & (x ^ y));\n  always @(posedge clk or posedge rst)\n    if (rst) residue <= 1'b0;\n    else residue <= sum;\nendmodule\n",
-    ),
-    (
-        "sc_camaxmin",
-        "// Correlation-agnostic max/min (SC-DCNN): activity counters and a\n// pulse whenever the running max (MAXSEL=1) or min advances.\nmodule sc_camaxmin #(parameter MAXSEL = 1, parameter WIDTH = 16)\n                    (input clk, input rst, input x, input y, output z);\n  reg [WIDTH-1:0] cx, cy, co;\n  wire [WIDTH-1:0] nx = cx + x;\n  wire [WIDTH-1:0] ny = cy + y;\n  wire [WIDTH-1:0] target = MAXSEL ? (nx > ny ? nx : ny) : (nx < ny ? nx : ny);\n  assign z = target > co;\n  always @(posedge clk or posedge rst)\n    if (rst) begin cx <= 0; cy <= 0; co <= 0; end\n    else begin cx <= nx; cy <= ny; co <= target; end\nendmodule\n",
     ),
 ];
 
@@ -286,11 +266,11 @@ fn emit_top(v: &mut String, design: &Design, top_name: &str) {
 }
 
 /// The leaf module and `DEPTH` parameter of a manipulator FSM cell.
-fn fsm_module(kind: FsmKind) -> (&'static str, u64) {
+fn fsm_module(kind: ManipulatorKind) -> (&'static str, u64) {
     match kind {
-        FsmKind::Synchronizer { depth } => ("sc_synchronizer", u64::from(depth)),
-        FsmKind::Desynchronizer { depth } => ("sc_desynchronizer", u64::from(depth)),
-        FsmKind::Decorrelator { depth } => ("sc_decorrelator", depth as u64),
+        ManipulatorKind::Synchronizer { depth } => ("sc_synchronizer", u64::from(depth)),
+        ManipulatorKind::Desynchronizer { depth } => ("sc_desynchronizer", u64::from(depth)),
+        ManipulatorKind::Decorrelator { depth } => ("sc_decorrelator", depth as u64),
     }
 }
 
@@ -324,19 +304,6 @@ fn emit_instance(cell: &crate::design::Cell, inst: &str) -> String {
             net(i[1]),
             net(i[2]),
             net(o[0])
-        ),
-        CellKind::Dff => format!(
-            "sc_dff {inst} (.clk(clk), .rst(rst), .d({}), .q({}));",
-            net(i[0]),
-            net(o[0])
-        ),
-        CellKind::FullAdder => format!(
-            "sc_fa {inst} (.a({}), .b({}), .cin({}), .sum({}), .cout({}));",
-            net(i[0]),
-            net(i[1]),
-            net(i[2]),
-            net(o[0]),
-            net(o[1])
         ),
         CellKind::Counter { bits } => format!(
             "sc_counter #(.WIDTH({bits})) {inst} (.clk(clk), .rst(rst), .en({}), .q({}));",
@@ -384,18 +351,5 @@ fn emit_instance(cell: &crate::design::Cell, inst: &str) -> String {
                 net(o[1])
             )
         }
-        CellKind::CaAdd => format!(
-            "sc_caadd {inst} (.clk(clk), .rst(rst), .x({}), .y({}), .z({}));",
-            net(i[0]),
-            net(i[1]),
-            net(o[0])
-        ),
-        CellKind::CaMax | CellKind::CaMin => format!(
-            "sc_camaxmin #(.MAXSEL({})) {inst} (.clk(clk), .rst(rst), .x({}), .y({}), .z({}));",
-            u8::from(matches!(cell.kind, CellKind::CaMax)),
-            net(i[0]),
-            net(i[1]),
-            net(o[0])
-        ),
     }
 }

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use sc_repro::{sc_arith, sc_bitstream, sc_convert, sc_core, sc_graph, sc_image, sc_rng, sc_sim};
 
-use sc_arith::add::{ca_add, half_select_stream, mux_add};
+use sc_arith::add::{half_select_stream, mux_add};
 use sc_bitstream::{Bitstream, Probability};
 use sc_convert::{DigitalToStochastic, StochasticToDigital};
 use sc_core::CorrelationManipulator;
@@ -22,15 +22,33 @@ use sc_rng::SourceSpec;
 /// long non-multiple-of-64 stream.
 const LENGTHS: [usize; 5] = [1, 63, 64, 65, 1000];
 
-const MANIPULATORS: [ManipulatorKind; 5] = [
-    ManipulatorKind::Identity,
-    ManipulatorKind::Isolator { delay: 3 },
+const MANIPULATORS: [ManipulatorKind; 3] = [
     ManipulatorKind::Synchronizer { depth: 2 },
     ManipulatorKind::Desynchronizer { depth: 1 },
     ManipulatorKind::Decorrelator { depth: 4 },
 ];
 
-/// Builds the satellite pipeline {d2s → manipulator → ca_add → s2d} as a
+/// An `sc_arith` two-input gate function.
+type GateFn = fn(&Bitstream, &Bitstream) -> sc_bitstream::Result<Bitstream>;
+
+/// The gate whose requirement `kind` establishes (paper Fig. 2), with its
+/// `sc_arith` function: XOR subtract after a synchronizer, OR saturating
+/// add after a desynchronizer, AND multiply after a decorrelator.
+fn gate_for(kind: ManipulatorKind) -> (BinaryOp, GateFn) {
+    match kind {
+        ManipulatorKind::Synchronizer { .. } => {
+            (BinaryOp::XorSubtract, sc_arith::subtract::xor_subtract)
+        }
+        ManipulatorKind::Desynchronizer { .. } => {
+            (BinaryOp::SaturatingAdd, sc_arith::add::saturating_add)
+        }
+        ManipulatorKind::Decorrelator { .. } => {
+            (BinaryOp::AndMultiply, sc_arith::multiply::and_multiply)
+        }
+    }
+}
+
+/// Builds the satellite pipeline {d2s → manipulator → gate → s2d} as a
 /// graph and executes it.
 fn run_graph_pipeline(
     kind: ManipulatorKind,
@@ -42,7 +60,7 @@ fn run_graph_pipeline(
     let x = g.generate(0, SourceSpec::Sobol { dimension: 2 });
     let y = g.generate(1, SourceSpec::Halton { base: 5, offset: 0 });
     let (mx, my) = g.manipulate(kind, x, y);
-    let z = g.binary(BinaryOp::CaAdd, mx, my);
+    let z = g.binary(gate_for(kind).0, mx, my);
     g.sink_stream("mx", mx);
     g.sink_stream("my", my);
     g.sink_stream("z", z);
@@ -50,7 +68,7 @@ fn run_graph_pipeline(
     let plan = g.compile(&PlannerOptions::default()).expect("valid graph");
     assert!(
         plan.report().inserted.is_empty(),
-        "ca_add is agnostic: nothing to repair"
+        "the manipulator establishes the gate's requirement: nothing to repair"
     );
     let out = Executor::new(n)
         .run(&plan, &BatchInput::with_values(vec![px, py]))
@@ -76,7 +94,7 @@ fn run_direct_pipeline(
     let y = gy.generate(Probability::saturating(py), n);
     let mut manipulator = kind.build();
     let (mx, my) = manipulator.process(&x, &y).expect("equal lengths");
-    let z = ca_add(&mx, &my).expect("equal lengths");
+    let z = (gate_for(kind).1)(&mx, &my).expect("equal lengths");
     let value = StochasticToDigital::convert(&z).get();
     (mx, my, z, value)
 }
@@ -136,7 +154,7 @@ fn chained_runs_match_explicit_chain() {
         let (a, b) = (g.input_stream(0), g.input_stream(1));
         let (s0, s1) = g.manipulate(ManipulatorKind::Synchronizer { depth: 1 }, a, b);
         let (d0, d1) = g.manipulate(ManipulatorKind::Desynchronizer { depth: 2 }, s0, s1);
-        let (i0, i1) = g.manipulate(ManipulatorKind::Isolator { delay: 2 }, d0, d1);
+        let (i0, i1) = g.manipulate(ManipulatorKind::Decorrelator { depth: 2 }, d0, d1);
         g.sink_stream("x", i0);
         g.sink_stream("y", i1);
         let plan = g.compile(&PlannerOptions::default()).unwrap();
@@ -146,14 +164,14 @@ fn chained_runs_match_explicit_chain() {
         let mut chain = ManipulatorChain::new();
         chain.push(sc_core::Synchronizer::new(1));
         chain.push(sc_core::Desynchronizer::new(2));
-        chain.push(sc_core::Isolator::new(2));
+        chain.push(sc_core::Decorrelator::new(2));
         let (ex, ey) = chain.process(&x, &y).unwrap();
         assert_eq!(out.stream("x").unwrap(), &ex, "n={n}");
         assert_eq!(out.stream("y").unwrap(), &ey, "n={n}");
 
         let (sx, sy) = sc_core::Synchronizer::new(1).process(&x, &y).unwrap();
         let (dx, dy) = sc_core::Desynchronizer::new(2).process(&sx, &sy).unwrap();
-        let (ux, uy) = sc_core::Isolator::new(2).process(&dx, &dy).unwrap();
+        let (ux, uy) = sc_core::Decorrelator::new(2).process(&dx, &dy).unwrap();
         assert_eq!(out.stream("x").unwrap(), &ux, "stagewise n={n}");
         assert_eq!(out.stream("y").unwrap(), &uy, "stagewise n={n}");
     }
@@ -240,7 +258,8 @@ proptest! {
     }
 
     /// Batch inputs through `InputStream` nodes round-trip losslessly into
-    /// binary ops and the MUX scaled adder.
+    /// every gate and the MUX scaled adder. Input streams have unknown
+    /// provenance, so repair is off: each operator runs exactly as built.
     #[test]
     fn prop_input_stream_binary_ops_bit_identical(
         bits_x in proptest::collection::vec(any::<bool>(), 1..300),
@@ -251,21 +270,27 @@ proptest! {
         let y = Bitstream::from_bools(bits_y.into_iter().take(n));
         let mut g = Graph::new();
         let (a, b) = (g.input_stream(0), g.input_stream(1));
-        let sum = g.binary(BinaryOp::CaAdd, a, b);
-        let max = g.binary(BinaryOp::CaMax, a, b);
+        let gates: [(BinaryOp, GateFn); 6] = [
+            (BinaryOp::AndMultiply, sc_arith::multiply::and_multiply),
+            (BinaryOp::XnorMultiply, sc_arith::multiply::xnor_multiply),
+            (BinaryOp::OrMax, sc_arith::maxmin::or_max),
+            (BinaryOp::AndMin, sc_arith::maxmin::and_min),
+            (BinaryOp::SaturatingAdd, sc_arith::add::saturating_add),
+            (BinaryOp::XorSubtract, sc_arith::subtract::xor_subtract),
+        ];
+        for (op, _) in gates {
+            let z = g.binary(op, a, b);
+            g.sink_stream(op.to_string(), z);
+        }
         let mux = g.mux_add(a, b, SourceSpec::Lfsr { width: 16, seed: 0xACE1 });
-        g.sink_stream("sum", sum);
-        g.sink_stream("max", max);
         g.sink_stream("mux", mux);
-        let plan = g.compile(&PlannerOptions::default()).unwrap();
+        let plan = g.compile(&PlannerOptions::no_repair()).unwrap();
         let out = Executor::new(n)
             .run(&plan, &BatchInput::with_streams(vec![x.clone(), y.clone()]))
             .unwrap();
-        prop_assert_eq!(out.stream("sum").unwrap(), &ca_add(&x, &y).unwrap());
-        prop_assert_eq!(
-            out.stream("max").unwrap(),
-            &sc_arith::maxmin::ca_max(&x, &y).unwrap()
-        );
+        for (op, reference) in gates {
+            prop_assert_eq!(out.stream(&op.to_string()).unwrap(), &reference(&x, &y).unwrap());
+        }
         // The two-input half-weight tree is the library's MUX scaled adder.
         let select = half_select_stream(&mut sc_rng::Lfsr::new(16, 0xACE1), n);
         prop_assert_eq!(out.stream("mux").unwrap(), &mux_add(&x, &y, &select).unwrap());
@@ -273,8 +298,8 @@ proptest! {
 }
 
 /// A manipulator size outside `sc_core::DEPTH_RANGE` is a compile error, not
-/// a panic once the plan executes: both a `Manipulate` node's own depth or
-/// delay and, with auto-repair on, the depth repair would insert.
+/// a panic once the plan executes: both a `Manipulate` node's own depth
+/// and, with auto-repair on, the depth repair would insert.
 #[test]
 fn out_of_range_manipulators_fail_compile_instead_of_execution() {
     let compile_and_run = |kind: Option<ManipulatorKind>, op: BinaryOp, options: PlannerOptions| {
@@ -293,10 +318,10 @@ fn out_of_range_manipulators_fail_compile_instead_of_execution() {
     for kind in [
         ManipulatorKind::Synchronizer { depth: 0 },
         ManipulatorKind::Desynchronizer { depth: 4097 },
-        ManipulatorKind::Isolator { delay: 0 },
+        ManipulatorKind::Decorrelator { depth: 0 },
         ManipulatorKind::Decorrelator { depth: 4097 },
     ] {
-        let err = compile_and_run(Some(kind), BinaryOp::CaAdd, PlannerOptions::default())
+        let err = compile_and_run(Some(kind), BinaryOp::AndMultiply, PlannerOptions::default())
             .expect_err("out-of-range node must not compile");
         assert!(
             err.to_string().contains("outside supported range"),

@@ -12,7 +12,7 @@ use sc_graph::{
     cost::compiled_netlist, BatchInput, BinaryOp, CompiledGraph, Executor, Graph, ManipulatorKind,
     PlannerOptions, Wire,
 };
-use sc_hwcost::{Netlist, Primitive};
+use sc_hwcost::Netlist;
 use sc_image::{
     planner_options, tile_graph, GrayImage, PipelineConfig, PipelineStats, PipelineVariant,
     TilePlanner,
@@ -91,15 +91,7 @@ fn cosim_source_families_and_sd_sinks() {
 
 #[test]
 fn cosim_every_manipulator_kind() {
-    let kinds = [
-        ManipulatorKind::Identity,
-        ManipulatorKind::Isolator { delay: 2 },
-        ManipulatorKind::Synchronizer { depth: 1 },
-        ManipulatorKind::Synchronizer { depth: 3 },
-        ManipulatorKind::Desynchronizer { depth: 2 },
-        ManipulatorKind::Decorrelator { depth: 4 },
-    ];
-    for kind in kinds {
+    for kind in MANIPULATORS {
         let mut g = Graph::new();
         let x = g.generate(0, sobol(1));
         let y = g.generate(1, sobol(2));
@@ -118,14 +110,14 @@ fn cosim_every_manipulator_kind() {
 
 #[test]
 fn chained_manipulators_cosimulate() {
-    // A synchronizer → desynchronizer → isolator run lowers to the cascade
-    // of the individual circuits and matches bit for bit.
+    // A synchronizer → desynchronizer → decorrelator run lowers to the
+    // cascade of the individual circuits and matches bit for bit.
     let mut g = Graph::new();
     let x = g.input_stream(0);
     let y = g.input_stream(1);
     let (a0, a1) = g.manipulate(ManipulatorKind::Synchronizer { depth: 2 }, x, y);
     let (b0, b1) = g.manipulate(ManipulatorKind::Desynchronizer { depth: 1 }, a0, a1);
-    let (c0, c1) = g.manipulate(ManipulatorKind::Isolator { delay: 1 }, b0, b1);
+    let (c0, c1) = g.manipulate(ManipulatorKind::Decorrelator { depth: 3 }, b0, b1);
     g.sink_stream("x", c0);
     g.sink_stream("y", c1);
     let plan = g.compile(&PlannerOptions::default()).unwrap();
@@ -140,18 +132,7 @@ fn chained_manipulators_cosimulate() {
 
 #[test]
 fn cosim_every_binary_operator() {
-    let ops = [
-        BinaryOp::AndMultiply,
-        BinaryOp::XnorMultiply,
-        BinaryOp::OrMax,
-        BinaryOp::AndMin,
-        BinaryOp::SaturatingAdd,
-        BinaryOp::XorSubtract,
-        BinaryOp::CaAdd,
-        BinaryOp::CaMax,
-        BinaryOp::CaMin,
-    ];
-    for op in ops {
+    for op in BINARY_OPS {
         // no_repair keeps the graph at exactly one operator; the repaired
         // path is covered by `cosim_planner_inserted_repairs`.
         let mut g = Graph::new();
@@ -234,19 +215,36 @@ fn cosim_scc_probe_sinks() {
 
 #[test]
 fn cosim_input_streams() {
-    let mut g = Graph::new();
-    let x = g.input_stream(0);
-    let y = g.input_stream(1);
-    let z = g.binary(BinaryOp::CaAdd, x, y);
-    g.sink_value("z", z);
-    g.sink_stream("zs", z);
-    let plan = g.compile(&PlannerOptions::default()).unwrap();
-    for n in LENGTHS {
-        let input = BatchInput::with_streams(vec![
-            Bitstream::from_fn(n, |i| i % 3 != 1),
-            Bitstream::from_fn(n, |i| (i / 2) % 2 == 0),
-        ]);
-        assert_cosim_identical(&plan, &input, n, "input streams");
+    // Input streams have unknown provenance, so the planner repairs the pair
+    // in front of every operator: one row per requirement, each with the
+    // circuit that establishes it.
+    let rows = [
+        (BinaryOp::XorSubtract, "synchronizer(D=1)"),
+        (BinaryOp::SaturatingAdd, "desynchronizer(D=1)"),
+        (BinaryOp::AndMultiply, "decorrelator(D=4)"),
+    ];
+    for (op, repair) in rows {
+        let mut g = Graph::new();
+        let x = g.input_stream(0);
+        let y = g.input_stream(1);
+        let z = g.binary(op, x, y);
+        g.sink_value("z", z);
+        g.sink_stream("zs", z);
+        let plan = g.compile(&PlannerOptions::default()).unwrap();
+        let inserted: Vec<String> = plan
+            .report()
+            .inserted
+            .iter()
+            .map(|r| r.inserted.expect("auto-repair inserts").to_string())
+            .collect();
+        assert_eq!(inserted, [repair], "{op}");
+        for n in LENGTHS {
+            let input = BatchInput::with_streams(vec![
+                Bitstream::from_fn(n, |i| i % 3 != 1),
+                Bitstream::from_fn(n, |i| (i / 2) % 2 == 0),
+            ]);
+            assert_cosim_identical(&plan, &input, n, &format!("input streams into {op}"));
+        }
     }
 }
 
@@ -282,33 +280,28 @@ proptest! {
 }
 
 /// Every manipulator kind, at depths inside `sc_core::DEPTH_RANGE`.
-const MANIPULATORS: [ManipulatorKind; 6] = [
-    ManipulatorKind::Identity,
-    ManipulatorKind::Isolator { delay: 2 },
+const MANIPULATORS: [ManipulatorKind; 4] = [
     ManipulatorKind::Synchronizer { depth: 1 },
     ManipulatorKind::Synchronizer { depth: 3 },
     ManipulatorKind::Desynchronizer { depth: 2 },
     ManipulatorKind::Decorrelator { depth: 4 },
 ];
 
-/// All nine binary operators.
-const BINARY_OPS: [BinaryOp; 9] = [
+/// All six binary operators.
+const BINARY_OPS: [BinaryOp; 6] = [
     BinaryOp::AndMultiply,
     BinaryOp::XnorMultiply,
     BinaryOp::OrMax,
     BinaryOp::AndMin,
     BinaryOp::SaturatingAdd,
     BinaryOp::XorSubtract,
-    BinaryOp::CaAdd,
-    BinaryOp::CaMax,
-    BinaryOp::CaMin,
 ];
 
 /// A random builder-made graph of `len` nodes past its sources, drawn from
 /// every kind `elaborate` lowers: D/S converters (over value slots 0..4,
 /// with specs that repeat, so some pairs are positive and some
 /// uncorrelated), input streams 0 and 1, NOT gates, every manipulator kind,
-/// all nine binary operators and weighted muxes of one to four inputs,
+/// all six binary operators and weighted muxes of one to four inputs,
 /// drained by value, stream and SCC-probe sinks. Regeneration is left out:
 /// `elaborate` rejects it by design.
 fn random_cosim_graph(seed: u64, len: usize) -> Graph {
@@ -416,9 +409,9 @@ fn random_cosim_graphs_draw_every_kind_and_exercise_repair() {
         repaired > 24,
         "only {repaired} of 48 graphs needed a repair"
     );
-    // Generate and input; NOT; the six manipulators; the nine operators;
+    // Generate and input; NOT; the four manipulators; the six operators;
     // muxes of one to four inputs; value, stream and probe sinks.
-    assert_eq!(kinds.len(), 2 + 1 + 6 + 9 + 4 + 3, "{kinds:?}");
+    assert_eq!(kinds.len(), 2 + 1 + 4 + 6 + 4 + 3, "{kinds:?}");
 }
 
 /// Collects a netlist's `(primitive, count)` multiset, ignoring the design
@@ -462,7 +455,7 @@ fn structural_netlist_matches_table_bridge_per_kind() {
     let y = g.generate(1, sobol(2));
     let (mx, my) = g.manipulate(ManipulatorKind::Synchronizer { depth: 2 }, x, y);
     let (dx, dy) = g.manipulate(ManipulatorKind::Decorrelator { depth: 4 }, mx, my);
-    let (ix, iy) = g.manipulate(ManipulatorKind::Isolator { delay: 3 }, dx, dy);
+    let (ix, iy) = g.manipulate(ManipulatorKind::Desynchronizer { depth: 1 }, dx, dy);
     g.sink_stream("x", ix);
     g.sink_stream("y", iy);
     build_and_compare(&g, vec![0.5, 0.5], "manipulator stack");
@@ -481,27 +474,6 @@ fn structural_netlist_matches_table_bridge_per_kind() {
     let nx = g.not(x);
     g.sink_value("q", nx);
     build_and_compare(&g, vec![], "input + not");
-}
-
-#[test]
-fn structural_ca_adder_refines_table_model() {
-    // Documented divergence: the table costs the CA adder as
-    // FA + 2-bit register + 2 inverters; the elaboration *is* one full adder
-    // plus the residue flip-flop, and the structural bridge reports exactly
-    // that.
-    let mut g = Graph::new();
-    let x = g.generate(0, sobol(1));
-    let y = g.generate(1, sobol(2));
-    let z = g.binary(BinaryOp::CaAdd, x, y);
-    g.sink_value("z", z);
-    let plan = g.compile(&PlannerOptions::default()).unwrap();
-    let input = BatchInput::with_values(vec![0.5, 0.5]);
-    let design = elaborate(&plan, &input, 256).unwrap();
-    let structural = cells_of(&design.netlist("ca", 9));
-    assert_eq!(structural.get(&Primitive::FullAdder.to_string()), Some(&1));
-    assert_eq!(structural.get(&Primitive::DFlipFlop.to_string()), Some(&1));
-    let table = cells_of(&compiled_netlist(&plan, "ca", 9));
-    assert_ne!(structural, table, "the refinement is intentional");
 }
 
 #[test]
