@@ -6,9 +6,10 @@
 //!   (`pZ ≤ min`). These are the cheap baselines of Table III.
 //! * **Correlation-agnostic max** (SC-DCNN, reference \[12\]) — running
 //!   counters track how many 1s each input has produced so far and the output
-//!   emits a 1 exactly when the running maximum of the two counts advances. Accurate regardless of correlation but requires
-//!   counters and a comparator, which is why the paper measures it as two
-//!   orders of magnitude larger than a bare OR gate.
+//!   emits a 1 exactly when the running maximum of the two counts advances.
+//!   Accurate regardless of correlation but requires counters and a
+//!   comparator, which is why the paper measures it as two orders of
+//!   magnitude larger than a bare OR gate.
 //!
 //! The paper's *synchronizer-based* max/min (smaller than the
 //! correlation-agnostic design, nearly as accurate) live in `sc-core::ops`.

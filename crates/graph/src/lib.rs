@@ -11,8 +11,9 @@
 //! ([`Graph::manipulate`]: the synchronizer, desynchronizer and decorrelator
 //! of §III), arithmetic operators ([`Graph::binary`]: the single gates of
 //! Fig. 2; the weighted multiplexer [`Graph::weighted_mux`] and its
-//! two-input half-weight case [`Graph::mux_add`]), and sinks (S/D value converters, stream taps,
-//! SCC probes) — connected by stream-valued [`Wire`]s.
+//! two-input half-weight case [`Graph::mux_add`]), and sinks (S/D value
+//! converters, stream taps, SCC probes) — connected by stream-valued
+//! [`Wire`]s.
 //!
 //! [`Graph::compile`] runs four stages: validate → scc-infer → repair →
 //! emit (see `passes` internals and the README's compiler section). Every

@@ -4,12 +4,12 @@
 //! The emitted RTL is *structural where the design is structural* (gates,
 //! multiplexer trees, counters) and *behavioural where the design is
 //! behavioural* (manipulator FSMs, sample generators) — mirroring what a
-//! hardware engineer would hand to synthesis. Sample generators deserve a caveat: the LFSR
-//! and the base-2 Van der Corput generator (a bit-reversed counter) are
-//! faithful; Halton / Sobol generators are emitted as bit-reversed-counter
-//! stand-ins with a comment, since their true hardware (digit-reversal in
-//! radix `b`, direction-vector XOR banks) is out of scope here. Emission is
-//! fully deterministic, so the output is snapshot-testable.
+//! hardware engineer would hand to synthesis. Sample generators deserve a
+//! caveat: the LFSR and the base-2 Van der Corput generator (a bit-reversed
+//! counter) are faithful; Halton / Sobol generators are emitted as
+//! bit-reversed-counter stand-ins with a comment, since their true hardware
+//! (digit-reversal in radix `b`, direction-vector XOR banks) is out of scope
+//! here. Emission is fully deterministic, so the output is snapshot-testable.
 
 use crate::design::{CellKind, Design, NetRef, SinkPlan};
 use sc_graph::ManipulatorKind;
