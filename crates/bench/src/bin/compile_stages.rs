@@ -39,8 +39,8 @@ const STAGES: [(Stage, &str); 4] = [
 /// One tile class: a representative tile of it, by image and origin.
 struct Class {
     variant: PipelineVariant,
-    /// Tile width, height and source-bank phase (x0 mod 4, y0 mod 2).
-    key: (usize, usize, usize, usize),
+    /// Tile width and height: the plan cache's key.
+    key: (usize, usize),
     image: GrayImage,
     origin: (usize, usize),
     tile_index: u64,
@@ -59,8 +59,6 @@ fn classes(config: &PipelineConfig) -> Vec<Class> {
                 let key = (
                     config.tile_size.min(width - x0),
                     config.tile_size.min(height - y0),
-                    x0 % 4,
-                    y0 % 2,
                 );
                 if !out.iter().any(|c| c.variant == variant && c.key == key) {
                     out.push(Class {
@@ -117,10 +115,10 @@ fn main() {
         for (total, t) in totals.iter_mut().zip(&times) {
             *total += t;
         }
-        let (w, h, px, py) = class.key;
+        let (w, h) = class.key;
         let mut row = vec![
             class.variant.label().to_string(),
-            format!("{w}x{h}@{px},{py}"),
+            format!("{w}x{h}"),
             nodes.to_string(),
             steps.to_string(),
         ];

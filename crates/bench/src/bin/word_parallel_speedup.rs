@@ -10,10 +10,11 @@
 //! table-driven FSM word-stepping is gated at the depths the planner and the
 //! pipeline insert (`synchronizer_d2`, `desynchronizer_d1`), on fixed
 //! periodic inputs (`fsm_input_pair`). The decorrelator's word path runs a
-//! whole stream from a reset through its depth's memoized lag network, and
-//! is gated twice: `decorrelator_d4`, a fresh circuit per call as the graph
-//! executor builds one per job, at 5x, and `decorrelator_d4_reset`, one
-//! circuit reset before each call as a harness reuses it, at 3x.
+//! whole stream from a reset through its depth's memoized lag network. Its
+//! two rows, `decorrelator_d4` (a fresh circuit per call, as the graph
+//! executor builds one per job) and `decorrelator_d4_reset` (one circuit
+//! reset before each call, as a harness reuses it), time that same path: a
+//! reset circuit draws exactly as a fresh one does. Both are gated at 5x.
 //! `d2s_sobol_reset` reuses one D/S generator reset before each call, which
 //! converts through the prefix plane it built on the first: one rank lookup
 //! and one mask copy per 256-sample block. It is gated at 20x.
@@ -355,19 +356,19 @@ fn main() {
     }
     println!("all required ops meet the 5x speedup bar");
 
-    // The lag network must beat stepping a fresh circuit bit by bit at
-    // least 5x, and the same reset circuit at least 3x.
-    for (op, bar) in [("decorrelator_d4", 5.0), ("decorrelator_d4_reset", 3.0)] {
+    // The lag network must beat stepping the circuit bit by bit at least
+    // 5x, fresh or reset.
+    for op in ["decorrelator_d4", "decorrelator_d4_reset"] {
         let row = rows
             .iter()
             .find(|r| r.op == op)
             .expect("decorrelator measured");
         assert!(
-            row.speedup() >= bar,
-            "{op} speedup {:.1}x is below the {bar}x bar",
+            row.speedup() >= 5.0,
+            "{op} speedup {:.1}x is below the 5x bar",
             row.speedup()
         );
-        println!("{op} meets the {bar}x lag-network bar");
+        println!("{op} meets the 5x lag-network bar");
     }
 
     // The prefix plane must beat the per-bit comparator loop at least 20x.

@@ -476,16 +476,17 @@ fn execute_plan(
     plan: &CompiledGraph,
     input: &BatchInput,
 ) -> Result<ExecOutput, GraphError> {
-    let resolved = plan.planes.get(planes, &plan.steps, n);
-    let mut draws = resolved.for_job(planes, input);
-    let longest = input.streams.iter().map(Bitstream::len).fold(n, usize::max);
-    let mut arena = Arena::new(plan.slot_count, longest.div_ceil(WORD_BITS));
-    let mut out = ExecOutput::for_plan(plan);
-    for step in &plan.steps {
-        let srcs = plan.srcs(step);
-        execute_step(n, step, srcs, input, &mut draws, &mut arena, &mut out)?;
-    }
-    Ok(out)
+    plan.planes.with(planes, &plan.steps, n, |resolved| {
+        let mut draws = resolved.for_job(planes, input);
+        let longest = input.streams.iter().map(Bitstream::len).fold(n, usize::max);
+        let mut arena = Arena::new(plan.slot_count, longest.div_ceil(WORD_BITS));
+        let mut out = ExecOutput::for_plan(plan);
+        for step in &plan.steps {
+            let srcs = plan.srcs(step);
+            execute_step(n, step, srcs, input, &mut draws, &mut arena, &mut out)?;
+        }
+        Ok(out)
+    })
 }
 
 /// Executes one plan step against one job's arena — the unit
@@ -1162,6 +1163,51 @@ mod tests {
                 Executor::new(len).run(&fresh, &input).unwrap(),
                 "{len}-bit inputs at n {n}"
             );
+        }
+    }
+
+    /// Bindings that permute a plan's own `Generate` and `Regenerate` specs
+    /// (as a tile at another source-bank phase binds its pixel sources)
+    /// read the plan's resolved comparator of the bound spec at the same
+    /// skip when it has one, and the store otherwise: at skips the plan
+    /// also converts at, at skips it does not, for a spec bound outside the
+    /// plan, and at 64, 256 and 64 bits again. Every output equals a fresh
+    /// compile of the permuted graph.
+    #[test]
+    fn bindings_among_a_plans_own_specs_match_the_permuted_graph() {
+        let build = |[a, b, c]: [SourceSpec; 3]| {
+            let mut g = Graph::new();
+            let wires = [
+                g.generate(0, a.clone()),
+                g.generate(1, b.clone()),
+                g.generate_skipped(2, a.clone(), 5),
+                g.generate(3, c),
+                g.generate_skipped(4, b.clone(), 7),
+                g.generate_skipped(5, a, 7),
+            ];
+            let r = g.regenerate(b, wires[0]);
+            for (k, wire) in wires.into_iter().chain([r]).enumerate() {
+                g.sink_stream(format!("s{k}"), wire);
+            }
+            g.compile(&PlannerOptions::default()).unwrap()
+        };
+        let template = build([sobol(1), sobol(2), sobol(3)]);
+        let permuted = build([sobol(2), sobol(1), sobol(7)]);
+        let values = vec![0.3, 0.8, 0.375, 0.6, 0.45, 0.9];
+        let bound = BatchInput {
+            bindings: vec![
+                (sobol(1), sobol(2)),
+                (sobol(2), sobol(1)),
+                (sobol(3), sobol(7)),
+            ],
+            ..BatchInput::with_values(values.clone())
+        };
+        for n in [64, 256, 64] {
+            let exec = Executor::new(n);
+            let direct = exec
+                .run(&permuted, &BatchInput::with_values(values.clone()))
+                .unwrap();
+            assert_eq!(exec.run(&template, &bound).unwrap(), direct, "n {n}");
         }
     }
 

@@ -40,8 +40,11 @@
 //! bits never depend on what the store retains.
 //!
 //! A plan does not look its planes up per step: [`PlanPlanes`] resolves
-//! every source-drawing step's handle once per stream length, and the plan
-//! keeps the result in its [`PlanCache`].
+//! every source-drawing step's handle once per stream length, looking each
+//! distinct `(spec, skip)` comparator and each distinct `(spec, weights)`
+//! select table up in the store once, and the plan keeps the result in its
+//! [`PlanCache`]. A job that binds a spec to another of the plan's own specs
+//! reads that spec's resolved comparator, with no store lookup either.
 
 use crate::compile::Step;
 use crate::exec::BatchInput;
@@ -49,9 +52,10 @@ use crate::node::NodeOp;
 use sc_bitstream::{Probability, WORD_BITS};
 use sc_convert::plane::{compare, PrefixPlane};
 use sc_rng::{Lfsr, RandomSource, SourceSpec};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::mem::size_of;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Widest LFSR served from a cycle table: its positions fit a `u16`.
 const MAX_CYCLE_WIDTH: u32 = 16;
@@ -106,6 +110,11 @@ pub(crate) fn half_select_weights() -> Arc<[f64]> {
     static HALF: OnceLock<Arc<[f64]>> = OnceLock::new();
     let half = Probability::HALF.get();
     Arc::clone(HALF.get_or_init(|| Arc::new([half, half])))
+}
+
+/// Whether two select rules are the same weights, bit for bit.
+fn same_weights(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
 /// Number of stream bits word `w` of an `n`-bit stream holds.
@@ -187,13 +196,7 @@ impl SelectPlanes {
     }
 
     fn serves(&self, width: u32, weights: &[f64]) -> bool {
-        self.cycle.width == width
-            && self.weights.len() == weights.len()
-            && self
-                .weights
-                .iter()
-                .zip(weights)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+        self.cycle.width == width && same_weights(&self.weights, weights)
     }
 
     /// The cycle index of the state an LFSR of this width seeded with
@@ -234,6 +237,7 @@ impl SelectPlanes {
 }
 
 /// The samples a select source draws for one step.
+#[derive(Clone)]
 pub(crate) enum Select {
     /// The window starting at `offset` in a shared cycle table, `advance`
     /// indices past its register's start state.
@@ -247,6 +251,18 @@ pub(crate) enum Select {
 }
 
 impl Select {
+    /// The window of `planes` a register starting at cycle index `position`
+    /// reads after `skip` draws.
+    fn cycle(planes: Arc<SelectPlanes>, position: usize, skip: u64) -> Select {
+        let advance = planes.advance(skip);
+        let offset = planes.offset(position, advance);
+        Select::Cycle {
+            planes,
+            offset,
+            advance,
+        }
+    }
+
     /// The window this handle reads.
     fn window(&self) -> Window<'_> {
         match self {
@@ -307,6 +323,7 @@ impl Window<'_> {
 }
 
 /// The planes of one D/S comparator (`Generate` or `Regenerate`).
+#[derive(Clone)]
 pub(crate) enum Comparator {
     /// Prefix masks: per block, one bucket lookup, a search of one bucket
     /// and one copy.
@@ -504,6 +521,27 @@ impl PlaneStore {
         Some(planes)
     }
 
+    /// The cycle table serving `n`-bit windows of `select` under `weights`'
+    /// select rule, with the cycle index of the register's start state;
+    /// `None` when `select` is not an LFSR of a width with cycle tables,
+    /// `n` is not below its period, or the planes would not fit the budget.
+    fn cycle_select(
+        &self,
+        select: &SourceSpec,
+        weights: &[f64],
+        n: usize,
+    ) -> Option<(Arc<SelectPlanes>, usize)> {
+        let SourceSpec::Lfsr { width, seed } = *select else {
+            return None;
+        };
+        if !(3..=MAX_CYCLE_WIDTH).contains(&width) || n >= (1 << width) - 1 {
+            return None;
+        }
+        let planes = self.select_planes(width, weights)?;
+        let position = planes.position(seed);
+        Some((planes, position))
+    }
+
     /// The samples of `select` advanced by `skip` for an `n`-bit window,
     /// mapped through `weights`' select rule, and whether the store retains
     /// them.
@@ -514,26 +552,18 @@ impl PlaneStore {
         weights: &[f64],
         n: usize,
     ) -> (Select, bool) {
-        if let SourceSpec::Lfsr { width, seed } = *select {
-            if (3..=MAX_CYCLE_WIDTH).contains(&width) && n < (1 << width) - 1 {
-                if let Some(planes) = self.select_planes(width, weights) {
-                    let advance = planes.advance(skip);
-                    let offset = planes.offset(planes.position(seed), advance);
-                    let select = Select::Cycle {
-                        planes,
-                        offset,
-                        advance,
-                    };
-                    return (select, true);
-                }
+        match self.cycle_select(select, weights, n) {
+            Some((planes, position)) => (Select::cycle(planes, position, skip), true),
+            None => {
+                let (samples, kept) = self.samples(select, skip, n);
+                (Select::Samples(samples), kept)
             }
         }
-        let (samples, kept) = self.samples(select, skip, n);
-        (Select::Samples(samples), kept)
     }
 }
 
 /// One source-drawing step's planes, resolved for one stream length.
+#[derive(Clone)]
 enum Draw {
     Comparator(Comparator),
     Select(Select),
@@ -545,41 +575,87 @@ enum Draw {
 /// `Regenerate`, and the selects of `WeightedMux`, the one select step —
 /// resolved against the store for one stream length `n`: one handle per
 /// step, in step order, plus each step's index into the plan's distinct
-/// specs, which a job's bindings are matched against once per job.
+/// specs, which a job's bindings are matched against once per job. Steps
+/// sharing a `(spec, skip)` comparator share its handle, and steps sharing a
+/// `(spec, weights)` select rule share its cycle table.
 pub(crate) struct PlanPlanes {
     n: usize,
     draws: Box<[(Draw, usize)]>,
     specs: Box<[SourceSpec]>,
+    /// The distinct comparators, sorted by `(spec index, skip)`, each with
+    /// the index of the first draw that reads it.
+    comparators: Box<[((usize, u64), usize)]>,
 }
 
 impl PlanPlanes {
     fn resolve(store: &PlaneStore, steps: &[Step], n: usize) -> PlanPlanes {
         let mut specs: Vec<SourceSpec> = Vec::new();
-        let mut draws = Vec::new();
+        let mut draws: Vec<(Draw, usize)> = Vec::new();
+        let mut comparators: HashMap<(usize, u64), usize> = HashMap::new();
+        // Per distinct `(spec, weights)` select rule: its cycle table and
+        // the register's start position, or `None` without one.
+        type Table<'s> = (usize, &'s [f64], Option<(Arc<SelectPlanes>, usize)>);
+        let mut tables: Vec<Table> = Vec::new();
         for step in steps {
             let Some((spec, skip)) = step.op.source() else {
                 continue;
-            };
-            let draw = match &step.op {
-                NodeOp::WeightedMux { weights, .. } => {
-                    let (select_planes, kept) = store.select(spec, skip, weights, n);
-                    kept.then_some(Draw::Select(select_planes))
-                }
-                _ => {
-                    let (comparator, kept) = store.comparator(spec, skip, n);
-                    kept.then_some(Draw::Comparator(comparator))
-                }
             };
             let id = specs.iter().position(|s| s == spec).unwrap_or_else(|| {
                 specs.push(spec.clone());
                 specs.len() - 1
             });
-            draws.push((draw.unwrap_or(Draw::PerUse), id));
+            let draw = match &step.op {
+                NodeOp::WeightedMux { weights, .. } => {
+                    let table = tables
+                        .iter()
+                        .position(|&(s, w, _)| s == id && same_weights(w, weights))
+                        .unwrap_or_else(|| {
+                            tables.push((id, weights, store.cycle_select(spec, weights, n)));
+                            tables.len() - 1
+                        });
+                    match &tables[table].2 {
+                        Some((planes, position)) => {
+                            Draw::Select(Select::cycle(Arc::clone(planes), *position, skip))
+                        }
+                        None => match store.samples(spec, skip, n) {
+                            (samples, true) => Draw::Select(Select::Samples(samples)),
+                            (_, false) => Draw::PerUse,
+                        },
+                    }
+                }
+                _ => match comparators.entry((id, skip)) {
+                    Entry::Occupied(first) => draws[*first.get()].0.clone(),
+                    Entry::Vacant(first) => {
+                        first.insert(draws.len());
+                        match store.comparator(spec, skip, n) {
+                            (comparator, true) => Draw::Comparator(comparator),
+                            (_, false) => Draw::PerUse,
+                        }
+                    }
+                },
+            };
+            draws.push((draw, id));
         }
+        let mut comparators: Box<[_]> = comparators.into_iter().collect();
+        comparators.sort_unstable();
         PlanPlanes {
             n,
             draws: draws.into(),
             specs: specs.into(),
+            comparators,
+        }
+    }
+
+    /// The resolved comparator of the plan's spec `id` at `skip`, if the
+    /// plan converts against it and the store retained its planes.
+    fn comparator(&self, id: usize, skip: u64) -> Option<&Comparator> {
+        let k = self
+            .comparators
+            .binary_search_by_key(&(id, skip), |&(key, _)| key)
+            .ok()?;
+        match &self.draws[self.comparators[k].1].0 {
+            Draw::Comparator(comparator) => Some(comparator),
+            _ => None,
         }
     }
 
@@ -595,7 +671,15 @@ impl PlanPlanes {
             bound = self
                 .specs
                 .iter()
-                .map(|spec| Some((input.resolve(spec), None)).filter(|(b, _)| *b != spec))
+                .map(|spec| {
+                    let to = input.resolve(spec);
+                    (to != spec).then(|| Bound {
+                        spec: to,
+                        id: self.specs.iter().position(|s| s == to),
+                        position: None,
+                        comparator: None,
+                    })
+                })
                 .collect();
         }
         JobPlanes {
@@ -609,16 +693,29 @@ impl PlanPlanes {
     }
 }
 
+/// One job's binding of one plan spec.
+struct Bound<'a> {
+    /// The spec the job draws from instead.
+    spec: &'a SourceSpec,
+    /// Its index among the plan's own specs, when the plan draws from it
+    /// too.
+    id: Option<usize>,
+    /// Once a select step has read it, the cycle position of the bound
+    /// register's start state.
+    position: Option<usize>,
+    /// The last of the plan's comparators a step of this spec read, with
+    /// its skip: steps at one skip look it up once per job.
+    comparator: Option<(u64, &'a Comparator)>,
+}
+
 /// One job's handles: the plan's, taken one per source-drawing step (a
 /// comparator, or the select of a `WeightedMux`) in step order, except where
 /// the job binds a step's spec to another.
 pub(crate) struct JobPlanes<'a> {
     plan: &'a PlanPlanes,
     store: &'a PlaneStore,
-    /// Per plan spec, this job's binding of it (empty when it has none) and,
-    /// once a select step has read it, the cycle position of the bound
-    /// register's start state.
-    bound: Vec<Option<(&'a SourceSpec, Option<usize>)>>,
+    /// Per plan spec, this job's binding of it (empty when it has none).
+    bound: Vec<Option<Bound<'a>>>,
     next: usize,
     /// The last handle read from the store rather than the plan.
     fetched_comparator: Option<Comparator>,
@@ -627,7 +724,7 @@ pub(crate) struct JobPlanes<'a> {
 
 impl<'a> JobPlanes<'a> {
     /// The next step's handle and its spec's binding.
-    fn take(&mut self) -> (&'a Draw, Option<&mut (&'a SourceSpec, Option<usize>)>) {
+    fn take(&mut self) -> (&'a Draw, Option<&mut Bound<'a>>) {
         let (draw, spec) = &self.plan.draws[self.next];
         self.next += 1;
         (draw, self.bound.get_mut(*spec).and_then(Option::as_mut))
@@ -636,17 +733,30 @@ impl<'a> JobPlanes<'a> {
     /// The comparator the next step (a `Generate` or `Regenerate` of
     /// `spec`) converts against at length `n`. The plan's handle serves it
     /// unless the spec is bound, the plane was not retained, or `n` is not
-    /// the length the plan was resolved for.
+    /// the length the plan was resolved for. A spec bound to another of the
+    /// plan's specs reads that spec's handle at the same skip, when the plan
+    /// has one.
     pub(crate) fn comparator(&mut self, spec: &SourceSpec, skip: u64, n: usize) -> &Comparator {
-        let planned = self.plan.n == n;
-        match self.take() {
-            (Draw::Comparator(comparator), None) if planned => comparator,
-            (_, bound) => {
-                let spec = bound.map_or(spec, |(bound, _)| *bound);
-                let fetched = self.store.comparator(spec, skip, n).0;
-                self.fetched_comparator.insert(fetched)
+        let plan = self.plan;
+        let planned = plan.n == n;
+        let spec = match self.take() {
+            (Draw::Comparator(comparator), None) if planned => return comparator,
+            (_, None) => spec,
+            (_, Some(bound)) => {
+                match bound.comparator {
+                    Some((last, comparator)) if planned && last == skip => return comparator,
+                    _ => {}
+                }
+                let resolved = bound.id.filter(|_| planned);
+                if let Some(comparator) = resolved.and_then(|id| plan.comparator(id, skip)) {
+                    bound.comparator = Some((skip, comparator));
+                    return comparator;
+                }
+                bound.spec
             }
-        }
+        };
+        let fetched = self.store.comparator(spec, skip, n).0;
+        self.fetched_comparator.insert(fetched)
     }
 
     /// The select window the next step (a `WeightedMux` of `spec`) reads at
@@ -669,12 +779,16 @@ impl<'a> JobPlanes<'a> {
                 Draw::Select(Select::Cycle {
                     planes, advance, ..
                 }),
-                Some((&SourceSpec::Lfsr { width, seed }, position)),
+                Some(Bound {
+                    spec: &SourceSpec::Lfsr { width, seed },
+                    position,
+                    ..
+                }),
             ) if planned && width == planes.cycle.width => {
                 let position = *position.get_or_insert_with(|| planes.position(seed));
                 return Window::Cycle(planes, planes.offset(position, *advance));
             }
-            (_, bound) => bound.map_or(spec, |(bound, _)| *bound),
+            (_, bound) => bound.map_or(spec, |bound| bound.spec),
         };
         let fetched = self.store.select(spec, skip, weights, n).0;
         self.fetched_select.insert(fetched).window()
@@ -682,27 +796,32 @@ impl<'a> JobPlanes<'a> {
 }
 
 /// A plan's resolved planes, one [`PlanPlanes`] per stream length it ran
-/// at, built lazily on the first job of each length. Past
+/// at, built lazily on the first job of each length and read without a lock,
+/// so the workers running one plan share no written memory per job. Past
 /// [`PLAN_LENGTHS`] lengths a job resolves its own.
 #[derive(Default)]
 pub(crate) struct PlanCache {
-    lengths: Mutex<Vec<Arc<PlanPlanes>>>,
+    lengths: [OnceLock<PlanPlanes>; PLAN_LENGTHS],
 }
 
 impl PlanCache {
-    /// The plan's handles at length `n`, resolving them on first use.
-    pub(crate) fn get(&self, store: &PlaneStore, steps: &[Step], n: usize) -> Arc<PlanPlanes> {
-        // Entries are pushed whole, so a panic elsewhere leaves the list
-        // usable.
-        let mut lengths = self.lengths.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(planes) = lengths.iter().find(|p| p.n == n) {
-            return Arc::clone(planes);
+    /// Runs `job` on the plan's handles at length `n`, resolving them on
+    /// first use.
+    pub(crate) fn with<R>(
+        &self,
+        store: &PlaneStore,
+        steps: &[Step],
+        n: usize,
+        job: impl FnOnce(&PlanPlanes) -> R,
+    ) -> R {
+        // The first slot that holds length `n` or is set to it now.
+        for slot in &self.lengths {
+            let planes = slot.get_or_init(|| PlanPlanes::resolve(store, steps, n));
+            if planes.n == n {
+                return job(planes);
+            }
         }
-        let planes = Arc::new(PlanPlanes::resolve(store, steps, n));
-        if lengths.len() < PLAN_LENGTHS {
-            lengths.push(Arc::clone(&planes));
-        }
-        planes
+        job(&PlanPlanes::resolve(store, steps, n))
     }
 }
 

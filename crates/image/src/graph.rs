@@ -58,6 +58,15 @@ pub fn pixel_bank_index(px: isize, py: isize) -> u32 {
     ((px.rem_euclid(4) as usize) + 4 * (py.rem_euclid(2) as usize)) as u32
 }
 
+/// The D/S converter source of the input pixel at `(px, py)`: the Sobol
+/// dimension of its [`pixel_bank_index`].
+#[must_use]
+pub(crate) fn pixel_source_spec(px: isize, py: isize) -> SourceSpec {
+    SourceSpec::Sobol {
+        dimension: pixel_bank_index(px, py) + 1,
+    }
+}
+
 /// The select LFSR shared by a tile's Gaussian-blur kernels, seeded per
 /// tile.
 #[must_use]
@@ -213,8 +222,7 @@ pub(crate) fn tile_circuit(
     let halo_width = width + 3;
     let mut inputs: Vec<Wire> = Vec::with_capacity(halo_width * (height + 3));
     for (slot, (px, py)) in region.halo().enumerate() {
-        let dimension = pixel_bank_index(px, py) + 1;
-        inputs.push(g.generate(slot, SourceSpec::Sobol { dimension }));
+        inputs.push(g.generate(slot, pixel_source_spec(px, py)));
     }
 
     // 2. Gaussian blur for every pixel the edge detector will touch:

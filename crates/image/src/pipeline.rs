@@ -9,8 +9,9 @@
 //! bounded windows** ([`run_sc_pipeline_with_stats`], with the worker count
 //! taken from [`PipelineConfig`] and the executor's default window): tiles
 //! are planned *lazily*, in raster order, inside the streaming dispatch —
-//! every tile of a class (shape + source-bank phase) runs the class's one
-//! compiled template, with its own select seeds bound as job inputs — and
+//! every tile of a class (a tile shape) runs the class's one compiled
+//! template, with its own select seeds and pixel sources bound as job
+//! inputs — and
 //! at most `window` planned-but-unfinished tiles are alive at any moment on
 //! the worker threads the executor spawns for the call, so arbitrarily
 //! large images run in O(window) tile inputs while every core runs tiles
@@ -204,11 +205,11 @@ pub fn run_float_pipeline(image: &GrayImage) -> GrayImage {
 pub struct PipelineStats {
     /// Number of tiles processed.
     pub tiles: usize,
-    /// Number of graph compilations actually run. Tiles of equal shape and
-    /// equal source-bank phase (tile origin modulo the bank pattern's 4×2
-    /// period) share one compiled template and bind their own select-LFSR
-    /// seeds as job inputs, so this counts *distinct tile classes*, not
-    /// tiles.
+    /// Number of graph compilations actually run. Tiles of equal shape
+    /// share one compiled template and bind their own select-LFSR seeds and
+    /// (at another source-bank phase, the tile origin modulo the bank
+    /// pattern's 4×2 period) their own pixel sources as job inputs, so this
+    /// counts *distinct tile shapes*, not tiles.
     pub compilations: usize,
 }
 
@@ -252,9 +253,10 @@ pub fn run_sc_pipeline_with_threads(
 ///
 /// The streaming tile dispatcher walks the image's tiles in raster order,
 /// planning each tile **lazily inside the stream** ([`TilePlanner`]): a tile
-/// whose class (tile shape plus source-bank phase) is cached gets the
-/// class's compiled template plus its own pixel values and select-LFSR seed
-/// bindings; a tile of a new class builds its dataflow graph and compiles
+/// whose class (its tile shape) is cached gets the class's compiled
+/// template plus its own pixel values and source bindings (select-LFSR
+/// seeds, and the pixel sources of its bank phase); a tile of a new class
+/// builds its dataflow graph and compiles
 /// the template. Meanwhile the worker threads the executor spawns for this
 /// call execute planned tiles concurrently. At most `window` planned-but-unfinished
 /// tiles are alive at any moment ([`Executor::run_stream`]), so peak memory
@@ -292,7 +294,7 @@ pub fn run_sc_pipeline_with_stats(
     // Tile origins in raster order: raster order keeps tile_index, and
     // therefore every select seed, identical to the sequential reference
     // loop. The origin list is O(tiles) coordinates — the per-tile state
-    // (input values, seed bindings, input streams) only lives in the window.
+    // (input values, source bindings, input streams) only lives in the window.
     let origins = crate::planner::tile_origins(image, tile);
 
     // Stream the tiles: the executor pulls this iterator lazily (on the
@@ -455,19 +457,19 @@ mod tests {
             run_sc_pipeline_with_stats(&img, PipelineVariant::Synchronizer, &config).unwrap();
         assert_eq!(stats.tiles, 4);
         assert_eq!(stats.compilations, 4);
-        // A 12x12 image has 4 full-size tiles but only 2 bank phases
-        // (x0 ∈ {0, 6} ⇒ x0 % 4 ∈ {0, 2}); an 18x6 strip has 3 tiles in the
-        // same 2 phases: the cache collapses the repeats.
+        // A 12x12 image has 4 full-size tiles, and an 18x6 strip 3, at two
+        // bank phases (x0 ∈ {0, 6} ⇒ x0 % 4 ∈ {0, 2}, and x0 = 12 again at
+        // 0): one shape each, so one compile each.
         let img = GrayImage::gradient(12, 12);
         let (_, stats) =
             run_sc_pipeline_with_stats(&img, PipelineVariant::Synchronizer, &config).unwrap();
         assert_eq!(stats.tiles, 4);
-        assert_eq!(stats.compilations, 2);
+        assert_eq!(stats.compilations, 1);
         let img = GrayImage::gradient(18, 6);
         let (_, stats) =
             run_sc_pipeline_with_stats(&img, PipelineVariant::Synchronizer, &config).unwrap();
         assert_eq!(stats.tiles, 3);
-        assert_eq!(stats.compilations, 2);
+        assert_eq!(stats.compilations, 1);
     }
 
     #[test]

@@ -1,17 +1,24 @@
 //! The **planning layer** of the tiled pipeline: [`TilePlanner`] turns one
 //! tile position into a dispatch-ready [`PlannedTile`].
 //!
-//! Planning is done once per tile *class*: tile shape and source-bank
-//! phase. Tiles of one class build the same circuit up to their two
-//! select-LFSR seeds, which is the paper's hardware: a fixed circuit behind
-//! one shared select LFSR per kernel family, seeded per tile (§II.B, §IV). So a cache hit builds no
-//! graph and touches no plan. It computes the class key from the tile
-//! position, gathers the tile's haloed pixels, and returns
+//! Planning is done once per tile *class*, and a class is a tile shape.
+//! Tiles of one shape build the same circuit up to their sources: their two
+//! select-LFSR seeds, and which of the 8 input Sobol generators each pixel
+//! reads. That is the paper's hardware: a fixed tile circuit behind shared
+//! generators, one select LFSR per kernel family seeded per tile (§II.B,
+//! §IV). [`crate::graph::pixel_bank_index`] assigns a pixel's generator
+//! from its absolute coordinates with periods 4 (x) and 2 (y), so moving a
+//! tile permutes the 8 generators and keeps which pixels share one; the
+//! compiler's correlation reasoning only sees that sharing, so the compiled
+//! plan is the same. A cache hit therefore builds no graph and touches no
+//! plan. It gathers the tile's haloed pixels and returns
 //!
 //! * the cached template itself (an `Arc` clone),
 //! * a [`BatchInput`] whose [`BatchInput::bindings`] map the template's
-//!   select specs to this tile's, which the executor (and `sc_rtl`'s
-//!   elaborator) resolve per job, and
+//!   select specs to this tile's and, when the tile's bank phase (origin
+//!   mod 4×2) differs from the template's, the template's 8 Sobol specs to
+//!   this tile's permutation of them; the executor (and `sc_rtl`'s
+//!   elaborator) resolve them per job, and
 //! * the template's shared sink layout at this tile's origin
 //!   ([`TileSinks`]).
 //!
@@ -27,14 +34,14 @@
 //! one compiled template on the warm executor.
 //!
 //! The cache is never evicted, because it is bounded by construction: a
-//! class is a tile width and height in `1..=tile_size` and one of the 4×2
-//! source-bank phases, so one planner holds at most `8·tile_size²`
-//! templates whatever images it sees (200 at the default 10×10 tile, where
-//! tile origins fall on only two phases).
+//! class is a tile width and height in `1..=tile_size`, so one planner holds
+//! at most `tile_size²` templates whatever images it sees (100 at the
+//! default 10×10 tile).
 
 use crate::assemble::TileSinks;
 use crate::graph::{
-    blur_select_spec, edge_select_spec, planner_options, sink_name, tile_circuit, TileRegion,
+    blur_select_spec, edge_select_spec, pixel_bank_index, pixel_source_spec, planner_options,
+    sink_name, tile_circuit, TileRegion, RNG_BANK_SIZE,
 };
 use crate::image::GrayImage;
 use crate::pipeline::{PipelineConfig, PipelineStats, PipelineVariant};
@@ -44,28 +51,65 @@ use sc_telemetry::{Counter, Stage};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Plan-cache key: tile width, tile height and source-bank phase (x0 mod 4,
-/// y0 mod 2). Plans are brightness-independent, so pixel values never enter
-/// the key.
-type PlanKey = (usize, usize, usize, usize);
+/// Plan-cache key: tile width and height. Plans are brightness- and
+/// position-independent, so neither pixel values nor the origin enter the
+/// key.
+type PlanKey = (usize, usize);
 
-/// A cached compiled template for one tile class: the plan, the two select
-/// specs it was compiled with (the left-hand sides of every hit's seed
-/// bindings) and its tile-relative sink layout.
+/// A cached compiled template for one tile class: the plan, the origin and
+/// the two select specs it was compiled with (the left-hand sides of every
+/// hit's source bindings) and its tile-relative sink layout.
 struct CacheEntry {
     plan: Arc<CompiledGraph>,
+    origin: (usize, usize),
     blur_select: SourceSpec,
     edge_select: SourceSpec,
     layout: Arc<[(usize, usize)]>,
 }
 
+impl CacheEntry {
+    /// The bindings that run this template as the tile at `(x0, y0)` with
+    /// select specs `blur` and `edge`: the two selects, then, when the
+    /// tile's bank phase differs from the template's, each template pixel
+    /// source to the source of the pixel at the same place in the tile.
+    fn bindings(
+        &self,
+        x0: usize,
+        y0: usize,
+        blur: SourceSpec,
+        edge: SourceSpec,
+    ) -> Vec<(SourceSpec, SourceSpec)> {
+        let (dx, dy) = (
+            x0 as isize - self.origin.0 as isize,
+            y0 as isize - self.origin.1 as isize,
+        );
+        let banks = if pixel_bank_index(dx, dy) == 0 {
+            0
+        } else {
+            RNG_BANK_SIZE as isize
+        };
+        let mut bindings = Vec::with_capacity(2 + banks as usize);
+        bindings.push((self.blur_select.clone(), blur));
+        bindings.push((self.edge_select.clone(), edge));
+        // One pixel per bank entry: (px, py) over one 4×2 period.
+        bindings.extend((0..banks).map(|bank| {
+            let (px, py) = (bank % 4, bank / 4);
+            (
+                pixel_source_spec(px, py),
+                pixel_source_spec(px + dx, py + dy),
+            )
+        }));
+        bindings
+    }
+}
+
 /// One tile ready for dispatch: its class template, its input (pixel values
-/// plus select-seed bindings), and where its sink values land.
+/// plus source bindings), and where its sink values land.
 pub struct PlannedTile {
     /// The tile class's compiled template, shared with the plan cache.
     pub plan: Arc<CompiledGraph>,
     /// The tile's input pixel values, and the bindings of the template's
-    /// select specs to this tile's.
+    /// select and pixel source specs to this tile's.
     pub input: BatchInput,
     /// Output-image coordinates of the tile's value sinks, in sink order.
     pub sinks: TileSinks,
@@ -149,24 +193,20 @@ impl TilePlanner {
         telemetry.add(Counter::Tiles, 1);
         let region = TileRegion::new(image, x0, y0, self.config.tile_size);
         let mut input = BatchInput::with_values(region.halo_values(image));
-        // Cache key: the tile shape *and* the tile origin's phase in the
-        // input source-bank pattern. `pixel_bank_index` assigns each input
-        // pixel's Sobol dimension from its absolute coordinates with periods
-        // 4 (x) and 2 (y), so only tiles whose origins agree modulo those
-        // periods build identical `Generate` layouts; two equal-shape tiles
-        // at different phases must not share a plan.
-        let (width, height) = region.shape();
-        let key = (width, height, x0 % 4, y0 % 2);
+        // Cache key: the tile shape alone (see the module docs).
+        let key = region.shape();
         if let Some(entry) = self.cache.get(&key) {
             // Tiles sharing a key build the same graph up to their two
-            // select seeds, which never collide (see the seed tests), so
-            // binding the template's specs to this tile's runs this tile's
-            // circuit.
+            // select seeds, which never collide (see the seed tests), and a
+            // permutation of the pixel sources, so binding the template's
+            // specs to this tile's runs this tile's circuit.
             telemetry.add(Counter::PlanCacheHits, 1);
-            input.bindings = vec![
-                (entry.blur_select.clone(), blur_select_spec(tile_index)),
-                (entry.edge_select.clone(), edge_select_spec(tile_index)),
-            ];
+            input.bindings = entry.bindings(
+                x0,
+                y0,
+                blur_select_spec(tile_index),
+                edge_select_spec(tile_index),
+            );
             return PlannedTile {
                 plan: Arc::clone(&entry.plan),
                 input,
@@ -200,6 +240,7 @@ impl TilePlanner {
             key,
             CacheEntry {
                 plan: Arc::clone(&plan),
+                origin: (x0, y0),
                 blur_select: blur_select_spec(tile_index),
                 edge_select: edge_select_spec(tile_index),
                 layout: Arc::clone(&layout),
@@ -243,16 +284,16 @@ mod tests {
     }
 
     /// A planned tile — a bound template on a hit — executes bit-identically
-    /// to a direct compile of that tile's own graph, for every variant, on
-    /// ragged image sizes and at tile indices far from 0.
+    /// to a direct compile of that tile's own graph, for every variant, over
+    /// the benchmark's aligned and ragged image sizes at the default
+    /// configuration and at tile indices far from 0. Every size has hits at
+    /// another bank phase than their template's, which bind all 8 pixel
+    /// sources.
     #[test]
     fn bound_templates_match_direct_per_tile_compiles() {
         const FIRST_INDEX: u64 = 3 * (1 << 16) + 40_000;
-        let config = PipelineConfig {
-            stream_length: 64,
-            ..PipelineConfig::default()
-        };
-        for (width, height) in [(33, 27), (64, 48)] {
+        let config = PipelineConfig::default();
+        for (width, height) in [(24, 24), (33, 27), (40, 40), (64, 48)] {
             // Two flat halves with a fine texture: a genuine vertical edge.
             let image = GrayImage::from_fn(width, height, |x, y| {
                 let half = if 2 * x < width { 0.25 } else { 0.7 };
@@ -265,7 +306,7 @@ mod tests {
                 let mut stats = PipelineStats::default();
                 let mut planned_out = GrayImage::filled(width, height, 0.0);
                 let mut direct_out = GrayImage::filled(width, height, 0.0);
-                let mut bound_hits = 0;
+                let mut phase_shifted_hits = 0;
                 for (i, &(x0, y0)) in tile_origins(&image, config.tile_size).iter().enumerate() {
                     let index = FIRST_INDEX + i as u64;
                     let planned = planner.plan_tile(&image, x0, y0, index, &mut stats);
@@ -275,7 +316,27 @@ mod tests {
                         .compile(&planner_options(variant, &config))
                         .unwrap();
                     assert_eq!(planned.input.values, tile.input.values, "{what}: gather");
-                    bound_hits += usize::from(!planned.input.bindings.is_empty());
+                    let bindings = &planned.input.bindings;
+                    let sobol = bindings
+                        .iter()
+                        .filter(|(from, _)| matches!(from, SourceSpec::Sobol { .. }))
+                        .count();
+                    assert!(
+                        [0, 2, 2 + RNG_BANK_SIZE].contains(&bindings.len()),
+                        "{what}: tile {index} binds {bindings:?}"
+                    );
+                    assert_eq!(
+                        sobol,
+                        bindings.len().saturating_sub(2),
+                        "{what}: {bindings:?}"
+                    );
+                    if sobol > 0 {
+                        phase_shifted_hits += 1;
+                        assert!(
+                            bindings[2..].iter().all(|(from, to)| from != to),
+                            "{what}: a bank permutation moves every source"
+                        );
+                    }
                     let planned_result = exec.run(&planned.plan, &planned.input).unwrap();
                     let direct_result = exec.run(&direct, &tile.input).unwrap();
                     assert_eq!(planned_result, direct_result, "{what}: tile {index}");
@@ -289,7 +350,10 @@ mod tests {
                         direct_out.set(*x, *y, direct_result.value(name).unwrap());
                     }
                 }
-                assert!(bound_hits > 0, "{what}: the image must exercise cache hits");
+                assert!(
+                    phase_shifted_hits > 0,
+                    "{what}: the image must exercise phase-shifted hits"
+                );
                 assert_eq!(planned_out, direct_out, "{what}: scattered image");
             }
         }
@@ -302,12 +366,14 @@ mod tests {
     }
 
     /// A hit hands out the cached template itself, not a copy, and opens
-    /// exactly one planner span: no nested retarget span.
+    /// exactly one planner span: no nested retarget span. A hit at another
+    /// bank phase binds the pixel sources as well as the selects.
     #[test]
     fn hits_return_the_cached_template_under_one_span() {
         let sink = TelemetrySink::new();
         let config = PipelineConfig::quick().with_telemetry(sink.clone());
-        // 12×12 in 6-pixel tiles: tiles 0 and 2 share a class, as do 1 and 3.
+        // 12×12 in 6-pixel tiles: four tiles of one shape, at origins
+        // (0, 0), (6, 0), (0, 6) and (6, 6); x0 = 6 is bank phase 2.
         let image = GrayImage::gradient(12, 12);
         let mut planner = TilePlanner::new(PipelineVariant::Synchronizer, config.clone());
         let mut stats = PipelineStats::default();
@@ -316,24 +382,25 @@ mod tests {
             .enumerate()
             .map(|(i, &(x0, y0))| planner.plan_tile(&image, x0, y0, i as u64, &mut stats))
             .collect();
-        assert_eq!((stats.tiles, stats.compilations), (4, 2));
-        assert!(Arc::ptr_eq(&planned[0].plan, &planned[2].plan));
-        assert!(Arc::ptr_eq(&planned[1].plan, &planned[3].plan));
-        assert!(!Arc::ptr_eq(&planned[0].plan, &planned[1].plan));
+        assert_eq!((stats.tiles, stats.compilations), (4, 1));
+        assert!(planned
+            .iter()
+            .all(|tile| Arc::ptr_eq(&tile.plan, &planned[0].plan)));
         assert!(
             planned[0].input.bindings.is_empty(),
             "a miss is its own template"
         );
+        let bound: Vec<usize> = planned.iter().map(|t| t.input.bindings.len()).collect();
         assert_eq!(
-            planned[2].input.bindings.len(),
-            2,
-            "a hit binds both selects"
+            bound,
+            [0, 2 + RNG_BANK_SIZE, 2, 2 + RNG_BANK_SIZE],
+            "a hit binds both selects, and at another bank phase every pixel source"
         );
         let report = sink.drain();
-        assert_eq!(report.stage_totals(Stage::PlanCacheHit).0, 2);
-        assert_eq!(report.stage_totals(Stage::PlanCacheMiss).0, 2);
+        assert_eq!(report.stage_totals(Stage::PlanCacheHit).0, 3);
+        assert_eq!(report.stage_totals(Stage::PlanCacheMiss).0, 1);
         assert_eq!(report.stage_totals(Stage::Retarget).0, 0);
-        assert_eq!(report.counter(Counter::PlanCacheHits), 2);
-        assert_eq!(report.counter(Counter::PlanCacheMisses), 2);
+        assert_eq!(report.counter(Counter::PlanCacheHits), 3);
+        assert_eq!(report.counter(Counter::PlanCacheMisses), 1);
     }
 }

@@ -6,7 +6,7 @@
 //! requests: the service's worker threads (no per-image thread spin-up), the
 //! shared [`TilePlanner`] (one per-class plan cache for *all* requests, so a
 //! request whose tile classes were already compiled plans without building
-//! a graph: a pixel gather and two seed bindings per tile),
+//! a graph: a pixel gather and its source bindings per tile),
 //! and the service's intake (the workers take tiles of concurrently
 //! submitted images round-robin and run each solo on the shared workers).
 //!

@@ -1,5 +1,5 @@
-//! Primitive component library: logic gates, multiplexers, flip-flops, a full
-//! adder, an up-counter and constant drivers.
+//! Primitive component library: logic gates, multiplexers, flip-flops, an
+//! up-counter and constant drivers.
 
 use crate::component::Component;
 
@@ -155,39 +155,6 @@ impl Component for DFlipFlop {
     }
 }
 
-/// A one-bit full adder: ports are `(a, b, carry_in)`, outputs are
-/// `(sum, carry_out)`: the correlation-agnostic adder's majority/sum pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct FullAdder;
-
-impl FullAdder {
-    /// Creates the adder.
-    #[must_use]
-    pub fn new() -> Self {
-        FullAdder
-    }
-}
-
-impl Component for FullAdder {
-    fn name(&self) -> &str {
-        "fa"
-    }
-
-    fn num_inputs(&self) -> usize {
-        3
-    }
-
-    fn num_outputs(&self) -> usize {
-        2
-    }
-
-    fn evaluate(&mut self, inputs: &[bool], outputs: &mut [bool]) {
-        let ones = inputs.iter().filter(|&&b| b).count();
-        outputs[0] = ones & 1 == 1; // sum
-        outputs[1] = ones >= 2; // carry
-    }
-}
-
 /// A `bits`-wide up counter with a combinational increment path: the output
 /// bus carries `state + enable` (LSB first), so at the final cycle of a run
 /// the bus holds the total number of enabled cycles *including* the current
@@ -328,24 +295,6 @@ mod tests {
         assert!(d.state());
         let d1 = DFlipFlop::with_initial(true);
         assert!(d1.state());
-    }
-
-    #[test]
-    fn full_adder_truth_table() {
-        let mut fa = FullAdder::new();
-        for a in [false, true] {
-            for b in [false, true] {
-                for cin in [false, true] {
-                    let mut out = [false, false];
-                    fa.evaluate(&[a, b, cin], &mut out);
-                    let ones = usize::from(a) + usize::from(b) + usize::from(cin);
-                    assert_eq!(out[0], ones & 1 == 1, "sum for {a}{b}{cin}");
-                    assert_eq!(out[1], ones >= 2, "carry for {a}{b}{cin}");
-                }
-            }
-        }
-        assert_eq!(fa.num_inputs(), 3);
-        assert_eq!(fa.num_outputs(), 2);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! A warm job — `Executor::run` on a plan that has already run once at this
 //! stream length — makes a fixed number of heap allocations whatever the
-//! tile size: the job's word arena and its slot lengths, its table of
+//! tile size, and whether it binds only the select seeds or the 8 pixel
+//! sources too: the job's word arena and its slot lengths, its table of
 //! bound specs, and its output values. An executor that allocated a stream
 //! per step, built a boxed circuit per manipulator or looked planes up per
 //! step would allocate per pixel and fail here. This is a test binary of
@@ -54,21 +55,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Heap allocations of one warm synchronizer-variant job on a
-/// `tile_size`² tile at the default stream length.
-fn warm_job_allocations(tile_size: usize) -> u64 {
+/// `tile_size`² tile at `origin` at the default stream length, run on the
+/// plan compiled for the tile at (0, 0) with `bindings` source bindings.
+fn warm_job_allocations(tile_size: usize, origin: (usize, usize), bindings: usize) -> u64 {
     let config = PipelineConfig {
         tile_size,
         ..PipelineConfig::default()
     };
-    // Tile (0, tile_size) has the shape and bank phase of tile (0, 0) for
-    // an even tile size, so it runs the same plan with its own select seeds.
     let image = GrayImage::gradient(2 * tile_size, 2 * tile_size);
     let mut planner = TilePlanner::new(PipelineVariant::Synchronizer, config.clone());
     let mut stats = PipelineStats::default();
     let first = planner.plan_tile(&image, 0, 0, 0, &mut stats);
-    let tile = planner.plan_tile(&image, 0, tile_size, 2, &mut stats);
+    let tile = planner.plan_tile(&image, origin.0, origin.1, 2, &mut stats);
     assert_eq!(stats.compilations, 1, "the second tile reuses the plan");
-    assert_eq!(tile.input.bindings.len(), 2, "and binds its select seeds");
+    assert_eq!(tile.input.bindings.len(), bindings, "and binds its sources");
     assert!(
         tile.plan.report().inserted.len() >= tile_size * tile_size,
         "the planner inserted the variant's synchronizers"
@@ -87,15 +87,18 @@ fn warm_job_allocations(tile_size: usize) -> u64 {
 
 #[test]
 fn warm_tile_job_allocates_a_constant_four_blocks() {
-    let small = warm_job_allocations(6);
-    let large = warm_job_allocations(10);
-    assert_eq!(
-        small, large,
-        "a warm job's allocations must not grow with the tile: {small} at 6x6, {large} at 10x10"
-    );
-    assert_eq!(
-        small, 4,
-        "a warm job allocates its arena words, its slot lengths, its bound-spec \
-         table and its output values, nothing else"
-    );
+    for tile_size in [6, 10] {
+        // (0, t) has the bank phase of (0, 0) for an even tile size: the job
+        // binds the two select seeds. (t, 0) has x0 mod 4 = 2: it binds the
+        // 8 pixel sources too, through the plan's own resolved comparators.
+        for (origin, bindings) in [((0, tile_size), 2), ((tile_size, 0), 10)] {
+            assert_eq!(
+                warm_job_allocations(tile_size, origin, bindings),
+                4,
+                "a warm job at {origin:?} on a {tile_size}x{tile_size} tile allocates its \
+                 arena words, its slot lengths, its bound-spec table and its output \
+                 values, nothing else"
+            );
+        }
+    }
 }

@@ -1,9 +1,11 @@
 //! Deterministic cost gate of the plan-cache hit path.
 //!
 //! A warm hit of `TilePlanner::plan_tile` makes a fixed number of heap
-//! allocations — the tile's input values and its select-seed binding table —
-//! whatever the tile size. A hit that built the tile's graph, cloned a plan
-//! or formatted sink names would allocate per pixel and fail here. This is a
+//! allocations — the tile's input values and its source binding table —
+//! whatever the tile size, and whether or not the tile sits at another bank
+//! phase than its template (which binds the 8 pixel sources as well as the
+//! two select seeds). A hit that built the tile's graph, cloned a plan or
+//! formatted sink names would allocate per pixel and fail here. This is a
 //! test binary of its own because it installs a counting global allocator.
 
 use sc_image::{GrayImage, PipelineConfig, PipelineStats, PipelineVariant, TilePlanner};
@@ -50,38 +52,40 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Heap allocations of one warm cache hit on a `tile_size`² tile.
-fn warm_hit_allocations(tile_size: usize) -> u64 {
+/// Heap allocations of one warm cache hit on a `tile_size`² tile at
+/// `origin`, planned after the tile at (0, 0), and the hit's binding count.
+fn warm_hit_allocations(tile_size: usize, origin: (usize, usize)) -> (u64, usize) {
     let config = PipelineConfig {
         tile_size,
         stream_length: 64,
         ..PipelineConfig::default()
     };
-    // Tile (0, tile_size) has the shape and bank phase of tile (0, 0) for
-    // an even tile size, so planning it after (0, 0) is a warm hit.
     let image = GrayImage::gradient(2 * tile_size, 2 * tile_size);
     let mut planner = TilePlanner::new(PipelineVariant::Synchronizer, config);
     let mut stats = PipelineStats::default();
     let miss = planner.plan_tile(&image, 0, 0, 0, &mut stats);
     let before = ALLOCATIONS.with(Cell::get);
-    let hit = planner.plan_tile(&image, 0, tile_size, 2, &mut stats);
+    let hit = planner.plan_tile(&image, origin.0, origin.1, 2, &mut stats);
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(stats.compilations, 1, "the second tile is a cache hit");
-    assert_eq!(hit.input.bindings.len(), 2);
+    let bindings = hit.input.bindings.len();
     drop((miss, hit));
-    allocations
+    (allocations, bindings)
 }
 
 #[test]
 fn warm_plan_cache_hit_allocates_a_constant_two_blocks() {
-    let small = warm_hit_allocations(6);
-    let large = warm_hit_allocations(10);
-    assert_eq!(
-        small, large,
-        "a warm hit's allocations must not grow with the tile: {small} at 6x6, {large} at 10x10"
-    );
-    assert_eq!(
-        small, 2,
-        "a warm hit allocates its input values and its seed bindings, nothing else"
-    );
+    for tile_size in [6, 10] {
+        // (0, t) has the bank phase of (0, 0) for an even tile size: the hit
+        // binds the two select seeds. (t, 0) has x0 mod 4 = 2: it binds the
+        // 8 pixel sources too, in the same table.
+        for (origin, bindings) in [((0, tile_size), 2), ((tile_size, 0), 10)] {
+            assert_eq!(
+                warm_hit_allocations(tile_size, origin),
+                (2, bindings),
+                "a warm hit at {origin:?} on a {tile_size}x{tile_size} tile allocates its \
+                 input values and its source bindings, nothing else"
+            );
+        }
+    }
 }

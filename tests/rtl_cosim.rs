@@ -15,7 +15,7 @@ use sc_graph::{
 use sc_hwcost::Netlist;
 use sc_image::{
     planner_options, tile_graph, GrayImage, PipelineConfig, PipelineStats, PipelineVariant,
-    TilePlanner,
+    TilePlanner, RNG_BANK_SIZE,
 };
 use sc_rng::SourceSpec;
 use sc_rtl::{elaborate, sink_counter_bits, to_verilog, RtlError};
@@ -585,44 +585,62 @@ fn cosim_gb_ed_tile_matches_executor_at_one_and_four_threads() {
 
 #[test]
 fn cosim_bound_template_at_far_tile_index_matches_executor() {
-    // A plan-cache hit far from tile 0: the elaborated design takes the
-    // tile's own select seeds from the input's bindings as its seed
-    // registers, co-simulates bit-identically to the executor on the same
-    // bound template, and both match a direct compile of that tile.
+    // Plan-cache hits far from tile 0: the elaborated design takes the
+    // tile's own sources from the input's bindings (the select seeds as its
+    // seed registers, the pixel sources as its generators), co-simulates
+    // bit-identically to the executor on the same bound template, and both
+    // match a direct compile of that tile.
     let img = GrayImage::from_fn(12, 12, |x, y| {
         0.5 * GrayImage::gaussian_blob(12, 12).get(x, y) + 0.5 * (x as f64 / 12.0)
     });
     let config = PipelineConfig::quick();
     let variant = PipelineVariant::Synchronizer;
     let n = config.stream_length;
-    let tile_index = 3 * (1 << 16) + 40_002;
     let mut planner = TilePlanner::new(variant, config.clone());
     let mut stats = PipelineStats::default();
     let template = planner.plan_tile(&img, 0, 0, 0, &mut stats);
-    // (0, 6) has the shape and bank phase of (0, 0): a hit.
-    let hit = planner.plan_tile(&img, 0, 6, tile_index, &mut stats);
-    assert_eq!(stats.compilations, 1);
-    assert!(std::sync::Arc::ptr_eq(&template.plan, &hit.plan));
-    assert_cosim_identical(&hit.plan, &hit.input, n, "bound GB→ED template");
+    // (0, 6) has the bank phase of (0, 0) and binds the two select seeds;
+    // (6, 0) is at x0 mod 4 = 2 and also binds the 8 Sobol pixel sources.
+    for ((x0, y0), bound_specs) in [((0, 6), 2), ((6, 0), 2 + RNG_BANK_SIZE)] {
+        let tile_index = 3 * (1 << 16) + 40_002 + x0 as u64;
+        let what = format!("bound GB→ED template at ({x0}, {y0})");
+        let hit = planner.plan_tile(&img, x0, y0, tile_index, &mut stats);
+        assert_eq!(stats.compilations, 1);
+        assert!(std::sync::Arc::ptr_eq(&template.plan, &hit.plan));
+        assert_eq!(hit.input.bindings.len(), bound_specs, "{what}");
+        assert_cosim_identical(&hit.plan, &hit.input, n, &what);
 
-    let direct_tile = tile_graph(&img, 0, 6, variant, &config, tile_index);
-    let direct = direct_tile
-        .graph
-        .compile(&planner_options(variant, &config))
-        .unwrap();
-    let exec = Executor::new(n);
-    let bound = exec.run(&hit.plan, &hit.input).unwrap();
-    assert_eq!(bound, exec.run(&direct, &direct_tile.input).unwrap());
-    let rtl = elaborate(&hit.plan, &hit.input, n)
-        .unwrap()
-        .cosimulate(&hit.input)
-        .unwrap();
-    let unbound = BatchInput::with_values(hit.input.values.clone());
-    let rtl_unbound = elaborate(&hit.plan, &unbound, n)
-        .unwrap()
-        .cosimulate(&unbound)
-        .unwrap();
-    assert_ne!(rtl, rtl_unbound, "the bindings reach the seed registers");
+        let direct_tile = tile_graph(&img, x0, y0, variant, &config, tile_index);
+        let direct = direct_tile
+            .graph
+            .compile(&planner_options(variant, &config))
+            .unwrap();
+        let exec = Executor::new(n);
+        let bound = exec.run(&hit.plan, &hit.input).unwrap();
+        assert_eq!(
+            bound,
+            exec.run(&direct, &direct_tile.input).unwrap(),
+            "{what}"
+        );
+        let rtl = elaborate(&hit.plan, &hit.input, n)
+            .unwrap()
+            .cosimulate(&hit.input)
+            .unwrap();
+        assert_eq!(
+            rtl,
+            elaborate(&direct, &direct_tile.input, n)
+                .unwrap()
+                .cosimulate(&direct_tile.input)
+                .unwrap(),
+            "{what}: the bound design equals the tile's own"
+        );
+        let unbound = BatchInput::with_values(hit.input.values.clone());
+        let rtl_unbound = elaborate(&hit.plan, &unbound, n)
+            .unwrap()
+            .cosimulate(&unbound)
+            .unwrap();
+        assert_ne!(rtl, rtl_unbound, "{what}: the bindings reach the design");
+    }
 }
 
 #[test]

@@ -21,8 +21,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A 24×24 blob-plus-gradient image: 16 full-size 6-pixel tiles in 2 bank
-/// phases, so the plan cache hits 14 times.
+/// A 24×24 blob-plus-gradient image: 16 full-size 6-pixel tiles of one
+/// shape, so the plan cache hits 15 times.
 fn test_image() -> GrayImage {
     let blob = GrayImage::gaussian_blob(24, 24);
     GrayImage::from_fn(24, 24, |x, y| {
